@@ -40,12 +40,17 @@ fn measured_exchange(
         let start = std::time::Instant::now();
         // Feed through the container path (DESIGN.md §16): the buffer's
         // storage is swapped into the channel layer and comes back, so
-        // the steady state allocates nothing.
+        // the steady state allocates nothing. Each container is followed
+        // by a step, so what is queued ahead of the consumers stays a few
+        // batches: queueing the whole input first parks every flush past
+        // the credit budget on a full `credit_wait`, and at
+        // NAIAD_BENCH_SCALE=100 (10 M records under 1 MiB) never ends.
         let mut buf: Vec<u64> = Vec::with_capacity(1024);
         for i in 0..records_per_worker as u64 {
             buf.push(base.wrapping_mul(1_000_003).wrapping_add(i));
             if buf.len() == 1024 {
                 input.send_container(&mut buf);
+                worker.step();
             }
         }
         input.send_container(&mut buf);

@@ -22,7 +22,9 @@ use super::channels::ProcessRegistry;
 use super::config::Config;
 use super::flow::FlowRegistry;
 use super::liveness::Liveness;
-use super::progress_hub::{run_central_accumulator, run_router, HubStats, ProcessAccumulator};
+use super::progress_hub::{
+    run_central_accumulator, run_router, HubStats, ProcessAccumulator, ProgressLinks,
+};
 use super::retry::{EscalationCell, FaultKind, FaultPanic, RetryPolicy};
 use super::sync::Mutex;
 use super::worker::Worker;
@@ -330,6 +332,14 @@ where
         } else {
             Arc::new(ProcessRegistry::default())
         };
+        let progress_links = Arc::new(ProgressLinks::new(
+            process,
+            config.workers_per_process,
+            &registry,
+            net.clone(),
+            policy,
+            hub_stats.clone(),
+        ));
         // Dataflow graphs must be visible to the central accumulator, which
         // reads through `directory`; workers register into both.
         let accumulator = if config.progress_mode.local() {
@@ -338,9 +348,8 @@ where
                 processes,
                 config.progress_mode,
                 registry.clone(),
-                net.clone(),
+                progress_links.clone(),
                 config.total_workers(),
-                policy,
                 escalation.clone(),
             ))))
         } else {
@@ -400,6 +409,7 @@ where
             let registry = registry.clone();
             let directory = directory.clone();
             let net = net.clone();
+            let progress_links = progress_links.clone();
             let accumulator = accumulator.clone();
             let escalation = escalation.clone();
             let worker_fn = worker_fn.clone();
@@ -417,6 +427,7 @@ where
                             config,
                             registry,
                             net,
+                            progress_links,
                             accumulator,
                             directory,
                             escalation,
@@ -510,6 +521,10 @@ where
                 snap.hub = HubCounters {
                     router_idle_ticks: hub_stats.router_idle_ticks.load(Ordering::Relaxed),
                     central_idle_ticks: hub_stats.central_idle_ticks.load(Ordering::Relaxed),
+                    progress_local_deliveries: hub_stats
+                        .progress_local_deliveries
+                        .load(Ordering::Relaxed),
+                    progress_routed: hub_stats.progress_routed.load(Ordering::Relaxed),
                     heartbeats_sent: liveness_handles.iter().map(|l| l.beats_sent()).sum(),
                     suspicions: liveness_handles.iter().map(|l| l.suspicions()).sum(),
                     peer_failures: liveness_handles.iter().map(|l| l.failures()).sum(),

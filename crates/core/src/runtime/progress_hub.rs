@@ -14,14 +14,20 @@
 //! [`ProcessAccumulator`] is shared by a process's workers (deposits) and
 //! its router (observations of external broadcasts); the central
 //! accumulator runs on its own thread behind an extra fabric endpoint.
+//!
+//! Who delivers a progress batch ([`ProgressLinks`]): the thread that
+//! flushes it hands the copy addressed to its *own* process straight to
+//! the local workers' inboxes — the bytes never leave the process, so no
+//! second thread is woken to move them — and enqueues the copies for
+//! other processes on the fabric, whose routers fan them out on arrival.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use naiad_netsim::{
-    MembershipEvent, MembershipMsg, MembershipTable, NetReceiver, NetSender, RecvError,
-    TrafficClass,
+    Loopback, MembershipEvent, MembershipMsg, MembershipTable, NetReceiver, NetSender, RecvError,
+    SendError, TrafficClass,
 };
 use naiad_wire::{encode_to_vec, Bytes};
 
@@ -35,13 +41,15 @@ use super::channels::{
 };
 use super::flow::{FlowKey, FlowRegistry};
 use super::liveness::Liveness;
-use super::retry::{escalate, send_with_retry, EscalationCell, FaultKind, RetryPolicy};
+use super::queue::RingSender;
+use super::retry::{escalate, send_with_retry, with_retry, EscalationCell, FaultKind, RetryPolicy};
 
 pub(crate) use crate::progress::protocol::{CENTRAL_SENDER, PROC_ACC_SENDER_BASE};
 
-/// Idle-tick counters for the hub threads (routers + central
-/// accumulator), surfaced through
-/// [`HubCounters`](crate::telemetry::HubCounters). Each tick is one
+/// Counters for the progress hub, surfaced through
+/// [`HubCounters`](crate::telemetry::HubCounters).
+///
+/// Each idle tick of a hub thread (router or central accumulator) is one
 /// *bounded-backoff* receive timeout: the loops double their wait from
 /// [`IDLE_WAIT_BASE`] up to [`IDLE_WAIT_MAX`] while quiet and snap back
 /// on traffic, so an idle cluster costs a handful of wakeups per second
@@ -50,6 +58,12 @@ pub(crate) use crate::progress::protocol::{CENTRAL_SENDER, PROC_ACC_SENDER_BASE}
 pub(crate) struct HubStats {
     pub(crate) router_idle_ticks: AtomicU64,
     pub(crate) central_idle_ticks: AtomicU64,
+    /// Progress batches the flushing thread put into its own process's
+    /// inboxes itself ([`ProgressLinks::send`]).
+    pub(crate) progress_local_deliveries: AtomicU64,
+    /// Progress batches a router thread took off the fabric and fanned
+    /// out to its process's inboxes.
+    pub(crate) progress_routed: AtomicU64,
 }
 
 /// First idle wait after traffic.
@@ -69,6 +83,91 @@ fn ensure_registered(core: &mut GroupCore, registry: &ProcessRegistry, dataflow:
     }
 }
 
+/// One process's outgoing links for progress batches, shared by its
+/// workers and its accumulator: a fabric link to every other endpoint,
+/// and for the copy a process addresses to itself, its own workers'
+/// inboxes.
+pub(crate) struct ProgressLinks {
+    process: usize,
+    net: Arc<Mutex<NetSender>>,
+    policy: RetryPolicy,
+    /// Progress-inbox senders, one per local worker, resolved once.
+    inboxes: Vec<RingSender<Bytes>>,
+    stats: Arc<HubStats>,
+}
+
+impl ProgressLinks {
+    pub(crate) fn new(
+        process: usize,
+        workers_per_process: usize,
+        registry: &ProcessRegistry,
+        net: Arc<Mutex<NetSender>>,
+        policy: RetryPolicy,
+        stats: Arc<HubStats>,
+    ) -> Self {
+        ProgressLinks {
+            process,
+            net,
+            policy,
+            inboxes: progress_inboxes(registry, workers_per_process),
+            stats,
+        }
+    }
+
+    /// Sends one encoded batch to endpoint `dst`, retrying transient
+    /// failures.
+    ///
+    /// The copy for this process itself is delivered here, by the calling
+    /// thread. The fabric still accounts for it as a send to self
+    /// ([`NetSender::send_loopback`]: attempt counters, crash and
+    /// partition state, loopback metering), so fault schedules fire at the
+    /// same send and Fig 6c counts the same bytes as when it crossed the
+    /// fabric; and a fabric with a latency model, whose loopback link is
+    /// delayed like any other, keeps it on that link for the router.
+    ///
+    /// A sender's batches must reach every inbox in `seq` order: callers
+    /// emit and send under one lock (the accumulator's) or from the one
+    /// thread that owns the emitter (a worker's).
+    pub(crate) fn send(&self, dst: usize, tag: u32, bytes: &Bytes) -> Result<(), SendError> {
+        if dst != self.process {
+            return send_with_retry(
+                &self.net,
+                self.policy,
+                dst,
+                tag,
+                TrafficClass::Progress,
+                bytes,
+            );
+        }
+        debug_assert_eq!(tag, PROGRESS_TAG, "only broadcasts are self-addressed");
+        let who = with_retry(self.policy, || {
+            self.net
+                .lock()
+                .send_loopback(tag, TrafficClass::Progress, bytes)
+        })?;
+        if who == Loopback::Direct {
+            for inbox in &self.inboxes {
+                inbox.send(bytes.clone());
+            }
+            self.stats
+                .progress_local_deliveries
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+}
+
+/// The progress-inbox senders of a process's workers, in local-worker
+/// order.
+fn progress_inboxes(
+    registry: &ProcessRegistry,
+    workers_per_process: usize,
+) -> Vec<RingSender<Bytes>> {
+    (0..workers_per_process)
+        .map(|w| registry.sender::<Bytes>(ChannelKey::Progress(w)))
+        .collect()
+}
+
 /// The process-level accumulator (§3.3): a transport shell around a pure
 /// [`GroupCore`]. Workers deposit their journals; the router reports
 /// external broadcasts; flushes leave through the fabric according to
@@ -78,21 +177,18 @@ pub(crate) struct ProcessAccumulator {
     mode: ProgressMode,
     core: GroupCore,
     registry: Arc<ProcessRegistry>,
-    net: Arc<Mutex<NetSender>>,
-    policy: RetryPolicy,
+    links: Arc<ProgressLinks>,
     escalation: Arc<EscalationCell>,
 }
 
 impl ProcessAccumulator {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         process: usize,
         processes: usize,
         mode: ProgressMode,
         registry: Arc<ProcessRegistry>,
-        net: Arc<Mutex<NetSender>>,
+        links: Arc<ProgressLinks>,
         total_workers: usize,
-        policy: RetryPolicy,
         escalation: Arc<EscalationCell>,
     ) -> Self {
         ProcessAccumulator {
@@ -108,8 +204,7 @@ impl ProcessAccumulator {
                 total_workers,
             ),
             registry,
-            net,
-            policy,
+            links,
             escalation,
         }
     }
@@ -142,9 +237,11 @@ impl ProcessAccumulator {
         let bytes: Bytes = encode_to_vec(batch).into();
         match self.mode {
             ProgressMode::Local => {
-                // Broadcast directly to every process (including ours),
-                // retrying each link independently so one flaky link never
-                // re-sends to links that already accepted the batch.
+                // Broadcast directly to every process, retrying each link
+                // independently so one flaky link never re-sends to links
+                // that already accepted the batch. The copy for our own
+                // process lands in the local inboxes before `send`
+                // returns, under the lock the caller holds on `self`.
                 for dst in 0..self.processes {
                     self.send_or_escalate(dst, PROGRESS_TAG, &bytes);
                 }
@@ -158,9 +255,7 @@ impl ProcessAccumulator {
     }
 
     fn send_or_escalate(&self, dst: usize, tag: u32, bytes: &Bytes) {
-        if let Err(err) =
-            send_with_retry(&self.net, self.policy, dst, tag, TrafficClass::Progress, bytes)
-        {
+        if let Err(err) = self.links.send(dst, tag, bytes) {
             escalate(&self.escalation, FaultKind::from_send_error(err));
         }
     }
@@ -235,6 +330,9 @@ pub(crate) fn run_central_accumulator(
 /// The per-process router thread body: dispatches incoming fabric traffic
 /// to worker queues, fanning progress broadcasts out to every local worker
 /// and teeing them into the process accumulator where the mode requires.
+/// The broadcasts it sees come from other endpoints; this process's own
+/// arrive here only when a latency model keeps them on the fabric
+/// ([`ProgressLinks::send`]).
 ///
 /// The router also *is* the process's liveness driver: it ticks the
 /// failure detector every loop iteration (it wakes at least every
@@ -256,10 +354,7 @@ pub(crate) fn run_router(
     membership: MembershipMsg,
     flow: Option<&FlowRegistry>,
 ) {
-    // Lazily resolved progress-inbox senders, one per local worker.
-    let progress_txs: Vec<_> = (0..workers_per_process)
-        .map(|w| registry.sender::<Bytes>(ChannelKey::Progress(w)))
-        .collect();
+    let progress_txs = progress_inboxes(registry, workers_per_process);
     // Membership plane (elastic rescaling): announce this process's view
     // of the current generation, then fold peer announcements into a
     // table that dedups chaos re-deliveries and discards pre-rescale
@@ -335,6 +430,7 @@ pub(crate) fn run_router(
                         }
                     }
                     PROGRESS_TAG => {
+                        stats.progress_routed.fetch_add(1, Ordering::Relaxed);
                         for tx in &progress_txs {
                             tx.send(env.payload.clone());
                         }
@@ -414,5 +510,186 @@ pub(crate) fn run_router(
             }
             Err(RecvError::Disconnected) => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    use crate::graph::{ContextId, GraphBuilder, StageId, StageKind};
+    use crate::progress::Pointstamp;
+    use crate::runtime::queue::RingReceiver;
+    use crate::time::Timestamp;
+
+    /// A one-process Local-mode hub over the graph input(0) → sink(1),
+    /// already registered with the accumulator.
+    struct Hub {
+        acc: Arc<Mutex<ProcessAccumulator>>,
+        /// Every worker's progress inbox.
+        inboxes: Vec<RingReceiver<Bytes>>,
+        net: Arc<Mutex<NetSender>>,
+        stats: Arc<HubStats>,
+    }
+
+    fn hub(workers: usize) -> Hub {
+        let mut g = GraphBuilder::new();
+        let input = g.add_stage("in", StageKind::Input, ContextId::ROOT, 0, 1);
+        let sink = g.add_stage("sink", StageKind::Regular, ContextId::ROOT, 1, 0);
+        g.connect(input, 0, sink, 0);
+        let graph = Arc::new(g.build().expect("two-stage chain is valid"));
+
+        let registry = Arc::new(ProcessRegistry::default());
+        registry.register_dataflow(0, graph);
+        let inboxes = (0..workers)
+            .map(|w| registry.receiver::<Bytes>(ChannelKey::Progress(w)))
+            .collect();
+        let (tx, _rx) = naiad_netsim::Fabric::builder(1)
+            .build()
+            .pop()
+            .expect("one endpoint")
+            .split();
+        let net = Arc::new(Mutex::new(tx));
+        let stats = Arc::new(HubStats::default());
+        let policy = RetryPolicy {
+            retries: 0,
+            backoff: Duration::ZERO,
+        };
+        let links = Arc::new(ProgressLinks::new(
+            0,
+            workers,
+            &registry,
+            net.clone(),
+            policy,
+            stats.clone(),
+        ));
+        let mut acc = ProcessAccumulator::new(
+            0,
+            1,
+            ProgressMode::Local,
+            registry,
+            links,
+            workers,
+            Arc::new(EscalationCell::default()),
+        );
+        // A +1/−1 pair cancels in the buffer and flushes nothing; it makes
+        // the accumulator look the graph up now, so later deposits do not
+        // take the registry lock.
+        let sink_at_0 = Pointstamp::at_vertex(Timestamp::new(0), StageId(1));
+        acc.deposit(0, vec![(sink_at_0, 1), (sink_at_0, -1)]);
+        Hub {
+            acc: Arc::new(Mutex::new(acc)),
+            inboxes,
+            net,
+            stats,
+        }
+    }
+
+    /// One worker's input moving from `epoch` to the next. While no
+    /// worker lags behind `epoch`, the retired pointstamp is at the
+    /// frontier and covered by nothing, so the deposit flushes a batch.
+    fn advance_input(epoch: u64) -> Vec<ProgressUpdate> {
+        vec![
+            (
+                Pointstamp::at_vertex(Timestamp::new(epoch + 1), StageId(0)),
+                1,
+            ),
+            (Pointstamp::at_vertex(Timestamp::new(epoch), StageId(0)), -1),
+        ]
+    }
+
+    fn decode(bytes: &Bytes) -> ProgressBatch {
+        naiad_wire::decode_from_slice(bytes).expect("hub delivers encoded batches")
+    }
+
+    /// Fig 6c's definition survives the shortcut: the loopback link
+    /// meters each own-process batch once, at its encoded length, and
+    /// every local worker is handed those same bytes.
+    #[test]
+    fn own_process_copy_is_metered_once_at_its_encoded_length() {
+        let hub = hub(2);
+        let batches = 200u64;
+        for epoch in 0..batches / 2 {
+            for _worker in 0..2 {
+                hub.acc.lock().deposit(0, advance_input(epoch));
+            }
+        }
+        let delivered: Vec<Vec<Bytes>> = hub
+            .inboxes
+            .iter()
+            .map(|inbox| std::iter::from_fn(|| inbox.try_recv()).collect())
+            .collect();
+        assert_eq!(delivered[0], delivered[1], "workers share one encoding");
+        let seqs: Vec<u64> = delivered[0].iter().map(|b| decode(b).seq).collect();
+        assert_eq!(seqs, (0..batches).collect::<Vec<_>>());
+        let encoded: usize = delivered[0].iter().map(|b| b.len()).sum();
+
+        let metrics = hub.net.lock().metrics().clone();
+        let loopback = metrics.link_counters(0, 0).progress;
+        assert_eq!(
+            (loopback.messages, loopback.bytes),
+            (batches, encoded as u64)
+        );
+        assert_eq!(metrics.total(TrafficClass::Progress, true), loopback);
+        assert_eq!(
+            hub.stats.progress_local_deliveries.load(Ordering::Relaxed),
+            batches
+        );
+    }
+
+    #[cfg(loom)]
+    type Body = Box<dyn FnOnce() + Send>;
+
+    /// A worker parked on its progress inbox while a peer's deposit
+    /// flushes under the accumulator lock: in every schedule the worker
+    /// is handed the batch. A lost wake-up would leave it parked until
+    /// the model's timeout rescue, and `recv_timeout` would answer `None`.
+    #[cfg(loom)]
+    #[test]
+    fn loom_parked_worker_never_misses_a_local_delivery() {
+        crate::runtime::interleave::explore(|| {
+            let Hub {
+                acc, mut inboxes, ..
+            } = hub(1);
+            let inbox = inboxes.remove(0);
+            vec![
+                Box::new(move || {
+                    let got = inbox.recv_timeout(Duration::from_secs(5));
+                    assert_eq!(
+                        got.as_ref().map(|b| decode(b).seq),
+                        Some(0),
+                        "a parked worker must be woken with the flushed batch"
+                    );
+                }) as Body,
+                Box::new(move || acc.lock().deposit(0, advance_input(0))) as Body,
+            ]
+        });
+    }
+
+    /// Two workers depositing concurrently: whichever order the
+    /// accumulator serves them in, every worker's inbox receives the
+    /// accumulator's batches in `seq` order.
+    #[cfg(loom)]
+    #[test]
+    fn loom_concurrent_depositors_deliver_in_seq_order() {
+        crate::runtime::interleave::explore(|| {
+            let Hub { acc, inboxes, .. } = hub(2);
+            let depositor = |acc: Arc<Mutex<ProcessAccumulator>>| {
+                Box::new(move || acc.lock().deposit(0, advance_input(0))) as Body
+            };
+            vec![
+                depositor(acc.clone()),
+                depositor(acc),
+                Box::new(move || {
+                    for (worker, inbox) in inboxes.iter().enumerate() {
+                        let seqs: Vec<_> = (0..2)
+                            .map(|_| inbox.recv_timeout(Duration::from_secs(5)))
+                            .map(|bytes| bytes.as_ref().map(|b| decode(b).seq))
+                            .collect();
+                        assert_eq!(seqs, [Some(0), Some(1)], "inbox {worker} out of order");
+                    }
+                }) as Body,
+            ]
+        });
     }
 }

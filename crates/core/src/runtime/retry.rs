@@ -146,11 +146,28 @@ impl RetryPolicy {
     }
 }
 
-/// Sends `payload` to `dst`, retrying transient failures with exponential
-/// backoff. Returns the final error once the budget is exhausted or the
-/// failure is fatal. The fabric lock is released between attempts so
-/// other threads (and the delivery clock) make progress while we back
-/// off.
+/// Runs `attempt` until it succeeds, retrying transient failures with
+/// exponential backoff. Returns the final error once the budget is
+/// exhausted or the failure is fatal. `attempt` takes the fabric lock
+/// for one send only, so it is released between attempts and other
+/// threads (and the delivery clock) make progress while we back off.
+pub(crate) fn with_retry<T>(
+    policy: RetryPolicy,
+    mut attempt: impl FnMut() -> Result<T, SendError>,
+) -> Result<T, SendError> {
+    let mut attempts = 0u32;
+    loop {
+        match attempt() {
+            Err(err) if err.is_transient() && attempts < policy.retries => {
+                std::thread::sleep(policy.backoff_for(attempts));
+                attempts += 1;
+            }
+            result => return result,
+        }
+    }
+}
+
+/// Sends `payload` to `dst` under [`with_retry`].
 pub(crate) fn send_with_retry(
     net: &Arc<Mutex<NetSender>>,
     policy: RetryPolicy,
@@ -159,18 +176,9 @@ pub(crate) fn send_with_retry(
     class: TrafficClass,
     payload: &Bytes,
 ) -> Result<(), SendError> {
-    let mut attempt = 0u32;
-    loop {
-        let result = net.lock().send(dst, channel, class, payload.clone());
-        match result {
-            Ok(()) => return Ok(()),
-            Err(err) if err.is_transient() && attempt < policy.retries => {
-                std::thread::sleep(policy.backoff_for(attempt));
-                attempt += 1;
-            }
-            Err(err) => return Err(err),
-        }
-    }
+    with_retry(policy, || {
+        net.lock().send(dst, channel, class, payload.clone())
+    })
 }
 
 #[cfg(test)]

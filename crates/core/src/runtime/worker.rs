@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 
-use naiad_netsim::{FaultController, NetSender, TrafficClass};
+use naiad_netsim::{FaultController, NetSender};
 use naiad_wire::{encode_to_vec, Bytes};
 
 use super::sync::Mutex;
@@ -28,10 +28,8 @@ use super::durability::{open_blob, seal_blob, RestoreError};
 use super::flow::{FlowRegistry, OverloadFlag, OverloadMonitor};
 use super::rescale::RescaleError;
 use super::liveness::{Liveness, LivenessTransition};
-use super::progress_hub::ProcessAccumulator;
-use super::retry::{
-    escalate, send_with_retry, EscalationCell, FaultKind, FaultPanic, RetryPolicy,
-};
+use super::progress_hub::{ProcessAccumulator, ProgressLinks};
+use super::retry::{escalate, EscalationCell, FaultKind, FaultPanic, RetryPolicy};
 
 /// One dataflow installed at this worker.
 struct DataflowRuntime {
@@ -76,6 +74,9 @@ pub struct Worker {
     config: Config,
     registry: Arc<ProcessRegistry>,
     net: Arc<Mutex<NetSender>>,
+    /// Where this worker's own progress batches leave (Broadcast and
+    /// Global modes; in the local modes the accumulator sends).
+    progress_links: Arc<ProgressLinks>,
     progress_rx: super::queue::RingReceiver<Bytes>,
     accumulator: Option<Arc<Mutex<ProcessAccumulator>>>,
     /// Global dataflow directory, shared with the central accumulator.
@@ -140,6 +141,7 @@ impl Worker {
         config: Config,
         registry: Arc<ProcessRegistry>,
         net: Arc<Mutex<NetSender>>,
+        progress_links: Arc<ProgressLinks>,
         accumulator: Option<Arc<Mutex<ProcessAccumulator>>>,
         directory: Arc<ProcessRegistry>,
         escalation: Arc<EscalationCell>,
@@ -168,6 +170,7 @@ impl Worker {
             config,
             registry,
             net,
+            progress_links,
             progress_rx,
             accumulator,
             directory,
@@ -1086,8 +1089,11 @@ impl Worker {
     }
 
     /// Broadcasts this step's journal according to the progress mode
-    /// (§3.3). All paths ultimately traverse the fabric, including to this
-    /// worker itself: local views are fed exclusively by the protocol.
+    /// (§3.3). Local views are fed exclusively by the protocol: this
+    /// worker's own updates come back through its progress inbox like
+    /// everyone else's, put there by the flushing thread for batches that
+    /// stay in the process and by the router for batches that crossed the
+    /// fabric ([`ProgressLinks::send`]).
     // lint-allow(NS0004): `df` is the worker's own loop index over
     // `0..self.dataflows.len()`, and the accumulator handle is allocated
     // whenever the progress mode is Local/LocalGlobal (construction
@@ -1170,9 +1176,7 @@ impl Worker {
     /// Sends one progress payload with retry; escalates a fault the retry
     /// budget cannot mask.
     fn send_progress(&mut self, dst: usize, tag: u32, bytes: &Bytes) {
-        if let Err(err) =
-            send_with_retry(&self.net, self.policy, dst, tag, TrafficClass::Progress, bytes)
-        {
+        if let Err(err) = self.progress_links.send(dst, tag, bytes) {
             let kind = FaultKind::from_send_error(err);
             self.recorder.record(TelemetryEvent::FaultEscalated { kind });
             escalate(&self.escalation, kind);

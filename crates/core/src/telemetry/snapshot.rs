@@ -99,8 +99,9 @@ pub struct TrafficSummary {
     pub faults: FaultCounters,
 }
 
-/// Liveness-layer counters gathered outside the worker threads: router
-/// and central-accumulator idle ticks plus failure-detector activity.
+/// Counters gathered outside the worker threads: router and
+/// central-accumulator idle ticks, who delivered the progress batches,
+/// and failure-detector activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HubCounters {
     /// Idle receive timeouts observed by router threads (each one a
@@ -108,6 +109,13 @@ pub struct HubCounters {
     pub router_idle_ticks: u64,
     /// Idle receive timeouts observed by the central accumulator.
     pub central_idle_ticks: u64,
+    /// Progress batches delivered to their own process's workers by the
+    /// thread that flushed them, without waking the router.
+    /// `local / (local + routed)` is the share that skipped the router.
+    pub progress_local_deliveries: u64,
+    /// Progress batches a router took off the fabric and fanned out to
+    /// its process's workers.
+    pub progress_routed: u64,
     /// Standalone heartbeats emitted by the liveness layer.
     pub heartbeats_sent: u64,
     /// Peer-suspected transitions raised by the detectors.
@@ -483,6 +491,11 @@ impl TelemetrySnapshot {
                 h.peer_failures,
                 h.router_idle_ticks,
                 h.central_idle_ticks
+            );
+            let _ = writeln!(
+                s,
+                "progress hub: local_deliveries={} routed={}",
+                h.progress_local_deliveries, h.progress_routed
             );
         }
 

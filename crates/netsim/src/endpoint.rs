@@ -48,6 +48,17 @@ pub enum RecvError {
     Timeout,
 }
 
+/// Who delivers a message an endpoint addressed to itself; see
+/// [`NetSender::send_loopback`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Loopback {
+    /// Accounted for and not enqueued: the caller delivers the payload.
+    Direct,
+    /// Enqueued on the loopback link, to arrive through the receiver
+    /// after the installed [`LatencyModel`]'s delay.
+    Queued,
+}
+
 /// The entry point for building a fabric.
 ///
 /// `Fabric` itself is a namespace; [`FabricBuilder::build`] hands out the
@@ -288,6 +299,48 @@ impl NetSender {
         class: TrafficClass,
         payload: Bytes,
     ) -> Result<(), SendError> {
+        let duplicate = self.admit(dst, class, payload.len())?;
+        self.enqueue(dst, channel, class, payload, duplicate)
+    }
+
+    /// Accounts for a message this endpoint addresses to *itself* and
+    /// tells the caller who delivers it.
+    ///
+    /// Everything [`NetSender::send`] does for `dst == self.index()`
+    /// happens here — the attempt counts toward crash schedules and
+    /// partition windows, crash and partition state reject it, the
+    /// loopback link meters the bytes, a sequence number is consumed —
+    /// except that, with no [`LatencyModel`] installed, nothing is
+    /// enqueued: the bytes never leave the process, so the caller hands
+    /// them to its own consumers ([`Loopback::Direct`]). With a latency
+    /// model the loopback link is delayed like any other, so the message
+    /// goes through the receiver's delay heap as before
+    /// ([`Loopback::Queued`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`NetSender::send`] to this endpoint's own index.
+    pub fn send_loopback(
+        &mut self,
+        channel: u32,
+        class: TrafficClass,
+        payload: &Bytes,
+    ) -> Result<Loopback, SendError> {
+        let dst = self.index;
+        let duplicate = self.admit(dst, class, payload.len())?;
+        if self.samplers.is_some() {
+            self.enqueue(dst, channel, class, payload.clone(), duplicate)?;
+            return Ok(Loopback::Queued);
+        }
+        self.next_seq[dst] += 1;
+        Ok(Loopback::Direct)
+    }
+
+    /// The accounting half of a send: counts the attempt, applies crash
+    /// and partition state, meters the bytes and draws the probabilistic
+    /// faults. `Ok(duplicate)` means the message reaches the link, and
+    /// whether the fabric duplicates it there.
+    fn admit(&mut self, dst: usize, class: TrafficClass, len: usize) -> Result<bool, SendError> {
         assert!(dst < self.senders.len(), "destination {dst} out of range");
         let src = self.index;
 
@@ -330,9 +383,7 @@ impl NetSender {
         }
 
         // The bytes now reach the wire: meter them, drops included.
-        self.metrics
-            .link(self.index, dst)
-            .record(class, payload.len());
+        self.metrics.link(src, dst).record(class, len);
 
         // Probabilistic faults apply only to cross-process links; loopback
         // never crosses a physical network.
@@ -344,10 +395,21 @@ impl NetSender {
             self.metrics.record_dropped();
             return Err(SendError::Dropped { src, dst });
         }
-        let duplicate = cross
+        Ok(cross
             && self.faults.plan.duplicate_probability > 0.0
-            && self.fault_rng[dst].chance(self.faults.plan.duplicate_probability);
+            && self.fault_rng[dst].chance(self.faults.plan.duplicate_probability))
+    }
 
+    /// The transport half of a send: stamps the next sequence number and
+    /// puts the envelope (and its fabric-injected duplicate) on the link.
+    fn enqueue(
+        &mut self,
+        dst: usize,
+        channel: u32,
+        class: TrafficClass,
+        payload: Bytes,
+        duplicate: bool,
+    ) -> Result<(), SendError> {
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
         let deliver_at = self.schedule(dst, payload.len());
@@ -732,6 +794,72 @@ mod tests {
         a.send(0, 3, TrafficClass::Progress, vec![9].into()).unwrap();
         let env = a.try_recv().unwrap();
         assert_eq!((env.src, env.channel), (0, 3));
+    }
+
+    #[test]
+    fn loopback_is_accounted_like_a_send_to_self_but_not_enqueued() {
+        // Crash point at attempt 3: two loopbacks and one real send pass,
+        // the fourth attempt fails whichever entry point makes it.
+        let plan = FaultPlan::seeded(1).crash(0, 3);
+        let mut eps = Fabric::builder(2).faults(plan).build();
+        let (mut a, mut a_rx) = eps.swap_remove(0).split();
+        let payload = Bytes::from_static(&[1, 2, 3, 4]);
+        assert_eq!(
+            a.send_loopback(9, TrafficClass::Progress, &payload),
+            Ok(Loopback::Direct)
+        );
+        assert_eq!(
+            a.send_loopback(9, TrafficClass::Progress, &payload),
+            Ok(Loopback::Direct)
+        );
+        a.send(1, 9, TrafficClass::Progress, payload.clone())
+            .unwrap();
+        assert_eq!(
+            a.send_loopback(9, TrafficClass::Progress, &payload),
+            Err(SendError::SelfCrashed { src: 0 })
+        );
+        // Metered once per accepted loopback, on the loopback link only.
+        let own = a.metrics().link_counters(0, 0).progress;
+        assert_eq!((own.messages, own.bytes), (2, 8));
+        assert_eq!(a.metrics().network_bytes(TrafficClass::Progress), 4);
+        // Nothing was enqueued for the receiver.
+        assert!(a_rx.try_recv().is_none());
+    }
+
+    #[test]
+    fn loopback_respects_partition_state() {
+        let mut eps = Fabric::builder(1).build();
+        let ctl = eps[0].fault_controller();
+        let (mut a, _rx) = eps.swap_remove(0).split();
+        let payload = Bytes::from_static(&[7]);
+        ctl.sever(0, 0);
+        assert_eq!(
+            a.send_loopback(9, TrafficClass::Progress, &payload),
+            Err(SendError::Partitioned { src: 0, dst: 0 })
+        );
+        ctl.heal(0, 0);
+        assert_eq!(
+            a.send_loopback(9, TrafficClass::Progress, &payload),
+            Ok(Loopback::Direct)
+        );
+        assert_eq!(a.metrics().link_counters(0, 0).progress.messages, 1);
+    }
+
+    #[test]
+    fn loopback_under_latency_stays_on_the_delayed_link() {
+        let model = LatencyModel::constant(Duration::from_millis(2));
+        let mut eps = Fabric::builder(1).latency(model).build();
+        let (mut a, mut a_rx) = eps.swap_remove(0).split();
+        let start = Instant::now();
+        assert_eq!(
+            a.send_loopback(9, TrafficClass::Progress, &Bytes::from_static(&[5])),
+            Ok(Loopback::Queued)
+        );
+        assert!(a_rx.try_recv().is_none(), "delayed, not immediate");
+        let env = a_rx.recv_blocking().unwrap();
+        assert!(start.elapsed() >= Duration::from_millis(2));
+        assert_eq!((env.src, env.channel, env.payload[0]), (0, 9, 5));
+        assert_eq!(a.metrics().link_counters(0, 0).progress.messages, 1);
     }
 
     #[test]

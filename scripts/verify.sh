@@ -46,6 +46,14 @@ fi
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
+echo "== benchmark build + smoke test (ledger/, naiad-bench) =="
+# `ledger/` is a workspace of its own, so the steps above never compile
+# it. The harness that judges a PR builds and runs BENCHMARK.json's
+# command on it: a change that breaks a signature the benchmark calls, or
+# an output check of one of its workloads, must fail here first.
+cargo build --release --manifest-path ledger/Cargo.toml
+cargo test --release --manifest-path ledger/Cargo.toml
+
 echo "== allocation-budget gate (zero-copy data plane) =="
 # The counting-allocator harness re-runs in release mode: the fig6a
 # exchange at 1x/4x/16x volume must hold steady-state allocations flat

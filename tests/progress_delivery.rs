@@ -1,0 +1,244 @@
+//! Who delivers a progress batch (DESIGN.md §10): the thread that
+//! flushes it hands the copy for its own process to the local workers'
+//! inboxes itself; only copies for other processes cross the fabric to a
+//! router. The fabric still accounts for the own-process copy — fault
+//! schedules, Fig 6c bytes — and keeps it on the loopback link when a
+//! latency model delays that link.
+
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
+use std::rc::Rc;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use naiad::dataflow::{InputPort, Notify, OutputPort};
+use naiad::progress::ProgressMode;
+use naiad::telemetry::TelemetryEvent;
+use naiad::{
+    execute, execute_with_telemetry, Config, ExecuteError, Pact, Scope, TelemetrySnapshot,
+    Timestamp,
+};
+use naiad_examples::my_share;
+use naiad_netsim::{FaultPlan, LatencyModel};
+
+const EPOCHS: u64 = 5;
+
+/// Per-epoch sorted `(key, sum)` rows.
+type Output = Vec<Vec<(u64, u64)>>;
+/// What one worker captured: `(epoch, rows)` in emission order.
+type WorkerRows = Vec<(u64, Vec<(u64, u64)>)>;
+type Captured = Rc<RefCell<WorkerRows>>;
+
+fn inputs() -> Vec<Vec<(u64, u64)>> {
+    (0..EPOCHS)
+        .map(|e| (0..24).map(|i| (i % 7, 10 * e + i)).collect())
+        .collect()
+}
+
+/// Sum per key per epoch, exchanged by key: the sums are emitted from
+/// `OnNotify`, so every epoch's output waits on the progress protocol.
+fn build(scope: &mut Scope) -> (naiad::InputHandle<(u64, u64)>, naiad::ProbeHandle, Captured) {
+    let (input, stream) = scope.new_input::<(u64, u64)>();
+    let sums = stream.unary_notify(Pact::exchange(|(k, _): &(u64, u64)| *k), "KeyedSum", |_| {
+        let pending: Rc<RefCell<HashMap<Timestamp, HashMap<u64, u64>>>> = Rc::default();
+        let recv = pending.clone();
+        (
+            move |input: &mut InputPort<(u64, u64)>,
+                  _output: &mut OutputPort<(u64, u64)>,
+                  notify: &Notify| {
+                input.for_each(|time, data| {
+                    let mut pending = recv.borrow_mut();
+                    let sums = pending.entry(time).or_insert_with(|| {
+                        notify.notify_at(time);
+                        HashMap::new()
+                    });
+                    for (k, v) in data {
+                        *sums.entry(k).or_insert(0) += v;
+                    }
+                });
+            },
+            move |time: Timestamp, output: &mut OutputPort<(u64, u64)>, _notify: &Notify| {
+                if let Some(sums) = pending.borrow_mut().remove(&time) {
+                    let mut rows: Vec<_> = sums.into_iter().collect();
+                    rows.sort_unstable();
+                    output.session(time).give_iterator(rows);
+                }
+            },
+        )
+    });
+    (input, sums.probe(), sums.capture())
+}
+
+/// The worker closure: a closed loop, one epoch in flight.
+fn drive(worker: &mut naiad::Worker) -> WorkerRows {
+    let all = inputs();
+    let (mut input, probe, captured) = worker.dataflow(build);
+    for epoch in 0..EPOCHS {
+        for record in my_share(&all[epoch as usize], worker.index(), worker.peers()) {
+            input.send(record);
+        }
+        input.advance_to(epoch + 1);
+        worker.step_while(|| !probe.done_through(epoch));
+    }
+    input.close();
+    worker.step_until_done();
+    let rows = captured.borrow().clone();
+    rows
+}
+
+fn merge(per_worker: Vec<WorkerRows>) -> Output {
+    let mut out = vec![Vec::new(); EPOCHS as usize];
+    for (epoch, rows) in per_worker.into_iter().flatten() {
+        out[epoch as usize].extend(rows);
+    }
+    for rows in &mut out {
+        rows.sort_unstable();
+    }
+    out
+}
+
+fn run(config: Config) -> Output {
+    merge(execute(config, drive).expect("fault-free run"))
+}
+
+fn run_traced(config: Config) -> (Output, TelemetrySnapshot) {
+    let (rows, snapshot) =
+        execute_with_telemetry(config.telemetry_capacity(1 << 16), drive).expect("fault-free run");
+    (merge(rows), snapshot)
+}
+
+fn reference() -> Output {
+    run(Config::single_process(1))
+}
+
+/// The distinct `(sender, seq)` batches one worker applied.
+fn batches_applied(snapshot: &TelemetrySnapshot, worker: usize) -> BTreeSet<(u32, u64)> {
+    snapshot.logs[worker]
+        .events
+        .iter()
+        .filter_map(|r| match r.event {
+            TelemetryEvent::ProgressApplied { sender, seq, .. } => Some((sender, seq)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// One process, two workers: every batch stays in the process, so the
+/// flushing thread delivers all of them, the router none, and the
+/// loopback link meters each exactly once.
+#[test]
+fn own_process_batches_skip_the_router_and_are_metered_once() {
+    for mode in [ProgressMode::Local, ProgressMode::Broadcast] {
+        let (rows, snapshot) = run_traced(Config::single_process(2).progress_mode(mode));
+        assert_eq!(rows, reference(), "{mode:?}");
+
+        let batches = batches_applied(&snapshot, 0);
+        assert!(!batches.is_empty(), "{mode:?}: the run made progress");
+        assert_eq!(
+            batches,
+            batches_applied(&snapshot, 1),
+            "{mode:?}: both workers see every batch"
+        );
+        let emitted = batches.len() as u64;
+
+        let hub = snapshot.hub;
+        assert_eq!(
+            hub.progress_routed, 0,
+            "{mode:?}: nothing crossed the fabric"
+        );
+        assert_eq!(hub.progress_local_deliveries, emitted, "{mode:?}");
+
+        let traffic = snapshot.traffic;
+        assert_eq!(
+            traffic.progress_total.messages, emitted,
+            "{mode:?}: loopback metered once per batch — not zero, not twice"
+        );
+        assert!(traffic.progress_total.bytes > 0, "{mode:?}");
+        assert_eq!(
+            traffic.progress_network.messages, 0,
+            "{mode:?}: one process has no network links"
+        );
+    }
+}
+
+/// A latency model delays the loopback link like any other, so the
+/// own-process copy stays on it: every epoch of the closed loop waits at
+/// least one link delay for the worker's own updates to come back.
+#[test]
+fn latency_model_still_delays_the_own_process_copy() {
+    let delay = Duration::from_millis(3);
+    let start = Instant::now();
+    let (rows, snapshot) =
+        run_traced(Config::single_process(2).latency(LatencyModel::constant(delay)));
+    let elapsed = start.elapsed();
+    assert_eq!(rows, reference());
+    assert!(
+        elapsed >= delay * EPOCHS as u32,
+        "{EPOCHS} closed-loop epochs under a {delay:?} loopback delay took only {elapsed:?}"
+    );
+    assert_eq!(snapshot.hub.progress_local_deliveries, 0);
+    assert_eq!(
+        snapshot.hub.progress_routed,
+        batches_applied(&snapshot, 0).len() as u64,
+        "every batch went through the delayed link to the router"
+    );
+}
+
+/// A scheduled crash (`FaultPlan::crash(process, after_sends)`, what the
+/// chaos soak's plans carry) counts fabric send attempts, own-process
+/// progress batches included. The soak's two-process runs are not
+/// repeatable send for send, but on one process and one worker the
+/// attempt sequence is a pure function of the program, so there the crash
+/// point has a sharp edge: scheduled at the run's last attempt it fires,
+/// one later it never does. `ATTEMPTS` was measured on the commit before
+/// the own-process copy left the fabric queue (16 in 27 of 30 runs there,
+/// 17 when the router lagged the worker by a step).
+#[test]
+fn scheduled_crash_fires_at_the_same_send() {
+    const ATTEMPTS: u64 = 16;
+    let (_, snapshot) = run_traced(Config::single_process(1));
+    assert_eq!(
+        snapshot.traffic.progress_total.messages, ATTEMPTS,
+        "own-process batches still count as send attempts"
+    );
+
+    let crash_at = |after_sends| {
+        let plan = FaultPlan::seeded(5).crash(0, after_sends);
+        execute(Config::single_process(1).faults(plan), drive).map(merge)
+    };
+    assert_eq!(
+        crash_at(ATTEMPTS - 1),
+        Err(ExecuteError::ProcessCrashed { process: 0 }),
+        "a crash scheduled at the last attempt fires on it"
+    );
+    assert_eq!(crash_at(ATTEMPTS), Ok(reference()), "one later never fires");
+}
+
+/// Two processes of two workers: the own-process copy is delivered by
+/// the flusher, the other process's by its router; the output does not
+/// care, in any accumulation mode.
+#[test]
+fn mixed_delivery_is_bit_identical_to_the_single_worker_reference() {
+    let reference = Arc::new(reference());
+    for mode in [
+        ProgressMode::Local,
+        ProgressMode::Broadcast,
+        ProgressMode::LocalGlobal,
+        ProgressMode::Global,
+    ] {
+        let (rows, snapshot) = run_traced(Config::processes_and_workers(2, 2).progress_mode(mode));
+        assert_eq!(rows, *reference, "{mode:?}");
+        let hub = snapshot.hub;
+        assert!(
+            hub.progress_routed > 0,
+            "{mode:?}: remote copies are routed"
+        );
+        // With a central accumulator every broadcast originates at the
+        // extra endpoint, so no process ever addresses itself.
+        assert_eq!(
+            hub.progress_local_deliveries > 0,
+            !mode.global(),
+            "{mode:?}: local deliveries"
+        );
+    }
+}
