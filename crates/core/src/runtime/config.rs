@@ -134,7 +134,8 @@ pub struct Config {
     /// batch (Naiad aggregates messages at the application level, §3.5).
     pub batch_size: usize,
     /// Optional delivery-latency injection on every fabric link (§3.5
-    /// micro-straggler emulation).
+    /// micro-straggler emulation). The copy of a progress batch for the
+    /// flushing process itself never enters a link and is not delayed.
     pub latency: Option<LatencyModel>,
     /// How long an idle worker sleeps waiting for progress traffic before
     /// rechecking its queues.

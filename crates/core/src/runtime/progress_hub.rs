@@ -26,8 +26,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use naiad_netsim::{
-    Loopback, MembershipEvent, MembershipMsg, MembershipTable, NetReceiver, NetSender, RecvError,
-    SendError, TrafficClass,
+    MembershipEvent, MembershipMsg, MembershipTable, NetReceiver, NetSender, RecvError, SendError,
+    TrafficClass,
 };
 use naiad_wire::{encode_to_vec, Bytes};
 
@@ -122,8 +122,7 @@ impl ProgressLinks {
     /// ([`NetSender::send_loopback`]: attempt counters, crash and
     /// partition state, loopback metering), so fault schedules fire at the
     /// same send and Fig 6c counts the same bytes as when it crossed the
-    /// fabric; and a fabric with a latency model, whose loopback link is
-    /// delayed like any other, keeps it on that link for the router.
+    /// fabric.
     ///
     /// A sender's batches must reach every inbox in `seq` order: callers
     /// emit and send under one lock (the accumulator's) or from the one
@@ -140,19 +139,17 @@ impl ProgressLinks {
             );
         }
         debug_assert_eq!(tag, PROGRESS_TAG, "only broadcasts are self-addressed");
-        let who = with_retry(self.policy, || {
+        with_retry(self.policy, || {
             self.net
                 .lock()
-                .send_loopback(tag, TrafficClass::Progress, bytes)
+                .send_loopback(TrafficClass::Progress, bytes.len())
         })?;
-        if who == Loopback::Direct {
-            for inbox in &self.inboxes {
-                inbox.send(bytes.clone());
-            }
-            self.stats
-                .progress_local_deliveries
-                .fetch_add(1, Ordering::Relaxed);
+        for inbox in &self.inboxes {
+            inbox.send(bytes.clone());
         }
+        self.stats
+            .progress_local_deliveries
+            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -331,8 +328,7 @@ pub(crate) fn run_central_accumulator(
 /// to worker queues, fanning progress broadcasts out to every local worker
 /// and teeing them into the process accumulator where the mode requires.
 /// The broadcasts it sees come from other endpoints; this process's own
-/// arrive here only when a latency model keeps them on the fabric
-/// ([`ProgressLinks::send`]).
+/// are delivered by the thread that flushed them ([`ProgressLinks::send`]).
 ///
 /// The router also *is* the process's liveness driver: it ticks the
 /// failure detector every loop iteration (it wakes at least every
@@ -445,14 +441,13 @@ pub(crate) fn run_router(
                                     )
                                 });
                             let mut acc = acc.lock();
-                            // Do not observe our own flushes coming back (they
-                            // were folded at flush time in Local mode; in
-                            // Local+Global everything arrives via the central
-                            // accumulator and must be observed, own updates
-                            // included, because flushes were not folded).
-                            if batch.sender != acc.sender_id() {
-                                acc.observe(batch.dataflow as usize, &batch.updates);
-                            }
+                            // Our own flushes never come back here: in Local
+                            // mode the flushing thread delivered (and folded)
+                            // them; in Local+Global everything arrives via the
+                            // central accumulator and must be observed, own
+                            // updates included, because flushes were not folded.
+                            debug_assert_ne!(batch.sender, acc.sender_id());
+                            acc.observe(batch.dataflow as usize, &batch.updates);
                         }
                     }
                     CENTRAL_TAG => {

@@ -48,17 +48,6 @@ pub enum RecvError {
     Timeout,
 }
 
-/// Who delivers a message an endpoint addressed to itself; see
-/// [`NetSender::send_loopback`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Loopback {
-    /// Accounted for and not enqueued: the caller delivers the payload.
-    Direct,
-    /// Enqueued on the loopback link, to arrive through the receiver
-    /// after the installed [`LatencyModel`]'s delay.
-    Queued,
-}
-
 /// The entry point for building a fabric.
 ///
 /// `Fabric` itself is a namespace; [`FabricBuilder::build`] hands out the
@@ -91,8 +80,10 @@ pub struct FabricBuilder {
 }
 
 impl FabricBuilder {
-    /// Injects a delivery-latency model on every link (loopback included:
-    /// in Naiad even local progress updates traverse the broadcast path).
+    /// Injects a delivery-latency model on every link, loopback included
+    /// for whatever is [sent](NetSender::send) to it. A message accounted
+    /// for with [`NetSender::send_loopback`] never enters a link, so it is
+    /// not delayed.
     pub fn latency(mut self, model: LatencyModel) -> Self {
         self.latency = Some(model);
         self
@@ -303,37 +294,24 @@ impl NetSender {
         self.enqueue(dst, channel, class, payload, duplicate)
     }
 
-    /// Accounts for a message this endpoint addresses to *itself* and
-    /// tells the caller who delivers it.
+    /// Accounts for a message of `len` bytes that this endpoint addresses
+    /// to *itself* and that the caller delivers to its own consumers: the
+    /// bytes never leave the process, so nothing is enqueued.
     ///
-    /// Everything [`NetSender::send`] does for `dst == self.index()`
-    /// happens here — the attempt counts toward crash schedules and
+    /// Everything else [`NetSender::send`] does for `dst == self.index()`
+    /// happens here: the attempt counts toward crash schedules and
     /// partition windows, crash and partition state reject it, the
-    /// loopback link meters the bytes, a sequence number is consumed —
-    /// except that, with no [`LatencyModel`] installed, nothing is
-    /// enqueued: the bytes never leave the process, so the caller hands
-    /// them to its own consumers ([`Loopback::Direct`]). With a latency
-    /// model the loopback link is delayed like any other, so the message
-    /// goes through the receiver's delay heap as before
-    /// ([`Loopback::Queued`]).
+    /// loopback link meters the bytes, a sequence number is consumed.
     ///
     /// # Errors
     ///
     /// As [`NetSender::send`] to this endpoint's own index.
-    pub fn send_loopback(
-        &mut self,
-        channel: u32,
-        class: TrafficClass,
-        payload: &Bytes,
-    ) -> Result<Loopback, SendError> {
+    pub fn send_loopback(&mut self, class: TrafficClass, len: usize) -> Result<(), SendError> {
         let dst = self.index;
-        let duplicate = self.admit(dst, class, payload.len())?;
-        if self.samplers.is_some() {
-            self.enqueue(dst, channel, class, payload.clone(), duplicate)?;
-            return Ok(Loopback::Queued);
-        }
+        // Loopback never crosses a network, so it is never duplicated.
+        self.admit(dst, class, len)?;
         self.next_seq[dst] += 1;
-        Ok(Loopback::Direct)
+        Ok(())
     }
 
     /// The accounting half of a send: counts the attempt, applies crash
@@ -804,18 +782,12 @@ mod tests {
         let mut eps = Fabric::builder(2).faults(plan).build();
         let (mut a, mut a_rx) = eps.swap_remove(0).split();
         let payload = Bytes::from_static(&[1, 2, 3, 4]);
-        assert_eq!(
-            a.send_loopback(9, TrafficClass::Progress, &payload),
-            Ok(Loopback::Direct)
-        );
-        assert_eq!(
-            a.send_loopback(9, TrafficClass::Progress, &payload),
-            Ok(Loopback::Direct)
-        );
+        assert_eq!(a.send_loopback(TrafficClass::Progress, payload.len()), Ok(()));
+        assert_eq!(a.send_loopback(TrafficClass::Progress, payload.len()), Ok(()));
         a.send(1, 9, TrafficClass::Progress, payload.clone())
             .unwrap();
         assert_eq!(
-            a.send_loopback(9, TrafficClass::Progress, &payload),
+            a.send_loopback(TrafficClass::Progress, payload.len()),
             Err(SendError::SelfCrashed { src: 0 })
         );
         // Metered once per accepted loopback, on the loopback link only.
@@ -834,31 +806,11 @@ mod tests {
         let payload = Bytes::from_static(&[7]);
         ctl.sever(0, 0);
         assert_eq!(
-            a.send_loopback(9, TrafficClass::Progress, &payload),
+            a.send_loopback(TrafficClass::Progress, payload.len()),
             Err(SendError::Partitioned { src: 0, dst: 0 })
         );
         ctl.heal(0, 0);
-        assert_eq!(
-            a.send_loopback(9, TrafficClass::Progress, &payload),
-            Ok(Loopback::Direct)
-        );
-        assert_eq!(a.metrics().link_counters(0, 0).progress.messages, 1);
-    }
-
-    #[test]
-    fn loopback_under_latency_stays_on_the_delayed_link() {
-        let model = LatencyModel::constant(Duration::from_millis(2));
-        let mut eps = Fabric::builder(1).latency(model).build();
-        let (mut a, mut a_rx) = eps.swap_remove(0).split();
-        let start = Instant::now();
-        assert_eq!(
-            a.send_loopback(9, TrafficClass::Progress, &Bytes::from_static(&[5])),
-            Ok(Loopback::Queued)
-        );
-        assert!(a_rx.try_recv().is_none(), "delayed, not immediate");
-        let env = a_rx.recv_blocking().unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(2));
-        assert_eq!((env.src, env.channel, env.payload[0]), (0, 9, 5));
+        assert_eq!(a.send_loopback(TrafficClass::Progress, payload.len()), Ok(()));
         assert_eq!(a.metrics().link_counters(0, 0).progress.messages, 1);
     }
 

@@ -47,7 +47,7 @@ mod metrics;
 
 pub use clock::ClusterClock;
 pub use endpoint::{
-    Endpoint, Envelope, Fabric, FabricBuilder, Loopback, NetReceiver, NetSender, RecvError,
+    Endpoint, Envelope, Fabric, FabricBuilder, NetReceiver, NetSender, RecvError,
 };
 pub use fault::{CrashPoint, FaultController, FaultPlan, LinkPartition, SendError};
 pub use latency::LatencyModel;

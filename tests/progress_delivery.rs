@@ -2,14 +2,14 @@
 //! flushes it hands the copy for its own process to the local workers'
 //! inboxes itself; only copies for other processes cross the fabric to a
 //! router. The fabric still accounts for the own-process copy — fault
-//! schedules, Fig 6c bytes — and keeps it on the loopback link when a
-//! latency model delays that link.
+//! schedules, Fig 6c bytes — but never carries it, so a latency model
+//! does not delay it.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::progress::ProgressMode;
@@ -161,57 +161,42 @@ fn own_process_batches_skip_the_router_and_are_metered_once() {
     }
 }
 
-/// A latency model delays the loopback link like any other, so the
-/// own-process copy stays on it: every epoch of the closed loop waits at
-/// least one link delay for the worker's own updates to come back.
+/// The own-process copy never enters a link, so a latency model on the
+/// fabric neither delays it nor sends it to the router.
 #[test]
-fn latency_model_still_delays_the_own_process_copy() {
-    let delay = Duration::from_millis(3);
-    let start = Instant::now();
-    let (rows, snapshot) =
-        run_traced(Config::single_process(2).latency(LatencyModel::constant(delay)));
-    let elapsed = start.elapsed();
+fn latency_model_does_not_reroute_the_own_process_copy() {
+    let model = LatencyModel::constant(Duration::from_millis(3));
+    let (rows, snapshot) = run_traced(Config::single_process(2).latency(model));
     assert_eq!(rows, reference());
-    assert!(
-        elapsed >= delay * EPOCHS as u32,
-        "{EPOCHS} closed-loop epochs under a {delay:?} loopback delay took only {elapsed:?}"
-    );
-    assert_eq!(snapshot.hub.progress_local_deliveries, 0);
+    assert_eq!(snapshot.hub.progress_routed, 0);
     assert_eq!(
-        snapshot.hub.progress_routed,
-        batches_applied(&snapshot, 0).len() as u64,
-        "every batch went through the delayed link to the router"
+        snapshot.hub.progress_local_deliveries,
+        batches_applied(&snapshot, 0).len() as u64
     );
 }
 
 /// A scheduled crash (`FaultPlan::crash(process, after_sends)`, what the
 /// chaos soak's plans carry) counts fabric send attempts, own-process
-/// progress batches included. The soak's two-process runs are not
-/// repeatable send for send, but on one process and one worker the
-/// attempt sequence is a pure function of the program, so there the crash
-/// point has a sharp edge: scheduled at the run's last attempt it fires,
-/// one later it never does. `ATTEMPTS` was measured on the commit before
-/// the own-process copy left the fabric queue (16 in 27 of 30 runs there,
-/// 17 when the router lagged the worker by a step).
+/// progress batches included. On one process and one worker the attempt
+/// sequence is a pure function of the program, so the crash point has a
+/// sharp edge: scheduled at the run's last attempt it fires, one later it
+/// never does.
 #[test]
-fn scheduled_crash_fires_at_the_same_send() {
-    const ATTEMPTS: u64 = 16;
+fn scheduled_crash_counts_own_process_batches_as_sends() {
     let (_, snapshot) = run_traced(Config::single_process(1));
-    assert_eq!(
-        snapshot.traffic.progress_total.messages, ATTEMPTS,
-        "own-process batches still count as send attempts"
-    );
+    let attempts = snapshot.traffic.progress_total.messages;
+    assert!(attempts > 0, "own-process batches count as send attempts");
 
     let crash_at = |after_sends| {
         let plan = FaultPlan::seeded(5).crash(0, after_sends);
         execute(Config::single_process(1).faults(plan), drive).map(merge)
     };
     assert_eq!(
-        crash_at(ATTEMPTS - 1),
+        crash_at(attempts - 1),
         Err(ExecuteError::ProcessCrashed { process: 0 }),
         "a crash scheduled at the last attempt fires on it"
     );
-    assert_eq!(crash_at(ATTEMPTS), Ok(reference()), "one later never fires");
+    assert_eq!(crash_at(attempts), Ok(reference()), "one later never fires");
 }
 
 /// Two processes of two workers: the own-process copy is delivered by
