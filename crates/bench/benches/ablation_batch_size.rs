@@ -10,7 +10,7 @@
 use naiad::dataflow::{InputPort, OutputPort};
 use naiad::runtime::Pact;
 use naiad::{
-    execute_with_introspection, execute_with_metrics, Config, IntrospectOptions, TuningDecision,
+    execute_with_metrics, Config, Execution, IntrospectOptions, TuningDecision,
 };
 use naiad_bench::{header, scaled, timed};
 use naiad_netsim::TrafficClass;
@@ -60,10 +60,9 @@ fn run_autotuned(
     let config = Config::processes_and_workers(2, 2)
         .batch_size(start_batch)
         .telemetry_capacity(1 << 21);
-    let (times, report) = execute_with_introspection(
-        config,
-        IntrospectOptions::default().autotune(true).tap_capacity(1 << 21),
-        move |worker| {
+    let report = Execution::new(config)
+        .introspect(IntrospectOptions::default().autotune(true).tap_capacity(1 << 21))
+        .run(move |worker, _| {
             let (mut input, probe) = worker.dataflow(|scope| {
                 let (input, stream) = scope.new_input::<u64>();
                 let probe = stream
@@ -89,10 +88,9 @@ fn run_autotuned(
                 worker.step_until_done();
             })
             .1
-        },
-    )
-    .unwrap();
-    let elapsed = times.into_iter().fold(0.0f64, f64::max);
+        })
+        .unwrap();
+    let elapsed = report.phases[0].results.iter().copied().fold(0.0f64, f64::max);
     let settled = report
         .decisions
         .iter()

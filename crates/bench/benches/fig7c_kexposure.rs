@@ -8,7 +8,7 @@
 //! epoch's tweets before they enter the dataflow.
 
 use naiad::runtime::durability::{DurabilitySink, FileSink};
-use naiad::{execute, execute_resilient, Config, RecoveryOptions};
+use naiad::{execute, Config, Execution, RecoveryOptions};
 use naiad_algorithms::datasets::{tweet_stream, Tweet};
 use naiad_algorithms::kexposure::k_exposure;
 use naiad_bench::{header, percentile, scaled};
@@ -104,7 +104,7 @@ fn by_epoch(caps: Vec<Exposures>, offset: u64) -> EpochRows {
 }
 
 /// What the checkpoints buy (§3.4): crash a worker mid-stream, let
-/// `execute_resilient` roll the cluster back to the last consistent
+/// a resilient `Execution` roll the cluster back to the last consistent
 /// checkpoint and replay logged input, and confirm the recovered stream
 /// is output-identical to a fault-free run — then price the recovery.
 fn recovery_demo(tweets: Arc<Vec<Tweet>>, epochs: u64, per_epoch: usize) {
@@ -142,21 +142,20 @@ fn recovery_demo(tweets: Arc<Vec<Tweet>>, epochs: u64, per_epoch: usize) {
     let reference = by_epoch(reference, 0);
 
     let start = Instant::now();
-    let report = execute_resilient(
-        Config::single_process(2),
-        RecoveryOptions::default()
-            .max_attempts(3)
-            .checkpoint_every(checkpoint_every),
-        move |worker, recovery| {
+    let mut report = Execution::new(Config::single_process(2))
+        .resilient(
+            RecoveryOptions::default()
+                .max_attempts(3)
+                .checkpoint_every(checkpoint_every),
+        )
+        .run(move |worker, recovery| {
             let (mut input, probe, captured) = worker.dataflow(|scope| {
                 let (input, stream) = scope.new_input::<Tweet>();
                 let counts = k_exposure(&stream);
                 let captured = counts.capture();
                 (input, counts.probe(), captured)
             });
-            if let Some(blob) = recovery.snapshot(worker.index()) {
-                worker.restore(&blob);
-            }
+            recovery.restore_into(worker);
             // The accumulated join state timestamps its entries with
             // absolute epochs, so the resumed run keeps absolute epoch
             // numbers by skipping the input straight to the resume point
@@ -191,17 +190,17 @@ fn recovery_demo(tweets: Arc<Vec<Tweet>>, epochs: u64, per_epoch: usize) {
                 input.advance_to(epoch + 1);
                 worker.step_while(|| !probe.done_through(epoch));
                 if recovery.should_checkpoint(epoch) {
-                    recovery.deposit_checkpoint(epoch, worker.index(), worker.checkpoint());
+                    recovery.checkpoint(worker, epoch);
                 }
             }
             input.close();
             worker.step_until_done();
             let result = (recovery.resume_epoch(), captured.borrow().clone());
             result
-        },
-    )
-    .expect("the injected crash must be absorbed");
+        })
+        .expect("the injected crash must be absorbed");
     let faulty = start.elapsed().as_secs_f64();
+    let report = report.phases.pop().expect("no rescale step, one phase");
 
     let resume = report.results[0].0;
     // Epoch numbers are already absolute (see the `advance_to(resume)`

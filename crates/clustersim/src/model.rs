@@ -118,7 +118,7 @@ impl HeartbeatModel {
 
 /// Whole-process failure and coordinated-rollback recovery (§3.4): the
 /// macro-scale counterpart of [`StragglerModel`]'s micro-stragglers.
-/// Matches the semantics of the real runtime's `execute_resilient`: on
+/// Matches the semantics of the real runtime's `Execution::resilient`: on
 /// any crash the *entire* cluster rolls back to the last consistent
 /// checkpoint and replays logged inputs.
 #[derive(Debug, Clone)]
@@ -156,7 +156,7 @@ impl FailureModel {
 }
 
 /// Analytical cost model of an epoch-fence elastic rescale — the
-/// simulator counterpart of the runtime's `execute_elastic`
+/// simulator counterpart of the runtime's `Execution::elastic`
 /// (`naiad::runtime::rescale`). A rescale stalls the dataflow for:
 ///
 /// 1. **quiesce** — draining the progress frontier to the fence epoch;
@@ -555,7 +555,7 @@ impl ClusterSim {
     /// costing `epoch_seconds` of fault-free wall-clock, with a full
     /// checkpoint every `checkpoint_every` epochs, under `failures`.
     ///
-    /// Recovery semantics mirror the real runtime's `execute_resilient`
+    /// Recovery semantics mirror the real runtime's `Execution::resilient`
     /// (coordinated rollback, §3.4): a crash anywhere rolls the whole
     /// cluster back to the last consistent checkpoint; the time already
     /// spent on the abandoned epochs is lost and they are re-executed

@@ -274,8 +274,8 @@ pub struct AnalysisConfig {
     /// (so an elastic rescale can re-partition it by the exchange hash),
     /// and every keyed-state stage must sit at worker-invariant placement
     /// (so re-partitioning by key moves exactly the records that were
-    /// routed by that key). Default: off — plans built through
-    /// [`execute_elastic`](crate::runtime::rescale::execute_elastic)
+    /// routed by that key). Default: off — runs under
+    /// [`Execution::elastic`](crate::runtime::Execution::elastic)
     /// enable it.
     pub rescale_contracts: bool,
 }

@@ -304,6 +304,12 @@ impl<D: ExchangeData> InputHandle<D> {
 
 impl<D: ExchangeData> Drop for InputHandle<D> {
     fn drop(&mut self) {
-        self.close();
+        // A worker unwinding from a fault takes its dataflows down with
+        // it. Flushing still-buffered records then would send into the
+        // fabric that just failed and panic again, inside a destructor —
+        // an abort instead of the typed error the unwind carries.
+        if !std::thread::panicking() {
+            self.close();
+        }
     }
 }

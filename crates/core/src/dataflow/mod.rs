@@ -238,7 +238,7 @@ impl OperatorInfo {
     /// Beyond plain [`register_state`](Self::register_state) checkpointing,
     /// keyed state can be split into per-partition shards and re-merged
     /// under a different worker count, which is what lets
-    /// [`execute_elastic`](crate::runtime::rescale::execute_elastic)
+    /// [`Execution::elastic`](crate::runtime::Execution::elastic)
     /// migrate the operator across a rescale instead of aborting it.
     ///
     /// `route` must agree with the exchange contract feeding the operator

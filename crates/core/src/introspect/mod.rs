@@ -38,7 +38,9 @@
 //! oblivious to it), and never touches user streams — with autotuning
 //! off, a run with introspection is bit-identical to one without.
 //!
-//! Entry point: [`execute_with_introspection`]. The offline reference
+//! Entry point: [`Execution::introspect`](crate::runtime::Execution::introspect),
+//! a per-attempt layer of the run coordinator, so it composes with crash
+//! recovery and rescaling. The offline reference
 //! ([`offline_reference`]) recomputes the same summaries from harvested
 //! logs through the same attribution code, which is what the golden test
 //! checks the self-hosted results against.
@@ -54,24 +56,23 @@ pub use tuner::{Autotuner, TuningDecision};
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::dataflow::{InputHandle, InputPort, Notify, OutputPort};
-use crate::runtime::execute::execute_inner;
 use crate::runtime::sync::Mutex;
 use crate::runtime::{Config, Pact, StepHook, TuningKnobs, Worker};
-use crate::telemetry::{EventRecord, Recorder, Tap, TelemetryEvent, TelemetrySnapshot};
+use crate::telemetry::{EventRecord, Recorder, Tap, TelemetryEvent};
 use crate::time::Timestamp;
-use crate::ExecuteError;
 
 /// The observer dataflow's id: the harness builds it before the user
 /// closure runs, so it is always the worker's first dataflow.
 const OBSERVER_DATAFLOW: u32 = 0;
 
-/// Options for [`execute_with_introspection`].
+/// Options for [`Execution::introspect`](crate::runtime::Execution::introspect).
 #[derive(Debug, Clone, Copy)]
 pub struct IntrospectOptions {
     /// Per-worker tap queue capacity, in events. Overflow increments
@@ -108,89 +109,120 @@ impl IntrospectOptions {
     }
 }
 
-/// What [`execute_with_introspection`] returns alongside the worker
-/// results.
-#[derive(Debug)]
-pub struct IntrospectReport {
-    /// The full telemetry snapshot, with
-    /// [`TelemetrySnapshot::critical_paths`] filled in.
-    pub snapshot: TelemetrySnapshot,
-    /// Per-epoch critical-path summaries, sorted by epoch — the same
-    /// values as `snapshot.critical_paths`.
-    pub summaries: Vec<CriticalPathSummary>,
-    /// Every knob adjustment the autotuner made (empty when autotuning
-    /// is off).
-    pub decisions: Vec<TuningDecision>,
-    /// Events dropped at tap queues across all workers (0 means the
-    /// activity graph is complete).
-    pub tap_dropped: u64,
+/// Run-wide introspection state, shared by every worker of every attempt
+/// and phase of one [`Execution`](crate::runtime::Execution) run.
+pub(crate) struct Observer {
+    tap_capacity: usize,
+    tuner: Option<Mutex<Autotuner>>,
+    /// Each epoch's summary and the tuning decisions it triggered. Keyed
+    /// by epoch so a retried attempt that re-computes an epoch replaces
+    /// what the failed attempt reported instead of doubling it.
+    findings: Mutex<BTreeMap<u64, (CriticalPathSummary, Vec<TuningDecision>)>>,
+    tap_dropped: AtomicU64,
 }
 
-/// Per-worker introspection state: the observer input, the tap queue it
-/// drains, and the attribution state shared with the step hook.
-pub(crate) struct Harness {
-    input: Rc<RefCell<InputHandle<ActivitySample>>>,
+impl Observer {
+    /// Forces telemetry on in `config` and, when autotuning, installs
+    /// default knobs seeded from `config.batch_size` if it carries none.
+    pub(crate) fn new(options: IntrospectOptions, config: &mut Config) -> Observer {
+        config.telemetry = true;
+        let tuner = options.autotune.then(|| {
+            let knobs = config
+                .tuning
+                .get_or_insert_with(|| TuningKnobs::with_batch_size(config.batch_size));
+            Mutex::new(Autotuner::new(knobs.clone()))
+        });
+        Observer {
+            tap_capacity: options.tap_capacity,
+            tuner,
+            findings: Mutex::default(),
+            tap_dropped: AtomicU64::new(0),
+        }
+    }
+
+    /// The run's findings: summaries and decisions in epoch order, and
+    /// the events dropped at tap queues.
+    pub(crate) fn finish(&self) -> (Vec<CriticalPathSummary>, Vec<TuningDecision>, u64) {
+        let (summaries, decisions): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut *self.findings.lock()).into_values().unzip();
+        (
+            summaries,
+            decisions.into_iter().flatten().collect(),
+            self.tap_dropped.load(Ordering::Relaxed),
+        )
+    }
+}
+
+/// One worker's feed into the observer: the tap queue, the attribution
+/// state that turns its events into samples, and the observer input the
+/// samples go to.
+struct Feed {
+    input: InputHandle<ActivitySample>,
     queue: Rc<RefCell<VecDeque<EventRecord>>>,
+    attribution: AttributionState,
+}
+
+impl Feed {
+    /// Moves every tapped event through attribution into the input.
+    fn pump(&mut self) {
+        // Drain into a local batch first: sending on the observer input
+        // records transit events of its own, and although the tap
+        // excludes the observer dataflow, holding the queue borrow across
+        // a send would be one refactor away from a re-borrow panic.
+        let drained: Vec<EventRecord> = self.queue.borrow_mut().drain(..).collect();
+        for record in drained {
+            if let Some(sample) = self.attribution.push(&record) {
+                self.input.send(sample);
+            }
+        }
+    }
+}
+
+/// Per-worker introspection state: the feed shared with the step hook,
+/// and what [`Harness::finish`] needs to take it down.
+pub(crate) struct Harness {
+    feed: Rc<RefCell<Feed>>,
     dropped: Rc<Cell<u64>>,
-    attribution: Rc<RefCell<AttributionState>>,
-    recorder: Recorder,
+    observer: Arc<Observer>,
 }
 
 impl Harness {
     /// Builds the observer dataflow, marks it as such, installs the
     /// recorder tap and the step hook. Must run before the user closure
-    /// builds any dataflow (the observer claims id 0).
+    /// builds any dataflow (the observer claims id 0). `epochs` is what
+    /// this attempt computes — resume epoch to stop epoch; summaries
+    /// outside it are start-up noise (slices scheduled before the driver
+    /// advanced its inputs to the resume epoch) and are not reported.
     pub(crate) fn install(
         worker: &mut Worker,
-        tap_capacity: usize,
-        collector: &Arc<Mutex<Vec<CriticalPathSummary>>>,
-        tuner: Option<&Arc<Mutex<Autotuner>>>,
-        decisions: &Arc<Mutex<Vec<TuningDecision>>>,
+        observer: &Arc<Observer>,
+        epochs: Range<u64>,
     ) -> Harness {
         let recorder = worker.recorder();
-        let input = build_observer(
-            worker,
-            Arc::clone(collector),
-            tuner.map(Arc::clone),
-            Arc::clone(decisions),
-            recorder.clone(),
-        );
+        let input = build_observer(worker, Arc::clone(observer), epochs, recorder.clone());
         worker.mark_observer(OBSERVER_DATAFLOW as usize);
 
         let queue = Rc::new(RefCell::new(VecDeque::new()));
         let dropped = Rc::new(Cell::new(0u64));
         recorder.install_tap(Tap {
             queue: Rc::clone(&queue),
-            capacity: tap_capacity.max(1),
+            capacity: observer.tap_capacity.max(1),
             dropped: Rc::clone(&dropped),
             exclude_dataflow: OBSERVER_DATAFLOW,
         });
+        let feed = Rc::new(RefCell::new(Feed {
+            input,
+            queue,
+            attribution: AttributionState::new(u32::try_from(worker.index()).unwrap_or(u32::MAX)),
+        }));
 
-        let input = Rc::new(RefCell::new(input));
-        let attribution = Rc::new(RefCell::new(AttributionState::new(
-            u32::try_from(worker.index()).unwrap_or(u32::MAX),
-        )));
-
-        let hook_input = Rc::clone(&input);
-        let hook_queue = Rc::clone(&queue);
-        let hook_attribution = Rc::clone(&attribution);
+        let hook_feed = Rc::clone(&feed);
         let hook: StepHook = Rc::new(RefCell::new(move |min_open: Option<u64>| {
-            let mut input = hook_input.borrow_mut();
-            if input.is_closed() {
+            let mut feed = hook_feed.borrow_mut();
+            if feed.input.is_closed() {
                 return;
             }
-            // Drain into a local batch first: sending on the observer
-            // input records transit events of its own, and although the
-            // tap excludes the observer dataflow, holding the queue
-            // borrow across a send would be one refactor away from a
-            // re-borrow panic.
-            let drained: Vec<EventRecord> = hook_queue.borrow_mut().drain(..).collect();
-            let mut attribution = hook_attribution.borrow_mut();
-            for record in drained {
-                if let Some(sample) = attribution.push(&record) {
-                    input.send(sample);
-                }
-            }
+            feed.pump();
             // Send, *then* advance — and never past the attribution
             // epoch. Schedule and notification samples carry a tracker
             // epoch that is monotone per worker, but transit and progress
@@ -201,47 +233,40 @@ impl Harness {
             // clock, so the analysis vertex's notification at `e` fires
             // exactly once, after the last sample for `e`.
             if let Some(min_open) = min_open {
-                let safe = min_open.min(attribution.epoch());
-                if safe > input.epoch() {
-                    input.advance_to(safe);
+                let safe = min_open.min(feed.attribution.epoch());
+                if safe > feed.input.epoch() {
+                    feed.input.advance_to(safe);
                 }
             }
         }));
         worker.add_step_hook(hook);
 
         Harness {
-            input,
-            queue,
+            feed,
             dropped,
-            attribution,
-            recorder,
+            observer: Arc::clone(observer),
         }
     }
 
     /// Flushes the tap through the observer, closes its input, and runs
-    /// the observer dataflow to completion. Returns the number of events
-    /// the tap dropped on this worker.
-    pub(crate) fn finish(self, worker: &mut Worker) -> u64 {
+    /// the observer dataflow to completion.
+    pub(crate) fn finish(self, worker: &mut Worker) {
         {
-            let mut input = self.input.borrow_mut();
-            if !input.is_closed() {
-                let drained: Vec<EventRecord> = self.queue.borrow_mut().drain(..).collect();
-                let mut attribution = self.attribution.borrow_mut();
-                for record in drained {
-                    if let Some(sample) = attribution.push(&record) {
-                        input.send(sample);
-                    }
-                }
-                input.close();
+            let mut feed = self.feed.borrow_mut();
+            if !feed.input.is_closed() {
+                feed.pump();
+                feed.input.close();
             }
         }
-        self.recorder.remove_tap();
+        worker.recorder().remove_tap();
         while !worker.observers_complete() {
             if !worker.step() {
                 worker.idle_wait();
             }
         }
-        self.dropped.get()
+        self.observer
+            .tap_dropped
+            .fetch_add(self.dropped.get(), Ordering::Relaxed);
     }
 }
 
@@ -253,9 +278,8 @@ impl Harness {
 /// user graph.
 fn build_observer(
     worker: &mut Worker,
-    collector: Arc<Mutex<Vec<CriticalPathSummary>>>,
-    tuner: Option<Arc<Mutex<Autotuner>>>,
-    decisions: Arc<Mutex<Vec<TuningDecision>>>,
+    observer: Arc<Observer>,
+    epochs: Range<u64>,
     recorder: Recorder,
 ) -> InputHandle<ActivitySample> {
     worker.dataflow(move |scope| {
@@ -303,19 +327,22 @@ fn build_observer(
             move |input: &mut InputPort<CriticalPathSummary>| {
                 input.for_each(|_time, data| {
                     for summary in data {
-                        if let Some(tuner) = &tuner {
-                            let made = tuner.lock().observe(&summary);
-                            for decision in &made {
-                                recorder.record(TelemetryEvent::TuningDecision {
-                                    epoch: decision.epoch,
-                                    knob: decision.knob,
-                                    from: decision.from,
-                                    to: decision.to,
-                                });
-                            }
-                            decisions.lock().extend(made);
+                        if !epochs.contains(&summary.epoch) {
+                            continue;
                         }
-                        collector.lock().push(summary);
+                        let made = observer
+                            .tuner
+                            .as_ref()
+                            .map_or_else(Vec::new, |tuner| tuner.lock().observe(&summary));
+                        for decision in &made {
+                            recorder.record(TelemetryEvent::TuningDecision {
+                                epoch: decision.epoch,
+                                knob: decision.knob,
+                                from: decision.from,
+                                to: decision.to,
+                            });
+                        }
+                        observer.findings.lock().insert(summary.epoch, (summary, made));
                     }
                 });
             }
@@ -323,85 +350,4 @@ fn build_observer(
 
         input
     })
-}
-
-/// Like [`execute_with_telemetry`](crate::runtime::execute::execute_with_telemetry),
-/// but with the self-hosted critical-path observer installed on every
-/// worker.
-///
-/// Telemetry is forced on. Each worker gets a recorder tap, the observer
-/// dataflow, and a step hook feeding one into the other; after the user
-/// closure returns, the observer runs to completion so every closed
-/// source epoch yields a [`CriticalPathSummary`]. With
-/// [`IntrospectOptions::autotune`] set, worker 0 additionally drives the
-/// [`Autotuner`] over the shared [`TuningKnobs`] (installing default
-/// knobs seeded from `config.batch_size` if the config carries none).
-///
-/// # Errors
-///
-/// Propagates any [`ExecuteError`] from the underlying execution.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (as [`execute`](crate::execute)
-/// does), or if the observer graph fails static certification — which
-/// would be a bug in this module, not in user code.
-pub fn execute_with_introspection<F, T>(
-    config: Config,
-    options: IntrospectOptions,
-    worker_fn: F,
-) -> Result<(Vec<T>, IntrospectReport), ExecuteError>
-where
-    F: Fn(&mut Worker) -> T + Send + Sync + 'static,
-    T: Send + 'static,
-{
-    let mut config = config.telemetry(true);
-    if options.autotune && config.tuning.is_none() {
-        let knobs = TuningKnobs::with_batch_size(config.batch_size);
-        config = config.tuning(knobs);
-    }
-
-    let collector: Arc<Mutex<Vec<CriticalPathSummary>>> = Arc::new(Mutex::new(Vec::new()));
-    let decisions: Arc<Mutex<Vec<TuningDecision>>> = Arc::new(Mutex::new(Vec::new()));
-    let tap_dropped = Arc::new(AtomicU64::new(0));
-    let tuner = if options.autotune {
-        let knobs = config.tuning.clone().expect("knobs installed above");
-        Some(Arc::new(Mutex::new(Autotuner::new(knobs))))
-    } else {
-        None
-    };
-
-    let tap_capacity = options.tap_capacity;
-    let worker_collector = Arc::clone(&collector);
-    let worker_decisions = Arc::clone(&decisions);
-    let worker_dropped = Arc::clone(&tap_dropped);
-    let wrapped = move |worker: &mut Worker| {
-        let harness = Harness::install(
-            worker,
-            tap_capacity,
-            &worker_collector,
-            tuner.as_ref(),
-            &worker_decisions,
-        );
-        let result = worker_fn(worker);
-        let dropped = harness.finish(worker);
-        worker_dropped.fetch_add(dropped, Ordering::Relaxed);
-        result
-    };
-
-    let (results, _metrics, snapshot) = execute_inner(&config, wrapped)?;
-    let mut snapshot = snapshot.expect("telemetry enabled yields a snapshot");
-
-    let mut summaries = std::mem::take(&mut *collector.lock());
-    summaries.sort_by_key(|s| s.epoch);
-    snapshot.critical_paths.clone_from(&summaries);
-    let decisions = std::mem::take(&mut *decisions.lock());
-
-    let report = IntrospectReport {
-        snapshot,
-        summaries,
-        decisions,
-        tap_dropped: tap_dropped.load(Ordering::Relaxed),
-    };
-    Ok((results, report))
 }

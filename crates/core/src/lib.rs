@@ -11,7 +11,9 @@
 //! * [`progress`] — the pointstamp tracker (occurrence and precursor
 //!   counts, §2.3) and the distributed progress protocol with update
 //!   accumulation (§3.3),
-//! * [`runtime`] — workers, exchange channels, fault tolerance (§3),
+//! * [`runtime`] — workers, exchange channels, fault tolerance (§3); four
+//!   ways to run: [`execute`], [`execute_with_metrics`],
+//!   [`execute_with_telemetry`], and the composable [`Execution`],
 //! * [`dataflow`] — the typed graph-assembly interface (§4.3),
 //! * [`telemetry`] — per-worker event logs, the unified metrics
 //!   registry, and frontier probes (§5–§6 measurement substrate),
@@ -79,18 +81,12 @@ pub mod telemetry;
 pub mod time;
 
 pub use dataflow::{InputHandle, ProbeHandle, Scope, Stream};
-pub use introspect::{
-    execute_with_introspection, Autotuner, CriticalPathSummary, IntrospectOptions,
-    IntrospectReport, TuningDecision,
-};
+pub use introspect::{Autotuner, CriticalPathSummary, IntrospectOptions, TuningDecision};
 pub use order::{Antichain, MutableAntichain, PartialOrder};
 pub use runtime::execute::{execute, execute_with_metrics, execute_with_telemetry, ExecuteError};
 pub use telemetry::TelemetrySnapshot;
-pub use runtime::recovery::{execute_resilient, Recovery, RecoveryOptions, ResilientReport};
-pub use runtime::rescale::{
-    execute_elastic, ElasticOptions, ElasticPlan, ElasticReport, ElasticSession, PhaseReport,
-    RescaleError, RescaleOutcome, RescaleStep,
-};
+pub use runtime::coordinator::{Execution, PhaseReport, RecoveryOptions, RunReport, Session};
+pub use runtime::rescale::{ElasticOptions, RescaleError, RescaleOutcome, RescaleStep};
 pub use runtime::{Config, FlowConfig, OverloadState, Pact, ShedPolicy, Worker};
 pub use time::Timestamp;
 

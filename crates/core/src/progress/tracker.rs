@@ -255,13 +255,6 @@ impl PointstampTable {
         self.active().map(|p| p.time.epoch).min()
     }
 
-    /// The minimum open input epoch: the smallest epoch among active
-    /// pointstamps held at input vertices, or `None` once every input
-    /// has closed. Per worker this value is monotone — `advance_to`
-    /// journals the new epoch's `+1` before the old epoch's `−1`, and
-    /// progress batches apply atomically — which is the §3.3 guarantee
-    /// that a local view never moves backwards. The telemetry frontier
-    /// probe samples exactly this quantity.
     /// The migration frontier barrier: `true` when no active pointstamp —
     /// message or notification, at any location — carries an epoch at or
     /// below `epoch`. A rescale may only move state once this holds for
@@ -274,6 +267,13 @@ impl PointstampTable {
         self.active().all(|p| p.time.epoch > epoch)
     }
 
+    /// The minimum open input epoch: the smallest epoch among active
+    /// pointstamps held at input vertices, or `None` once every input
+    /// has closed. Per worker this value is monotone — `advance_to`
+    /// journals the new epoch's `+1` before the old epoch's `−1`, and
+    /// progress batches apply atomically — which is the §3.3 guarantee
+    /// that a local view never moves backwards. The telemetry frontier
+    /// probe samples exactly this quantity.
     pub fn input_frontier_epoch(&self) -> Option<u64> {
         let mut min: Option<u64> = None;
         for (p, e) in &self.entries {

@@ -114,7 +114,8 @@ impl TuningKnobs {
     }
 }
 
-/// Configuration for [`execute`](crate::runtime::execute::execute).
+/// Configuration for [`execute`](crate::runtime::execute::execute) and
+/// [`Execution`](crate::runtime::Execution).
 ///
 /// A Naiad cluster is a set of *processes*, each hosting several *workers*
 /// (§3, Figure 5). This reproduction hosts all processes inside one OS
@@ -137,9 +138,6 @@ pub struct Config {
     /// micro-straggler emulation). The copy of a progress batch for the
     /// flushing process itself never enters a link and is not delayed.
     pub latency: Option<LatencyModel>,
-    /// How long an idle worker sleeps waiting for progress traffic before
-    /// rechecking its queues.
-    pub idle_wait: Duration,
     /// Optional deterministic fault-injection plan for the fabric (§3.4
     /// evaluation: drops, duplicates, partitions, crashes).
     pub faults: Option<FaultPlan>,
@@ -179,21 +177,6 @@ pub struct Config {
     /// (typed [`ExecuteError::Stalled`](crate::runtime::ExecuteError))
     /// instead of idling forever. `None` disables the watchdog.
     pub stall_timeout: Option<Duration>,
-    /// Cluster-membership generation, bumped by the elastic-rescale
-    /// coordinator ([`execute_elastic`](crate::runtime::rescale::execute_elastic))
-    /// each time the worker set changes. Routers announce it on the
-    /// control plane so duplicated or stale membership messages from a
-    /// previous generation are discarded instead of confusing the
-    /// failure detector.
-    pub membership_generation: u64,
-    /// Whether [`Worker::dataflow`](crate::runtime::Worker::dataflow)
-    /// analyzes graphs with the `NA0006` rescale-safe certification
-    /// enabled (see
-    /// [`AnalysisConfig::rescale_contracts`](crate::analysis::AnalysisConfig::rescale_contracts)).
-    /// Off by default; the elastic-rescale coordinator turns it on so a
-    /// graph whose state cannot be re-partitioned is denied at build time
-    /// instead of aborting mid-rescale.
-    pub certify_rescale: bool,
     /// Dynamically adjustable knobs shared with the [`crate::introspect`]
     /// autotuner. `None` (the default) pins every knob to its static
     /// config value with zero added cost on the data plane.
@@ -224,7 +207,6 @@ impl Config {
             progress_mode: ProgressMode::default(),
             batch_size: 1024,
             latency: None,
-            idle_wait: Duration::from_micros(200),
             faults: None,
             send_retries: 24,
             retry_backoff: Duration::from_micros(50),
@@ -235,8 +217,6 @@ impl Config {
             heartbeat_suspect_after: Duration::from_millis(50),
             heartbeat_fail_after: Duration::from_millis(200),
             stall_timeout: Some(Duration::from_secs(30)),
-            membership_generation: 0,
-            certify_rescale: false,
             tuning: None,
             flow: None,
         }
@@ -254,20 +234,6 @@ impl Config {
     /// budget, wait bound, thresholds, and shedding policy.
     pub fn flow(mut self, flow: FlowConfig) -> Self {
         self.flow = Some(flow);
-        self
-    }
-
-    /// Sets the cluster-membership generation (normally managed by the
-    /// elastic-rescale coordinator, not by hand).
-    pub fn membership_generation(mut self, generation: u64) -> Self {
-        self.membership_generation = generation;
-        self
-    }
-
-    /// Enables (or disables) the `NA0006` rescale-safe certification on
-    /// every graph built through [`Worker::dataflow`](crate::runtime::Worker::dataflow).
-    pub fn certify_rescale(mut self, enabled: bool) -> Self {
-        self.certify_rescale = enabled;
         self
     }
 

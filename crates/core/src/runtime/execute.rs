@@ -8,9 +8,9 @@
 //! When a [`FaultPlan`](naiad_netsim::FaultPlan) is installed
 //! ([`Config::faults`](super::config::Config::faults)), injected faults
 //! that survive the retry layer unwind every worker thread via the
-//! escalation cell and surface here as typed [`ExecuteError`]s — the
-//! entry point for the coordinated-recovery loop in
-//! [`execute_resilient`](super::recovery::execute_resilient).
+//! escalation cell and surface here as typed [`ExecuteError`]s — what the
+//! run coordinator's retry loop ([`Execution`](super::coordinator::Execution))
+//! recovers from.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
@@ -62,7 +62,7 @@ pub enum ExecuteError {
         dump: String,
     },
     /// Coordinated recovery gave up (see
-    /// [`execute_resilient`](super::recovery::execute_resilient)).
+    /// [`Execution::resilient`](super::coordinator::Execution::resilient)).
     RecoveryFailed {
         /// Recovery attempts consumed, including the initial run.
         attempts: usize,
@@ -70,7 +70,7 @@ pub enum ExecuteError {
         last: Box<ExecuteError>,
     },
     /// An elastic rescale could not complete and rollback was disabled
-    /// (see [`execute_elastic`](super::rescale::execute_elastic)): either
+    /// (see [`Execution::elastic`](super::coordinator::Execution::elastic)): either
     /// the migration window exceeded its deadline or budget, or the state
     /// could not be re-partitioned. Carries the migration-phase dump so a
     /// wedged rescale reports *where* in the protocol it died instead of
@@ -214,7 +214,7 @@ where
     F: Fn(&mut Worker) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    execute_inner(&config, worker_fn).map(|(results, metrics, _)| (results, metrics))
+    execute_inner(&config, Phase::default(), worker_fn).map(|run| (run.results, run.metrics))
 }
 
 /// Like [`execute`], with telemetry forced on: returns the unified
@@ -230,26 +230,47 @@ where
     T: Send + 'static,
 {
     let config = config.telemetry(true);
-    execute_inner(&config, worker_fn).map(|(results, _, snapshot)| {
+    execute_inner(&config, Phase::default(), worker_fn).map(|run| {
         (
-            results,
+            run.results,
             // lint-allow(NS0004): this wrapper forced telemetry on one
             // line up, and execute_inner always harvests when it is on.
-            snapshot.expect("telemetry enabled yields a snapshot"),
+            run.telemetry.expect("telemetry enabled yields a snapshot"),
         )
     })
 }
 
-/// Everything [`execute_inner`] produces: worker results, the fabric
-/// meters, and — when [`Config::telemetry`] is set — the assembled
-/// snapshot.
-pub(crate) type ExecuteOutput<T> = (Vec<T>, Arc<FabricMetrics>, Option<TelemetrySnapshot>);
+/// Per-bring-up state owned by the run coordinator rather than the user's
+/// [`Config`]; the plain `execute*` entry points pass the default.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Phase {
+    /// Cluster-membership generation, bumped each time the worker set
+    /// changes. Routers announce it on the control plane so duplicated or
+    /// stale membership messages from a previous generation are discarded
+    /// instead of confusing the failure detector.
+    pub(crate) generation: u64,
+    /// Whether [`Worker::dataflow`] analyzes graphs with the `NA0006`
+    /// rescale-safe certification enabled (see
+    /// [`AnalysisConfig::rescale_contracts`](crate::analysis::AnalysisConfig::rescale_contracts)),
+    /// so a graph whose state cannot be re-partitioned is denied at build
+    /// time instead of aborting mid-rescale.
+    pub(crate) certify_rescale: bool,
+}
 
-/// The shared bring-up/tear-down path behind every `execute` variant.
+/// One successful cluster bring-up: worker results, the fabric meters,
+/// and — when [`Config::telemetry`] is set — the assembled snapshot.
+pub(crate) struct ClusterRun<T> {
+    pub(crate) results: Vec<T>,
+    pub(crate) metrics: Arc<FabricMetrics>,
+    pub(crate) telemetry: Option<TelemetrySnapshot>,
+}
+
+/// The shared bring-up/tear-down path behind every way to run.
 pub(crate) fn execute_inner<F, T>(
     config: &Config,
+    phase: Phase,
     worker_fn: F,
-) -> Result<ExecuteOutput<T>, ExecuteError>
+) -> Result<ClusterRun<T>, ExecuteError>
 where
     F: Fn(&mut Worker) -> T + Send + Sync + 'static,
     T: Send + 'static,
@@ -314,11 +335,8 @@ where
         None
     };
 
-    // One registry shared by ALL processes: channel queues are keyed by
-    // process-local coordinates, so give each process its own registry but
-    // share the dataflow directory through the first registry... keep it
-    // simple and correct: one registry per process, plus one global
-    // directory embedded in each via `register_dataflow` idempotence.
+    // One registry per process for its channel queues, plus this directory
+    // of dataflow graphs shared by every process and the central accumulator.
     let directory = Arc::new(ProcessRegistry::default());
 
     let mut router_handles = Vec::new();
@@ -373,7 +391,7 @@ where
             let escalation = escalation.clone();
             let stats = hub_stats.clone();
             let membership = naiad_netsim::MembershipMsg {
-                generation: config.membership_generation,
+                generation: phase.generation,
                 process,
                 processes,
             };
@@ -434,6 +452,7 @@ where
                             liveness,
                             flow,
                             slabs,
+                            phase.certify_rescale,
                         );
                         let result = worker_fn(&mut worker);
                         if let Some(hub) = &hub {
@@ -515,7 +534,7 @@ where
     match error {
         Some(e) => Err(e),
         None => {
-            let snapshot = hub.map(|hub| {
+            let telemetry = hub.map(|hub| {
                 let logs = std::mem::take(&mut *hub.lock());
                 let mut snap = TelemetrySnapshot::assemble(logs, &metrics);
                 snap.hub = HubCounters {
@@ -546,7 +565,11 @@ where
                 }
                 snap
             });
-            Ok((results, metrics, snapshot))
+            Ok(ClusterRun {
+                results,
+                metrics,
+                telemetry,
+            })
         }
     }
 }

@@ -3,6 +3,7 @@
 
 pub mod channels;
 pub mod config;
+pub mod coordinator;
 pub mod durability;
 pub mod execute;
 pub mod flow;
@@ -11,7 +12,6 @@ pub(crate) mod interleave;
 mod liveness;
 mod progress_hub;
 pub(crate) mod queue;
-pub mod recovery;
 pub mod rescale;
 mod retry;
 pub(crate) mod sync;
@@ -22,11 +22,8 @@ pub use config::{Config, TuningKnobs};
 pub use durability::{open_blob, seal_blob, Checkpoint, KeyedCheckpoint, KeyedState, RestoreError};
 pub use execute::{execute, execute_with_metrics, execute_with_telemetry, ExecuteError};
 pub use flow::{FlowConfig, OverloadState, ShedPolicy};
-pub use recovery::{execute_resilient, Recovery, RecoveryOptions, ResilientReport};
-pub use rescale::{
-    execute_elastic, ElasticOptions, ElasticPlan, ElasticReport, ElasticSession, PhaseReport,
-    RescaleError, RescaleOutcome, RescaleStep,
-};
+pub use coordinator::{Execution, PhaseReport, RecoveryOptions, RunReport, Session};
+pub use rescale::{ElasticOptions, RescaleError, RescaleOutcome, RescaleStep};
 pub use retry::FaultKind;
 pub(crate) use worker::StepHook;
 pub use worker::Worker;

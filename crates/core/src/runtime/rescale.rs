@@ -1,66 +1,15 @@
-//! Elastic rescaling: live worker add/remove with epoch-boundary state
-//! migration.
-//!
-//! Naiad's recovery machinery (§3.4, [`recovery`](super::recovery))
-//! treats the worker set as fixed; this module generalizes it to
-//! *membership change*. The Falkirk Wheel's observation — rollback
-//! recovery is selective replay in logical time — means the same
-//! checkpoint/replay primitives that survive a crash can also carry a
-//! computation across a worker-count change, provided operator state is
-//! re-partitioned along its exchange contract (TimelyDataflow's
-//! megaphone-style partition re-routing is the exemplar shape).
-//!
-//! [`execute_elastic`] drives the protocol. A run is a sequence of
-//! *phases*, one per membership; each phase is a full cluster bring-up of
-//! the requested worker set over the shared fabric. At each planned
-//! [`RescaleStep`] the coordinator executes five steps at a closed-epoch
-//! *fence*:
-//!
-//! 1. **Quiesce** — the old membership drains every epoch below the fence;
-//!    the progress cores' frontier barrier
-//!    ([`PointstampTable::closed_through`](crate::progress::PointstampTable::closed_through))
-//!    certifies no pointstamp at or below `fence − 1` is active.
-//! 2. **Snapshot** — every old worker shards its keyed state into one
-//!    sealed blob per *new* worker
-//!    ([`Worker::checkpoint_partitioned`](super::worker::Worker::checkpoint_partitioned)),
-//!    reusing the magic/version/checksum blob format, and deposits the
-//!    shards with the coordinator. A plain whole-state blob is deposited
-//!    too, so an aborted rescale can fall back to the old membership.
-//! 3. **Re-route** — the coordinator reassembles shards by new owner:
-//!    new worker `p` receives shard `p` from every old worker, exactly
-//!    re-routing exchange partition ownership (`hash % workers`) to the
-//!    new set — grow and shrink are the same operation.
-//! 4. **Replay** — the new membership restores the shard bundles
-//!    ([`Worker::restore_shards`](super::worker::Worker::restore_shards))
-//!    and resumes feeding at the fence, replaying logged input
-//!    Falkirk-Wheel-style where the log has it.
-//! 5. **Re-register** — the new phase's cluster bring-up re-registers the
-//!    heartbeat/liveness plane for the new membership, with
-//!    [`Config::membership_generation`] bumped so stale or duplicated
-//!    control-plane messages from the old generation are discarded.
-//!
-//! Failures during the migration window roll back cleanly: a phase that
-//! dies retries under its recovery budget (scheduled chaos faults are
-//! absorbed exactly as in [`execute_resilient`](super::recovery)); a
-//! post-migration phase that exhausts the budget *rolls back to the
-//! pre-rescale membership* (the old store is still consistent at the
-//! fence) unless rollback is disabled, in which case the run dies with a
-//! typed [`ExecuteError::RescaleFailed`] carrying the migration-phase
-//! dump — never a hang.
+//! Elastic rescaling vocabulary: the planned membership changes
+//! ([`RescaleStep`]), their tuning ([`ElasticOptions`]), how each one
+//! ended ([`RescaleOutcome`], [`RescaleError`]), and the shard rendezvous
+//! between an old membership and its successor. The protocol itself runs
+//! in the coordinator loop — see [`coordinator`](super::coordinator).
 
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::time::Duration;
 
-use naiad_netsim::FabricMetrics;
-use naiad_wire::Wire;
-
-use super::config::Config;
-use super::execute::{execute_inner, ExecuteError};
-use super::recovery::RecoveryOptions;
+use super::coordinator::RecoveryOptions;
+use super::execute::ExecuteError;
 use super::sync::Mutex;
-use super::worker::Worker;
-use crate::telemetry::{TelemetryEvent, TelemetrySnapshot};
 
 /// A typed reason an elastic rescale could not proceed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,76 +94,12 @@ impl RescaleStep {
     }
 }
 
-/// A full elastic run: the initial membership (and shared knobs) plus the
-/// planned membership changes and the total epoch count.
-#[derive(Debug, Clone)]
-pub struct ElasticPlan {
-    config: Config,
-    steps: Vec<RescaleStep>,
-    total_epochs: u64,
-}
-
-impl ElasticPlan {
-    /// A plan running `total_epochs` epochs on `config`'s membership with
-    /// no rescales; add them with [`ElasticPlan::rescale`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_epochs` is zero.
-    pub fn new(config: Config, total_epochs: u64) -> Self {
-        assert!(total_epochs > 0, "at least one epoch");
-        ElasticPlan {
-            config,
-            steps: Vec::new(),
-            total_epochs,
-        }
-    }
-
-    /// Appends a membership change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fence is not strictly after the previous step's
-    /// fence, or not strictly below the total epoch count (a fence at the
-    /// end would have nothing left to compute).
-    pub fn rescale(mut self, step: RescaleStep) -> Self {
-        if let Some(prev) = self.steps.last() {
-            assert!(
-                step.at_epoch > prev.at_epoch,
-                "rescale fences must be strictly increasing"
-            );
-        }
-        assert!(
-            step.at_epoch < self.total_epochs,
-            "rescale fence {} is not before the final epoch {}",
-            step.at_epoch,
-            self.total_epochs
-        );
-        self.steps.push(step);
-        self
-    }
-
-    /// The initial configuration.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// The planned membership changes, in fence order.
-    pub fn steps(&self) -> &[RescaleStep] {
-        &self.steps
-    }
-
-    /// Total epochs the run computes.
-    pub fn total_epochs(&self) -> u64 {
-        self.total_epochs
-    }
-}
-
-/// Tuning for [`execute_elastic`].
+/// Tuning for [`Execution::elastic`](super::coordinator::Execution::elastic).
 #[derive(Debug, Clone, Copy)]
 pub struct ElasticOptions {
-    /// Per-phase fault-recovery budget and checkpoint cadence, exactly as
-    /// in [`execute_resilient`](super::recovery::execute_resilient).
+    /// Per-phase fault-recovery budget and checkpoint cadence; an explicit
+    /// [`Execution::resilient`](super::coordinator::Execution::resilient)
+    /// overrides it.
     pub recovery: RecoveryOptions,
     /// Deadline for the migration window (the first phase after a fence:
     /// shard restore plus fence-epoch replay). Installed as the phase's
@@ -229,9 +114,10 @@ pub struct ElasticOptions {
     /// the run dies with [`ExecuteError::RescaleFailed`] instead.
     pub rollback_on_abort: bool,
     /// Whether every phase builds graphs with the `NA0006` rescale-safe
-    /// certification ([`Config::certify_rescale`]), denying graphs whose
-    /// state cannot be re-partitioned at build time instead of aborting
-    /// mid-rescale. On by default; disable to exercise the runtime
+    /// certification
+    /// ([`AnalysisConfig::rescale_contracts`](crate::analysis::AnalysisConfig::rescale_contracts)),
+    /// denying graphs whose state cannot be re-partitioned at build time
+    /// instead of aborting mid-rescale. On by default; disable to exercise the runtime
     /// [`RescaleError::UnmigratableState`] defense in depth.
     pub certify: bool,
 }
@@ -280,78 +166,29 @@ impl ElasticOptions {
     }
 }
 
-/// What a worker restores at phase start: a plain whole-state blob (same
-/// membership, ordinary rollback) or a bundle of migration shards, one
-/// per pre-rescale worker (first phase after a fence).
-#[derive(Debug, Clone)]
-enum Deposit {
-    Plain(Vec<u8>),
-    Migrated(Vec<Vec<u8>>),
-}
-
-/// Per-phase durable stores, the membership-aware analogue of the
-/// recovery module's: checkpoints keyed by `(epoch, worker)` with
-/// replace-on-redeposit semantics. Each membership gets a fresh store,
-/// seeded at the fence's predecessor with the migrated shard bundles; the
-/// old store is kept until the new membership completes a phase, so an
-/// aborted rescale can roll back to it.
-#[derive(Debug, Default)]
-struct PhaseStores {
-    checkpoints: Mutex<HashMap<u64, HashMap<usize, Deposit>>>,
-}
-
-impl PhaseStores {
-    /// The newest epoch for which **every** worker of this membership
-    /// deposited — the only globally consistent rollback target.
-    fn consistent_epoch(&self, total_workers: usize) -> Option<u64> {
-        self.checkpoints
-            .lock()
-            .iter()
-            .filter(|(_, blobs)| blobs.len() == total_workers)
-            .map(|(epoch, _)| *epoch)
-            .max()
-    }
-
-    fn deposit(&self, epoch: u64, worker: usize, deposit: Deposit) {
-        self.checkpoints
-            .lock()
-            .entry(epoch)
-            .or_default()
-            .insert(worker, deposit);
-    }
-
-    fn get(&self, epoch: u64, worker: usize) -> Option<Deposit> {
-        self.checkpoints
-            .lock()
-            .get(&epoch)
-            .and_then(|blobs| blobs.get(&worker))
-            .cloned()
-    }
-}
-
 /// The rendezvous for one membership change: pre-rescale workers deposit
 /// their shard vectors (indexed by new worker) here; the coordinator
 /// reassembles them by new owner once the old phase completes. Deposits
 /// replace by source worker, so a retried attempt re-depositing the same
 /// deterministic shards is idempotent.
 #[derive(Debug, Default)]
-struct MigrationSlot {
-    shards: Mutex<HashMap<usize, Vec<Vec<u8>>>>,
+pub(super) struct MigrationSlot {
+    shards: Mutex<BTreeMap<usize, Vec<Vec<u8>>>>,
     error: Mutex<Option<RescaleError>>,
 }
 
 impl MigrationSlot {
-    fn deposit(&self, source: usize, shards: Vec<Vec<u8>>) {
+    pub(super) fn deposit(&self, source: usize, shards: Vec<Vec<u8>>) {
         self.shards.lock().insert(source, shards);
     }
 
-    fn set_error(&self, error: RescaleError) {
+    pub(super) fn set_error(&self, error: RescaleError) {
         self.error.lock().get_or_insert(error);
     }
 
     /// Reassembles per-new-worker bundles: bundle `p` is shard `p` from
     /// every source worker in worker-index order.
-    fn assemble(
+    pub(super) fn assemble(
         &self,
         from_workers: usize,
         to_workers: usize,
@@ -366,181 +203,14 @@ impl MigrationSlot {
                 expected: from_workers,
             });
         }
-        let mut sources: Vec<usize> = shards.keys().copied().collect();
-        sources.sort_unstable();
         let mut bundles = vec![Vec::with_capacity(from_workers); to_workers];
-        for source in sources {
-            // lint-allow(NS0004): `sources` is literally `shards.keys()`,
-            // collected two statements up.
-            let per_new = &shards[&source];
+        for per_new in shards.values() {
             debug_assert_eq!(per_new.len(), to_workers);
             for (bundle, shard) in bundles.iter_mut().zip(per_new) {
                 bundle.push(shard.clone());
             }
         }
         Ok(bundles)
-    }
-}
-
-/// Details of the membership change a phase is the *first* phase after,
-/// used for telemetry attribution and failure reporting.
-#[derive(Debug, Clone, Copy)]
-struct MigrationInfo {
-    fence: u64,
-    from_workers: usize,
-    to_workers: usize,
-    /// Wall-clock milliseconds the computation was fenced before this
-    /// phase's cluster came up (coordinator-measured stall attribution).
-    stall_ms: u64,
-}
-
-/// The durable input log, shared across every phase and attempt: encoded
-/// record batches keyed by `(epoch, worker, port)`, written by
-/// [`ElasticSession::log_input`] and replayed by
-/// [`ElasticSession::logged_input`]. A rollback purges entries at or past
-/// the fence, since the restored membership re-feeds them itself.
-type InputLog = Arc<Mutex<HashMap<(u64, usize, usize), Vec<u8>>>>;
-
-/// Per-phase handle handed to the worker closure of [`execute_elastic`]:
-/// the elastic analogue of [`Recovery`](super::recovery::Recovery). The
-/// driver contract is the same — construct the dataflow, call
-/// [`ElasticSession::restore_into`], feed epochs `resume_epoch()` to
-/// `stop_epoch()` replaying [`ElasticSession::logged_input`] where it
-/// exists, and call [`ElasticSession::checkpoint`] where
-/// [`ElasticSession::should_checkpoint`] says so.
-#[derive(Clone)]
-pub struct ElasticSession {
-    attempt: usize,
-    generation: u64,
-    resume_epoch: u64,
-    stop_epoch: u64,
-    checkpoint_every: u64,
-    stores: Arc<PhaseStores>,
-    inputs: InputLog,
-    /// `Some` when this phase ends at a rescale fence: the target worker
-    /// count and the shard rendezvous.
-    outgoing: Option<(usize, Arc<MigrationSlot>)>,
-    /// `Some` when this phase is the first after a fence.
-    incoming: Option<MigrationInfo>,
-}
-
-impl ElasticSession {
-    /// Which attempt of the current phase this is (0 = first).
-    pub fn attempt(&self) -> usize {
-        self.attempt
-    }
-
-    /// The membership generation (0 before any rescale).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The first epoch this attempt must feed.
-    pub fn resume_epoch(&self) -> u64 {
-        self.resume_epoch
-    }
-
-    /// One past the last epoch this phase feeds (the next fence, or the
-    /// plan's total).
-    pub fn stop_epoch(&self) -> u64 {
-        self.stop_epoch
-    }
-
-    /// Whether `epoch` is a checkpoint boundary: the configured cadence,
-    /// plus — always — the phase's final epoch, which funds both the next
-    /// membership's migration shards and the rollback blob.
-    pub fn should_checkpoint(&self, epoch: u64) -> bool {
-        (epoch + 1).is_multiple_of(self.checkpoint_every) || epoch + 1 == self.stop_epoch
-    }
-
-    /// Deposits `worker`'s state for `epoch`: always the plain sealed
-    /// blob (in-phase rollback and rescale-abort fallback); additionally,
-    /// at the fence's predecessor, the per-new-worker migration shards.
-    ///
-    /// Call after a probe confirms the epoch complete. At the fence's
-    /// predecessor this additionally *quiesces* (protocol step 1): a
-    /// probe only certifies drainage upstream of its point, so the
-    /// worker steps until the progress cores' frontier barrier holds —
-    /// no pointstamp at or below the epoch active at any location —
-    /// before sharding state.
-    pub fn checkpoint(&self, worker: &mut Worker, epoch: u64) {
-        if let Some((to_workers, slot)) = &self.outgoing {
-            if epoch + 1 == self.stop_epoch {
-                worker.step_until_closed_through(epoch);
-                match worker.checkpoint_partitioned(*to_workers) {
-                    Ok(shards) => slot.deposit(worker.index(), shards),
-                    Err(error) => slot.set_error(error),
-                }
-            }
-        }
-        self.stores
-            .deposit(epoch, worker.index(), Deposit::Plain(worker.checkpoint()));
-    }
-
-    /// Restores whatever the store holds for this worker at the resume
-    /// point: nothing on a fresh start, the plain blob after an in-phase
-    /// rollback, or the migration shard bundle on the first phase after a
-    /// fence (recording the RescaleStarted/PartitionMigrated/
-    /// RescaleCompleted telemetry as it goes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the deposited bytes fail validation — the stores are
-    /// in-memory, so corruption here is a coordinator bug. Migration
-    /// tests exercising corrupt-blob rejection use the typed
-    /// [`Worker::restore_shards`] path directly.
-    pub fn restore_into(&self, worker: &mut Worker) {
-        let Some(epoch) = self.resume_epoch.checked_sub(1) else {
-            return;
-        };
-        match self.stores.get(epoch, worker.index()) {
-            None => {}
-            Some(Deposit::Plain(blob)) => worker.restore(&blob),
-            Some(Deposit::Migrated(shards)) => {
-                // lint-allow(NS0004): migrated deposits are written only
-                // by `assemble`, which runs at a fence; post-fence seeders
-                // always carry the incoming-rescale info.
-                let info = self
-                    .incoming
-                    .expect("migrated deposits only seed post-fence phases");
-                worker.record(TelemetryEvent::RescaleStarted {
-                    epoch: info.fence,
-                    from_workers: info.from_workers as u32,
-                    to_workers: info.to_workers as u32,
-                });
-                if let Err(error) = worker.restore_shards(&shards) {
-                    panic!("migration shard restore failed: {error}");
-                }
-                worker.record(TelemetryEvent::RescaleCompleted {
-                    epoch: info.fence,
-                    workers: info.to_workers as u32,
-                    stalled_ms: info.stall_ms,
-                });
-            }
-        }
-    }
-
-    /// Logs the batch `worker` feeds into `input` at `epoch`, replacing
-    /// any batch under the same key (exactly-once by key across
-    /// attempts).
-    pub fn log_input<D: Wire>(&self, epoch: u64, worker: usize, input: usize, records: &Vec<D>) {
-        let bytes = naiad_wire::encode_to_vec(records);
-        self.inputs.lock().insert((epoch, worker, input), bytes);
-    }
-
-    /// The batch logged under `(epoch, worker, input)`, if any — the
-    /// Falkirk-Wheel replay source for retried attempts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the logged bytes do not decode as `Vec<D>` (type
-    /// confusion, not bit rot: the log is in-memory).
-    // lint-allow(NS0004): the type-confusion panic is documented above —
-    // the log is in-memory, so a decode miss is a bug, not bit rot.
-    pub fn logged_input<D: Wire>(&self, epoch: u64, worker: usize, input: usize) -> Option<Vec<D>> {
-        self.inputs.lock().get(&(epoch, worker, input)).map(|bytes| {
-            naiad_wire::decode_from_slice(bytes).expect("input log decoded at a different type")
-        })
     }
 }
 
@@ -578,284 +248,6 @@ pub enum RescaleOutcome {
         /// The error that ended the new membership's final attempt.
         cause: ExecuteError,
     },
-}
-
-/// One membership phase of an elastic run.
-#[derive(Debug)]
-pub struct PhaseReport<T> {
-    /// Membership generation (0 before any rescale).
-    pub generation: u64,
-    /// Total workers in this phase.
-    pub workers: usize,
-    /// First epoch the phase owned.
-    pub start_epoch: u64,
-    /// One past the last epoch the phase owned.
-    pub stop_epoch: u64,
-    /// Attempts consumed, including the first.
-    pub attempts: usize,
-    /// The fault that ended each failed attempt, in order.
-    pub recovered_from: Vec<ExecuteError>,
-    /// Per-worker results of the successful attempt.
-    pub results: Vec<T>,
-}
-
-/// The outcome of a successful elastic execution.
-#[derive(Debug)]
-pub struct ElasticReport<T> {
-    /// Every membership phase, in order (rolled-back phases included).
-    pub phases: Vec<PhaseReport<T>>,
-    /// How each planned rescale ended, in fence order.
-    pub outcomes: Vec<RescaleOutcome>,
-    /// Fabric meters of the final phase.
-    pub metrics: Arc<FabricMetrics>,
-    /// The final phase's telemetry snapshot, when
-    /// [`Config::telemetry`](super::config::Config::telemetry) is on.
-    pub telemetry: Option<TelemetrySnapshot>,
-}
-
-impl<T> ElasticReport<T> {
-    /// Flattens every phase's per-worker results, in phase order.
-    pub fn into_results(self) -> Vec<T> {
-        self.phases
-            .into_iter()
-            .flat_map(|phase| phase.results)
-            .collect()
-    }
-}
-
-/// Runs `worker_fn` across every membership phase of `plan`, migrating
-/// keyed operator state at each fence — see the module docs for the
-/// protocol. The closure drives exactly like
-/// [`execute_resilient`](super::recovery::execute_resilient)'s, against
-/// an [`ElasticSession`] instead of a `Recovery`.
-///
-/// Returns [`ElasticReport`] on success — including rescales that aborted
-/// or rolled back cleanly (inspect
-/// [`outcomes`](ElasticReport::outcomes)). Fails with
-/// [`ExecuteError::RescaleFailed`] when a rescale cannot complete and
-/// rollback is disabled, or [`ExecuteError::RecoveryFailed`] when a
-/// phase exhausts its budget outside any migration window.
-pub fn execute_elastic<F, T>(
-    plan: ElasticPlan,
-    options: ElasticOptions,
-    worker_fn: F,
-) -> Result<ElasticReport<T>, ExecuteError>
-where
-    F: Fn(&mut Worker, &ElasticSession) -> T + Send + Sync + 'static,
-    T: Send + 'static,
-{
-    assert!(options.recovery.max_attempts > 0, "at least one attempt");
-    assert!(
-        options.recovery.checkpoint_every > 0,
-        "checkpoint cadence must be positive"
-    );
-    let worker_fn = Arc::new(worker_fn);
-    let inputs: InputLog = Arc::default();
-
-    let ElasticPlan {
-        mut config,
-        steps,
-        total_epochs,
-    } = plan;
-    let mut stores = Arc::new(PhaseStores::default());
-    // Kept while a rescale is provisional: the pre-rescale membership and
-    // its store, the rollback target until the new membership proves
-    // itself by completing a phase.
-    let mut prev: Option<(Config, Arc<PhaseStores>)> = None;
-    let mut incoming: Option<MigrationInfo> = None;
-
-    let mut phases: Vec<PhaseReport<T>> = Vec::new();
-    let mut outcomes: Vec<RescaleOutcome> = Vec::new();
-    let mut start_epoch = 0u64;
-    let mut step_index = 0usize;
-    let mut generation = config.membership_generation;
-
-    loop {
-        let next_step = steps.get(step_index).copied();
-        let stop_epoch = next_step.map_or(total_epochs, |s| s.at_epoch);
-        let outgoing = next_step.map(|s| (s.workers(), Arc::new(MigrationSlot::default())));
-
-        // The migration deadline tightens the stall watchdog over the
-        // migration window (the first phase after a fence).
-        let mut phase_config = config.clone();
-        phase_config.certify_rescale = options.certify;
-        if incoming.is_some() {
-            if let Some(deadline) = options.migration_deadline {
-                phase_config.stall_timeout = Some(deadline);
-            }
-        }
-
-        let mut recovered_from: Vec<ExecuteError> = Vec::new();
-        let phase_outcome = loop {
-            let attempt = recovered_from.len();
-            let resume_epoch = stores
-                .consistent_epoch(phase_config.total_workers())
-                .map_or(0, |e| e + 1)
-                .max(start_epoch);
-            let session = ElasticSession {
-                attempt,
-                generation,
-                resume_epoch,
-                stop_epoch,
-                checkpoint_every: options.recovery.checkpoint_every,
-                stores: stores.clone(),
-                inputs: inputs.clone(),
-                outgoing: outgoing.clone(),
-                incoming,
-            };
-            let f = worker_fn.clone();
-            match execute_inner(&phase_config, move |worker| f(worker, &session)) {
-                Ok(output) => break Ok(output),
-                Err(err) => {
-                    let recoverable = matches!(
-                        err,
-                        ExecuteError::ProcessCrashed { .. }
-                            | ExecuteError::LinkFailed { .. }
-                            | ExecuteError::Stalled { .. }
-                    );
-                    if !recoverable {
-                        return Err(err);
-                    }
-                    recovered_from.push(err);
-                    if recovered_from.len() >= options.recovery.max_attempts {
-                        break Err(());
-                    }
-                    // Absorb scheduled crashes/partitions exactly as the
-                    // recovery coordinator does: the replacement
-                    // process/link is healthy; probabilistic losses stay.
-                    phase_config.faults = phase_config.faults.map(|p| p.without_schedules());
-                    config.faults = config.faults.map(|p| p.without_schedules());
-                }
-            }
-        };
-
-        match phase_outcome {
-            Err(()) => {
-                // lint-allow(NS0004): Err(()) is only returned after at
-                // least one failed attempt was pushed.
-                let last = recovered_from.last().cloned().expect("budget consumed");
-                let Some(info) = incoming else {
-                    // No rescale in flight: plain recovery exhaustion.
-                    return Err(ExecuteError::RecoveryFailed {
-                        attempts: options.recovery.max_attempts,
-                        last: Box::new(last),
-                    });
-                };
-                // lint-allow(NS0004): `prev` is stocked at every fence
-                // and only consumed here, on the first post-fence failure.
-                let (old_config, old_stores) =
-                    prev.take().expect("a post-fence phase keeps its rollback target");
-                if !options.rollback_on_abort {
-                    return Err(ExecuteError::RescaleFailed {
-                        epoch: info.fence,
-                        from_workers: info.from_workers,
-                        to_workers: info.to_workers,
-                        dump: format!(
-                            "phase=resume attempts={}: {last}",
-                            options.recovery.max_attempts
-                        ),
-                    });
-                }
-                outcomes.push(RescaleOutcome::RolledBack {
-                    fence: info.fence,
-                    to_workers: info.to_workers,
-                    cause: last,
-                });
-                // Inputs logged by the abandoned membership were sharded
-                // for its worker set; purge so the old membership re-reads
-                // the source from the fence.
-                inputs.lock().retain(|(epoch, _, _), _| *epoch < info.fence);
-                config = old_config;
-                stores = old_stores;
-                incoming = None;
-                start_epoch = info.fence;
-                generation += 1;
-                config.membership_generation = generation;
-                continue;
-            }
-            Ok((results, metrics, telemetry)) => {
-                phases.push(PhaseReport {
-                    generation,
-                    workers: phase_config.total_workers(),
-                    start_epoch,
-                    stop_epoch,
-                    attempts: recovered_from.len() + 1,
-                    recovered_from,
-                    results,
-                });
-                if let Some(info) = incoming.take() {
-                    // The new membership survived a full phase: the
-                    // rescale is committed and the rollback target drops.
-                    prev = None;
-                    outcomes.push(RescaleOutcome::Completed {
-                        fence: info.fence,
-                        from_workers: info.from_workers,
-                        to_workers: info.to_workers,
-                        stall_ms: info.stall_ms,
-                    });
-                }
-                let Some(step) = next_step else {
-                    return Ok(ElasticReport {
-                        phases,
-                        outcomes,
-                        metrics,
-                        telemetry,
-                    });
-                };
-                step_index += 1;
-                let fence_started = Instant::now();
-                let from_workers = config.total_workers();
-                let to_workers = step.workers();
-                // lint-allow(NS0004): phases that end at a fence install
-                // their outgoing slot before running (loop invariant).
-                let (_, slot) = outgoing.expect("phase ending at a fence has a slot");
-                match slot.assemble(from_workers, to_workers) {
-                    Err(error) => {
-                        if !options.rollback_on_abort {
-                            return Err(ExecuteError::RescaleFailed {
-                                epoch: step.at_epoch,
-                                from_workers,
-                                to_workers,
-                                dump: format!("phase=snapshot: {error}"),
-                            });
-                        }
-                        // Abort without changing membership: the old
-                        // store is consistent at the fence's predecessor,
-                        // so the old membership continues at the fence.
-                        outcomes.push(RescaleOutcome::Aborted {
-                            fence: step.at_epoch,
-                            error,
-                        });
-                        start_epoch = step.at_epoch;
-                        continue;
-                    }
-                    Ok(bundles) => {
-                        let new_stores = Arc::new(PhaseStores::default());
-                        for (worker, bundle) in bundles.into_iter().enumerate() {
-                            new_stores.deposit(
-                                step.at_epoch - 1,
-                                worker,
-                                Deposit::Migrated(bundle),
-                            );
-                        }
-                        prev = Some((config.clone(), stores.clone()));
-                        generation += 1;
-                        config.processes = step.processes;
-                        config.workers_per_process = step.workers_per_process;
-                        config.membership_generation = generation;
-                        stores = new_stores;
-                        start_epoch = step.at_epoch;
-                        incoming = Some(MigrationInfo {
-                            fence: step.at_epoch,
-                            from_workers,
-                            to_workers,
-                            stall_ms: fence_started.elapsed().as_millis() as u64,
-                        });
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -908,39 +300,5 @@ mod tests {
                 stage: 4
             })
         );
-    }
-
-    #[test]
-    fn phase_stores_require_every_worker_for_consistency() {
-        let stores = PhaseStores::default();
-        assert_eq!(stores.consistent_epoch(2), None);
-        stores.deposit(0, 0, Deposit::Plain(vec![1]));
-        assert_eq!(stores.consistent_epoch(2), None);
-        stores.deposit(0, 1, Deposit::Migrated(vec![vec![2]]));
-        assert_eq!(stores.consistent_epoch(2), Some(0));
-    }
-
-    #[test]
-    fn plan_validates_fences() {
-        let plan = ElasticPlan::new(Config::single_process(2), 6)
-            .rescale(RescaleStep::new(2, 1, 3))
-            .rescale(RescaleStep::new(4, 1, 1));
-        assert_eq!(plan.steps().len(), 2);
-        assert_eq!(plan.total_epochs(), 6);
-        assert_eq!(plan.steps()[0].workers(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn plan_rejects_unordered_fences() {
-        let _ = ElasticPlan::new(Config::single_process(2), 6)
-            .rescale(RescaleStep::new(3, 1, 3))
-            .rescale(RescaleStep::new(3, 1, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "not before the final epoch")]
-    fn plan_rejects_fence_at_end() {
-        let _ = ElasticPlan::new(Config::single_process(2), 3).rescale(RescaleStep::new(3, 1, 3));
     }
 }

@@ -5,8 +5,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
-
+use std::time::{Duration, Instant};
 
 use naiad_netsim::{FaultController, NetSender};
 use naiad_wire::{encode_to_vec, Bytes};
@@ -14,7 +13,8 @@ use naiad_wire::{encode_to_vec, Bytes};
 use super::sync::Mutex;
 
 use crate::analysis::{AnalysisConfig, AnalysisReport};
-use crate::dataflow::{OpCore, Scope, StateRegistry, TrackerCell};
+use crate::dataflow::{OpCore, Scope, StateHandle, StateRegistry, TrackerCell};
+use crate::graph::StageId;
 use crate::progress::{
     BatchEmitter, FifoChecker, PointstampTable, ProgressBatch, ProgressMode, ProgressUpdate,
 };
@@ -54,6 +54,12 @@ struct DataflowRuntime {
     /// (bounded; see [`Worker::flush_progress`]).
     defer_count: u32,
 }
+
+/// The watchdog tick of [`Worker::idle_wait`]: an idle worker blocks on
+/// its progress inbox's condvar and wakes the moment a batch arrives; this
+/// bounds the wait so it re-polls its data queues and feeds the stall
+/// watchdog even when no progress traffic comes. Not a latency floor.
+const IDLE_TICK: Duration = Duration::from_micros(200);
 
 /// A per-step callback installed by the introspection harness: runs at
 /// the top of every [`Worker::step`] with the minimum open epoch across
@@ -131,6 +137,9 @@ pub struct Worker {
     last_flow_waits: u64,
     /// The per-run slab pool backing remote encodes (DESIGN.md §16).
     slabs: Arc<naiad_wire::SlabPool>,
+    /// Whether [`Worker::dataflow`] applies the `NA0006` rescale-safe
+    /// certification (set by the run coordinator for elastic runs).
+    certify_rescale: bool,
 }
 
 impl Worker {
@@ -148,6 +157,7 @@ impl Worker {
         liveness: Option<Arc<Liveness>>,
         flow: Option<Arc<FlowRegistry>>,
         slabs: Arc<naiad_wire::SlabPool>,
+        certify_rescale: bool,
     ) -> Self {
         let local_index = index % config.workers_per_process;
         let process = index / config.workers_per_process;
@@ -192,13 +202,15 @@ impl Worker {
             overload,
             monitor,
             slabs,
+            certify_rescale,
             last_flow_returns: 0,
             last_flow_waits: 0,
         }
     }
 
-    /// A clone of this worker's recorder (for the introspection harness
-    /// and the autotuner, which record events of their own).
+    /// A clone of this worker's recorder (for the introspection harness,
+    /// the autotuner and the run coordinator, which record events of their
+    /// own in this worker's log).
     pub(crate) fn recorder(&self) -> Recorder {
         self.recorder.clone()
     }
@@ -227,13 +239,19 @@ impl Worker {
             .all(|df| df.complete)
     }
 
+    /// The user's dataflows: everything but the introspection observer,
+    /// which is not part of the computation's state — checkpoints, shard
+    /// migration and the quiesce barrier all skip it, so a blob taken with
+    /// the observer installed restores without it and vice versa.
+    fn user_dataflows(&self) -> impl Iterator<Item = &DataflowRuntime> {
+        self.dataflows.iter().filter(|df| !df.observer)
+    }
+
     /// The minimum open epoch across non-observer dataflows: the oldest
     /// work the *user's* computation can still perform. `None` once all
     /// their pointstamps have drained.
     fn min_open_epoch(&self) -> Option<u64> {
-        self.dataflows
-            .iter()
-            .filter(|df| !df.observer)
+        self.user_dataflows()
             .filter_map(|df| df.tracker.borrow().as_ref().and_then(PointstampTable::min_epoch))
             .min()
     }
@@ -272,9 +290,9 @@ impl Worker {
     /// coordinated rollback of the whole computation (§3.4) — and
     /// [`execute`](crate::runtime::execute::execute) reports
     /// [`ExecuteError::ProcessCrashed`](crate::runtime::execute::ExecuteError::ProcessCrashed).
-    /// The recovery coordinator
-    /// ([`execute_resilient`](crate::runtime::recovery::execute_resilient))
-    /// uses this to emulate a mid-computation process loss at a precise
+    /// Drivers of a resilient run
+    /// ([`Execution::resilient`](crate::runtime::Execution::resilient))
+    /// use this to emulate a mid-computation process loss at a precise
     /// point in the input stream.
     pub fn inject_crash(&self) -> ! {
         self.fault_controller().crash(self.process);
@@ -302,7 +320,7 @@ impl Worker {
     /// analyzer diagnostic at `Error` severity.
     pub fn dataflow<R>(&mut self, construct: impl FnOnce(&mut Scope) -> R) -> R {
         let mut analysis = AnalysisConfig::default();
-        if self.config.certify_rescale {
+        if self.certify_rescale {
             analysis = analysis.with_rescale_contracts();
         }
         self.dataflow_with_report(&analysis, construct).0
@@ -418,16 +436,7 @@ impl Worker {
         // the snapshot, so restoring into a different cluster size is a
         // typed error instead of a silent wrong-routing hazard.
         naiad_wire::Wire::encode(&self.peers, &mut out);
-        naiad_wire::Wire::encode(&self.dataflows.len(), &mut out);
-        for df in &self.dataflows {
-            let states = df.states.borrow();
-            naiad_wire::Wire::encode(&states.len(), &mut out);
-            for (_stage, state) in states.iter() {
-                let mut blob = Vec::new();
-                state.checkpoint(&mut blob);
-                naiad_wire::Wire::encode(&blob, &mut out);
-            }
-        }
+        self.encode_states(&mut out, StateHandle::checkpoint);
         let sealed = seal_blob(&out);
         self.recorder.record(TelemetryEvent::CheckpointTaken {
             bytes: sealed.len() as u64,
@@ -435,11 +444,70 @@ impl Worker {
         sealed
     }
 
+    /// Every registered state of the user's dataflows with its dataflow's
+    /// index, in the order [`Worker::encode_states`] writes them.
+    fn user_states(&self) -> impl Iterator<Item = (usize, StageId, StateHandle)> + '_ {
+        self.user_dataflows().enumerate().flat_map(|(index, df)| {
+            let states = df.states.borrow();
+            let states = states.iter().map(|(stage, state)| (index, *stage, state.clone()));
+            states.collect::<Vec<_>>()
+        })
+    }
+
+    /// Appends the user dataflows' registered states to `out`: the
+    /// dataflow count, then per dataflow its state count and one
+    /// length-prefixed blob per state, filled by `write`.
+    fn encode_states(&self, out: &mut Vec<u8>, write: impl Fn(&StateHandle, &mut Vec<u8>)) {
+        naiad_wire::Wire::encode(&self.user_dataflows().count(), out);
+        for df in self.user_dataflows() {
+            let states = df.states.borrow();
+            naiad_wire::Wire::encode(&states.len(), out);
+            for (_stage, state) in states.iter() {
+                let mut blob = Vec::new();
+                write(state, &mut blob);
+                naiad_wire::Wire::encode(&blob, out);
+            }
+        }
+    }
+
+    /// Reads what [`Worker::encode_states`] wrote — one blob per state, in
+    /// [`Worker::user_states`] order — validating its shape against the
+    /// constructed dataflows, so callers touch no state until every blob
+    /// is in hand.
+    fn decode_states(&self, input: &mut &[u8]) -> Result<Vec<Vec<u8>>, RestoreError> {
+        let expect = |what, expected, found| {
+            if expected == found {
+                Ok(())
+            } else {
+                Err(RestoreError::ShapeMismatch {
+                    what,
+                    expected,
+                    found,
+                })
+            }
+        };
+        let dataflows = <usize as naiad_wire::Wire>::decode(input)
+            .map_err(|_| RestoreError::Truncated("dataflow count"))?;
+        expect("dataflow count", self.user_dataflows().count(), dataflows)?;
+        let mut blobs = Vec::new();
+        for df in self.user_dataflows() {
+            let count = <usize as naiad_wire::Wire>::decode(input)
+                .map_err(|_| RestoreError::Truncated("registered-state count"))?;
+            expect("registered-state count", df.states.borrow().len(), count)?;
+            for _ in 0..count {
+                let blob = <Vec<u8> as naiad_wire::Wire>::decode(input)
+                    .map_err(|_| RestoreError::Truncated("state blob"))?;
+                blobs.push(blob);
+            }
+        }
+        Ok(blobs)
+    }
+
     /// Serializes registered vertex state as `parts` sealed *shard* blobs:
     /// shard `p` holds, for every keyed state, exactly the entries worker
     /// `p` of a `parts`-worker cluster would own under the exchange
-    /// contract. The elastic-rescale coordinator
-    /// ([`execute_elastic`](crate::runtime::rescale::execute_elastic))
+    /// contract. The run coordinator
+    /// ([`Execution::elastic`](crate::runtime::Execution::elastic))
     /// sends shard `p` from every old worker to new worker `p`, which
     /// absorbs them with [`Worker::restore_shards`].
     ///
@@ -447,38 +515,26 @@ impl Worker {
     /// registered opaque (non-keyed) state — such state has no
     /// partitioning the coordinator could re-route.
     pub fn checkpoint_partitioned(&self, parts: usize) -> Result<Vec<Vec<u8>>, RescaleError> {
-        for (df_index, df) in self.dataflows.iter().enumerate() {
-            for (stage, state) in df.states.borrow().iter() {
-                if !state.is_keyed() {
-                    return Err(RescaleError::UnmigratableState {
-                        dataflow: df_index,
-                        stage: stage.0,
-                    });
-                }
-            }
+        if let Some((dataflow, stage, _)) = self.user_states().find(|(_, _, s)| !s.is_keyed()) {
+            return Err(RescaleError::UnmigratableState {
+                dataflow,
+                stage: stage.0,
+            });
         }
-        let mut shards = Vec::with_capacity(parts);
-        for part in 0..parts {
+        let shard = |part: usize| {
             let mut out = Vec::new();
             naiad_wire::Wire::encode(&parts, &mut out);
             naiad_wire::Wire::encode(&part, &mut out);
             naiad_wire::Wire::encode(&self.index, &mut out);
-            naiad_wire::Wire::encode(&self.dataflows.len(), &mut out);
-            for df in &self.dataflows {
-                let states = df.states.borrow();
-                naiad_wire::Wire::encode(&states.len(), &mut out);
-                for (_stage, state) in states.iter() {
-                    // lint-allow(NS0004): the validation pass above this
-                    // loop already returned Err for non-keyed state.
-                    let keyed = state.keyed().expect("checked keyed above");
-                    let mut blob = Vec::new();
-                    keyed.borrow().export_part(part, parts, &mut blob);
-                    naiad_wire::Wire::encode(&blob, &mut out);
-                }
-            }
-            shards.push(seal_blob(&out));
-        }
-        Ok(shards)
+            self.encode_states(&mut out, |state, blob| {
+                // lint-allow(NS0004): the validation pass above already
+                // returned Err for non-keyed state.
+                let keyed = state.keyed().expect("checked keyed above");
+                keyed.borrow().export_part(part, parts, blob);
+            });
+            seal_blob(&out)
+        };
+        Ok((0..parts).map(shard).collect())
     }
 
     /// Rebuilds keyed vertex state from migration shards produced by
@@ -490,6 +546,17 @@ impl Worker {
     /// the keyed maps and absorbs the shards, so a corrupt shard can never
     /// leave the worker half-migrated.
     pub fn restore_shards(&mut self, shards: &[Vec<u8>]) -> Result<(), RestoreError> {
+        let mut keyed = Vec::new();
+        for (_, _, state) in self.user_states() {
+            let Some(state) = state.keyed() else {
+                return Err(RestoreError::ShapeMismatch {
+                    what: "keyed-state registration",
+                    expected: 1,
+                    found: 0,
+                });
+            };
+            keyed.push(state.clone());
+        }
         let mut payloads = Vec::with_capacity(shards.len());
         for shard in shards {
             let mut payload = open_blob(shard)?;
@@ -513,65 +580,17 @@ impl Worker {
             }
             let source = <usize as naiad_wire::Wire>::decode(input)
                 .map_err(|_| RestoreError::Truncated("shard source worker"))?;
-            let dataflows = <usize as naiad_wire::Wire>::decode(input)
-                .map_err(|_| RestoreError::Truncated("shard dataflow count"))?;
-            if dataflows != self.dataflows.len() {
-                return Err(RestoreError::ShapeMismatch {
-                    what: "shard dataflow count",
-                    expected: self.dataflows.len(),
-                    found: dataflows,
-                });
-            }
-            let mut per_df = Vec::with_capacity(dataflows);
-            for df in &self.dataflows {
-                let states = df.states.borrow();
-                let count = <usize as naiad_wire::Wire>::decode(input)
-                    .map_err(|_| RestoreError::Truncated("shard state count"))?;
-                if count != states.len() {
-                    return Err(RestoreError::ShapeMismatch {
-                        what: "shard registered-state count",
-                        expected: states.len(),
-                        found: count,
-                    });
-                }
-                let mut blobs = Vec::with_capacity(count);
-                for (_stage, state) in states.iter() {
-                    if !state.is_keyed() {
-                        return Err(RestoreError::ShapeMismatch {
-                            what: "keyed-state registration",
-                            expected: states.len(),
-                            found: 0,
-                        });
-                    }
-                    let blob = <Vec<u8> as naiad_wire::Wire>::decode(input)
-                        .map_err(|_| RestoreError::Truncated("shard state blob"))?;
-                    blobs.push(blob);
-                }
-                per_df.push(blobs);
-            }
-            payloads.push((source, per_df));
+            payloads.push((source, self.decode_states(input)?));
         }
         // Every shard validated: now mutate, once, in one pass.
-        for df in &self.dataflows {
-            for (_stage, state) in df.states.borrow().iter() {
-                // lint-allow(NS0004): decode-and-validate completed above;
-                // the mutate pass must not fail halfway.
-                state.keyed().expect("validated keyed above").borrow_mut().clear();
-            }
+        for state in &keyed {
+            state.borrow_mut().clear();
         }
-        for (source, per_df) in payloads {
+        for (source, blobs) in payloads {
             let mut migrated = 0u64;
-            for (df, blobs) in self.dataflows.iter().zip(&per_df) {
-                for ((_stage, state), blob) in df.states.borrow().iter().zip(blobs) {
-                    // lint-allow(NS0004): same validated two-phase
-                    // restore; see the clear pass above.
-                    state
-                        .keyed()
-                        .expect("validated keyed above")
-                        .borrow_mut()
-                        .absorb_part(&mut &blob[..]);
-                    migrated += blob.len() as u64;
-                }
+            for (state, blob) in keyed.iter().zip(&blobs) {
+                state.borrow_mut().absorb_part(&mut &blob[..]);
+                migrated += blob.len() as u64;
             }
             self.recorder.record(TelemetryEvent::PartitionMigrated {
                 from_worker: source as u32,
@@ -581,19 +600,13 @@ impl Worker {
         Ok(())
     }
 
-    /// Records a telemetry event in this worker's log (used by the
-    /// rescale coordinator to attribute protocol phases to workers).
-    pub(crate) fn record(&self, event: TelemetryEvent) {
-        self.recorder.record(event);
-    }
-
     /// The migration frontier barrier (§3.3 applied to rescaling): `true`
-    /// when, in every dataflow, no active pointstamp carries an epoch at
+    /// when, in every user dataflow, no active pointstamp carries an epoch at
     /// or below `epoch`. The rescale coordinator requires this of the
     /// fence's predecessor before sharding state — a still-draining epoch
     /// would make the snapshot miss in-flight records.
     pub fn frontier_closed_through(&self, epoch: u64) -> bool {
-        self.dataflows.iter().all(|df| {
+        self.user_dataflows().all(|df| {
             df.tracker
                 .borrow()
                 .as_ref()
@@ -646,31 +659,9 @@ impl Worker {
                 restoring: self.peers,
             });
         }
-        let dataflows = <usize as naiad_wire::Wire>::decode(input)
-            .map_err(|_| RestoreError::Truncated("snapshot header"))?;
-        if dataflows != self.dataflows.len() {
-            return Err(RestoreError::ShapeMismatch {
-                what: "snapshot dataflow count",
-                expected: self.dataflows.len(),
-                found: dataflows,
-            });
-        }
-        for df in &self.dataflows {
-            let states = df.states.borrow();
-            let count = <usize as naiad_wire::Wire>::decode(input)
-                .map_err(|_| RestoreError::Truncated("state count"))?;
-            if count != states.len() {
-                return Err(RestoreError::ShapeMismatch {
-                    what: "registered-state count",
-                    expected: states.len(),
-                    found: count,
-                });
-            }
-            for (_stage, state) in states.iter() {
-                let blob = <Vec<u8> as naiad_wire::Wire>::decode(input)
-                    .map_err(|_| RestoreError::Truncated("state blob"))?;
-                state.restore(&mut &blob[..]);
-            }
+        let blobs = self.decode_states(input)?;
+        for ((_, _, state), blob) in self.user_states().zip(&blobs) {
+            state.restore(&mut &blob[..]);
         }
         self.recorder.record(TelemetryEvent::CheckpointRestored {
             bytes: snapshot.len() as u64,
@@ -909,7 +900,8 @@ impl Worker {
         }
     }
 
-    /// Blocks briefly on the progress inbox so idle workers do not spin.
+    /// Blocks on the progress inbox for at most one [`IDLE_TICK`], so idle
+    /// workers neither spin nor miss a batch.
     /// Consecutive fruitless waits while pointstamps are outstanding feed
     /// the stall watchdog.
     pub(crate) fn idle_wait(&mut self) {
@@ -922,7 +914,7 @@ impl Worker {
             self.stall_since = None;
             return;
         }
-        if let Some(bytes) = self.progress_rx.recv_timeout(self.config.idle_wait) {
+        if let Some(bytes) = self.progress_rx.recv_timeout(IDLE_TICK) {
             self.apply_progress_bytes(&bytes);
             self.stall_since = None;
             return;

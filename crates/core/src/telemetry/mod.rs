@@ -34,7 +34,7 @@
 //! Entry points:
 //! [`execute_with_telemetry`](crate::runtime::execute::execute_with_telemetry)
 //! returns the snapshot alongside the worker results, and
-//! [`ResilientReport::telemetry`](crate::runtime::recovery::ResilientReport)
+//! [`RunReport::telemetry`](crate::runtime::RunReport::telemetry)
 //! carries the final attempt's snapshot when telemetry is enabled.
 
 mod event;

@@ -182,7 +182,7 @@ pub struct TelemetrySnapshot {
     /// Per-epoch critical-path summaries from the self-hosted analysis
     /// dataflow ([`crate::introspect`]), sorted by epoch. Empty unless
     /// the run executed under
-    /// [`execute_with_introspection`](crate::introspect::execute_with_introspection).
+    /// [`Execution::introspect`](crate::runtime::Execution::introspect).
     pub critical_paths: Vec<crate::introspect::CriticalPathSummary>,
 }
 
@@ -361,7 +361,7 @@ impl TelemetrySnapshot {
 
     /// Per-epoch critical-path summaries as JSON lines, prefixed by a
     /// schema header. Empty (header only) unless the run executed under
-    /// [`execute_with_introspection`](crate::introspect::execute_with_introspection).
+    /// [`Execution::introspect`](crate::runtime::Execution::introspect).
     pub fn critical_path_json_lines(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -9,7 +9,7 @@ use naiad::dataflow::{InputPort, OutputPort};
 use naiad::introspect::{offline_reference, IntrospectOptions};
 use naiad::runtime::Pact;
 use naiad::telemetry::{Recorder, TelemetryEvent};
-use naiad::{execute, execute_with_introspection, execute_with_telemetry, Config, Worker};
+use naiad::{execute, execute_with_telemetry, Config, Execution, Worker};
 
 /// The shared fixture: records exchange to worker 0 (the deliberate
 /// straggler), which folds each into a per-epoch sum emitted when the
@@ -82,27 +82,26 @@ fn skewed_sums(worker: &mut Worker, epochs: u64, records_per_epoch: u64) -> Vec<
 #[test]
 fn self_hosted_summaries_match_the_offline_reference() {
     let config = Config::single_process(2).telemetry_capacity(1 << 20);
-    let (results, report) = execute_with_introspection(
-        config,
-        IntrospectOptions::default().tap_capacity(1 << 20),
-        |worker| skewed_sums(worker, 4, 64),
-    )
-    .unwrap();
-    assert_eq!(results.len(), 2);
+    let report = Execution::new(config)
+        .introspect(IntrospectOptions::default().tap_capacity(1 << 20))
+        .run(|worker, _| skewed_sums(worker, 4, 64))
+        .unwrap();
+    let snapshot = report.telemetry.as_ref().expect("introspection forces telemetry on");
+    assert_eq!(report.phases[0].results.len(), 2);
     assert_eq!(report.tap_dropped, 0, "golden run must not drop tap events");
     assert_eq!(
-        report.snapshot.total_events_dropped(),
+        snapshot.total_events_dropped(),
         0,
         "golden run must not drop buffer events"
     );
 
-    let reference = offline_reference(&report.snapshot.logs, Some(0));
+    let reference = offline_reference(&snapshot.logs, Some(0));
     assert!(!report.summaries.is_empty());
     assert_eq!(
         report.summaries, reference,
         "self-hosted summaries must be bit-identical to the offline reference"
     );
-    assert_eq!(report.snapshot.critical_paths, report.summaries);
+    assert_eq!(snapshot.critical_paths, report.summaries);
 }
 
 /// Multi-process, unfenced epochs: workers advance their inputs without
@@ -115,10 +114,9 @@ fn self_hosted_summaries_match_the_offline_reference() {
 #[test]
 fn unfenced_multi_process_epochs_get_exactly_one_summary() {
     let config = Config::processes_and_workers(2, 2).telemetry_capacity(1 << 20);
-    let (_, report) = execute_with_introspection(
-        config,
-        IntrospectOptions::default().tap_capacity(1 << 20),
-        |worker| {
+    let report = Execution::new(config)
+        .introspect(IntrospectOptions::default().tap_capacity(1 << 20))
+        .run(|worker, _| {
             let index = worker.index() as u64;
             let (mut input, probe) = worker.dataflow(|scope| {
                 let (input, stream) = scope.new_input::<u64>();
@@ -145,9 +143,9 @@ fn unfenced_multi_process_epochs_get_exactly_one_summary() {
             }
             input.close();
             worker.step_until_done();
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
+    let snapshot = report.telemetry.as_ref().expect("introspection forces telemetry on");
 
     let mut epochs: Vec<u64> = report.summaries.iter().map(|s| s.epoch).collect();
     let before = epochs.len();
@@ -156,7 +154,7 @@ fn unfenced_multi_process_epochs_get_exactly_one_summary() {
     for e in 0..4 {
         assert!(epochs.contains(&e), "epoch {e} has no summary");
     }
-    let reference = offline_reference(&report.snapshot.logs, Some(0));
+    let reference = offline_reference(&snapshot.logs, Some(0));
     assert_eq!(report.summaries, reference);
 }
 
@@ -168,12 +166,10 @@ fn unfenced_multi_process_epochs_get_exactly_one_summary() {
 fn four_workers_attribute_the_straggler_and_account_the_span() {
     const EPOCHS: u64 = 5;
     let config = Config::single_process(4).telemetry_capacity(1 << 20);
-    let (_, report) = execute_with_introspection(
-        config,
-        IntrospectOptions::default().tap_capacity(1 << 20),
-        |worker| skewed_sums(worker, EPOCHS, 256),
-    )
-    .unwrap();
+    let report = Execution::new(config)
+        .introspect(IntrospectOptions::default().tap_capacity(1 << 20))
+        .run(|worker, _| skewed_sums(worker, EPOCHS, 256))
+        .unwrap();
 
     let epochs: Vec<u64> = report.summaries.iter().map(|s| s.epoch).collect();
     assert_eq!(epochs, (0..EPOCHS).collect::<Vec<_>>(), "one summary per epoch");
@@ -247,14 +243,12 @@ fn tap_overflow_is_counted_not_fatal() {
         skewed_sums(worker, 3, 64)
     })
     .unwrap();
-    let (observed, report) = execute_with_introspection(
-        Config::single_process(2),
-        IntrospectOptions::default().tap_capacity(2),
-        |worker| skewed_sums(worker, 3, 64),
-    )
-    .unwrap();
+    let report = Execution::new(Config::single_process(2))
+        .introspect(IntrospectOptions::default().tap_capacity(2))
+        .run(|worker, _| skewed_sums(worker, 3, 64))
+        .unwrap();
     assert!(report.tap_dropped > 0, "a 2-event tap must overflow");
-    assert_eq!(plain, observed, "overflow must not perturb results");
+    assert_eq!(plain, report.into_results(), "overflow must not perturb results");
 }
 
 /// With autotuning off, introspection is observation only: user results
@@ -265,14 +259,12 @@ fn introspection_does_not_perturb_results() {
         skewed_sums(worker, 4, 32)
     })
     .unwrap();
-    let (observed, report) = execute_with_introspection(
-        Config::single_process(2),
-        IntrospectOptions::default(),
-        |worker| skewed_sums(worker, 4, 32),
-    )
-    .unwrap();
-    assert_eq!(plain, observed);
+    let report = Execution::new(Config::single_process(2))
+        .introspect(IntrospectOptions::default())
+        .run(|worker, _| skewed_sums(worker, 4, 32))
+        .unwrap();
     assert!(report.decisions.is_empty(), "autotune off makes no decisions");
+    assert_eq!(plain, report.into_results());
 }
 
 /// The closed loop: with autotuning on, the tuner adjusts the shared
@@ -288,13 +280,14 @@ fn autotuning_adjusts_knobs_within_bounds() {
     let config = Config::single_process(2)
         .batch_size(64)
         .telemetry_capacity(1 << 20);
-    let (observed, report) = execute_with_introspection(
-        config,
-        IntrospectOptions::default().autotune(true).tap_capacity(1 << 20),
-        |worker| skewed_sums(worker, EPOCHS, 32),
-    )
-    .unwrap();
-    assert_eq!(plain, observed, "tuning batch sizes must not change results");
+    let report = Execution::new(config)
+        .introspect(IntrospectOptions::default().autotune(true).tap_capacity(1 << 20))
+        .run(|worker, _| skewed_sums(worker, EPOCHS, 32))
+        .unwrap();
+    assert_eq!(
+        plain, report.phases[0].results,
+        "tuning batch sizes must not change results"
+    );
     assert!(
         !report.decisions.is_empty(),
         "12 epochs give the tuner room for at least one move"
@@ -303,14 +296,14 @@ fn autotuning_adjusts_knobs_within_bounds() {
         assert!(decision.to >= 1 && decision.to <= 65_536);
     }
     // Decisions are logged into the telemetry stream they came from.
-    let tuning_events: u64 = report
-        .snapshot
+    let snapshot = report.telemetry.as_ref().expect("introspection forces telemetry on");
+    let tuning_events: u64 = snapshot
         .workers
         .iter()
         .map(|w| w.counters.tuning_decisions)
         .sum();
     assert_eq!(tuning_events, report.decisions.len() as u64);
-    let jsonl = report.snapshot.events_json_lines();
+    let jsonl = snapshot.events_json_lines();
     assert!(jsonl.lines().any(|l| l.contains("\"kind\":\"tuning\"") || l.contains("\"knob\":")));
 }
 

@@ -18,7 +18,7 @@
 //! contract (a summary per closed epoch, ≥95% wall-clock accounting,
 //! no tap overflow) — `scripts/verify.sh` runs this as a gate.
 
-use naiad::{execute_with_introspection, Config, IntrospectOptions, IntrospectReport, Worker};
+use naiad::{Config, Execution, IntrospectOptions, RunReport, Worker};
 use naiad_algorithms::wordcount::wordcount;
 
 const EPOCHS: u64 = 4;
@@ -82,9 +82,10 @@ fn run_skewed(worker: &mut Worker) {
 }
 
 /// Checks the introspection contract and prints one workload's report.
-fn report(name: &str, report: &IntrospectReport) {
+fn report(name: &str, report: &RunReport<()>) {
+    let snapshot = report.telemetry.as_ref().expect("introspection forces telemetry on");
     println!("== {name} ==");
-    println!("{}", report.snapshot.critical_path_json_lines());
+    println!("{}", snapshot.critical_path_json_lines());
 
     assert!(
         !report.summaries.is_empty(),
@@ -122,8 +123,7 @@ fn report(name: &str, report: &IntrospectReport) {
             s.progress_updates,
         );
     }
-    let events: usize = report
-        .snapshot
+    let events: usize = snapshot
         .workers
         .iter()
         .map(|w| w.events_recorded)
@@ -145,16 +145,16 @@ fn main() {
     };
     let options = || IntrospectOptions::default().tap_capacity(1 << 20);
 
-    let (_, wc) = execute_with_introspection(catalog_config(), options(), |worker| {
-        run_wordcount(worker);
-    })
-    .expect("wordcount under introspection");
+    let wc = Execution::new(catalog_config())
+        .introspect(options())
+        .run(|worker, _| run_wordcount(worker))
+        .expect("wordcount under introspection");
     report("wordcount (2 processes x 2 workers)", &wc);
 
-    let (_, skew) = execute_with_introspection(catalog_config(), options(), |worker| {
-        run_skewed(worker);
-    })
-    .expect("skewed exchange under introspection");
+    let skew = Execution::new(catalog_config())
+        .introspect(options())
+        .run(|worker, _| run_skewed(worker))
+        .expect("skewed exchange under introspection");
     report("skewed exchange (hot key on worker 0)", &skew);
     assert!(
         skew.summaries
@@ -167,14 +167,10 @@ fn main() {
     );
 
     // Close the loop: same skewed workload, autotuner on.
-    let (_, tuned) = execute_with_introspection(
-        catalog_config().batch_size(16),
-        options().autotune(true),
-        |worker| {
-            run_skewed(worker);
-        },
-    )
-    .expect("autotuned run");
+    let tuned = Execution::new(catalog_config().batch_size(16))
+        .introspect(options().autotune(true))
+        .run(|worker, _| run_skewed(worker))
+        .expect("autotuned run");
     report("skewed exchange, autotuned (start batch=16)", &tuned);
     println!("tuning decisions:");
     if tuned.decisions.is_empty() {

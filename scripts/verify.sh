@@ -66,7 +66,7 @@ echo "== static dataflow analyzer (naiad-lint over the in-repo catalog) =="
 cargo run -q --release --example naiad_lint
 
 echo "== self-hosted critical-path report (introspection gate) =="
-# Runs the workload catalog under execute_with_introspection; the example
+# Runs the workload catalog under Execution::introspect; the example
 # asserts one summary per closed epoch, >=95% wall-clock accounting, no
 # tap overflow, and bounded tuning decisions (DESIGN.md §14).
 cargo run -q --release --example critical_path_report >/dev/null
@@ -77,46 +77,26 @@ echo "== overload report (flow-control gate) =="
 # credit drain, and that the overload monitor engaged (DESIGN.md §15).
 cargo run -q --release --example overload_report >/dev/null
 
-# Extended chaos soak: CHAOS_SOAK_SEEDS=n runs n extra seeded composite
-# fault schedules past the 32 the workspace tests always cover. The CI
-# chaos-soak job sets it; local runs may too (e.g. CHAOS_SOAK_SEEDS=96).
-if [[ "${CHAOS_SOAK_SEEDS:-0}" != "0" ]]; then
-  echo "== chaos soak (+${CHAOS_SOAK_SEEDS} seeds) =="
-  timeout "${CHAOS_SOAK_DEADLINE:-1800}" \
-    cargo test -q --test chaos_soak -- extended_soak_honours_env
-fi
-
-# Extended rescale-under-fault soak: RESCALE_SOAK_SEEDS=n runs n extra
-# seeds of the elastic matrix (the same fault plans with a grow or shrink
-# membership change fenced mid-run) past the 32 the workspace tests
-# always cover. The CI chaos-soak job sets it.
-if [[ "${RESCALE_SOAK_SEEDS:-0}" != "0" ]]; then
-  echo "== rescale soak (+${RESCALE_SOAK_SEEDS} seeds) =="
-  timeout "${RESCALE_SOAK_DEADLINE:-1800}" \
-    cargo test -q --test chaos_soak -- extended_rescale_soak_honours_env
-fi
-
-# Extended introspection soak: INTROSPECT_SOAK_SEEDS=n runs n extra
-# seeded lossy fault schedules with the self-hosted observer installed,
-# asserting per-epoch output stays bit-identical to the fault-free
-# reference and every epoch gets a critical-path summary. The CI
-# chaos-soak job sets it.
-if [[ "${INTROSPECT_SOAK_SEEDS:-0}" != "0" ]]; then
-  echo "== introspection soak (+${INTROSPECT_SOAK_SEEDS} seeds) =="
-  timeout "${INTROSPECT_SOAK_DEADLINE:-1800}" \
-    cargo test -q --test chaos_soak -- extended_introspect_soak_honours_env
-fi
-
-# Extended overload soak: OVERLOAD_SOAK_SEEDS=n runs n extra seeded
-# 2x-offered-load schedules against a dawdling consumer, asserting the
-# peak in-flight data-plane bytes stay within the credit budget and the
-# run is lossless (Block) or exactly accounted (Shed). The CI chaos-soak
-# job sets it.
-if [[ "${OVERLOAD_SOAK_SEEDS:-0}" != "0" ]]; then
-  echo "== overload soak (+${OVERLOAD_SOAK_SEEDS} seeds) =="
-  timeout "${OVERLOAD_SOAK_DEADLINE:-1800}" \
-    cargo test -q --test chaos_soak -- extended_overload_soak_honours_env
-fi
+# Extended soaks: <VAR>=n runs n extra seeds of one tests/chaos_soak.rs
+# matrix past the base seeds the workspace tests always cover; unset or 0
+# skips it. The CI chaos-soak job sets all five; local runs may too (e.g.
+# CHAOS_SOAK_SEEDS=96). <VAR minus _SEEDS>_DEADLINE bounds each in seconds.
+#   variable               test                                  what the extra seeds run
+soaks="
+CHAOS_SOAK_SEEDS       extended_soak_honours_env             composite fault schedules under recovery, and the composed recovery x rescale x flow x introspection matrix
+RESCALE_SOAK_SEEDS     extended_rescale_soak_honours_env     the same fault plans with a grow or shrink fenced mid-run
+INTROSPECT_SOAK_SEEDS  extended_introspect_soak_honours_env  lossy schedules with the self-hosted observer installed
+OVERLOAD_SOAK_SEEDS    extended_overload_soak_honours_env    2x-offered-load schedules against a dawdling consumer, Block and Shed
+SLAB_SOAK_SEEDS        extended_slab_soak_honours_env        the chaos fault plans with container-fed inputs over the slab path
+"
+while read -r var test label; do
+  [[ -n "$var" ]] || continue
+  seeds="${!var:-0}"
+  [[ "$seeds" != "0" ]] || continue
+  deadline_var="${var%_SEEDS}_DEADLINE"
+  echo "== ${var%_SEEDS} (+${seeds} seeds: ${label}) =="
+  timeout "${!deadline_var:-1800}" cargo test -q --test chaos_soak -- "$test"
+done <<<"$soaks"
 
 # Bounded model-check smoke: one pass over the protocol model-checker's
 # acceptance matrix (DESIGN.md §11) on the pinned base seeds, with the

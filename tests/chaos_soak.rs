@@ -2,7 +2,9 @@
 //! fault schedules — message drops, duplicate deliveries, partition
 //! windows, and scheduled process crashes — derived from 32 base seeds
 //! (more via `CHAOS_SOAK_SEEDS`; `SLAB_SOAK_SEEDS` runs the same plans
-//! with container-fed inputs over the slab-backed remote path).
+//! with container-fed inputs over the slab-backed remote path). Further
+//! matrices add a mid-run rescale, the introspection observer, overload,
+//! and — the composed soak — all of those layers in one run.
 //!
 //! The contract under chaos is binary and typed:
 //!
@@ -26,9 +28,9 @@ use std::time::Duration;
 
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::{
-    execute, execute_elastic, execute_resilient, execute_with_telemetry, Config, ElasticOptions,
-    ElasticPlan, ElasticReport, ExecuteError, FlowConfig, Pact, RecoveryOptions, RescaleOutcome,
-    RescaleStep, ResilientReport, Scope, ShedPolicy, TelemetrySnapshot, Timestamp,
+    execute, execute_with_telemetry, Config, ElasticOptions, ExecuteError, Execution, FlowConfig,
+    IntrospectOptions, Pact, PhaseReport, RecoveryOptions, RescaleOutcome, RescaleStep, RunReport,
+    Scope, ShedPolicy, TelemetrySnapshot, Timestamp,
 };
 use naiad_examples::my_share;
 use naiad_netsim::FaultPlan;
@@ -231,17 +233,15 @@ fn baseline() -> Vec<Vec<(u64, u64)>> {
 /// historical shape) or whole-container `send_container`, which rides the
 /// slab-backed batch path end to end — radix-grouped containers, pooled
 /// encode slabs, recycled decode containers (DESIGN.md §16). Both feeds
-/// must land bit-identically on the same fault-free reference.
-fn chaos_run(seed: u64, batched: bool) -> Result<ResilientReport<(u64, Out)>, ExecuteError> {
+/// must land bit-identically on the same fault-free reference. Returns
+/// the run's single phase.
+fn chaos_run(seed: u64, batched: bool) -> Result<PhaseReport<(u64, Out)>, ExecuteError> {
     let all = Arc::new(inputs());
-    execute_resilient(
-        chaos_config().faults(plan_for_seed(seed)),
-        RecoveryOptions::default().max_attempts(6).checkpoint_every(1),
-        move |worker, recovery| {
+    Execution::new(chaos_config().faults(plan_for_seed(seed)))
+        .resilient(RecoveryOptions::default().max_attempts(6).checkpoint_every(1))
+        .run(move |worker, recovery| {
             let (mut input, probe, captured) = worker.dataflow(build);
-            if let Some(blob) = recovery.snapshot(worker.index()) {
-                worker.restore(&blob);
-            }
+            recovery.restore_into(worker);
             let resume = recovery.resume_epoch();
             for (local, epoch) in (resume..EPOCHS).enumerate() {
                 let local = local as u64;
@@ -265,15 +265,15 @@ fn chaos_run(seed: u64, batched: bool) -> Result<ResilientReport<(u64, Out)>, Ex
                 input.advance_to(local + 1);
                 worker.step_while(|| !probe.done_through(local));
                 if recovery.should_checkpoint(epoch) {
-                    recovery.deposit_checkpoint(epoch, worker.index(), worker.checkpoint());
+                    recovery.checkpoint(worker, epoch);
                 }
             }
             input.close();
             worker.step_until_done();
             let result = (resume, captured.borrow().clone());
             result
-        },
-    )
+        })
+        .map(|mut report| report.phases.pop().expect("no rescale step, one phase"))
 }
 
 /// Soaks `seeds`, asserting the binary contract for each: bit-identical
@@ -333,7 +333,7 @@ fn soak_with_feed(
 
 /// Bit-identical check: merge worker captures, compare per epoch from the
 /// cluster-wide resume point.
-fn assert_identical(seed: u64, report: &ResilientReport<(u64, Out)>, reference: &[Vec<(u64, u64)>]) {
+fn assert_identical(seed: u64, report: &PhaseReport<(u64, Out)>, reference: &[Vec<(u64, u64)>]) {
     let resume = report.results[0].0;
     for (r, _) in &report.results {
         assert_eq!(*r, resume, "seed {seed}: resume epoch must be cluster-wide");
@@ -376,13 +376,25 @@ fn rescale_step_for_seed(seed: u64) -> RescaleStep {
 /// partition windows can strike before, during, or after the migration.
 /// The driver follows the standard elastic protocol and returns each
 /// attempt's resume epoch with its captures, as [`chaos_run`] does.
-fn rescale_chaos_run(seed: u64) -> Result<ElasticReport<(u64, Out)>, ExecuteError> {
-    let all = Arc::new(inputs());
-    let plan = ElasticPlan::new(chaos_config().faults(plan_for_seed(seed)), EPOCHS)
-        .rescale(rescale_step_for_seed(seed));
+fn rescale_chaos_run(seed: u64) -> Result<RunReport<(u64, Out)>, ExecuteError> {
     let options = ElasticOptions::default()
         .recovery(RecoveryOptions::default().max_attempts(6).checkpoint_every(1));
-    execute_elastic(plan, options, move |worker, session| {
+    elastic_driver(
+        Execution::new(chaos_config().faults(plan_for_seed(seed))).elastic(
+            &[rescale_step_for_seed(seed)],
+            EPOCHS,
+            options,
+        ),
+    )
+}
+
+/// The standard elastic driver over the keyed-min dataflow: restore,
+/// feed this phase's logical epochs (replaying the input log where it has
+/// them), checkpoint at every boundary the session names. Each worker
+/// returns its attempt's resume epoch with its captures.
+fn elastic_driver(run: Execution) -> Result<RunReport<(u64, Out)>, ExecuteError> {
+    let all = Arc::new(inputs());
+    run.run(move |worker, session| {
         let (mut input, probe, captured) = worker.dataflow(build);
         session.restore_into(worker);
         if session.resume_epoch() > 0 {
@@ -474,7 +486,7 @@ fn rescale_soak(seeds: std::ops::Range<u64>, reference: &[Vec<(u64, u64)>]) -> u
 /// so captured times index the reference directly.
 fn assert_rescale_identical(
     seed: u64,
-    report: &ElasticReport<(u64, Out)>,
+    report: &RunReport<(u64, Out)>,
     reference: &[Vec<(u64, u64)>],
 ) {
     for phase in &report.phases {
@@ -666,9 +678,8 @@ fn extended_rescale_soak_honours_env() {
 // bit-identical to the fault-free, uninstrumented baseline.
 
 /// A lossy-but-crashless plan for the introspection soak: drops and
-/// duplicates ride the retry layer, while a crash would need the
-/// recovery coordinator, which wraps `execute` rather than
-/// `execute_with_introspection`.
+/// duplicates ride the retry layer (the composed soak below adds the
+/// crash).
 fn introspect_plan_for_seed(seed: u64) -> FaultPlan {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x1D7A_0B5E;
     FaultPlan::seeded(seed.max(1))
@@ -678,16 +689,15 @@ fn introspect_plan_for_seed(seed: u64) -> FaultPlan {
 
 /// One lossy run with the observer installed; returns the per-epoch
 /// sorted output plus the introspection report.
-fn introspect_run(seed: u64) -> (Vec<Vec<(u64, u64)>>, naiad::IntrospectReport) {
+fn introspect_run(seed: u64) -> (Vec<Vec<(u64, u64)>>, RunReport<Out>) {
     let all = Arc::new(inputs());
     let config = Config::processes_and_workers(PROCESSES, 1)
         .batch_size(8)
         .faults(introspect_plan_for_seed(seed))
         .send_retries(16);
-    let (results, report) = naiad::execute_with_introspection(
-        config,
-        naiad::IntrospectOptions::default(),
-        move |worker| {
+    let report = Execution::new(config)
+        .introspect(IntrospectOptions::default())
+        .run(move |worker, _session| {
             let (mut input, probe, captured) = worker.dataflow(build);
             for epoch in 0..EPOCHS {
                 for r in my_share(&all[epoch as usize], worker.index(), worker.peers()) {
@@ -700,10 +710,9 @@ fn introspect_run(seed: u64) -> (Vec<Vec<(u64, u64)>>, naiad::IntrospectReport) 
             worker.step_until_done();
             let result = captured.borrow().clone();
             result
-        },
-    )
-    .expect("introspected lossy run");
-    let merged: Out = results.into_iter().flatten().collect();
+        })
+        .expect("introspected lossy run");
+    let merged: Out = report.phases[0].results.iter().flatten().cloned().collect();
     let per_epoch = (0..EPOCHS)
         .map(|e| {
             let mut v: Vec<(u64, u64)> = merged
@@ -764,6 +773,115 @@ fn extended_introspect_soak_honours_env() {
     with_deadline(120 + 40 * extra, move || {
         let reference = baseline();
         introspect_soak(4..4 + extra, &reference);
+    });
+}
+
+// --- Composed soak ----------------------------------------------------
+//
+// Recovery × elasticity × flow control × introspection in one run: each
+// layer has its own matrix above; this one runs them together, so a
+// rollback happens with the observer installed, credits in flight and a
+// rescale fence in the plan.
+
+/// The composite plan of composed seed `seed`, a pure function of it:
+/// lossy links, one partition window, one scheduled crash.
+fn composed_plan_for_seed(seed: u64) -> FaultPlan {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC04D_05ED;
+    let src = (splitmix(&mut s) % PROCESSES as u64) as usize;
+    let from = splitmix(&mut s) % 150;
+    let until = from + 1 + splitmix(&mut s) % 120;
+    let victim = (splitmix(&mut s) % PROCESSES as u64) as usize;
+    FaultPlan::seeded(seed.max(1))
+        .drop_probability(0.01 + 0.04 * unit(splitmix(&mut s)))
+        .duplicate_probability(0.03 * unit(splitmix(&mut s)))
+        .partition(src, 1 - src, from, until)
+        .crash(victim, 10 + splitmix(&mut s) % 100)
+}
+
+/// One composed run: the elastic driver under the composite plan, with
+/// `Block` flow control on a budget small enough that credits circulate,
+/// and the observer installed (autotuning off).
+fn composed_run(seed: u64) -> Result<RunReport<(u64, Out)>, ExecuteError> {
+    let config = chaos_config()
+        .faults(composed_plan_for_seed(seed))
+        .flow(FlowConfig::default().budget(1 << 10));
+    elastic_driver(
+        Execution::new(config)
+            .resilient(RecoveryOptions::default().max_attempts(6).checkpoint_every(1))
+            .elastic(&[rescale_step_for_seed(seed)], EPOCHS, ElasticOptions::default())
+            .introspect(IntrospectOptions::default()),
+    )
+}
+
+/// Soaks the composed matrix. A run that completes is bit-identical to
+/// the fault-free fixed-membership baseline, ends its one fence in a typed
+/// outcome, and reports exactly one critical-path summary for every epoch
+/// the final attempt of each phase computed — never two for an epoch that
+/// a failed attempt had already summarized. A run that gives up fails
+/// typed. Returns how many seeds recovered from at least one fault.
+fn composed_soak(seeds: std::ops::Range<u64>, reference: &[Vec<(u64, u64)>]) -> usize {
+    let mut eventful = 0;
+    for seed in seeds {
+        let report = match composed_run(seed) {
+            Ok(report) => report,
+            Err(err) => {
+                assert!(
+                    matches!(
+                        err,
+                        ExecuteError::RecoveryFailed { .. } | ExecuteError::RescaleFailed { .. }
+                    ),
+                    "seed {seed}: a composed run must end in a typed budget exhaustion \
+                     or rescale failure, got {err:?}"
+                );
+                continue;
+            }
+        };
+        assert_rescale_identical(seed, &report, reference);
+        assert!(
+            matches!(
+                report.outcomes[..],
+                [RescaleOutcome::Completed { fence: 2, .. }
+                    | RescaleOutcome::Aborted { fence: 2, .. }
+                    | RescaleOutcome::RolledBack { fence: 2, .. }]
+            ),
+            "seed {seed}: one fence, one typed outcome, got {:?}",
+            report.outcomes
+        );
+        let summarized: Vec<u64> = report.summaries.iter().map(|s| s.epoch).collect();
+        assert!(
+            summarized.windows(2).all(|w| w[0] < w[1]),
+            "seed {seed}: an epoch was summarized twice: {summarized:?}"
+        );
+        for phase in &report.phases {
+            for epoch in phase.results[0].0..phase.stop_epoch {
+                assert!(
+                    summarized.contains(&epoch),
+                    "seed {seed}: epoch {epoch} has no critical-path summary ({summarized:?})"
+                );
+            }
+        }
+        assert!(
+            report.decisions.is_empty(),
+            "seed {seed}: autotuning is off yet decisions were made"
+        );
+        if report.phases.iter().any(|p| !p.recovered_from.is_empty()) {
+            eventful += 1;
+        }
+    }
+    eventful
+}
+
+/// The composed base batch. Every plan schedules a crash, so the batch
+/// must have rolled back at least once with every layer installed.
+#[test]
+fn composed_soak_base_seeds() {
+    with_deadline(300, || {
+        let reference = baseline();
+        let eventful = composed_soak(0..8, &reference);
+        assert!(
+            eventful > 0,
+            "no composed seed recovered from a fault — the soak is not soaking"
+        );
     });
 }
 
@@ -923,8 +1041,8 @@ fn extended_overload_soak_honours_env() {
 }
 
 /// CI's extended soak: `CHAOS_SOAK_SEEDS=n` runs `n` extra seeds past
-/// the base 32. A no-op when the variable is unset, so the default test
-/// run stays fast.
+/// the base 32, and `n` extra composed seeds past the base 8. A no-op
+/// when the variable is unset, so the default test run stays fast.
 #[test]
 fn extended_soak_honours_env() {
     let extra: u64 = std::env::var("CHAOS_SOAK_SEEDS")
@@ -934,8 +1052,9 @@ fn extended_soak_honours_env() {
     if extra == 0 {
         return;
     }
-    with_deadline(120 + 40 * extra, move || {
+    with_deadline(120 + 80 * extra, move || {
         let reference = baseline();
         soak(32..32 + extra, &reference);
+        composed_soak(8..8 + extra, &reference);
     });
 }

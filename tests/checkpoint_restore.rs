@@ -3,7 +3,7 @@
 //! restore, and continue — the resumed run must match an uninterrupted
 //! one exactly.
 
-use naiad::{execute, execute_resilient, Config, ExecuteError, RecoveryOptions};
+use naiad::{execute, Config, ExecuteError, Execution, IntrospectOptions, RecoveryOptions, Worker};
 use naiad_examples::my_share;
 use naiad_operators::prelude::*;
 use std::sync::Arc;
@@ -25,10 +25,21 @@ type Out = Vec<(u64, Vec<(u64, u64)>)>;
 
 /// Runs epochs `[from, to)`, optionally restoring `snapshot` first, and
 /// returns (captured outputs, checkpoint taken after the last epoch).
-fn run(from: u64, to: u64, snapshot: Option<Vec<u8>>) -> (Out, Vec<u8>) {
+fn run(from: u64, to: u64, snapshot: Option<Vec<Vec<u8>>>) -> (Out, Vec<u8>) {
+    run_observed(false, from, to, snapshot)
+}
+
+/// [`run`], with the introspection observer installed when `observed`.
+/// `snapshot` holds one blob per worker.
+fn run_observed(
+    observed: bool,
+    from: u64,
+    to: u64,
+    snapshot: Option<Vec<Vec<u8>>>,
+) -> (Out, Vec<u8>) {
     let all = Arc::new(inputs());
     let snapshot = Arc::new(snapshot);
-    let results = execute(Config::single_process(2), move |worker| {
+    let segment = move |worker: &mut Worker| {
         let (mut input, probe, captured) = worker.dataflow(|scope| {
             let (input, stream) = scope.new_input::<(u64, u64)>();
             let mins = stream.min_monotonic();
@@ -36,7 +47,7 @@ fn run(from: u64, to: u64, snapshot: Option<Vec<u8>>) -> (Out, Vec<u8>) {
             (input, mins.probe(), captured)
         });
         if let Some(snapshot) = snapshot.as_ref() {
-            worker.restore(snapshot);
+            worker.restore(&snapshot[worker.index()]);
         }
         // Resumed runs re-number epochs from zero; the driver offsets.
         for (local, epoch) in (from..to).enumerate() {
@@ -51,7 +62,16 @@ fn run(from: u64, to: u64, snapshot: Option<Vec<u8>>) -> (Out, Vec<u8>) {
         worker.step_until_done();
         let result = (captured.borrow().clone(), snapshot);
         result
-    })
+    };
+    let config = Config::single_process(2);
+    let results = if observed {
+        Execution::new(config)
+            .introspect(IntrospectOptions::default())
+            .run(move |worker, _| segment(worker))
+            .map(|report| report.into_results())
+    } else {
+        execute(config, segment)
+    }
     .unwrap();
     let mut merged: Out = Vec::new();
     let mut snapshot = Vec::new();
@@ -146,6 +166,40 @@ fn resumed_run_matches_uninterrupted_run() {
     // And the prefix run saw exactly the reference's first three epochs.
     let head_reference: Vec<_> = reference.iter().filter(|(e, _)| *e < 3).cloned().collect();
     assert_eq!(prefix, head_reference);
+}
+
+/// The introspection observer is not part of the computation's state: a
+/// blob checkpointed with the observer installed restores in a plain run,
+/// and the reverse — the resumed epochs match the uninterrupted reference
+/// either way.
+#[test]
+fn checkpoints_cross_the_introspection_boundary() {
+    fn epochs(out: &Out, range: std::ops::Range<u64>) -> Vec<Vec<(u64, u64)>> {
+        range
+            .map(|e| {
+                let mut v: Vec<(u64, u64)> = out
+                    .iter()
+                    .filter(|(epoch, _)| *epoch == e)
+                    .flat_map(|(_, d)| d.iter().copied())
+                    .collect();
+                v.sort();
+                v
+            })
+            .collect()
+    }
+    let (reference, _) = run(0, 6, None);
+    let tail_reference = epochs(&reference, 3..6);
+    for observed_first in [true, false] {
+        let (_, snapshot) = run_observed(observed_first, 0, 3, None);
+        let (resumed, _) = run_observed(!observed_first, 3, 6, Some(restore_shape(&snapshot)));
+        assert_eq!(
+            epochs(&resumed, 0..3),
+            tail_reference,
+            "checkpoint {} the observer, restore {} it",
+            if observed_first { "with" } else { "without" },
+            if observed_first { "without" } else { "with" },
+        );
+    }
 }
 
 /// Restoring into a structurally different dataflow must fail loudly, not
@@ -473,21 +527,20 @@ fn recovery_matches_fault_free_run_at_every_crash_epoch() {
 
     for crash_epoch in 0..total_epochs {
         let all = Arc::new(inputs());
-        let report = execute_resilient(
-            Config::single_process(2),
-            RecoveryOptions::default()
-                .max_attempts(3)
-                .checkpoint_every(2),
-            move |worker, recovery| {
+        let report = Execution::new(Config::single_process(2))
+            .resilient(
+                RecoveryOptions::default()
+                    .max_attempts(3)
+                    .checkpoint_every(2),
+            )
+            .run(move |worker, recovery| {
                 let (mut input, probe, captured) = worker.dataflow(|scope| {
                     let (input, stream) = scope.new_input::<(u64, u64)>();
                     let mins = stream.min_monotonic();
                     let captured = mins.capture();
                     (input, mins.probe(), captured)
                 });
-                if let Some(blob) = recovery.snapshot(worker.index()) {
-                    worker.restore(&blob);
-                }
+                recovery.restore_into(worker);
                 let resume = recovery.resume_epoch();
                 for (local, epoch) in (resume..total_epochs).enumerate() {
                     if recovery.attempt() == 0 && epoch == crash_epoch && worker.index() == 1 {
@@ -514,17 +567,18 @@ fn recovery_matches_fault_free_run_at_every_crash_epoch() {
                     input.advance_to(local as u64 + 1);
                     worker.step_while(|| !probe.done_through(local as u64));
                     if recovery.should_checkpoint(epoch) {
-                        recovery.deposit_checkpoint(epoch, worker.index(), worker.checkpoint());
+                        recovery.checkpoint(worker, epoch);
                     }
                 }
                 input.close();
                 worker.step_until_done();
                 let result = (recovery.resume_epoch(), captured.borrow().clone());
                 result
-            },
-        )
-        .expect("recovery absorbs the injected crash");
+            })
+            .expect("recovery absorbs the injected crash");
 
+        assert_eq!(report.phases.len(), 1, "no rescale step, one phase");
+        let report = report.phases.into_iter().next().unwrap();
         assert_eq!(report.attempts, 2, "crash at epoch {crash_epoch}");
         assert_eq!(
             report.recovered_from,
@@ -554,4 +608,27 @@ fn recovery_matches_fault_free_run_at_every_crash_epoch() {
             );
         }
     }
+}
+
+/// A crash that strikes while an input still buffers records (sent, not
+/// yet flushed by an `advance_to`) unwinds to the typed error: dropping
+/// the handle mid-unwind must not flush into the dead fabric.
+#[test]
+fn crash_with_buffered_input_unwinds_to_the_typed_error() {
+    let outcome = execute(Config::processes_and_workers(2, 1), |worker| {
+        let (mut input, _probe) = worker.dataflow(|scope| {
+            let (input, stream) = scope.new_input::<(u64, u64)>();
+            (input, stream.min_monotonic().probe())
+        });
+        // Keys for both workers, so the buffer holds remote-bound records.
+        for key in 0..8 {
+            input.send((key, key));
+        }
+        if worker.index() == 0 {
+            worker.inject_crash();
+        }
+        input.close();
+        worker.step_until_done();
+    });
+    assert_eq!(outcome, Err(ExecuteError::ProcessCrashed { process: 0 }));
 }

@@ -22,9 +22,9 @@ use std::time::Duration;
 
 use naiad::dataflow::{InputPort, OutputPort};
 use naiad::{
-    execute, execute_elastic, execute_resilient, execute_with_metrics, execute_with_telemetry,
-    Config, ElasticOptions, ElasticPlan, ElasticReport, ExecuteError, FlowConfig, Pact,
-    RecoveryOptions, RescaleOutcome, RescaleStep, ResilientReport, Scope, Worker,
+    execute, execute_with_metrics, execute_with_telemetry, Config, ElasticOptions, ExecuteError,
+    Execution, FlowConfig, Pact, PhaseReport, RecoveryOptions, RescaleOutcome, RescaleStep,
+    RunReport, Scope, Worker,
 };
 use naiad_examples::my_share;
 
@@ -168,17 +168,15 @@ fn reference_run() -> (Vec<Vec<(u64, u64)>>, u64) {
 }
 
 /// The silent-failure scenario under coordinated recovery. Attempt 0
-/// suffers the fault mid-run; later attempts are healthy.
-fn silent_failure_report(fault: Silent, config: Config) -> ResilientReport<(u64, Out)> {
+/// suffers the fault mid-run; later attempts are healthy. Returns the
+/// run's single phase.
+fn silent_failure_report(fault: Silent, config: Config) -> PhaseReport<(u64, Out)> {
     let all = Arc::new(inputs());
-    execute_resilient(
-        config,
-        RecoveryOptions::default().max_attempts(3).checkpoint_every(1),
-        move |worker, recovery| {
+    Execution::new(config)
+        .resilient(RecoveryOptions::default().max_attempts(3).checkpoint_every(1))
+        .run(move |worker, recovery| {
             let (mut input, probe, captured) = worker.dataflow(build);
-            if let Some(blob) = recovery.snapshot(worker.index()) {
-                worker.restore(&blob);
-            }
+            recovery.restore_into(worker);
             // Partition flavour: the victim's outgoing link dies before
             // any data flows, and the victim never speaks again.
             if recovery.attempt() == 0 && fault == Silent::Partition && worker.index() == 1 {
@@ -203,7 +201,7 @@ fn silent_failure_report(fault: Silent, config: Config) -> ResilientReport<(u64,
                 input.advance_to(local + 1);
                 worker.step_while(|| !probe.done_through(local));
                 if recovery.should_checkpoint(epoch) {
-                    recovery.deposit_checkpoint(epoch, worker.index(), worker.checkpoint());
+                    recovery.checkpoint(worker, epoch);
                 }
                 // Crash flavour: epoch 0 is durably done; the cluster goes
                 // idle; the victim dies without a word.
@@ -225,16 +223,18 @@ fn silent_failure_report(fault: Silent, config: Config) -> ResilientReport<(u64,
             worker.step_until_done();
             let result = (resume, captured.borrow().clone());
             result
-        },
-    )
-    .expect("silent failure must be detected and recovered")
+        })
+        .expect("silent failure must be detected and recovered")
+        .phases
+        .pop()
+        .expect("a run without rescale steps has one phase")
 }
 
 /// Checks a recovered report's output against the reference, epoch by
 /// epoch from the cluster-wide resume point. Captures are merged across
 /// workers first: the exchange routes every record to worker 0, so the
 /// other workers' captures are legitimately empty.
-fn assert_bit_identical(report: &ResilientReport<(u64, Out)>, reference: &[Vec<(u64, u64)>]) {
+fn assert_bit_identical(report: &PhaseReport<(u64, Out)>, reference: &[Vec<(u64, u64)>]) {
     let resume = report.results[0].0;
     for (r, _) in &report.results {
         assert_eq!(*r, resume, "the resume epoch is a cluster-wide decision");
@@ -436,45 +436,45 @@ fn stall_declarations_feed_coordinated_recovery() {
 /// (membership generation 1) has a worker go silent, so the fence-epoch
 /// replay can never complete. The migration deadline is installed as the
 /// window's stall watchdog, bounding the wedge.
-fn wedged_migration_run(options: ElasticOptions) -> Result<ElasticReport<Out>, ExecuteError> {
+fn wedged_migration_run(options: ElasticOptions) -> Result<RunReport<Out>, ExecuteError> {
     let all = Arc::new(inputs());
-    let plan =
-        ElasticPlan::new(Config::single_process(2), EPOCHS).rescale(RescaleStep::new(1, 1, 3));
-    execute_elastic(plan, options, move |worker, session| {
-        let (mut input, probe, captured) = worker.dataflow(build);
-        session.restore_into(worker);
-        // Generation 1 is the provisional post-rescale membership; its
-        // first attempt wedges. A rollback re-runs under generation 2,
-        // healthy.
-        if session.generation() == 1 && worker.index() == 0 {
-            play_dead(worker);
-        }
-        if session.resume_epoch() > 0 {
-            input.advance_to(session.resume_epoch());
-        }
-        for epoch in session.resume_epoch()..session.stop_epoch() {
-            let records = match session.logged_input::<(u64, u64)>(epoch, worker.index(), 0) {
-                Some(records) => records,
-                None => {
-                    let records = my_share(&all[epoch as usize], worker.index(), worker.peers());
-                    session.log_input(epoch, worker.index(), 0, &records);
-                    records
+    Execution::new(Config::single_process(2))
+        .elastic(&[RescaleStep::new(1, 1, 3)], EPOCHS, options)
+        .run(move |worker, session| {
+            let (mut input, probe, captured) = worker.dataflow(build);
+            session.restore_into(worker);
+            // Generation 1 is the provisional post-rescale membership; its
+            // first attempt wedges. A rollback re-runs under generation 2,
+            // healthy.
+            if session.generation() == 1 && worker.index() == 0 {
+                play_dead(worker);
+            }
+            if session.resume_epoch() > 0 {
+                input.advance_to(session.resume_epoch());
+            }
+            for epoch in session.resume_epoch()..session.stop_epoch() {
+                let records = match session.logged_input::<(u64, u64)>(epoch, worker.index(), 0) {
+                    Some(records) => records,
+                    None => {
+                        let records = my_share(&all[epoch as usize], worker.index(), worker.peers());
+                        session.log_input(epoch, worker.index(), 0, &records);
+                        records
+                    }
+                };
+                for r in records {
+                    input.send(r);
                 }
-            };
-            for r in records {
-                input.send(r);
+                input.advance_to(epoch + 1);
+                worker.step_while(|| !probe.done_through(epoch));
+                if session.should_checkpoint(epoch) {
+                    session.checkpoint(worker, epoch);
+                }
             }
-            input.advance_to(epoch + 1);
-            worker.step_while(|| !probe.done_through(epoch));
-            if session.should_checkpoint(epoch) {
-                session.checkpoint(worker, epoch);
-            }
-        }
-        input.close();
-        worker.step_until_done();
-        let result = captured.borrow().clone();
-        result
-    })
+            input.close();
+            worker.step_until_done();
+            let result = captured.borrow().clone();
+            result
+        })
 }
 
 /// Regression: a migration window that overruns its deadline with

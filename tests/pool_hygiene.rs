@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use naiad::dataflow::{InputPort, OutputPort};
 use naiad::runtime::Pact;
-use naiad::{execute_resilient, Config, RecoveryOptions};
+use naiad::{Config, Execution, RecoveryOptions};
 use naiad_netsim::FaultPlan;
 use naiad_rng::Xorshift;
 use naiad_wire::{SlabGauges, SlabPool};
@@ -110,57 +110,55 @@ fn random_churn_conserves_every_slab() {
 fn recovery_from_a_crash_leaks_no_slabs() {
     const EPOCHS: u64 = 3;
     const RECORDS: u64 = 2_048;
-    let report = execute_resilient(
+    let report = Execution::new(
         Config::processes_and_workers(2, 2)
             .telemetry(true)
             .faults(FaultPlan::seeded(0x51AB).crash(1, 5)),
-        RecoveryOptions::default().max_attempts(4).checkpoint_every(1),
-        |worker, recovery| {
-            let (mut input, probe) = worker.dataflow(|scope| {
-                let (input, stream) = scope.new_input::<(u64, u64)>();
-                let probe = stream
-                    .unary(
-                        Pact::exchange(|(k, _): &(u64, u64)| *k),
-                        "Scatter",
-                        |_info| {
-                            |input: &mut InputPort<(u64, u64)>,
-                             output: &mut OutputPort<(u64, u64)>| {
-                                input.for_each_batch(|time, data| {
-                                    output.session(time).give_container(data);
-                                });
-                            }
-                        },
-                    )
-                    .probe();
-                (input, probe)
-            });
-            if let Some(blob) = recovery.snapshot(worker.index()) {
-                worker.restore(&blob);
-            }
-            let resume = recovery.resume_epoch();
-            let base = worker.index() as u64;
-            for (local, epoch) in (resume..EPOCHS).enumerate() {
-                // Stateless dataflow: inputs are a pure function of
-                // (worker, epoch), so replay regenerates them and the
-                // input log is not needed for determinism.
-                let mut batch: Vec<(u64, u64)> = (0..RECORDS)
-                    .map(|i| (base.wrapping_mul(31).wrapping_add(i), epoch))
-                    .collect();
-                input.send_container(&mut batch);
-                input.advance_to(local as u64 + 1);
-                worker.step_while(|| !probe.done_through(local as u64));
-                if recovery.should_checkpoint(epoch) {
-                    recovery.deposit_checkpoint(epoch, worker.index(), worker.checkpoint());
-                }
-            }
-            input.close();
-            worker.step_until_done();
-        },
     )
+    .resilient(RecoveryOptions::default().max_attempts(4).checkpoint_every(1))
+    .run(|worker, recovery| {
+        let (mut input, probe) = worker.dataflow(|scope| {
+            let (input, stream) = scope.new_input::<(u64, u64)>();
+            let probe = stream
+                .unary(
+                    Pact::exchange(|(k, _): &(u64, u64)| *k),
+                    "Scatter",
+                    |_info| {
+                        |input: &mut InputPort<(u64, u64)>,
+                         output: &mut OutputPort<(u64, u64)>| {
+                            input.for_each_batch(|time, data| {
+                                output.session(time).give_container(data);
+                            });
+                        }
+                    },
+                )
+                .probe();
+            (input, probe)
+        });
+        recovery.restore_into(worker);
+        let resume = recovery.resume_epoch();
+        let base = worker.index() as u64;
+        for (local, epoch) in (resume..EPOCHS).enumerate() {
+            // Stateless dataflow: inputs are a pure function of
+            // (worker, epoch), so replay regenerates them and the
+            // input log is not needed for determinism.
+            let mut batch: Vec<(u64, u64)> = (0..RECORDS)
+                .map(|i| (base.wrapping_mul(31).wrapping_add(i), epoch))
+                .collect();
+            input.send_container(&mut batch);
+            input.advance_to(local as u64 + 1);
+            worker.step_while(|| !probe.done_through(local as u64));
+            if recovery.should_checkpoint(epoch) {
+                recovery.checkpoint(worker, epoch);
+            }
+        }
+        input.close();
+        worker.step_until_done();
+    })
     .expect("recovery succeeds within the attempt budget");
 
     assert!(
-        !report.recovered_from.is_empty(),
+        !report.phases[0].recovered_from.is_empty(),
         "the scheduled crash fired and was recovered from"
     );
     let snap = report.telemetry.expect("telemetry enabled");

@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use naiad::dataflow::{InputPort, OutputPort};
 use naiad::{
-    execute, execute_elastic, Config, ElasticOptions, ElasticPlan, ElasticReport, ExecuteError,
-    Pact, RescaleError, RescaleOutcome, RescaleStep, Scope,
+    execute, Config, ElasticOptions, ExecuteError, Execution, Pact, RescaleError, RescaleOutcome,
+    RescaleStep, RunReport, Scope,
 };
 use naiad_examples::my_share;
 
@@ -159,13 +159,9 @@ fn baseline() -> Vec<Vec<(u64, u64)>> {
 /// The standard elastic driver: construct, restore, feed this phase's
 /// logical epochs (replaying the input log where it has them), checkpoint
 /// at every boundary the session names.
-fn elastic_run(
-    plan: ElasticPlan,
-    options: ElasticOptions,
-    opaque: bool,
-) -> Result<ElasticReport<Out>, ExecuteError> {
+fn elastic_run(run: Execution, opaque: bool) -> Result<RunReport<Out>, ExecuteError> {
     let all = Arc::new(inputs());
-    execute_elastic(plan, options, move |worker, session| {
+    run.run(move |worker, session| {
         let (mut input, probe, captured) = if opaque {
             worker.dataflow(build_opaque)
         } else {
@@ -202,7 +198,7 @@ fn elastic_run(
 
 /// Bit-identical check across every membership phase: each epoch's merged,
 /// sorted output must equal the fixed-membership reference.
-fn assert_identical(report: &ElasticReport<Out>, reference: &[Vec<(u64, u64)>]) {
+fn assert_identical(report: &RunReport<Out>, reference: &[Vec<(u64, u64)>]) {
     let merged: Out = report
         .phases
         .iter()
@@ -229,9 +225,12 @@ fn assert_identical(report: &ElasticReport<Out>, reference: &[Vec<(u64, u64)>]) 
 fn grow_is_bit_identical_and_completes() {
     with_deadline(120, || {
         let reference = baseline();
-        let plan = ElasticPlan::new(Config::single_process(2).telemetry(true), EPOCHS)
-            .rescale(RescaleStep::new(2, 1, 3));
-        let report = elastic_run(plan, ElasticOptions::default(), false).expect("clean grow");
+        let run = Execution::new(Config::single_process(2).telemetry(true)).elastic(
+            &[RescaleStep::new(2, 1, 3)],
+            EPOCHS,
+            ElasticOptions::default(),
+        );
+        let report = elastic_run(run, false).expect("clean grow");
 
         assert_eq!(report.phases.len(), 2, "one membership change, two phases");
         assert_eq!(report.phases[0].workers, 2);
@@ -277,9 +276,12 @@ fn grow_is_bit_identical_and_completes() {
 fn shrink_across_processes_is_bit_identical() {
     with_deadline(120, || {
         let reference = baseline();
-        let plan = ElasticPlan::new(Config::processes_and_workers(2, 1), EPOCHS)
-            .rescale(RescaleStep::new(2, 1, 1));
-        let report = elastic_run(plan, ElasticOptions::default(), false).expect("clean shrink");
+        let run = Execution::new(Config::processes_and_workers(2, 1)).elastic(
+            &[RescaleStep::new(2, 1, 1)],
+            EPOCHS,
+            ElasticOptions::default(),
+        );
+        let report = elastic_run(run, false).expect("clean shrink");
 
         assert_eq!(report.phases.len(), 2);
         assert_eq!(report.phases[0].workers, 2);
@@ -307,10 +309,12 @@ fn shrink_across_processes_is_bit_identical() {
 fn grow_then_shrink_round_trip() {
     with_deadline(120, || {
         let reference = baseline();
-        let plan = ElasticPlan::new(Config::single_process(2), EPOCHS)
-            .rescale(RescaleStep::new(1, 1, 4))
-            .rescale(RescaleStep::new(3, 1, 2));
-        let report = elastic_run(plan, ElasticOptions::default(), false).expect("round trip");
+        let run = Execution::new(Config::single_process(2)).elastic(
+            &[RescaleStep::new(1, 1, 4), RescaleStep::new(3, 1, 2)],
+            EPOCHS,
+            ElasticOptions::default(),
+        );
+        let report = elastic_run(run, false).expect("round trip");
 
         let shape: Vec<(u64, usize, u64, u64)> = report
             .phases
@@ -350,10 +354,12 @@ fn grow_then_shrink_round_trip() {
 fn opaque_state_aborts_cleanly_and_the_run_completes() {
     with_deadline(120, || {
         let reference = baseline();
-        let plan = ElasticPlan::new(Config::single_process(2), EPOCHS)
-            .rescale(RescaleStep::new(2, 1, 3));
-        let report = elastic_run(plan, ElasticOptions::default().certify(false), true)
-            .expect("an aborted rescale must not kill the run");
+        let run = Execution::new(Config::single_process(2)).elastic(
+            &[RescaleStep::new(2, 1, 3)],
+            EPOCHS,
+            ElasticOptions::default().certify(false),
+        );
+        let report = elastic_run(run, true).expect("an aborted rescale must not kill the run");
 
         assert!(
             matches!(
@@ -379,12 +385,15 @@ fn opaque_state_aborts_cleanly_and_the_run_completes() {
 #[test]
 fn rollback_disabled_surfaces_rescale_failed_with_phase_dump() {
     with_deadline(120, || {
-        let plan = ElasticPlan::new(Config::single_process(2), EPOCHS)
-            .rescale(RescaleStep::new(2, 1, 3));
         let options = ElasticOptions::default()
             .certify(false)
             .rollback_on_abort(false);
-        let err = elastic_run(plan, options, true).expect_err("rollback disabled must fail");
+        let run = Execution::new(Config::single_process(2)).elastic(
+            &[RescaleStep::new(2, 1, 3)],
+            EPOCHS,
+            options,
+        );
+        let err = elastic_run(run, true).expect_err("rollback disabled must fail");
         match err {
             ExecuteError::RescaleFailed {
                 epoch,
@@ -413,10 +422,12 @@ fn rollback_disabled_surfaces_rescale_failed_with_phase_dump() {
 #[test]
 fn certification_denies_opaque_state_at_build_time() {
     with_deadline(120, || {
-        let plan = ElasticPlan::new(Config::single_process(2), EPOCHS)
-            .rescale(RescaleStep::new(2, 1, 3));
-        let err = elastic_run(plan, ElasticOptions::default(), true)
-            .expect_err("certification must deny opaque state");
+        let run = Execution::new(Config::single_process(2)).elastic(
+            &[RescaleStep::new(2, 1, 3)],
+            EPOCHS,
+            ElasticOptions::default(),
+        );
+        let err = elastic_run(run, true).expect_err("certification must deny opaque state");
         assert!(
             matches!(err, ExecuteError::WorkerPanic(_)),
             "build-time denial surfaces as the constructing worker's panic, got {err:?}"
