@@ -89,7 +89,7 @@ impl<D> InputShared<D> {
     fn frontier_epoch(&self) -> u64 {
         self.tracker
             .borrow()
-            .as_ref()
+            .try_table()
             .and_then(crate::progress::PointstampTable::min_epoch)
             .unwrap_or(self.epoch)
     }

@@ -31,16 +31,18 @@ use std::rc::Rc;
 use naiad_wire::ExchangeData;
 
 use crate::graph::{ContextId, GraphBuilder, StageId};
-use crate::progress::{Pointstamp, PointstampTable};
+use crate::progress::{Pointstamp, PointstampTable, WorkerCore};
 use crate::runtime::channels::{journal_update, Journal, Pact, Puller, Pusher, RoutingContext};
 use crate::runtime::durability::{Checkpoint, KeyedCheckpoint, KeyedState};
 use crate::time::Timestamp;
 
 use ports::{new_tee, Tee};
 
-/// The worker's view of a dataflow's progress state, filled in when the
-/// graph is finalized. Probes and notificators hold clones.
-pub(crate) type TrackerCell = Rc<RefCell<Option<PointstampTable>>>;
+/// The worker's protocol core for a dataflow, whose table is this worker's
+/// view of the dataflow's progress; it has one from when the graph is
+/// finalized ([`WorkerCore::register`]). Probes and input handles hold
+/// clones.
+pub(crate) type TrackerCell = Rc<RefCell<WorkerCore>>;
 
 /// Construction-time `notify_at` requests, drained into
 /// [`GraphBuilder::declare_notification`] when the scope finalizes so the
@@ -116,7 +118,7 @@ impl Notify {
         let stage = state.stage;
         let mut ready = Vec::new();
         state.pending.retain(|&t| {
-            if tracker.notification_ready(&Pointstamp::at_vertex(t, stage)) {
+            if tracker.in_frontier(&Pointstamp::at_vertex(t, stage)) {
                 ready.push((t, true));
                 false
             } else {

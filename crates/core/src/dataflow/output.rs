@@ -40,18 +40,17 @@ impl ProbeHandle {
     pub fn done_through(&self, epoch: u64) -> bool {
         self.tracker
             .borrow()
-            .as_ref()
-            .expect("probe consulted before the dataflow was finalized")
+            .table()
             .done_through(&Timestamp::new(epoch), Location::Vertex(self.stage))
     }
 
     /// Whether the whole dataflow has quiesced from this worker's view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before the enclosing dataflow is finalized.
     pub fn done(&self) -> bool {
-        self.tracker
-            .borrow()
-            .as_ref()
-            .expect("probe consulted before the dataflow was finalized")
-            .is_empty()
+        self.tracker.borrow().table().is_empty()
     }
 }
 

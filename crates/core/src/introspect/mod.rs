@@ -29,7 +29,7 @@
 //! 4. **Autotuning** — summaries route to worker 0, where an optional
 //!    [`Autotuner`] hill-climbs the shared
 //!    [`TuningKnobs`](crate::runtime::TuningKnobs) (exchange batch
-//!    size, progress flush threshold) and logs every move back into the
+//!    size, credit budget, slab-pool cap) and logs every move back into the
 //!    telemetry stream as
 //!    [`TelemetryEvent::TuningDecision`](crate::telemetry::TelemetryEvent).
 //!

@@ -2,17 +2,16 @@
 //! runtime knobs.
 //!
 //! The paper tunes Naiad by hand — Figure 6a sweeps the exchange batch
-//! size, §3.3 picks a progress accumulation policy per deployment. The
-//! [`Autotuner`] automates both online: it watches the per-epoch
+//! size. The [`Autotuner`] automates that online: it watches the per-epoch
 //! [`CriticalPathSummary`] stream produced by the observer dataflow and
 //! hill-climbs the [`TuningKnobs`](crate::runtime::TuningKnobs) the
 //! runtime reads dynamically.
 //!
 //! Guard rails, in order of importance:
 //!
-//! * **Bounded**: batch size stays within `[1, 65536]`, the progress
-//!   flush threshold within `[1, 64]`. A misbehaving cost signal cannot
-//!   drive the runtime into a pathological configuration.
+//! * **Bounded**: batch size stays within `[1, 65536]`. A misbehaving
+//!   cost signal cannot drive the runtime into a pathological
+//!   configuration.
 //! * **Hysteresis**: a move must improve the windowed cost by at least
 //!   5% to be kept; anything inside the band reads as noise and reverts.
 //! * **Revert on regression**: a move that makes the cost measurably
@@ -64,9 +63,7 @@ impl Direction {
 /// Feed it every [`CriticalPathSummary`] in epoch order; it averages
 /// `span_ns` over a small window, then doubles or halves the exchange
 /// batch size while the windowed cost keeps improving by more than the
-/// hysteresis band, reverting and settling once it stops. The progress
-/// flush threshold is set proportionally to the observed progress-update
-/// volume, with its own hysteresis.
+/// hysteresis band, reverting and settling once it stops.
 #[derive(Debug)]
 pub struct Autotuner {
     knobs: TuningKnobs,
@@ -75,7 +72,6 @@ pub struct Autotuner {
     hysteresis_milli: u64,
     min_batch: usize,
     max_batch: usize,
-    max_flush: usize,
     min_credit: usize,
     max_credit: usize,
     min_pool: usize,
@@ -83,7 +79,6 @@ pub struct Autotuner {
     // Measurement window.
     seen: u32,
     span_acc: u64,
-    progress_acc: u64,
     wait_acc: u64,
     transit_acc: u64,
     // Batch-size climb state.
@@ -104,14 +99,12 @@ impl Autotuner {
             hysteresis_milli: 50,
             min_batch: 1,
             max_batch: 65_536,
-            max_flush: 64,
             min_credit: 64 << 10,
             max_credit: 1 << 30,
             min_pool: 4 << 20,
             max_pool: 1 << 30,
             seen: 0,
             span_acc: 0,
-            progress_acc: 0,
             wait_acc: 0,
             transit_acc: 0,
             last_cost: None,
@@ -132,7 +125,6 @@ impl Autotuner {
     /// while a measurement window is still filling).
     pub fn observe(&mut self, summary: &CriticalPathSummary) -> Vec<TuningDecision> {
         self.span_acc += summary.span_ns;
-        self.progress_acc += summary.progress_updates;
         self.wait_acc += summary.credit_wait_ns;
         self.transit_acc += summary.transit_bytes;
         self.seen += 1;
@@ -140,18 +132,15 @@ impl Autotuner {
             return Vec::new();
         }
         let cost = self.span_acc / u64::from(self.window);
-        let progress = self.progress_acc / u64::from(self.window);
         let wait = self.wait_acc / u64::from(self.window);
         let transit = self.transit_acc / u64::from(self.window);
         self.seen = 0;
         self.span_acc = 0;
-        self.progress_acc = 0;
         self.wait_acc = 0;
         self.transit_acc = 0;
 
         let mut decisions = Vec::new();
         self.tune_batch(summary.epoch, cost, &mut decisions);
-        self.tune_progress_flush(summary.epoch, progress, &mut decisions);
         self.tune_credit(summary.epoch, cost, wait, &mut decisions);
         self.tune_pool(summary.epoch, transit, &mut decisions);
         decisions
@@ -193,26 +182,6 @@ impl Autotuner {
                 self.direction = self.direction.flip();
                 self.move_batch(epoch, current, self.step(previous), decisions);
             }
-        }
-    }
-
-    /// Sets the progress flush threshold proportional to progress-update
-    /// volume: one update per epoch keeps eager flushing, heavy progress
-    /// chatter batches up to [`Autotuner::max_flush`] updates. Only moves
-    /// on a ≥2× change, so the threshold does not chase noise.
-    fn tune_progress_flush(&mut self, epoch: u64, progress: u64, decisions: &mut Vec<TuningDecision>) {
-        let current = self.knobs.progress_flush();
-        let target = usize::try_from(progress / 64)
-            .unwrap_or(self.max_flush)
-            .clamp(1, self.max_flush);
-        if target != current && (target >= current * 2 || current >= target * 2) {
-            self.knobs.set_progress_flush(target);
-            decisions.push(TuningDecision {
-                epoch,
-                knob: TuningKnob::ProgressFlush,
-                from: current as u64,
-                to: target as u64,
-            });
         }
     }
 
@@ -395,26 +364,6 @@ mod tests {
         }
         assert!(tuner.settled());
         assert_eq!(knobs.batch_size(), 256);
-    }
-
-    #[test]
-    fn progress_flush_follows_update_volume_with_hysteresis() {
-        let knobs = TuningKnobs::with_batch_size(512);
-        let mut tuner = Autotuner::new(knobs.clone());
-        // Heavy progress chatter: ~640 updates per epoch → threshold 10.
-        let mut decisions = Vec::new();
-        for epoch in 0..4 {
-            decisions.extend(tuner.observe(&summary(epoch, 1_000_000, 640)));
-        }
-        assert_eq!(knobs.progress_flush(), 10);
-        assert!(decisions
-            .iter()
-            .any(|d| d.knob == TuningKnob::ProgressFlush && d.to == 10));
-        // A modest change (10 → 12 target) stays put under hysteresis.
-        for epoch in 4..8 {
-            tuner.observe(&summary(epoch, 1_000_000, 768));
-        }
-        assert_eq!(knobs.progress_flush(), 10);
     }
 
     #[test]

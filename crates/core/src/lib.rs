@@ -8,8 +8,8 @@
 //! * [`summary`] — canonical path summaries (§2.3),
 //! * [`graph`] — logical graphs, loop contexts, structural validation, and
 //!   the could-result-in relation (§2.1, §2.3),
-//! * [`progress`] — the pointstamp tracker (occurrence and precursor
-//!   counts, §2.3) and the distributed progress protocol with update
+//! * [`progress`] — the pointstamp tracker (occurrence counts and the
+//!   frontier, §2.3) and the distributed progress protocol with update
 //!   accumulation (§3.3),
 //! * [`runtime`] — workers, exchange channels, fault tolerance (§3); four
 //!   ways to run: [`execute`], [`execute_with_metrics`],
@@ -82,7 +82,7 @@ pub mod time;
 
 pub use dataflow::{InputHandle, ProbeHandle, Scope, Stream};
 pub use introspect::{Autotuner, CriticalPathSummary, IntrospectOptions, TuningDecision};
-pub use order::{Antichain, MutableAntichain, PartialOrder};
+pub use order::{Antichain, PartialOrder};
 pub use runtime::execute::{execute, execute_with_metrics, execute_with_telemetry, ExecuteError};
 pub use telemetry::TelemetrySnapshot;
 pub use runtime::coordinator::{Execution, PhaseReport, RecoveryOptions, RunReport, Session};

@@ -2,9 +2,8 @@
 //!
 //! Progress tracking reasons about *sets* of mutually incomparable
 //! timestamps and path summaries. An [`Antichain`] maintains the minimal
-//! elements of everything inserted into it; a [`MutableAntichain`] also
-//! counts occurrences so elements can be removed again (the shape of a
-//! frontier as pointstamps come and go).
+//! elements of everything inserted into it. (Counted pointstamps that come
+//! and go are [`crate::progress::PointstampTable`]'s job.)
 
 /// A reflexive, transitive, antisymmetric comparison.
 pub trait PartialOrder {
@@ -99,79 +98,6 @@ impl<T: PartialOrder> FromIterator<T> for Antichain<T> {
     }
 }
 
-/// An antichain over counted elements.
-///
-/// Elements are inserted and removed with multiplicities; the *frontier* is
-/// the antichain of minimal elements among those with positive net count.
-/// Counts may go transiently negative (§3.3: progress updates from
-/// different senders interleave), in which case the element simply does not
-/// contribute to the frontier until its count turns positive.
-#[derive(Clone, Debug)]
-pub struct MutableAntichain<T> {
-    counts: Vec<(T, i64)>,
-}
-
-impl<T> Default for MutableAntichain<T> {
-    fn default() -> Self {
-        MutableAntichain { counts: Vec::new() }
-    }
-}
-
-impl<T: PartialOrder + Eq + Clone> MutableAntichain<T> {
-    /// An empty mutable antichain.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` occurrences of `element`.
-    pub fn update(&mut self, element: &T, delta: i64) {
-        if delta == 0 {
-            return;
-        }
-        if let Some(entry) = self.counts.iter_mut().find(|(e, _)| e == element) {
-            entry.1 += delta;
-            if entry.1 == 0 {
-                self.counts.retain(|(_, c)| *c != 0);
-            }
-        } else {
-            self.counts.push((element.clone(), delta));
-        }
-    }
-
-    /// The current frontier: minimal elements with positive count.
-    pub fn frontier(&self) -> Antichain<T> {
-        self.counts
-            .iter()
-            .filter(|(_, c)| *c > 0)
-            .map(|(e, _)| e.clone())
-            .collect()
-    }
-
-    /// True iff no element with positive count is `less_equal` to `time`.
-    ///
-    /// This is the "completeness" test: once it holds for `time`, no future
-    /// occurrence at or before `time` is possible.
-    pub fn done_through(&self, time: &T) -> bool {
-        !self
-            .counts
-            .iter()
-            .any(|(e, c)| *c > 0 && e.less_equal(time))
-    }
-
-    /// Whether any element has a nonzero count.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// The net count for `element`.
-    pub fn count(&self, element: &T) -> i64 {
-        self.counts
-            .iter()
-            .find(|(e, _)| e == element)
-            .map_or(0, |(_, c)| *c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,32 +140,6 @@ mod tests {
         fn less_equal(&self, other: &Self) -> bool {
             self.0 <= other.0 && self.1 <= other.1
         }
-    }
-
-    #[test]
-    fn mutable_antichain_tracks_frontier() {
-        let mut m = MutableAntichain::new();
-        m.update(&ts(0, &[]), 1);
-        m.update(&ts(1, &[]), 2);
-        assert_eq!(m.frontier().elements(), &[ts(0, &[])]);
-        assert!(!m.done_through(&ts(0, &[])));
-        m.update(&ts(0, &[]), -1);
-        assert_eq!(m.frontier().elements(), &[ts(1, &[])]);
-        assert!(m.done_through(&ts(0, &[])));
-        assert!(!m.done_through(&ts(1, &[])));
-        m.update(&ts(1, &[]), -2);
-        assert!(m.is_empty());
-        assert!(m.done_through(&ts(100, &[])));
-    }
-
-    #[test]
-    fn mutable_antichain_tolerates_transient_negatives() {
-        let mut m = MutableAntichain::new();
-        m.update(&ts(2, &[]), -1);
-        assert!(m.done_through(&ts(5, &[])), "negative counts do not block");
-        assert_eq!(m.count(&ts(2, &[])), -1);
-        m.update(&ts(2, &[]), 1);
-        assert!(m.is_empty());
     }
 
     #[test]

@@ -2,22 +2,27 @@
 //!
 //! Every unprocessed event — a message on a connector or a requested
 //! notification at a stage — carries a [`Pointstamp`]. The
-//! [`tracker::PointstampTable`] maintains occurrence and precursor counts
-//! over active pointstamps and exposes the *frontier*: pointstamps no other
-//! active pointstamp could-result-in, whose notifications are safe to
-//! deliver.
+//! [`tracker::PointstampTable`] keeps occurrence counts and answers one
+//! question of them — does some *other* active pointstamp could-result-in
+//! this one? — from which the *frontier* (pointstamps whose notifications
+//! are safe to deliver), completeness, and the accumulators' holding rule
+//! all follow.
 //!
 //! In the distributed runtime each worker holds a local table fed
 //! exclusively by broadcast [`ProgressUpdate`]s (§3.3); the
-//! [`protocol`] module implements the update encoding and the buffering
-//! accumulators whose traffic Figure 6c measures.
+//! [`protocol`] module is the only place that knows the protocol: the
+//! update encoding, the buffering accumulators whose traffic Figure 6c
+//! measures, the per-worker and per-group state machines, and which
+//! participant sends to which under each [`ProgressMode`]. The runtime
+//! and the model-checker ([`modelcheck`]) are two drivers of those same
+//! state machines.
 
 pub mod modelcheck;
 pub mod protocol;
 pub mod tracker;
 
 pub use protocol::{
-    Accumulator, BatchEmitter, FifoChecker, FifoViolation, GroupCore, ProgressBatch, ProgressMode,
+    Accumulator, Endpoint, FifoViolation, GroupCore, Hop, ProgressBatch, ProgressMode, Role,
     WorkerCore,
 };
 pub use tracker::PointstampTable;
@@ -52,6 +57,23 @@ impl Pointstamp {
             time,
             location: Location::Vertex(stage),
         }
+    }
+}
+
+/// The canonical *total* order — location, then epoch, then loop counters
+/// — that makes frontier listings and flushed batches deterministic. It is
+/// not the could-result-in partial order.
+impl Ord for Pointstamp {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let key = |p: &Self| (p.location, p.time.epoch);
+        (key(self), self.time.counters.as_slice())
+            .cmp(&(key(other), other.time.counters.as_slice()))
+    }
+}
+
+impl PartialOrd for Pointstamp {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 

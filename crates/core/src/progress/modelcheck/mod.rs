@@ -42,7 +42,7 @@ mod sim;
 mod topology;
 
 pub use sim::{
-    trace_hash, Chaos, Cluster, EpId, Event, McConfig, Violation, ViolationKind, ViolationReport,
+    trace_hash, Chaos, Cluster, Event, McConfig, Violation, ViolationKind, ViolationReport,
     MAX_STEPS,
 };
 pub use topology::Topology;

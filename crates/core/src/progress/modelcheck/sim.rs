@@ -25,7 +25,8 @@ use crate::graph::{ConnectorId, Location, LogicalGraph, StageId, StageKind};
 use crate::progress::protocol::{CENTRAL_SENDER, PROC_ACC_SENDER_BASE};
 use crate::progress::tracker::PointstampTable;
 use crate::progress::{
-    FifoViolation, GroupCore, Pointstamp, ProgressBatch, ProgressMode, ProgressUpdate, WorkerCore,
+    Endpoint, FifoViolation, GroupCore, Hop, Pointstamp, ProgressBatch, ProgressMode,
+    ProgressUpdate, Role, WorkerCore,
 };
 use crate::time::Timestamp;
 
@@ -51,31 +52,13 @@ pub fn fnv64(words: &[u64]) -> u64 {
     h
 }
 
-/// A fabric endpoint in the virtual cluster.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum EpId {
-    /// Process `p`'s endpoint (serving its workers and accumulator).
-    Proc(usize),
-    /// The central accumulator's extra endpoint.
-    Central,
-}
-
-impl std::fmt::Display for EpId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EpId::Proc(p) => write!(f, "p{p}"),
-            EpId::Central => write!(f, "C"),
-        }
-    }
-}
-
 /// One step of a schedule.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Event {
     /// Worker `w` performs one legal protocol action and flushes it.
     Act(usize),
     /// The oldest batch on link `src → dst` reaches `dst`'s router.
-    Deliver(EpId, EpId),
+    Deliver(Endpoint, Endpoint),
     /// Worker `w` applies the oldest batch routed to it.
     Apply(usize),
 }
@@ -83,10 +66,10 @@ pub enum Event {
 impl Event {
     /// Encodes the event as hash words (for trace hashing).
     fn words(&self) -> [u64; 3] {
-        fn ep(e: EpId) -> u64 {
+        fn ep(e: Endpoint) -> u64 {
             match e {
-                EpId::Proc(p) => p as u64,
-                EpId::Central => u64::MAX,
+                Endpoint::Process(p) => p as u64,
+                Endpoint::Central => u64::MAX,
             }
         }
         match *self {
@@ -432,7 +415,7 @@ pub struct Cluster {
     /// The cluster-level accumulator core (global modes only).
     central: Option<GroupCore>,
     /// FIFO links between endpoints.
-    links: BTreeMap<(EpId, EpId), VecDeque<ProgressBatch>>,
+    links: BTreeMap<(Endpoint, Endpoint), VecDeque<ProgressBatch>>,
     /// The omniscient reference: every journal applied atomically the
     /// instant it is produced. Ground truth for "outstanding".
     reference: PointstampTable,
@@ -461,26 +444,22 @@ impl Cluster {
                 journal: Vec::new(),
             })
             .collect();
+        let group = |sender, role| {
+            let mut core = GroupCore::new(sender, cfg.mode.hop(role), total);
+            core.register(DATAFLOW, graph.clone());
+            core
+        };
         let accs = if cfg.mode.local() {
             (0..cfg.processes)
-                .map(|p| {
-                    let mut core = GroupCore::new(
-                        PROC_ACC_SENDER_BASE + p as u32,
-                        cfg.mode == ProgressMode::Local,
-                        total,
-                    );
-                    core.register(DATAFLOW, graph.clone());
-                    core
-                })
+                .map(|p| group(PROC_ACC_SENDER_BASE + p as u32, Role::ProcessAccumulator))
                 .collect()
         } else {
             Vec::new()
         };
-        let central = cfg.mode.global().then(|| {
-            let mut core = GroupCore::new(CENTRAL_SENDER, true, total);
-            core.register(DATAFLOW, graph.clone());
-            core
-        });
+        let central = cfg
+            .mode
+            .global()
+            .then(|| group(CENTRAL_SENDER, Role::CentralAccumulator));
         Cluster {
             graph: graph.clone(),
             workers,
@@ -538,7 +517,7 @@ impl Cluster {
         }
     }
 
-    fn enqueue(&mut self, src: EpId, dst: EpId, batch: ProgressBatch) {
+    fn enqueue(&mut self, src: Endpoint, dst: Endpoint, batch: ProgressBatch) {
         if self.cfg.chaos == Chaos::StarveCredits {
             // Tally, never block: progress batches cross links regardless
             // of data-plane credit — the exemption under test.
@@ -553,8 +532,8 @@ impl Cluster {
                 u64::from(batch.sender),
                 batch.seq,
                 match dst {
-                    EpId::Proc(p) => p as u64,
-                    EpId::Central => u64::MAX,
+                    Endpoint::Process(p) => p as u64,
+                    Endpoint::Central => u64::MAX,
                 },
             ]);
             if h % 1000 < u64::from(per_mille) {
@@ -565,18 +544,10 @@ impl Cluster {
         self.links.entry((src, dst)).or_default().push_back(batch);
     }
 
-    /// Routes a process accumulator's flush according to the mode.
-    fn route_acc_flush(&mut self, process: usize, batch: ProgressBatch) {
-        match self.cfg.mode {
-            ProgressMode::Local => {
-                for q in 0..self.cfg.processes {
-                    self.enqueue(EpId::Proc(process), EpId::Proc(q), batch.clone());
-                }
-            }
-            ProgressMode::LocalGlobal => {
-                self.enqueue(EpId::Proc(process), EpId::Central, batch);
-            }
-            _ => unreachable!("process accumulators exist only in local modes"),
+    /// Puts `batch` on the link from `src` to every endpoint of `hop`.
+    fn send(&mut self, src: Endpoint, hop: Hop, batch: &ProgressBatch) {
+        for dst in hop.endpoints(self.cfg.processes) {
+            self.enqueue(src, dst, batch.clone());
         }
     }
 
@@ -614,26 +585,16 @@ impl Cluster {
             .collect();
         // Hand the flushes to the protocol, per the mode under test.
         let process = self.process_of(w);
+        let here = Endpoint::Process(process);
+        let hop = self.cfg.mode.hop(Role::Worker);
         for flush in flushes {
-            match self.cfg.mode {
-                ProgressMode::Broadcast => {
-                    // The naive protocol: every update is its own batch,
-                    // broadcast to every process (our own included).
-                    for update in flush {
-                        let batch = self.workers[w].core.emit(vec![update]);
-                        for q in 0..self.cfg.processes {
-                            self.enqueue(EpId::Proc(process), EpId::Proc(q), batch.clone());
-                        }
-                    }
+            if hop == Hop::OwnAccumulator {
+                if let Some(batch) = self.accs[process].deposit(DATAFLOW, flush) {
+                    self.send(here, self.accs[process].hop(), &batch);
                 }
-                ProgressMode::Global => {
-                    let batch = self.workers[w].core.emit(flush);
-                    self.enqueue(EpId::Proc(process), EpId::Central, batch);
-                }
-                ProgressMode::Local | ProgressMode::LocalGlobal => {
-                    if let Some(batch) = self.accs[process].deposit(DATAFLOW, flush) {
-                        self.route_acc_flush(process, batch);
-                    }
+            } else {
+                for batch in self.workers[w].core.emit_for(hop, flush) {
+                    self.send(here, hop, &batch);
                 }
             }
         }
@@ -642,7 +603,7 @@ impl Cluster {
         self.safety_check_stamps(&created)
     }
 
-    fn do_deliver(&mut self, src: EpId, dst: EpId) -> Option<Violation> {
+    fn do_deliver(&mut self, src: Endpoint, dst: Endpoint) -> Option<Violation> {
         let batch = {
             let queue = self
                 .links
@@ -661,26 +622,25 @@ impl Cluster {
             queue.remove(index).expect("eligibility checked")
         };
         match dst {
-            EpId::Central => {
+            Endpoint::Central => {
                 let central = self.central.as_mut().expect("central link implies mode");
+                let hop = central.hop();
                 if let Some(out) = central.deposit(batch.dataflow, batch.updates) {
-                    for q in 0..self.cfg.processes {
-                        self.enqueue(EpId::Central, EpId::Proc(q), out.clone());
-                    }
+                    self.send(Endpoint::Central, hop, &out);
                 }
                 None
             }
-            EpId::Proc(p) => {
-                // The router fans the batch out to every local worker's
-                // queue and tees it into the process accumulator — exactly
-                // the runtime's `run_router`.
+            Endpoint::Process(p) => {
+                // The router hands the batch to every local worker's queue
+                // and to the process accumulator, where there is one.
                 let lo = p * self.cfg.workers_per_process;
                 for w in lo..lo + self.cfg.workers_per_process {
                     self.workers[w].pending.push_back(batch.clone());
                 }
-                if self.cfg.mode.local() && batch.sender != self.accs[p].sender() {
-                    if let Some(out) = self.accs[p].observe(DATAFLOW, &batch.updates) {
-                        self.route_acc_flush(p, out);
+                if let Some(acc) = self.accs.get_mut(p) {
+                    let hop = acc.hop();
+                    if let Some(out) = acc.observe(&batch) {
+                        self.send(dst, hop, &out);
                     }
                 }
                 None

@@ -8,12 +8,21 @@
 //! reproduction does throughout, and (2) *accumulating* updates in buffers
 //! before broadcasting.
 //!
-//! [`Accumulator`] implements the buffering rule: a buffered update at
-//! pointstamp `p` may be held as long as
+//! This module is the whole protocol, as pure state — no transport, no
+//! clock, no threads. [`WorkerCore`] is a worker's part in one dataflow,
+//! [`GroupCore`] an accumulation site's, and [`ProgressMode::hop`] says
+//! who sends to whom. The runtime ([`crate::runtime`]) and the
+//! model-checker ([`super::modelcheck`]) are two drivers of these same
+//! types; neither holds a copy of any rule stated here.
 //!
-//! * some *other* pointstamp that is active in the accumulator's local
-//!   view (flushed or observed updates — §3.3's "local frontier", by
-//!   transitivity and minimality) could-result-in `p`, or
+//! [`Accumulator`] implements the buffering rule over a
+//! [`PointstampTable`] *view* — everything it has flushed or observed —
+//! with the table's one predicate: a buffered update at pointstamp `p` may
+//! be held as long as
+//!
+//! * some *other* pointstamp that is active in the view could-result-in
+//!   `p` ([`PointstampTable::blocked`]: §3.3's "local frontier", by
+//!   transitivity and minimality), or
 //! * the update is positive and `p` itself is active in the view (§3.3's
 //!   strictly-positive net count: the creation cannot move any frontier).
 //!
@@ -65,6 +74,71 @@ pub enum ProgressMode {
     LocalGlobal,
 }
 
+/// A participant in the protocol, as the origin of a flush.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Role {
+    /// A worker flushing its journal.
+    Worker,
+    /// A process-level accumulator.
+    ProcessAccumulator,
+    /// The cluster-level accumulator.
+    CentralAccumulator,
+}
+
+/// Where a participant's flushed updates go next.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Hop {
+    /// Into the flushing worker's own process accumulator, in memory.
+    OwnAccumulator,
+    /// To every process, whose router hands the batch to each of its
+    /// workers (and to its accumulator, where there is one).
+    EveryProcess,
+    /// To the central accumulator.
+    Central,
+}
+
+/// A fabric endpoint: a process (its workers and accumulator, behind one
+/// router) or the central accumulator.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum Endpoint {
+    /// Process `p`.
+    Process(usize),
+    /// The central accumulator's extra endpoint.
+    Central,
+}
+
+impl std::fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Endpoint::Process(p) => write!(f, "p{p}"),
+            Endpoint::Central => write!(f, "C"),
+        }
+    }
+}
+
+impl Hop {
+    /// The endpoints a batch taking this hop is sent to, in send order
+    /// (none for [`Hop::OwnAccumulator`], which never leaves the process).
+    pub fn endpoints(self, processes: usize) -> impl Iterator<Item = Endpoint> {
+        let (processes, central) = match self {
+            Hop::OwnAccumulator => (0, None),
+            Hop::EveryProcess => (processes, None),
+            Hop::Central => (0, Some(Endpoint::Central)),
+        };
+        (0..processes).map(Endpoint::Process).chain(central)
+    }
+
+    /// Whether an accumulator whose flushes take this hop folds them into
+    /// its own view as they leave. An accumulator does not observe its own
+    /// broadcasts ([`GroupCore::observe`]), so it must; a flush sent up to
+    /// the central accumulator comes back inside the central accumulator's
+    /// broadcasts, which it does observe — folding as well would count it
+    /// twice.
+    fn folds(self) -> bool {
+        self == Hop::EveryProcess
+    }
+}
+
 impl ProgressMode {
     /// Whether a per-process accumulator is interposed.
     pub fn local(&self) -> bool {
@@ -74,6 +148,30 @@ impl ProgressMode {
     /// Whether the cluster-level accumulator is interposed.
     pub fn global(&self) -> bool {
         matches!(self, ProgressMode::Global | ProgressMode::LocalGlobal)
+    }
+
+    /// The topology, whole: where a flush from `from` goes next. The
+    /// runtime's transport shells and the model-checker's virtual cluster
+    /// both route by this function and nothing else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mode has no participant in that role (no process
+    /// accumulators outside the local modes, no central accumulator
+    /// outside the global ones).
+    pub fn hop(self, from: Role) -> Hop {
+        use ProgressMode::{Broadcast, Global, Local, LocalGlobal};
+        match (from, self) {
+            (Role::Worker, Local | LocalGlobal) => Hop::OwnAccumulator,
+            (Role::Worker, Broadcast)
+            | (Role::ProcessAccumulator, Local)
+            | (Role::CentralAccumulator, Global | LocalGlobal) => Hop::EveryProcess,
+            (Role::Worker, Global) | (Role::ProcessAccumulator, LocalGlobal) => Hop::Central,
+            (Role::ProcessAccumulator, Broadcast | Global)
+            | (Role::CentralAccumulator, Broadcast | Local) => {
+                panic!("{self:?} mode has no {from:?}")
+            }
+        }
     }
 
     /// The label Figure 6c uses for this mode.
@@ -162,17 +260,13 @@ impl Wire for ProgressBatch {
 /// violated, or on an explicit [`Accumulator::flush`].
 #[derive(Debug)]
 pub struct Accumulator {
-    graph: Arc<LogicalGraph>,
     /// The accumulator's view of global occurrence counts: everything it
     /// has flushed (in flight or delivered) plus everything observed from
     /// other groups.
-    view: HashMap<Pointstamp, i64>,
+    view: PointstampTable,
     /// Combined, not-yet-forwarded updates.
     buffer: HashMap<Pointstamp, i64>,
-    /// Whether flushed updates fold into the local view (true unless an
-    /// upstream accumulator echoes this group's own updates back, in which
-    /// case folding would double count — see the runtime's Local+Global
-    /// topology).
+    /// Whether flushed updates fold into the local view ([`Hop::folds`]).
     fold_on_flush: bool,
 }
 
@@ -183,32 +277,10 @@ impl Accumulator {
     /// every participant derives it from the graph — which is what keeps
     /// early views from being vacuously complete.
     pub fn new(graph: Arc<LogicalGraph>, total_workers: usize) -> Self {
-        let mut view = HashMap::new();
-        for stage in graph.input_stages() {
-            view.insert(
-                Pointstamp::at_vertex(crate::time::Timestamp::new(0), stage),
-                total_workers as i64,
-            );
-        }
         Accumulator {
-            graph,
-            view,
+            view: PointstampTable::initialized(graph, total_workers),
             buffer: HashMap::new(),
             fold_on_flush: true,
-        }
-    }
-
-    /// Configures whether flushes fold into the local view (see the field
-    /// documentation); defaults to `true`.
-    pub fn set_fold_on_flush(&mut self, fold: bool) {
-        self.fold_on_flush = fold;
-    }
-
-    fn bump(map: &mut HashMap<Pointstamp, i64>, p: Pointstamp, delta: i64) {
-        let e = map.entry(p).or_insert(0);
-        *e += delta;
-        if *e == 0 {
-            map.remove(&p);
         }
     }
 
@@ -220,9 +292,7 @@ impl Accumulator {
         &mut self,
         updates: I,
     ) -> Option<Vec<ProgressUpdate>> {
-        for &(p, delta) in updates {
-            Self::bump(&mut self.view, p, delta);
-        }
+        self.view.apply(updates.into_iter().copied());
         if self.buffer.is_empty() || self.buffer_is_safe() {
             None
         } else {
@@ -237,7 +307,11 @@ impl Accumulator {
         updates: I,
     ) -> Option<Vec<ProgressUpdate>> {
         for (p, delta) in updates {
-            Self::bump(&mut self.buffer, p, delta);
+            let count = self.buffer.entry(p).or_insert(0);
+            *count += delta;
+            if *count == 0 {
+                self.buffer.remove(&p);
+            }
         }
         if self.buffer_is_safe() {
             None
@@ -246,26 +320,17 @@ impl Accumulator {
         }
     }
 
+    /// The holding rule of the module docs: every buffered update is
+    /// self-covered (a creation at a pointstamp everyone already counts as
+    /// active changes no frontier) or other-covered (a visible-active
+    /// pointstamp precedes it, so no frontier can reach it until that
+    /// cover retires — and its retirement re-tests this condition).
     fn buffer_is_safe(&self) -> bool {
-        let summaries = self.graph.summaries();
         // lint-allow(NS0003): `all` is order-insensitive; no iteration
         // order escapes this predicate.
-        self.buffer.iter().all(|(p, &delta)| {
-            // Self-cover: a creation at a pointstamp everyone already
-            // counts as active changes no frontier.
-            if delta > 0 && self.view.get(p).copied().unwrap_or(0) > 0 {
-                return true;
-            }
-            // Other-cover: a visible-active pointstamp precedes p, so no
-            // frontier can reach p until that cover retires — and its
-            // retirement will re-test this condition.
-            // lint-allow(NS0003): `any` is order-insensitive.
-            self.view.iter().any(|(q, &c)| {
-                c > 0
-                    && q != p
-                    && summaries.could_result_in(&q.time, q.location, &p.time, p.location)
-            })
-        })
+        self.buffer
+            .iter()
+            .all(|(p, &delta)| (delta > 0 && self.view.is_active(p)) || self.view.blocked(p))
     }
 
     /// Drains the buffer: positive deltas first, then negatives (§3.3),
@@ -276,15 +341,9 @@ impl Accumulator {
         // positive-first order on the very next statement, so hash order
         // never reaches the wire.
         let mut updates: Vec<ProgressUpdate> = self.buffer.drain().collect();
-        updates.sort_by_key(|&(p, delta)| {
-            let mut counters = [0u64; crate::time::MAX_LOOP_DEPTH];
-            counters[..p.time.depth()].copy_from_slice(p.time.counters.as_slice());
-            (delta < 0, p.location, p.time.epoch, counters)
-        });
+        updates.sort_unstable_by_key(|&(p, delta)| (delta < 0, p));
         if self.fold_on_flush {
-            for &(p, delta) in &updates {
-                Self::bump(&mut self.view, p, delta);
-            }
+            self.view.apply(updates.iter().copied());
         }
         updates
     }
@@ -304,27 +363,21 @@ impl Accumulator {
 ///
 /// Every protocol participant (worker, process accumulator, central
 /// accumulator) stamps its batches from its own counter; receivers use
-/// [`FifoChecker`] to assert the fabric preserved the order. Pure state —
-/// no transport.
+/// [`FifoChecker`] to assert the fabric preserved the order. Private: the
+/// cores below are the only way to number or admit a batch.
 #[derive(Debug, Clone)]
-pub struct BatchEmitter {
+struct BatchEmitter {
     sender: u32,
     seq: u64,
 }
 
 impl BatchEmitter {
-    /// An emitter for the given sender identity, starting at sequence 0.
-    pub fn new(sender: u32) -> Self {
+    fn new(sender: u32) -> Self {
         BatchEmitter { sender, seq: 0 }
     }
 
-    /// This emitter's sender id.
-    pub fn sender(&self) -> u32 {
-        self.sender
-    }
-
     /// Wraps `updates` in the next batch for `dataflow`.
-    pub fn batch(&mut self, dataflow: u32, updates: Vec<ProgressUpdate>) -> ProgressBatch {
+    fn batch(&mut self, dataflow: u32, updates: Vec<ProgressUpdate>) -> ProgressBatch {
         let seq = self.seq;
         self.seq += 1;
         ProgressBatch {
@@ -368,22 +421,21 @@ impl std::fmt::Display for FifoViolation {
 /// gaps are legal (an accumulated batch may supersede several smaller
 /// ones upstream, and senders share no sequence space).
 #[derive(Debug, Clone, Default)]
-pub struct FifoChecker {
+struct FifoChecker {
     last: HashMap<u32, u64>,
 }
 
 impl FifoChecker {
-    /// An empty checker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Admits `(sender, seq)`, recording it as the sender's high-water
-    /// mark; errors if the sequence does not strictly increase.
-    pub fn admit(&mut self, sender: u32, seq: u64) -> Result<(), FifoViolation> {
-        match self.last.insert(sender, seq) {
-            Some(last) if seq <= last => Err(FifoViolation { sender, seq, last }),
-            _ => Ok(()),
+    /// mark; errors — leaving the mark where it was — if the sequence
+    /// does not strictly increase.
+    fn admit(&mut self, sender: u32, seq: u64) -> Result<(), FifoViolation> {
+        match self.last.get(&sender) {
+            Some(&last) if seq <= last => Err(FifoViolation { sender, seq, last }),
+            _ => {
+                self.last.insert(sender, seq);
+                Ok(())
+            }
         }
     }
 }
@@ -395,13 +447,14 @@ impl FifoChecker {
 /// Deltas go in via [`GroupCore::deposit`] (this group's own senders) or
 /// [`GroupCore::observe`] (broadcasts from other groups); when the
 /// buffering rule forces a flush the drained updates come back out as a
-/// ready-to-send [`ProgressBatch`]. The struct is side-effect-free — the
-/// runtime's progress hub is a transport shell around it, and the
-/// model-checker drives it over virtual links.
+/// ready-to-send [`ProgressBatch`], to be sent where [`GroupCore::hop`]
+/// says. The struct is side-effect-free — the runtime's progress hub is a
+/// transport shell around it, and the model-checker drives it over
+/// virtual links.
 #[derive(Debug)]
 pub struct GroupCore {
     emitter: BatchEmitter,
-    fold_on_flush: bool,
+    hop: Hop,
     total_workers: usize,
     /// Per-dataflow accumulators, created on registration.
     accs: HashMap<u32, Accumulator>,
@@ -412,23 +465,22 @@ pub struct GroupCore {
 }
 
 impl GroupCore {
-    /// A group core for `sender`, serving `total_workers` workers
-    /// cluster-wide. `fold_on_flush` is false only when an upstream
-    /// accumulator echoes this group's own flushes back (the
-    /// Local+Global topology), where folding would double count.
-    pub fn new(sender: u32, fold_on_flush: bool, total_workers: usize) -> Self {
+    /// A group core for `sender` whose flushes take `hop`
+    /// ([`ProgressMode::hop`]), serving `total_workers` workers
+    /// cluster-wide.
+    pub fn new(sender: u32, hop: Hop, total_workers: usize) -> Self {
         GroupCore {
             emitter: BatchEmitter::new(sender),
-            fold_on_flush,
+            hop,
             total_workers,
             accs: HashMap::new(),
             stashed: HashMap::new(),
         }
     }
 
-    /// This group's sender id.
-    pub fn sender(&self) -> u32 {
-        self.emitter.sender()
+    /// Where this group's flushed batches go.
+    pub fn hop(&self) -> Hop {
+        self.hop
     }
 
     /// Whether `dataflow`'s accumulator exists yet.
@@ -444,7 +496,7 @@ impl GroupCore {
             return;
         }
         let mut acc = Accumulator::new(graph, self.total_workers);
-        acc.set_fold_on_flush(self.fold_on_flush);
+        acc.fold_on_flush = self.hop.folds();
         if let Some(buffered) = self.stashed.remove(&dataflow) {
             let flushed = acc.observe(buffered.iter());
             debug_assert!(flushed.is_none(), "empty buffer cannot flush");
@@ -472,20 +524,25 @@ impl GroupCore {
         Some(self.emitter.batch(dataflow, flushed))
     }
 
-    /// Observes an external broadcast, stashing it if the dataflow is
-    /// not registered yet; returns the batch to broadcast if the
-    /// buffered updates are no longer safe to hold.
-    pub fn observe(&mut self, dataflow: u32, updates: &[ProgressUpdate]) -> Option<ProgressBatch> {
-        match self.accs.get_mut(&dataflow) {
+    /// Observes a broadcast the group's router was handed (what a router
+    /// does with every batch it fans out to its workers), stashing it if
+    /// the dataflow is not registered yet; returns the batch to broadcast
+    /// if the buffered updates are no longer safe to hold. The group's own
+    /// broadcasts are ignored: their content was folded as they left.
+    pub fn observe(&mut self, batch: &ProgressBatch) -> Option<ProgressBatch> {
+        if batch.sender == self.emitter.sender {
+            return None;
+        }
+        match self.accs.get_mut(&batch.dataflow) {
             Some(acc) => {
-                let flushed = acc.observe(updates.iter())?;
-                Some(self.emitter.batch(dataflow, flushed))
+                let flushed = acc.observe(batch.updates.iter())?;
+                Some(self.emitter.batch(batch.dataflow, flushed))
             }
             None => {
                 self.stashed
-                    .entry(dataflow)
+                    .entry(batch.dataflow)
                     .or_default()
-                    .extend_from_slice(updates);
+                    .extend_from_slice(&batch.updates);
                 None
             }
         }
@@ -499,6 +556,14 @@ impl GroupCore {
     }
 }
 
+/// A worker's local view of one dataflow: batches that outran the
+/// dataflow's construction wait for its graph.
+#[derive(Debug)]
+enum View {
+    Stashed(Vec<ProgressBatch>),
+    Live(PointstampTable),
+}
+
 /// The pure per-worker protocol core for one dataflow: pointstamp deltas
 /// in (local journal), broadcast batches out, received batches applied to
 /// a local [`PointstampTable`] fed *exclusively* by the protocol (§3.3).
@@ -510,24 +575,50 @@ pub struct WorkerCore {
     dataflow: u32,
     emitter: BatchEmitter,
     fifo: FifoChecker,
-    table: PointstampTable,
+    view: View,
 }
 
 impl WorkerCore {
     /// A core for worker `index` of `total_workers`, with the table
     /// initialized to §2.3's a-priori state.
     pub fn new(graph: Arc<LogicalGraph>, dataflow: u32, index: u32, total_workers: usize) -> Self {
+        let mut core = WorkerCore::unregistered(dataflow, index);
+        core.register(graph, total_workers);
+        core
+    }
+
+    /// A core for a dataflow whose graph this worker does not know yet
+    /// (peers construct concurrently, and the graph exists only once
+    /// construction finishes): applied batches are admitted and stashed
+    /// until [`WorkerCore::register`].
+    pub fn unregistered(dataflow: u32, index: u32) -> Self {
         WorkerCore {
             dataflow,
             emitter: BatchEmitter::new(index),
-            fifo: FifoChecker::new(),
-            table: PointstampTable::initialized(graph, total_workers),
+            fifo: FifoChecker::default(),
+            view: View::Stashed(Vec::new()),
         }
     }
 
-    /// This worker's index (its sender id).
-    pub fn index(&self) -> u32 {
-        self.emitter.sender()
+    /// Installs the dataflow's graph: the table starts from §2.3's
+    /// a-priori state and the stashed batches apply in arrival order.
+    /// Returns them, for the caller's accounting. A second call is a
+    /// no-op.
+    pub fn register(
+        &mut self,
+        graph: Arc<LogicalGraph>,
+        total_workers: usize,
+    ) -> Vec<ProgressBatch> {
+        let View::Stashed(early) = &mut self.view else {
+            return Vec::new();
+        };
+        let early = std::mem::take(early);
+        let mut table = PointstampTable::initialized(graph, total_workers);
+        for batch in &early {
+            table.apply(batch.updates.iter().copied());
+        }
+        self.view = View::Live(table);
+        early
     }
 
     /// Wraps a journal flush in the next outgoing batch. Workers never
@@ -536,17 +627,47 @@ impl WorkerCore {
         self.emitter.batch(self.dataflow, updates)
     }
 
+    /// Wraps a journal flush in the batches that take `hop`: one batch —
+    /// except that a worker broadcasting to every process itself is the
+    /// naive protocol of Figure 6c's "None" line, which sends every
+    /// update on its own.
+    pub fn emit_for(&mut self, hop: Hop, updates: Vec<ProgressUpdate>) -> Vec<ProgressBatch> {
+        if hop == Hop::EveryProcess {
+            updates.into_iter().map(|u| self.emit(vec![u])).collect()
+        } else {
+            vec![self.emit(updates)]
+        }
+    }
+
     /// Applies a received batch atomically, enforcing per-sender FIFO.
     pub fn apply(&mut self, batch: &ProgressBatch) -> Result<(), FifoViolation> {
         self.fifo.admit(batch.sender, batch.seq)?;
-        self.table.apply(batch.updates.iter().copied());
+        match &mut self.view {
+            View::Live(table) => table.apply(batch.updates.iter().copied()),
+            View::Stashed(early) => early.push(batch.clone()),
+        }
         Ok(())
     }
 
     /// The local view (read-only; all mutation flows through
-    /// [`WorkerCore::apply`]).
+    /// [`WorkerCore::apply`]), or `None` while the core is
+    /// [`unregistered`](WorkerCore::unregistered).
+    pub fn try_table(&self) -> Option<&PointstampTable> {
+        match &self.view {
+            View::Live(table) => Some(table),
+            View::Stashed(_) => None,
+        }
+    }
+
+    /// The local view.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unregistered core: there is no view to consult before
+    /// the dataflow is finalized.
     pub fn table(&self) -> &PointstampTable {
-        &self.table
+        self.try_table()
+            .expect("progress consulted before the dataflow was finalized")
     }
 }
 
@@ -751,7 +872,7 @@ mod tests {
         let b1 = em.batch(0, vec![(Pointstamp::at_vertex(ts(0), INPUT), -1)]);
         assert_eq!((b0.sender, b0.seq), (7, 0));
         assert_eq!((b1.sender, b1.seq), (7, 1));
-        let mut fifo = FifoChecker::new();
+        let mut fifo = FifoChecker::default();
         assert!(fifo.admit(b0.sender, b0.seq).is_ok());
         assert!(fifo.admit(b1.sender, b1.seq).is_ok());
         // Replays and reorders are rejected; other senders are independent.
@@ -764,15 +885,25 @@ mod tests {
             })
         );
         assert!(fifo.admit(8, 0).is_ok());
+        // A rejected batch leaves the high-water mark where it was: after
+        // 5, a late 3 is refused, and so is the 4 behind it.
+        assert!(fifo.admit(7, 5).is_ok());
+        assert_eq!(fifo.admit(7, 3).map_err(|v| v.last), Err(5));
+        assert_eq!(fifo.admit(7, 4).map_err(|v| v.last), Err(5));
+        assert!(fifo.admit(7, 6).is_ok());
     }
 
     #[test]
     fn group_core_stashes_until_registration() {
-        let mut core = GroupCore::new(PROC_ACC_SENDER_BASE, true, 1);
+        let mut core = GroupCore::new(PROC_ACC_SENDER_BASE, Hop::EveryProcess, 1);
         // Pre-registration broadcasts stash rather than flush.
-        assert!(core
-            .observe(0, &[(Pointstamp::at_vertex(ts(0), INPUT), 1)])
-            .is_none());
+        let peer = ProgressBatch {
+            sender: PROC_ACC_SENDER_BASE + 1,
+            seq: 0,
+            dataflow: 0,
+            updates: vec![(Pointstamp::at_vertex(ts(0), INPUT), 1)],
+        };
+        assert!(core.observe(&peer).is_none());
         assert!(!core.is_registered(0));
         core.register(0, chain_graph());
         assert!(core.is_registered(0));
@@ -790,6 +921,61 @@ mod tests {
         assert_eq!(batch.sender, PROC_ACC_SENDER_BASE);
         assert_eq!(batch.seq, 0);
         assert_eq!(batch.dataflow, 0);
+        // Its own broadcast, handed back by a router, is not observed
+        // again — the view folded it as it left. Counted twice, the peer's
+        // input pointstamp would be gone from the view and nothing would
+        // cover a creation at stage a.
+        assert!(core.observe(&batch).is_none());
+        assert!(core
+            .deposit(0, vec![(Pointstamp::at_vertex(ts(0), StageId(1)), 1)])
+            .is_none());
+    }
+
+    #[test]
+    fn worker_core_stashes_until_registration() {
+        let graph = chain_graph();
+        let mut sender = WorkerCore::new(graph.clone(), 0, 0, 2);
+        let mut late = WorkerCore::unregistered(0, 1);
+        let first = sender.emit(vec![
+            (Pointstamp::at_vertex(ts(1), INPUT), 1),
+            (Pointstamp::at_vertex(ts(0), INPUT), -1),
+        ]);
+        let second = sender.emit(vec![(Pointstamp::at_vertex(ts(1), INPUT), -1)]);
+        // Batches that outrun construction are admitted (FIFO is checked
+        // on arrival) and wait for the graph.
+        late.apply(&first).unwrap();
+        assert!(
+            late.apply(&first).is_err(),
+            "replays are refused while stashed too"
+        );
+        late.apply(&second).unwrap();
+        let replayed = late.register(graph.clone(), 2);
+        assert_eq!(replayed, vec![first.clone(), second.clone()]);
+        // The registered view equals one that applied the batches live.
+        let mut live = WorkerCore::new(graph.clone(), 0, 1, 2);
+        live.apply(&first).unwrap();
+        live.apply(&second).unwrap();
+        assert_eq!(late.table().frontier(), live.table().frontier());
+        assert_eq!(late.table().input_frontier_epoch(), Some(0));
+        assert!(
+            late.register(graph, 2).is_empty(),
+            "registration happens once"
+        );
+    }
+
+    #[test]
+    fn naive_workers_emit_one_batch_per_update() {
+        let mut core = WorkerCore::new(chain_graph(), 0, 0, 1);
+        let updates = vec![
+            (Pointstamp::at_vertex(ts(1), INPUT), 1),
+            (Pointstamp::at_vertex(ts(0), INPUT), -1),
+        ];
+        let naive = core.emit_for(Hop::EveryProcess, updates.clone());
+        assert_eq!(naive.iter().map(|b| b.seq).collect::<Vec<_>>(), [0, 1]);
+        assert!(naive.iter().all(|b| b.updates.len() == 1));
+        let whole = core.emit_for(Hop::Central, updates.clone());
+        assert_eq!(whole.len(), 1);
+        assert_eq!((whole[0].seq, &whole[0].updates), (2, &updates));
     }
 
     #[test]
@@ -819,5 +1005,53 @@ mod tests {
         assert!(!ProgressMode::Global.local() && ProgressMode::Global.global());
         assert!(ProgressMode::LocalGlobal.local() && ProgressMode::LocalGlobal.global());
         assert_eq!(ProgressMode::LocalGlobal.figure_label(), "Local+GlobalAcc");
+    }
+
+    /// Figure 6c's four topologies, spelled out once against the routing
+    /// function every driver calls.
+    #[test]
+    fn hops_spell_out_the_four_topologies() {
+        use Role::{CentralAccumulator as Central, ProcessAccumulator as Process, Worker};
+        let hops = |mode: ProgressMode| {
+            (
+                mode.hop(Worker),
+                mode.local().then(|| mode.hop(Process)),
+                mode.global().then(|| mode.hop(Central)),
+            )
+        };
+        assert_eq!(
+            hops(ProgressMode::Broadcast),
+            (Hop::EveryProcess, None, None)
+        );
+        assert_eq!(
+            hops(ProgressMode::Local),
+            (Hop::OwnAccumulator, Some(Hop::EveryProcess), None)
+        );
+        assert_eq!(
+            hops(ProgressMode::Global),
+            (Hop::Central, None, Some(Hop::EveryProcess))
+        );
+        assert_eq!(
+            hops(ProgressMode::LocalGlobal),
+            (
+                Hop::OwnAccumulator,
+                Some(Hop::Central),
+                Some(Hop::EveryProcess)
+            )
+        );
+        // A process accumulator folds its flushes exactly when nothing
+        // echoes them back to it.
+        assert!(ProgressMode::Local.hop(Process).folds());
+        assert!(!ProgressMode::LocalGlobal.hop(Process).folds());
+        use Endpoint::Process as P;
+        assert_eq!(
+            Hop::EveryProcess.endpoints(2).collect::<Vec<_>>(),
+            [P(0), P(1)]
+        );
+        assert_eq!(
+            Hop::Central.endpoints(2).collect::<Vec<_>>(),
+            [Endpoint::Central]
+        );
+        assert_eq!(Hop::OwnAccumulator.endpoints(2).count(), 0);
     }
 }

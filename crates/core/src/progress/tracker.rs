@@ -1,6 +1,7 @@
-//! The pointstamp table: occurrence counts, precursor counts, frontier
-//! (§2.3), tolerant of the transiently negative counts that arise in the
-//! distributed protocol (§3.3).
+//! The pointstamp table: occurrence counts and the one could-result-in
+//! query everything else is derived from (§2.3), tolerant of the
+//! transiently negative counts that arise in the distributed protocol
+//! (§3.3).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,28 +12,25 @@ use crate::time::Timestamp;
 
 use super::{Pointstamp, ProgressUpdate};
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    /// Net occurrence count. May be negative while a creation update from
-    /// one worker races a retirement update from another; a non-positive
-    /// entry is simply not *active*.
-    occurrence: i64,
-    /// Number of *other* active pointstamps that could-result-in this one.
-    /// Maintained only while active.
-    precursor: usize,
-}
-
-/// Tracks active pointstamps and their frontier.
+/// Occurrence counts over pointstamps, and their frontier.
 ///
-/// All mutation flows through [`PointstampTable::apply`], which applies the
-/// §2.3 update rules: `SendBy`/`NotifyAt` contribute `+1`, delivered
-/// `OnRecv`/`OnNotify` contribute `−1`. The *frontier* is the set of
-/// active pointstamps with zero precursor count; a notification may be
-/// delivered exactly when its pointstamp is in the frontier.
+/// All mutation flows through [`PointstampTable::update`], which applies
+/// the §2.3 rules: `SendBy`/`NotifyAt` contribute `+1`, delivered
+/// `OnRecv`/`OnNotify` contribute `−1`. A pointstamp is *active* while its
+/// net count is positive (a count may be negative while a creation from
+/// one worker races a retirement from another), and *blocked* while some
+/// other active pointstamp could-result-in it
+/// ([`PointstampTable::blocked`]). The *frontier* is the active, unblocked
+/// pointstamps; a notification may be delivered exactly when its
+/// pointstamp is in the frontier.
+///
+/// An update costs one hash-map operation; the queries scan the live
+/// counts, which the protocol keeps few (a handful per epoch in flight).
 #[derive(Debug, Clone)]
 pub struct PointstampTable {
     graph: Arc<LogicalGraph>,
-    entries: HashMap<Pointstamp, Entry>,
+    /// Net occurrence counts; zero entries are elided.
+    counts: HashMap<Pointstamp, i64>,
 }
 
 impl PointstampTable {
@@ -42,7 +40,7 @@ impl PointstampTable {
     pub fn new(graph: Arc<LogicalGraph>) -> Self {
         PointstampTable {
             graph,
-            entries: HashMap::new(),
+            counts: HashMap::new(),
         }
     }
 
@@ -68,30 +66,12 @@ impl PointstampTable {
         &self.graph
     }
 
-    fn could_result_in(&self, a: &Pointstamp, b: &Pointstamp) -> bool {
-        self.graph
-            .summaries()
-            .could_result_in(&a.time, a.location, &b.time, b.location)
-    }
-
     /// Applies one occurrence-count update.
     pub fn update(&mut self, pointstamp: Pointstamp, delta: i64) {
-        if delta == 0 {
-            return;
-        }
-        let entry = self.entries.entry(pointstamp).or_default();
-        let was_active = entry.occurrence > 0;
-        entry.occurrence += delta;
-        let now_active = entry.occurrence > 0;
-        let occurrence = entry.occurrence;
-
-        match (was_active, now_active) {
-            (false, true) => self.activate(pointstamp),
-            (true, false) => self.deactivate(pointstamp),
-            _ => {}
-        }
-        if occurrence == 0 {
-            self.entries.remove(&pointstamp);
+        let count = self.counts.entry(pointstamp).or_insert(0);
+        *count += delta;
+        if *count == 0 {
+            self.counts.remove(&pointstamp);
         }
     }
 
@@ -102,77 +82,39 @@ impl PointstampTable {
         }
     }
 
-    fn activate(&mut self, p: Pointstamp) {
-        let mut precursor = 0;
-        let others: Vec<Pointstamp> = self
-            .entries
-            .iter()
-            .filter(|(q, e)| **q != p && e.occurrence > 0)
-            .map(|(q, _)| *q)
-            .collect();
-        for q in others {
-            if self.could_result_in(&q, &p) {
-                precursor += 1;
-            }
-            if self.could_result_in(&p, &q) {
-                self.entries
-                    .get_mut(&q)
-                    .expect("q was just enumerated")
-                    .precursor += 1;
-            }
-        }
-        self.entries
-            .get_mut(&p)
-            .expect("p was just inserted")
-            .precursor = precursor;
-    }
-
-    fn deactivate(&mut self, p: Pointstamp) {
-        let others: Vec<Pointstamp> = self
-            .entries
-            .iter()
-            .filter(|(q, e)| **q != p && e.occurrence > 0)
-            .map(|(q, _)| *q)
-            .collect();
-        for q in others {
-            if self.could_result_in(&p, &q) {
-                let e = self.entries.get_mut(&q).expect("q was just enumerated");
-                debug_assert!(e.precursor > 0, "precursor underflow at {q:?}");
-                e.precursor = e.precursor.saturating_sub(1);
-            }
-        }
+    /// Whether an active pointstamp *other than* `p` could-result-in `p`:
+    /// the one question §2.3 and §3.3 ask of the counts. Frontier
+    /// membership, completeness and the accumulator's holding rule are
+    /// each this predicate combined with whether `p` itself is active.
+    pub fn blocked(&self, p: &Pointstamp) -> bool {
+        let summaries = self.graph.summaries();
+        self.counts.iter().any(|(q, &count)| {
+            count > 0
+                && q != p
+                && summaries.could_result_in(&q.time, q.location, &p.time, p.location)
+        })
     }
 
     /// Net occurrence count for a pointstamp (zero if absent).
     pub fn occurrence(&self, p: &Pointstamp) -> i64 {
-        self.entries.get(p).map_or(0, |e| e.occurrence)
+        self.counts.get(p).copied().unwrap_or(0)
     }
 
     /// Whether `p` is active (positive occurrence count).
     pub fn is_active(&self, p: &Pointstamp) -> bool {
-        self.entries.get(p).is_some_and(|e| e.occurrence > 0)
+        self.occurrence(p) > 0
     }
 
-    /// Whether `p` is in the frontier: active with no active precursor.
+    /// Whether `p` is in the frontier: active, and not blocked. This is
+    /// the test for delivering a notification the table counts.
     pub fn in_frontier(&self, p: &Pointstamp) -> bool {
-        self.entries
-            .get(p)
-            .is_some_and(|e| e.occurrence > 0 && e.precursor == 0)
+        self.is_active(p) && !self.blocked(p)
     }
 
     /// The frontier, sorted canonically for deterministic delivery order.
     pub fn frontier(&self) -> Vec<Pointstamp> {
-        let mut out: Vec<Pointstamp> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.occurrence > 0 && e.precursor == 0)
-            .map(|(p, _)| *p)
-            .collect();
-        out.sort_by_key(|p| {
-            let mut counters = [0u64; crate::time::MAX_LOOP_DEPTH];
-            counters[..p.time.depth()].copy_from_slice(p.time.counters.as_slice());
-            (p.location, p.time.epoch, counters)
-        });
+        let mut out: Vec<Pointstamp> = self.active().filter(|p| !self.blocked(p)).collect();
+        out.sort_unstable();
         out
     }
 
@@ -186,17 +128,7 @@ impl PointstampTable {
             time: *time,
             location,
         };
-        !self
-            .entries
-            .iter()
-            .any(|(q, e)| e.occurrence > 0 && self.could_result_in(q, &target))
-    }
-
-    /// Whether a notification guaranteed not before `time` at `location`
-    /// may fire: no *other* active pointstamp could-result-in it. This is
-    /// the frontier test for a notification the table already counts.
-    pub fn notification_ready(&self, p: &Pointstamp) -> bool {
-        self.in_frontier(p)
+        !self.is_active(&target) && !self.blocked(&target)
     }
 
     /// The lower bound on future times at `location`: timestamps `t` such
@@ -204,10 +136,7 @@ impl PointstampTable {
     /// future events are possible there.
     pub fn lower_bound(&self, location: Location) -> Vec<Timestamp> {
         let mut bounds: Vec<Timestamp> = Vec::new();
-        for (q, e) in &self.entries {
-            if e.occurrence <= 0 {
-                continue;
-            }
+        for q in self.active() {
             for s in self
                 .graph
                 .summaries()
@@ -227,21 +156,21 @@ impl PointstampTable {
     /// True when no entries remain: every occurrence has been matched by a
     /// retirement and the computation has quiesced.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.counts.is_empty()
     }
 
     /// Number of active pointstamps.
     pub fn active_count(&self) -> usize {
-        self.entries.values().filter(|e| e.occurrence > 0).count()
+        self.active().count()
     }
 
     /// Iterates the active pointstamps (positive occurrence), in no
     /// particular order. The model-checker's safety oracle enumerates the
     /// omniscient reference table through this.
     pub fn active(&self) -> impl Iterator<Item = Pointstamp> + '_ {
-        self.entries
+        self.counts
             .iter()
-            .filter(|(_, e)| e.occurrence > 0)
+            .filter(|(_, &count)| count > 0)
             .map(|(p, _)| *p)
     }
 
@@ -275,23 +204,13 @@ impl PointstampTable {
     /// that a local view never moves backwards. The telemetry frontier
     /// probe samples exactly this quantity.
     pub fn input_frontier_epoch(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        for (p, e) in &self.entries {
-            if e.occurrence <= 0 {
-                continue;
-            }
-            let Location::Vertex(stage) = p.location else {
-                continue;
-            };
-            if !self.graph.input_stages().any(|s| s == stage) {
-                continue;
-            }
-            min = Some(match min {
-                Some(m) => m.min(p.time.epoch),
-                None => p.time.epoch,
-            });
-        }
-        min
+        self.active()
+            .filter(|p| match p.location {
+                Location::Vertex(stage) => self.graph.input_stages().any(|s| s == stage),
+                Location::Edge(_) => false,
+            })
+            .map(|p| p.time.epoch)
+            .min()
     }
 }
 
@@ -338,12 +257,11 @@ mod tests {
         t.update(out0, 1);
         assert!(t.in_frontier(&input0));
         assert!(!t.in_frontier(&out0), "input could still produce epoch 0");
-        assert!(!t.notification_ready(&out0));
 
         // Epoch 0 completes: +1 at epoch 1, then −1 at epoch 0.
         t.update(Pointstamp::at_vertex(ts(1, &[]), INPUT), 1);
         t.update(input0, -1);
-        assert!(t.notification_ready(&out0), "epoch 0 is now complete");
+        assert!(t.in_frontier(&out0), "epoch 0 is now complete");
     }
 
     #[test]
@@ -367,9 +285,9 @@ mod tests {
         let note = Pointstamp::at_vertex(ts(0, &[0]), BODY);
         t.update(msg, 1);
         t.update(note, 1);
-        assert!(!t.notification_ready(&note));
+        assert!(!t.in_frontier(&note));
         t.update(msg, -1);
-        assert!(t.notification_ready(&note));
+        assert!(t.in_frontier(&note));
     }
 
     #[test]
@@ -452,12 +370,12 @@ mod tests {
     }
 
     #[test]
-    fn precursor_counts_update_symmetrically() {
+    fn activating_an_earlier_pointstamp_blocks_later_ones() {
         let mut t = PointstampTable::new(loop_graph());
         let early = Pointstamp::at_vertex(ts(0, &[1]), BODY);
         let late = Pointstamp::at_vertex(ts(0, &[5]), BODY);
-        // Insert the late one first; activating the earlier one must bump
-        // the later one's precursor count.
+        // Insert the late one first; activating the earlier one must block
+        // it, and retiring the earlier one must unblock it again.
         t.update(late, 1);
         assert!(t.in_frontier(&late));
         t.update(early, 1);

@@ -12,8 +12,7 @@ use crate::progress::ProgressMode;
 /// Shared, dynamically adjustable runtime knobs, read by the data plane
 /// on every batch boundary and written by the [`crate::introspect`]
 /// autotuner between epochs. When [`Config::tuning`] is `None` (the
-/// default) the static [`Config::batch_size`] applies and the flush
-/// threshold is 1 — today's behavior, bit for bit.
+/// default) the static [`Config::batch_size`] applies.
 #[derive(Clone, Debug, Default)]
 pub struct TuningKnobs {
     inner: Arc<KnobsInner>,
@@ -22,7 +21,6 @@ pub struct TuningKnobs {
 #[derive(Debug)]
 struct KnobsInner {
     batch_size: AtomicUsize,
-    progress_flush: AtomicUsize,
     credit_budget: AtomicUsize,
     pool_resident_cap: AtomicUsize,
 }
@@ -31,7 +29,6 @@ impl Default for KnobsInner {
     fn default() -> Self {
         KnobsInner {
             batch_size: AtomicUsize::new(1024),
-            progress_flush: AtomicUsize::new(1),
             credit_budget: AtomicUsize::new(1 << 20),
             pool_resident_cap: AtomicUsize::new(32 << 20),
         }
@@ -39,8 +36,7 @@ impl Default for KnobsInner {
 }
 
 impl TuningKnobs {
-    /// Knobs seeded with an initial exchange batch size and a flush
-    /// threshold of 1 (flush every step).
+    /// Knobs seeded with an initial exchange batch size.
     pub fn with_batch_size(records: usize) -> Self {
         let knobs = TuningKnobs::default();
         knobs.set_batch_size(records);
@@ -61,22 +57,6 @@ impl TuningKnobs {
     pub fn set_batch_size(&self, records: usize) {
         assert!(records > 0, "batch size must be positive");
         self.inner.batch_size.store(records, Ordering::Relaxed);
-    }
-
-    /// Current progress-flush threshold (journal entries below which a
-    /// flush may be deferred for a bounded number of steps).
-    pub fn progress_flush(&self) -> usize {
-        self.inner.progress_flush.load(Ordering::Relaxed)
-    }
-
-    /// Sets the progress-flush threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `updates` is zero.
-    pub fn set_progress_flush(&self, updates: usize) {
-        assert!(updates > 0, "flush threshold must be positive");
-        self.inner.progress_flush.store(updates, Ordering::Relaxed);
     }
 
     /// Current per-queue credit budget in bytes (read by the flow
@@ -441,10 +421,8 @@ mod tests {
         let c = Config::single_process(2).tuning(knobs.clone());
         assert_eq!(c.tuning.as_ref().unwrap().batch_size(), 64);
         knobs.set_batch_size(128);
-        knobs.set_progress_flush(4);
         // The config's clone observes writes through the shared handle.
         assert_eq!(c.tuning.as_ref().unwrap().batch_size(), 128);
-        assert_eq!(c.tuning.as_ref().unwrap().progress_flush(), 4);
     }
 
     #[test]

@@ -352,6 +352,7 @@ where
         };
         let progress_links = Arc::new(ProgressLinks::new(
             process,
+            processes,
             config.workers_per_process,
             &registry,
             net.clone(),
@@ -363,7 +364,6 @@ where
         let accumulator = if config.progress_mode.local() {
             Some(Arc::new(Mutex::new(ProcessAccumulator::new(
                 process,
-                processes,
                 config.progress_mode,
                 registry.clone(),
                 progress_links.clone(),
@@ -474,6 +474,7 @@ where
         let shutdown = shutdown.clone();
         let escalation = escalation.clone();
         let total_workers = config.total_workers();
+        let mode = config.progress_mode;
         let stats = hub_stats.clone();
         thread::Builder::new()
             .name("naiad-central-accumulator".to_string())
@@ -482,6 +483,7 @@ where
                     rx,
                     &net,
                     &directory,
+                    mode,
                     processes,
                     total_workers,
                     &shutdown,

@@ -33,7 +33,9 @@ use naiad_wire::{encode_to_vec, Bytes};
 
 use super::sync::Mutex;
 
-use crate::progress::{GroupCore, ProgressBatch, ProgressMode, ProgressUpdate};
+use crate::progress::{
+    Endpoint, GroupCore, Hop, ProgressBatch, ProgressMode, ProgressUpdate, Role,
+};
 
 use super::channels::{
     parse_data_tag, ChannelKey, ProcessRegistry, CENTRAL_TAG, CREDIT_TAG, HEARTBEAT_TAG,
@@ -83,12 +85,23 @@ fn ensure_registered(core: &mut GroupCore, registry: &ProcessRegistry, dataflow:
     }
 }
 
+/// Where a protocol endpoint lives on the fabric, and the tag its batches
+/// travel under: the central accumulator is the one extra endpoint after
+/// the processes.
+fn address(endpoint: Endpoint, processes: usize) -> (usize, u32) {
+    match endpoint {
+        Endpoint::Process(p) => (p, PROGRESS_TAG),
+        Endpoint::Central => (processes, CENTRAL_TAG),
+    }
+}
+
 /// One process's outgoing links for progress batches, shared by its
 /// workers and its accumulator: a fabric link to every other endpoint,
 /// and for the copy a process addresses to itself, its own workers'
 /// inboxes.
 pub(crate) struct ProgressLinks {
     process: usize,
+    processes: usize,
     net: Arc<Mutex<NetSender>>,
     policy: RetryPolicy,
     /// Progress-inbox senders, one per local worker, resolved once.
@@ -99,6 +112,7 @@ pub(crate) struct ProgressLinks {
 impl ProgressLinks {
     pub(crate) fn new(
         process: usize,
+        processes: usize,
         workers_per_process: usize,
         registry: &ProcessRegistry,
         net: Arc<Mutex<NetSender>>,
@@ -107,6 +121,7 @@ impl ProgressLinks {
     ) -> Self {
         ProgressLinks {
             process,
+            processes,
             net,
             policy,
             inboxes: progress_inboxes(registry, workers_per_process),
@@ -114,8 +129,10 @@ impl ProgressLinks {
         }
     }
 
-    /// Sends one encoded batch to endpoint `dst`, retrying transient
-    /// failures.
+    /// Sends one encoded batch along `hop` ([`ProgressMode::hop`]). Each
+    /// endpoint's link retries transient failures on its own, so a flaky
+    /// link never re-sends to links that already accepted the batch —
+    /// re-delivery would violate the per-sender FIFO sequence check.
     ///
     /// The copy for this process itself is delivered here, by the calling
     /// thread. The fabric still accounts for it as a send to self
@@ -127,8 +144,14 @@ impl ProgressLinks {
     /// A sender's batches must reach every inbox in `seq` order: callers
     /// emit and send under one lock (the accumulator's) or from the one
     /// thread that owns the emitter (a worker's).
-    pub(crate) fn send(&self, dst: usize, tag: u32, bytes: &Bytes) -> Result<(), SendError> {
-        if dst != self.process {
+    pub(crate) fn send(&self, hop: Hop, bytes: &Bytes) -> Result<(), SendError> {
+        hop.endpoints(self.processes)
+            .try_for_each(|endpoint| self.send_to(endpoint, bytes))
+    }
+
+    fn send_to(&self, endpoint: Endpoint, bytes: &Bytes) -> Result<(), SendError> {
+        if endpoint != Endpoint::Process(self.process) {
+            let (dst, tag) = address(endpoint, self.processes);
             return send_with_retry(
                 &self.net,
                 self.policy,
@@ -138,7 +161,6 @@ impl ProgressLinks {
                 bytes,
             );
         }
-        debug_assert_eq!(tag, PROGRESS_TAG, "only broadcasts are self-addressed");
         with_retry(self.policy, || {
             self.net
                 .lock()
@@ -170,8 +192,6 @@ fn progress_inboxes(
 /// external broadcasts; flushes leave through the fabric according to
 /// the progress mode.
 pub(crate) struct ProcessAccumulator {
-    processes: usize,
-    mode: ProgressMode,
     core: GroupCore,
     registry: Arc<ProcessRegistry>,
     links: Arc<ProgressLinks>,
@@ -181,7 +201,6 @@ pub(crate) struct ProcessAccumulator {
 impl ProcessAccumulator {
     pub(crate) fn new(
         process: usize,
-        processes: usize,
         mode: ProgressMode,
         registry: Arc<ProcessRegistry>,
         links: Arc<ProgressLinks>,
@@ -189,26 +208,15 @@ impl ProcessAccumulator {
         escalation: Arc<EscalationCell>,
     ) -> Self {
         ProcessAccumulator {
-            processes,
-            mode,
-            // In Local+Global mode the central accumulator echoes this
-            // process's own updates back, so the view must not also fold
-            // flushes (they would double count). In Local mode nothing
-            // echoes, so flushes fold immediately.
             core: GroupCore::new(
                 PROC_ACC_SENDER_BASE + process as u32,
-                mode == ProgressMode::Local,
+                mode.hop(Role::ProcessAccumulator),
                 total_workers,
             ),
             registry,
             links,
             escalation,
         }
-    }
-
-    /// This accumulator's sender id.
-    pub(crate) fn sender_id(&self) -> u32 {
-        self.core.sender()
     }
 
     /// Deposits a worker's journal; forwards a flush if the §3.3 condition
@@ -220,39 +228,22 @@ impl ProcessAccumulator {
         }
     }
 
-    /// Observes an external broadcast (from another process's accumulator
-    /// or the central accumulator); forwards a flush if the buffered
-    /// updates are no longer safe to hold.
-    pub(crate) fn observe(&mut self, dataflow: usize, updates: &[ProgressUpdate]) {
-        ensure_registered(&mut self.core, &self.registry, dataflow);
-        if let Some(batch) = self.core.observe(dataflow as u32, updates) {
-            self.forward(&batch);
+    /// Observes a broadcast the router took off the fabric (from another
+    /// process's accumulator or the central accumulator); forwards a flush
+    /// if the buffered updates are no longer safe to hold.
+    pub(crate) fn observe(&mut self, batch: &ProgressBatch) {
+        ensure_registered(&mut self.core, &self.registry, batch.dataflow as usize);
+        if let Some(flushed) = self.core.observe(batch) {
+            self.forward(&flushed);
         }
     }
 
-    fn forward(&mut self, batch: &ProgressBatch) {
+    /// Sends a flush where the mode says. A copy for our own process
+    /// lands in the local inboxes before `send` returns, under the lock
+    /// the caller holds on `self`.
+    fn forward(&self, batch: &ProgressBatch) {
         let bytes: Bytes = encode_to_vec(batch).into();
-        match self.mode {
-            ProgressMode::Local => {
-                // Broadcast directly to every process, retrying each link
-                // independently so one flaky link never re-sends to links
-                // that already accepted the batch. The copy for our own
-                // process lands in the local inboxes before `send`
-                // returns, under the lock the caller holds on `self`.
-                for dst in 0..self.processes {
-                    self.send_or_escalate(dst, PROGRESS_TAG, &bytes);
-                }
-            }
-            ProgressMode::LocalGlobal => {
-                // Up the tree: the central accumulator redistributes.
-                self.send_or_escalate(self.processes, CENTRAL_TAG, &bytes);
-            }
-            _ => unreachable!("process accumulators exist only in local modes"),
-        }
-    }
-
-    fn send_or_escalate(&self, dst: usize, tag: u32, bytes: &Bytes) {
-        if let Err(err) = self.links.send(dst, tag, bytes) {
+        if let Err(err) = self.links.send(self.core.hop(), &bytes) {
             escalate(&self.escalation, FaultKind::from_send_error(err));
         }
     }
@@ -266,6 +257,7 @@ pub(crate) fn run_central_accumulator(
     mut rx: NetReceiver,
     net: &Arc<Mutex<NetSender>>,
     registry: &ProcessRegistry,
+    mode: ProgressMode,
     processes: usize,
     total_workers: usize,
     shutdown: &AtomicBool,
@@ -273,10 +265,11 @@ pub(crate) fn run_central_accumulator(
     escalation: &EscalationCell,
     stats: &HubStats,
 ) {
-    // fold_on_flush: the central accumulator has no table of its own and
-    // never hears its broadcasts back, so flushed content folds at flush
-    // time to keep cover tests accurate for still-buffered updates.
-    let mut core = GroupCore::new(CENTRAL_SENDER, true, total_workers);
+    let mut core = GroupCore::new(
+        CENTRAL_SENDER,
+        mode.hop(Role::CentralAccumulator),
+        total_workers,
+    );
     let mut wait = IDLE_WAIT_BASE;
     loop {
         match rx.recv_deadline(Some(wait)) {
@@ -296,15 +289,11 @@ pub(crate) fn run_central_accumulator(
                 ensure_registered(&mut core, registry, batch.dataflow as usize);
                 if let Some(out) = core.deposit(batch.dataflow, batch.updates) {
                     let bytes: Bytes = encode_to_vec(&out).into();
-                    for dst in 0..processes {
-                        if let Err(err) = send_with_retry(
-                            net,
-                            policy,
-                            dst,
-                            PROGRESS_TAG,
-                            TrafficClass::Progress,
-                            &bytes,
-                        ) {
+                    for endpoint in core.hop().endpoints(processes) {
+                        let (dst, tag) = address(endpoint, processes);
+                        if let Err(err) =
+                            send_with_retry(net, policy, dst, tag, TrafficClass::Progress, &bytes)
+                        {
                             escalate(escalation, FaultKind::from_send_error(err));
                         }
                     }
@@ -440,14 +429,11 @@ pub(crate) fn run_router(
                                         env.payload.len()
                                     )
                                 });
-                            let mut acc = acc.lock();
-                            // Our own flushes never come back here: in Local
-                            // mode the flushing thread delivered (and folded)
-                            // them; in Local+Global everything arrives via the
-                            // central accumulator and must be observed, own
-                            // updates included, because flushes were not folded.
-                            debug_assert_ne!(batch.sender, acc.sender_id());
-                            acc.observe(batch.dataflow as usize, &batch.updates);
+                            // In Local+Global everything arrives via the
+                            // central accumulator and is observed, this
+                            // process's own updates included, because its
+                            // flushes were not folded.
+                            acc.lock().observe(&batch);
                         }
                     }
                     CENTRAL_TAG => {
@@ -552,6 +538,7 @@ mod tests {
         };
         let links = Arc::new(ProgressLinks::new(
             0,
+            1,
             workers,
             &registry,
             net.clone(),
@@ -560,7 +547,6 @@ mod tests {
         ));
         let mut acc = ProcessAccumulator::new(
             0,
-            1,
             ProgressMode::Local,
             registry,
             links,

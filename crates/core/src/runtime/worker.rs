@@ -15,14 +15,10 @@ use super::sync::Mutex;
 use crate::analysis::{AnalysisConfig, AnalysisReport};
 use crate::dataflow::{OpCore, Scope, StateHandle, StateRegistry, TrackerCell};
 use crate::graph::StageId;
-use crate::progress::{
-    BatchEmitter, FifoChecker, PointstampTable, ProgressBatch, ProgressMode, ProgressUpdate,
-};
+use crate::progress::{Hop, ProgressBatch, ProgressUpdate, Role, WorkerCore};
 use crate::telemetry::{Recorder, TelemetryEvent, WorkerTelemetry};
 
-use super::channels::{
-    ChannelKey, Journal, ProcessRegistry, RoutingContext, CENTRAL_TAG, PROGRESS_TAG,
-};
+use super::channels::{ChannelKey, Journal, ProcessRegistry, RoutingContext};
 use super::config::Config;
 use super::durability::{open_blob, seal_blob, RestoreError};
 use super::flow::{FlowRegistry, OverloadFlag, OverloadMonitor};
@@ -34,7 +30,9 @@ use super::retry::{escalate, EscalationCell, FaultKind, FaultPanic, RetryPolicy}
 /// One dataflow installed at this worker.
 struct DataflowRuntime {
     id: usize,
-    tracker: TrackerCell,
+    /// This worker's protocol core for the dataflow, whose table is its
+    /// view of the dataflow's progress.
+    core: TrackerCell,
     journal: Journal,
     ops: Vec<Rc<RefCell<dyn OpCore>>>,
     states: StateRegistry,
@@ -50,9 +48,6 @@ struct DataflowRuntime {
     /// Last non-`None` tracker min-epoch, used to attribute scheduling
     /// slices once every pointstamp has drained.
     last_epoch: u64,
-    /// Consecutive steps a small journal flush has been deferred
-    /// (bounded; see [`Worker::flush_progress`]).
-    defer_count: u32,
 }
 
 /// The watchdog tick of [`Worker::idle_wait`]: an idle worker blocks on
@@ -66,6 +61,15 @@ const IDLE_TICK: Duration = Duration::from_micros(200);
 /// non-observer dataflows (`None` when they have all drained). The
 /// closure lives on the worker's thread (`Rc`, not `Arc`).
 pub(crate) type StepHook = Rc<RefCell<dyn FnMut(Option<u64>)>>;
+
+/// The protocol core of worker `index` for dataflow `id`, before its
+/// graph is known.
+fn new_core(id: usize, index: usize) -> TrackerCell {
+    Rc::new(RefCell::new(WorkerCore::unregistered(
+        id as u32,
+        index as u32,
+    )))
+}
 
 /// A worker: owns one vertex per stage of each dataflow it participates in
 /// and exchanges messages and progress updates with its peers (§3.2).
@@ -89,16 +93,13 @@ pub struct Worker {
     directory: Arc<ProcessRegistry>,
     dataflows: Vec<DataflowRuntime>,
     next_dataflow: usize,
-    /// Sequencer for this worker's outgoing progress batches.
-    emitter: BatchEmitter,
-    /// Per-sender FIFO check on incoming progress batches.
-    fifo: FifoChecker,
     /// Whether the previous step processed anything, used to decide when
     /// the worker may block briefly instead of spinning.
     last_step_worked: bool,
-    /// Progress batches that arrived before this worker built their
-    /// dataflow, replayed at construction.
-    stashed: HashMap<usize, Vec<ProgressBatch>>,
+    /// Cores of dataflows this worker has not built yet (peers construct
+    /// concurrently), stashing the batches that arrived for them until
+    /// construction registers the graph.
+    early: HashMap<usize, TrackerCell>,
     /// Cluster-global fault slot, polled each step so this worker unwinds
     /// when any thread escalates an injected fault.
     escalation: Arc<EscalationCell>,
@@ -186,10 +187,8 @@ impl Worker {
             directory,
             dataflows: Vec::new(),
             next_dataflow: 0,
-            emitter: BatchEmitter::new(index as u32),
-            fifo: FifoChecker::new(),
             last_step_worked: true,
-            stashed: HashMap::new(),
+            early: HashMap::new(),
             escalation,
             liveness,
             stall_since: None,
@@ -252,7 +251,7 @@ impl Worker {
     /// their pointstamps have drained.
     fn min_open_epoch(&self) -> Option<u64> {
         self.user_dataflows()
-            .filter_map(|df| df.tracker.borrow().as_ref().and_then(PointstampTable::min_epoch))
+            .filter_map(|df| df.core.borrow().table().min_epoch())
             .min()
     }
 
@@ -343,7 +342,10 @@ impl Worker {
         let id = self.next_dataflow;
         self.next_dataflow += 1;
         let journal: Journal = Rc::new(RefCell::new(Vec::new()));
-        let tracker: TrackerCell = Rc::new(RefCell::new(None));
+        let core = self
+            .early
+            .remove(&id)
+            .unwrap_or_else(|| new_core(id, self.index));
         let routing = RoutingContext {
             dataflow: id,
             my_index: self.index,
@@ -361,7 +363,7 @@ impl Worker {
             flow: self.flow.clone(),
             overload: self.overload.clone(),
         };
-        let mut scope = Scope::new(routing, journal.clone(), tracker.clone());
+        let mut scope = Scope::new(routing, journal.clone(), core.clone());
         let result = construct(&mut scope);
 
         let (graph, ops, states, report) = scope.finalize(config);
@@ -384,10 +386,13 @@ impl Worker {
                 infos: report.info_count() as u32,
             });
         }
-        *tracker.borrow_mut() = Some(PointstampTable::initialized(graph, self.peers));
-        let runtime = DataflowRuntime {
+        // Batches that raced ahead of construction apply now.
+        for batch in core.borrow_mut().register(graph, self.peers) {
+            self.record_applied(&batch);
+        }
+        self.dataflows.push(DataflowRuntime {
             id,
-            tracker,
+            core,
             journal,
             ops,
             states,
@@ -395,29 +400,7 @@ impl Worker {
             last_probe: None,
             observer: false,
             last_epoch: 0,
-            defer_count: 0,
-        };
-        // Replay any progress batches that raced ahead of construction.
-        for batch in self.stashed.remove(&id).unwrap_or_default() {
-            {
-                let mut t = runtime.tracker.borrow_mut();
-                // lint-allow(NS0004): the tracker was installed a few
-                // lines up in this same function.
-                t.as_mut()
-                    .expect("tracker just installed")
-                    .apply(batch.updates.iter().copied());
-            }
-            if self.recorder.enabled() {
-                self.recorder.record(TelemetryEvent::ProgressApplied {
-                    dataflow: batch.dataflow,
-                    sender: batch.sender,
-                    seq: batch.seq,
-                    updates: batch.updates.len() as u32,
-                    net: batch.updates.iter().map(|(_, d)| *d).sum(),
-                });
-            }
-        }
-        self.dataflows.push(runtime);
+        });
         (result, report)
     }
 
@@ -606,12 +589,8 @@ impl Worker {
     /// fence's predecessor before sharding state — a still-draining epoch
     /// would make the snapshot miss in-flight records.
     pub fn frontier_closed_through(&self, epoch: u64) -> bool {
-        self.user_dataflows().all(|df| {
-            df.tracker
-                .borrow()
-                .as_ref()
-                .is_none_or(|t| t.closed_through(epoch))
-        })
+        self.user_dataflows()
+            .all(|df| df.core.borrow().table().closed_through(epoch))
     }
 
     /// Steps until [`Worker::frontier_closed_through`] holds for `epoch`:
@@ -768,10 +747,8 @@ impl Worker {
     fn probe_frontiers(&mut self) {
         for runtime in &mut self.dataflows {
             let sample = {
-                let tracker = runtime.tracker.borrow();
-                let Some(tracker) = tracker.as_ref() else {
-                    continue;
-                };
+                let core = runtime.core.borrow();
+                let tracker = core.table();
                 (
                     tracker.active_count() as u32,
                     tracker.input_frontier_epoch(),
@@ -813,12 +790,8 @@ impl Worker {
         let steps = self.steps;
         let mut out = String::new();
         for df in &self.dataflows {
-            let tracker = df.tracker.borrow();
-            // A dataflow whose tracker was never installed has no state
-            // worth dumping (construction raced the dump).
-            let Some(tracker) = tracker.as_ref() else {
-                continue;
-            };
+            let core = df.core.borrow();
+            let tracker = core.table();
             let _ = write!(
                 out,
                 "{{\"w\":{},\"ev\":\"state\",\"step\":{steps},\"df\":{},\"complete\":{},\"active\":{},\"journal\":{}",
@@ -964,12 +937,7 @@ impl Worker {
         let active: u32 = self
             .dataflows
             .iter()
-            .map(|df| {
-                df.tracker
-                    .borrow()
-                    .as_ref()
-                    .map_or(0, |t| t.active_count() as u32)
-            })
+            .map(|df| df.core.borrow().table().active_count() as u32)
             .sum();
         let idle_ms = since.elapsed().as_millis() as u64;
         self.recorder
@@ -996,11 +964,7 @@ impl Worker {
         // dataflow's tracker (monotone per worker, §3.3); once every
         // pointstamp has drained, fall back to the last seen epoch.
         let epoch = if telemetry {
-            let min = self.dataflows[df]
-                .tracker
-                .borrow()
-                .as_ref()
-                .and_then(PointstampTable::min_epoch);
+            let min = self.dataflows[df].core.borrow().table().min_epoch();
             match min {
                 Some(e) => {
                     self.dataflows[df].last_epoch = e;
@@ -1054,13 +1018,10 @@ impl Worker {
             return;
         };
         for op in &runtime.ops {
-            let ready = {
-                let tracker = runtime.tracker.borrow();
-                let Some(tracker) = tracker.as_ref() else {
-                    return;
-                };
-                op.borrow().notify_handle().take_ready(tracker)
-            };
+            let ready = op
+                .borrow()
+                .notify_handle()
+                .take_ready(runtime.core.borrow().table());
             for (time, blocking) in ready {
                 op.borrow_mut().deliver(time);
                 if self.recorder.enabled() {
@@ -1080,104 +1041,52 @@ impl Worker {
         }
     }
 
-    /// Broadcasts this step's journal according to the progress mode
-    /// (§3.3). Local views are fed exclusively by the protocol: this
-    /// worker's own updates come back through its progress inbox like
-    /// everyone else's, put there by the flushing thread for batches that
-    /// stay in the process and by the router for batches that crossed the
-    /// fabric ([`ProgressLinks::send`]).
+    /// Hands this step's journal to the protocol, along the worker's hop
+    /// of the progress mode's topology (§3.3). Local views are fed
+    /// exclusively by the protocol: this worker's own updates come back
+    /// through its progress inbox like everyone else's, put there by the
+    /// flushing thread for batches that stay in the process and by the
+    /// router for batches that crossed the fabric
+    /// ([`ProgressLinks::send`]).
     // lint-allow(NS0004): `df` is the worker's own loop index over
     // `0..self.dataflows.len()`, and the accumulator handle is allocated
     // whenever the progress mode is Local/LocalGlobal (construction
     // invariant in `new`).
     fn flush_progress(&mut self, df: usize) {
-        // Progress-accumulation knob ([`crate::introspect`]): when a
-        // tuner raised the flush threshold, a journal smaller than it may
-        // wait — but only for a bounded number of steps, so liveness is
-        // preserved (idle waits time out back into `step`, which reaches
-        // here again). Threshold 1 (the default) flushes every step,
-        // byte-identical to the untuned runtime.
-        let threshold = self
-            .config
-            .tuning
-            .as_ref()
-            .map_or(1, super::config::TuningKnobs::progress_flush);
-        if threshold > 1 {
-            let len = self.dataflows[df].journal.borrow().len();
-            if len > 0 && len < threshold && self.dataflows[df].defer_count < 8 {
-                self.dataflows[df].defer_count += 1;
-                return;
-            }
-        }
-        self.dataflows[df].defer_count = 0;
         let updates: Vec<ProgressUpdate> =
             std::mem::take(&mut *self.dataflows[df].journal.borrow_mut());
         if updates.is_empty() {
             return;
         }
         let dataflow = self.dataflows[df].id;
-        match self.config.progress_mode {
-            ProgressMode::Broadcast => {
-                // Naive protocol: every update broadcast on its own. The
-                // retry loop runs per destination (not around the fabric's
-                // broadcast) so a transient failure on one link never
-                // re-sends to links that already succeeded — re-delivery
-                // would violate the per-sender FIFO sequence check.
-                let processes = self.config.processes;
-                for update in updates {
-                    let batch = self.emitter.batch(dataflow as u32, vec![update]);
-                    self.recorder.record(TelemetryEvent::ProgressBatchSent {
-                        dataflow: dataflow as u32,
-                        seq: batch.seq,
-                        updates: 1,
-                    });
-                    let bytes: Bytes = encode_to_vec(&batch).into();
-                    for dst in 0..processes {
-                        self.send_progress(dst, PROGRESS_TAG, &bytes);
-                    }
-                }
-            }
-            ProgressMode::Global => {
-                // No local accumulation: per-step batches go straight to
-                // the central accumulator.
-                let batch = self.emitter.batch(dataflow as u32, updates);
-                self.recorder.record(TelemetryEvent::ProgressBatchSent {
-                    dataflow: dataflow as u32,
-                    seq: batch.seq,
-                    updates: batch.updates.len() as u32,
-                });
-                let bytes: Bytes = encode_to_vec(&batch).into();
-                let central = self.central_endpoint();
-                self.send_progress(central, CENTRAL_TAG, &bytes);
-            }
-            ProgressMode::Local | ProgressMode::LocalGlobal => {
-                let acc = self
-                    .accumulator
-                    .as_ref()
-                    .expect("local modes allocate a process accumulator")
-                    .clone();
-                self.recorder.record(TelemetryEvent::ProgressDeposited {
-                    dataflow: dataflow as u32,
-                    updates: updates.len() as u32,
-                });
-                acc.lock().deposit(dataflow, updates);
+        let hop = self.config.progress_mode.hop(Role::Worker);
+        if hop == Hop::OwnAccumulator {
+            let acc = self
+                .accumulator
+                .as_ref()
+                .expect("local modes allocate a process accumulator");
+            self.recorder.record(TelemetryEvent::ProgressDeposited {
+                dataflow: dataflow as u32,
+                updates: updates.len() as u32,
+            });
+            acc.lock().deposit(dataflow, updates);
+            return;
+        }
+        let batches = self.dataflows[df].core.borrow_mut().emit_for(hop, updates);
+        for batch in batches {
+            self.recorder.record(TelemetryEvent::ProgressBatchSent {
+                dataflow: batch.dataflow,
+                seq: batch.seq,
+                updates: batch.updates.len() as u32,
+            });
+            let bytes: Bytes = encode_to_vec(&batch).into();
+            // Escalates a fault the links' retry budget cannot mask.
+            if let Err(err) = self.progress_links.send(hop, &bytes) {
+                let kind = FaultKind::from_send_error(err);
+                self.recorder.record(TelemetryEvent::FaultEscalated { kind });
+                escalate(&self.escalation, kind);
             }
         }
-    }
-
-    /// Sends one progress payload with retry; escalates a fault the retry
-    /// budget cannot mask.
-    fn send_progress(&mut self, dst: usize, tag: u32, bytes: &Bytes) {
-        if let Err(err) = self.progress_links.send(dst, tag, bytes) {
-            let kind = FaultKind::from_send_error(err);
-            self.recorder.record(TelemetryEvent::FaultEscalated { kind });
-            escalate(&self.escalation, kind);
-        }
-    }
-
-    fn central_endpoint(&self) -> usize {
-        // The central accumulator is the extra fabric endpoint.
-        self.config.processes
     }
 
     /// Applies all queued progress batches to the relevant trackers.
@@ -1197,37 +1106,38 @@ impl Worker {
                 bytes.len()
             )
         });
-        // FIFO check per sender (the fabric guarantees it; broken FIFO
-        // would silently corrupt frontiers, so fail loudly).
-        if let Err(violation) = self.fifo.admit(batch.sender, batch.seq) {
+        // A batch can arrive for a dataflow this worker has not built yet
+        // (peers construct concurrently): its core stashes it for
+        // construction rather than dropping counts on the floor.
+        let dataflow = batch.dataflow as usize;
+        let built = self.dataflows.iter().find(|d| d.id == dataflow);
+        let core = match built {
+            Some(runtime) => &runtime.core,
+            None => self
+                .early
+                .entry(dataflow)
+                .or_insert_with(|| new_core(dataflow, self.index)),
+        };
+        // FIFO per sender (the fabric guarantees it; broken FIFO would
+        // silently corrupt frontiers, so fail loudly).
+        if let Err(violation) = core.borrow_mut().apply(&batch) {
             panic!("worker {}: {}", self.index, violation);
         }
-        let dataflow = batch.dataflow as usize;
-        if let Some(runtime) = self.dataflows.iter_mut().find(|d| d.id == dataflow) {
-            {
-                let mut tracker = runtime.tracker.borrow_mut();
-                // lint-allow(NS0004): a dataflow is pushed onto
-                // `self.dataflows` only after its tracker is installed.
-                tracker
-                    .as_mut()
-                    .expect("registered dataflows have trackers")
-                    .apply(batch.updates.iter().copied());
-            }
-            if self.recorder.enabled() {
-                self.recorder.record(TelemetryEvent::ProgressApplied {
-                    dataflow: batch.dataflow,
-                    sender: batch.sender,
-                    seq: batch.seq,
-                    updates: batch.updates.len() as u32,
-                    net: batch.updates.iter().map(|(_, d)| *d).sum(),
-                });
-            }
-        } else {
-            self.stashed.entry(dataflow).or_default().push(batch);
+        if built.is_some() {
+            self.record_applied(&batch);
         }
-        // A batch can arrive for a dataflow this worker has not built yet
-        // (peers construct concurrently). Buffer it for later application
-        // rather than dropping counts on the floor.
+    }
+
+    fn record_applied(&self, batch: &ProgressBatch) {
+        if self.recorder.enabled() {
+            self.recorder.record(TelemetryEvent::ProgressApplied {
+                dataflow: batch.dataflow,
+                sender: batch.sender,
+                seq: batch.seq,
+                updates: batch.updates.len() as u32,
+                net: batch.updates.iter().map(|(_, d)| *d).sum(),
+            });
+        }
     }
 
     fn check_complete(&mut self, df: usize) {
@@ -1237,11 +1147,7 @@ impl Worker {
         if runtime.complete {
             return;
         }
-        let tracker_empty = runtime
-            .tracker
-            .borrow()
-            .as_ref()
-            .is_some_and(|t| t.is_empty());
+        let tracker_empty = runtime.core.borrow().table().is_empty();
         let journal_empty = runtime.journal.borrow().is_empty();
         // The tracker starts with the a-priori input pointstamps, and
         // queued batches and pending blocking notifications all hold

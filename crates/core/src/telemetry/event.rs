@@ -258,9 +258,6 @@ pub enum TelemetryEvent {
 pub enum TuningKnob {
     /// Exchange-channel batch size (records per emitted batch).
     BatchSize,
-    /// Progress-accumulation flush threshold (journal entries below
-    /// which a flush may be deferred for a bounded number of steps).
-    ProgressFlush,
     /// Data-plane credit budget (bytes in flight per credited queue).
     CreditBudget,
     /// Slab-pool resident cap (recycled encode-buffer bytes retained
@@ -273,7 +270,6 @@ impl TuningKnob {
     pub fn name(self) -> &'static str {
         match self {
             TuningKnob::BatchSize => "batch_size",
-            TuningKnob::ProgressFlush => "progress_flush",
             TuningKnob::CreditBudget => "credit_budget",
             TuningKnob::PoolResidentCap => "pool_resident_cap",
         }
@@ -720,7 +716,7 @@ mod tests {
         assert_eq!(ev.dataflow_id(), Some(3));
         let ev = TelemetryEvent::TuningDecision {
             epoch: 1,
-            knob: TuningKnob::ProgressFlush,
+            knob: TuningKnob::BatchSize,
             from: 1,
             to: 2,
         };

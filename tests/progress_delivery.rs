@@ -227,3 +227,123 @@ fn mixed_delivery_is_bit_identical_to_the_single_worker_reference() {
         );
     }
 }
+
+/// Sends this worker's share of `epoch` and moves the input past it.
+fn feed(input: &mut naiad::InputHandle<(u64, u64)>, worker: &naiad::Worker, epoch: u64) {
+    for record in my_share(&inputs()[epoch as usize], worker.index(), worker.peers()) {
+        input.send(record);
+    }
+    input.advance_to(epoch + 1);
+}
+
+/// Two dataflows per worker, the second built while the first is
+/// streaming — and by the last worker only once its peers' first batches
+/// for it have reached that worker, which can then only stash them.
+fn drive_two(worker: &mut naiad::Worker) -> (WorkerRows, WorkerRows) {
+    let late = worker.index() + 1 == worker.peers();
+    let (mut first, first_probe, first_rows) = worker.dataflow(build);
+    feed(&mut first, worker, 0);
+    worker.step_while(|| !first_probe.done_through(0));
+    let mut second = None;
+    if !late {
+        let (mut input, probe, rows) = worker.dataflow(build);
+        feed(&mut input, worker, 0);
+        // The batch retiring the second dataflow's epoch 0 leaves in this
+        // step, before the first dataflow's next one is journaled.
+        worker.step();
+        second = Some((input, probe, rows));
+    }
+    feed(&mut first, worker, 1);
+    // Senders are FIFO, and an input's retirement is held by no
+    // accumulator: when every peer's epoch-1 retirement of the first
+    // dataflow has been applied here, their batches for the second
+    // dataflow arrived before it.
+    worker.step_while(|| !first_probe.done_through(1));
+    let (mut second, second_probe, second_rows) = second.unwrap_or_else(|| {
+        let (mut input, probe, rows) = worker.dataflow(build);
+        feed(&mut input, worker, 0);
+        (input, probe, rows)
+    });
+    for epoch in 1..EPOCHS {
+        feed(&mut second, worker, epoch);
+        // The first dataflow runs one epoch ahead, and so finishes first.
+        let ahead = (epoch + 1).min(EPOCHS - 1);
+        if ahead > epoch {
+            feed(&mut first, worker, ahead);
+        }
+        worker.step_while(|| !second_probe.done_through(epoch) || !first_probe.done_through(ahead));
+    }
+    first.close();
+    second.close();
+    worker.step_until_done();
+    let rows = (first_rows.borrow().clone(), second_rows.borrow().clone());
+    rows
+}
+
+/// Every progress mode on two processes of two workers: both dataflows
+/// equal the single-worker reference, and the late worker applied its
+/// peers' stashed batches when it built the second dataflow.
+#[test]
+fn a_dataflow_built_late_replays_the_batches_that_outran_it() {
+    let reference = reference();
+    let both = |per_worker: Vec<(WorkerRows, WorkerRows)>| {
+        let (first, second): (Vec<_>, Vec<_>) = per_worker.into_iter().unzip();
+        (merge(first), merge(second))
+    };
+    let alone = execute(Config::single_process(1), drive_two).expect("fault-free run");
+    assert_eq!(both(alone), (reference.clone(), reference.clone()));
+    for mode in [
+        ProgressMode::Local,
+        ProgressMode::Broadcast,
+        ProgressMode::LocalGlobal,
+        ProgressMode::Global,
+    ] {
+        let config = Config::processes_and_workers(2, 2)
+            .progress_mode(mode)
+            .telemetry_capacity(1 << 16);
+        let (rows, snapshot) = execute_with_telemetry(config, drive_two).expect("fault-free run");
+        assert_eq!(
+            both(rows),
+            (reference.clone(), reference.clone()),
+            "{mode:?}"
+        );
+
+        // The late worker's log: `(position, dataflow, sender, seq)` of
+        // every batch it applied, and where it built the second dataflow.
+        let events = &snapshot.logs[3].events;
+        let built = events
+            .iter()
+            .position(|r| matches!(r.event, TelemetryEvent::AnalysisReport { dataflow: 1, .. }))
+            .expect("the late worker built the second dataflow");
+        let applied: Vec<_> = events
+            .iter()
+            .enumerate()
+            .filter_map(|(at, r)| match r.event {
+                TelemetryEvent::ProgressApplied {
+                    dataflow,
+                    sender,
+                    seq,
+                    ..
+                } => Some((at, dataflow, sender, seq)),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            applied
+                .iter()
+                .all(|&(at, dataflow, ..)| dataflow == 0 || at > built),
+            "{mode:?}: nothing applies to a dataflow before it is built"
+        );
+        // Accumulators number their batches across dataflows, so a batch
+        // applied after a later one from the same sender sat in the stash.
+        // (Workers, the senders of Broadcast mode, number per dataflow:
+        // there the order of arrival leaves no trace in the log.)
+        let overtaken = applied.iter().any(|&(at, dataflow, sender, seq)| {
+            dataflow == 1
+                && applied
+                    .iter()
+                    .any(|&(before, _, s, later)| before < at && s == sender && later > seq)
+        });
+        assert!(overtaken || mode == ProgressMode::Broadcast, "{mode:?}");
+    }
+}

@@ -433,3 +433,170 @@ fn done_through_is_monotone() {
         }
     }
 }
+
+/// The reference the one-table tracker is checked against: counts in a
+/// map, and every query the all-pairs definition of §2.3 / §3.3 written
+/// out longhand, with the canonical order spelled as a sort key.
+struct Oracle {
+    graph: Arc<LogicalGraph>,
+    counts: std::collections::HashMap<Pointstamp, i64>,
+}
+
+impl Oracle {
+    fn update(&mut self, p: Pointstamp, delta: i64) {
+        *self.counts.entry(p).or_insert(0) += delta;
+    }
+    fn count(&self, p: &Pointstamp) -> i64 {
+        self.counts.get(p).copied().unwrap_or(0)
+    }
+    /// Whether an active pointstamp — `p` itself too, if `or_self` —
+    /// could-result-in `p`.
+    fn reached(&self, p: &Pointstamp, or_self: bool) -> bool {
+        let m = self.graph.summaries();
+        self.counts.iter().any(|(q, &c)| {
+            c > 0
+                && (or_self || q != p)
+                && m.could_result_in(&q.time, q.location, &p.time, p.location)
+        })
+    }
+    fn in_frontier(&self, p: &Pointstamp) -> bool {
+        self.count(p) > 0 && !self.reached(p, false)
+    }
+    fn sort_key(p: &Pointstamp) -> (Location, u64, [u64; naiad::time::MAX_LOOP_DEPTH]) {
+        let mut counters = [0u64; naiad::time::MAX_LOOP_DEPTH];
+        counters[..p.time.depth()].copy_from_slice(p.time.counters.as_slice());
+        (p.location, p.time.epoch, counters)
+    }
+    fn frontier(&self) -> Vec<Pointstamp> {
+        let mut out: Vec<_> = self
+            .counts
+            .keys()
+            .filter(|p| self.in_frontier(p))
+            .copied()
+            .collect();
+        out.sort_by_key(Oracle::sort_key);
+        out
+    }
+    /// §3.3's holding rule for one buffered update against this view.
+    fn covers(&self, p: &Pointstamp, delta: i64) -> bool {
+        (delta > 0 && self.count(p) > 0) || self.reached(p, false)
+    }
+}
+
+/// A handful of depth-correct pointstamps at random vertices *and*
+/// connectors of `graph`, so update sequences revisit them.
+fn gen_pool(graph: &Arc<LogicalGraph>, rng: &mut Xorshift) -> Vec<Pointstamp> {
+    (0..4 + rng.below_usize(8))
+        .map(|_| {
+            let location = if rng.chance(0.5) {
+                Location::Vertex(StageId(rng.below_usize(graph.stages().len())))
+            } else {
+                Location::Edge(naiad::graph::ConnectorId(
+                    rng.below_usize(graph.connectors().len()),
+                ))
+            };
+            let counters: Vec<u64> = (0..graph.location_depth(location))
+                .map(|_| rng.below(3))
+                .collect();
+            Pointstamp {
+                time: Timestamp::with_counters(rng.below(3), &counters),
+                location,
+            }
+        })
+        .collect()
+}
+
+/// A nonzero delta in −2..=2: retirements regularly outrun creations.
+fn gen_delta(rng: &mut Xorshift) -> i64 {
+    [-2, -1, 1, 2][rng.below_usize(4)]
+}
+
+/// The table's three derived queries equal the brute-force oracle after
+/// every update of random sequences with transient negatives.
+#[test]
+fn tracker_queries_match_the_all_pairs_oracle() {
+    let mut rng = Xorshift::new(0xB9);
+    let mut saw_negative = false;
+    for _ in 0..CASES {
+        let graph = gen_graph(&mut rng);
+        let pool = gen_pool(&graph, &mut rng);
+        let mut table = PointstampTable::new(graph.clone());
+        let mut oracle = Oracle {
+            graph,
+            counts: Default::default(),
+        };
+        for _ in 0..40 {
+            let (p, delta) = (pool[rng.below_usize(pool.len())], gen_delta(&mut rng));
+            table.update(p, delta);
+            oracle.update(p, delta);
+            saw_negative |= oracle.count(&p) < 0;
+            for q in &pool {
+                assert_eq!(table.occurrence(q), oracle.count(q));
+                assert_eq!(
+                    table.in_frontier(q),
+                    oracle.in_frontier(q),
+                    "in_frontier({q:?})"
+                );
+                assert_eq!(
+                    table.done_through(&q.time, q.location),
+                    !oracle.reached(q, true),
+                    "done_through({q:?})"
+                );
+            }
+            assert_eq!(table.frontier(), oracle.frontier());
+            assert_eq!(table.is_empty(), oracle.counts.values().all(|&c| c == 0));
+        }
+    }
+    assert!(saw_negative, "the sequences never drove a count negative");
+}
+
+/// The accumulator holds or flushes exactly when the oracle's holding
+/// rule says, flushes exactly the combined buffer in canonical order,
+/// and keeps its view in step (flushes fold, observations refine).
+#[test]
+fn accumulator_decisions_match_the_all_pairs_oracle() {
+    let mut rng = Xorshift::new(0xBA);
+    let (mut held, mut flushed) = (0, 0);
+    for _ in 0..CASES {
+        let graph = gen_graph(&mut rng);
+        let pool = gen_pool(&graph, &mut rng);
+        let mut acc = Accumulator::new(graph.clone(), 2);
+        let mut view = Oracle {
+            graph: graph.clone(),
+            counts: Default::default(),
+        };
+        for stage in graph.input_stages() {
+            view.update(Pointstamp::at_vertex(Timestamp::new(0), stage), 2);
+        }
+        let mut buffer: std::collections::HashMap<Pointstamp, i64> = Default::default();
+        for _ in 0..40 {
+            let update = (pool[rng.below_usize(pool.len())], gen_delta(&mut rng));
+            let got = if rng.chance(0.7) {
+                *buffer.entry(update.0).or_insert(0) += update.1;
+                acc.deposit([update])
+            } else {
+                view.update(update.0, update.1);
+                acc.observe(&[update])
+            };
+            buffer.retain(|_, d| *d != 0);
+            let expected = if buffer.iter().all(|(p, &d)| view.covers(p, d)) {
+                None
+            } else {
+                let mut out: Vec<_> = buffer.drain().collect();
+                out.sort_by_key(|(p, d)| (*d < 0, Oracle::sort_key(p)));
+                for &(p, d) in &out {
+                    view.update(p, d);
+                }
+                Some(out)
+            };
+            held += usize::from(expected.is_none() && !buffer.is_empty());
+            flushed += usize::from(expected.is_some());
+            assert_eq!(got, expected);
+            assert_eq!(acc.buffered_len(), buffer.len());
+        }
+    }
+    assert!(
+        held > 50 && flushed > 50,
+        "both decisions exercised: {held} held, {flushed} flushed"
+    );
+}
