@@ -111,18 +111,8 @@ impl<D: Wire> Message<D> {
         let mut input = bytes;
         let time = Timestamp::decode(&mut input)?;
         let len = usize::decode(&mut input)?;
-        if len > input.len() {
-            // Sound bound: every element encodes to at least one byte.
-            return Err(WireError::LengthOverrun {
-                declared: len,
-                remaining: input.len(),
-            });
-        }
         data.clear();
-        data.reserve(len);
-        for _ in 0..len {
-            data.push(D::decode(&mut input)?);
-        }
+        D::decode_batch(&mut input, len, &mut data)?;
         if !input.is_empty() {
             return Err(WireError::TrailingBytes(input.len()));
         }
@@ -310,6 +300,21 @@ pub(crate) type Journal = Rc<std::cell::RefCell<Vec<ProgressUpdate>>>;
 /// Appends an occurrence-count delta to the journal.
 pub(crate) fn journal_update(journal: &Journal, p: Pointstamp, delta: i64) {
     journal.borrow_mut().push((p, delta));
+}
+
+/// The routing rule of every exchange (§3.1): the worker, of `peers`,
+/// that owns a record whose partitioning function returned `hash`. Equal
+/// to `hash % peers` for every input; live routing and the rescale shard
+/// cut both call it, so the two cannot disagree. A mask when `peers` is a
+/// power of two keeps the division out of the per-record loop.
+#[inline]
+pub(crate) fn partition(hash: u64, peers: usize) -> usize {
+    let peers = peers as u64;
+    if peers.is_power_of_two() {
+        (hash & (peers - 1)) as usize
+    } else {
+        (hash % peers) as usize
+    }
 }
 
 /// The partitioning contract of a connector (§3.1).
@@ -535,7 +540,7 @@ impl<D: ExchangeData> Pusher<D> {
                 }
             }
             Pact::Exchange(f) => {
-                let dst = (f(&record) % self.routes.len() as u64) as usize;
+                let dst = partition(f(&record), self.routes.len());
                 self.buffers[dst].push(record);
                 if self.buffers[dst].len() >= limit {
                     self.emit(dst, time);
@@ -587,9 +592,9 @@ impl<D: ExchangeData> Pusher<D> {
             }
             Pact::Exchange(f) => {
                 let f = f.clone();
-                let n = self.routes.len() as u64;
+                let peers = self.routes.len();
                 for record in batch.drain(..) {
-                    let dst = (f(&record) % n) as usize;
+                    let dst = partition(f(&record), peers);
                     self.buffers[dst].push(record);
                     if self.buffers[dst].len() >= limit {
                         self.emit(dst, time);
@@ -1246,6 +1251,64 @@ mod tests {
         let rx = reg.receiver::<Message<u64>>(ChannelKey::Data(0, 0, 1));
         assert!(rx.try_recv().is_some());
         assert!(rx.try_recv().is_none());
+    }
+
+    #[test]
+    fn partition_is_the_remainder_for_every_peer_count() {
+        let mut rng = naiad_rng::Xorshift::new(0x9A);
+        let mut hashes: Vec<u64> = (0..512).map(|_| rng.next_u64()).collect();
+        hashes.extend([0, 1, 63, 64, 126, 127, 128, u64::MAX - 1, u64::MAX]);
+        hashes.extend((0..64).flat_map(|bit| [1u64 << bit, (1u64 << bit).wrapping_sub(1)]));
+        for peers in (1..=9).chain([64, 127]) {
+            for &hash in &hashes {
+                assert_eq!(
+                    partition(hash, peers) as u64,
+                    hash % peers as u64,
+                    "hash {hash:#x}, {peers} peers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn integer_batches_decode_into_the_recycled_container() {
+        let m = Message {
+            time: Timestamp::with_counters(3, &[1]),
+            data: vec![7u64, u64::MAX, 0, 1 << 40],
+        };
+        let bytes = encode_to_vec(&m);
+        assert_eq!(bytes.len(), m.encoded_len());
+        // time, length, one width byte, then eight bytes a key.
+        assert_eq!(bytes.len(), m.time.encoded_len() + 1 + 1 + 4 * 8);
+        let mut spare = Vec::with_capacity(64);
+        spare.extend([9u64; 10]);
+        let storage = spare.as_ptr();
+        let back = Message::decode_into(&bytes, spare).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.data.as_ptr(), storage, "container storage reused");
+        assert_eq!(
+            naiad_wire::decode_from_slice::<Message<u64>>(&bytes).unwrap(),
+            m
+        );
+
+        // A hostile frame is a typed error, whatever it claims to hold.
+        let header = m.time.encoded_len() + 1;
+        let mut bad_width = bytes.clone();
+        bad_width[header] = 3;
+        assert_eq!(
+            Message::<u64>::decode_into(&bad_width, Vec::new()),
+            Err(WireError::InvalidTag(3))
+        );
+        assert!(matches!(
+            Message::<u64>::decode_into(&bytes[..bytes.len() - 1], Vec::new()),
+            Err(WireError::LengthOverrun { .. })
+        ));
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert_eq!(
+            Message::<u64>::decode_into(&trailing, Vec::new()),
+            Err(WireError::TrailingBytes(1))
+        );
     }
 
     #[test]

@@ -22,8 +22,10 @@ const BLOB_MAGIC: [u8; 4] = *b"NCKP";
 /// Current sealed-blob format version. Version 2 embeds the worker count
 /// that took the snapshot, so restoring under a different membership is a
 /// typed [`RestoreError::PartitionCountMismatch`] instead of a silent
-/// wrong-routing hazard.
-const BLOB_VERSION: u16 = 2;
+/// wrong-routing hazard. Version 3 follows the wire codec's change of
+/// `Vec<integer>` layout to a width-packed column: state and logged input
+/// holding one would mis-decode from a version-2 payload.
+const BLOB_VERSION: u16 = 3;
 /// Sealed-blob header length: magic + version + payload length + checksum.
 const BLOB_HEADER_LEN: usize = 4 + 2 + 8 + 8;
 
@@ -198,8 +200,8 @@ impl<T: naiad_wire::Wire> Checkpoint for T {
 ///
 /// `export_part`/`absorb_part` split and re-merge the state along the
 /// exchange partitioning: entry `k` belongs to partition
-/// `route(k) % parts`, exactly mirroring the runtime's
-/// `Pact::Exchange` routing (`hash % peers`). Because partitions are
+/// `route(k) % parts`, computed by the very function `Pact::Exchange`
+/// routes records with (`channels::partition`). Because partitions are
 /// disjoint by construction, absorbing every old worker's part `p`
 /// rebuilds precisely the state new worker `p` owns under the new
 /// membership.
@@ -278,7 +280,7 @@ where
         // though `HashMap` iteration order is not.
         let mut entries: Vec<(Vec<u8>, Vec<u8>)> = map
             .iter()
-            .filter(|(k, _)| ((self.route)(k) % parts as u64) as usize == part)
+            .filter(|(k, _)| super::channels::partition((self.route)(k), parts) == part)
             .map(|(k, v)| {
                 let mut kb = Vec::new();
                 k.encode(&mut kb);

@@ -8,7 +8,7 @@ use std::rc::Rc;
 use naiad::dataflow::{InputPort, OutputPort};
 use naiad::progress::ProgressMode;
 use naiad::runtime::Pact;
-use naiad::{execute, Config, Timestamp};
+use naiad::{execute, Config, ExchangeData, Timestamp};
 
 /// Doubles every record on one worker; checks epoch grouping.
 #[test]
@@ -117,6 +117,109 @@ fn multi_process_exchange() {
         let expect: u64 = (0..100).map(|i| i * 4 + w as u64).sum();
         assert_eq!(*sum, expect, "worker {w} got the wrong partition");
     }
+}
+
+/// Feeds `epochs[e]` at epoch `e` — each worker its share — through one
+/// exchange and returns what arrived, per epoch, in a canonical order.
+fn exchange_keys<K>(config: Config, epochs: &[Vec<K>], hash: fn(&K) -> u64) -> Vec<(u64, Vec<K>)>
+where
+    K: ExchangeData + Ord + Sync,
+{
+    let count = epochs.len();
+    let epochs = std::sync::Arc::new(epochs.to_vec());
+    let results = execute(config, move |worker| {
+        let (mut input, captured) = worker.dataflow(|scope| {
+            let (input, stream) = scope.new_input::<K>();
+            let routed = stream.unary(Pact::exchange(hash), "Route", |_info| {
+                |input: &mut InputPort<K>, output: &mut OutputPort<K>| {
+                    input.for_each(|time, data| output.session(time).give_vec(data));
+                }
+            });
+            (input, routed.capture())
+        });
+        for (e, keys) in epochs.iter().enumerate() {
+            input.send_batch(
+                keys.iter()
+                    .skip(worker.index())
+                    .step_by(worker.peers())
+                    .cloned(),
+            );
+            input.advance_to(e as u64 + 1);
+        }
+        input.close();
+        worker.step_until_done();
+        let result = captured.borrow().clone();
+        result
+    })
+    .unwrap();
+    let mut merged = vec![Vec::new(); count];
+    for (epoch, data) in results.into_iter().flatten() {
+        merged[epoch as usize].extend(data);
+    }
+    merged
+        .into_iter()
+        .enumerate()
+        .map(|(e, mut keys)| {
+            keys.sort();
+            (e as u64, keys)
+        })
+        .collect()
+}
+
+/// Integer keys cross processes as width-packed columns. Whatever width
+/// an epoch's batches pack to — one byte, the type's full width, or one
+/// wide key among narrow ones — two processes × two workers deliver
+/// exactly the keys one worker, which never encodes, delivers.
+#[test]
+fn integer_keys_cross_processes_bit_identically() {
+    fn check<K: ExchangeData + Ord + Sync + std::fmt::Debug>(
+        epochs: &[Vec<K>],
+        hash: fn(&K) -> u64,
+    ) {
+        let reference = exchange_keys(Config::single_process(1), epochs, hash);
+        let ours = exchange_keys(Config::processes_and_workers(2, 2), epochs, hash);
+        assert_eq!(ours, reference);
+        assert!(reference.iter().all(|(_, keys)| !keys.is_empty()));
+    }
+    let mut rng = naiad_rng::Xorshift::new(0x6A);
+    let mut random = |n: usize| -> Vec<u64> { (0..n).map(|_| rng.next_u64()).collect() };
+    let wide = random(4096);
+    check::<u64>(
+        &[
+            (0..300).collect(),
+            vec![
+                0xff,
+                0x100,
+                0xffff,
+                0x1_0000,
+                0xffff_ffff,
+                0x1_0000_0000,
+                u64::MAX,
+                0,
+            ],
+            (0..2000)
+                .map(|i| if i == 1234 { u64::MAX - 1 } else { i % 7 })
+                .collect(),
+            wide.clone(),
+        ],
+        |k| *k,
+    );
+    check::<i64>(
+        &[
+            (-150..150).collect(),
+            vec![i64::MIN, i64::MAX, -1, 0, 1, -129, 128, i64::from(i32::MIN)],
+            wide.iter().map(|&k| k as i64).collect(),
+        ],
+        |k| *k as u64,
+    );
+    check::<u32>(
+        &[
+            (0..300).collect(),
+            vec![0xff, 0x100, 0xffff, 0x1_0000, u32::MAX, 0],
+            wide.iter().map(|&k| k as u32).collect(),
+        ],
+        |k| u64::from(*k),
+    );
 }
 
 /// The Figure 4 vertex: distinct records emitted from OnRecv, counts from

@@ -48,21 +48,16 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         varint::encode_u64(self.len() as u64, buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_batch(self, buf);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let len = usize::decode(input)?;
-        check_len(len, input.len(), 1)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(input)?);
-        }
+        let mut out = Vec::new();
+        T::decode_batch(input, len, &mut out)?;
         Ok(out)
     }
     fn encoded_len(&self) -> usize {
-        varint::len_u64(self.len() as u64) + self.iter().map(Wire::encoded_len).sum::<usize>()
+        varint::len_u64(self.len() as u64) + T::batch_len(self)
     }
 }
 
@@ -198,8 +193,11 @@ mod tests {
     fn length_overrun_is_rejected_without_allocation() {
         let mut bytes = Vec::new();
         varint::encode_u64(u32::MAX as u64, &mut bytes);
-        bytes.push(7);
+        bytes.extend_from_slice(&[8, 7]); // column width 8, then one byte
         let err = decode_from_slice::<Vec<u64>>(&bytes).unwrap_err();
+        assert!(matches!(err, WireError::LengthOverrun { .. }));
+        // Row-major element types take the same check.
+        let err = decode_from_slice::<Vec<bool>>(&bytes).unwrap_err();
         assert!(matches!(err, WireError::LengthOverrun { .. }));
     }
 

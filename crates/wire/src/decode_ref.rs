@@ -13,9 +13,10 @@
 //! * `&'a str` is the borrowed view of `String` framing,
 //! * `&'a [u8]` is the borrowed view of the same length-prefixed raw-byte
 //!   framing (`String` without the UTF-8 check) — note this is *not* the
-//!   `Vec<u8>` encoding, which varint-encodes each element,
+//!   `Vec<u8>` encoding, which puts a column-width byte after the length,
 //! * [`SeqView`] is the borrowed view of `Vec<T>` framing: it holds the
-//!   element bytes and decodes elements lazily on iteration,
+//!   batch bytes — elements back to back, or a width-packed integer
+//!   column — and decodes elements lazily on iteration,
 //! * tuples and `Option` concatenate views just like their owned duals.
 //!
 //! Borrowed and owned decode of the same frame must agree; the property
@@ -38,6 +39,28 @@ pub trait WireRef<'a>: Sized {
     /// Returns an error if the input is truncated or malformed; `input`
     /// is left in an unspecified position on error.
     fn decode_ref(input: &mut &'a [u8]) -> Result<Self, WireError>;
+
+    /// Reads whatever header the batch layout of `len` elements carries
+    /// ([`Wire::encode_batch`]) and returns the fixed element width it
+    /// declares, or 0 when elements delimit themselves. Like
+    /// [`Wire::decode_batch`] it bounds `len` by the bytes present.
+    #[inline]
+    fn batch_width(input: &mut &'a [u8], len: usize) -> Result<usize, WireError> {
+        if len > input.len() {
+            // Cheapest sound bound: every element is at least one byte.
+            return Err(WireError::LengthOverrun {
+                declared: len,
+                remaining: input.len(),
+            });
+        }
+        Ok(0)
+    }
+
+    /// Decodes the next element of a batch whose header declared `width`.
+    #[inline]
+    fn decode_ref_in_batch(input: &mut &'a [u8], _width: usize) -> Result<Self, WireError> {
+        Self::decode_ref(input)
+    }
 }
 
 /// Decodes a borrowed view from a slice, requiring every byte be consumed.
@@ -50,7 +73,8 @@ pub fn decode_ref_from_slice<'a, T: WireRef<'a>>(mut input: &'a [u8]) -> Result<
     }
 }
 
-/// Scalars have no payload to borrow; the view *is* the value.
+/// Scalars have no payload to borrow; the view *is* the value. (The
+/// integers' impls sit with their column layout in `primitives.rs`.)
 macro_rules! wire_ref_by_value {
     ($($t:ty),* $(,)?) => {$(
         impl<'a> WireRef<'a> for $t {
@@ -61,7 +85,7 @@ macro_rules! wire_ref_by_value {
     )*};
 }
 
-wire_ref_by_value!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, bool, f32, f64, char, ());
+wire_ref_by_value!(bool, f32, f64, char, ());
 
 impl<'a> WireRef<'a> for &'a str {
     fn decode_ref(input: &mut &'a [u8]) -> Result<Self, WireError> {
@@ -119,8 +143,8 @@ wire_ref_tuple! {
 }
 
 /// A lazy, borrowed view of `Vec<T>` framing: the element count plus the
-/// raw bytes of the elements, decoded one at a time on iteration instead
-/// of materialized up front.
+/// raw bytes of the batch, decoded one element at a time on iteration
+/// instead of materialized up front.
 ///
 /// [`WireRef::decode_ref`] must honor the concatenation law — a view
 /// consumes exactly its value's bytes — so constructing a `SeqView` in
@@ -130,6 +154,8 @@ wire_ref_tuple! {
 /// iterator then reports any malformed element lazily.
 pub struct SeqView<'a, T> {
     len: usize,
+    /// What [`WireRef::batch_width`] read off the batch header.
+    width: usize,
     bytes: &'a [u8],
     _marker: PhantomData<fn() -> T>,
 }
@@ -150,15 +176,10 @@ impl<'a, T: WireRef<'a>> SeqView<'a, T> {
     /// during iteration rather than here.
     pub fn tail(mut input: &'a [u8]) -> Result<Self, WireError> {
         let len = usize::decode(&mut input)?;
-        if len > input.len() {
-            // Cheapest sound bound: every element is at least one byte.
-            return Err(WireError::LengthOverrun {
-                declared: len,
-                remaining: input.len(),
-            });
-        }
+        let width = T::batch_width(&mut input, len)?;
         Ok(SeqView {
             len,
+            width,
             bytes: input,
             _marker: PhantomData,
         })
@@ -184,7 +205,7 @@ impl<'a, T: WireRef<'a>> SeqView<'a, T> {
     pub fn try_for_each(&self, mut f: impl FnMut(T)) -> Result<(), WireError> {
         let mut rest = self.bytes;
         for _ in 0..self.len {
-            f(T::decode_ref(&mut rest)?);
+            f(T::decode_ref_in_batch(&mut rest, self.width)?);
         }
         Ok(())
     }
@@ -196,6 +217,7 @@ impl<'a, T: WireRef<'a>> SeqView<'a, T> {
     pub fn iter(&self) -> SeqViewIter<'a, T> {
         SeqViewIter {
             remaining: self.len,
+            width: self.width,
             rest: self.bytes,
             _marker: PhantomData,
         }
@@ -205,15 +227,17 @@ impl<'a, T: WireRef<'a>> SeqView<'a, T> {
 impl<'a, T: WireRef<'a>> WireRef<'a> for SeqView<'a, T> {
     fn decode_ref(input: &mut &'a [u8]) -> Result<Self, WireError> {
         let len = usize::decode(input)?;
+        let width = T::batch_width(input, len)?;
         // Walk the elements once to find the frame boundary; this both
         // validates them and lets the view consume exactly its bytes.
         let start = *input;
         for _ in 0..len {
-            T::decode_ref(input)?;
+            T::decode_ref_in_batch(input, width)?;
         }
         let consumed = start.len() - input.len();
         Ok(SeqView {
             len,
+            width,
             bytes: &start[..consumed],
             _marker: PhantomData,
         })
@@ -231,6 +255,7 @@ impl<'a, T: WireRef<'a>> IntoIterator for &SeqView<'a, T> {
 /// Iterator over a [`SeqView`], decoding one element per step.
 pub struct SeqViewIter<'a, T> {
     remaining: usize,
+    width: usize,
     rest: &'a [u8],
     _marker: PhantomData<fn() -> T>,
 }
@@ -243,7 +268,7 @@ impl<'a, T: WireRef<'a>> Iterator for SeqViewIter<'a, T> {
             return None;
         }
         self.remaining -= 1;
-        match T::decode_ref(&mut self.rest) {
+        match T::decode_ref_in_batch(&mut self.rest, self.width) {
             Ok(item) => Some(Ok(item)),
             Err(e) => {
                 // Poisoned: stop after reporting the malformed element.
@@ -341,8 +366,10 @@ mod tests {
         // construction, not iteration.
         let mut frame = Vec::new();
         varint::encode_u64(2, &mut frame); // two elements promised
-        varint::encode_u64(1, &mut frame); // only one present
-        let r = decode_ref_from_slice::<(SeqView<'_, u64>, u8)>(&frame);
+        String::from("ok").encode(&mut frame);
+        varint::encode_u64(40, &mut frame); // claims 40 bytes, one follows
+        frame.push(7);
+        let r = decode_ref_from_slice::<(SeqView<'_, &str>, u8)>(&frame);
         assert!(r.is_err());
     }
 
@@ -370,9 +397,13 @@ mod tests {
     fn tail_rejects_absurd_lengths() {
         let mut bad = Vec::new();
         varint::encode_u64(1_000_000, &mut bad);
-        bad.push(0);
+        bad.push(1); // as a column: width 1, no values
         assert!(matches!(
             SeqView::<'_, u64>::tail(&bad),
+            Err(WireError::LengthOverrun { .. })
+        ));
+        assert!(matches!(
+            SeqView::<'_, &str>::tail(&bad),
             Err(WireError::LengthOverrun { .. })
         ));
     }

@@ -12,7 +12,13 @@
 //! * unsigned integers use LEB128 variable-length encoding ([`varint`]),
 //! * signed integers are zigzag-mapped to unsigned first,
 //! * floating-point values are little-endian IEEE-754 bit patterns,
-//! * sequences are a varint length followed by the elements,
+//! * sequences are a varint length followed by the element type's *batch
+//!   layout* ([`Wire::encode_batch`]): by default the elements back to
+//!   back, each encoded as above,
+//! * a batch of integers is instead a width-packed column: one header byte
+//!   `w ∈ {1, 2, 4, 8}` — the narrowest width that holds the bitwise OR of
+//!   the (zigzag-mapped, if signed) values — then every value as `w`
+//!   little-endian bytes,
 //! * tuples and `Option` concatenate their parts (with a one-byte tag for
 //!   `Option`).
 //!
@@ -71,6 +77,46 @@ pub trait Wire: Sized {
         let mut buf = Vec::new();
         self.encode(&mut buf);
         buf.len()
+    }
+
+    /// Appends the batch layout of `items` to `buf`: what follows the
+    /// length prefix of a `Vec<Self>`, and of every data-plane message.
+    ///
+    /// The default is the elements back to back. Integer types override
+    /// the three batch hooks together with a width-packed column, so a
+    /// whole batch is written and read in one pass each.
+    #[inline]
+    fn encode_batch(items: &[Self], buf: &mut Vec<u8>) {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    /// Decodes the batch layout of `len` elements from the front of
+    /// `input`, appending them to `out` (whose storage callers recycle).
+    ///
+    /// `len` comes off the wire: implementations must check it against
+    /// the bytes actually present before reserving anything.
+    #[inline]
+    fn decode_batch(input: &mut &[u8], len: usize, out: &mut Vec<Self>) -> Result<(), WireError> {
+        if len > input.len() {
+            // Sound bound: every element encodes to at least one byte.
+            return Err(WireError::LengthOverrun {
+                declared: len,
+                remaining: input.len(),
+            });
+        }
+        out.reserve(len);
+        for _ in 0..len {
+            out.push(Self::decode(input)?);
+        }
+        Ok(())
+    }
+
+    /// The number of bytes [`Wire::encode_batch`] would append.
+    #[inline]
+    fn batch_len(items: &[Self]) -> usize {
+        items.iter().map(Wire::encoded_len).sum()
     }
 }
 

@@ -9,6 +9,9 @@
 //!    decoder (owned and borrowed) fail cleanly or round-trip.
 //! 4. **Varint boundaries** — exact widths at every 7-bit threshold,
 //!    overflow and truncation rejection, zigzag involution.
+//! 5. **Integer columns** — a batch of integers is packed at the narrowest
+//!    of 1/2/4/8 bytes that holds it, at every width boundary, and laws
+//!    1–3 hold for that layout too.
 //!
 //! Deterministic seeded generation (`naiad-rng`) stands in for an
 //! external property-testing framework: each case fixes a seed, so any
@@ -98,6 +101,8 @@ fn every_impl_is_prefix_free_under_truncation() {
         prefix_law(&f64::from_bits(rng.next_u64()));
         prefix_law(&gen_string(&mut rng));
         prefix_law(&gen_vec(&mut rng, gen_u64));
+        prefix_law(&gen_vec(&mut rng, |rng| gen_u64(rng) as u8));
+        prefix_law(&gen_vec(&mut rng, |rng| gen_u64(rng) as i32));
         prefix_law(&gen_vec(&mut rng, gen_string));
         prefix_law(&if rng.chance(0.5) {
             Some(gen_string(&mut rng))
@@ -203,6 +208,8 @@ fn hostile_bytes_never_panic_any_decoder() {
         let _ = decode_from_slice::<KeyedBatch<u64>>(&bytes);
         let _ = decode_from_slice::<char>(&bytes);
         let _ = decode_from_slice::<[u16; 3]>(&bytes);
+        let _ = decode_from_slice::<Vec<u64>>(&bytes);
+        let _ = decode_from_slice::<(Vec<i16>, Vec<u8>)>(&bytes);
         // Borrowed decoders — including the lazy iterators, which must
         // surface corruption as `Err` items, not panics.
         let _ = decode_ref_from_slice::<&str>(&bytes);
@@ -217,7 +224,151 @@ fn hostile_bytes_never_panic_any_decoder() {
                 let _ = row;
             }
         }
+        if let Ok(view) = SeqView::<i32>::tail(&bytes) {
+            for item in view.iter() {
+                let _ = item;
+            }
+        }
     }
+}
+
+/// Law 5 for one batch: it encodes as length, one width byte and
+/// `len × width` bytes; it round-trips; no prefix decodes; and a
+/// `SeqView` — built mid-frame or with `tail` — reads the same values.
+fn column_law<T>(items: &[T], width: usize)
+where
+    T: Wire + Copy + PartialEq + std::fmt::Debug + for<'a> WireRef<'a>,
+{
+    let items = items.to_vec();
+    let bytes = encode_to_vec(&items);
+    let header = len_u64(items.len() as u64) + 1;
+    assert_eq!(bytes.len(), header + items.len() * width, "{items:?}");
+    assert_eq!(usize::from(bytes[header - 1]), width, "{items:?}");
+    assert_eq!(decode_from_slice::<Vec<T>>(&bytes).unwrap(), items);
+    prefix_law(&items);
+
+    let framed = encode_to_vec(&(items.clone(), 7u8));
+    let (view, after): (SeqView<T>, u8) = decode_ref_from_slice(&framed).unwrap();
+    assert_eq!(after, 7);
+    assert_eq!(view.iter().collect::<Result<Vec<T>, _>>().unwrap(), items);
+    let mut seen = Vec::new();
+    SeqView::<T>::tail(&bytes)
+        .unwrap()
+        .try_for_each(|item| seen.push(item))
+        .unwrap();
+    assert_eq!(seen, items);
+}
+
+#[test]
+fn integer_columns_pack_at_the_narrowest_width_that_holds_the_batch() {
+    // Unsigned: the width steps exactly at 2⁸, 2¹⁶ and 2³².
+    for (value, width) in [
+        (0u64, 1),
+        (0xff, 1),
+        (0x100, 2),
+        (0x101, 2),
+        (0xffff, 2),
+        (0x1_0000, 4),
+        (0x1_0001, 4),
+        (0xffff_ffff, 4),
+        (0x1_0000_0000, 8),
+        (0x1_0000_0001, 8),
+        (u64::MAX, 8),
+    ] {
+        column_law(&[value], width);
+        column_law(&[value as usize], width);
+        // One wide value among narrow ones sets the width of all.
+        column_law(&[1, 2, value, 3], width);
+    }
+    column_law::<u64>(&[], 1);
+    column_law(&[0u8, u8::MAX], 1);
+    column_law(&[0xffu16, 0x100], 2);
+    column_law(&[0xffffu32, 0x1_0001], 4);
+    // Signed values are zigzag-mapped first, so the steps sit at ±2⁷,
+    // ±2¹⁵ and ±2³¹, and each type's extremes fill its own width.
+    for (value, width) in [
+        (0i64, 1),
+        (-1, 1),
+        (127, 1),
+        (-128, 1),
+        (128, 2),
+        (-129, 2),
+        (i64::from(i16::MAX), 2),
+        (i64::from(i16::MIN), 2),
+        (i64::from(i16::MAX) + 1, 4),
+        (i64::from(i32::MIN), 4),
+        (i64::from(i32::MAX) + 1, 8),
+        (i64::MIN, 8),
+        (i64::MAX, 8),
+    ] {
+        column_law(&[value], width);
+        column_law(&[value as isize], width);
+        column_law(&[-1, value, 1], width);
+    }
+    column_law::<i64>(&[], 1);
+    column_law(&[i8::MIN, i8::MAX], 1);
+    column_law(&[i16::MIN, i16::MAX], 2);
+    column_law(&[i32::MIN, i32::MAX], 4);
+
+    // Random batches: the width is that of the widest member.
+    let mut rng = Xorshift::new(0xE5);
+    for _ in 0..CASES {
+        let items = gen_vec(&mut rng, gen_u64);
+        let widest = items.iter().copied().max().unwrap_or(0);
+        let width = [1, 2, 4].into_iter().find(|w| widest >> (8 * w) == 0);
+        column_law(&items, width.unwrap_or(8));
+        let signed: Vec<i64> = items.iter().map(|&v| unzigzag(v)).collect();
+        column_law(&signed, width.unwrap_or(8));
+    }
+
+    // Fig 6a's case: uniform 64-bit keys cost eight bytes each plus a
+    // constant — where per-key varints cost ~9.5.
+    let keys: Vec<u64> = (0..1024).map(|_| rng.next_u64()).collect();
+    assert!(encode_to_vec(&keys).len() <= 8 * 1024 + 4);
+}
+
+#[test]
+fn hostile_column_headers_are_refused_before_anything_is_reserved() {
+    fn refused<T: Wire>(frame: &[u8], len: usize) -> WireError {
+        let mut out = Vec::<T>::new();
+        let err = T::decode_batch(&mut &frame[..], len, &mut out).unwrap_err();
+        assert_eq!(out.capacity(), 0, "reserved for a refused column");
+        err
+    }
+    // A width byte no encoder writes.
+    for width in [0u8, 3, 5, 6, 7, 9, 16, 0x80, 0xff] {
+        let frame = [width, 1, 2, 3, 4, 5, 6, 7, 8, 9];
+        assert_eq!(refused::<u64>(&frame, 1), WireError::InvalidTag(width));
+        assert_eq!(refused::<i8>(&frame, 1), WireError::InvalidTag(width));
+    }
+    // A legal width the element type cannot hold.
+    assert_eq!(refused::<u8>(&[2, 0, 1], 1), WireError::VarintOverflow);
+    assert_eq!(refused::<i32>(&[8; 9], 1), WireError::VarintOverflow);
+    // `len × width` overrunning the input, by one byte or by overflow.
+    for len in [2, usize::MAX / 8 + 1, usize::MAX] {
+        let frame = [8u8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+        assert!(matches!(
+            refused::<u64>(&frame, len),
+            WireError::LengthOverrun { declared, remaining: 15 } if declared == len
+        ));
+    }
+    assert_eq!(refused::<u64>(&[], 0), WireError::UnexpectedEof);
+    // The same headers reach `Vec` and `SeqView` through the length prefix.
+    let mut frame = Vec::new();
+    encode_u64(u64::MAX >> 1, &mut frame);
+    frame.extend_from_slice(&[8, 0, 0, 0, 0, 0, 0, 0, 0]);
+    assert!(matches!(
+        decode_from_slice::<Vec<u64>>(&frame),
+        Err(WireError::LengthOverrun { .. })
+    ));
+    assert!(matches!(
+        SeqView::<u64>::tail(&frame),
+        Err(WireError::LengthOverrun { .. })
+    ));
+    assert!(matches!(
+        decode_ref_from_slice::<SeqView<u64>>(&frame),
+        Err(WireError::LengthOverrun { .. })
+    ));
 }
 
 #[test]

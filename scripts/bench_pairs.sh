@@ -1,0 +1,120 @@
+#!/usr/bin/env bash
+# Paired before/after measurement with the repo's benchmark
+# (choosing-metrics §8): the parent revision and this checkout run
+# BENCHMARK.json's command in turn, the side that goes first alternating,
+# a fresh seed per pair, and each end-to-end metric is reported as both
+# sides' q1 / median / q3, the ratio of the medians, and the pairs the
+# change won. Run it on an otherwise idle box: with 2 vCPUs a concurrent
+# build reads as a regression.
+#
+#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs=10]
+#
+# The parent is exported with `git archive` into a temporary directory
+# (under $TMPDIR), not a `git worktree`: the benchmark is specified on a
+# plain checkout, and nothing is left registered in .git. This script
+# reads BENCHMARK.json; it writes nothing inside the repository except
+# the change side's usual build output.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -lt 2 ]; then
+  sed -n '2,16p' "$0"
+  exit 2
+fi
+parent_rev=$1
+workload=$2
+pairs=${3:-10}
+
+# Each side builds into the target directory of its own checkout.
+unset CARGO_TARGET_DIR
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/parent"
+git archive "$parent_rev" | tar -x -C "$work/parent"
+
+mapfile -t command < <(python3 -c '
+import json
+for word in json.load(open("BENCHMARK.json"))["command"]:
+    print(word)')
+seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+
+# One run: prints the benchmark's result line (its last line of stdout).
+# A run with a failed operation exits non-zero and still reports.
+run_side() { # <dir> <seed> <seconds>
+  (cd "$1" && "${command[@]}" --workload "$workload" --seed "$2" --seconds "$3" --trace 0 || true) | tail -n 1
+}
+
+echo "building and priming both sides" >&2
+run_side "$work/parent" 1 1 >/dev/null
+run_side "$PWD" 1 1 >/dev/null
+
+# Seeds no earlier session can have tuned against.
+base=$(($(date +%s) % 1000000))
+: >"$work/runs.jsonl"
+for i in $(seq 1 "$pairs"); do
+  seed=$((base + i))
+  if ((i % 2)); then order="parent change"; else order="change parent"; fi
+  for side in $order; do
+    if [ "$side" = parent ]; then dir=$work/parent; else dir=$PWD; fi
+    result=$(run_side "$dir" "$seed" "$seconds")
+    echo "pair $i seed $seed $side: $result" >&2
+    printf '{"pair": %d, "side": "%s", "result": %s}\n' "$i" "$side" "${result:-null}" >>"$work/runs.jsonl"
+  done
+done
+
+python3 - "$work/runs.jsonl" "$parent_rev" "$workload" "$base" <<'EOF'
+import json, statistics, sys
+
+runs_path, parent_rev, workload = sys.argv[1:4]
+base = int(sys.argv[4])
+spec = json.load(open("BENCHMARK.json"))
+runs = [json.loads(line) for line in open(runs_path)]
+pairs = max(run["pair"] for run in runs)
+sides = {side: {run["pair"]: run["result"] for run in runs if run["side"] == side}
+         for side in ("parent", "change")}
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+print(f"`{workload}`: {pairs} pairs, parent `{parent_rev}` vs this checkout, "
+      f"`--seconds {spec['run_seconds']} --trace 0`, seeds {base + 1}..{base + pairs}")
+print()
+print("| metric | parent q1 / median / q3 | change q1 / median / q3 | change ÷ parent | pairs won | verdict |")
+print("|---|---|---|---|---|---|")
+for metric in spec["end_to_end"]:
+    name, lower = metric["name"], metric["better"] == "lower"
+    column = {}
+    for side, results in sides.items():
+        column[side] = {pair: result["metrics"][name]["value"]
+                        for pair, result in results.items() if result and name in result.get("metrics", {})}
+    both = sorted(set(column["parent"]) & set(column["change"]))
+    if not both:
+        print(f"| `{name}` | no complete pair | | | | |")
+        continue
+    parent = quartiles([column["parent"][pair] for pair in both])
+    change = quartiles([column["change"][pair] for pair in both])
+    sign = -1 if lower else 1
+    won = sum(sign * (column["change"][pair] - column["parent"][pair]) > 0 for pair in both)
+    gain = sign * (change[1] - parent[1])
+    if gain < -metric["bound"] * parent[1]:
+        verdict = f"WORSE than the {metric['bound']:.0%} bound"
+    elif parent[2] - parent[0] > metric["bound"] * parent[1]:
+        verdict = "unresolved: parent spread exceeds the bound"
+    elif won * 10 >= len(both) * 9 and gain > parent[2] - parent[0]:
+        verdict = "gain (>= 9/10 pairs, medians apart by more than the parent's IQR)"
+    else:
+        verdict = "within bound"
+    cells = [" / ".join(f"{v:.6g}" for v in side) for side in (parent, change)]
+    print(f"| `{name}` [{metric['unit']}, {metric['better']} is better, bound {metric['bound']:.0%}] "
+          f"| {cells[0]} | {cells[1]} | {change[1] / parent[1]:.3f} | {won} / {len(both)} | {verdict} |")
+print()
+for side, results in sides.items():
+    done = [result for result in results.values() if result]
+    print(f"{side}: {sum(r['failed'] for r in done)} of {sum(r['attempted'] for r in done)} operations failed, "
+          f"{sum(not r['correct'] for r in done)} output checks failed, "
+          f"{len(results) - len(done)} of {len(results)} runs printed no result")
+EOF
