@@ -6,7 +6,9 @@
 //! ([`super::analyze`]) applies configured overrides and suppression.
 
 use super::{AnalysisConfig, Code, Diagnostic, Locus, Severity};
-use crate::graph::{Connector, ConnectorId, Location, LogicalGraph, PactKind, StageId, StageKind};
+use crate::graph::{
+    relax, Connector, ConnectorId, Location, LogicalGraph, PactKind, StageId, StageKind,
+};
 use crate::order::{Antichain, PartialOrder};
 use crate::summary::Summary;
 use crate::time::Timestamp;
@@ -30,23 +32,11 @@ pub(super) fn run_all(graph: &LogicalGraph, config: &AnalysisConfig) -> Vec<Diag
 // NA0001: zero-delay cycle (§2.1/§2.3)
 // ---------------------------------------------------------------------------
 
-/// All-pairs summaries over *non-empty* stage-to-stage paths (Ψ⁺).
-///
-/// [`SummaryMatrix`](crate::graph::SummaryMatrix) seeds its diagonal with
-/// identities, which is what could-result-in wants but absorbs exactly the
-/// cycle summaries this rule needs: an identity on `(v, v)` dominates the
-/// composed summary of a real cycle through `v`. Recomputing without the
-/// diagonal seed keeps only summaries of paths with at least one arc, so a
-/// cell `(v, v)` holds precisely the cycle summaries through `v`.
-///
-/// The relaxation terminates for the same reason the main matrix's does:
-/// same-`keep` summaries are totally ordered, so each antichain holds at
-/// most one summary per `keep` value, of which there are at most
-/// `MAX_LOOP_DEPTH + 1`.
+/// All-pairs summaries over *non-empty* stage-to-stage paths (Ψ⁺): the
+/// relaxation [`SummaryMatrix`](crate::graph::SummaryMatrix) runs, seeded
+/// with the arcs instead of diagonal identities, so a cell `(v, v)` holds
+/// precisely the cycle summaries through `v` (see [`relax`]).
 fn plus_matrix(graph: &LogicalGraph) -> Vec<Antichain<Summary>> {
-    let n = graph.stages().len();
-    let mut cells: Vec<Antichain<Summary>> = vec![Antichain::new(); n * n];
-
     // Stage-level arcs: a connector moves a timestamp from the source
     // stage's input to the destination stage's input by applying the
     // source stage's timestamp action (the connector itself is identity).
@@ -55,33 +45,7 @@ fn plus_matrix(graph: &LogicalGraph) -> Vec<Antichain<Summary>> {
         .iter()
         .map(|c| (c.src.0 .0, c.dst.0 .0, graph.stage_summary(c.src.0)))
         .collect();
-
-    // Seed with the length-1 paths, then relax to fixpoint.
-    let mut changed = false;
-    for &(a, b, s) in &arcs {
-        changed |= cells[a * n + b].insert(s);
-    }
-    while changed {
-        changed = false;
-        for &(a, b, step) in &arcs {
-            for l1 in 0..n {
-                let from = l1 * n + a;
-                if cells[from].is_empty() {
-                    continue;
-                }
-                let candidates: Vec<Summary> = cells[from]
-                    .elements()
-                    .iter()
-                    .map(|s| s.then(&step))
-                    .collect();
-                let to = l1 * n + b;
-                for c in candidates {
-                    changed |= cells[to].insert(c);
-                }
-            }
-        }
-    }
-    cells
+    relax(graph.stages().len(), &arcs, &arcs)
 }
 
 /// Whether a cycle summary admits a stationary timestamp, i.e. fails to

@@ -16,6 +16,7 @@ mod builder;
 mod summaries;
 
 pub use builder::{GraphBuilder, GraphError};
+pub(crate) use summaries::relax;
 pub use summaries::SummaryMatrix;
 
 pub use crate::analysis::{AnalysisConfig, AnalysisReport};

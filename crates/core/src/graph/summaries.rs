@@ -5,6 +5,54 @@ use crate::order::Antichain;
 use crate::summary::Summary;
 use crate::time::Timestamp;
 
+/// All-pairs minimal path summaries over `n` nodes, as a row-major
+/// `n × n` table: starts from `seeds` and extends every known path by
+/// every arc until nothing changes. Seeds and arcs are `(from, to,
+/// summary)` triples.
+///
+/// The seeds decide which paths count. Identities on the diagonal give Ψ
+/// (the empty path included), what could-result-in wants. Seeding with the
+/// arcs themselves gives Ψ⁺, summaries of paths with at least one arc, so
+/// a cell `(v, v)` holds precisely the cycle summaries through `v` that
+/// a diagonal identity would dominate.
+///
+/// Dominated summaries are discarded by the antichains, which bounds the
+/// iteration: same-`keep` summaries are totally ordered, so each cell
+/// holds at most one summary per `keep` value, of which there are at most
+/// `MAX_LOOP_DEPTH + 1` (see the summary module docs).
+pub(crate) fn relax(
+    n: usize,
+    seeds: &[(usize, usize, Summary)],
+    arcs: &[(usize, usize, Summary)],
+) -> Vec<Antichain<Summary>> {
+    let mut cells: Vec<Antichain<Summary>> = vec![Antichain::new(); n * n];
+    let mut changed = false;
+    for &(a, b, s) in seeds {
+        changed |= cells[a * n + b].insert(s);
+    }
+    while changed {
+        changed = false;
+        for &(a, b, step) in arcs {
+            for l1 in 0..n {
+                let from = l1 * n + a;
+                if cells[from].is_empty() {
+                    continue;
+                }
+                let candidates: Vec<Summary> = cells[from]
+                    .elements()
+                    .iter()
+                    .map(|s| s.then(&step))
+                    .collect();
+                let to = l1 * n + b;
+                for c in candidates {
+                    changed |= cells[to].insert(c);
+                }
+            }
+        }
+    }
+    cells
+}
+
 /// The minimal path summaries between every pair of locations.
 ///
 /// `could-result-in((t₁, l₁), (t₂, l₂))` holds iff some summary
@@ -36,18 +84,13 @@ impl SummaryMatrix {
         }
     }
 
-    /// Computes the matrix by relaxation over the location graph: each
+    /// Computes the matrix by [`relax`]ing the location graph: each
     /// connector contributes an identity arc from its edge location to the
     /// destination vertex, and each stage contributes its timestamp-action
     /// arc from its vertex location to every outgoing edge location.
     pub(crate) fn compute(graph: &LogicalGraph) -> Self {
         let stages = graph.stages.len();
         let locations = stages + graph.connectors.len();
-        let mut matrix = SummaryMatrix {
-            stages,
-            locations,
-            cells: vec![Antichain::new(); locations * locations],
-        };
 
         // Arcs of the location graph, each with its summary.
         let mut arcs: Vec<(usize, usize, Summary)> = Vec::new();
@@ -63,46 +106,23 @@ impl SummaryMatrix {
             arcs.push((src.0 .0, edge_loc, graph.stage_summary(src.0)));
         }
 
-        // Seed the diagonal with identities.
-        for loc in 0..locations {
-            let depth = matrix.location_depth(graph, loc);
-            let idx = loc * locations + loc;
-            matrix.cells[idx].insert(Summary::identity(depth));
-        }
+        // Seed the diagonal with identities: the empty path counts for
+        // could-result-in.
+        let diagonal: Vec<(usize, usize, Summary)> = (0..locations)
+            .map(|loc| {
+                let depth = if loc < stages {
+                    graph.stage_input_depth(StageId(loc))
+                } else {
+                    graph.connector_depth(super::ConnectorId(loc - stages))
+                };
+                (loc, loc, Summary::identity(depth))
+            })
+            .collect();
 
-        // Relax until fixpoint. Dominated summaries are discarded by the
-        // antichains, which bounds the iteration (see summary module docs).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &(a, b, step) in &arcs {
-                for l1 in 0..locations {
-                    let from = l1 * locations + a;
-                    if matrix.cells[from].is_empty() {
-                        continue;
-                    }
-                    let candidates: Vec<Summary> = matrix.cells[from]
-                        .elements()
-                        .iter()
-                        .map(|s| s.then(&step))
-                        .collect();
-                    let to = l1 * locations + b;
-                    for c in candidates {
-                        if matrix.cells[to].insert(c) {
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        matrix
-    }
-
-    fn location_depth(&self, graph: &LogicalGraph, loc: usize) -> usize {
-        if loc < self.stages {
-            graph.stage_input_depth(StageId(loc))
-        } else {
-            graph.connector_depth(super::ConnectorId(loc - self.stages))
+        SummaryMatrix {
+            stages,
+            locations,
+            cells: relax(locations, &diagonal, &arcs),
         }
     }
 

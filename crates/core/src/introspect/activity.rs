@@ -476,7 +476,7 @@ pub struct CriticalPathSummary {
     /// Times a sender parked waiting for data-plane credit.
     pub credit_waits: u64,
     /// Cumulative nanoseconds senders spent parked — the backpressure
-    /// share of the epoch, what the autotuner's credit rule reads.
+    /// share of the epoch.
     pub credit_wait_ns: u64,
     /// Total samples folded in.
     pub samples: u64,

@@ -1,9 +1,8 @@
 //! Self-hosted critical-path analysis: the telemetry stream fed into a
 //! Naiad dataflow running on the same runtime, SnailTrail-style.
 //!
-//! The paper diagnoses stragglers (§5.3) and tunes batch sizes (Fig 6a)
-//! by reading logs offline. This module closes that loop *online* by
-//! dogfooding the system on itself:
+//! The paper diagnoses stragglers (§5.3) by reading logs offline. This
+//! module does it *online* by dogfooding the system on itself:
 //!
 //! 1. **Tap** — each worker's [`Recorder`] gets a bounded, in-process
 //!    tap ([`Tap`](crate::telemetry::Tap)) that copies attributable
@@ -25,18 +24,13 @@
 //!    each epoch's program-activity graph; when the epoch's frontier
 //!    passes, it emits a [`CriticalPathSummary`] naming the straggler,
 //!    the critical path, busy-time skew, and the transit/progress/
-//!    notification residual.
-//! 4. **Autotuning** — summaries route to worker 0, where an optional
-//!    [`Autotuner`] hill-climbs the shared
-//!    [`TuningKnobs`](crate::runtime::TuningKnobs) (exchange batch
-//!    size, credit budget, slab-pool cap) and logs every move back into the
-//!    telemetry stream as
-//!    [`TelemetryEvent::TuningDecision`](crate::telemetry::TelemetryEvent).
+//!    notification residual. Summaries route to worker 0, which
+//!    collects them for the run's report.
 //!
 //! The observer is excluded from its own tap (no feedback loop), does
 //! not count toward step liveness (the user's `step_until_done` is
-//! oblivious to it), and never touches user streams — with autotuning
-//! off, a run with introspection is bit-identical to one without.
+//! oblivious to it), and never touches user streams or configuration —
+//! a run with introspection is bit-identical to one without.
 //!
 //! Entry point: [`Execution::introspect`](crate::runtime::Execution::introspect),
 //! a per-attempt layer of the run coordinator, so it composes with crash
@@ -46,13 +40,11 @@
 //! checks the self-hosted results against.
 
 mod activity;
-mod tuner;
 
 pub use activity::{
     offline_reference, ActivityKind, ActivitySample, AttributionState, CriticalPathSummary,
     EpochAccumulator,
 };
-pub use tuner::{Autotuner, TuningDecision};
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
@@ -64,8 +56,8 @@ use std::sync::Arc;
 
 use crate::dataflow::{InputHandle, InputPort, Notify, OutputPort};
 use crate::runtime::sync::Mutex;
-use crate::runtime::{Config, Pact, StepHook, TuningKnobs, Worker};
-use crate::telemetry::{EventRecord, Recorder, Tap, TelemetryEvent};
+use crate::runtime::{Config, Pact, StepHook, Worker};
+use crate::telemetry::{EventRecord, Tap};
 use crate::time::Timestamp;
 
 /// The observer dataflow's id: the harness builds it before the user
@@ -78,17 +70,12 @@ pub struct IntrospectOptions {
     /// Per-worker tap queue capacity, in events. Overflow increments
     /// `tap_dropped` in the report instead of blocking the hot path.
     pub tap_capacity: usize,
-    /// Whether the [`Autotuner`] closes the loop. Off by default:
-    /// with autotuning off, introspection observes without perturbing —
-    /// user results are bit-identical to an uninstrumented run.
-    pub autotune: bool,
 }
 
 impl Default for IntrospectOptions {
     fn default() -> Self {
         IntrospectOptions {
             tap_capacity: 65_536,
-            autotune: false,
         }
     }
 }
@@ -100,54 +87,36 @@ impl IntrospectOptions {
         self.tap_capacity = events;
         self
     }
-
-    /// Enables the autotuner.
-    #[must_use]
-    pub fn autotune(mut self, enabled: bool) -> Self {
-        self.autotune = enabled;
-        self
-    }
 }
 
 /// Run-wide introspection state, shared by every worker of every attempt
 /// and phase of one [`Execution`](crate::runtime::Execution) run.
 pub(crate) struct Observer {
     tap_capacity: usize,
-    tuner: Option<Mutex<Autotuner>>,
-    /// Each epoch's summary and the tuning decisions it triggered. Keyed
-    /// by epoch so a retried attempt that re-computes an epoch replaces
-    /// what the failed attempt reported instead of doubling it.
-    findings: Mutex<BTreeMap<u64, (CriticalPathSummary, Vec<TuningDecision>)>>,
+    /// Each epoch's summary. Keyed by epoch so a retried attempt that
+    /// re-computes an epoch replaces what the failed attempt reported
+    /// instead of doubling it.
+    summaries: Mutex<BTreeMap<u64, CriticalPathSummary>>,
     tap_dropped: AtomicU64,
 }
 
 impl Observer {
-    /// Forces telemetry on in `config` and, when autotuning, installs
-    /// default knobs seeded from `config.batch_size` if it carries none.
+    /// Forces telemetry on in `config`.
     pub(crate) fn new(options: IntrospectOptions, config: &mut Config) -> Observer {
         config.telemetry = true;
-        let tuner = options.autotune.then(|| {
-            let knobs = config
-                .tuning
-                .get_or_insert_with(|| TuningKnobs::with_batch_size(config.batch_size));
-            Mutex::new(Autotuner::new(knobs.clone()))
-        });
         Observer {
             tap_capacity: options.tap_capacity,
-            tuner,
-            findings: Mutex::default(),
+            summaries: Mutex::default(),
             tap_dropped: AtomicU64::new(0),
         }
     }
 
-    /// The run's findings: summaries and decisions in epoch order, and
-    /// the events dropped at tap queues.
-    pub(crate) fn finish(&self) -> (Vec<CriticalPathSummary>, Vec<TuningDecision>, u64) {
-        let (summaries, decisions): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut *self.findings.lock()).into_values().unzip();
+    /// The run's summaries in epoch order, and the events dropped at tap
+    /// queues.
+    pub(crate) fn finish(&self) -> (Vec<CriticalPathSummary>, u64) {
+        let summaries = std::mem::take(&mut *self.summaries.lock());
         (
-            summaries,
-            decisions.into_iter().flatten().collect(),
+            summaries.into_values().collect(),
             self.tap_dropped.load(Ordering::Relaxed),
         )
     }
@@ -198,13 +167,12 @@ impl Harness {
         observer: &Arc<Observer>,
         epochs: Range<u64>,
     ) -> Harness {
-        let recorder = worker.recorder();
-        let input = build_observer(worker, Arc::clone(observer), epochs, recorder.clone());
+        let input = build_observer(worker, Arc::clone(observer), epochs);
         worker.mark_observer(OBSERVER_DATAFLOW as usize);
 
         let queue = Rc::new(RefCell::new(VecDeque::new()));
         let dropped = Rc::new(Cell::new(0u64));
-        recorder.install_tap(Tap {
+        worker.recorder().install_tap(Tap {
             queue: Rc::clone(&queue),
             capacity: observer.tap_capacity.max(1),
             dropped: Rc::clone(&dropped),
@@ -273,14 +241,13 @@ impl Harness {
 /// Builds the observer dataflow on `worker` and returns its input.
 ///
 /// Topology: `Input → CriticalPath (exchange by epoch, notify per
-/// epoch) → Autotune (exchange to worker 0, sink)`. Built through
+/// epoch) → Summaries (exchange to worker 0, sink)`. Built through
 /// [`Worker::dataflow`], so the static analyzer certifies it like any
 /// user graph.
 fn build_observer(
     worker: &mut Worker,
     observer: Arc<Observer>,
     epochs: Range<u64>,
-    recorder: Recorder,
 ) -> InputHandle<ActivitySample> {
     worker.dataflow(move |scope| {
         let (input, samples) = scope.new_input::<ActivitySample>();
@@ -323,26 +290,14 @@ fn build_observer(
             },
         );
 
-        summaries.sink(Pact::exchange(|_| 0), "Autotune", move |_info| {
+        summaries.sink(Pact::exchange(|_| 0), "Summaries", move |_info| {
             move |input: &mut InputPort<CriticalPathSummary>| {
                 input.for_each(|_time, data| {
+                    let mut collected = observer.summaries.lock();
                     for summary in data {
-                        if !epochs.contains(&summary.epoch) {
-                            continue;
+                        if epochs.contains(&summary.epoch) {
+                            collected.insert(summary.epoch, summary);
                         }
-                        let made = observer
-                            .tuner
-                            .as_ref()
-                            .map_or_else(Vec::new, |tuner| tuner.lock().observe(&summary));
-                        for decision in &made {
-                            recorder.record(TelemetryEvent::TuningDecision {
-                                epoch: decision.epoch,
-                                knob: decision.knob,
-                                from: decision.from,
-                                to: decision.to,
-                            });
-                        }
-                        observer.findings.lock().insert(summary.epoch, (summary, made));
                     }
                 });
             }

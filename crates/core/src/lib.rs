@@ -18,8 +18,8 @@
 //! * [`telemetry`] — per-worker event logs, the unified metrics
 //!   registry, and frontier probes (§5–§6 measurement substrate),
 //! * [`introspect`] — self-hosted critical-path analysis: the telemetry
-//!   stream fed into a second dataflow on the same runtime, straggler
-//!   attribution, and the autotuning loop (§5.3, Fig 6a).
+//!   stream fed into a second dataflow on the same runtime for per-epoch
+//!   straggler attribution (§5.3).
 //!
 //! # Examples
 //!
@@ -81,7 +81,7 @@ pub mod telemetry;
 pub mod time;
 
 pub use dataflow::{InputHandle, ProbeHandle, Scope, Stream};
-pub use introspect::{Autotuner, CriticalPathSummary, IntrospectOptions, TuningDecision};
+pub use introspect::{CriticalPathSummary, IntrospectOptions};
 pub use order::{Antichain, PartialOrder};
 pub use runtime::execute::{execute, execute_with_metrics, execute_with_telemetry, ExecuteError};
 pub use telemetry::TelemetrySnapshot;

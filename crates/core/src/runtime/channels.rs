@@ -26,7 +26,6 @@ use naiad_wire::{Bytes, ExchangeData, SlabPool, Wire, WireError};
 use super::queue::{ring, RingReceiver, RingSender};
 use super::sync::Mutex;
 
-use super::config::TuningKnobs;
 use super::flow::{Acquire, CreditCell, FlowKey, FlowRegistry, OverloadFlag, OverloadState, ShedPolicy};
 use super::retry::{escalate, send_with_retry, EscalationCell, FaultKind, RetryPolicy};
 use crate::graph::{ConnectorId, LogicalGraph};
@@ -132,8 +131,14 @@ impl<D> Message<D> {
     /// behind pointers are not counted — the bound is a floor, not an
     /// exact heap measure).
     pub(crate) fn credit_cost(&self) -> u64 {
+        Self::credit_cost_of(self.data.len())
+    }
+
+    /// [`credit_cost`](Self::credit_cost) of a batch of `records`
+    /// records, for the sender to spend before the message exists.
+    fn credit_cost_of(records: usize) -> u64 {
         let record = std::mem::size_of::<D>().max(1);
-        (std::mem::size_of::<Timestamp>() + self.data.len() * record) as u64
+        (std::mem::size_of::<Timestamp>() + records * record) as u64
     }
 }
 
@@ -358,10 +363,33 @@ impl<D> Clone for Pact<D> {
     }
 }
 
-/// Where a destination worker's queue lives.
+/// Where a destination worker's queue lives, with what a send there needs.
 enum Route<D> {
-    Local(RingSender<Message<D>>),
-    Remote { process: usize, tag: u32 },
+    /// Same process: a typed queue, and the endpoint's spare-container
+    /// stack. The buffer handed to the queue is replaced from the stack,
+    /// so steady-state emits allocate nothing (DESIGN.md §16).
+    Local {
+        tx: RingSender<Message<D>>,
+        spares: SparePool<D>,
+    },
+    /// Another process: the batch is encoded into a slab and carried by
+    /// the fabric; the typed buffer is cleared in place and keeps its
+    /// capacity.
+    Remote {
+        process: usize,
+        tag: u32,
+        net: Arc<Mutex<NetSender>>,
+    },
+}
+
+/// One destination worker of a [`Pusher`].
+struct Dest<D> {
+    route: Route<D>,
+    /// Records buffered for this worker at the pusher's `buffer_time`.
+    buffer: Vec<D>,
+    /// The destination queue's credit cell (present iff flow control is
+    /// on).
+    credit: Option<Arc<CreditCell>>,
 }
 
 /// The sending endpoint of one connector at one worker: buffers records
@@ -371,23 +399,15 @@ pub(crate) struct Pusher<D> {
     pact: Pact<D>,
     my_index: usize,
     batch_size: usize,
-    /// Shared dynamic knobs; when present, [`Pusher::batch_limit`] reads
-    /// the live batch size instead of the static `batch_size`.
-    tuning: Option<TuningKnobs>,
-    routes: Vec<Route<D>>,
-    buffers: Vec<Vec<D>>,
-    /// Spare-container stack of each *local* destination endpoint; the
-    /// buffer handed to a local queue is replaced from here, and remote
-    /// buffers are cleared in place — either way, steady-state emits
-    /// allocate nothing (DESIGN.md §16).
-    spares: Vec<Option<SparePool<D>>>,
+    /// One entry per worker of the stage, reached only through
+    /// [`Pusher::dest`].
+    dests: Vec<Dest<D>>,
     buffer_time: Option<Timestamp>,
     /// The per-run slab pool backing remote encodes.
     slabs: Arc<SlabPool>,
     /// Last remote frame length: the capacity hint for the next slab
     /// checkout, so growth self-corrects without an `encoded_len` pass.
     encode_hint: usize,
-    net: Option<Arc<Mutex<NetSender>>>,
     journal: Journal,
     escalation: Arc<EscalationCell>,
     policy: RetryPolicy,
@@ -398,12 +418,6 @@ pub(crate) struct Pusher<D> {
     flow: Option<Arc<FlowRegistry>>,
     /// This worker's overload state, consulted on the shed path.
     overload: Option<Arc<OverloadFlag>>,
-    /// One credit cell per destination route (present iff flow control
-    /// is on).
-    credits: Vec<Option<Arc<CreditCell>>>,
-    /// Batches emitted since creation (test and diagnostics surface).
-    #[cfg_attr(not(test), allow(dead_code))]
-    emitted: u64,
 }
 
 /// Everything a pusher needs to resolve worker routes.
@@ -414,10 +428,9 @@ pub(crate) struct RoutingContext {
     pub workers_per_process: usize,
     pub process: usize,
     pub batch_size: usize,
-    pub tuning: Option<TuningKnobs>,
     pub slabs: Arc<SlabPool>,
     pub registry: Arc<ProcessRegistry>,
-    pub net: Option<Arc<Mutex<NetSender>>>,
+    pub net: Arc<Mutex<NetSender>>,
     pub escalation: Arc<EscalationCell>,
     pub policy: RetryPolicy,
     pub recorder: Recorder,
@@ -426,19 +439,35 @@ pub(crate) struct RoutingContext {
 }
 
 impl RoutingContext {
-    fn route<D: ExchangeData>(&self, channel: usize, dst: usize) -> Route<D> {
+    /// The route, an empty buffer and (under flow control) the credit
+    /// cell for worker `dst` on `channel`.
+    fn dest<D: ExchangeData>(&self, channel: usize, dst: usize) -> Dest<D> {
         let dst_process = dst / self.workers_per_process;
         let dst_local = dst % self.workers_per_process;
-        if dst_process == self.process {
-            Route::Local(
-                self.registry
+        let (route, key) = if dst_process == self.process {
+            let route = Route::Local {
+                tx: self
+                    .registry
                     .sender(ChannelKey::Data(self.dataflow, channel, dst_local)),
-            )
+                spares: self.registry.spares(self.dataflow, channel, dst_local),
+            };
+            let key = FlowKey::Local(self.process, self.dataflow, channel, dst_local);
+            (route, key)
         } else {
-            Route::Remote {
+            let tag = data_tag(self.dataflow, channel, dst_local);
+            let route = Route::Remote {
                 process: dst_process,
-                tag: data_tag(self.dataflow, channel, dst_local),
-            }
+                tag,
+                net: self.net.clone(),
+            };
+            (route, FlowKey::Remote(self.process, dst_process, tag))
+        };
+        Dest {
+            route,
+            // slab-exempt: allocated once at construction and recycled
+            // for the pusher's lifetime.
+            buffer: Vec::new(),
+            credit: self.flow.as_ref().map(|flow| flow.cell(key)),
         }
     }
 }
@@ -452,51 +481,15 @@ impl<D: ExchangeData> Pusher<D> {
         pact: Pact<D>,
         journal: Journal,
     ) -> Self {
-        let routes: Vec<Route<D>> = (0..ctx.peers).map(|dst| ctx.route(channel, dst)).collect();
-        let spares = routes
-            .iter()
-            .enumerate()
-            .map(|(dst, route)| match route {
-                Route::Local(_) => Some(ctx.registry.spares::<D>(
-                    ctx.dataflow,
-                    channel,
-                    dst % ctx.workers_per_process,
-                )),
-                Route::Remote { .. } => None,
-            })
-            .collect();
-        let credits = routes
-            .iter()
-            .enumerate()
-            .map(|(dst, route)| {
-                let flow = ctx.flow.as_ref()?;
-                let key = match route {
-                    Route::Local(_) => FlowKey::Local(
-                        ctx.process,
-                        ctx.dataflow,
-                        channel,
-                        dst % ctx.workers_per_process,
-                    ),
-                    Route::Remote { process, tag } => FlowKey::Remote(ctx.process, *process, *tag),
-                };
-                Some(flow.cell(key))
-            })
-            .collect();
         Pusher {
             connector,
             pact,
             my_index: ctx.my_index,
             batch_size: ctx.batch_size,
-            tuning: ctx.tuning.clone(),
-            routes,
-            // slab-exempt: the per-destination buffers are allocated once
-            // at construction and recycled for the pusher's lifetime.
-            buffers: (0..ctx.peers).map(|_| Vec::new()).collect(),
-            spares,
+            dests: (0..ctx.peers).map(|dst| ctx.dest(channel, dst)).collect(),
             buffer_time: None,
             slabs: ctx.slabs.clone(),
             encode_hint: 0,
-            net: ctx.net.clone(),
             journal,
             escalation: ctx.escalation.clone(),
             policy: ctx.policy,
@@ -504,56 +497,47 @@ impl<D: ExchangeData> Pusher<D> {
             recorder: ctx.recorder.clone(),
             flow: ctx.flow.clone(),
             overload: ctx.overload.clone(),
-            credits,
-            emitted: 0,
         }
     }
 
-    /// The batch size in force right now: the live tuning knob when the
-    /// autotuner is wired in, the static config value otherwise (one
-    /// `Option` branch — the untuned path is unchanged).
+    /// The one place a destination index becomes a reference. Borrows
+    /// only `dests`, so callers keep the pusher's other fields.
+    // lint-allow(NS0004): `dests` has one entry per peer, fixed at
+    // construction, and every `dst` is `my_index` (< peers), a
+    // `partition(_, dests.len())`, or drawn from `0..dests.len()`.
     #[inline]
-    fn batch_limit(&self) -> usize {
-        match &self.tuning {
-            Some(knobs) => knobs.batch_size(),
-            None => self.batch_size,
-        }
+    fn dest(dests: &mut [Dest<D>], dst: usize) -> &mut Dest<D> {
+        &mut dests[dst]
     }
 
     /// Queues `record` at `time`, flushing destination batches as they
     /// fill. Batches never mix timestamps: a time change flushes first.
-    // lint-allow(NS0004): `buffers`, `routes`, `credits`, and `spares`
-    // are parallel arrays sized together at construction; `dst` is either
-    // `my_index` or reduced mod `routes.len()`.
     pub(crate) fn give(&mut self, time: Timestamp, record: D) {
         if self.buffer_time != Some(time) {
             self.flush();
             self.buffer_time = Some(time);
         }
-        let limit = self.batch_limit();
         match &self.pact {
-            Pact::Pipeline => {
-                let dst = self.my_index;
-                self.buffers[dst].push(record);
-                if self.buffers[dst].len() >= limit {
-                    self.emit(dst, time);
-                }
-            }
+            Pact::Pipeline => self.push(self.my_index, time, record),
             Pact::Exchange(f) => {
-                let dst = partition(f(&record), self.routes.len());
-                self.buffers[dst].push(record);
-                if self.buffers[dst].len() >= limit {
-                    self.emit(dst, time);
-                }
+                let dst = partition(f(&record), self.dests.len());
+                self.push(dst, time, record);
             }
             Pact::Broadcast => {
-                for dst in 0..self.routes.len() {
-                    self.buffers[dst].push(record.clone());
-                    if self.buffers[dst].len() >= limit {
-                        self.emit(dst, time);
-                    }
+                for dst in 0..self.dests.len() {
+                    self.push(dst, time, record.clone());
                 }
             }
+        }
+    }
+
+    /// Buffers one record for `dst` and emits the batch once it is full.
+    #[inline]
+    fn push(&mut self, dst: usize, time: Timestamp, record: D) {
+        let buffer = &mut Self::dest(&mut self.dests, dst).buffer;
+        buffer.push(record);
+        if buffer.len() >= self.batch_size {
+            self.emit(dst, time);
         }
     }
 
@@ -565,7 +549,6 @@ impl<D: ExchangeData> Pusher<D> {
     /// radix-partitions records into the per-destination buffers in one
     /// pass, and Broadcast clones per destination with the final
     /// destination taking the records by move.
-    // lint-allow(NS0004): same parallel-array invariant as `give`.
     pub(crate) fn give_batch(&mut self, time: Timestamp, batch: &mut Vec<D>) {
         if batch.is_empty() {
             return;
@@ -574,45 +557,44 @@ impl<D: ExchangeData> Pusher<D> {
             self.flush();
             self.buffer_time = Some(time);
         }
-        let limit = self.batch_limit();
+        let limit = self.batch_size;
         match &self.pact {
             Pact::Pipeline => {
                 let dst = self.my_index;
-                if self.buffers[dst].is_empty() && batch.len() >= limit {
+                let buffer = &mut Self::dest(&mut self.dests, dst).buffer;
+                if buffer.is_empty() && batch.len() >= limit {
                     // Whole-batch fast path: ship the caller's container
                     // and hand its (empty) buffer back in exchange.
-                    std::mem::swap(&mut self.buffers[dst], batch);
+                    std::mem::swap(buffer, batch);
                     self.emit(dst, time);
                 } else {
-                    self.buffers[dst].append(batch);
-                    if self.buffers[dst].len() >= limit {
+                    buffer.append(batch);
+                    if buffer.len() >= limit {
                         self.emit(dst, time);
                     }
                 }
             }
             Pact::Exchange(f) => {
                 let f = f.clone();
-                let peers = self.routes.len();
+                let peers = self.dests.len();
                 for record in batch.drain(..) {
-                    let dst = partition(f(&record), peers);
-                    self.buffers[dst].push(record);
-                    if self.buffers[dst].len() >= limit {
-                        self.emit(dst, time);
-                    }
+                    self.push(partition(f(&record), peers), time, record);
                 }
             }
             Pact::Broadcast => {
-                let last = self.routes.len() - 1;
+                let last = self.dests.len() - 1;
                 for dst in 0..last {
+                    let buffer = &mut Self::dest(&mut self.dests, dst).buffer;
                     // slab-exempt: `extend` only grows a buffer up to the
                     // batch limit once; steady state reuses its capacity.
-                    self.buffers[dst].extend(batch.iter().cloned());
-                    if self.buffers[dst].len() >= limit {
+                    buffer.extend(batch.iter().cloned());
+                    if buffer.len() >= limit {
                         self.emit(dst, time);
                     }
                 }
-                self.buffers[last].append(batch);
-                if self.buffers[last].len() >= limit {
+                let buffer = &mut Self::dest(&mut self.dests, last).buffer;
+                buffer.append(batch);
+                if buffer.len() >= limit {
                     self.emit(last, time);
                 }
             }
@@ -620,54 +602,31 @@ impl<D: ExchangeData> Pusher<D> {
     }
 
     /// Flushes all buffered batches.
-    // lint-allow(NS0004): same parallel-array invariant as `give`.
     pub(crate) fn flush(&mut self) {
         if let Some(time) = self.buffer_time.take() {
-            for dst in 0..self.routes.len() {
-                if !self.buffers[dst].is_empty() {
+            for dst in 0..self.dests.len() {
+                if !Self::dest(&mut self.dests, dst).buffer.is_empty() {
                     self.emit(dst, time);
                 }
             }
         }
     }
 
-    // lint-allow(NS0004): `dst` is validated by the callers above (the
-    // `give` parallel-array invariant); `encoded` is populated in the
-    // Remote match arm this same function takes, and remote routes carry
-    // a fabric handle by construction.
+    /// Sends `dst`'s buffered batch at `time`: prices it, spends the
+    /// credits (which may shed it instead), journals the `+1` and hands
+    /// it to the destination's queue or the fabric.
     fn emit(&mut self, dst: usize, time: Timestamp) {
-        debug_assert!(!self.buffers[dst].is_empty());
-        let records = self.buffers[dst].len() as u32;
-        // Remote frames are encoded *before* the credit spend so credits
-        // can be priced by the exact slab footprint — the length of the
-        // very buffer the fabric will carry (DESIGN.md §16). A shed after
-        // encode wastes the encode CPU, but the frozen frame just drops
-        // and its slab returns straight to the pool.
-        let encoded: Option<Bytes> = match &self.routes[dst] {
-            Route::Local(_) => None,
-            Route::Remote { .. } => {
-                if let Some(knobs) = &self.tuning {
-                    // The autotuner's pool knob takes effect at the next
-                    // checkout (one atomic store; DESIGN.md §16).
-                    self.slabs.set_resident_cap(knobs.pool_resident_cap());
-                }
-                let mut slab = self.slabs.get(self.encode_hint);
-                time.encode(slab.buffer());
-                self.buffers[dst].encode(slab.buffer());
-                let bytes = slab.freeze();
-                self.encode_hint = bytes.len();
-                Some(bytes)
-            }
-        };
-        // Credits are spent before the SendBy journal entry so a shed
-        // batch can leave the occurrence counts net-unchanged.
-        if let (Some(flow), Some(cell)) = (&self.flow, &self.credits[dst]) {
-            let cost = match &encoded {
-                Some(bytes) => bytes.len() as u64,
-                None => {
-                    let record = std::mem::size_of::<D>().max(1);
-                    (std::mem::size_of::<Timestamp>() + self.buffers[dst].len() * record) as u64
-                }
+        let dest = Self::dest(&mut self.dests, dst);
+        debug_assert!(!dest.buffer.is_empty());
+        let records = dest.buffer.len() as u32;
+        let sent = Pointstamp::on_edge(time, self.connector);
+        // Spends `cost` on the destination's credit cell; `false` means
+        // the batch was shed. Credits are spent before the SendBy journal
+        // entry so a shed batch can leave the occurrence counts
+        // net-unchanged.
+        let admit = |cost: u64| -> bool {
+            let (Some(flow), Some(cell)) = (&self.flow, &dest.credit) else {
+                return true;
             };
             if dst == self.my_index {
                 // Self-routes never park: a worker waiting on the queue
@@ -675,95 +634,92 @@ impl<D: ExchangeData> Pusher<D> {
                 // waiting so the accounting stays exact (the puller
                 // returns these credits like any others).
                 flow.force(cell, cost);
-            } else {
-                match flow.acquire(cell, cost) {
-                    Acquire::Granted { waited_ns } => {
-                        if waited_ns > 0 {
-                            self.recorder.record(TelemetryEvent::CreditWait {
-                                dataflow: self.dataflow,
-                                connector: self.connector.0 as u32,
-                                waited_ns,
-                                bytes: cost as u32,
-                            });
-                        }
-                    }
-                    Acquire::TimedOut { waited_ns } => {
-                        self.recorder.record(TelemetryEvent::CreditWait {
-                            dataflow: self.dataflow,
-                            connector: self.connector.0 as u32,
-                            waited_ns,
-                            bytes: cost as u32,
-                        });
-                        let shedding = flow.config().policy == ShedPolicy::Shed
-                            && self
-                                .overload
-                                .as_ref()
-                                .is_some_and(|o| o.get() == OverloadState::Shedding);
-                        if shedding {
-                            // Drop with exact counts. The +1/−1 pair keeps
-                            // the §2.3 occurrence counts sound: the batch
-                            // is sent and retired within one journal flush.
-                            journal_update(
-                                &self.journal,
-                                Pointstamp::on_edge(time, self.connector),
-                                1,
-                            );
-                            journal_update(
-                                &self.journal,
-                                Pointstamp::on_edge(time, self.connector),
-                                -1,
-                            );
-                            flow.note_shed(u64::from(records), cost);
-                            self.recorder.record(TelemetryEvent::MessagesShed {
-                                dataflow: self.dataflow,
-                                connector: self.connector.0 as u32,
-                                records,
-                                bytes: cost as u32,
-                            });
-                            // Dropping `encoded` (if any) returns its slab;
-                            // the typed buffer keeps its capacity.
-                            self.buffers[dst].clear();
-                            return;
-                        }
-                        // Block policy: pierce the budget after a full
-                        // wait rather than deadlock; counted as an
-                        // overdraft for the oracle.
-                        flow.overdraft(cell, cost);
-                    }
+                return true;
+            }
+            let (waited_ns, timed_out) = match flow.acquire(cell, cost) {
+                Acquire::Granted { waited_ns } => (waited_ns, false),
+                Acquire::TimedOut { waited_ns } => (waited_ns, true),
+            };
+            if waited_ns > 0 || timed_out {
+                self.recorder.record(TelemetryEvent::CreditWait {
+                    dataflow: self.dataflow,
+                    connector: self.connector.0 as u32,
+                    waited_ns,
+                    bytes: cost as u32,
+                });
+            }
+            if !timed_out {
+                return true;
+            }
+            let shedding = flow.config().policy == ShedPolicy::Shed
+                && self
+                    .overload
+                    .as_ref()
+                    .is_some_and(|o| o.get() == OverloadState::Shedding);
+            if !shedding {
+                // Block policy: pierce the budget after a full wait
+                // rather than deadlock; counted as an overdraft for the
+                // oracle.
+                flow.overdraft(cell, cost);
+                return true;
+            }
+            // Drop with exact counts. The +1/−1 pair keeps the §2.3
+            // occurrence counts sound: the batch is sent and retired
+            // within one journal flush.
+            journal_update(&self.journal, sent, 1);
+            journal_update(&self.journal, sent, -1);
+            flow.note_shed(u64::from(records), cost);
+            self.recorder.record(TelemetryEvent::MessagesShed {
+                dataflow: self.dataflow,
+                connector: self.connector.0 as u32,
+                records,
+                bytes: cost as u32,
+            });
+            false
+        };
+        let (payload_bytes, remote) = match &dest.route {
+            Route::Local { tx, spares } => {
+                // A local batch is priced by its in-memory footprint,
+                // which is what the puller returns.
+                if !admit(Message::<D>::credit_cost_of(dest.buffer.len())) {
+                    dest.buffer.clear();
+                    return;
                 }
-            }
-        }
-        // §2.3: the occurrence count increments at the start of SendBy.
-        journal_update(&self.journal, Pointstamp::on_edge(time, self.connector), 1);
-        self.emitted += 1;
-        let mut payload_bytes = 0u32;
-        let mut remote = false;
-        match &self.routes[dst] {
-            Route::Local(tx) => {
-                // slab-exempt: the `Vec::new` arm only runs for endpoints
-                // with no spare pool (tests and probes); data routes pop a
-                // recycled container.
-                let refill = self.spares[dst].as_ref().map_or_else(Vec::new, SparePool::pop);
-                let data = std::mem::replace(&mut self.buffers[dst], refill);
+                // §2.3: the occurrence count increments at the start of
+                // SendBy.
+                journal_update(&self.journal, sent, 1);
+                let data = std::mem::replace(&mut dest.buffer, spares.pop());
                 tx.send(Message { time, data });
+                (0, false)
             }
-            Route::Remote { process, tag } => {
-                let bytes = encoded.expect("remote frame encoded above");
-                // The typed buffer never leaves a remote-routed pusher:
-                // clear it in place and keep its capacity.
-                self.buffers[dst].clear();
-                payload_bytes = bytes.len() as u32;
-                remote = true;
-                let net = self.net.as_ref().expect("remote route requires a fabric");
+            Route::Remote { process, tag, net } => {
+                // A remote frame is encoded *before* the credit spend so
+                // it is priced by its exact slab footprint — the length
+                // of the very buffer the fabric will carry (DESIGN.md
+                // §16). A shed after encode wastes the encode CPU, but
+                // the frozen frame just drops and its slab returns
+                // straight to the pool.
+                let mut slab = self.slabs.get(self.encode_hint);
+                time.encode(slab.buffer());
+                dest.buffer.encode(slab.buffer());
+                dest.buffer.clear();
+                let bytes = slab.freeze();
+                self.encode_hint = bytes.len();
+                if !admit(bytes.len() as u64) {
+                    return;
+                }
+                journal_update(&self.journal, sent, 1);
                 if let Err(err) =
                     send_with_retry(net, self.policy, *process, *tag, TrafficClass::Data, &bytes)
                 {
                     let kind = FaultKind::from_send_error(err);
-                    self.recorder.record(TelemetryEvent::FaultEscalated { kind });
+                    self.recorder
+                        .record(TelemetryEvent::FaultEscalated { kind });
                     escalate(&self.escalation, kind);
                 }
+                (bytes.len() as u32, true)
             }
-        }
+        };
         self.recorder.record(TelemetryEvent::MessageSent {
             dataflow: self.dataflow,
             connector: self.connector.0 as u32,
@@ -772,12 +728,6 @@ impl<D: ExchangeData> Pusher<D> {
             bytes: payload_bytes,
             remote,
         });
-    }
-
-    /// Number of batches emitted so far (test and diagnostics surface).
-    #[cfg(test)]
-    pub(crate) fn emitted(&self) -> u64 {
-        self.emitted
     }
 }
 
@@ -810,7 +760,7 @@ struct PullerFlow {
     /// The cell same-process senders spend on for this endpoint.
     local_cell: Arc<CreditCell>,
     /// Fabric sender for control-plane credit returns to remote senders.
-    net: Option<Arc<Mutex<NetSender>>>,
+    net: Arc<Mutex<NetSender>>,
     /// This endpoint's data tag, echoed in remote credit returns.
     tag: u32,
 }
@@ -919,14 +869,12 @@ impl<D: ExchangeData> Puller<D> {
                         // injection, lost only to a crash or partition —
                         // in which case the parked sender escapes through
                         // its bounded wait.
-                        if let Some(net) = &flow.net {
-                            // slab-exempt: a ~10-byte control-plane credit
-                            // return, not data-plane traffic.
-                            let mut payload = Vec::new();
-                            flow.tag.encode(&mut payload);
-                            bytes.encode(&mut payload);
-                            let _ = net.lock().send_control(src, CREDIT_TAG, payload.into());
-                        }
+                        // slab-exempt: a ~10-byte control-plane credit
+                        // return, not data-plane traffic.
+                        let mut payload = Vec::new();
+                        flow.tag.encode(&mut payload);
+                        bytes.encode(&mut payload);
+                        let _ = flow.net.lock().send_control(src, CREDIT_TAG, payload.into());
                     }
                 }
             }
@@ -941,6 +889,8 @@ mod tests {
     use std::cell::RefCell;
 
     fn ctx(registry: Arc<ProcessRegistry>) -> RoutingContext {
+        // Both workers live in process 0, so nothing is ever sent on it.
+        let (fabric, _) = naiad_netsim::Fabric::builder(1).build().remove(0).split();
         RoutingContext {
             dataflow: 0,
             my_index: 0,
@@ -948,10 +898,9 @@ mod tests {
             workers_per_process: 2,
             process: 0,
             batch_size: 4,
-            tuning: None,
             slabs: Arc::new(SlabPool::default()),
             registry,
-            net: None,
+            net: Arc::new(Mutex::new(fabric)),
             escalation: Arc::new(EscalationCell::default()),
             policy: RetryPolicy {
                 retries: 0,
@@ -1089,7 +1038,8 @@ mod tests {
     #[test]
     fn broadcast_reaches_all_local_workers() {
         let reg = Arc::new(ProcessRegistry::default());
-        let rc = ctx(reg.clone());
+        let mut rc = ctx(reg.clone());
+        rc.recorder = Recorder::with_capacity(16);
         let mut pusher = Pusher::new(&rc, 1, ConnectorId(0), Pact::Broadcast, journal());
         pusher.give(Timestamp::new(0), 5u64);
         pusher.flush();
@@ -1097,7 +1047,7 @@ mod tests {
             let rx = reg.receiver::<Message<u64>>(ChannelKey::Data(0, 1, w));
             assert_eq!(rx.try_recv().unwrap().data, vec![5]);
         }
-        assert_eq!(pusher.emitted(), 2);
+        assert_eq!(rc.recorder.harvest(0).unwrap().counters.messages_sent, 2);
     }
 
     #[test]
@@ -1128,7 +1078,7 @@ mod tests {
         let config = FlowConfig::default()
             .budget(budget)
             .credit_wait(std::time::Duration::from_millis(5));
-        rc.flow = Some(Arc::new(FlowRegistry::new(config, None)));
+        rc.flow = Some(Arc::new(FlowRegistry::new(config)));
         rc.overload = Some(Arc::new(OverloadFlag::default()));
         rc
     }
@@ -1166,7 +1116,6 @@ mod tests {
             workers_per_process: rc.workers_per_process,
             process: rc.process,
             batch_size: rc.batch_size,
-            tuning: rc.tuning.clone(),
             slabs: rc.slabs.clone(),
             registry: rc.registry.clone(),
             net: rc.net.clone(),
@@ -1229,7 +1178,7 @@ mod tests {
             .budget(1)
             .credit_wait(std::time::Duration::from_millis(2))
             .policy(ShedPolicy::Shed);
-        let flow = Arc::new(FlowRegistry::new(config, None));
+        let flow = Arc::new(FlowRegistry::new(config));
         let overload = Arc::new(OverloadFlag::default());
         overload.set(OverloadState::Shedding);
         rc.flow = Some(flow.clone());

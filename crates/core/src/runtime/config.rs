@@ -1,98 +1,11 @@
 //! Runtime configuration.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use naiad_netsim::{FaultPlan, LatencyModel};
 
 use super::flow::FlowConfig;
 use crate::progress::ProgressMode;
-
-/// Shared, dynamically adjustable runtime knobs, read by the data plane
-/// on every batch boundary and written by the [`crate::introspect`]
-/// autotuner between epochs. When [`Config::tuning`] is `None` (the
-/// default) the static [`Config::batch_size`] applies.
-#[derive(Clone, Debug, Default)]
-pub struct TuningKnobs {
-    inner: Arc<KnobsInner>,
-}
-
-#[derive(Debug)]
-struct KnobsInner {
-    batch_size: AtomicUsize,
-    credit_budget: AtomicUsize,
-    pool_resident_cap: AtomicUsize,
-}
-
-impl Default for KnobsInner {
-    fn default() -> Self {
-        KnobsInner {
-            batch_size: AtomicUsize::new(1024),
-            credit_budget: AtomicUsize::new(1 << 20),
-            pool_resident_cap: AtomicUsize::new(32 << 20),
-        }
-    }
-}
-
-impl TuningKnobs {
-    /// Knobs seeded with an initial exchange batch size.
-    pub fn with_batch_size(records: usize) -> Self {
-        let knobs = TuningKnobs::default();
-        knobs.set_batch_size(records);
-        knobs
-    }
-
-    /// Current exchange batch size (records per emitted batch).
-    pub fn batch_size(&self) -> usize {
-        self.inner.batch_size.load(Ordering::Relaxed)
-    }
-
-    /// Sets the exchange batch size; takes effect at the next batch
-    /// boundary on every worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records` is zero.
-    pub fn set_batch_size(&self, records: usize) {
-        assert!(records > 0, "batch size must be positive");
-        self.inner.batch_size.store(records, Ordering::Relaxed);
-    }
-
-    /// Current per-queue credit budget in bytes (read by the flow
-    /// registry on every acquisition when flow control is enabled).
-    pub fn credit_budget(&self) -> usize {
-        self.inner.credit_budget.load(Ordering::Relaxed)
-    }
-
-    /// Sets the per-queue credit budget in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is zero.
-    pub fn set_credit_budget(&self, bytes: usize) {
-        assert!(bytes > 0, "credit budget must be positive");
-        self.inner.credit_budget.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Current slab-pool resident cap in bytes: the recycled-buffer
-    /// memory the data plane may keep parked between batches
-    /// (DESIGN.md §16). Synced to the per-run
-    /// [`SlabPool`](naiad_wire::SlabPool) on every remote emit.
-    pub fn pool_resident_cap(&self) -> usize {
-        self.inner.pool_resident_cap.load(Ordering::Relaxed)
-    }
-
-    /// Sets the slab-pool resident cap in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is zero.
-    pub fn set_pool_resident_cap(&self, bytes: usize) {
-        assert!(bytes > 0, "pool resident cap must be positive");
-        self.inner.pool_resident_cap.store(bytes, Ordering::Relaxed);
-    }
-}
 
 /// Configuration for [`execute`](crate::runtime::execute::execute) and
 /// [`Execution`](crate::runtime::Execution).
@@ -125,8 +38,6 @@ pub struct Config {
     /// retried before the fault escalates — the stand-in for TCP
     /// retransmission over the simulated wire.
     pub send_retries: u32,
-    /// Base backoff between send retries; doubles per attempt.
-    pub retry_backoff: Duration,
     /// Whether workers record structured telemetry
     /// ([`crate::telemetry`]). Off by default: no event buffer is
     /// allocated and every record call is a single branch. The
@@ -157,10 +68,6 @@ pub struct Config {
     /// (typed [`ExecuteError::Stalled`](crate::runtime::ExecuteError))
     /// instead of idling forever. `None` disables the watchdog.
     pub stall_timeout: Option<Duration>,
-    /// Dynamically adjustable knobs shared with the [`crate::introspect`]
-    /// autotuner. `None` (the default) pins every knob to its static
-    /// config value with zero added cost on the data plane.
-    pub tuning: Option<TuningKnobs>,
     /// Credit-based data-plane flow control ([`crate::runtime::flow`],
     /// DESIGN.md §15). `None` (the default) leaves every data queue
     /// unbounded — today's behavior, bit for bit.
@@ -189,7 +96,6 @@ impl Config {
             latency: None,
             faults: None,
             send_retries: 24,
-            retry_backoff: Duration::from_micros(50),
             telemetry: false,
             telemetry_capacity: 65_536,
             heartbeats: false,
@@ -197,17 +103,8 @@ impl Config {
             heartbeat_suspect_after: Duration::from_millis(50),
             heartbeat_fail_after: Duration::from_millis(200),
             stall_timeout: Some(Duration::from_secs(30)),
-            tuning: None,
             flow: None,
         }
-    }
-
-    /// Installs shared tuning knobs, seeded from the static
-    /// [`Config::batch_size`]; the [`crate::introspect`] autotuner
-    /// adjusts them online.
-    pub fn tuning(mut self, knobs: TuningKnobs) -> Self {
-        self.tuning = Some(knobs);
-        self
     }
 
     /// Enables credit-based data-plane flow control with the given
@@ -266,12 +163,6 @@ impl Config {
     /// Sets the transient-send retry budget.
     pub fn send_retries(mut self, retries: u32) -> Self {
         self.send_retries = retries;
-        self
-    }
-
-    /// Sets the base retry backoff (doubles per attempt).
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.retry_backoff = backoff;
         self
     }
 
@@ -382,11 +273,9 @@ mod tests {
     fn fault_builders_compose() {
         let c = Config::processes_and_workers(2, 1)
             .faults(FaultPlan::seeded(7).drop_probability(0.1))
-            .send_retries(3)
-            .retry_backoff(Duration::from_micros(10));
+            .send_retries(3);
         assert_eq!(c.faults.as_ref().unwrap().seed, 7);
         assert_eq!(c.send_retries, 3);
-        assert_eq!(c.retry_backoff, Duration::from_micros(10));
         assert!(Config::default().faults.is_none());
     }
 
@@ -414,18 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn tuning_knobs_are_shared_and_dynamic() {
-        let c = Config::default();
-        assert!(c.tuning.is_none(), "knobs default off");
-        let knobs = TuningKnobs::with_batch_size(64);
-        let c = Config::single_process(2).tuning(knobs.clone());
-        assert_eq!(c.tuning.as_ref().unwrap().batch_size(), 64);
-        knobs.set_batch_size(128);
-        // The config's clone observes writes through the shared handle.
-        assert_eq!(c.tuning.as_ref().unwrap().batch_size(), 128);
-    }
-
-    #[test]
     fn flow_defaults_off_and_builders_compose() {
         use super::super::flow::ShedPolicy;
         let c = Config::default();
@@ -440,24 +317,6 @@ mod tests {
         assert_eq!(flow.budget, 4096);
         assert_eq!(flow.policy, ShedPolicy::Shed);
         assert_eq!(flow.max_open_epochs, Some(3));
-    }
-
-    #[test]
-    fn credit_budget_knob_is_shared_and_dynamic() {
-        let knobs = TuningKnobs::default();
-        assert_eq!(knobs.credit_budget(), 1 << 20);
-        let clone = knobs.clone();
-        knobs.set_credit_budget(4096);
-        assert_eq!(clone.credit_budget(), 4096);
-    }
-
-    #[test]
-    fn pool_cap_knob_is_shared_and_dynamic() {
-        let knobs = TuningKnobs::default();
-        assert_eq!(knobs.pool_resident_cap(), 32 << 20);
-        let clone = knobs.clone();
-        knobs.set_pool_resident_cap(1 << 20);
-        assert_eq!(clone.pool_resident_cap(), 1 << 20);
     }
 
     #[test]

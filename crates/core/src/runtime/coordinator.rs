@@ -88,9 +88,7 @@ use super::execute::{execute_inner, ExecuteError, Phase};
 use super::rescale::{ElasticOptions, MigrationSlot, RescaleOutcome, RescaleStep};
 use super::sync::Mutex;
 use super::worker::Worker;
-use crate::introspect::{
-    CriticalPathSummary, Harness, IntrospectOptions, Observer, TuningDecision,
-};
+use crate::introspect::{CriticalPathSummary, Harness, IntrospectOptions, Observer};
 use crate::telemetry::{TelemetryEvent, TelemetrySnapshot};
 
 /// The fault budget and checkpoint cadence of a resilient run
@@ -387,10 +385,6 @@ pub struct RunReport<T> {
     /// retried attempt's replaces the failed one's), and one for every
     /// epoch the final attempt of each phase computed.
     pub summaries: Vec<CriticalPathSummary>,
-    /// Every knob adjustment the autotuner made, in the order of the
-    /// epochs whose summaries triggered them (empty when autotuning is
-    /// off).
-    pub decisions: Vec<TuningDecision>,
     /// Events dropped at the introspection tap queues across all workers
     /// (0 means the activity graph is complete).
     pub tap_dropped: u64,
@@ -513,12 +507,8 @@ impl Execution {
     /// observer dataflow, and a step hook feeding one into the other;
     /// after the worker closure returns, the observer runs to completion
     /// so every closed source epoch yields a [`CriticalPathSummary`].
-    /// With [`IntrospectOptions::autotune`] set, worker 0 additionally
-    /// drives the [`Autotuner`](crate::introspect::Autotuner) over the
-    /// shared [`TuningKnobs`](super::config::TuningKnobs) (installing
-    /// default knobs seeded from the config's batch size if it carries
-    /// none). Summaries are in the epochs the driver feeds, so a driver
-    /// that resumes must feed logical epochs (advance its inputs to
+    /// Summaries are in the epochs the driver feeds, so a driver that
+    /// resumes must feed logical epochs (advance its inputs to
     /// [`Session::resume_epoch`] first) for a retried attempt's summaries
     /// to replace the failed one's.
     pub fn introspect(mut self, options: IntrospectOptions) -> Self {
@@ -698,7 +688,7 @@ impl Execution {
                         });
                     }
                     let Some((step, slot)) = outgoing else {
-                        let (summaries, decisions, tap_dropped) =
+                        let (summaries, tap_dropped) =
                             observer.map(|o| o.finish()).unwrap_or_default();
                         let mut telemetry = run.telemetry;
                         if let Some(snapshot) = &mut telemetry {
@@ -710,7 +700,6 @@ impl Execution {
                             metrics: run.metrics,
                             telemetry,
                             summaries,
-                            decisions,
                             tap_dropped,
                         });
                     };

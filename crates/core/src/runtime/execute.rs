@@ -301,14 +301,11 @@ where
     let flow = config
         .flow
         .as_ref()
-        .map(|fc| Arc::new(FlowRegistry::new(fc.clone(), config.tuning.clone())));
+        .map(|fc| Arc::new(FlowRegistry::new(fc.clone())));
     // The per-run slab pool backing every remote encode (DESIGN.md §16).
     // One pool per run keeps gauges exact for tests and isolates runs
-    // from each other; the autotuner resizes it through the tuning knobs.
+    // from each other.
     let slabs = Arc::new(naiad_wire::SlabPool::default());
-    if let Some(knobs) = &config.tuning {
-        slabs.set_resident_cap(knobs.pool_resident_cap());
-    }
     // One liveness detector per process (when heartbeats are on), driven by
     // that process's router thread; kept here so the snapshot can sum the
     // per-process counters after the join.

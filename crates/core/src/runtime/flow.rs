@@ -35,7 +35,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use super::config::TuningKnobs;
 // Loom-schedulable shims: plain std re-exports outside `--cfg loom`, so
 // this module's concurrency is exactly what the interleaving explorer
 // (runtime::interleave) model-checks.
@@ -250,7 +249,6 @@ impl CreditCell {
 /// simulated one already does.
 pub(crate) struct FlowRegistry {
     config: FlowConfig,
-    tuning: Option<TuningKnobs>,
     cells: Mutex<HashMap<FlowKey, Arc<CreditCell>>>,
     /// Credited data-plane bytes in flight, cluster-wide.
     in_flight: AtomicU64,
@@ -276,10 +274,9 @@ pub(crate) struct FlowRegistry {
 }
 
 impl FlowRegistry {
-    pub(crate) fn new(config: FlowConfig, tuning: Option<TuningKnobs>) -> Self {
+    pub(crate) fn new(config: FlowConfig) -> Self {
         FlowRegistry {
             config,
-            tuning,
             cells: Mutex::new(HashMap::new()),
             in_flight: AtomicU64::new(0),
             peak_in_flight: AtomicU64::new(0),
@@ -296,16 +293,6 @@ impl FlowRegistry {
 
     pub(crate) fn config(&self) -> &FlowConfig {
         &self.config
-    }
-
-    /// The per-queue byte budget in force right now: the live tuning
-    /// knob when the autotuner is wired in, the static config value
-    /// otherwise (mirrors `Pusher::batch_limit`).
-    pub(crate) fn budget(&self) -> u64 {
-        match &self.tuning {
-            Some(knobs) => knobs.credit_budget() as u64,
-            None => self.config.budget as u64,
-        }
     }
 
     /// The credit cell for `key`, created on first touch.
@@ -346,7 +333,7 @@ impl FlowRegistry {
     /// (overdraft or shed) and its accounting.
     pub(crate) fn acquire(&self, cell: &CreditCell, cost: u64) -> Acquire {
         self.parked.fetch_add(1, Ordering::Release);
-        let outcome = cell.acquire(cost, self.budget(), self.config.credit_wait);
+        let outcome = cell.acquire(cost, self.config.budget as u64, self.config.credit_wait);
         self.parked.fetch_sub(1, Ordering::Release);
         let waited_ns = match outcome {
             Acquire::Granted { waited_ns } => {
@@ -627,7 +614,7 @@ mod tests {
 
     #[test]
     fn registry_tracks_peak_and_overdrafts() {
-        let reg = FlowRegistry::new(FlowConfig::default().budget(256), None);
+        let reg = FlowRegistry::new(FlowConfig::default().budget(256));
         let cell = reg.cell(FlowKey::Local(0, 0, 0, 0));
         assert!(matches!(reg.acquire(&cell, 200), Acquire::Granted { .. }));
         reg.overdraft(&cell, 300);
@@ -639,18 +626,6 @@ mod tests {
         assert_eq!(reg.in_flight_bytes(), 0);
         assert_eq!(reg.returns(), 2);
         assert_eq!(reg.peak_in_flight_bytes(), 500, "peak is a high-water mark");
-    }
-
-    #[test]
-    fn budget_reads_live_knob_when_tuned() {
-        let knobs = TuningKnobs::default();
-        knobs.set_credit_budget(777);
-        let reg = FlowRegistry::new(FlowConfig::default().budget(100), Some(knobs.clone()));
-        assert_eq!(reg.budget(), 777);
-        knobs.set_credit_budget(888);
-        assert_eq!(reg.budget(), 888);
-        let untuned = FlowRegistry::new(FlowConfig::default().budget(100), None);
-        assert_eq!(untuned.budget(), 100);
     }
 
     #[test]
@@ -713,7 +688,7 @@ mod tests {
 
     #[test]
     fn dump_cells_reports_per_cell_detail_without_blocking() {
-        let reg = FlowRegistry::new(FlowConfig::default().budget(256), None);
+        let reg = FlowRegistry::new(FlowConfig::default().budget(256));
         assert_eq!(reg.dump_cells(), "[]");
         let cell = reg.cell(FlowKey::Local(0, 1, 2, 3));
         reg.force(&cell, 42);
@@ -751,7 +726,7 @@ mod loom_tests {
             let config = FlowConfig::default()
                 .budget(256)
                 .credit_wait(Duration::from_secs(5));
-            let reg = Arc::new(FlowRegistry::new(config, None));
+            let reg = Arc::new(FlowRegistry::new(config));
             let cell = reg.cell(FlowKey::Local(0, 0, 0, 0));
             // Pre-spawn (sequential): the queue holds 200 of its 256.
             reg.force(&cell, 200);

@@ -124,15 +124,20 @@ impl Liveness {
         self.dirty.store(true, Ordering::Release);
     }
 
-    /// Records that traffic arrived from `peer`. Out-of-range sources
-    /// (the central accumulator's extra endpoint) are ignored. Clears any
-    /// standing suspicion.
+    /// Records that traffic arrived from `peer` just now.
     pub(crate) fn note_heard(&self, peer: usize) {
+        self.note_heard_at(peer, self.clock.now_ns());
+    }
+
+    /// Records that traffic arrived from `peer` at cluster-clock instant
+    /// `now_ns`. Out-of-range sources (the central accumulator's extra
+    /// endpoint) are ignored. Clears any standing suspicion.
+    fn note_heard_at(&self, peer: usize, now_ns: u64) {
         let (Some(slot), Some(sus)) = (self.last_heard.get(peer), self.suspected.get(peer))
         else {
             return;
         };
-        slot.store(self.clock.now_ns(), Ordering::Release);
+        slot.store(now_ns, Ordering::Release);
         if sus.swap(false, Ordering::AcqRel) {
             self.push_transition(LivenessTransition::Cleared { peer });
         }
@@ -195,16 +200,21 @@ impl Liveness {
         detected
     }
 
-    /// Sweeps the peer table: raises suspicions past `suspect_ns` of
-    /// silence and returns a failure once a peer passes `fail_ns`.
+    /// Sweeps the peer table as of now.
     pub(crate) fn scan(&self) -> Option<FaultKind> {
-        let now = self.clock.now_ns();
+        self.scan_at(self.clock.now_ns())
+    }
+
+    /// Sweeps the peer table as of cluster-clock instant `now_ns`: raises
+    /// suspicions past `suspect_ns` of silence and returns a failure once
+    /// a peer passes `fail_ns`.
+    fn scan_at(&self, now_ns: u64) -> Option<FaultKind> {
         let mut detected = None;
         for (peer, heard) in self.last_heard.iter().enumerate() {
             if peer == self.process {
                 continue;
             }
-            let silent_ns = now.saturating_sub(heard.load(Ordering::Acquire));
+            let silent_ns = now_ns.saturating_sub(heard.load(Ordering::Acquire));
             if silent_ns >= self.fail_ns {
                 let fresh = self
                     .failed
@@ -305,27 +315,36 @@ mod tests {
         assert_eq!(live.beats_sent(), 2, "interval elapsed, beat again");
     }
 
+    const MS: u64 = 1_000_000;
+
+    /// Pins peer 1's last-heard instant and returns it, so the detector
+    /// tests below run on explicit instants and sleep nowhere.
+    fn heard_from_peer_at_start(live: &Liveness) -> u64 {
+        let t0 = live.clock.now_ns();
+        live.note_heard_at(1, t0);
+        t0
+    }
+
     #[test]
     fn silence_escalates_suspected_then_failed() {
         let cfg = config(1, 5, 20);
         let (_net, _b_rx, _ctl, live) = two_process_fixture(&cfg);
-        assert!(live.scan().is_none(), "fresh table: everyone live");
-        std::thread::sleep(Duration::from_millis(7));
-        assert!(live.scan().is_none(), "suspected is not yet failed");
+        let t0 = heard_from_peer_at_start(&live);
+        assert!(live.scan_at(t0).is_none(), "fresh table: everyone live");
+        assert!(live.scan_at(t0 + 7 * MS).is_none(), "suspected is not yet failed");
         assert_eq!(live.suspicions(), 1);
         let ts = live.drain_transitions();
         assert!(matches!(
             ts.as_slice(),
             [LivenessTransition::Suspected { peer: 1, .. }]
         ));
-        std::thread::sleep(Duration::from_millis(15));
         assert_eq!(
-            live.scan(),
+            live.scan_at(t0 + 22 * MS),
             Some(FaultKind::ProcessCrashed { process: 1 })
         );
         assert_eq!(live.failures(), 1);
         // Idempotent: a second scan re-detects but records one failure.
-        assert!(live.scan().is_some());
+        assert!(live.scan_at(t0 + 22 * MS).is_some());
         assert_eq!(live.failures(), 1);
         assert!(matches!(
             live.drain_transitions().as_slice(),
@@ -338,14 +357,13 @@ mod tests {
     fn traffic_clears_suspicion() {
         let cfg = config(1, 5, 60_000);
         let (_net, _b_rx, _ctl, live) = two_process_fixture(&cfg);
-        std::thread::sleep(Duration::from_millis(7));
-        assert!(live.scan().is_none());
+        let t0 = heard_from_peer_at_start(&live);
+        assert!(live.scan_at(t0 + 7 * MS).is_none());
         assert_eq!(live.suspicions(), 1);
-        live.note_heard(1);
+        live.note_heard_at(1, t0 + 7 * MS);
         let ts = live.drain_transitions();
         assert!(ts.contains(&LivenessTransition::Cleared { peer: 1 }));
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(live.scan().is_none());
+        assert!(live.scan_at(t0 + 9 * MS).is_none());
         assert_eq!(live.suspicions(), 1, "cleared peer is not re-suspected");
         // The central accumulator's out-of-range endpoint id is ignored.
         live.note_heard(99);

@@ -18,7 +18,7 @@ pub(crate) mod sync;
 mod worker;
 
 pub use channels::{Message, Pact};
-pub use config::{Config, TuningKnobs};
+pub use config::Config;
 pub use durability::{open_blob, seal_blob, Checkpoint, KeyedCheckpoint, KeyedState, RestoreError};
 pub use execute::{execute, execute_with_metrics, execute_with_telemetry, ExecuteError};
 pub use flow::{FlowConfig, OverloadState, ShedPolicy};

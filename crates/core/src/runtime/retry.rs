@@ -124,6 +124,10 @@ pub(crate) fn escalate(cell: &EscalationCell, kind: FaultKind) -> ! {
     std::panic::panic_any(FaultPanic(first));
 }
 
+/// Base backoff between the send retries of a run; unit tests build a
+/// [`RetryPolicy`] with a shorter one.
+const RETRY_BACKOFF: Duration = Duration::from_micros(50);
+
 /// Retry budget for transient send failures.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RetryPolicy {
@@ -137,7 +141,7 @@ impl RetryPolicy {
     pub(crate) fn from_config(config: &super::config::Config) -> Self {
         RetryPolicy {
             retries: config.send_retries,
-            backoff: config.retry_backoff,
+            backoff: RETRY_BACKOFF,
         }
     }
 

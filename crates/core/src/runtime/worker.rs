@@ -208,7 +208,7 @@ impl Worker {
     }
 
     /// A clone of this worker's recorder (for the introspection harness,
-    /// the autotuner and the run coordinator, which record events of their
+    /// which taps it, and the run coordinator, which records events of its
     /// own in this worker's log).
     pub(crate) fn recorder(&self) -> Recorder {
         self.recorder.clone()
@@ -353,10 +353,9 @@ impl Worker {
             workers_per_process: self.config.workers_per_process,
             process: self.process,
             batch_size: self.config.batch_size,
-            tuning: self.config.tuning.clone(),
             slabs: self.slabs.clone(),
             registry: self.registry.clone(),
-            net: Some(self.net.clone()),
+            net: self.net.clone(),
             escalation: self.escalation.clone(),
             policy: self.policy,
             recorder: self.recorder.clone(),
@@ -696,7 +695,7 @@ impl Worker {
         else {
             return;
         };
-        let ratio = flow.in_flight_bytes() as f64 / flow.budget() as f64;
+        let ratio = flow.in_flight_bytes() as f64 / flow.config().budget as f64;
         let waits = flow.credit_waits();
         let waited = waits != self.last_flow_waits;
         self.last_flow_waits = waits;

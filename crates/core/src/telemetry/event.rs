@@ -191,18 +191,6 @@ pub enum TelemetryEvent {
         /// Wall-clock milliseconds the computation was fenced.
         stalled_ms: u64,
     },
-    /// The autotuner ([`crate::introspect`]) adjusted a runtime knob in
-    /// response to a critical-path summary.
-    TuningDecision {
-        /// Source epoch whose summary triggered the adjustment.
-        epoch: u64,
-        /// Which knob was adjusted.
-        knob: TuningKnob,
-        /// Knob value before the adjustment.
-        from: u64,
-        /// Knob value after the adjustment.
-        to: u64,
-    },
     /// A data-plane sender spent time parked on an exhausted credit cell
     /// before its batch was admitted (or timed out). Recorded once per
     /// waiting `emit`, never on the uncontended fast path.
@@ -253,29 +241,6 @@ pub enum TelemetryEvent {
     },
 }
 
-/// A runtime knob the [`crate::introspect`] autotuner may adjust online.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TuningKnob {
-    /// Exchange-channel batch size (records per emitted batch).
-    BatchSize,
-    /// Data-plane credit budget (bytes in flight per credited queue).
-    CreditBudget,
-    /// Slab-pool resident cap (recycled encode-buffer bytes retained
-    /// per process, DESIGN.md §16).
-    PoolResidentCap,
-}
-
-impl TuningKnob {
-    /// Short machine-readable knob name (the JSON `"knob"` field).
-    pub fn name(self) -> &'static str {
-        match self {
-            TuningKnob::BatchSize => "batch_size",
-            TuningKnob::CreditBudget => "credit_budget",
-            TuningKnob::PoolResidentCap => "pool_resident_cap",
-        }
-    }
-}
-
 impl TelemetryEvent {
     /// Short machine-readable event name (the `"ev"` JSON field).
     pub fn name(&self) -> &'static str {
@@ -299,7 +264,6 @@ impl TelemetryEvent {
             TelemetryEvent::RescaleStarted { .. } => "rescale_started",
             TelemetryEvent::PartitionMigrated { .. } => "partition_migrated",
             TelemetryEvent::RescaleCompleted { .. } => "rescale_completed",
-            TelemetryEvent::TuningDecision { .. } => "tuning",
             TelemetryEvent::CreditWait { .. } => "credit_wait",
             TelemetryEvent::OverloadTransition { .. } => "overload",
             TelemetryEvent::MessagesShed { .. } => "shed",
@@ -308,7 +272,7 @@ impl TelemetryEvent {
     }
 
     /// The dataflow the event belongs to, when it carries one. Cluster-
-    /// level events (faults, peers, checkpoints, rescales, tuning) have
+    /// level events (faults, peers, checkpoints, rescales) have
     /// no dataflow and return `None`.
     pub fn dataflow_id(&self) -> Option<u32> {
         match *self {
@@ -505,18 +469,6 @@ impl EventRecord {
                     ",\"epoch\":{epoch},\"workers\":{workers},\"stalled_ms\":{stalled_ms}"
                 );
             }
-            TelemetryEvent::TuningDecision {
-                epoch,
-                knob,
-                from,
-                to,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"epoch\":{epoch},\"knob\":\"{}\",\"from\":{from},\"to\":{to}",
-                    knob.name()
-                );
-            }
             TelemetryEvent::CreditWait {
                 dataflow,
                 connector,
@@ -573,15 +525,6 @@ mod tests {
                     worked: true,
                     epoch: 2,
                     seq: 40,
-                },
-            },
-            EventRecord {
-                nanos: 10,
-                event: TelemetryEvent::TuningDecision {
-                    epoch: 2,
-                    knob: TuningKnob::BatchSize,
-                    from: 1024,
-                    to: 2048,
                 },
             },
             EventRecord {
@@ -714,13 +657,6 @@ mod tests {
             seq: 0,
         };
         assert_eq!(ev.dataflow_id(), Some(3));
-        let ev = TelemetryEvent::TuningDecision {
-            epoch: 1,
-            knob: TuningKnob::BatchSize,
-            from: 1,
-            to: 2,
-        };
-        assert_eq!(ev.dataflow_id(), None);
         let ev = TelemetryEvent::CheckpointTaken { bytes: 10 };
         assert_eq!(ev.dataflow_id(), None);
     }
@@ -750,7 +686,5 @@ mod tests {
         assert_eq!(ev.dataflow_id(), None);
         let json = EventRecord { nanos: 2, event: ev }.to_json(3);
         assert!(json.contains("\"from\":1,\"to\":2"), "{json}");
-
-        assert_eq!(TuningKnob::CreditBudget.name(), "credit_budget");
     }
 }

@@ -41,7 +41,7 @@ mod event;
 mod recorder;
 mod snapshot;
 
-pub use event::{EventRecord, TelemetryEvent, TuningKnob};
+pub use event::{EventRecord, TelemetryEvent};
 pub(crate) use recorder::Tap;
 pub use recorder::{
     ConnectorCounters, DataflowDirectory, OpCounters, Recorder, WorkerCounters, WorkerTelemetry,

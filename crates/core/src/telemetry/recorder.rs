@@ -72,8 +72,6 @@ pub struct WorkerCounters {
     pub partitions_migrated: u64,
     /// Bytes of keyed state absorbed across those shards.
     pub migrated_bytes: u64,
-    /// Autotuner knob adjustments recorded on this worker.
-    pub tuning_decisions: u64,
     /// Times a pusher on this worker parked waiting for credit.
     pub credit_waits: u64,
     /// Cumulative nanoseconds those pushers spent parked.
@@ -325,7 +323,6 @@ impl EventLog {
                 c.migrated_bytes += bytes;
             }
             TelemetryEvent::RescaleCompleted { .. } => {}
-            TelemetryEvent::TuningDecision { .. } => c.tuning_decisions += 1,
             TelemetryEvent::CreditWait { waited_ns, .. } => {
                 c.credit_waits += 1;
                 c.credit_wait_nanos += waited_ns;

@@ -97,7 +97,7 @@ pub struct SlabGauges {
 pub struct SlabPool {
     classes: [Mutex<Vec<Vec<u8>>>; CLASSES],
     resident_bytes: AtomicUsize,
-    resident_cap: AtomicUsize,
+    resident_cap: usize,
     allocs: AtomicU64,
     reuses: AtomicU64,
     returns: AtomicU64,
@@ -120,7 +120,7 @@ impl SlabPool {
         SlabPool {
             classes: std::array::from_fn(|_| Mutex::new(Vec::new())),
             resident_bytes: AtomicUsize::new(0),
-            resident_cap: AtomicUsize::new(cap),
+            resident_cap: cap,
             allocs: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
             returns: AtomicU64::new(0),
@@ -129,16 +129,9 @@ impl SlabPool {
         }
     }
 
-    /// The resident-byte cap currently in force.
+    /// The resident-byte cap the pool was built with.
     pub fn resident_cap(&self) -> usize {
-        self.resident_cap.load(Ordering::Relaxed)
-    }
-
-    /// Adjusts the resident-byte cap (the autotuner's pool-size knob).
-    /// Takes effect on the next return; an over-cap pool drains as its
-    /// slabs are re-served or discarded.
-    pub fn set_resident_cap(&self, cap: usize) {
-        self.resident_cap.store(cap, Ordering::Relaxed);
+        self.resident_cap
     }
 
     /// The smallest class index whose capacity is at least `capacity`,
@@ -380,10 +373,12 @@ mod tests {
         assert_eq!(g.slab_returns, 1, "second return exceeds the cap");
         assert_eq!(g.slab_discards, 1);
         assert!(g.pool_resident_bytes <= MIN_CLASS_BYTES as u64);
-        // Raising the cap lets returns land again.
-        pool.set_resident_cap(64 << 10);
-        let c = pool.get(16);
-        drop(c);
+        // Under a larger cap both returns land.
+        let pool = Arc::new(SlabPool::with_resident_cap(64 << 10));
+        let a = pool.get(16);
+        let b = pool.get(16);
+        drop(a);
+        drop(b);
         assert_eq!(pool.gauges().slab_returns, 2);
     }
 

@@ -18,6 +18,27 @@ for root in src/lib.rs crates/*/src/lib.rs; do
   fi
 done
 
+echo "== weight (ROADMAP aims 2 and 3 as a ratchet) =="
+# Three sizes that should only fall: the core crate's lines, the places
+# the runtime crates suppress a lint, and Config's option count. Each
+# ceiling is the count at the last PR that lowered it; a PR that lowers a
+# count lowers its ceiling here, and one that must raise a ceiling says
+# why in CHANGES.md.
+weigh() { # <what> <count> <ceiling>
+  printf '%-62s %6d (ceiling %d)\n' "$1" "$2" "$3"
+  if [ "$2" -gt "$3" ]; then
+    echo "verify: FAIL — $1: $2 exceeds the ceiling of $3"
+    exit 1
+  fi
+}
+weigh "lines in crates/core/src" \
+  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 19959
+weigh "lint-allow / *-exempt markers in crates/{core,wire,netsim}/src" \
+  "$(grep -rhoE 'lint-allow\(|[a-z]+-exempt:' crates/core/src crates/wire/src crates/netsim/src | wc -l)" 42
+weigh "pub fields of Config" \
+  "$(awk '/^pub struct Config \{/ {on = 1; next} on && /^\}/ {on = 0} on && /^    pub [a-z_]+:/ {n++} END {print n + 0}' \
+    crates/core/src/runtime/config.rs)" 15
+
 echo "== source invariant linter (naiad-lint-src, NS0001-NS0006) =="
 # Token-level replacement for the old flow-exempt/slab-exempt grep|awk
 # gates, plus the rules those gates could not express: unbounded channels
@@ -67,8 +88,8 @@ cargo run -q --release --example naiad_lint
 
 echo "== self-hosted critical-path report (introspection gate) =="
 # Runs the workload catalog under Execution::introspect; the example
-# asserts one summary per closed epoch, >=95% wall-clock accounting, no
-# tap overflow, and bounded tuning decisions (DESIGN.md §14).
+# asserts one summary per closed epoch, >=95% wall-clock accounting, and
+# no tap overflow (DESIGN.md §14).
 cargo run -q --release --example critical_path_report >/dev/null
 
 echo "== overload report (flow-control gate) =="

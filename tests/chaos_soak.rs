@@ -674,7 +674,7 @@ fn extended_rescale_soak_honours_env() {
 // --- Introspection soak ---------------------------------------------
 //
 // The self-hosted critical-path observer must be observation only: a
-// lossy run with introspection enabled (autotuning off) produces output
+// lossy run with introspection enabled produces output
 // bit-identical to the fault-free, uninstrumented baseline.
 
 /// A lossy-but-crashless plan for the introspection soak: drops and
@@ -742,10 +742,6 @@ fn introspect_soak(seeds: std::ops::Range<u64>, reference: &[Vec<(u64, u64)>]) {
                 "seed {seed}: epoch {e} has no critical-path summary"
             );
         }
-        assert!(
-            report.decisions.is_empty(),
-            "seed {seed}: autotuning is off yet decisions were made"
-        );
     }
 }
 
@@ -800,7 +796,7 @@ fn composed_plan_for_seed(seed: u64) -> FaultPlan {
 
 /// One composed run: the elastic driver under the composite plan, with
 /// `Block` flow control on a budget small enough that credits circulate,
-/// and the observer installed (autotuning off).
+/// and the observer installed.
 fn composed_run(seed: u64) -> Result<RunReport<(u64, Out)>, ExecuteError> {
     let config = chaos_config()
         .faults(composed_plan_for_seed(seed))
@@ -860,10 +856,6 @@ fn composed_soak(seeds: std::ops::Range<u64>, reference: &[Vec<(u64, u64)>]) -> 
                 );
             }
         }
-        assert!(
-            report.decisions.is_empty(),
-            "seed {seed}: autotuning is off yet decisions were made"
-        );
         if report.phases.iter().any(|p| !p.recovered_from.is_empty()) {
             eventful += 1;
         }
