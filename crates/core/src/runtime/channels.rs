@@ -16,18 +16,19 @@
 //! the §3.3 broadcast order (consequences before retirements).
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use naiad_netsim::{NetSender, TrafficClass};
+use naiad_netsim::{NetReceiver, NetSender};
 use naiad_wire::{Bytes, ExchangeData, SlabPool, Wire, WireError};
 
 use super::queue::{ring, RingReceiver, RingSender};
 use super::sync::Mutex;
 
 use super::flow::{Acquire, CreditCell, FlowKey, FlowRegistry, OverloadFlag, OverloadState, ShedPolicy};
-use super::retry::{escalate, send_with_retry, EscalationCell, FaultKind, RetryPolicy};
+use super::retry::{escalate, with_retry, EscalationCell, FaultKind, RetryPolicy};
 use crate::graph::{ConnectorId, LogicalGraph};
 use crate::progress::{Pointstamp, ProgressUpdate};
 use crate::telemetry::{Recorder, TelemetryEvent};
@@ -147,8 +148,6 @@ impl<D> Message<D> {
 pub(crate) enum ChannelKey {
     /// Typed shared-memory queue: `(dataflow, channel, dst local worker)`.
     Data(usize, usize, usize),
-    /// Serialized remote-arrival queue for the same address.
-    RemoteData(usize, usize, usize),
     /// A worker's progress inbox.
     Progress(usize),
     /// The spare-container stack shared by a data endpoint's senders and
@@ -230,7 +229,7 @@ impl ProcessRegistry {
     fn with_chan<T: Send + 'static, R>(&self, key: ChannelKey, f: impl FnOnce(&Chan<T>) -> R) -> R {
         let mut map = self.map.lock();
         let entry = map.entry(key).or_insert_with(|| {
-            // flow-exempt: Data/RemoteData queues are credit-bounded at the
+            // flow-exempt: Data queues are credit-bounded at the
             // Pusher/Puller layer (runtime::flow); Progress inboxes carry the
             // §3.3 protocol and must never block (DESIGN.md §15).
             let (tx, rx) = ring::<T>();
@@ -295,6 +294,63 @@ impl ProcessRegistry {
     /// The logical graph of a registered dataflow.
     pub(crate) fn dataflow_graph(&self, id: usize) -> Option<Arc<LogicalGraph>> {
         self.dataflows.lock().get(&id).cloned()
+    }
+}
+
+/// The frames one remote channel has delivered to a worker, in arrival
+/// order, each with the process that sent it so the puller can route its
+/// credit return (DESIGN.md §15).
+type RemoteQueue = Rc<RefCell<VecDeque<(u32, Bytes)>>>;
+
+/// A worker's end of the remote data plane (DESIGN.md §10): the fabric
+/// mailbox that other processes' pushers put this worker's frames into,
+/// and the table that sorts them by `(dataflow, channel)` for its pullers.
+/// Both are the worker's alone — no lock, no hash of a shared registry and
+/// no other thread sit between the fabric and the operator.
+pub(crate) struct Mailbox {
+    rx: NetReceiver,
+    queues: HashMap<(usize, usize), RemoteQueue>,
+}
+
+impl Mailbox {
+    pub(crate) fn new(rx: NetReceiver) -> Self {
+        Mailbox {
+            rx,
+            queues: HashMap::new(),
+        }
+    }
+
+    /// The puller's handle on the queue of `channel` of `dataflow`. Whoever
+    /// names a queue first creates it: a frame that outruns the
+    /// construction of its dataflow waits there for the puller.
+    fn queue(&mut self, dataflow: usize, channel: usize) -> RemoteQueue {
+        self.queues.entry((dataflow, channel)).or_default().clone()
+    }
+
+    /// Moves every frame the fabric has for this worker into its channel's
+    /// queue and returns how many. The depth it reports to `recorder` is
+    /// what the mailbox held when polled: those frames, plus the ones a
+    /// latency model still holds back.
+    pub(crate) fn drain(&mut self, recorder: &Recorder) -> usize {
+        let mut frames = 0;
+        while let Some(env) = self.rx.try_recv() {
+            let (dataflow, channel, _) = parse_data_tag(env.channel);
+            let queue = self.queues.entry((dataflow, channel)).or_default();
+            queue.borrow_mut().push_back((env.src as u32, env.payload));
+            frames += 1;
+        }
+        let depth = frames + self.rx.delayed();
+        if depth > 0 {
+            recorder.record_mailbox(frames, depth);
+        }
+        frames
+    }
+
+    /// `(due, not_yet_due)`: frames sorted into a queue that their puller
+    /// has not read, and frames the latency model still holds back.
+    pub(crate) fn backlog(&self) -> (usize, usize) {
+        let due = self.queues.values().map(|q| q.borrow().len()).sum();
+        (due, self.rx.delayed())
     }
 }
 
@@ -372,9 +428,9 @@ enum Route<D> {
         tx: RingSender<Message<D>>,
         spares: SparePool<D>,
     },
-    /// Another process: the batch is encoded into a slab and carried by
-    /// the fabric; the typed buffer is cleared in place and keeps its
-    /// capacity.
+    /// Another process: the batch is encoded into a slab and the fabric
+    /// carries it to the destination worker's mailbox; the typed buffer is
+    /// cleared in place and keeps its capacity.
     Remote {
         process: usize,
         tag: u32,
@@ -431,6 +487,7 @@ pub(crate) struct RoutingContext {
     pub slabs: Arc<SlabPool>,
     pub registry: Arc<ProcessRegistry>,
     pub net: Arc<Mutex<NetSender>>,
+    pub mailbox: Rc<RefCell<Mailbox>>,
     pub escalation: Arc<EscalationCell>,
     pub policy: RetryPolicy,
     pub recorder: Recorder,
@@ -709,9 +766,10 @@ impl<D: ExchangeData> Pusher<D> {
                     return;
                 }
                 journal_update(&self.journal, sent, 1);
-                if let Err(err) =
-                    send_with_retry(net, self.policy, *process, *tag, TrafficClass::Data, &bytes)
-                {
+                // The tag names the destination worker, and so its mailbox.
+                let (_, _, mailbox) = parse_data_tag(*tag);
+                let send = || net.lock().send_data(*process, mailbox, *tag, bytes.clone());
+                if let Err(err) = with_retry(self.policy, send) {
                     let kind = FaultKind::from_send_error(err);
                     self.recorder
                         .record(TelemetryEvent::FaultEscalated { kind });
@@ -739,7 +797,7 @@ impl<D: ExchangeData> Pusher<D> {
 pub(crate) struct Puller<D> {
     connector: ConnectorId,
     local: RingReceiver<Message<D>>,
-    remote: RingReceiver<(u32, Bytes)>,
+    remote: RemoteQueue,
     /// Spare containers for this endpoint, shared with its local senders;
     /// remote frames decode into recycled containers drawn from here.
     spares: SparePool<D>,
@@ -779,7 +837,6 @@ impl<D: ExchangeData> Puller<D> {
     ) -> Self {
         let my_local = ctx.my_index % ctx.workers_per_process;
         let local_key = ChannelKey::Data(ctx.dataflow, channel, my_local);
-        let remote_key = ChannelKey::RemoteData(ctx.dataflow, channel, my_local);
         let flow = ctx.flow.as_ref().map(|registry| PullerFlow {
             registry: registry.clone(),
             local_cell: registry.cell(FlowKey::Local(ctx.process, ctx.dataflow, channel, my_local)),
@@ -789,7 +846,7 @@ impl<D: ExchangeData> Puller<D> {
         Puller {
             connector,
             local: ctx.registry.receiver(local_key),
-            remote: ctx.registry.receiver(remote_key),
+            remote: ctx.mailbox.borrow_mut().queue(ctx.dataflow, channel),
             spares: ctx.registry.spares(ctx.dataflow, channel, my_local),
             journal,
             unsettled: None,
@@ -811,7 +868,7 @@ impl<D: ExchangeData> Puller<D> {
         self.settle();
         let (message, remote_payload) = if let Some(m) = self.local.try_recv() {
             (Some(m), None)
-        } else if let Some((src, bytes)) = self.remote.try_recv() {
+        } else if let Some((src, bytes)) = self.remote.borrow_mut().pop_front() {
             // Decode into a recycled container: zero container
             // allocations once the endpoint is warm (DESIGN.md §16).
             let container = self.spares.pop();
@@ -890,7 +947,7 @@ mod tests {
 
     fn ctx(registry: Arc<ProcessRegistry>) -> RoutingContext {
         // Both workers live in process 0, so nothing is ever sent on it.
-        let (fabric, _) = naiad_netsim::Fabric::builder(1).build().remove(0).split();
+        let (fabric, rx) = naiad_netsim::Fabric::builder(1).build().remove(0).split();
         RoutingContext {
             dataflow: 0,
             my_index: 0,
@@ -901,6 +958,7 @@ mod tests {
             slabs: Arc::new(SlabPool::default()),
             registry,
             net: Arc::new(Mutex::new(fabric)),
+            mailbox: Rc::new(RefCell::new(Mailbox::new(rx))),
             escalation: Arc::new(EscalationCell::default()),
             policy: RetryPolicy {
                 retries: 0,
@@ -1098,33 +1156,13 @@ mod tests {
         let spent = flow.in_flight_bytes();
         assert_eq!(flow.peak_in_flight_bytes(), spent);
         // The receiving worker (global index 1) pulls and settles.
-        let mut rx_ctx = flow_ctx_for_receiver(&rc, 1);
-        rx_ctx.flow = Some(flow.clone());
+        let rx_ctx = RoutingContext { my_index: 1, ..rc };
         let mut puller = Puller::<u64>::new(&rx_ctx, 0, ConnectorId(1), j);
         assert!(puller.pull().is_some());
         assert_eq!(flow.in_flight_bytes(), spent, "credits return on settle, not pull");
         puller.settle();
         assert_eq!(flow.in_flight_bytes(), 0);
         assert_eq!(flow.returns(), 1);
-    }
-
-    fn flow_ctx_for_receiver(rc: &RoutingContext, my_index: usize) -> RoutingContext {
-        RoutingContext {
-            dataflow: rc.dataflow,
-            my_index,
-            peers: rc.peers,
-            workers_per_process: rc.workers_per_process,
-            process: rc.process,
-            batch_size: rc.batch_size,
-            slabs: rc.slabs.clone(),
-            registry: rc.registry.clone(),
-            net: rc.net.clone(),
-            escalation: rc.escalation.clone(),
-            policy: rc.policy,
-            recorder: rc.recorder.clone(),
-            flow: rc.flow.clone(),
-            overload: rc.overload.clone(),
-        }
     }
 
     #[test]

@@ -52,9 +52,9 @@ pub struct Config {
     /// detector, a crashed or partitioned peer that never faults a send
     /// is only caught by the stall watchdog.
     pub heartbeats: bool,
-    /// Cadence of standalone heartbeats when no traffic is flowing
-    /// (progress traffic implicitly refreshes liveness, so heartbeats
-    /// piggyback on it and only fire standalone when a link goes quiet).
+    /// Cadence of heartbeats: one to every peer per interval, whether or
+    /// not other traffic flows (what a router receives in between also
+    /// counts as proof of life).
     pub heartbeat_interval: Duration,
     /// Silence after which a peer is marked *suspected* (telemetry only;
     /// nothing unwinds yet).

@@ -278,7 +278,7 @@ where
     install_fault_panic_hook();
     let processes = config.processes;
     let endpoints = processes + usize::from(config.progress_mode.global());
-    let mut builder = Fabric::builder(endpoints);
+    let mut builder = Fabric::builder(endpoints).mailboxes(config.workers_per_process);
     if let Some(latency) = &config.latency {
         builder = builder.latency(latency.clone());
     }
@@ -340,7 +340,7 @@ where
     let mut worker_handles = Vec::new();
 
     for (process, endpoint) in fabric.into_iter().enumerate() {
-        let (tx, rx) = endpoint.split();
+        let (tx, rx, mailboxes) = endpoint.split_mailboxes();
         let net = Arc::new(Mutex::new(tx));
         let registry = if processes == 1 {
             directory.clone()
@@ -417,7 +417,7 @@ where
             );
         }
 
-        for local in 0..config.workers_per_process {
+        for (local, mailbox) in mailboxes.into_iter().enumerate() {
             let index = process * config.workers_per_process + local;
             let peers = config.total_workers();
             let config = config.clone();
@@ -442,6 +442,7 @@ where
                             config,
                             registry,
                             net,
+                            mailbox,
                             progress_links,
                             accumulator,
                             directory,
@@ -543,6 +544,7 @@ where
                         .progress_local_deliveries
                         .load(Ordering::Relaxed),
                     progress_routed: hub_stats.progress_routed.load(Ordering::Relaxed),
+                    router_envelopes: hub_stats.router_envelopes.load(Ordering::Relaxed),
                     heartbeats_sent: liveness_handles.iter().map(|l| l.beats_sent()).sum(),
                     suspicions: liveness_handles.iter().map(|l| l.suspicions()).sum(),
                     peer_failures: liveness_handles.iter().map(|l| l.failures()).sum(),

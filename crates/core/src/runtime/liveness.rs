@@ -11,13 +11,12 @@
 //! process's router thread, which ticks every few milliseconds even when
 //! all workers are busy or parked:
 //!
-//! * **Emission** — [`Liveness::maybe_beat`] sends a standalone
-//!   heartbeat to every peer once per configured interval, over the
-//!   fabric's latency-exempt control channel. Any *data or progress*
-//!   traffic refreshes liveness too (the router calls
-//!   [`Liveness::note_heard`] on every arrival), so heartbeats
-//!   effectively piggyback on progress traffic while it flows and only
-//!   go standalone when a link falls quiet.
+//! * **Emission** — [`Liveness::maybe_beat`] sends a heartbeat to every
+//!   peer once per configured interval, whatever else the link carries,
+//!   over the fabric's latency-exempt control channel. Everything the
+//!   router receives refreshes liveness as well ([`Liveness::note_heard`]:
+//!   progress batches, membership, credit returns); data frames do not,
+//!   they go to the workers' mailboxes without passing the router.
 //! * **Detection** — [`Liveness::scan`] compares each peer's
 //!   last-heard timestamp (from the fabric's shared [`ClusterClock`])
 //!   against the suspicion and failure thresholds. Crossing the

@@ -1,6 +1,6 @@
 //! Transport shell for the progress protocol (§3.3): process-level and
 //! cluster-level accumulation behind the fabric, plus the per-process
-//! router thread that dispatches incoming traffic.
+//! router thread that dispatches incoming progress and control traffic.
 //!
 //! The protocol itself — buffering policy, batch sequencing, stash-until-
 //! registration — lives in the pure [`GroupCore`] state machine
@@ -38,8 +38,8 @@ use crate::progress::{
 };
 
 use super::channels::{
-    parse_data_tag, ChannelKey, ProcessRegistry, CENTRAL_TAG, CREDIT_TAG, HEARTBEAT_TAG,
-    MEMBERSHIP_TAG, PROGRESS_TAG,
+    ChannelKey, ProcessRegistry, CENTRAL_TAG, CREDIT_TAG, HEARTBEAT_TAG, MEMBERSHIP_TAG,
+    PROGRESS_TAG,
 };
 use super::flow::{FlowKey, FlowRegistry};
 use super::liveness::Liveness;
@@ -66,6 +66,9 @@ pub(crate) struct HubStats {
     /// Progress batches a router thread took off the fabric and fanned
     /// out to its process's inboxes.
     pub(crate) progress_routed: AtomicU64,
+    /// Every envelope a router thread took off the fabric: progress and
+    /// control. Data frames go to their worker's mailbox, past the router.
+    pub(crate) router_envelopes: AtomicU64,
 }
 
 /// First idle wait after traffic.
@@ -152,14 +155,7 @@ impl ProgressLinks {
     fn send_to(&self, endpoint: Endpoint, bytes: &Bytes) -> Result<(), SendError> {
         if endpoint != Endpoint::Process(self.process) {
             let (dst, tag) = address(endpoint, self.processes);
-            return send_with_retry(
-                &self.net,
-                self.policy,
-                dst,
-                tag,
-                TrafficClass::Progress,
-                bytes,
-            );
+            return send_with_retry(&self.net, self.policy, dst, tag, bytes);
         }
         with_retry(self.policy, || {
             self.net
@@ -291,9 +287,7 @@ pub(crate) fn run_central_accumulator(
                     let bytes: Bytes = encode_to_vec(&out).into();
                     for endpoint in core.hop().endpoints(processes) {
                         let (dst, tag) = address(endpoint, processes);
-                        if let Err(err) =
-                            send_with_retry(net, policy, dst, tag, TrafficClass::Progress, &bytes)
-                        {
+                        if let Err(err) = send_with_retry(net, policy, dst, tag, &bytes) {
                             escalate(escalation, FaultKind::from_send_error(err));
                         }
                     }
@@ -313,11 +307,14 @@ pub(crate) fn run_central_accumulator(
     }
 }
 
-/// The per-process router thread body: dispatches incoming fabric traffic
-/// to worker queues, fanning progress broadcasts out to every local worker
-/// and teeing them into the process accumulator where the mode requires.
-/// The broadcasts it sees come from other endpoints; this process's own
-/// are delivered by the thread that flushed them ([`ProgressLinks::send`]).
+/// The per-process router thread body: reads the endpoint's merged queue —
+/// progress, membership, heartbeats, credit returns — fanning progress
+/// broadcasts out to every local worker and teeing them into the process
+/// accumulator where the mode requires. The broadcasts it sees come from
+/// other endpoints; this process's own are delivered by the thread that
+/// flushed them ([`ProgressLinks::send`]). Data frames never come this way:
+/// the fabric puts each into the mailbox of the worker that reads it
+/// ([`Mailbox`](super::channels::Mailbox)).
 ///
 /// The router also *is* the process's liveness driver: it ticks the
 /// failure detector every loop iteration (it wakes at least every
@@ -379,9 +376,10 @@ pub(crate) fn run_router(
         match rx.recv_deadline(Some(wait)) {
             Ok(env) => {
                 wait = IDLE_WAIT_BASE.min(wait_cap);
+                stats.router_envelopes.fetch_add(1, Ordering::Relaxed);
                 if let Some(live) = &liveness {
-                    // Any traffic proves the sender alive; heartbeats carry
-                    // no other content.
+                    // Anything the router receives proves its sender alive;
+                    // heartbeats carry no other content.
                     live.note_heard(env.src);
                 }
                 match env.channel {
@@ -436,9 +434,6 @@ pub(crate) fn run_router(
                             acc.lock().observe(&batch);
                         }
                     }
-                    CENTRAL_TAG => {
-                        unreachable!("central traffic is addressed to the central endpoint")
-                    }
                     CREDIT_TAG => {
                         // Credit return from a remote receiver (DESIGN.md
                         // §15): `(data tag, bytes)` for a batch one of our
@@ -468,16 +463,13 @@ pub(crate) fn run_router(
                             }
                         }
                     }
-                    tag => {
-                        let (dataflow, channel, dst_local) = parse_data_tag(tag);
-                        // The remote-arrival queue carries the source process
-                        // alongside the payload so the consuming puller can
-                        // route its credit return (DESIGN.md §15).
-                        let tx = registry.sender::<(u32, Bytes)>(ChannelKey::RemoteData(
-                            dataflow, channel, dst_local,
-                        ));
-                        tx.send((env.src as u32, env.payload));
-                    }
+                    tag => panic!(
+                        "router: endpoint {} sent tag {tag:#x} ({} bytes) to the merged queue — \
+                         a data frame is addressed to its worker's mailbox and a central batch \
+                         to the central endpoint, never to a router",
+                        env.src,
+                        env.payload.len()
+                    ),
                 }
             }
             Err(RecvError::Timeout) => {

@@ -171,15 +171,16 @@ pub(crate) fn with_retry<T>(
     }
 }
 
-/// Sends `payload` to `dst` under [`with_retry`].
+/// Sends a progress batch to `dst` under [`with_retry`]. (A data frame
+/// goes to a worker's mailbox: `Pusher::emit` retries `send_data` itself.)
 pub(crate) fn send_with_retry(
     net: &Arc<Mutex<NetSender>>,
     policy: RetryPolicy,
     dst: usize,
     channel: u32,
-    class: TrafficClass,
     payload: &Bytes,
 ) -> Result<(), SendError> {
+    let class = TrafficClass::Progress;
     with_retry(policy, || {
         net.lock().send(dst, channel, class, payload.clone())
     })
@@ -206,15 +207,7 @@ mod tests {
         let a = endpoints.pop().unwrap();
         let (tx, _rx) = a.split();
         let net = Arc::new(Mutex::new(tx));
-        send_with_retry(
-            &net,
-            policy(8),
-            1,
-            7,
-            TrafficClass::Data,
-            &vec![1u8].into(),
-        )
-        .unwrap();
+        send_with_retry(&net, policy(8), 1, 7, &vec![1u8].into()).unwrap();
         assert_eq!(b.recv_blocking().unwrap().payload.as_ref(), &[1u8]);
         assert_eq!(net.lock().metrics().faults().partition_rejects, 3);
     }
@@ -227,8 +220,7 @@ mod tests {
         let a = endpoints.pop().unwrap();
         let (tx, _rx) = a.split();
         let net = Arc::new(Mutex::new(tx));
-        let err = send_with_retry(&net, policy(4), 1, 7, TrafficClass::Data, &vec![1u8].into())
-            .unwrap_err();
+        let err = send_with_retry(&net, policy(4), 1, 7, &vec![1u8].into()).unwrap_err();
         assert_eq!(err, SendError::Partitioned { src: 0, dst: 1 });
         assert!(FaultKind::from_send_error(err) == FaultKind::LinkFailed { src: 0, dst: 1 });
     }
@@ -241,8 +233,7 @@ mod tests {
         a.fault_controller().crash(1);
         let (tx, _rx) = a.split();
         let net = Arc::new(Mutex::new(tx));
-        let err = send_with_retry(&net, policy(8), 1, 7, TrafficClass::Data, &vec![1u8].into())
-            .unwrap_err();
+        let err = send_with_retry(&net, policy(8), 1, 7, &vec![1u8].into()).unwrap_err();
         assert_eq!(err, SendError::PeerCrashed { dst: 1 });
         assert_eq!(
             FaultKind::from_send_error(err),

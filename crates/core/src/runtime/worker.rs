@@ -7,7 +7,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use naiad_netsim::{FaultController, NetSender};
+use naiad_netsim::{FaultController, NetReceiver, NetSender};
 use naiad_wire::{encode_to_vec, Bytes};
 
 use super::sync::Mutex;
@@ -18,7 +18,7 @@ use crate::graph::StageId;
 use crate::progress::{Hop, ProgressBatch, ProgressUpdate, Role, WorkerCore};
 use crate::telemetry::{Recorder, TelemetryEvent, WorkerTelemetry};
 
-use super::channels::{ChannelKey, Journal, ProcessRegistry, RoutingContext};
+use super::channels::{ChannelKey, Journal, Mailbox, ProcessRegistry, RoutingContext};
 use super::config::Config;
 use super::durability::{open_blob, seal_blob, RestoreError};
 use super::flow::{FlowRegistry, OverloadFlag, OverloadMonitor};
@@ -88,6 +88,9 @@ pub struct Worker {
     /// Global modes; in the local modes the accumulator sends).
     progress_links: Arc<ProgressLinks>,
     progress_rx: super::queue::RingReceiver<Bytes>,
+    /// Where other processes' data frames for this worker arrive, shared
+    /// with the pullers that read them.
+    mailbox: Rc<RefCell<Mailbox>>,
     accumulator: Option<Arc<Mutex<ProcessAccumulator>>>,
     /// Global dataflow directory, shared with the central accumulator.
     directory: Arc<ProcessRegistry>,
@@ -151,6 +154,7 @@ impl Worker {
         config: Config,
         registry: Arc<ProcessRegistry>,
         net: Arc<Mutex<NetSender>>,
+        mailbox: NetReceiver,
         progress_links: Arc<ProgressLinks>,
         accumulator: Option<Arc<Mutex<ProcessAccumulator>>>,
         directory: Arc<ProcessRegistry>,
@@ -183,6 +187,7 @@ impl Worker {
             net,
             progress_links,
             progress_rx,
+            mailbox: Rc::new(RefCell::new(Mailbox::new(mailbox))),
             accumulator,
             directory,
             dataflows: Vec::new(),
@@ -356,6 +361,7 @@ impl Worker {
             slabs: self.slabs.clone(),
             registry: self.registry.clone(),
             net: self.net.clone(),
+            mailbox: self.mailbox.clone(),
             escalation: self.escalation.clone(),
             policy: self.policy,
             recorder: self.recorder.clone(),
@@ -662,6 +668,7 @@ impl Worker {
         self.drain_liveness_transitions();
         self.poll_overload();
         self.last_step_worked = false;
+        self.mailbox.borrow_mut().drain(&self.recorder);
         self.drain_progress();
         if !self.hooks.is_empty() {
             // The hook arg is the min open epoch over *user* dataflows:
@@ -813,6 +820,15 @@ impl Worker {
             }
             out.push_str("}\n");
         }
+        // Remote data that reached this worker and has gone no further: read
+        // by no puller (`due`), or held back by the fabric's latency model,
+        // as of the last drain (`step`, `idle_wait`); the dump moves nothing.
+        let (due, not_yet_due) = self.mailbox.borrow().backlog();
+        let _ = writeln!(
+            out,
+            "{{\"w\":{},\"ev\":\"mailbox\",\"due\":{due},\"not_yet_due\":{not_yet_due}}}",
+            self.index
+        );
         if let Some(flow) = &self.flow {
             let status = if self.backpressured() {
                 "backpressured"
@@ -873,11 +889,12 @@ impl Worker {
     }
 
     /// Blocks on the progress inbox for at most one [`IDLE_TICK`], so idle
-    /// workers neither spin nor miss a batch.
+    /// workers neither spin nor miss a batch; a worker with data frames in
+    /// its mailbox does not park at all.
     /// Consecutive fruitless waits while pointstamps are outstanding feed
     /// the stall watchdog.
     pub(crate) fn idle_wait(&mut self) {
-        if self.last_step_worked {
+        if self.last_step_worked || self.mailbox.borrow_mut().drain(&self.recorder) > 0 {
             self.stall_since = None;
             return;
         }

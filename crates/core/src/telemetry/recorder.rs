@@ -40,6 +40,12 @@ pub struct WorkerCounters {
     pub messages_received: u64,
     /// Records pulled by this worker's vertices.
     pub records_received: u64,
+    /// Data frames from other processes drained from this worker's fabric
+    /// mailbox (one per remote `MessageSent` addressed to it).
+    pub remote_frames: u64,
+    /// High-water mark of the mailbox's depth at a poll: frames waiting to
+    /// be drained plus frames a latency model was still holding back.
+    pub mailbox_depth: u64,
     /// Progress batches this worker put on the wire.
     pub progress_batches_sent: u64,
     /// Progress updates inside those batches.
@@ -410,6 +416,17 @@ impl Recorder {
     pub fn record_step(&self) {
         if let Some(log) = &self.inner {
             log.borrow_mut().counters.steps += 1;
+        }
+    }
+
+    /// Counts `frames` data frames drained from the worker's fabric
+    /// mailbox, which held `depth` when polled.
+    #[inline]
+    pub(crate) fn record_mailbox(&self, frames: usize, depth: usize) {
+        if let Some(log) = &self.inner {
+            let counters = &mut log.borrow_mut().counters;
+            counters.remote_frames += frames as u64;
+            counters.mailbox_depth = counters.mailbox_depth.max(depth as u64);
         }
     }
 

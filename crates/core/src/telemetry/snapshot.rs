@@ -116,6 +116,11 @@ pub struct HubCounters {
     /// Progress batches a router took off the fabric and fanned out to
     /// its process's workers.
     pub progress_routed: u64,
+    /// Every envelope the routers took off the fabric: progress batches
+    /// plus control messages (membership, heartbeats, credit returns).
+    /// Data frames are not among them — they go to their worker's mailbox
+    /// (`WorkerCounters::remote_frames`).
+    pub router_envelopes: u64,
     /// Standalone heartbeats emitted by the liveness layer.
     pub heartbeats_sent: u64,
     /// Peer-suspected transitions raised by the detectors.
@@ -386,7 +391,7 @@ impl TelemetrySnapshot {
         let _ = writeln!(s, "== workers ==");
         let _ = writeln!(
             s,
-            "{:>6} {:>8} {:>9} {:>10} {:>6} {:>9} {:>9} {:>10} {:>10} {:>8} {:>7}",
+            "{:>6} {:>8} {:>9} {:>10} {:>6} {:>9} {:>9} {:>9} {:>7} {:>10} {:>10} {:>8} {:>7}",
             "worker",
             "steps",
             "scheds",
@@ -394,6 +399,8 @@ impl TelemetrySnapshot {
             "notif",
             "recs_out",
             "recs_in",
+            "frames_in",
+            "mbox_hw",
             "prog_sent",
             "prog_appl",
             "events",
@@ -403,7 +410,7 @@ impl TelemetrySnapshot {
             let c = &w.counters;
             let _ = writeln!(
                 s,
-                "{:>6} {:>8} {:>9} {:>10} {:>6} {:>9} {:>9} {:>10} {:>10} {:>8} {:>7}",
+                "{:>6} {:>8} {:>9} {:>10} {:>6} {:>9} {:>9} {:>9} {:>7} {:>10} {:>10} {:>8} {:>7}",
                 w.worker,
                 c.steps,
                 c.schedules,
@@ -411,6 +418,8 @@ impl TelemetrySnapshot {
                 c.notifications,
                 c.records_sent,
                 c.records_received,
+                c.remote_frames,
+                c.mailbox_depth,
                 c.progress_updates_sent,
                 c.progress_updates_applied,
                 w.events_recorded,
@@ -494,8 +503,8 @@ impl TelemetrySnapshot {
             );
             let _ = writeln!(
                 s,
-                "progress hub: local_deliveries={} routed={}",
-                h.progress_local_deliveries, h.progress_routed
+                "progress hub: local_deliveries={} routed={} router_envelopes={}",
+                h.progress_local_deliveries, h.progress_routed, h.router_envelopes
             );
         }
 

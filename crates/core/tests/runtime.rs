@@ -4,11 +4,13 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::time::Duration;
 
 use naiad::dataflow::{InputPort, OutputPort};
 use naiad::progress::ProgressMode;
 use naiad::runtime::Pact;
 use naiad::{execute, Config, ExchangeData, Timestamp};
+use naiad_netsim::{FaultPlan, LatencyModel};
 
 /// Doubles every record on one worker; checks epoch grouping.
 #[test]
@@ -169,7 +171,9 @@ where
 /// Integer keys cross processes as width-packed columns. Whatever width
 /// an epoch's batches pack to — one byte, the type's full width, or one
 /// wide key among narrow ones — two processes × two workers deliver
-/// exactly the keys one worker, which never encodes, delivers.
+/// exactly the keys one worker, which never encodes, delivers: over a
+/// clean fabric, and over one that drops, duplicates and delays the frames
+/// on their way into the workers' mailboxes.
 #[test]
 fn integer_keys_cross_processes_bit_identically() {
     fn check<K: ExchangeData + Ord + Sync + std::fmt::Debug>(
@@ -177,9 +181,17 @@ fn integer_keys_cross_processes_bit_identically() {
         hash: fn(&K) -> u64,
     ) {
         let reference = exchange_keys(Config::single_process(1), epochs, hash);
-        let ours = exchange_keys(Config::processes_and_workers(2, 2), epochs, hash);
-        assert_eq!(ours, reference);
         assert!(reference.iter().all(|(_, keys)| !keys.is_empty()));
+        let clean = Config::processes_and_workers(2, 2);
+        let plan = FaultPlan::seeded(0x18)
+            .drop_probability(0.05)
+            .duplicate_probability(0.1);
+        let model =
+            LatencyModel::lossy(Duration::from_micros(50), 0.1, Duration::from_millis(1), 7);
+        let faulted = clean.clone().faults(plan).latency(model);
+        for config in [clean, faulted] {
+            assert_eq!(exchange_keys(config, epochs, hash), reference);
+        }
     }
     let mut rng = naiad_rng::Xorshift::new(0x6A);
     let mut random = |n: usize| -> Vec<u64> { (0..n).map(|_| rng.next_u64()).collect() };

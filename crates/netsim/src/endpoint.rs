@@ -65,6 +65,7 @@ impl Fabric {
         assert!(processes > 0, "a fabric needs at least one endpoint");
         FabricBuilder {
             processes,
+            mailboxes: 0,
             latency: None,
             faults: None,
         }
@@ -75,11 +76,23 @@ impl Fabric {
 #[derive(Debug)]
 pub struct FabricBuilder {
     processes: usize,
+    mailboxes: usize,
     latency: Option<LatencyModel>,
     faults: Option<FaultPlan>,
 }
 
 impl FabricBuilder {
+    /// Gives every endpoint `per_endpoint` data mailboxes beside its merged
+    /// queue, one per reader of that process (the runtime: one per
+    /// worker). [`NetSender::send_data`] addresses one of them; the
+    /// endpoint's owner takes them with [`Endpoint::split_mailboxes`]. The
+    /// default is none: everything sent to the endpoint arrives on the
+    /// merged queue.
+    pub fn mailboxes(mut self, per_endpoint: usize) -> Self {
+        self.mailboxes = per_endpoint;
+        self
+    }
+
     /// Injects a delivery-latency model on every link, loopback included
     /// for whatever is [sent](NetSender::send) to it. A message accounted
     /// for with [`NetSender::send_loopback`] never enters a link, so it is
@@ -105,17 +118,30 @@ impl FabricBuilder {
         let plan = self.faults.unwrap_or_default();
         let fault_seed = plan.seed;
         let faults = Arc::new(FaultState::new(plan, n, metrics.clone()));
-        let mut senders = Vec::with_capacity(n);
+        // Per endpoint: its merged queue, then its mailboxes.
+        let mut lanes = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = channel::<Timed>();
-            senders.push(tx);
-            receivers.push(rx);
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..=self.mailboxes)
+                .map(|_| {
+                    let (tx, receiver) = channel::<Timed>();
+                    let rx = NetReceiver {
+                        receiver,
+                        pending: BinaryHeap::new(),
+                        arrivals: 0,
+                        last_seen: HashMap::new(),
+                        metrics: metrics.clone(),
+                    };
+                    (Lane { tx, next_seq: 0 }, rx)
+                })
+                .unzip();
+            lanes.push(txs);
+            receivers.push(rxs);
         }
         receivers
             .into_iter()
             .enumerate()
-            .map(|(index, receiver)| {
+            .map(|(index, mut queues)| {
                 let samplers = self.latency.as_ref().map(|model| {
                     (0..n)
                         .map(|dst| {
@@ -133,25 +159,19 @@ impl FabricBuilder {
                 Endpoint {
                     sender: NetSender {
                         index,
-                        senders: senders.clone(),
+                        lanes: lanes.clone(),
                         metrics: metrics.clone(),
                         clock: clock.clone(),
                         samplers,
                         last_delivery: vec![None; n],
                         faults: faults.clone(),
                         fault_rng,
-                        next_seq: vec![0; n],
                         next_ctl_seq: vec![0; n],
                         link_attempts: vec![0; n],
                         total_attempts: 0,
                     },
-                    receiver: NetReceiver {
-                        receiver,
-                        pending: BinaryHeap::new(),
-                        arrivals: 0,
-                        last_seen: HashMap::new(),
-                        metrics: metrics.clone(),
-                    },
+                    receiver: queues.remove(0),
+                    mailboxes: queues,
                 }
             })
             .collect()
@@ -170,15 +190,34 @@ impl FabricBuilder {
 /// An endpoint can be [`split`](Endpoint::split) into a [`NetSender`] and a
 /// [`NetReceiver`] so a process's workers can share the send half (behind a
 /// lock) while a dedicated router thread owns the receive half.
+///
+/// A fabric built with [`FabricBuilder::mailboxes`] gives the endpoint that
+/// many more receive queues, each a [`NetReceiver`] of its own with the
+/// same guarantees per `(source, mailbox)`:
+/// [`split_mailboxes`](Endpoint::split_mailboxes) hands them out, one per
+/// reader, and [`NetSender::send_data`] puts a frame straight into the
+/// mailbox of the reader that will consume it — no thread in between.
 pub struct Endpoint {
     sender: NetSender,
     receiver: NetReceiver,
+    mailboxes: Vec<NetReceiver>,
+}
+
+/// One receive queue of one destination, as a sender sees it: the channel
+/// into it and the next number of its sequence space. Every queue numbers
+/// its frames separately, so a frame delayed in one queue is never mistaken
+/// for a duplicate because a later frame overtook it through another.
+#[derive(Clone)]
+struct Lane {
+    tx: Sender<Timed>,
+    next_seq: u64,
 }
 
 /// The sending half of an [`Endpoint`].
 pub struct NetSender {
     index: usize,
-    senders: Vec<Sender<Timed>>,
+    /// Per destination: its merged queue (lane 0), then its mailboxes.
+    lanes: Vec<Vec<Lane>>,
     metrics: Arc<FabricMetrics>,
     /// Fabric-wide monotonic clock, shared by all endpoints.
     clock: Arc<ClusterClock>,
@@ -190,8 +229,6 @@ pub struct NetSender {
     faults: Arc<FaultState>,
     /// Per-destination fault generators (independent, seeded streams).
     fault_rng: Vec<Xorshift>,
-    /// Next per-link delivery sequence number, per destination.
-    next_seq: Vec<u64>,
     /// Next control-channel sequence number, per destination. Control
     /// envelopes live in their own sequence space: they bypass latency
     /// injection, so threading them through the data sequence would make
@@ -247,7 +284,7 @@ impl NetSender {
 
     /// The number of endpoints in the fabric.
     pub fn peers(&self) -> usize {
-        self.senders.len()
+        self.lanes.len()
     }
 
     /// Shared traffic meters.
@@ -291,7 +328,60 @@ impl NetSender {
         payload: Bytes,
     ) -> Result<(), SendError> {
         let duplicate = self.admit(dst, class, payload.len())?;
-        self.enqueue(dst, channel, class, payload, duplicate)
+        if self.enqueue(dst, 0, channel, class, payload, duplicate) {
+            Ok(())
+        } else {
+            Err(SendError::Disconnected { dst })
+        }
+    }
+
+    /// Sends a [`TrafficClass::Data`] frame to mailbox `mailbox` of
+    /// endpoint `dst` ([`FabricBuilder::mailboxes`]): the reader of that
+    /// mailbox receives it directly, the merged queue never sees it.
+    ///
+    /// The link is the one [`NetSender::send`] uses, so admission is the
+    /// same to the letter — the attempt counts toward crash schedules and
+    /// partition windows, crash and partition state reject it, the link
+    /// meters the bytes, the drop and duplicate draws come from the link's
+    /// seeded stream, a latency model delays it behind everything sent to
+    /// `dst` before it. Only the receive queue differs, and with it the
+    /// sequence space: FIFO and duplicate suppression hold per
+    /// `(source, mailbox)`.
+    ///
+    /// A mailbox outlives its reader: once the reader is gone a frame is
+    /// still accepted and is dropped with the fabric, as it would have been
+    /// had it stayed queued. There is no [`SendError::Disconnected`] here.
+    ///
+    /// # Errors
+    ///
+    /// The injected faults of [`NetSender::send`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` or `mailbox` is out of range.
+    pub fn send_data(
+        &mut self,
+        dst: usize,
+        mailbox: usize,
+        channel: u32,
+        payload: Bytes,
+    ) -> Result<(), SendError> {
+        assert!(
+            self.lanes
+                .get(dst)
+                .is_some_and(|lanes| 1 + mailbox < lanes.len()),
+            "endpoint {dst} has no mailbox {mailbox}"
+        );
+        let duplicate = self.admit(dst, TrafficClass::Data, payload.len())?;
+        self.enqueue(
+            dst,
+            1 + mailbox,
+            channel,
+            TrafficClass::Data,
+            payload,
+            duplicate,
+        );
+        Ok(())
     }
 
     /// Accounts for a message of `len` bytes that this endpoint addresses
@@ -310,7 +400,7 @@ impl NetSender {
         let dst = self.index;
         // Loopback never crosses a network, so it is never duplicated.
         self.admit(dst, class, len)?;
-        self.next_seq[dst] += 1;
+        self.lanes[dst][0].next_seq += 1;
         Ok(())
     }
 
@@ -319,7 +409,7 @@ impl NetSender {
     /// faults. `Ok(duplicate)` means the message reaches the link, and
     /// whether the fabric duplicates it there.
     fn admit(&mut self, dst: usize, class: TrafficClass, len: usize) -> Result<bool, SendError> {
-        assert!(dst < self.senders.len(), "destination {dst} out of range");
+        assert!(dst < self.lanes.len(), "destination {dst} out of range");
         let src = self.index;
 
         // Scheduled crash: fires once this endpoint's attempt counter
@@ -378,44 +468,48 @@ impl NetSender {
             && self.fault_rng[dst].chance(self.faults.plan.duplicate_probability))
     }
 
-    /// The transport half of a send: stamps the next sequence number and
-    /// puts the envelope (and its fabric-injected duplicate) on the link.
+    /// The transport half of a send: stamps the next sequence number of
+    /// receive queue `lane` at `dst` and puts the envelope (and its
+    /// fabric-injected duplicate) into it. `false` if the queue's reader
+    /// is gone.
     fn enqueue(
         &mut self,
         dst: usize,
+        lane: usize,
         channel: u32,
         class: TrafficClass,
         payload: Bytes,
         duplicate: bool,
-    ) -> Result<(), SendError> {
-        let seq = self.next_seq[dst];
-        self.next_seq[dst] += 1;
+    ) -> bool {
         let deliver_at = self.schedule(dst, payload.len());
+        // The copy trails the original on the link.
+        let copy_at = duplicate.then(|| self.schedule(dst, 0));
+        let lane = &mut self.lanes[dst][lane];
         let envelope = Envelope {
             src: self.index,
             channel,
             class,
-            seq,
+            seq: lane.next_seq,
             payload,
         };
+        lane.next_seq += 1;
         let timed = Timed {
             deliver_at,
             envelope: envelope.clone(),
         };
-        if self.senders[dst].send(timed).is_err() {
-            return Err(SendError::Disconnected { dst });
+        if lane.tx.send(timed).is_err() {
+            return false;
         }
-        if duplicate {
+        if let Some(deliver_at) = copy_at {
             // The copy carries the same sequence number, so the receiver
-            // suppresses it; it trails the original on the link.
+            // suppresses it.
             self.metrics.record_duplicated();
-            let deliver_at = self.schedule(dst, 0);
-            let _ = self.senders[dst].send(Timed {
+            let _ = lane.tx.send(Timed {
                 deliver_at,
                 envelope,
             });
         }
-        Ok(())
+        true
     }
 
     /// Sends the same payload to every endpoint (including this one), the
@@ -433,7 +527,7 @@ impl NetSender {
         payload: &Bytes,
     ) -> Result<(), SendError> {
         let mut first_err = None;
-        for dst in 0..self.senders.len() {
+        for dst in 0..self.lanes.len() {
             if let Err(e) = self.send(dst, channel, class, payload.clone()) {
                 first_err.get_or_insert(e);
             }
@@ -474,7 +568,7 @@ impl NetSender {
         channel: u32,
         payload: Bytes,
     ) -> Result<(), SendError> {
-        assert!(dst < self.senders.len(), "destination {dst} out of range");
+        assert!(dst < self.lanes.len(), "destination {dst} out of range");
         let src = self.index;
 
         // Respect the physical failure state, but never *advance* it:
@@ -519,7 +613,7 @@ impl NetSender {
                 payload,
             },
         };
-        if self.senders[dst].send(timed).is_err() {
+        if self.lanes[dst][0].tx.send(timed).is_err() {
             return Err(SendError::Disconnected { dst });
         }
         Ok(())
@@ -598,8 +692,19 @@ impl NetReceiver {
                 return Some(env);
             }
         }
+        // An empty poll reads no clock: a worker polls its mailbox on
+        // every scheduling round, mostly to find nothing.
+        if self.pending.is_empty() {
+            return None;
+        }
         // lint-allow(NS0003): real-time delivery check; see `schedule`.
         self.pop_ready(Instant::now())
+    }
+
+    /// Frames received but still held back by the latency model, as of the
+    /// last poll.
+    pub fn delayed(&self) -> usize {
+        self.pending.len()
     }
 
     /// Blocks until a message is deliverable, all peers disconnect, or
@@ -653,6 +758,12 @@ impl Endpoint {
     /// Splits the endpoint into its send and receive halves.
     pub fn split(self) -> (NetSender, NetReceiver) {
         (self.sender, self.receiver)
+    }
+
+    /// [`split`](Endpoint::split), plus the endpoint's data mailboxes in
+    /// index order ([`FabricBuilder::mailboxes`]).
+    pub fn split_mailboxes(self) -> (NetSender, NetReceiver, Vec<NetReceiver>) {
+        (self.sender, self.receiver, self.mailboxes)
     }
 
     /// This endpoint's index in the fabric.
@@ -1219,5 +1330,208 @@ mod fault_tests {
             assert_eq!(env.payload[0], i, "FIFO violated under faults + latency");
         }
         assert!(b.try_recv().is_none());
+    }
+}
+
+#[cfg(test)]
+mod mailbox_tests {
+    use super::*;
+
+    /// Endpoint 0's send half and endpoint 1's receive queues, on a
+    /// two-endpoint fabric with two mailboxes per endpoint.
+    fn pair(builder: FabricBuilder) -> (NetSender, NetReceiver, Vec<NetReceiver>) {
+        let mut eps = builder.mailboxes(2).build();
+        let (_b_tx, merged, mailboxes) = eps.pop().unwrap().split_mailboxes();
+        let (a, _, _) = eps.pop().unwrap().split_mailboxes();
+        (a, merged, mailboxes)
+    }
+
+    fn drain(rx: &mut NetReceiver, frames: usize) -> Vec<Envelope> {
+        (0..frames).map(|_| rx.recv_blocking().unwrap()).collect()
+    }
+
+    #[test]
+    fn fifo_holds_per_source_and_mailbox_under_latency() {
+        let model = LatencyModel::lossy(
+            Duration::from_micros(200),
+            0.4,
+            Duration::from_millis(2),
+            17,
+        );
+        let mut eps = Fabric::builder(3).mailboxes(2).latency(model).build();
+        let (_c, _merged, mut mailboxes) = eps.pop().unwrap().split_mailboxes();
+        let mut sources: Vec<NetSender> = eps.into_iter().map(|e| e.split().0).collect();
+        for i in 0..60u8 {
+            for (src, tx) in sources.iter_mut().enumerate() {
+                let mailbox = usize::from(i % 2);
+                tx.send_data(2, mailbox, src as u32, vec![i].into())
+                    .unwrap();
+            }
+        }
+        for (mailbox, rx) in mailboxes.iter_mut().enumerate() {
+            let mut next = [mailbox as u8; 2];
+            for env in drain(rx, 60) {
+                assert_eq!(env.class, TrafficClass::Data);
+                assert_eq!(env.channel as usize, env.src);
+                assert_eq!(
+                    env.payload[0], next[env.src],
+                    "source {} reordered",
+                    env.src
+                );
+                next[env.src] += 2;
+            }
+            assert!(rx.try_recv().is_none());
+            assert_eq!(rx.delayed(), 0);
+        }
+    }
+
+    #[test]
+    fn injected_duplicate_is_suppressed_in_its_own_mailbox() {
+        let plan = FaultPlan::seeded(5).duplicate_probability(0.4);
+        let (mut a, mut merged, mut mailboxes) = pair(Fabric::builder(2).faults(plan));
+        for i in 0..100u8 {
+            a.send_data(1, usize::from(i % 2), 0, vec![i].into())
+                .unwrap();
+        }
+        for (mailbox, rx) in mailboxes.iter_mut().enumerate() {
+            let got: Vec<u8> = drain(rx, 50).iter().map(|env| env.payload[0]).collect();
+            let sent: Vec<u8> = (0..100).filter(|i| usize::from(i % 2) == mailbox).collect();
+            assert_eq!(got, sent);
+            assert!(rx.try_recv().is_none(), "a duplicate got through");
+        }
+        assert!(merged.try_recv().is_none());
+        let faults = a.metrics().faults();
+        assert!(faults.duplicated > 10, "duplicated = {}", faults.duplicated);
+        assert_eq!(faults.duplicated, faults.duplicates_suppressed);
+    }
+
+    /// Every receive queue numbers its frames separately: whichever of a
+    /// delayed data frame and a progress or control frame on the same link
+    /// is sent first, all of them are delivered.
+    #[test]
+    fn delayed_data_and_merged_queue_traffic_never_suppress_each_other() {
+        for data_first in [true, false] {
+            let model = LatencyModel::constant(Duration::from_millis(10));
+            let (mut a, mut merged, mut mailboxes) = pair(Fabric::builder(2).latency(model));
+            let data = |a: &mut NetSender| {
+                a.send_data(1, 1, 9, vec![1].into()).unwrap();
+                a.send_data(1, 1, 9, vec![2].into()).unwrap();
+            };
+            if data_first {
+                data(&mut a);
+            }
+            a.send(1, 3, TrafficClass::Progress, vec![3].into())
+                .unwrap();
+            a.send_control(1, 7, vec![4].into()).unwrap();
+            if !data_first {
+                data(&mut a);
+            }
+            let got: Vec<u8> = drain(&mut mailboxes[1], 2)
+                .iter()
+                .map(|e| e.payload[0])
+                .collect();
+            assert_eq!(got, [1, 2], "data_first = {data_first}");
+            let mut got: Vec<u8> = drain(&mut merged, 2).iter().map(|e| e.payload[0]).collect();
+            got.sort_unstable();
+            assert_eq!(got, [3, 4], "data_first = {data_first}");
+            assert!(mailboxes[0].try_recv().is_none());
+            assert_eq!(a.metrics().faults().duplicates_suppressed, 0);
+        }
+    }
+
+    /// Admission belongs to the link, not to the receive queue: a seeded
+    /// plan injects the same faults at the same sends, and the meters read
+    /// the same, by either entry point.
+    #[test]
+    fn a_fault_plan_treats_send_and_send_data_alike() {
+        let run = |by_mailbox: bool| {
+            let plan = FaultPlan::seeded(29)
+                .drop_probability(0.2)
+                .duplicate_probability(0.2)
+                .partition(0, 1, 40, 55)
+                .crash(0, 180);
+            let (mut a, mut merged, mut mailboxes) = pair(Fabric::builder(2).faults(plan));
+            let outcomes: Vec<_> = (0..200u8)
+                .map(|i| {
+                    let payload = Bytes::from(vec![i; 1 + usize::from(i % 5)]);
+                    if by_mailbox {
+                        a.send_data(1, usize::from(i % 2), 0, payload)
+                    } else {
+                        a.send(1, 0, TrafficClass::Data, payload)
+                    }
+                })
+                .collect();
+            let delivered = outcomes.iter().filter(|o| o.is_ok()).count();
+            let mut received = 0;
+            for rx in mailboxes.iter_mut().chain([&mut merged]) {
+                received += std::iter::from_fn(|| rx.try_recv()).count();
+            }
+            assert_eq!(received, delivered);
+            let metrics = a.metrics();
+            (outcomes, metrics.faults(), metrics.link_counters(0, 1))
+        };
+        let (outcomes, faults, _) = run(false);
+        assert!(faults.dropped > 0 && faults.duplicated > 0 && faults.crashes == 1);
+        assert_eq!(faults.partition_rejects, 15);
+        assert!(outcomes.contains(&Err(SendError::SelfCrashed { src: 0 })));
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn crashed_or_partitioned_destination_rejects_send_data_with_the_typed_error() {
+        let mut eps = Fabric::builder(2).mailboxes(1).build();
+        let ctl = eps[0].fault_controller();
+        let (mut a, _, _) = eps.swap_remove(0).split_mailboxes();
+        let attempt = |a: &mut NetSender| a.send_data(1, 0, 0, vec![0].into());
+        ctl.sever(0, 1);
+        assert_eq!(
+            attempt(&mut a),
+            Err(SendError::Partitioned { src: 0, dst: 1 })
+        );
+        ctl.heal(0, 1);
+        ctl.crash(1);
+        assert_eq!(attempt(&mut a), Err(SendError::PeerCrashed { dst: 1 }));
+        ctl.revive(1);
+        ctl.crash(0);
+        assert_eq!(attempt(&mut a), Err(SendError::SelfCrashed { src: 0 }));
+        ctl.revive(0);
+        assert_eq!(attempt(&mut a), Ok(()));
+        let faults = a.metrics().faults();
+        assert_eq!((faults.partition_rejects, faults.crash_rejects), (1, 2));
+        // Rejections never reach the wire; the accepted frame is metered.
+        assert_eq!(a.metrics().link_counters(0, 1).data.messages, 1);
+    }
+
+    /// `send` keeps addressing the merged queue, with or without
+    /// mailboxes, and a bare fabric has none.
+    #[test]
+    fn send_delivers_data_on_the_merged_queue() {
+        let bare = Fabric::builder(1).build().pop().unwrap();
+        assert!(bare.split_mailboxes().2.is_empty());
+        let (mut a, mut merged, mut mailboxes) = pair(Fabric::builder(2));
+        a.send(1, 5, TrafficClass::Data, vec![8].into()).unwrap();
+        let env = merged.try_recv().expect("on the merged queue");
+        assert_eq!(
+            (env.channel, env.class, env.payload[0]),
+            (5, TrafficClass::Data, 8)
+        );
+        assert!(mailboxes.iter_mut().all(|rx| rx.try_recv().is_none()));
+    }
+
+    /// A frame for a mailbox nobody reads any more is accepted like any
+    /// other: accounted for, then dropped with the fabric.
+    #[test]
+    fn a_mailbox_outlives_its_reader() {
+        let (mut a, _merged, mailboxes) = pair(Fabric::builder(2));
+        drop(mailboxes);
+        assert_eq!(a.send_data(1, 0, 0, vec![1, 2].into()), Ok(()));
+        assert_eq!(a.metrics().link_counters(0, 1).data.bytes, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no mailbox")]
+    fn send_data_to_a_bare_endpoint_panics() {
+        let mut a = Fabric::builder(1).build().pop().unwrap().split().0;
+        let _ = a.send_data(0, 0, 0, vec![1].into());
     }
 }

@@ -6,6 +6,14 @@
 //! broadcasts — runs unmodified on a laptop:
 //!
 //! * every ordered pair of endpoints has a FIFO link,
+//! * an endpoint receives on one merged queue — and, when the fabric is
+//!   built with [`mailboxes`](FabricBuilder::mailboxes), on that many data
+//!   mailboxes beside it, the receive queues of a multi-queue NIC:
+//!   [`send_data`](NetSender::send_data) crosses the same link under the
+//!   same admission (faults, metering, latency) and lands in the mailbox of
+//!   the reader that will consume the frame, so no thread has to forward
+//!   it. The runtime gives every worker one and keeps the merged queue for
+//!   progress and control traffic,
 //! * every payload is a byte buffer (the runtime serializes records with
 //!   `naiad-wire` before they reach the fabric),
 //! * links meter bytes and message counts separately for data and

@@ -7,23 +7,28 @@
 # change won. Run it on an otherwise idle box: with 2 vCPUs a concurrent
 # build reads as a regression.
 #
-#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs=10]
+#   scripts/bench_pairs.sh <parent-rev> <workload> [pairs=10] [pairs.json]
+#
+# With a fourth argument the same numbers — every run's metrics, then the
+# summary rows of the table — are also written to that path as JSON, the
+# machine-readable record a PR commits under results/.
 #
 # The parent is exported with `git archive` into a temporary directory
 # (under $TMPDIR), not a `git worktree`: the benchmark is specified on a
 # plain checkout, and nothing is left registered in .git. This script
 # reads BENCHMARK.json; it writes nothing inside the repository except
-# the change side's usual build output.
+# the change side's usual build output and the file it was asked for.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-  sed -n '2,16p' "$0"
+  sed -n '2,20p' "$0"
   exit 2
 fi
 parent_rev=$1
 workload=$2
 pairs=${3:-10}
+json_out=${4:-}
 
 # Each side builds into the target directory of its own checkout.
 unset CARGO_TARGET_DIR
@@ -59,15 +64,17 @@ for i in $(seq 1 "$pairs"); do
     if [ "$side" = parent ]; then dir=$work/parent; else dir=$PWD; fi
     result=$(run_side "$dir" "$seed" "$seconds")
     echo "pair $i seed $seed $side: $result" >&2
-    printf '{"pair": %d, "side": "%s", "result": %s}\n' "$i" "$side" "${result:-null}" >>"$work/runs.jsonl"
+    printf '{"pair": %d, "seed": %d, "side": "%s", "result": %s}\n' "$i" "$seed" "$side" "${result:-null}" >>"$work/runs.jsonl"
   done
 done
 
-python3 - "$work/runs.jsonl" "$parent_rev" "$workload" "$base" <<'EOF'
+change_rev=$(git describe --always --dirty)
+python3 - "$work/runs.jsonl" "$parent_rev" "$workload" "$base" "$change_rev" "$json_out" <<'EOF'
 import json, statistics, sys
 
 runs_path, parent_rev, workload = sys.argv[1:4]
 base = int(sys.argv[4])
+change_rev, json_out = sys.argv[5:7]
 spec = json.load(open("BENCHMARK.json"))
 runs = [json.loads(line) for line in open(runs_path)]
 pairs = max(run["pair"] for run in runs)
@@ -85,6 +92,7 @@ print(f"`{workload}`: {pairs} pairs, parent `{parent_rev}` vs this checkout, "
 print()
 print("| metric | parent q1 / median / q3 | change q1 / median / q3 | change ÷ parent | pairs won | verdict |")
 print("|---|---|---|---|---|---|")
+summary = []
 for metric in spec["end_to_end"]:
     name, lower = metric["name"], metric["better"] == "lower"
     column = {}
@@ -108,13 +116,34 @@ for metric in spec["end_to_end"]:
         verdict = "gain (>= 9/10 pairs, medians apart by more than the parent's IQR)"
     else:
         verdict = "within bound"
+    summary.append({"metric": name, "unit": metric["unit"], "better": metric["better"],
+                    "bound": metric["bound"], "pairs": len(both), "won": won,
+                    "parent": dict(zip(("q1", "median", "q3"), parent)),
+                    "change": dict(zip(("q1", "median", "q3"), change)),
+                    "ratio": change[1] / parent[1], "verdict": verdict})
     cells = [" / ".join(f"{v:.6g}" for v in side) for side in (parent, change)]
     print(f"| `{name}` [{metric['unit']}, {metric['better']} is better, bound {metric['bound']:.0%}] "
           f"| {cells[0]} | {cells[1]} | {change[1] / parent[1]:.3f} | {won} / {len(both)} | {verdict} |")
 print()
+operations = {}
 for side, results in sides.items():
     done = [result for result in results.values() if result]
-    print(f"{side}: {sum(r['failed'] for r in done)} of {sum(r['attempted'] for r in done)} operations failed, "
-          f"{sum(not r['correct'] for r in done)} output checks failed, "
-          f"{len(results) - len(done)} of {len(results)} runs printed no result")
+    operations[side] = {"failed": sum(r["failed"] for r in done),
+                        "attempted": sum(r["attempted"] for r in done),
+                        "output_checks_failed": sum(not r["correct"] for r in done),
+                        "runs_without_result": len(results) - len(done), "runs": len(results)}
+    print("{side}: {failed} of {attempted} operations failed, {output_checks_failed} output checks failed, "
+          "{runs_without_result} of {runs} runs printed no result".format(side=side, **operations[side]))
+if json_out:
+    rows = [{"pair": run["pair"], "seed": run["seed"], "side": run["side"],
+             **({key: run["result"][key] for key in ("attempted", "failed", "correct")} if run["result"] else {}),
+             "metrics": {name: m["value"] for name, m in (run["result"] or {}).get("metrics", {}).items()}}
+            for run in runs]
+    with open(json_out, "w") as out:
+        json.dump({"workload": workload, "parent": parent_rev, "change": change_rev,
+                   "command": spec["command"], "seconds": spec["run_seconds"], "trace": 0,
+                   "pairs": pairs, "runs": rows, "summary": summary, "operations": operations},
+                  out, indent=1)
+        out.write("\n")
+    print(f"wrote {json_out}")
 EOF

@@ -364,6 +364,11 @@ fn silent_crash_without_heartbeats_stalls_with_dump() {
             ExecuteError::Stalled { dump, .. } => {
                 assert!(!dump.is_empty(), "the stall dump must carry state");
                 assert!(dump.contains("\"active\""), "dump lists live pointstamps");
+                assert!(
+                    dump.contains("\"ev\":\"mailbox\",\"due\":")
+                        && dump.contains("\"not_yet_due\":"),
+                    "dump reports the data parked in the worker's mailbox: {dump}"
+                );
             }
             other => panic!("expected a stall declaration, got {other:?}"),
         }
