@@ -60,7 +60,7 @@ fn bench_tracker() {
             table.update(p, -1);
         }
     });
-    bench_case("summary_matrix_compute", scaled(2_000), || {
+    bench_case("graph_build", scaled(2_000), || {
         let _ = loop_graph();
     });
 }

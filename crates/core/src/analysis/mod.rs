@@ -7,7 +7,7 @@
 //! notification requests are only sound while some path summary can still
 //! reach the requested time (§2.3's could-result-in relation). This module
 //! checks those invariants — and four more coordination-misuse classes —
-//! *statically*, over the validated [`LogicalGraph`] and its all-pairs
+//! *statically*, over the validated [`LogicalGraph`] and its per-arc
 //! path summaries, before a single record moves.
 //!
 //! # Rule catalog
@@ -344,16 +344,6 @@ impl AnalysisReport {
     /// All diagnostics, most severe first.
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diagnostics
-    }
-
-    /// Number of stages analyzed.
-    pub fn stage_count(&self) -> usize {
-        self.stages
-    }
-
-    /// Number of connectors analyzed.
-    pub fn connector_count(&self) -> usize {
-        self.connectors
     }
 
     /// Diagnostics at [`Severity::Error`].

@@ -1,14 +1,18 @@
 //! The analyzer's rule implementations.
 //!
-//! Every rule consumes the validated [`LogicalGraph`] (including its
-//! all-pairs path summaries Ψ, §2.3) and returns structured
-//! [`Diagnostic`]s at the rule's *default* severity; the caller
+//! Every rule consumes the validated [`LogicalGraph`] and returns
+//! structured [`Diagnostic`]s at the rule's *default* severity; the caller
 //! ([`super::analyze`]) applies configured overrides and suppression.
+//!
+//! No rule keeps a table of its own over pairs of stages or locations.
+//! The rules that ask about path summaries (§2.3) run the graph's one
+//! forward propagation over its per-arc summaries: NA0001 pushes summaries
+//! from each feedback stage back around to itself, NA0003 pushes the
+//! inputs' first timestamps everywhere. The rest need only plain
+//! reachability, a walk over per-stage connector lists.
 
 use super::{AnalysisConfig, Code, Diagnostic, Locus, Severity};
-use crate::graph::{
-    relax, Connector, ConnectorId, Location, LogicalGraph, PactKind, StageId, StageKind,
-};
+use crate::graph::{ConnectorId, Location, LogicalGraph, PactKind, StageId, StageKind};
 use crate::order::{Antichain, PartialOrder};
 use crate::summary::Summary;
 use crate::time::Timestamp;
@@ -32,22 +36,6 @@ pub(super) fn run_all(graph: &LogicalGraph, config: &AnalysisConfig) -> Vec<Diag
 // NA0001: zero-delay cycle (§2.1/§2.3)
 // ---------------------------------------------------------------------------
 
-/// All-pairs summaries over *non-empty* stage-to-stage paths (Ψ⁺): the
-/// relaxation [`SummaryMatrix`](crate::graph::SummaryMatrix) runs, seeded
-/// with the arcs instead of diagonal identities, so a cell `(v, v)` holds
-/// precisely the cycle summaries through `v` (see [`relax`]).
-fn plus_matrix(graph: &LogicalGraph) -> Vec<Antichain<Summary>> {
-    // Stage-level arcs: a connector moves a timestamp from the source
-    // stage's input to the destination stage's input by applying the
-    // source stage's timestamp action (the connector itself is identity).
-    let arcs: Vec<(usize, usize, Summary)> = graph
-        .connectors()
-        .iter()
-        .map(|c| (c.src.0 .0, c.dst.0 .0, graph.stage_summary(c.src.0)))
-        .collect();
-    relax(graph.stages().len(), &arcs, &arcs)
-}
-
 /// Whether a cycle summary admits a stationary timestamp, i.e. fails to
 /// strictly advance any coordinate.
 ///
@@ -70,39 +58,38 @@ fn zero_delay_witness(summary: &Summary) -> Timestamp {
 }
 
 fn zero_delay_cycles(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
-    let n = graph.stages().len();
-    let plus = plus_matrix(graph);
-
-    // Stages that sit on at least one zero-delay cycle, with the witness.
-    let mut offenders: Vec<(StageId, Summary)> = Vec::new();
-    for v in 0..n {
-        if let Some(s) = plus[v * n + v]
-            .elements()
-            .iter()
-            .find(|s| is_zero_delay(s))
-        {
-            offenders.push((StageId(v), *s));
-        }
-    }
-
-    // One diagnostic per cycle, not per member: report a stage only if no
-    // earlier-reported offender lies on a common cycle with it (mutual
-    // non-empty Ψ⁺ paths).
-    let mut reported: Vec<StageId> = Vec::new();
-    for &(v, summary) in &offenders {
-        let duplicate = reported.iter().any(|&r| {
-            !plus[r.0 * n + v.0].is_empty() && !plus[v.0 * n + r.0].is_empty()
-        });
-        if duplicate {
+    // Every cycle passes a feedback stage (`GraphBuilder::build` checks
+    // it), so the summaries that come back around to the feedback stages
+    // are those of every cycle. A feedback stage offends when one of its
+    // cycles has zero delay; what its propagation reached says which other
+    // offenders share a cycle with it.
+    let mut offenders: Vec<(StageId, Summary, Vec<Antichain<Summary>>)> = Vec::new();
+    for (v, stage) in graph.stages().iter().enumerate() {
+        if stage.kind != StageKind::Feedback {
             continue;
         }
-        reported.push(v);
-        let members: Vec<&str> = offenders
-            .iter()
-            .filter(|(u, _)| {
-                *u == v || (!plus[v.0 * n + u.0].is_empty() && !plus[u.0 * n + v.0].is_empty())
-            })
-            .map(|(u, _)| graph.stage_name(*u))
+        let identity = Summary::identity(graph.stage_input_depth(StageId(v)));
+        let reached = graph.propagate([(Location::Vertex(StageId(v)), identity)]);
+        if let Some(s) = reached[v].elements().iter().find(|s| is_zero_delay(s)) {
+            offenders.push((StageId(v), *s, reached));
+        }
+    }
+    let share_a_cycle = |a: usize, b: usize| {
+        let ((u, _, from_u), (v, _, from_v)) = (&offenders[a], &offenders[b]);
+        a == b || (!from_u[v.0].is_empty() && !from_v[u.0].is_empty())
+    };
+
+    // One diagnostic per cycle, not per feedback stage on it: report an
+    // offender only if no earlier-reported one shares a cycle with it.
+    let mut reported: Vec<usize> = Vec::new();
+    for (i, &(v, summary, _)) in offenders.iter().enumerate() {
+        if reported.iter().any(|&r| share_a_cycle(r, i)) {
+            continue;
+        }
+        reported.push(i);
+        let members: Vec<&str> = (0..offenders.len())
+            .filter(|&j| share_a_cycle(i, j))
+            .map(|j| graph.stage_name(offenders[j].0))
             .collect();
         let witness = zero_delay_witness(&summary);
         out.push(Diagnostic {
@@ -110,9 +97,10 @@ fn zero_delay_cycles(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
             severity: Severity::Error,
             locus: Locus::stage(graph, v),
             message: format!(
-                "cycle through {} has a path summary that does not strictly \
-                 advance any timestamp coordinate; a record at {witness:?} can \
-                 circulate forever and the frontier never passes it",
+                "cycle through feedback stage {} has a path summary that does \
+                 not strictly advance any timestamp coordinate; a record at \
+                 {witness:?} can circulate forever and the frontier never \
+                 passes it",
                 join_names(&members),
             ),
             suggestion: "route the cycle through the feedback stage of a loop \
@@ -157,7 +145,7 @@ fn dead_vertices(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
         .map(|(i, _)| i)
         .collect();
 
-    let forward = reach(graph, &roots, false);
+    let forward = reach(n, &roots, |v| successors(graph, v));
     for (v, reached) in forward.iter().enumerate() {
         if !reached {
             out.push(Diagnostic {
@@ -180,7 +168,10 @@ fn dead_vertices(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
     if sinks.is_empty() {
         return;
     }
-    let backward = reach(graph, &sinks, true);
+    let incoming = incoming(graph);
+    let backward = reach(n, &sinks, |v| {
+        incoming[v].iter().map(|c| graph.connectors()[c.0].src.0 .0)
+    });
     for v in 0..n {
         if forward[v] && !backward[v] {
             out.push(Diagnostic {
@@ -200,10 +191,13 @@ fn dead_vertices(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Multi-source BFS over stage adjacency; `backward` follows connectors in
-/// reverse.
-fn reach(graph: &LogicalGraph, sources: &[usize], backward: bool) -> Vec<bool> {
-    let n = graph.stages().len();
+/// The stages among `n` reachable from `sources` (themselves included),
+/// stepping from a stage to the stages `next` lists for it.
+fn reach<I: IntoIterator<Item = usize>>(
+    n: usize,
+    sources: &[usize],
+    next: impl Fn(usize) -> I,
+) -> Vec<bool> {
     let mut seen = vec![false; n];
     let mut queue: Vec<usize> = Vec::new();
     for &s in sources {
@@ -213,13 +207,8 @@ fn reach(graph: &LogicalGraph, sources: &[usize], backward: bool) -> Vec<bool> {
         }
     }
     while let Some(v) = queue.pop() {
-        for Connector { src, dst } in graph.connectors() {
-            let (from, to) = if backward {
-                (dst.0 .0, src.0 .0)
-            } else {
-                (src.0 .0, dst.0 .0)
-            };
-            if from == v && !seen[to] {
+        for to in next(v) {
+            if !seen[to] {
                 seen[to] = true;
                 queue.push(to);
             }
@@ -228,11 +217,24 @@ fn reach(graph: &LogicalGraph, sources: &[usize], backward: bool) -> Vec<bool> {
     seen
 }
 
+/// The stages `stage`'s connectors feed.
+fn successors(graph: &LogicalGraph, stage: usize) -> impl Iterator<Item = usize> + '_ {
+    graph.outgoing(StageId(stage)).map(|(_, c)| c.dst.0 .0)
+}
+
 // ---------------------------------------------------------------------------
 // NA0003: unreachable notification (§2.3)
 // ---------------------------------------------------------------------------
 
 fn unreachable_notifications(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
+    // Inputs start delivering at epoch 0 with all loop counters zero; one
+    // propagation carries those times everywhere they can go.
+    let first = |input| Timestamp::with_counters(0, &vec![0; graph.stage_input_depth(input)]);
+    let starts: Vec<_> = graph
+        .input_stages()
+        .map(|input| (Location::Vertex(input), first(input)))
+        .collect();
+    let reached = graph.propagate(starts.iter().copied());
     for (stage, time) in graph.notification_requests() {
         let expected = graph.stage_input_depth(*stage);
         if time.depth() != expected {
@@ -257,19 +259,13 @@ fn unreachable_notifications(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
         }
 
         // Could any input still result in this (time, stage) pointstamp?
-        // Inputs start delivering at epoch 0 with all loop counters zero.
-        let reachable = graph.input_stages().any(|input| {
-            let t0 = Timestamp::with_counters(
-                0,
-                &vec![0u64; graph.stage_input_depth(input)],
-            );
-            graph.summaries().could_result_in(
-                &t0,
-                Location::Vertex(input),
-                time,
-                Location::Vertex(*stage),
-            )
-        });
+        // At the input itself through the empty path, or anywhere else
+        // through what the inputs' first times reach.
+        let at = Location::Vertex(*stage);
+        let reachable = starts
+            .iter()
+            .any(|(input, t0)| *input == at && t0.less_equal(time))
+            || reached[graph.location_index(at)].is_some_and(|t| t.less_equal(time));
         if !reachable {
             out.push(Diagnostic {
                 code: Code::UnreachableNotification,
@@ -356,12 +352,8 @@ fn loop_imbalance(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
         // Path-level: every entry point must be able to reach some exit of
         // the same context, else data entering there is trapped.
         for &ingress in &ingresses {
-            let escapes = egresses.iter().any(|&egress| {
-                !graph
-                    .summaries()
-                    .between(Location::Vertex(ingress), Location::Vertex(egress))
-                    .is_empty()
-            });
+            let reached = reach(graph.stages().len(), &[ingress.0], |v| successors(graph, v));
+            let escapes = egresses.iter().any(|egress| reached[egress.0]);
             if !escapes {
                 out.push(Diagnostic {
                     code: Code::LoopImbalance,
@@ -392,30 +384,26 @@ fn reentrancy_hazards(graph: &LogicalGraph, config: &AnalysisConfig, out: &mut V
     // Pipeline-only stage adjacency: these deliveries stay on the producing
     // worker, so a short cycle re-enters the same operator while an earlier
     // invocation may still be on the stack (or its state mid-update).
-    let local_arcs: Vec<(usize, usize)> = graph
-        .connectors()
-        .iter()
-        .enumerate()
-        .filter(|(ci, _)| graph.connector_pact(ConnectorId(*ci)) == PactKind::Pipeline)
-        .map(|(_, c)| (c.src.0 .0, c.dst.0 .0))
-        .collect();
+    let mut local: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (ci, c) in graph.connectors().iter().enumerate() {
+        if graph.connector_pact(ConnectorId(ci)) == PactKind::Pipeline {
+            local[c.src.0 .0].push(c.dst.0 .0);
+        }
+    }
+    let reaches = |from: usize, to: usize| reach(n, &[from], |u| local[u].iter().copied())[to];
 
-    // Shortest local cycle through each stage, by BFS.
+    // Shortest local cycle through each stage below the bound, by BFS.
     let mut flagged: Vec<(usize, usize)> = Vec::new(); // (stage, cycle length)
     for v in 0..n {
-        if let Some(len) = shortest_cycle(n, &local_arcs, v) {
-            if len < config.reentrancy_bound {
-                flagged.push((v, len));
-            }
+        if let Some(len) = short_cycle(&local, v, config.reentrancy_bound) {
+            flagged.push((v, len));
         }
     }
 
     // Report each cycle once, at its lowest-numbered member.
     let mut reported: Vec<usize> = Vec::new();
     for &(v, len) in &flagged {
-        let duplicate = reported.iter().any(|&r| {
-            local_reachable(n, &local_arcs, r, v) && local_reachable(n, &local_arcs, v, r)
-        });
+        let duplicate = reported.iter().any(|&r| reaches(r, v) && reaches(v, r));
         if duplicate {
             continue;
         }
@@ -440,59 +428,26 @@ fn reentrancy_hazards(graph: &LogicalGraph, config: &AnalysisConfig, out: &mut V
     }
 }
 
-/// Length (in arcs) of the shortest cycle through `v`, if any.
-fn shortest_cycle(n: usize, arcs: &[(usize, usize)], v: usize) -> Option<usize> {
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    // Start from v's successors at distance 1, looking to return to v.
-    for &(a, b) in arcs {
-        if a == v {
-            if b == v {
-                return Some(1);
-            }
-            if dist[b] == usize::MAX {
-                dist[b] = 1;
-                queue.push_back(b);
-            }
+/// Length (in arcs) of the shortest cycle through `v` over the successor
+/// lists `next`, if it is shorter than `bound`. The search stops at that
+/// depth, so it costs what the stages within `bound` arcs of `v` do.
+fn short_cycle(next: &[Vec<usize>], v: usize, bound: usize) -> Option<usize> {
+    let mut seen = std::collections::HashSet::from([v]);
+    let mut queue = std::collections::VecDeque::from([(v, 0)]);
+    while let Some((u, dist)) = queue.pop_front() {
+        if dist + 1 >= bound {
+            return None;
         }
-    }
-    while let Some(u) = queue.pop_front() {
-        for &(a, b) in arcs {
-            if a != u {
-                continue;
-            }
+        for &b in &next[u] {
             if b == v {
-                return Some(dist[u] + 1);
+                return Some(dist + 1);
             }
-            if dist[b] == usize::MAX {
-                dist[b] = dist[u] + 1;
-                queue.push_back(b);
+            if seen.insert(b) {
+                queue.push_back((b, dist + 1));
             }
         }
     }
     None
-}
-
-/// Whether `to` is reachable from `from` over the given arcs.
-fn local_reachable(n: usize, arcs: &[(usize, usize)], from: usize, to: usize) -> bool {
-    if from == to {
-        return true;
-    }
-    let mut seen = vec![false; n];
-    seen[from] = true;
-    let mut queue = vec![from];
-    while let Some(u) = queue.pop() {
-        for &(a, b) in arcs {
-            if a == u && !seen[b] {
-                if b == to {
-                    return true;
-                }
-                seen[b] = true;
-                queue.push(b);
-            }
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------------
@@ -505,7 +460,7 @@ fn local_reachable(n: usize, arcs: &[(usize, usize)], from: usize, to: usize) ->
 /// produce them. Exchange and broadcast connectors (re-)establish
 /// alignment; pipeline connectors inherit the source's status; input
 /// stages are externally fed, i.e. worker-variant.
-fn partition_alignment(graph: &LogicalGraph) -> Vec<bool> {
+fn partition_alignment(graph: &LogicalGraph, incoming: &[Vec<ConnectorId>]) -> Vec<bool> {
     let n = graph.stages().len();
     let mut aligned = vec![true; n];
     for (i, s) in graph.stages().iter().enumerate() {
@@ -520,10 +475,12 @@ fn partition_alignment(graph: &LogicalGraph) -> Vec<bool> {
             if !aligned[v] || graph.stages()[v].kind == StageKind::Input {
                 continue;
             }
-            let ok = incoming(graph, v).all(|(ci, c)| match graph.connector_pact(ci) {
-                PactKind::Exchange | PactKind::Broadcast => true,
-                PactKind::Pipeline => aligned[c.src.0 .0],
-            });
+            let ok = incoming[v]
+                .iter()
+                .all(|&ci| match graph.connector_pact(ci) {
+                    PactKind::Exchange | PactKind::Broadcast => true,
+                    PactKind::Pipeline => aligned[graph.connectors()[ci.0].src.0 .0],
+                });
             if !ok {
                 aligned[v] = false;
                 changed = true;
@@ -534,21 +491,23 @@ fn partition_alignment(graph: &LogicalGraph) -> Vec<bool> {
 }
 
 fn exchange_contract(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
-    let n = graph.stages().len();
-    let aligned = partition_alignment(graph);
+    let incoming = incoming(graph);
+    let aligned = partition_alignment(graph, &incoming);
 
     // Violation: a stage that keys one input by exchange while another
     // input arrives pipelined from a worker-variant source. The exchanged
     // records land on the key's worker; the pipelined records stay wherever
     // they were produced — so whether the two meet depends on the worker
     // count and placement, not on the data.
-    for v in 0..n {
-        let has_exchange = incoming(graph, v)
-            .any(|(ci, _)| graph.connector_pact(ci) == PactKind::Exchange);
+    for into_v in &incoming {
+        let has_exchange = into_v
+            .iter()
+            .any(|&ci| graph.connector_pact(ci) == PactKind::Exchange);
         if !has_exchange {
             continue;
         }
-        for (ci, c) in incoming(graph, v) {
+        for &ci in into_v {
+            let c = &graph.connectors()[ci.0];
             if graph.connector_pact(ci) == PactKind::Pipeline && !aligned[c.src.0 .0] {
                 out.push(Diagnostic {
                     code: Code::ExchangeContract,
@@ -587,7 +546,7 @@ fn exchange_contract(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
 /// the records the exchange contract routes to that key's worker under
 /// *any* worker count.
 fn rescale_contracts(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
-    let aligned = partition_alignment(graph);
+    let aligned = partition_alignment(graph, &incoming(graph));
     for &(stage, keyed) in graph.stateful_stages() {
         if !keyed {
             out.push(Diagnostic {
@@ -626,15 +585,12 @@ fn rescale_contracts(graph: &LogicalGraph, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The incoming connectors of a stage.
-fn incoming(
-    graph: &LogicalGraph,
-    stage: usize,
-) -> impl Iterator<Item = (ConnectorId, &Connector)> {
-    graph
-        .connectors()
-        .iter()
-        .enumerate()
-        .filter(move |(_, c)| c.dst.0 .0 == stage)
-        .map(|(i, c)| (ConnectorId(i), c))
+/// Each stage's incoming connectors, listed once so walks need not
+/// rescan every connector per stage.
+fn incoming(graph: &LogicalGraph) -> Vec<Vec<ConnectorId>> {
+    let mut lists = vec![Vec::new(); graph.stages().len()];
+    for (i, c) in graph.connectors().iter().enumerate() {
+        lists[c.dst.0 .0].push(ConnectorId(i));
+    }
+    lists
 }

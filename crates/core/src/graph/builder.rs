@@ -1,6 +1,5 @@
 //! Graph construction and structural validation (§4.3).
 
-use super::summaries::SummaryMatrix;
 use super::{
     Connector, ConnectorId, Context, ContextId, LogicalGraph, PactKind, Stage, StageId, StageKind,
 };
@@ -373,7 +372,7 @@ impl GraphBuilder {
         &self.stages[stage.0].name
     }
 
-    /// Validates the structure and computes all-pairs path summaries.
+    /// Validates the structure and records each location's out-arcs.
     pub fn build(self) -> Result<LogicalGraph, GraphError> {
         self.validate_ports()?;
         self.validate_contexts()?;
@@ -386,18 +385,17 @@ impl GraphBuilder {
             stages: self.stages,
             connectors: self.connectors,
             contexts: self.contexts,
-            summaries: SummaryMatrix::empty(),
+            arcs: Vec::new(),
             pacts: self.pacts,
             notification_requests: self.notification_requests,
             stateful: self.stateful,
         };
-        graph.summaries = SummaryMatrix::compute(&graph);
+        graph.arcs = graph.out_arcs();
         Ok(graph)
     }
 
     /// Like [`GraphBuilder::build`], then runs the static analyzer
-    /// ([`crate::analysis`]) over the validated graph and its all-pairs
-    /// path summaries. Diagnostics at or above
+    /// ([`crate::analysis`]) over the validated graph. Diagnostics at or above
     /// [`AnalysisConfig::deny`](crate::analysis::AnalysisConfig) severity
     /// reject the graph with [`GraphError::Analysis`]; the full
     /// [`AnalysisReport`] is returned alongside the graph otherwise.
@@ -455,13 +453,13 @@ impl GraphBuilder {
     }
 
     fn validate_inputs(&self) -> Result<(), GraphError> {
-        for (i, stage) in self.stages.iter().enumerate() {
-            for port in 0..stage.inputs {
-                let count = self
-                    .connectors
-                    .iter()
-                    .filter(|c| c.dst == (StageId(i), port))
-                    .count();
+        // Connectors per input port (`validate_ports` has range-checked them).
+        let mut fed: Vec<Vec<usize>> = self.stages.iter().map(|s| vec![0; s.inputs]).collect();
+        for c in &self.connectors {
+            fed[c.dst.0 .0][c.dst.1] += 1;
+        }
+        for (i, (stage, ports)) in self.stages.iter().zip(&fed).enumerate() {
+            for (port, &count) in ports.iter().enumerate() {
                 if count == 0 {
                     return Err(GraphError::UnconnectedInput {
                         stage: StageId(i),

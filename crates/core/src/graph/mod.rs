@@ -13,11 +13,10 @@
 //! [`GraphBuilder::build`] validates this structure.
 
 mod builder;
-mod summaries;
+mod reach;
 
 pub use builder::{GraphBuilder, GraphError};
-pub(crate) use summaries::relax;
-pub use summaries::SummaryMatrix;
+pub(crate) use reach::FollowArc;
 
 pub use crate::analysis::{AnalysisConfig, AnalysisReport};
 
@@ -115,13 +114,15 @@ pub enum Location {
     Edge(ConnectorId),
 }
 
-/// A validated logical graph with precomputed path summaries.
+/// A validated logical graph with each location's out-arcs.
 #[derive(Debug)]
 pub struct LogicalGraph {
     pub(crate) stages: Vec<Stage>,
     pub(crate) connectors: Vec<Connector>,
     pub(crate) contexts: Vec<Context>,
-    pub(crate) summaries: SummaryMatrix,
+    /// Each location's out-arcs with their summaries, built once by
+    /// [`GraphBuilder::build`]; the only adjacency could-result-in walks.
+    pub(crate) arcs: Vec<Vec<(usize, Summary)>>,
     /// Per-connector partitioning contract, parallel to `connectors`.
     pub(crate) pacts: Vec<PactKind>,
     /// Notification interests declared at construction time, consumed by
@@ -223,18 +224,12 @@ impl LogicalGraph {
         }
     }
 
-    /// The precomputed all-pairs path summaries Ψ.
-    pub fn summaries(&self) -> &SummaryMatrix {
-        &self.summaries
-    }
-
-    /// Connectors leaving any output port of `stage`.
+    /// Connectors leaving any output port of `stage`, in connection order.
     pub fn outgoing(&self, stage: StageId) -> impl Iterator<Item = (ConnectorId, &Connector)> {
-        self.connectors
-            .iter()
-            .enumerate()
-            .filter(move |(_, c)| c.src.0 == stage)
-            .map(|(i, c)| (ConnectorId(i), c))
+        self.arcs[stage.0].iter().map(|&(edge, _)| {
+            let id = ConnectorId(edge - self.stages.len());
+            (id, &self.connectors[id.0])
+        })
     }
 
     /// The input stages of the graph.

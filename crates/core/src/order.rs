@@ -44,13 +44,6 @@ impl<T: PartialOrder> Antichain<T> {
         Self::default()
     }
 
-    /// An antichain holding a single element.
-    pub fn from_elem(elem: T) -> Self {
-        Antichain {
-            elements: vec![elem],
-        }
-    }
-
     /// Inserts `element` unless some existing element already
     /// `less_equal`s it. Returns whether the element was inserted.
     pub fn insert(&mut self, element: T) -> bool {

@@ -3,10 +3,11 @@
 //! transiently negative counts that arise in the distributed protocol
 //! (§3.3).
 
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::graph::{Location, LogicalGraph};
+use crate::graph::{FollowArc, Location, LogicalGraph, StageKind};
 use crate::order::PartialOrder;
 use crate::time::Timestamp;
 
@@ -24,13 +25,45 @@ use super::{Pointstamp, ProgressUpdate};
 /// pointstamps; a notification may be delivered exactly when its
 /// pointstamp is in the frontier.
 ///
-/// An update costs one hash-map operation; the queries scan the live
-/// counts, which the protocol keeps few (a handful per epoch in flight).
+/// An update costs one hash-map operation; an activation also pushes its
+/// time forward while the blockers are current, and a retirement nothing
+/// else preceded drops them, for the next query to derive again.
 #[derive(Debug, Clone)]
 pub struct PointstampTable {
     graph: Arc<LogicalGraph>,
     /// Net occurrence counts; zero entries are elided.
     counts: HashMap<Pointstamp, i64>,
+    /// Per location (by `LogicalGraph::location_index`), the least time
+    /// that blocks a pointstamp there — reached through an arc, or the
+    /// successor of an active time there (`s < t` iff `s.successor() ≤ t`;
+    /// times at one location are totally ordered) — or empty if stale.
+    blockers: OnceCell<Blockers>,
+    /// The last dropped blockers and the work list, for their allocations.
+    spare: RefCell<(Blockers, Vec<(usize, Timestamp)>)>,
+}
+
+/// A time or none per location, as in `PointstampTable::blockers`.
+type Blockers = Vec<Option<Timestamp>>;
+
+/// Records newly active pointstamps in `blockers`, pushing forward those
+/// no blocker precedes: what a preceded one reaches, its blocker's source
+/// reaches at or before.
+fn activate(
+    graph: &LogicalGraph,
+    blockers: &mut [Option<Timestamp>],
+    work: &mut Vec<(usize, Timestamp)>,
+    stamps: impl IntoIterator<Item = Pointstamp>,
+) {
+    for p in stamps {
+        let at = graph.location_index(p.location);
+        if !blockers[at].is_some_and(|b| b.less_equal(&p.time)) {
+            work.push((at, p.time));
+        }
+        if let Some(next) = p.time.successor() {
+            next.keep_in(&mut blockers[at]);
+        }
+    }
+    graph.propagate_into(work, blockers);
 }
 
 impl PointstampTable {
@@ -41,6 +74,8 @@ impl PointstampTable {
         PointstampTable {
             graph,
             counts: HashMap::new(),
+            blockers: OnceCell::new(),
+            spare: RefCell::default(),
         }
     }
 
@@ -69,9 +104,29 @@ impl PointstampTable {
     /// Applies one occurrence-count update.
     pub fn update(&mut self, pointstamp: Pointstamp, delta: i64) {
         let count = self.counts.entry(pointstamp).or_insert(0);
+        let was_active = *count > 0;
         *count += delta;
+        let is_active = *count > 0;
         if *count == 0 {
             self.counts.remove(&pointstamp);
+        }
+        if was_active == is_active {
+            return;
+        }
+        let Some(blockers) = self.blockers.get_mut() else {
+            return;
+        };
+        let at = self.graph.location_index(pointstamp.location);
+        if is_active {
+            activate(
+                &self.graph,
+                blockers,
+                &mut self.spare.get_mut().1,
+                [pointstamp],
+            );
+        } else if !blockers[at].is_some_and(|b| b.less_equal(&pointstamp.time)) {
+            // A preceded pointstamp's reach was its blocker's too.
+            self.spare.get_mut().0 = self.blockers.take().unwrap_or_default();
         }
     }
 
@@ -86,12 +141,27 @@ impl PointstampTable {
     /// the one question §2.3 and §3.3 ask of the counts. Frontier
     /// membership, completeness and the accumulator's holding rule are
     /// each this predicate combined with whether `p` itself is active.
+    ///
+    /// A lookup at `p`'s location (whose depth `p.time` has). It does not
+    /// set `p`'s own reach apart: what `p` reaches around a cycle counts
+    /// too, which is sound only because no cycle has a zero-delay summary —
+    /// such a cycle would bring `p.time` back and block `p` on itself.
+    /// `NA0001` rejects those graphs at
+    /// [`GraphBuilder::build_checked`](crate::graph::GraphBuilder::build_checked).
     pub fn blocked(&self, p: &Pointstamp) -> bool {
-        let summaries = self.graph.summaries();
-        self.counts.iter().any(|(q, &count)| {
-            count > 0
-                && q != p
-                && summaries.could_result_in(&q.time, q.location, &p.time, p.location)
+        let at = self.graph.location_index(p.location);
+        self.blockers()[at].is_some_and(|b| b.less_equal(&p.time))
+    }
+
+    /// The blockers, derived from every active pointstamp if dropped.
+    fn blockers(&self) -> &[Option<Timestamp>] {
+        self.blockers.get_or_init(|| {
+            let (spare, work) = &mut *self.spare.borrow_mut();
+            let mut blockers = std::mem::take(spare);
+            blockers.clear();
+            blockers.resize(self.graph.arcs.len(), None);
+            activate(&self.graph, &mut blockers, work, self.active());
+            blockers
         })
     }
 
@@ -135,22 +205,11 @@ impl PointstampTable {
     /// that events may still occur at `(t, location)`. Empty means no
     /// future events are possible there.
     pub fn lower_bound(&self, location: Location) -> Vec<Timestamp> {
-        let mut bounds: Vec<Timestamp> = Vec::new();
-        for q in self.active() {
-            for s in self
-                .graph
-                .summaries()
-                .between(q.location, location)
-                .elements()
-            {
-                let t = s.apply(&q.time);
-                if !bounds.iter().any(|b| b.less_equal(&t)) {
-                    bounds.retain(|b| !t.less_equal(b));
-                    bounds.push(t);
-                }
-            }
+        let mut bound = self.blockers()[self.graph.location_index(location)];
+        for p in self.active().filter(|p| p.location == location) {
+            p.time.keep_in(&mut bound);
         }
-        bounds
+        bound.into_iter().collect()
     }
 
     /// True when no entries remain: every occurrence has been matched by a
@@ -206,7 +265,7 @@ impl PointstampTable {
     pub fn input_frontier_epoch(&self) -> Option<u64> {
         self.active()
             .filter(|p| match p.location {
-                Location::Vertex(stage) => self.graph.input_stages().any(|s| s == stage),
+                Location::Vertex(stage) => self.graph.stages()[stage.0].kind == StageKind::Input,
                 Location::Edge(_) => false,
             })
             .map(|p| p.time.epoch)

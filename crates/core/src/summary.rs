@@ -11,8 +11,8 @@
 //! ```
 //!
 //! The could-result-in relation asks whether *some* path summary maps one
-//! pointstamp at or before another, so for each location pair we keep an
-//! [`Antichain`](crate::order::Antichain) of minimal summaries. Summaries
+//! pointstamp at or before another, so a propagation of summaries keeps an
+//! [`Antichain`](crate::order::Antichain) of minimal ones. Summaries
 //! with equal `keep` are totally ordered (lexicographically by
 //! `(inc, push)`); summaries with different `keep` are treated as
 //! incomparable, which may retain a dominated summary but never changes
@@ -104,12 +104,6 @@ impl Summary {
         self.keep() + self.push.len()
     }
 
-    /// Whether this summary leaves timestamps unchanged for inputs of
-    /// depth `depth`.
-    pub fn is_identity_at(&self, depth: usize) -> bool {
-        self.keep() == depth && self.inc == 0 && self.push.is_empty()
-    }
-
     /// Applies the summary to a timestamp.
     ///
     /// # Panics
@@ -123,6 +117,9 @@ impl Summary {
             time.depth() >= keep,
             "summary {self:?} applied to too-shallow timestamp {time:?}"
         );
+        if keep == time.depth() && self.inc == 0 && self.push.is_empty() {
+            return *time; // The identity, as most arcs a propagation follows are.
+        }
         let mut counters = CounterStack::from_slice(&time.counters.as_slice()[..keep]);
         if self.inc > 0 {
             counters = counters
@@ -219,13 +216,6 @@ mod tests {
         assert_eq!(Summary::egress(2).apply(&t), ts(3, &[7]));
         assert_eq!(Summary::feedback(2).apply(&t), ts(3, &[7, 3]));
         assert_eq!(Summary::identity(2).apply(&t), t);
-    }
-
-    #[test]
-    fn identity_recognized() {
-        assert!(Summary::identity(1).is_identity_at(1));
-        assert!(!Summary::identity(1).is_identity_at(2));
-        assert!(!Summary::feedback(1).is_identity_at(1));
     }
 
     #[test]

@@ -207,6 +207,26 @@ impl Timestamp {
         Some(self)
     }
 
+    /// The least timestamp after this one at its depth (`None` for the
+    /// greatest), so `s < t` exactly when `s.successor() ≤ t`: the last
+    /// coordinate below `u64::MAX` goes up by one, later ones restart at 0.
+    #[must_use]
+    pub(crate) fn successor(&self) -> Option<Timestamp> {
+        let depth = self.depth();
+        let mut next = *self;
+        match self.counters.as_slice().iter().rposition(|&c| c < u64::MAX) {
+            Some(i) => {
+                next.counters.vals[i] += 1;
+                next.counters.vals[i + 1..depth].fill(0);
+            }
+            None => {
+                next.epoch = self.epoch.checked_add(1)?;
+                next.counters.vals[..depth].fill(0);
+            }
+        }
+        Some(next)
+    }
+
     /// The "end of time" for a given depth, used by bounded feedback stages
     /// to discard messages past an iteration limit.
     pub fn max_for_depth(depth: usize) -> Self {
@@ -379,6 +399,15 @@ mod tests {
     fn wire_rejects_overdeep_stacks() {
         let bytes = [9u8];
         assert!(naiad_wire::decode_from_slice::<CounterStack>(&bytes).is_err());
+    }
+
+    #[test]
+    fn successor_is_the_least_later_time() {
+        assert_eq!(ts(4, &[]).successor(), Some(ts(5, &[])));
+        assert_eq!(ts(4, &[2, 7]).successor(), Some(ts(4, &[2, 8])));
+        assert_eq!(ts(4, &[2, u64::MAX]).successor(), Some(ts(4, &[3, 0])));
+        assert_eq!(ts(4, &[u64::MAX]).successor(), Some(ts(5, &[0])));
+        assert_eq!(Timestamp::max_for_depth(2).successor(), None);
     }
 
     #[test]

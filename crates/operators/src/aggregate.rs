@@ -5,12 +5,21 @@
 //! emitting intermediate values (§2.4's trade-off); compose with a
 //! blocking operator at the loop boundary when a single final value is
 //! needed.
+//!
+//! Emission is eager, but the state a checkpoint captures is not: it holds
+//! only what completed times folded (DESIGN.md §13's consistency
+//! contract). A peer may already feed time `e + 1` while this worker
+//! checkpoints `e`; those values wait, unregistered, until `e + 1`'s
+//! notification folds them in, so the checkpoint of `e` never holds them
+//! and a replay of `e + 1` from it emits what the first run did.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use naiad::dataflow::{InputPort, OutputPort};
+use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::runtime::Pact;
-use naiad::Stream;
+use naiad::{Stream, Timestamp};
 use naiad_wire::ExchangeData;
 
 use crate::hash_of;
@@ -37,37 +46,63 @@ impl<K: ExchangeKey, V: ExchangeData> AggregateOps<K, V> for Stream<(K, V)> {
     fn aggregate_monotonic<A: ExchangeData>(
         &self,
         init: impl Fn(&V) -> A + 'static,
-        mut improve: impl FnMut(&mut A, V) -> bool + 'static,
+        improve: impl FnMut(&mut A, V) -> bool + 'static,
     ) -> Stream<(K, A)> {
-        self.unary(
+        self.unary_notify(
             Pact::exchange(|(k, _): &(K, V)| hash_of(k)),
             "AggregateMonotonic",
             move |info| {
-                let aggregates: std::rc::Rc<std::cell::RefCell<HashMap<K, A>>> =
-                    std::rc::Rc::new(std::cell::RefCell::new(HashMap::new()));
-                // Cross-time state, keyed by the exchange hash above: what
-                // checkpoints capture and elastic rescales re-partition.
-                info.register_keyed_state(aggregates.clone(), |k: &K| hash_of(k));
-                move |input: &mut InputPort<(K, V)>, output: &mut OutputPort<(K, A)>| {
-                    let mut aggregates = aggregates.borrow_mut();
-                    input.for_each(|time, data| {
-                        let mut session = output.session(time);
-                        for (k, v) in data {
-                            match aggregates.get_mut(&k) {
-                                None => {
-                                    let a = init(&v);
-                                    aggregates.insert(k.clone(), a.clone());
-                                    session.give((k, a));
-                                }
-                                Some(a) => {
-                                    if improve(a, v) {
-                                        session.give((k.clone(), a.clone()));
+                // What completed times folded: the cross-time state
+                // checkpoints capture and elastic rescales re-partition,
+                // keyed by the exchange hash above.
+                let folded: Rc<RefCell<HashMap<K, A>>> = Rc::new(RefCell::new(HashMap::new()));
+                info.register_keyed_state(folded.clone(), |k: &K| hash_of(k));
+                // Values at times still open, until their notification
+                // folds them in. Not registered: a replay rebuilds them.
+                let open: Rc<RefCell<HashMap<Timestamp, Vec<(K, V)>>>> =
+                    Rc::new(RefCell::new(HashMap::new()));
+                let fold = Rc::new(RefCell::new(Fold { init, improve }));
+                // The aggregate over everything received, which decides
+                // what to emit; a key restored into `folded` enters it on
+                // its first new value.
+                let mut seen: HashMap<K, A> = HashMap::new();
+                let (recv_folded, recv_open, recv_fold) =
+                    (folded.clone(), open.clone(), fold.clone());
+                (
+                    move |input: &mut InputPort<(K, V)>,
+                          output: &mut OutputPort<(K, A)>,
+                          notify: &Notify| {
+                        let (folded, mut open) = (recv_folded.borrow(), recv_open.borrow_mut());
+                        let mut fold = recv_fold.borrow_mut();
+                        input.for_each(|time, data| {
+                            let mut session = output.session(time);
+                            let pending = open.entry(time).or_insert_with(|| {
+                                notify.notify_at(time);
+                                Vec::new()
+                            });
+                            for (k, v) in data {
+                                if !seen.contains_key(&k) {
+                                    if let Some(a) = folded.get(&k) {
+                                        seen.insert(k.clone(), a.clone());
                                     }
                                 }
+                                if let Some(a) = fold.apply(&mut seen, k.clone(), v.clone()) {
+                                    session.give((k.clone(), a.clone()));
+                                }
+                                pending.push((k, v));
                             }
+                        });
+                    },
+                    move |time: Timestamp, _output: &mut OutputPort<(K, A)>, _notify: &Notify| {
+                        let Some(values) = open.borrow_mut().remove(&time) else {
+                            return;
+                        };
+                        let (mut folded, mut fold) = (folded.borrow_mut(), fold.borrow_mut());
+                        for (k, v) in values {
+                            fold.apply(&mut folded, k, v);
                         }
-                    });
-                }
+                    },
+                )
             },
         )
     }
@@ -87,6 +122,36 @@ impl<K: ExchangeKey, V: ExchangeData> AggregateOps<K, V> for Stream<(K, V)> {
                 }
             },
         )
+    }
+}
+
+/// An aggregate's two user functions, shared by the operator's receive
+/// and notification halves.
+struct Fold<I, F> {
+    init: I,
+    improve: F,
+}
+
+impl<I, F> Fold<I, F> {
+    /// Folds `v` into `k`'s aggregate in `map`, returning the aggregate if
+    /// it changed.
+    fn apply<'m, K: ExchangeKey, V, A>(
+        &mut self,
+        map: &'m mut HashMap<K, A>,
+        k: K,
+        v: V,
+    ) -> Option<&'m A>
+    where
+        I: Fn(&V) -> A,
+        F: FnMut(&mut A, V) -> bool,
+    {
+        match map.entry(k) {
+            std::collections::hash_map::Entry::Vacant(slot) => Some(slot.insert((self.init)(&v))),
+            std::collections::hash_map::Entry::Occupied(slot) => {
+                let a = slot.into_mut();
+                (self.improve)(a, v).then_some(&*a)
+            }
+        }
     }
 }
 

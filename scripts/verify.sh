@@ -32,7 +32,7 @@ weigh() { # <what> <count> <ceiling>
   fi
 }
 weigh "lines in crates/core/src" \
-  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 20024
+  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 20022
 weigh "lint-allow / *-exempt markers in crates/{core,wire,netsim}/src" \
   "$(grep -rhoE 'lint-allow\(|[a-z]+-exempt:' crates/core/src crates/wire/src crates/netsim/src | wc -l)" 42
 weigh "pub fields of Config" \

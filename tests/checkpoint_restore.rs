@@ -6,7 +6,9 @@
 use naiad::{execute, Config, ExecuteError, Execution, IntrospectOptions, RecoveryOptions, Worker};
 use naiad_examples::my_share;
 use naiad_operators::prelude::*;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Cross-epoch state: monotonic minimum per key. Epochs 0–2 establish
 /// state; epochs 3–5 only emit improvements relative to it.
@@ -510,6 +512,100 @@ fn restore_shards_rejects_partition_count_mismatch() {
         ),
         "got {:?}",
         outcomes[0]
+    );
+}
+
+/// The records of one epoch, sorted.
+fn records_at(out: &Out, epoch: u64) -> Vec<(u64, u64)> {
+    let mut v: Vec<(u64, u64)> = out
+        .iter()
+        .filter(|(e, _)| *e == epoch)
+        .flat_map(|(_, d)| d.iter().copied())
+        .collect();
+    v.sort();
+    v
+}
+
+/// A peer that runs ahead feeds epoch 1 into a worker's aggregate before
+/// that worker checkpoints epoch 0. The checkpoint must hold only what
+/// closed epochs folded (DESIGN.md §13), so replaying epoch 1 from it
+/// emits what the first run did. The two workers are sequenced by a
+/// channel handshake, not by timing.
+#[test]
+fn checkpoint_holds_only_what_closed_epochs_folded() {
+    // Epoch 0 sets every key's minimum to 50; epoch 1 lowers each to 10.
+    let first: Vec<(u64, u64)> = (0..16).map(|k| (k, 50)).collect();
+    let second: Arc<Vec<(u64, u64)>> = Arc::new((0..16).map(|k| (k, 10)).collect());
+    let (fed, wait_fed) = mpsc::channel::<()>();
+    let wait_fed = Mutex::new(wait_fed);
+    let epoch_one = second.clone();
+    let results = execute(Config::single_process(2), move |worker| {
+        let ahead = Rc::new(RefCell::new(0usize));
+        let (mut input, probe, captured) = worker.dataflow(|scope| {
+            let (input, stream) = scope.new_input::<(u64, u64)>();
+            let seen = ahead.clone();
+            let mins = stream.min_monotonic().inspect(move |time, _| {
+                *seen.borrow_mut() += usize::from(time.epoch == 1);
+            });
+            (input, mins.probe(), mins.capture())
+        });
+        for r in my_share(&first, worker.index(), worker.peers()) {
+            input.send(r);
+        }
+        input.advance_to(1);
+        worker.step_while(|| !probe.done_through(0));
+        let blob = if worker.index() == 1 {
+            // Checkpoint epoch 0, then run ahead with all of epoch 1.
+            let blob = worker.checkpoint();
+            for &r in epoch_one.iter() {
+                input.send(r);
+            }
+            input.advance_to(2);
+            fed.send(()).expect("worker 0 waits for the handshake");
+            blob
+        } else {
+            // Checkpoint epoch 0 only once the peer's epoch 1 has reached
+            // this worker's aggregate and improved a key.
+            wait_fed.lock().unwrap().recv().expect("worker 1 feeds epoch 1");
+            worker.step_while(|| *ahead.borrow() == 0);
+            let blob = worker.checkpoint();
+            input.advance_to(2);
+            blob
+        };
+        input.close();
+        worker.step_until_done();
+        let result = (blob, captured.borrow().clone());
+        result
+    })
+    .unwrap();
+    let (blobs, outputs): (Vec<Vec<u8>>, Vec<Out>) = results.into_iter().unzip();
+    let first_run: Out = outputs.into_iter().flatten().collect();
+
+    // Restore both checkpoints and replay epoch 1, renumbered from zero.
+    let blobs = Arc::new(blobs);
+    let replayed = execute(Config::single_process(2), move |worker| {
+        let (mut input, captured) = worker.dataflow(|scope| {
+            let (input, stream) = scope.new_input::<(u64, u64)>();
+            (input, stream.min_monotonic().capture())
+        });
+        worker.restore(&blobs[worker.index()]);
+        if worker.index() == 1 {
+            for &r in second.iter() {
+                input.send(r);
+            }
+        }
+        input.close();
+        worker.step_until_done();
+        let result = captured.borrow().clone();
+        result
+    })
+    .unwrap();
+    let replayed: Out = replayed.into_iter().flatten().collect();
+    assert_eq!(records_at(&first_run, 1).len(), 16, "epoch 1 improves every key");
+    assert_eq!(
+        records_at(&replayed, 0),
+        records_at(&first_run, 1),
+        "replaying epoch 1 from the epoch-0 checkpoints changed its output"
     );
 }
 

@@ -150,6 +150,37 @@ fn multiple_dataflows_share_a_worker() {
     assert_eq!(counts, vec![(0, 2), (1, 2), (2, 2)]);
 }
 
+/// A deep graph: a chain of 1,024 `map` stages builds through
+/// `Worker::dataflow` (validation, analysis and the progress tracker's
+/// arcs are all linear in the graph's size) and carries an epoch end to
+/// end, across two workers.
+#[test]
+fn a_thousand_stage_chain_builds_and_runs_an_epoch() {
+    const STAGES: u64 = 1024;
+    let results = execute(Config::single_process(2), |worker| {
+        let (mut input, captured) = worker.dataflow(|scope| {
+            let (input, mut stream) = scope.new_input::<u64>();
+            for _ in 0..STAGES {
+                stream = stream.map(|x| x + 1);
+            }
+            (input, stream.capture())
+        });
+        input.send_batch(my_share(&[0, 1000], worker.index(), worker.peers()));
+        input.close();
+        worker.step_until_done();
+        let result = captured.borrow().clone();
+        result
+    })
+    .unwrap();
+    let mut out: Vec<(u64, u64)> = results
+        .into_iter()
+        .flatten()
+        .flat_map(|(epoch, data)| data.into_iter().map(move |x| (epoch, x)))
+        .collect();
+    out.sort_unstable();
+    assert_eq!(out, vec![(0, STAGES), (0, 1000 + STAGES)]);
+}
+
 /// Iteration nested in streaming: per-epoch fixpoints stay separated even
 /// when epochs are pipelined into the loop without waiting.
 #[test]

@@ -6,23 +6,26 @@
 
 use std::sync::Arc;
 
-use naiad::graph::{ContextId, GraphBuilder, Location, LogicalGraph, StageId, StageKind};
+use naiad::graph::{
+    ConnectorId, ContextId, GraphBuilder, Location, LogicalGraph, StageId, StageKind,
+};
 use naiad::progress::{Accumulator, Pointstamp, PointstampTable};
-use naiad::{PartialOrder, Timestamp};
+use naiad::summary::Summary;
+use naiad::{Antichain, PartialOrder, Timestamp};
 use naiad_rng::Xorshift;
 
 const CASES: usize = 64;
 
 /// Splices a loop context under `parent` fed by `entry`, returning the
-/// egress stage. With `nest`, a second loop may be spliced *inside* the
-/// body, giving contexts two deep (lexicographic counter timestamps).
+/// egress stage. `nested` more loops are spliced *inside* the body, one
+/// within the other, giving contexts `1 + nested` deep (lexicographic
+/// counter timestamps).
 fn gen_loop(
     g: &mut GraphBuilder,
-    rng: &mut Xorshift,
     parent: ContextId,
     entry: StageId,
     depth: usize,
-    nest: bool,
+    nested: usize,
 ) -> StageId {
     let ctx = g.add_context(parent);
     let ingress = g.add_ingress(&format!("I{depth}"), ctx);
@@ -32,8 +35,8 @@ fn gen_loop(
     g.connect(entry, 0, ingress, 0);
     g.connect(ingress, 0, body, 0);
     g.connect(feedback, 0, body, 1);
-    let exit = if nest && rng.chance(0.5) {
-        gen_loop(g, rng, ctx, body, depth + 1, false)
+    let exit = if nested > 0 {
+        gen_loop(g, ctx, body, depth + 1, nested - 1)
     } else {
         body
     };
@@ -45,7 +48,7 @@ fn gen_loop(
 /// A random but *valid* timely graph: a chain of stages in the root
 /// context, an optional diamond (fan-out into two branches re-joined at
 /// a two-input stage), and an optional loop context — itself optionally
-/// holding a *nested* loop two contexts deep.
+/// holding *nested* loops, up to three contexts deep.
 fn gen_graph(rng: &mut Xorshift) -> Arc<LogicalGraph> {
     let chain = 1 + rng.below_usize(3);
     let with_diamond = rng.chance(0.5);
@@ -71,7 +74,9 @@ fn gen_graph(rng: &mut Xorshift) -> Arc<LogicalGraph> {
         prev = join;
     }
     if with_loop {
-        prev = gen_loop(&mut g, rng, ContextId::ROOT, prev, 1, true);
+        // No loop inside it half the time; else one, or two nested.
+        let nested = [2, 1, 0, 0][rng.below_usize(4)];
+        prev = gen_loop(&mut g, ContextId::ROOT, prev, 1, nested);
     }
     let tail = g.add_stage("tail", StageKind::Regular, ContextId::ROOT, 1, 0);
     g.connect(prev, 0, tail, 0);
@@ -79,15 +84,18 @@ fn gen_graph(rng: &mut Xorshift) -> Arc<LogicalGraph> {
 }
 
 /// The generator actually produces the advertised variety: diamonds,
-/// multi-input stages, and loop contexts nested two deep all appear.
+/// multi-input stages, and loop contexts nested two and three deep all
+/// appear.
 #[test]
 fn generator_covers_the_topology_matrix() {
     let mut rng = Xorshift::new(0xB0);
     let (mut saw_diamond, mut saw_nested, mut saw_multi_input) = (false, false, false);
+    let mut saw_three_deep = false;
     for _ in 0..CASES {
         let graph = gen_graph(&mut rng);
         let max_depth = graph.contexts().iter().map(|c| c.depth).max().unwrap_or(0);
         saw_nested |= max_depth >= 2;
+        saw_three_deep |= max_depth >= 3;
         saw_diamond |= graph.stages().iter().any(|s| s.name == "join");
         saw_multi_input |= graph
             .stages()
@@ -96,7 +104,14 @@ fn generator_covers_the_topology_matrix() {
     }
     assert!(saw_diamond, "no diamond generated in {CASES} cases");
     assert!(saw_nested, "no nested loop generated in {CASES} cases");
-    assert!(saw_multi_input, "no multi-input stage generated in {CASES} cases");
+    assert!(
+        saw_three_deep,
+        "no loop three contexts deep generated in {CASES} cases"
+    );
+    assert!(
+        saw_multi_input,
+        "no multi-input stage generated in {CASES} cases"
+    );
 }
 
 /// A pointstamp at every vertex of the graph with a depth-correct time.
@@ -124,15 +139,14 @@ fn could_result_in_is_transitive() {
         let ps1 = all_pointstamps(&graph, rng.below(3), rng.below(3));
         let ps2 = all_pointstamps(&graph, rng.below(3), rng.below(3));
         let ps3 = all_pointstamps(&graph, rng.below(3), rng.below(3));
-        let m = graph.summaries();
         for a in &ps1 {
             for b in &ps2 {
                 for c in &ps3 {
-                    let ab = m.could_result_in(&a.time, a.location, &b.time, b.location);
-                    let bc = m.could_result_in(&b.time, b.location, &c.time, c.location);
+                    let ab = graph.could_result_in(&a.time, a.location, &b.time, b.location);
+                    let bc = graph.could_result_in(&b.time, b.location, &c.time, c.location);
                     if ab && bc {
                         assert!(
-                            m.could_result_in(&a.time, a.location, &c.time, c.location),
+                            graph.could_result_in(&a.time, a.location, &c.time, c.location),
                             "transitivity violated: {a:?} → {b:?} → {c:?}"
                         );
                     }
@@ -148,9 +162,8 @@ fn could_result_in_is_reflexive() {
     let mut rng = Xorshift::new(0xB2);
     for _ in 0..CASES {
         let graph = gen_graph(&mut rng);
-        let m = graph.summaries();
         for p in all_pointstamps(&graph, rng.below(3), rng.below(3)) {
-            assert!(m.could_result_in(&p.time, p.location, &p.time, p.location));
+            assert!(graph.could_result_in(&p.time, p.location, &p.time, p.location));
         }
     }
 }
@@ -163,12 +176,11 @@ fn time_moves_forward_only() {
     for _ in 0..CASES {
         let graph = gen_graph(&mut rng);
         let c = rng.below(3);
-        let m = graph.summaries();
         for p in all_pointstamps(&graph, rng.below(3), c) {
             let later = Timestamp::new(p.time.epoch + 1);
             // Same location, later epoch: reachable via identity.
             assert!(
-                m.could_result_in(
+                graph.could_result_in(
                     &p.time,
                     p.location,
                     &Timestamp::with_counters(later.epoch, &vec![0; p.time.depth()]),
@@ -179,7 +191,7 @@ fn time_moves_forward_only() {
             if p.time.epoch > 0 {
                 let earlier = Timestamp::with_counters(p.time.epoch - 1, &vec![c; p.time.depth()]);
                 assert!(
-                    !m.could_result_in(&p.time, p.location, &earlier, p.location),
+                    !graph.could_result_in(&p.time, p.location, &earlier, p.location),
                     "earlier epoch reachable from {p:?}"
                 );
             }
@@ -228,7 +240,6 @@ fn frontier_elements_are_minimal() {
             table.update(Pointstamp::at_vertex(time, stage), 1);
         }
         let frontier = table.frontier();
-        let m = graph.summaries();
         for p in &frontier {
             assert!(table.is_active(p));
             for q in &frontier {
@@ -236,8 +247,8 @@ fn frontier_elements_are_minimal() {
                     // Frontier elements may relate only symmetrically via
                     // identity (equal pointstamps are deduplicated), so a
                     // one-way could-result-in would contradict minimality.
-                    let pq = m.could_result_in(&p.time, p.location, &q.time, q.location);
-                    let qp = m.could_result_in(&q.time, q.location, &p.time, p.location);
+                    let pq = graph.could_result_in(&p.time, p.location, &q.time, q.location);
+                    let qp = graph.could_result_in(&q.time, q.location, &p.time, p.location);
                     assert!(!(pq ^ qp), "frontier not an antichain: {p:?} vs {q:?}");
                 }
             }
@@ -370,7 +381,6 @@ fn nested_loop_counters_order_lexicographically() {
     g.connect(e2, 0, e1, 0);
     g.connect(e1, 0, out, 0);
     let graph = Arc::new(g.build().expect("nested loop is valid"));
-    let m = graph.summaries();
     let at = |counters: &[u64]| {
         (
             Timestamp::with_counters(0, counters),
@@ -380,7 +390,7 @@ fn nested_loop_counters_order_lexicographically() {
     let cri = |a: &[u64], b: &[u64]| {
         let (ta, la) = at(a);
         let (tb, lb) = at(b);
-        m.could_result_in(&ta, la, &tb, lb)
+        graph.could_result_in(&ta, la, &tb, lb)
     };
     // The inner feedback advances the innermost counter.
     assert!(cri(&[1, 2], &[1, 3]));
@@ -394,10 +404,10 @@ fn nested_loop_counters_order_lexicographically() {
     // epoch is reachable from any counter state, never the reverse.
     let (t0, l0) = at(&[1, 2]);
     let next_epoch = Timestamp::with_counters(1, &[0, 0]);
-    assert!(m.could_result_in(&t0, l0, &next_epoch, l0));
-    assert!(!m.could_result_in(&next_epoch, l0, &t0, l0));
+    assert!(graph.could_result_in(&t0, l0, &next_epoch, l0));
+    assert!(!graph.could_result_in(&next_epoch, l0, &t0, l0));
     // But the input's initial stamp reaches every loop iterate.
-    assert!(m.could_result_in(
+    assert!(graph.could_result_in(
         &Timestamp::new(0),
         Location::Vertex(input),
         &Timestamp::with_counters(0, &[3, 7]),
@@ -434,11 +444,129 @@ fn done_through_is_monotone() {
     }
 }
 
+/// The all-pairs path summaries Ψ of §2.3, the test-side reference for
+/// could-result-in: for every ordered pair of locations, the minimal
+/// summaries of every path between them, the empty path included. Built
+/// by relaxation — extend every known path by every arc until nothing
+/// changes — over a row-major `L × L` table, independently of the
+/// library's reachability query that it is compared against.
+struct Psi {
+    stages: usize,
+    locations: usize,
+    cells: Vec<Antichain<Summary>>,
+}
+
+impl Psi {
+    fn of(graph: &LogicalGraph) -> Psi {
+        let stages = graph.stages().len();
+        let locations = stages + graph.connectors().len();
+        // The location graph's arcs: a stage's action from its vertex to
+        // each outgoing edge, and delivery (identity) from an edge to its
+        // destination vertex.
+        let mut arcs: Vec<(usize, usize, Summary)> = Vec::new();
+        for (ci, c) in graph.connectors().iter().enumerate() {
+            let depth = graph.connector_depth(ConnectorId(ci));
+            arcs.push((stages + ci, c.dst.0 .0, Summary::identity(depth)));
+            arcs.push((c.src.0 .0, stages + ci, graph.stage_summary(c.src.0)));
+        }
+        let mut psi = Psi {
+            stages,
+            locations,
+            cells: vec![Antichain::new(); locations * locations],
+        };
+        for l in 0..locations {
+            let depth = graph.location_depth(psi.location(l));
+            psi.cells[l * locations + l].insert(Summary::identity(depth));
+        }
+        // Same-`keep` summaries are totally ordered and every cycle
+        // strictly advances one, so the antichains reject repeat visits
+        // and the relaxation reaches a fixpoint.
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &(a, b, step) in &arcs {
+                for from in 0..locations {
+                    let extended: Vec<Summary> = psi.cells[from * locations + a]
+                        .elements()
+                        .iter()
+                        .map(|s| s.then(&step))
+                        .collect();
+                    for s in extended {
+                        changed |= psi.cells[from * locations + b].insert(s);
+                    }
+                }
+            }
+        }
+        psi
+    }
+
+    fn location(&self, index: usize) -> Location {
+        if index < self.stages {
+            Location::Vertex(StageId(index))
+        } else {
+            Location::Edge(ConnectorId(index - self.stages))
+        }
+    }
+
+    fn index(&self, location: Location) -> usize {
+        match location {
+            Location::Vertex(s) => s.0,
+            Location::Edge(c) => self.stages + c.0,
+        }
+    }
+
+    /// Some path summary from `l1` to `l2` maps `t1` at or before `t2`.
+    fn could_result_in(&self, t1: &Timestamp, l1: Location, t2: &Timestamp, l2: Location) -> bool {
+        self.cells[self.index(l1) * self.locations + self.index(l2)]
+            .elements()
+            .iter()
+            .any(|s| s.apply(t1).less_equal(t2))
+    }
+}
+
+/// The reachability query agrees with the all-pairs reference for every
+/// ordered pair of vertex *and* edge locations, on random depth-correct
+/// times at both ends.
+#[test]
+fn could_result_in_matches_the_all_pairs_reference() {
+    let mut rng = Xorshift::new(0xBB);
+    let (mut agreed_yes, mut agreed_no) = (0, 0);
+    for _ in 0..CASES {
+        let graph = gen_graph(&mut rng);
+        let psi = Psi::of(&graph);
+        let locations = graph.stages().len() + graph.connectors().len();
+        for l1 in (0..locations).map(|i| psi.location(i)) {
+            for l2 in (0..locations).map(|i| psi.location(i)) {
+                for _ in 0..4 {
+                    let mut time_at = |l: Location| {
+                        let counters: Vec<u64> =
+                            (0..graph.location_depth(l)).map(|_| rng.below(3)).collect();
+                        Timestamp::with_counters(rng.below(2), &counters)
+                    };
+                    let (t1, t2) = (time_at(l1), time_at(l2));
+                    let expected = psi.could_result_in(&t1, l1, &t2, l2);
+                    assert_eq!(
+                        graph.could_result_in(&t1, l1, &t2, l2),
+                        expected,
+                        "({t1:?}, {l1:?}) could-result-in ({t2:?}, {l2:?})"
+                    );
+                    agreed_yes += usize::from(expected);
+                    agreed_no += usize::from(!expected);
+                }
+            }
+        }
+    }
+    assert!(
+        agreed_yes > 1000 && agreed_no > 1000,
+        "both answers exercised: {agreed_yes} yes, {agreed_no} no"
+    );
+}
+
 /// The reference the one-table tracker is checked against: counts in a
 /// map, and every query the all-pairs definition of §2.3 / §3.3 written
 /// out longhand, with the canonical order spelled as a sort key.
 struct Oracle {
-    graph: Arc<LogicalGraph>,
+    psi: Psi,
     counts: std::collections::HashMap<Pointstamp, i64>,
 }
 
@@ -452,11 +580,12 @@ impl Oracle {
     /// Whether an active pointstamp — `p` itself too, if `or_self` —
     /// could-result-in `p`.
     fn reached(&self, p: &Pointstamp, or_self: bool) -> bool {
-        let m = self.graph.summaries();
         self.counts.iter().any(|(q, &c)| {
             c > 0
                 && (or_self || q != p)
-                && m.could_result_in(&q.time, q.location, &p.time, p.location)
+                && self
+                    .psi
+                    .could_result_in(&q.time, q.location, &p.time, p.location)
         })
     }
     fn in_frontier(&self, p: &Pointstamp) -> bool {
@@ -491,9 +620,7 @@ fn gen_pool(graph: &Arc<LogicalGraph>, rng: &mut Xorshift) -> Vec<Pointstamp> {
             let location = if rng.chance(0.5) {
                 Location::Vertex(StageId(rng.below_usize(graph.stages().len())))
             } else {
-                Location::Edge(naiad::graph::ConnectorId(
-                    rng.below_usize(graph.connectors().len()),
-                ))
+                Location::Edge(ConnectorId(rng.below_usize(graph.connectors().len())))
             };
             let counters: Vec<u64> = (0..graph.location_depth(location))
                 .map(|_| rng.below(3))
@@ -522,7 +649,7 @@ fn tracker_queries_match_the_all_pairs_oracle() {
         let pool = gen_pool(&graph, &mut rng);
         let mut table = PointstampTable::new(graph.clone());
         let mut oracle = Oracle {
-            graph,
+            psi: Psi::of(&graph),
             counts: Default::default(),
         };
         for _ in 0..40 {
@@ -562,7 +689,7 @@ fn accumulator_decisions_match_the_all_pairs_oracle() {
         let pool = gen_pool(&graph, &mut rng);
         let mut acc = Accumulator::new(graph.clone(), 2);
         let mut view = Oracle {
-            graph: graph.clone(),
+            psi: Psi::of(&graph),
             counts: Default::default(),
         };
         for stage in graph.input_stages() {
