@@ -1,13 +1,13 @@
-//! The general vertex builder (§4.3): stages with any number of typed
-//! inputs and outputs.
+//! The vertex builder (§4.3): stages with any number of typed inputs and
+//! outputs, and the only code that installs a vertex.
 //!
-//! [`Stream::unary`](super::Stream::unary) and friends cover the common
-//! shapes; this builder covers the rest — e.g. the paper's Figure 4
-//! vertex (one input, *two* outputs) or its Pregel port ("a custom vertex
-//! with several strongly typed inputs and outputs"). Ports are created
-//! one at a time, each typed independently; the vertex logic is a pair of
-//! closures over the captured ports, exactly like the fixed-shape
-//! builders.
+//! [`Stream::unary`](super::Stream::unary) and friends are shape adapters
+//! over it, and the loop stages are one retiming vertex built on it; this
+//! builder covers every other shape — e.g. the paper's Figure 4 vertex
+//! (one input, *two* outputs) or its Pregel port ("a custom vertex with
+//! several strongly typed inputs and outputs"). Ports are created one at a
+//! time, each typed independently; the vertex logic is a pair of closures
+//! over the captured ports.
 //!
 //! # Examples
 //!
@@ -28,9 +28,7 @@
 //!         let (odds_port, odds) = builder.add_output::<u64>();
 //!         builder.build(
 //!             move || {
-//!                 let mut worked = false;
 //!                 port.for_each(|time, data| {
-//!                     worked = true;
 //!                     for x in data {
 //!                         if x % 2 == 0 {
 //!                             evens_port.borrow_mut().give(time, x);
@@ -39,8 +37,6 @@
 //!                         }
 //!                     }
 //!                 });
-//!                 port.settle_now();
-//!                 worked
 //!             },
 //!             |_time| {},
 //!         );
@@ -58,90 +54,65 @@
 //! assert_eq!(odds[0].1, vec![1, 3, 5]);
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use naiad_wire::ExchangeData;
 
 use crate::graph::{ContextId, StageId, StageKind};
-use crate::runtime::channels::{Pact, Puller};
+use crate::progress::PointstampTable;
+use crate::runtime::channels::Pact;
 use crate::time::Timestamp;
 
-use super::ops::install;
-use super::ports::{new_tee, OutputPort};
+use super::ports::{Flush, InputPort, OutputPort, Tee};
 use super::{Notify, OperatorInfo, Scope, Stream};
 
 /// A vertex under construction with arbitrarily many typed ports.
 pub struct OperatorBuilder {
     scope: Scope,
     stage: StageId,
+    /// The context the vertex's inputs live in.
     context: ContextId,
-    name: String,
     notify: Notify,
     info: Option<OperatorInfo>,
-    /// Flush hooks for every output, run after each pump/notify call.
-    flushes: Vec<Box<dyn FnMut()>>,
-}
-
-/// A typed input created by [`OperatorBuilder::add_input`]: like
-/// [`InputPort`](super::InputPort) but owning its settle discipline, since
-/// the generic builder cannot see inside the user's closures.
-pub struct BuilderInput<D> {
-    puller: Puller<D>,
-}
-
-impl<D: ExchangeData> BuilderInput<D> {
-    /// The next queued batch, if any. The previous batch is retired on
-    /// each call (its processing is over once the logic asks for more).
-    ///
-    /// Deliberately named like `Iterator::next`; see
-    /// [`InputPort::next`](super::InputPort::next).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<(Timestamp, Vec<D>)> {
-        let message = self.puller.pull()?;
-        Some((message.time, message.data))
-    }
-
-    /// Applies `logic` to every queued batch.
-    pub fn for_each(&mut self, mut logic: impl FnMut(Timestamp, Vec<D>)) {
-        while let Some((time, data)) = self.next() {
-            logic(time, data);
-        }
-    }
-
-    /// Retires the final delivered batch; call when the pump logic is
-    /// done with this input for the current invocation.
-    pub fn settle_now(&mut self) {
-        self.puller.settle();
-    }
+    /// The activity flag every input port of the vertex sets.
+    pub(super) worked: Rc<Cell<bool>>,
+    outputs: Vec<Box<dyn Flush>>,
 }
 
 impl OperatorBuilder {
     /// Starts building a vertex in `context`.
     pub fn new(scope: &mut Scope, name: &str, context: ContextId) -> Self {
-        let (stage, notify, info) = {
-            let mut inner = scope.inner.borrow_mut();
-            let stage = inner
-                .builder
-                .add_stage(name, StageKind::Regular, context, 0, 0);
-            let notify = Notify::new(stage, inner.journal.clone(), inner.notify_log.clone());
-            let info = OperatorInfo::new(
-                stage,
-                notify.clone(),
-                inner.routing.my_index,
-                inner.routing.peers,
-                inner.states.clone(),
-            );
-            (stage, notify, info)
-        };
+        let stage = scope
+            .inner
+            .borrow_mut()
+            .builder
+            .add_stage(name, StageKind::Regular, context, 0, 0);
+        Self::at(scope, stage, context)
+    }
+
+    /// Starts the vertex of `stage`, already in the graph; the ports
+    /// [`add_input`](Self::add_input) and [`output`](Self::output) add
+    /// live in `context`.
+    pub(super) fn at(scope: &Scope, stage: StageId, context: ContextId) -> Self {
+        let inner = scope.inner.borrow();
+        let notify = Notify::new(stage, inner.journal.clone(), inner.notify_log.clone());
+        let info = OperatorInfo::new(
+            stage,
+            notify.clone(),
+            inner.routing.my_index,
+            inner.routing.peers,
+            inner.states.clone(),
+        );
+        drop(inner);
         OperatorBuilder {
             scope: scope.clone_ref(),
             stage,
             context,
-            name: name.to_string(),
             notify,
             info: Some(info),
-            flushes: Vec::new(),
+            worked: Rc::new(Cell::new(false)),
+            outputs: Vec::new(),
         }
     }
 
@@ -169,7 +140,7 @@ impl OperatorBuilder {
         &mut self,
         stream: &Stream<D>,
         pact: Pact<D>,
-    ) -> BuilderInput<D> {
+    ) -> InputPort<D> {
         assert_eq!(
             stream.context(),
             self.context,
@@ -181,70 +152,100 @@ impl OperatorBuilder {
             .borrow_mut()
             .builder
             .add_input_port(self.stage);
-        let input = stream.connect_to(self.stage, port, pact);
-        BuilderInput {
-            puller: input.into_puller(),
-        }
+        stream.connect_to(self.stage, port, pact, &self.worked)
     }
 
     /// Adds the next output, returning the shared port (for the vertex
     /// logic) and its stream (for downstream consumers).
     pub fn add_output<D: ExchangeData>(&mut self) -> (Rc<RefCell<OutputPort<D>>>, Stream<D>) {
+        let (tee, stream) = self.output();
+        (Rc::new(RefCell::new(OutputPort::new(tee))), stream)
+    }
+
+    /// Adds the next output, returning its fan-out point and its stream.
+    pub(super) fn output<D: ExchangeData>(&mut self) -> (Tee<D>, Stream<D>) {
         let port = self
             .scope
             .inner
             .borrow_mut()
             .builder
             .add_output_port(self.stage);
-        let tee = new_tee::<D>();
-        let stream = Stream::from_parts(self.stage, port, self.context, tee.clone(), &self.scope);
-        let output = Rc::new(RefCell::new(OutputPort::new(tee)));
-        let flushing = output.clone();
-        self.flushes
-            .push(Box::new(move || flushing.borrow_mut().flush()));
-        (output, stream)
+        self.output_at(port, self.context)
+    }
+
+    /// Attaches output `port`, already in the graph, whose records live in
+    /// `context`.
+    pub(super) fn output_at<D: ExchangeData>(
+        &mut self,
+        port: usize,
+        context: ContextId,
+    ) -> (Tee<D>, Stream<D>) {
+        let stream = Stream::new(self.stage, port, context, self.scope.clone_ref());
+        self.outputs.push(Box::new(stream.tee.clone()));
+        (stream.tee.clone(), stream)
     }
 
     /// Finalizes the vertex: `pump` is the `OnRecv` driver (drain the
-    /// captured inputs, write the captured outputs, report whether any
-    /// work happened); `deliver` is the `OnNotify` logic. Output buffers
-    /// flush automatically after each invocation.
-    ///
-    /// **Contract:** `pump` must call [`BuilderInput::settle_now`] on each
-    /// input it drained before returning. An unsettled final batch keeps
-    /// its occurrence count alive, so notifications for its time — and
-    /// eventually the whole dataflow — would never complete.
-    pub fn build(
-        mut self,
-        mut pump: impl FnMut() -> bool + 'static,
-        mut deliver: impl FnMut(Timestamp) + 'static,
-    ) {
-        // Both closures must flush every output; share the hooks.
-        type Flushes = Rc<RefCell<Vec<Box<dyn FnMut()>>>>;
-        let mut pump_flushes = std::mem::take(&mut self.flushes);
-        let shared: Flushes = Rc::new(RefCell::new(Vec::new()));
-        shared.borrow_mut().append(&mut pump_flushes);
-        let pump_shared = shared.clone();
-        let pump_fn = Box::new(move || {
-            let worked = pump();
-            for f in pump_shared.borrow_mut().iter_mut() {
-                f();
-            }
-            worked
-        });
-        let deliver_fn = Box::new(move |time: Timestamp| {
-            deliver(time);
-            for f in shared.borrow_mut().iter_mut() {
-                f();
-            }
-        });
-        install(
-            &self.scope,
-            self.stage,
-            &self.name,
-            self.notify,
-            pump_fn,
-            deliver_fn,
-        );
+    /// captured inputs, write the captured outputs); `deliver` is the
+    /// `OnNotify` logic. Output buffers flush automatically after each
+    /// invocation, and the input ports retire what they delivered.
+    pub fn build(self, pump: impl FnMut() + 'static, deliver: impl FnMut(Timestamp) + 'static) {
+        let vertex = Vertex {
+            stage: self.stage,
+            notify: self.notify,
+            worked: self.worked,
+            outputs: self.outputs,
+            pump: Box::new(pump),
+            deliver: Box::new(deliver),
+        };
+        self.scope.inner.borrow_mut().ops.push(vertex);
+    }
+}
+
+/// One vertex as its worker schedules it (§3.2), held by value.
+pub(crate) struct Vertex {
+    stage: StageId,
+    notify: Notify,
+    worked: Rc<Cell<bool>>,
+    outputs: Vec<Box<dyn Flush>>,
+    pump: Box<dyn FnMut()>,
+    deliver: Box<dyn FnMut(Timestamp)>,
+}
+
+impl Vertex {
+    /// The stage this vertex belongs to (telemetry and diagnostics).
+    pub(crate) fn stage(&self) -> StageId {
+        self.stage
+    }
+
+    /// Runs the `OnRecv` logic over whatever is queued and flushes the
+    /// outputs. Returns whether any input delivered a batch.
+    pub(crate) fn pump(&mut self) -> bool {
+        (self.pump)();
+        self.flush();
+        self.worked.replace(false)
+    }
+
+    /// Removes and returns the notifications `table` now permits:
+    /// `(time, blocking)` pairs, blocking ones first.
+    pub(crate) fn ready(&self, table: &PointstampTable) -> Vec<(Timestamp, bool)> {
+        self.notify.take_ready(table)
+    }
+
+    /// Runs the `OnNotify` logic for `time` and flushes the outputs; a
+    /// blocking notification then retires (§2.3: the occurrence count
+    /// decrements as `OnNotify` completes).
+    pub(crate) fn deliver(&mut self, time: Timestamp, blocking: bool) {
+        (self.deliver)(time);
+        self.flush();
+        if blocking {
+            self.notify.retire(time);
+        }
+    }
+
+    fn flush(&self) {
+        for output in &self.outputs {
+            output.flush();
+        }
     }
 }

@@ -17,7 +17,7 @@ use crate::progress::Pointstamp;
 use crate::runtime::channels::{journal_update, Journal};
 use crate::time::Timestamp;
 
-use super::ports::Tee;
+use super::ports::{Flush, Tee};
 use super::{Scope, Stream, TrackerCell};
 
 impl Scope {
@@ -95,14 +95,6 @@ impl<D> InputShared<D> {
     }
 }
 
-impl<D: ExchangeData> InputShared<D> {
-    fn flush(&mut self) {
-        for pusher in self.tee.borrow_mut().iter_mut() {
-            pusher.flush();
-        }
-    }
-}
-
 /// The external producer's handle to an input stage (§4.1's `OnNext` /
 /// `OnCompleted` pattern).
 ///
@@ -119,21 +111,9 @@ impl<D: ExchangeData> InputHandle<D> {
     ///
     /// Panics if the input is closed.
     pub fn send(&mut self, record: D) {
-        let shared = self.shared.borrow_mut();
+        let shared = self.shared.borrow();
         assert!(!shared.closed, "send on a closed input");
-        let time = Timestamp::new(shared.epoch);
-        let mut tee = shared.tee.borrow_mut();
-        // Clone for all but the last subscriber; the last consumes the
-        // record, so single-consumer inputs never copy.
-        let last = tee.len().saturating_sub(1);
-        let mut record = Some(record);
-        for (i, pusher) in tee.iter_mut().enumerate() {
-            if i == last {
-                pusher.give(time, record.take().expect("record moved once"));
-            } else {
-                pusher.give(time, record.clone().expect("record present until last"));
-            }
-        }
+        shared.tee.give(Timestamp::new(shared.epoch), record);
     }
 
     /// Supplies a batch of records for the current epoch.
@@ -154,20 +134,9 @@ impl<D: ExchangeData> InputHandle<D> {
     ///
     /// Panics if the input is closed.
     pub fn send_container(&mut self, records: &mut Vec<D>) {
-        let shared = self.shared.borrow_mut();
+        let shared = self.shared.borrow();
         assert!(!shared.closed, "send_container on a closed input");
-        let time = Timestamp::new(shared.epoch);
-        let mut tee = shared.tee.borrow_mut();
-        let n = tee.len();
-        if n == 0 {
-            records.clear(); // No consumers: records are dropped, like Naiad.
-            return;
-        }
-        for pusher in tee.iter_mut().take(n - 1) {
-            let mut copy = records.clone();
-            pusher.give_batch(time, &mut copy);
-        }
-        tee[n - 1].give_batch(time, records);
+        shared.tee.give_container(Timestamp::new(shared.epoch), records);
     }
 
     /// Marks every epoch before `epoch` complete (§2.1: the producer
@@ -185,7 +154,7 @@ impl<D: ExchangeData> InputHandle<D> {
             "advance_to({epoch}) does not advance past epoch {}",
             shared.epoch
         );
-        shared.flush();
+        shared.tee.flush();
         // §2.3: add the new epoch's pointstamp, then retire the old one,
         // permitting downstream notifications for the completed epoch.
         let stage = shared.stage;
@@ -275,7 +244,7 @@ impl<D: ExchangeData> InputHandle<D> {
         if shared.closed {
             return;
         }
-        shared.flush();
+        shared.tee.flush();
         let stage = shared.stage;
         let epoch = shared.epoch;
         journal_update(

@@ -6,17 +6,18 @@
 //! Only the feedback stage may have its output connected before its input,
 //! which is what makes every cycle well-formed (§4.3).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use naiad_wire::ExchangeData;
 
 use crate::graph::{ContextId, StageId};
 use crate::runtime::channels::Pact;
+use crate::time::Timestamp;
 
-use super::ops::{install, new_output_stream};
-use super::ports::InputPort;
-use super::{Notify, Scope, Stream};
+use super::builder::OperatorBuilder;
+use super::ports::{InputPort, OutputPort};
+use super::{Scope, Stream};
 
 /// A loop context under construction.
 pub struct LoopContext {
@@ -50,27 +51,10 @@ impl LoopContext {
             let mut inner = self.scope.inner.borrow_mut();
             inner.builder.add_ingress("Ingress", self.context)
         };
-        let mut input = stream.connect_to(stage, 0, Pact::Pipeline);
-        let (out_stream, output) = new_output_stream::<D>(&self.scope, stage, self.context);
-        let notify = self.system_notify(stage);
-        let pump = Box::new(move || {
-            let mut out = output.borrow_mut();
-            input.for_each(|time, data| {
-                out.session(time.entered()).give_vec(data);
-            });
-            input.settle();
-            out.flush();
-            input.take_worked()
-        });
-        install(
-            &self.scope,
-            stage,
-            "Ingress",
-            notify,
-            pump,
-            Box::new(|_| {}),
-        );
-        out_stream
+        let (input, entered) =
+            self.retiming_stage(stage, self.context, |time| Some(time.entered()));
+        input.connect(stream);
+        entered
     }
 
     /// Returns a stream to the parent context through an egress stage:
@@ -93,21 +77,11 @@ impl LoopContext {
                 .expect("loop contexts always have a parent");
             (stage, parent)
         };
-        let mut input = stream.connect_to(stage, 0, Pact::Pipeline);
-        let (out_stream, output) = new_output_stream::<D>(&self.scope, stage, parent);
-        let notify = self.system_notify(stage);
-        let pump = Box::new(move || {
-            let mut out = output.borrow_mut();
-            input.for_each(|time, data| {
-                let left = time.left().expect("egress input carries a loop counter");
-                out.session(left).give_vec(data);
-            });
-            input.settle();
-            out.flush();
-            input.take_worked()
+        let (input, left) = self.retiming_stage(stage, parent, |time| {
+            Some(time.left().expect("egress input carries a loop counter"))
         });
-        install(&self.scope, stage, "Egress", notify, pump, Box::new(|_| {}));
-        out_stream
+        input.connect(stream);
+        left
     }
 
     /// Creates the loop's feedback stage: `(e, ⟨c…, cₖ⟩) → (e, ⟨c…, cₖ+1⟩)`.
@@ -124,50 +98,68 @@ impl LoopContext {
             let mut inner = self.scope.inner.borrow_mut();
             inner.builder.add_feedback("Feedback", self.context)
         };
-        let (out_stream, output) = new_output_stream::<D>(&self.scope, stage, self.context);
-        let notify = self.system_notify(stage);
-        let slot: Rc<RefCell<Option<InputPort<D>>>> = Rc::new(RefCell::new(None));
-        let pump_slot = slot.clone();
-        let pump = Box::new(move || {
-            let mut slot = pump_slot.borrow_mut();
-            let Some(input) = slot.as_mut() else {
-                return false;
-            };
-            let mut out = output.borrow_mut();
-            input.for_each(|time, data| {
-                let next = time
-                    .incremented()
-                    .expect("feedback input carries a loop counter");
-                let iteration = *next.counters.as_slice().last().expect("loop counter");
-                if max_iterations.is_none_or(|max| iteration < max) {
-                    out.session(next).give_vec(data);
-                }
-            });
-            input.settle();
-            out.flush();
-            input.take_worked()
+        let (input, fed_back) = self.retiming_stage(stage, self.context, move |time| {
+            let next = time
+                .incremented()
+                .expect("feedback input carries a loop counter");
+            let iteration = *next.counters.as_slice().last().expect("loop counter");
+            max_iterations.is_none_or(|max| iteration < max).then_some(next)
         });
-        install(
-            &self.scope,
-            stage,
-            "Feedback",
-            notify,
-            pump,
-            Box::new(|_| {}),
-        );
-        (
-            FeedbackHandle {
-                stage,
-                context: self.context,
-                slot,
-            },
-            out_stream,
-        )
+        let handle = FeedbackHandle {
+            context: self.context,
+            input,
+        };
+        (handle, fed_back)
     }
 
-    fn system_notify(&self, stage: StageId) -> Notify {
-        let inner = self.scope.inner.borrow();
-        Notify::new(stage, inner.journal.clone(), inner.notify_log.clone())
+    /// The one loop stage, an ingress, egress or feedback vertex of
+    /// `stage`: it forwards each input container whole, at the time
+    /// `retime` gives its batch, or drops it on `None` (the feedback
+    /// bound). Its records leave in `context`; its input is connected
+    /// through the returned [`LoopInput`].
+    fn retiming_stage<D: ExchangeData>(
+        &self,
+        stage: StageId,
+        context: ContextId,
+        retime: impl Fn(Timestamp) -> Option<Timestamp> + 'static,
+    ) -> (LoopInput<D>, Stream<D>) {
+        let mut builder = OperatorBuilder::at(&self.scope, stage, context);
+        let (tee, stream) = builder.output_at::<D>(0, context);
+        let mut output = OutputPort::new(tee);
+        let input = LoopInput {
+            stage,
+            port: Rc::new(RefCell::new(None)),
+            worked: builder.worked.clone(),
+        };
+        let port = input.port.clone();
+        builder.build(
+            move || {
+                if let Some(input) = port.borrow_mut().as_mut() {
+                    input.for_each_batch(|time, data| {
+                        if let Some(time) = retime(time) {
+                            output.session(time).give_container(data);
+                        }
+                    });
+                }
+            },
+            |_| {},
+        );
+        (input, stream)
+    }
+}
+
+/// The input of a loop stage, connected once its stream exists: at once
+/// for ingress and egress, by [`FeedbackHandle::connect`] for feedback.
+struct LoopInput<D> {
+    stage: StageId,
+    port: Rc<RefCell<Option<InputPort<D>>>>,
+    worked: Rc<Cell<bool>>,
+}
+
+impl<D: ExchangeData> LoopInput<D> {
+    fn connect(self, stream: &Stream<D>) {
+        let port = stream.connect_to(self.stage, 0, Pact::Pipeline, &self.worked);
+        *self.port.borrow_mut() = Some(port);
     }
 }
 
@@ -178,9 +170,8 @@ impl LoopContext {
 /// [`Worker::dataflow`](crate::runtime::Worker::dataflow) rejects when it
 /// validates the graph.
 pub struct FeedbackHandle<D: ExchangeData> {
-    stage: StageId,
     context: ContextId,
-    slot: Rc<RefCell<Option<InputPort<D>>>>,
+    input: LoopInput<D>,
 }
 
 impl<D: ExchangeData> FeedbackHandle<D> {
@@ -195,7 +186,6 @@ impl<D: ExchangeData> FeedbackHandle<D> {
             stream.context, self.context,
             "feedback must be fed from inside its loop context"
         );
-        let input = stream.connect_to(self.stage, 0, Pact::Pipeline);
-        *self.slot.borrow_mut() = Some(input);
+        self.input.connect(stream);
     }
 }

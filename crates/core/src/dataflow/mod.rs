@@ -25,7 +25,7 @@ pub use loops::LoopContext;
 pub use output::ProbeHandle;
 pub use ports::{InputPort, OutputPort, Session};
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use naiad_wire::ExchangeData;
@@ -36,7 +36,8 @@ use crate::runtime::channels::{journal_update, Journal, Pact, Puller, Pusher, Ro
 use crate::runtime::durability::{Checkpoint, KeyedCheckpoint, KeyedState};
 use crate::time::Timestamp;
 
-use ports::{new_tee, Tee};
+pub(crate) use builder::Vertex;
+use ports::Tee;
 
 /// The worker's protocol core for a dataflow, whose table is this worker's
 /// view of the dataflow's progress; it has one from when the graph is
@@ -262,66 +263,6 @@ impl OperatorInfo {
     }
 }
 
-/// The type-erased vertex harness a worker schedules.
-pub(crate) trait OpCore {
-    /// The stage this vertex belongs to (telemetry and diagnostics).
-    fn stage(&self) -> StageId;
-    /// Debug name (telemetry and diagnostics).
-    fn name(&self) -> &str;
-    /// Drains queued input, runs `OnRecv` logic, flushes outputs.
-    /// Returns whether any batch was processed.
-    fn pump(&mut self) -> bool;
-    /// The notification state.
-    fn notify_handle(&self) -> &Notify;
-    /// Runs `OnNotify` logic for a deliverable time.
-    fn deliver(&mut self, time: Timestamp);
-}
-
-/// A generic vertex harness built from two closures.
-pub(crate) struct CoreImpl {
-    stage: StageId,
-    name: String,
-    pump_fn: Box<dyn FnMut() -> bool>,
-    deliver_fn: Box<dyn FnMut(Timestamp)>,
-    notify: Notify,
-}
-
-impl CoreImpl {
-    pub(crate) fn new(
-        stage: StageId,
-        name: String,
-        notify: Notify,
-        pump_fn: Box<dyn FnMut() -> bool>,
-        deliver_fn: Box<dyn FnMut(Timestamp)>,
-    ) -> Self {
-        CoreImpl {
-            stage,
-            name,
-            pump_fn,
-            deliver_fn,
-            notify,
-        }
-    }
-}
-
-impl OpCore for CoreImpl {
-    fn stage(&self) -> StageId {
-        self.stage
-    }
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn pump(&mut self) -> bool {
-        (self.pump_fn)()
-    }
-    fn notify_handle(&self) -> &Notify {
-        &self.notify
-    }
-    fn deliver(&mut self, time: Timestamp) {
-        (self.deliver_fn)(time);
-    }
-}
-
 /// The dataflow under construction.
 ///
 /// Created by [`Worker::dataflow`](crate::runtime::Worker::dataflow);
@@ -335,7 +276,7 @@ pub(crate) struct ScopeInner {
     pub(crate) routing: RoutingContext,
     pub(crate) journal: Journal,
     pub(crate) tracker: TrackerCell,
-    pub(crate) ops: Vec<Rc<RefCell<dyn OpCore>>>,
+    pub(crate) ops: Vec<Vertex>,
     pub(crate) states: StateRegistry,
     /// Construction-time notification interests (`Some` until finalize).
     pub(crate) notify_log: NotifyLog,
@@ -411,7 +352,7 @@ impl Scope {
 /// static analyzer's report.
 pub(crate) type FinalizedDataflow = (
     crate::graph::LogicalGraph,
-    Vec<Rc<RefCell<dyn OpCore>>>,
+    Vec<Vertex>,
     StateRegistry,
     crate::analysis::AnalysisReport,
 );
@@ -454,26 +395,8 @@ impl<D: ExchangeData> Stream<D> {
             stage,
             port,
             context,
-            tee: new_tee(),
+            tee: Tee::new(),
             scope,
-        }
-    }
-
-    /// Creates a stream over an existing tee (used by the generic
-    /// builder, whose output ports and streams share one fan-out point).
-    pub(crate) fn from_parts(
-        stage: StageId,
-        port: usize,
-        context: ContextId,
-        tee: ports::Tee<D>,
-        scope: &Scope,
-    ) -> Self {
-        Stream {
-            stage,
-            port,
-            context,
-            tee,
-            scope: scope.clone_ref(),
         }
     }
 
@@ -493,8 +416,15 @@ impl<D: ExchangeData> Stream<D> {
     }
 
     /// Wires this stream into `dst`'s input `port` under `pact`,
-    /// returning the receiving port for the consuming vertex.
-    pub(crate) fn connect_to(&self, dst: StageId, port: usize, pact: Pact<D>) -> InputPort<D> {
+    /// returning the receiving port for the consuming vertex, which sets
+    /// `worked` whenever it delivers a batch.
+    pub(crate) fn connect_to(
+        &self,
+        dst: StageId,
+        port: usize,
+        pact: Pact<D>,
+        worked: &Rc<Cell<bool>>,
+    ) -> InputPort<D> {
         let mut inner = self.scope.inner.borrow_mut();
         let connector = inner
             .builder
@@ -509,7 +439,7 @@ impl<D: ExchangeData> Stream<D> {
         );
         let puller = Puller::new(&inner.routing, channel, connector, inner.journal.clone());
         drop(inner);
-        self.tee.borrow_mut().push(pusher);
-        InputPort::new(puller)
+        self.tee.attach(pusher);
+        InputPort::new(puller, worked.clone())
     }
 }

@@ -1,23 +1,21 @@
 //! Generic operator constructors: unary, binary, and sink stages, with and
 //! without notifications.
 //!
-//! These are the low-level vertex builders of §4.3 on which the operator
-//! library (`naiad-operators`) is layered. Each takes a *constructor*
-//! closure: it runs once per worker with the vertex's [`OperatorInfo`] and
-//! returns the `OnRecv` (and optionally `OnNotify`) logic, so per-vertex
-//! state lives in plain captured variables.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! These are the fixed-shape adapters over
+//! [`OperatorBuilder`](super::builder::OperatorBuilder) on which the
+//! operator library (`naiad-operators`) is layered. Each takes a
+//! *constructor* closure: it runs once per worker with the vertex's
+//! [`OperatorInfo`] and returns the `OnRecv` (and optionally `OnNotify`)
+//! logic, so per-vertex state lives in plain captured variables.
 
 use naiad_wire::ExchangeData;
 
-use crate::graph::{StageId, StageKind};
 use crate::runtime::channels::Pact;
 use crate::time::Timestamp;
 
+use super::builder::OperatorBuilder;
 use super::ports::{InputPort, OutputPort};
-use super::{CoreImpl, Notify, OperatorInfo, Scope, Stream};
+use super::{Notify, OperatorInfo, Stream};
 
 impl<D: ExchangeData> Stream<D> {
     /// A one-input, one-output vertex without notifications.
@@ -52,32 +50,19 @@ impl<D: ExchangeData> Stream<D> {
         L: FnMut(&mut InputPort<D>, &mut OutputPort<D2>, &Notify) + 'static,
         N: FnMut(Timestamp, &mut OutputPort<D2>, &Notify) + 'static,
     {
-        let scope = self.scope();
-        let (stage, notify, info) = add_stage(&scope, name, self.context, 1, 1);
-        let mut input = self.connect_to(stage, 0, pact);
-        let stream_out: Stream<D2> = Stream::new(stage, 0, self.context, scope.clone_ref());
-        let output = Rc::new(RefCell::new(OutputPort::new(stream_out.tee.clone())));
-
-        let (mut recv_logic, mut notify_logic) = constructor(info);
-
-        let pump_output = output.clone();
-        let pump_notify = notify.clone();
-        let pump = Box::new(move || {
-            let mut out = pump_output.borrow_mut();
-            recv_logic(&mut input, &mut out, &pump_notify);
-            input.settle();
-            out.flush();
-            input.take_worked()
-        });
-        let deliver_output = output;
+        let mut builder = OperatorBuilder::new(&mut self.scope(), name, self.context);
+        let mut input = builder.add_input(self, pact);
+        let (tee, stream) = builder.output::<D2>();
+        let notify = builder.notify_handle();
+        let (mut recv_logic, mut notify_logic) = constructor(builder.info());
+        let mut output = OutputPort::new(tee.clone());
+        let mut deliver_output = OutputPort::new(tee);
         let deliver_notify = notify.clone();
-        let deliver = Box::new(move |time: Timestamp| {
-            let mut out = deliver_output.borrow_mut();
-            notify_logic(time, &mut out, &deliver_notify);
-            out.flush();
-        });
-        install(&scope, stage, name, notify, pump, deliver);
-        stream_out
+        builder.build(
+            move || recv_logic(&mut input, &mut output, &notify),
+            move |time| notify_logic(time, &mut deliver_output, &deliver_notify),
+        );
+        stream
     }
 
     /// A two-input, one-output vertex without notifications.
@@ -127,38 +112,20 @@ impl<D: ExchangeData> Stream<D> {
         L: FnMut(&mut InputPort<D>, &mut InputPort<D2>, &mut OutputPort<D3>, &Notify) + 'static,
         N: FnMut(Timestamp, &mut OutputPort<D3>, &Notify) + 'static,
     {
-        assert_eq!(
-            self.context, other.context,
-            "binary operator inputs must share a loop context"
-        );
-        let scope = self.scope();
-        let (stage, notify, info) = add_stage(&scope, name, self.context, 2, 1);
-        let mut input1 = self.connect_to(stage, 0, pact1);
-        let mut input2 = other.connect_to(stage, 1, pact2);
-        let stream_out: Stream<D3> = Stream::new(stage, 0, self.context, scope.clone_ref());
-        let output = Rc::new(RefCell::new(OutputPort::new(stream_out.tee.clone())));
-
-        let (mut recv_logic, mut notify_logic) = constructor(info);
-
-        let pump_output = output.clone();
-        let pump_notify = notify.clone();
-        let pump = Box::new(move || {
-            let mut out = pump_output.borrow_mut();
-            recv_logic(&mut input1, &mut input2, &mut out, &pump_notify);
-            input1.settle();
-            input2.settle();
-            out.flush();
-            input1.take_worked() | input2.take_worked()
-        });
-        let deliver_output = output;
+        let mut builder = OperatorBuilder::new(&mut self.scope(), name, self.context);
+        let mut input1 = builder.add_input(self, pact1);
+        let mut input2 = builder.add_input(other, pact2);
+        let (tee, stream) = builder.output::<D3>();
+        let notify = builder.notify_handle();
+        let (mut recv_logic, mut notify_logic) = constructor(builder.info());
+        let mut output = OutputPort::new(tee.clone());
+        let mut deliver_output = OutputPort::new(tee);
         let deliver_notify = notify.clone();
-        let deliver = Box::new(move |time: Timestamp| {
-            let mut out = deliver_output.borrow_mut();
-            notify_logic(time, &mut out, &deliver_notify);
-            out.flush();
-        });
-        install(&scope, stage, name, notify, pump, deliver);
-        stream_out
+        builder.build(
+            move || recv_logic(&mut input1, &mut input2, &mut output, &notify),
+            move |time| notify_logic(time, &mut deliver_output, &deliver_notify),
+        );
+        stream
     }
 
     /// A one-input, zero-output vertex without notifications.
@@ -183,75 +150,16 @@ impl<D: ExchangeData> Stream<D> {
         L: FnMut(&mut InputPort<D>, &Notify) + 'static,
         N: FnMut(Timestamp, &Notify) + 'static,
     {
-        let scope = self.scope();
-        let (stage, notify, info) = add_stage(&scope, name, self.context, 1, 0);
-        let mut input = self.connect_to(stage, 0, pact);
-
-        let (mut recv_logic, mut notify_logic) = constructor(info);
-
-        let pump_notify = notify.clone();
-        let pump = Box::new(move || {
-            recv_logic(&mut input, &pump_notify);
-            input.settle();
-            input.take_worked()
-        });
+        let mut builder = OperatorBuilder::new(&mut self.scope(), name, self.context);
+        let mut input = builder.add_input(self, pact);
+        let notify = builder.notify_handle();
+        let (mut recv_logic, mut notify_logic) = constructor(builder.info());
         let deliver_notify = notify.clone();
-        let deliver = Box::new(move |time: Timestamp| {
-            notify_logic(time, &deliver_notify);
-        });
-        install(&scope, stage, name, notify, pump, deliver);
+        builder.build(
+            move || recv_logic(&mut input, &notify),
+            move |time| notify_logic(time, &deliver_notify),
+        );
     }
-}
-
-/// Adds a regular stage and prepares its notification machinery.
-pub(crate) fn add_stage(
-    scope: &Scope,
-    name: &str,
-    context: crate::graph::ContextId,
-    inputs: usize,
-    outputs: usize,
-) -> (StageId, Notify, OperatorInfo) {
-    let mut inner = scope.inner.borrow_mut();
-    let stage = inner
-        .builder
-        .add_stage(name, StageKind::Regular, context, inputs, outputs);
-    let notify = Notify::new(stage, inner.journal.clone(), inner.notify_log.clone());
-    let info = OperatorInfo::new(
-        stage,
-        notify.clone(),
-        inner.routing.my_index,
-        inner.routing.peers,
-        inner.states.clone(),
-    );
-    (stage, notify, info)
-}
-
-/// Registers a vertex harness with the scope's schedule.
-pub(crate) fn install(
-    scope: &Scope,
-    stage: StageId,
-    name: &str,
-    notify: Notify,
-    pump: Box<dyn FnMut() -> bool>,
-    deliver: Box<dyn FnMut(Timestamp)>,
-) {
-    let core = CoreImpl::new(stage, name.to_string(), notify, pump, deliver);
-    scope
-        .inner
-        .borrow_mut()
-        .ops
-        .push(Rc::new(RefCell::new(core)));
-}
-
-/// Creates a stream whose stage already exists (used by system stages).
-pub(crate) fn new_output_stream<D: ExchangeData>(
-    scope: &Scope,
-    stage: StageId,
-    context: crate::graph::ContextId,
-) -> (Stream<D>, Rc<RefCell<OutputPort<D>>>) {
-    let stream: Stream<D> = Stream::new(stage, 0, context, scope.clone_ref());
-    let output = Rc::new(RefCell::new(OutputPort::new(stream.tee.clone())));
-    (stream, output)
 }
 
 /// Forwards both inputs to one output, pipeline-partitioned. The merge

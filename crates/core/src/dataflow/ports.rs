@@ -4,57 +4,126 @@
 //! `OnRecv` batches) and an [`OutputPort`] (the `SendBy` side, fanning out
 //! to every downstream connector attached to the stage output).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use naiad_wire::ExchangeData;
 
-use crate::runtime::channels::{Puller, Pusher};
+use crate::runtime::channels::{Message, Puller, Pusher};
 use crate::time::Timestamp;
 
 /// The shared fan-out point of a stage output: one pusher per downstream
 /// connector, attached as consumers are built.
-pub(crate) type Tee<D> = Rc<RefCell<Vec<Pusher<D>>>>;
+pub(crate) struct Tee<D> {
+    pushers: Rc<RefCell<Vec<Pusher<D>>>>,
+}
 
-/// Creates an empty tee.
-pub(crate) fn new_tee<D>() -> Tee<D> {
-    Rc::new(RefCell::new(Vec::new()))
+impl<D> Clone for Tee<D> {
+    fn clone(&self) -> Self {
+        Tee {
+            pushers: self.pushers.clone(),
+        }
+    }
+}
+
+impl<D: ExchangeData> Tee<D> {
+    pub(crate) fn new() -> Self {
+        Tee {
+            pushers: Rc::new(RefCell::new(Vec::new())),
+        }
+    }
+
+    /// Attaches the pusher of a newly connected consumer.
+    pub(crate) fn attach(&self, pusher: Pusher<D>) {
+        self.pushers.borrow_mut().push(pusher);
+    }
+
+    /// The fan-out rule of a stage output: every consumer but the last gets
+    /// a copy of `item` (`give_copy`), the last takes it (`give`). With no
+    /// consumer the item comes back untouched.
+    fn fan_out<T>(
+        &self,
+        item: T,
+        give_copy: impl Fn(&mut Pusher<D>, &T),
+        give: impl FnOnce(&mut Pusher<D>, T),
+    ) -> Option<T> {
+        let mut pushers = self.pushers.borrow_mut();
+        let Some((last, rest)) = pushers.split_last_mut() else {
+            return Some(item);
+        };
+        for pusher in rest {
+            give_copy(pusher, &item);
+        }
+        give(last, item);
+        None
+    }
+
+    /// Sends one record at `time` to every consumer; with none it is
+    /// dropped, like Naiad.
+    pub(crate) fn give(&self, time: Timestamp, record: D) {
+        self.fan_out(
+            record,
+            |pusher, record| pusher.give(time, record.clone()),
+            |pusher, record| pusher.give(time, record),
+        );
+    }
+
+    /// Sends a container at `time` to every consumer, draining it in place
+    /// (its capacity is retained for the caller to refill).
+    pub(crate) fn give_container(&self, time: Timestamp, records: &mut Vec<D>) {
+        let unsent = self.fan_out(
+            records,
+            |pusher, records| pusher.give_batch(time, &mut (**records).clone()),
+            |pusher, records| pusher.give_batch(time, records),
+        );
+        if let Some(records) = unsent {
+            records.clear(); // No consumers: records are dropped, like Naiad.
+        }
+    }
+}
+
+/// A stage output as its vertex sees it once the logic has run: buffers to
+/// push downstream.
+pub(crate) trait Flush {
+    /// Flushes every attached pusher's buffers.
+    fn flush(&self);
+}
+
+impl<D: ExchangeData> Flush for Tee<D> {
+    fn flush(&self) {
+        for pusher in self.pushers.borrow_mut().iter_mut() {
+            pusher.flush();
+        }
+    }
 }
 
 /// The receiving side of a connector, handed to vertex logic.
 ///
-/// Each call to [`InputPort::next`] delivers one timestamped batch; the
-/// previous batch's retirement is journaled at that point (its `OnRecv`
-/// completed). The harness settles the final batch after the logic
-/// returns.
+/// Every read drains the port. Each pull retires the batch before it (its
+/// `OnRecv` is over once the logic asks for more), and the pull that finds
+/// the queue empty retires the last, so no retirement is left owing when
+/// the logic returns (§2.3).
 pub struct InputPort<D> {
     puller: Puller<D>,
-    worked: bool,
+    /// Set on every delivered batch; shared by all inputs of the vertex,
+    /// which reads and clears it after each invocation.
+    worked: Rc<Cell<bool>>,
 }
 
 impl<D: ExchangeData> InputPort<D> {
-    pub(crate) fn new(puller: Puller<D>) -> Self {
-        InputPort {
-            puller,
-            worked: false,
-        }
+    pub(crate) fn new(puller: Puller<D>, worked: Rc<Cell<bool>>) -> Self {
+        InputPort { puller, worked }
     }
 
-    /// The next queued batch, if any.
-    ///
-    /// Deliberately named like `Iterator::next` — vertex logic reads as a
-    /// queue drain — but an `Iterator` impl would hide the settle
-    /// discipline, so the port is not one.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<(Timestamp, Vec<D>)> {
+    fn pull(&mut self) -> Option<Message<D>> {
         let message = self.puller.pull()?;
-        self.worked = true;
-        Some((message.time, message.data))
+        self.worked.set(true);
+        Some(message)
     }
 
     /// Applies `logic` to every queued batch.
     pub fn for_each(&mut self, mut logic: impl FnMut(Timestamp, Vec<D>)) {
-        while let Some((time, data)) = self.next() {
+        while let Some(Message { time, data }) = self.pull() {
             logic(time, data);
         }
     }
@@ -69,27 +138,10 @@ impl<D: ExchangeData> InputPort<D> {
     /// `drain(..)`, [`Session::give_container`], or `std::mem::take` of
     /// individual records). Prefer this form on hot paths.
     pub fn for_each_batch(&mut self, mut logic: impl FnMut(Timestamp, &mut Vec<D>)) {
-        while let Some(message) = self.puller.pull() {
-            self.worked = true;
-            let crate::runtime::channels::Message { time, mut data } = message;
+        while let Some(Message { time, mut data }) = self.pull() {
             logic(time, &mut data);
             self.puller.recycle(data);
         }
-    }
-
-    /// Journals the retirement of the last delivered batch.
-    pub(crate) fn settle(&mut self) {
-        self.puller.settle();
-    }
-
-    /// Unwraps the underlying puller (used by the generic builder).
-    pub(crate) fn into_puller(self) -> Puller<D> {
-        self.puller
-    }
-
-    /// Whether any batch was delivered since the last reset.
-    pub(crate) fn take_worked(&mut self) -> bool {
-        std::mem::take(&mut self.worked)
     }
 }
 
@@ -117,14 +169,7 @@ impl<D: ExchangeData> OutputPort<D> {
 
     /// Sends one record at `time`.
     pub fn give(&mut self, time: Timestamp, record: D) {
-        self.session(time).give(record);
-    }
-
-    /// Flushes every attached pusher's buffers.
-    pub(crate) fn flush(&mut self) {
-        for pusher in self.tee.borrow_mut().iter_mut() {
-            pusher.flush();
-        }
+        self.tee.give(time, record);
     }
 }
 
@@ -137,15 +182,7 @@ pub struct Session<'a, D> {
 impl<D: ExchangeData> Session<'_, D> {
     /// Sends one record.
     pub fn give(&mut self, record: D) {
-        let mut pushers = self.tee.borrow_mut();
-        let n = pushers.len();
-        if n == 0 {
-            return; // No consumers: records are dropped, like Naiad.
-        }
-        for pusher in pushers.iter_mut().take(n - 1) {
-            pusher.give(self.time, record.clone());
-        }
-        pushers[n - 1].give(self.time, record);
+        self.tee.give(self.time, record);
     }
 
     /// Sends every record from an iterator.
@@ -169,17 +206,7 @@ impl<D: ExchangeData> Session<'_, D> {
     /// [`InputPort::for_each_batch`](super::ports::InputPort::for_each_batch)
     /// for an allocation-free steady state (DESIGN.md §16).
     pub fn give_container(&mut self, records: &mut Vec<D>) {
-        let mut pushers = self.tee.borrow_mut();
-        let n = pushers.len();
-        if n == 0 {
-            records.clear(); // No consumers: records are dropped, like Naiad.
-            return;
-        }
-        for pusher in pushers.iter_mut().take(n - 1) {
-            let mut copy = records.clone();
-            pusher.give_batch(self.time, &mut copy);
-        }
-        pushers[n - 1].give_batch(self.time, records);
+        self.tee.give_container(self.time, records);
     }
 
     /// The session's timestamp.

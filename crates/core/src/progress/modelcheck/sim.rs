@@ -253,7 +253,8 @@ enum Choice {
     Close(usize),
     /// Introduce a fresh message from input `i` at its current epoch.
     Emit(usize),
-    /// Deliver held pointstamp `j`: consequences first, retirement last.
+    /// Deliver held pointstamp `j`: retirement and consequences in one
+    /// flush.
     Process(usize),
 }
 
@@ -382,8 +383,12 @@ impl Obligations {
                         vec![vec![retirement], consequences]
                     }
                 } else {
-                    consequences.push(retirement);
-                    vec![consequences]
+                    // The runtime's order: a pump's next pull retires the
+                    // batch before its outputs flush their creations, and
+                    // one journal flush carries both.
+                    let mut flush = vec![retirement];
+                    flush.extend(consequences);
+                    vec![flush]
                 }
             }
         }

@@ -341,7 +341,7 @@ impl Accumulator {
         // positive-first order on the very next statement, so hash order
         // never reaches the wire.
         let mut updates: Vec<ProgressUpdate> = self.buffer.drain().collect();
-        updates.sort_unstable_by_key(|&(p, delta)| (delta < 0, p));
+        positives_first(&mut updates);
         if self.fold_on_flush {
             self.view.apply(updates.iter().copied());
         }
@@ -357,6 +357,14 @@ impl Accumulator {
     pub fn buffered_len(&self) -> usize {
         self.buffer.len()
     }
+}
+
+/// Orders a flush positives first (§3.3), canonically. Applied one update
+/// at a time, every prefix then counts at least what the view held before
+/// the flush (while positives apply) or after it (once negatives do), so
+/// no prefix believes more complete than an atomic apply would.
+fn positives_first(updates: &mut [ProgressUpdate]) {
+    updates.sort_unstable_by_key(|&(p, delta)| (delta < 0, p));
 }
 
 /// Monotone per-sender sequence numbering for outgoing progress batches.
@@ -630,9 +638,12 @@ impl WorkerCore {
     /// Wraps a journal flush in the batches that take `hop`: one batch —
     /// except that a worker broadcasting to every process itself is the
     /// naive protocol of Figure 6c's "None" line, which sends every
-    /// update on its own.
-    pub fn emit_for(&mut self, hop: Hop, updates: Vec<ProgressUpdate>) -> Vec<ProgressBatch> {
+    /// update on its own, positives first. A receiver applies the split
+    /// flush one update at a time, and the runtime journals a batch's
+    /// retirement before its outputs' creations.
+    pub fn emit_for(&mut self, hop: Hop, mut updates: Vec<ProgressUpdate>) -> Vec<ProgressBatch> {
         if hop == Hop::EveryProcess {
+            positives_first(&mut updates);
             updates.into_iter().map(|u| self.emit(vec![u])).collect()
         } else {
             vec![self.emit(updates)]
@@ -976,6 +987,15 @@ mod tests {
         let whole = core.emit_for(Hop::Central, updates.clone());
         assert_eq!(whole.len(), 1);
         assert_eq!((whole[0].seq, &whole[0].updates), (2, &updates));
+        // A pump journals its input batch's retirement before its output's
+        // creation; split, the creation must still leave first.
+        let retire_first = vec![
+            (Pointstamp::at_vertex(ts(0), B), -1),
+            (Pointstamp::at_vertex(ts(0), StageId(1)), 1),
+        ];
+        let naive = core.emit_for(Hop::EveryProcess, retire_first);
+        let deltas: Vec<i64> = naive.iter().map(|b| b.updates[0].1).collect();
+        assert_eq!(deltas, [1, -1]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use naiad_wire::{encode_to_vec, Bytes};
 use super::sync::Mutex;
 
 use crate::analysis::{AnalysisConfig, AnalysisReport};
-use crate::dataflow::{OpCore, Scope, StateHandle, StateRegistry, TrackerCell};
+use crate::dataflow::{Scope, StateHandle, StateRegistry, TrackerCell, Vertex};
 use crate::graph::StageId;
 use crate::progress::{Hop, ProgressBatch, ProgressUpdate, Role, WorkerCore};
 use crate::telemetry::{Recorder, TelemetryEvent, WorkerTelemetry};
@@ -34,7 +34,7 @@ struct DataflowRuntime {
     /// view of the dataflow's progress.
     core: TrackerCell,
     journal: Journal,
-    ops: Vec<Rc<RefCell<dyn OpCore>>>,
+    ops: Vec<Vertex>,
     states: StateRegistry,
     complete: bool,
     /// Last frontier-probe sample `(active, input_epoch)`, so probes are
@@ -378,9 +378,9 @@ impl Worker {
         if self.recorder.enabled() {
             let operators = ops
                 .iter()
-                .map(|op| {
-                    let op = op.borrow();
-                    (op.stage(), op.name().to_string())
+                .filter_map(|op| {
+                    let stage = graph.stages().get(op.stage().0)?;
+                    Some((op.stage(), stage.name.clone()))
                 })
                 .collect();
             self.recorder.register_dataflow(id, &graph, operators);
@@ -993,9 +993,9 @@ impl Worker {
         };
         for _round in 0..8 {
             let mut worked = false;
-            for op in &self.dataflows[df].ops {
+            for op in &mut self.dataflows[df].ops {
                 if telemetry {
-                    let stage = op.borrow().stage().0 as u32;
+                    let stage = op.stage().0 as u32;
                     let seq = self.schedule_seq;
                     self.schedule_seq += 1;
                     self.recorder.record(TelemetryEvent::ScheduleStart {
@@ -1005,7 +1005,7 @@ impl Worker {
                         seq,
                     });
                     let start = Instant::now();
-                    let w = op.borrow_mut().pump();
+                    let w = op.pump();
                     self.recorder.record(TelemetryEvent::ScheduleStop {
                         dataflow,
                         stage,
@@ -1016,7 +1016,7 @@ impl Worker {
                     });
                     worked |= w;
                 } else {
-                    worked |= op.borrow_mut().pump();
+                    worked |= op.pump();
                 }
             }
             self.last_step_worked |= worked;
@@ -1030,28 +1030,20 @@ impl Worker {
     }
 
     fn deliver_notifications(&mut self, df: usize) {
-        let Some(runtime) = self.dataflows.get(df) else {
+        let Some(runtime) = self.dataflows.get_mut(df) else {
             return;
         };
-        for op in &runtime.ops {
-            let ready = op
-                .borrow()
-                .notify_handle()
-                .take_ready(runtime.core.borrow().table());
+        for op in &mut runtime.ops {
+            let ready = op.ready(runtime.core.borrow().table());
             for (time, blocking) in ready {
-                op.borrow_mut().deliver(time);
+                op.deliver(time, blocking);
                 if self.recorder.enabled() {
                     self.recorder.record(TelemetryEvent::NotificationDelivered {
                         dataflow: runtime.id as u32,
-                        stage: op.borrow().stage().0 as u32,
+                        stage: op.stage().0 as u32,
                         epoch: time.epoch,
                         blocking,
                     });
-                }
-                if blocking {
-                    // §2.3: the occurrence count decrements as OnNotify
-                    // completes.
-                    op.borrow().notify_handle().retire(time);
                 }
             }
         }

@@ -28,9 +28,7 @@ fn figure_four_with_two_outputs() {
             let pump_state = state.clone();
             builder.build(
                 move || {
-                    let mut worked = false;
                     port.for_each(|time, data| {
-                        worked = true;
                         let mut state = pump_state.borrow_mut();
                         let per_time = state.entry(time.epoch).or_insert_with(|| {
                             notify.notify_at(time);
@@ -45,8 +43,6 @@ fn figure_four_with_two_outputs() {
                             *n += 1;
                         }
                     });
-                    port.settle_now();
-                    worked
                 },
                 move |time: Timestamp| {
                     // Output 2: counts, only once the time completes.
@@ -109,22 +105,16 @@ fn two_in_two_out_router() {
             let (labels_out, labels_stream) = builder.add_output::<String>();
             builder.build(
                 move || {
-                    let mut worked = false;
                     nums_port.for_each(|time, data| {
-                        worked = true;
                         for x in data {
                             nums_out.borrow_mut().give(time, x * 10);
                         }
                     });
-                    nums_port.settle_now();
                     labels_port.for_each(|time, data| {
-                        worked = true;
                         for s in data {
                             labels_out.borrow_mut().give(time, format!("{s}!"));
                         }
                     });
-                    labels_port.settle_now();
-                    worked
                 },
                 |_time| {},
             );

@@ -19,11 +19,11 @@ for root in src/lib.rs crates/*/src/lib.rs; do
 done
 
 echo "== weight (ROADMAP aims 2 and 3 as a ratchet) =="
-# Three sizes that should only fall: the core crate's lines, the places
-# the runtime crates suppress a lint, and Config's option count. Each
-# ceiling is the count at the last PR that lowered it; a PR that lowers a
-# count lowers its ceiling here, and one that must raise a ceiling says
-# why in CHANGES.md.
+# Four sizes that should only fall: the core crate's lines, the places
+# the runtime crates suppress a lint, Config's option count, and the code
+# the crates keep past the dead-code lint. Each ceiling is the count at
+# the last PR that lowered it; a PR that lowers a count lowers its ceiling
+# here, and one that must raise a ceiling says why in CHANGES.md.
 weigh() { # <what> <count> <ceiling>
   printf '%-62s %6d (ceiling %d)\n' "$1" "$2" "$3"
   if [ "$2" -gt "$3" ]; then
@@ -32,12 +32,14 @@ weigh() { # <what> <count> <ceiling>
   fi
 }
 weigh "lines in crates/core/src" \
-  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 20022
+  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 19866
 weigh "lint-allow / *-exempt markers in crates/{core,wire,netsim}/src" \
   "$(grep -rhoE 'lint-allow\(|[a-z]+-exempt:' crates/core/src crates/wire/src crates/netsim/src | wc -l)" 42
 weigh "pub fields of Config" \
   "$(awk '/^pub struct Config \{/ {on = 1; next} on && /^\}/ {on = 0} on && /^    pub [a-z_]+:/ {n++} END {print n + 0}' \
     crates/core/src/runtime/config.rs)" 15
+weigh "allow(dead_code) attributes in crates/*/src" \
+  "$(grep -rhoE 'allow\(dead_code\)' crates/*/src | wc -l)" 5
 
 echo "== source invariant linter (naiad-lint-src, NS0001-NS0006) =="
 # Token-level replacement for the old flow-exempt/slab-exempt grep|awk
