@@ -77,6 +77,9 @@ pub fn connected_components(edges: &Stream<(u64, u64)>) -> Stream<(u64, u64)> {
             // Adjacency entries remember the epoch that introduced them.
             let mut adjacency: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
             let mut labels: HashMap<u64, Versions> = HashMap::new();
+            // Offers to later epochs' first iterations, sent after the
+            // batch's own session closes.
+            let mut later: Vec<(u64, (u64, u64))> = Vec::new();
             move |edges: &mut InputPort<(u64, u64)>,
                   msgs: &mut InputPort<(u64, u64)>,
                   output: &mut OutputPort<(u64, u64)>| {
@@ -95,6 +98,7 @@ pub fn connected_components(edges: &Stream<(u64, u64)>) -> Stream<(u64, u64)> {
                     }
                 });
                 msgs.for_each(|time, data| {
+                    let mut session = output.session(time);
                     for (n, candidate) in data {
                         let versions = labels.entry(n).or_default();
                         if versions.improve(time.epoch, candidate) {
@@ -102,16 +106,19 @@ pub fn connected_components(edges: &Stream<(u64, u64)>) -> Stream<(u64, u64)> {
                             {
                                 if edge_epoch <= time.epoch {
                                     // Propagate within this epoch's loop.
-                                    output.session(time).give((neighbour, candidate));
+                                    session.give((neighbour, candidate));
                                 } else {
                                     // The edge belongs to a later epoch:
                                     // re-offer the improvement there, at
                                     // that epoch's first iteration.
-                                    let later = Timestamp::with_counters(edge_epoch, &[0]);
-                                    output.session(later).give((neighbour, candidate));
+                                    later.push((edge_epoch, (neighbour, candidate)));
                                 }
                             }
                         }
+                    }
+                    drop(session);
+                    for (epoch, offer) in later.drain(..) {
+                        output.give(Timestamp::with_counters(epoch, &[0]), offer);
                     }
                 });
             }

@@ -2,28 +2,34 @@
 //!
 //! Worker-local pre-aggregation (the *combiner* the paper credits for
 //! WordCount's good weak scaling) runs before the exchange, so the data
-//! crossing workers is one partial count per distinct word per worker
-//! rather than one record per occurrence.
+//! crossing workers is one partial count per distinct word per input
+//! batch rather than one record per occurrence.
 
 use naiad::dataflow::{InputPort, OutputPort};
 use naiad::runtime::Pact;
 use naiad::Stream;
 use naiad_operators::prelude::*;
+use naiad_operators::KeyMap;
 
 /// Counts words per epoch, with a local combiner before the exchange.
 pub fn wordcount(lines: &Stream<String>) -> Stream<(String, u64)> {
     let partials = lines.unary(Pact::Pipeline, "Combiner", |_info| {
+        // One table for every batch: drained after each, its storage kept.
+        let mut counts: KeyMap<String, u64> = KeyMap::default();
         move |input: &mut InputPort<String>, output: &mut OutputPort<(String, u64)>| {
-            input.for_each(|time, data| {
+            input.for_each_batch(|time, lines| {
                 // Combine within the batch: this is where the paper's
                 // combiners collapse the Zipf head before any exchange.
-                let mut local: std::collections::HashMap<String, u64> = Default::default();
-                for line in data {
+                for line in lines.iter() {
                     for word in line.split_whitespace() {
-                        *local.entry(word.to_string()).or_insert(0) += 1;
+                        if let Some(n) = counts.get_mut(word) {
+                            *n += 1;
+                        } else {
+                            counts.insert(word.to_string(), 1);
+                        }
                     }
                 }
-                output.session(time).give_iterator(local);
+                output.session(time).give_iterator(counts.drain());
             });
         }
     });

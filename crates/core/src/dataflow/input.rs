@@ -17,7 +17,7 @@ use crate::progress::Pointstamp;
 use crate::runtime::channels::{journal_update, Journal};
 use crate::time::Timestamp;
 
-use super::ports::{Flush, Tee};
+use super::ports::{Flush, Tee, TeeState};
 use super::{Scope, Stream, TrackerCell};
 
 impl Scope {
@@ -107,13 +107,16 @@ pub struct InputHandle<D: ExchangeData> {
 impl<D: ExchangeData> InputHandle<D> {
     /// Supplies one record for the current epoch.
     ///
+    /// Records go downstream as one container at the run's `batch_size`,
+    /// [`advance_to`](Self::advance_to) and [`close`](Self::close).
+    ///
     /// # Panics
     ///
     /// Panics if the input is closed.
     pub fn send(&mut self, record: D) {
         let shared = self.shared.borrow();
         assert!(!shared.closed, "send on a closed input");
-        shared.tee.give(Timestamp::new(shared.epoch), record);
+        TeeState::at(&shared.tee, Timestamp::new(shared.epoch)).push(record);
     }
 
     /// Supplies a batch of records for the current epoch.
@@ -136,7 +139,9 @@ impl<D: ExchangeData> InputHandle<D> {
     pub fn send_container(&mut self, records: &mut Vec<D>) {
         let shared = self.shared.borrow();
         assert!(!shared.closed, "send_container on a closed input");
-        shared.tee.give_container(Timestamp::new(shared.epoch), records);
+        let mut output = shared.tee.borrow_mut();
+        output.send_pending();
+        output.fan_out(Timestamp::new(shared.epoch), records);
     }
 
     /// Marks every epoch before `epoch` complete (§2.1: the producer

@@ -37,7 +37,7 @@ use crate::runtime::durability::{Checkpoint, KeyedCheckpoint, KeyedState};
 use crate::time::Timestamp;
 
 pub(crate) use builder::Vertex;
-use ports::Tee;
+use ports::{Tee, TeeState};
 
 /// The worker's protocol core for a dataflow, whose table is this worker's
 /// view of the dataflow's progress; it has one from when the graph is
@@ -391,11 +391,12 @@ impl<D> Clone for Stream<D> {
 impl<D: ExchangeData> Stream<D> {
     /// Creates a stream for a freshly added stage output.
     pub(crate) fn new(stage: StageId, port: usize, context: ContextId, scope: Scope) -> Self {
+        let tee = TeeState::shared(scope.inner.borrow().routing.batch_size);
         Stream {
             stage,
             port,
             context,
-            tee: Tee::new(),
+            tee,
             scope,
         }
     }
@@ -439,7 +440,7 @@ impl<D: ExchangeData> Stream<D> {
         );
         let puller = Puller::new(&inner.routing, channel, connector, inner.journal.clone());
         drop(inner);
-        self.tee.attach(pusher);
+        self.tee.borrow_mut().pushers.push(pusher);
         InputPort::new(puller, worked.clone())
     }
 }

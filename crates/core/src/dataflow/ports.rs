@@ -4,7 +4,7 @@
 //! `OnRecv` batches) and an [`OutputPort`] (the `SendBy` side, fanning out
 //! to every downstream connector attached to the stage output).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::rc::Rc;
 
 use naiad_wire::ExchangeData;
@@ -12,86 +12,96 @@ use naiad_wire::ExchangeData;
 use crate::runtime::channels::{Message, Puller, Pusher};
 use crate::time::Timestamp;
 
-/// The shared fan-out point of a stage output: one pusher per downstream
-/// connector, attached as consumers are built.
-pub(crate) struct Tee<D> {
-    pushers: Rc<RefCell<Vec<Pusher<D>>>>,
+/// The shared fan-out point of a stage output, held by its stream, its
+/// vertex and whatever writes to it.
+pub(crate) type Tee<D> = Rc<RefCell<TeeState<D>>>;
+
+/// A stage output: its pending container and one pusher per downstream
+/// connector, attached as consumers are built. Records leave it only as
+/// containers (DESIGN.md §16).
+pub(crate) struct TeeState<D> {
+    /// Records given at `time` and not yet handed on, in the order given.
+    /// They go to the pushers as one container when it fills
+    /// (`batch_size`), when a record at another time or a whole container
+    /// is given, and when the output is flushed.
+    pending: Vec<D>,
+    time: Timestamp,
+    batch_size: usize,
+    /// A recycled container for the copies every consumer but the last
+    /// receives.
+    copy: Vec<D>,
+    pub(crate) pushers: Vec<Pusher<D>>,
 }
 
-impl<D> Clone for Tee<D> {
-    fn clone(&self) -> Self {
-        Tee {
-            pushers: self.pushers.clone(),
+impl<D: ExchangeData> TeeState<D> {
+    pub(crate) fn shared(batch_size: usize) -> Tee<D> {
+        Rc::new(RefCell::new(TeeState {
+            pending: Vec::new(),
+            time: Timestamp::new(0),
+            batch_size,
+            copy: Vec::new(),
+            pushers: Vec::new(),
+        }))
+    }
+
+    /// `tee`, ready to take records at `time`: what is pending at another
+    /// time goes first.
+    pub(crate) fn at(tee: &Tee<D>, time: Timestamp) -> RefMut<'_, Self> {
+        let mut output = tee.borrow_mut();
+        if output.time != time {
+            output.send_pending();
+            output.time = time;
+        }
+        output
+    }
+
+    /// Buffers one record at the output's current time.
+    #[inline]
+    pub(crate) fn push(&mut self, record: D) {
+        self.pending.push(record);
+        if self.pending.len() >= self.batch_size {
+            self.send_pending();
         }
     }
-}
 
-impl<D: ExchangeData> Tee<D> {
-    pub(crate) fn new() -> Self {
-        Tee {
-            pushers: Rc::new(RefCell::new(Vec::new())),
+    /// Hands the pending container to every consumer.
+    pub(crate) fn send_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
         }
+        let mut pending = std::mem::take(&mut self.pending);
+        self.fan_out(self.time, &mut pending);
+        self.pending = pending;
     }
 
-    /// Attaches the pusher of a newly connected consumer.
-    pub(crate) fn attach(&self, pusher: Pusher<D>) {
-        self.pushers.borrow_mut().push(pusher);
-    }
-
-    /// The fan-out rule of a stage output: every consumer but the last gets
-    /// a copy of `item` (`give_copy`), the last takes it (`give`). With no
-    /// consumer the item comes back untouched.
-    fn fan_out<T>(
-        &self,
-        item: T,
-        give_copy: impl Fn(&mut Pusher<D>, &T),
-        give: impl FnOnce(&mut Pusher<D>, T),
-    ) -> Option<T> {
-        let mut pushers = self.pushers.borrow_mut();
-        let Some((last, rest)) = pushers.split_last_mut() else {
-            return Some(item);
+    /// The fan-out rule of a stage output: every consumer but the last
+    /// gets a copy of `records`, the last takes them, draining the
+    /// container in place. With no consumer they are dropped, like Naiad.
+    pub(crate) fn fan_out(&mut self, time: Timestamp, records: &mut Vec<D>) {
+        let Some((last, rest)) = self.pushers.split_last_mut() else {
+            records.clear();
+            return;
         };
         for pusher in rest {
-            give_copy(pusher, &item);
+            self.copy.extend(records.iter().cloned());
+            pusher.give_batch(time, &mut self.copy);
         }
-        give(last, item);
-        None
-    }
-
-    /// Sends one record at `time` to every consumer; with none it is
-    /// dropped, like Naiad.
-    pub(crate) fn give(&self, time: Timestamp, record: D) {
-        self.fan_out(
-            record,
-            |pusher, record| pusher.give(time, record.clone()),
-            |pusher, record| pusher.give(time, record),
-        );
-    }
-
-    /// Sends a container at `time` to every consumer, draining it in place
-    /// (its capacity is retained for the caller to refill).
-    pub(crate) fn give_container(&self, time: Timestamp, records: &mut Vec<D>) {
-        let unsent = self.fan_out(
-            records,
-            |pusher, records| pusher.give_batch(time, &mut (**records).clone()),
-            |pusher, records| pusher.give_batch(time, records),
-        );
-        if let Some(records) = unsent {
-            records.clear(); // No consumers: records are dropped, like Naiad.
-        }
+        last.give_batch(time, records);
     }
 }
 
 /// A stage output as its vertex sees it once the logic has run: buffers to
 /// push downstream.
 pub(crate) trait Flush {
-    /// Flushes every attached pusher's buffers.
+    /// Sends the pending container and flushes every attached pusher.
     fn flush(&self);
 }
 
 impl<D: ExchangeData> Flush for Tee<D> {
     fn flush(&self) {
-        for pusher in self.pushers.borrow_mut().iter_mut() {
+        let mut output = self.borrow_mut();
+        output.send_pending();
+        for pusher in &mut output.pushers {
             pusher.flush();
         }
     }
@@ -162,43 +172,45 @@ impl<D: ExchangeData> OutputPort<D> {
     /// correctness depends on it.
     pub fn session(&mut self, time: Timestamp) -> Session<'_, D> {
         Session {
-            tee: &self.tee,
-            time,
+            output: TeeState::at(&self.tee, time),
         }
     }
 
-    /// Sends one record at `time`.
+    /// Sends one record at `time`, buffered like [`Session::give`].
     pub fn give(&mut self, time: Timestamp, record: D) {
-        self.tee.give(time, record);
+        TeeState::at(&self.tee, time).push(record);
     }
 }
 
-/// A borrowed sending session at a fixed timestamp.
+/// A borrowed sending session at a fixed timestamp. Records given singly
+/// collect in the output's pending container and leave in order, as one
+/// container, at the run's `batch_size` or when the invocation ends.
 pub struct Session<'a, D> {
-    tee: &'a Tee<D>,
-    time: Timestamp,
+    output: RefMut<'a, TeeState<D>>,
 }
 
 impl<D: ExchangeData> Session<'_, D> {
     /// Sends one record.
+    #[inline]
     pub fn give(&mut self, record: D) {
-        self.tee.give(self.time, record);
+        self.output.push(record);
     }
 
     /// Sends every record from an iterator.
     pub fn give_iterator(&mut self, records: impl IntoIterator<Item = D>) {
-        for r in records {
-            self.give(r);
+        for record in records {
+            self.output.push(record);
         }
     }
 
-    /// Sends a vector of records.
-    pub fn give_vec(&mut self, records: Vec<D>) {
-        self.give_iterator(records);
+    /// Sends a vector of records, as a container.
+    pub fn give_vec(&mut self, mut records: Vec<D>) {
+        self.give_container(&mut records);
     }
 
     /// Sends a whole container of records, draining it in place (its
-    /// capacity is retained for the caller to refill).
+    /// capacity is retained for the caller to refill). Records given
+    /// singly before it go first.
     ///
     /// The final consumer takes the records by move — pipeline channels
     /// can ship the container itself — and any additional consumers
@@ -206,11 +218,13 @@ impl<D: ExchangeData> Session<'_, D> {
     /// [`InputPort::for_each_batch`](super::ports::InputPort::for_each_batch)
     /// for an allocation-free steady state (DESIGN.md §16).
     pub fn give_container(&mut self, records: &mut Vec<D>) {
-        self.tee.give_container(self.time, records);
+        let time = self.output.time;
+        self.output.send_pending();
+        self.output.fan_out(time, records);
     }
 
     /// The session's timestamp.
     pub fn time(&self) -> Timestamp {
-        self.time
+        self.output.time
     }
 }

@@ -567,45 +567,15 @@ impl<D: ExchangeData> Pusher<D> {
         &mut dests[dst]
     }
 
-    /// Queues `record` at `time`, flushing destination batches as they
-    /// fill. Batches never mix timestamps: a time change flushes first.
-    pub(crate) fn give(&mut self, time: Timestamp, record: D) {
-        if self.buffer_time != Some(time) {
-            self.flush();
-            self.buffer_time = Some(time);
-        }
-        match &self.pact {
-            Pact::Pipeline => self.push(self.my_index, time, record),
-            Pact::Exchange(f) => {
-                let dst = partition(f(&record), self.dests.len());
-                self.push(dst, time, record);
-            }
-            Pact::Broadcast => {
-                for dst in 0..self.dests.len() {
-                    self.push(dst, time, record.clone());
-                }
-            }
-        }
-    }
-
-    /// Buffers one record for `dst` and emits the batch once it is full.
-    #[inline]
-    fn push(&mut self, dst: usize, time: Timestamp, record: D) {
-        let buffer = &mut Self::dest(&mut self.dests, dst).buffer;
-        buffer.push(record);
-        if buffer.len() >= self.batch_size {
-            self.emit(dst, time);
-        }
-    }
-
     /// Queues a whole batch at `time`, draining `batch` in place (its
-    /// capacity is retained for the caller to refill).
+    /// capacity is retained for the caller to refill). This is the only
+    /// way records enter a pusher, and batches never mix timestamps: a
+    /// time change flushes first.
     ///
-    /// This is the container fast path (DESIGN.md §16): Pipeline swaps
-    /// the batch straight into the outgoing buffer when it can, Exchange
-    /// radix-partitions records into the per-destination buffers in one
-    /// pass, and Broadcast clones per destination with the final
-    /// destination taking the records by move.
+    /// Pipeline swaps the batch straight into the outgoing buffer when it
+    /// can, Exchange radix-partitions records into the per-destination
+    /// buffers in one pass, and Broadcast clones per destination with the
+    /// final destination taking the records by move (DESIGN.md §16).
     pub(crate) fn give_batch(&mut self, time: Timestamp, batch: &mut Vec<D>) {
         if batch.is_empty() {
             return;
@@ -623,38 +593,44 @@ impl<D: ExchangeData> Pusher<D> {
                     // Whole-batch fast path: ship the caller's container
                     // and hand its (empty) buffer back in exchange.
                     std::mem::swap(buffer, batch);
-                    self.emit(dst, time);
                 } else {
                     buffer.append(batch);
-                    if buffer.len() >= limit {
-                        self.emit(dst, time);
-                    }
                 }
+                self.emit_if_full(dst, time);
             }
             Pact::Exchange(f) => {
                 let f = f.clone();
                 let peers = self.dests.len();
                 for record in batch.drain(..) {
-                    self.push(partition(f(&record), peers), time, record);
-                }
-            }
-            Pact::Broadcast => {
-                let last = self.dests.len() - 1;
-                for dst in 0..last {
+                    let dst = partition(f(&record), peers);
                     let buffer = &mut Self::dest(&mut self.dests, dst).buffer;
-                    // slab-exempt: `extend` only grows a buffer up to the
-                    // batch limit once; steady state reuses its capacity.
-                    buffer.extend(batch.iter().cloned());
+                    buffer.push(record);
                     if buffer.len() >= limit {
                         self.emit(dst, time);
                     }
                 }
-                let buffer = &mut Self::dest(&mut self.dests, last).buffer;
-                buffer.append(batch);
-                if buffer.len() >= limit {
-                    self.emit(last, time);
+            }
+            Pact::Broadcast => {
+                let last = self.dests.len() - 1;
+                for dst in 0..=last {
+                    let buffer = &mut Self::dest(&mut self.dests, dst).buffer;
+                    if dst < last {
+                        // slab-exempt: `extend` only grows a buffer up to the
+                        // batch limit once; steady state reuses its capacity.
+                        buffer.extend(batch.iter().cloned());
+                    } else {
+                        buffer.append(batch);
+                    }
+                    self.emit_if_full(dst, time);
                 }
             }
+        }
+    }
+
+    /// Emits `dst`'s batch once it holds `batch_size` records.
+    fn emit_if_full(&mut self, dst: usize, time: Timestamp) {
+        if Self::dest(&mut self.dests, dst).buffer.len() >= self.batch_size {
+            self.emit(dst, time);
         }
     }
 
@@ -1021,9 +997,7 @@ mod tests {
             j.clone(),
         );
         let t = Timestamp::new(0);
-        for i in 0..8u64 {
-            pusher.give(t, i);
-        }
+        pusher.give_batch(t, &mut (0..8u64).collect());
         pusher.flush();
         // Evens to worker 0, odds to worker 1; batch size 4 → one batch each.
         let rx0 = reg.receiver::<Message<u64>>(ChannelKey::Data(0, 3, 0));
@@ -1043,8 +1017,8 @@ mod tests {
         let reg = Arc::new(ProcessRegistry::default());
         let rc = ctx(reg.clone());
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(0), Pact::Pipeline, journal());
-        pusher.give(Timestamp::new(0), 1u64);
-        pusher.give(Timestamp::new(1), 2u64);
+        pusher.give_batch(Timestamp::new(0), &mut vec![1u64]);
+        pusher.give_batch(Timestamp::new(1), &mut vec![2u64]);
         pusher.flush();
         let rx = reg.receiver::<Message<u64>>(ChannelKey::Data(0, 0, 0));
         let m1 = rx.try_recv().unwrap();
@@ -1060,7 +1034,7 @@ mod tests {
         let rc = ctx(reg);
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(4), Pact::Pipeline, j.clone());
         let mut puller = Puller::<u64>::new(&rc, 0, ConnectorId(4), j.clone());
-        pusher.give(Timestamp::new(2), 42u64);
+        pusher.give_batch(Timestamp::new(2), &mut vec![42u64]);
         pusher.flush();
         let m = puller.pull().unwrap();
         assert_eq!(m.data, vec![42]);
@@ -1080,9 +1054,9 @@ mod tests {
         let rc = ctx(reg);
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(0), Pact::Pipeline, j.clone());
         let mut puller = Puller::<u64>::new(&rc, 0, ConnectorId(0), j.clone());
-        pusher.give(Timestamp::new(0), 1u64);
+        pusher.give_batch(Timestamp::new(0), &mut vec![1u64]);
         pusher.flush();
-        pusher.give(Timestamp::new(1), 2u64);
+        pusher.give_batch(Timestamp::new(1), &mut vec![2u64]);
         pusher.flush();
         assert!(puller.pull().is_some());
         assert!(puller.pull().is_some(), "second pull settles the first");
@@ -1101,7 +1075,7 @@ mod tests {
         let mut rc = ctx(reg.clone());
         rc.recorder = Recorder::with_capacity(16);
         let mut pusher = Pusher::new(&rc, 1, ConnectorId(0), Pact::Broadcast, journal());
-        pusher.give(Timestamp::new(0), 5u64);
+        pusher.give_batch(Timestamp::new(0), &mut vec![5u64]);
         pusher.flush();
         for w in 0..2 {
             let rx = reg.receiver::<Message<u64>>(ChannelKey::Data(0, 1, w));
@@ -1118,8 +1092,7 @@ mod tests {
         rc.recorder = Recorder::with_capacity(16);
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(4), Pact::Pipeline, j.clone());
         let mut puller = Puller::<u64>::new(&rc, 0, ConnectorId(4), j);
-        pusher.give(Timestamp::new(0), 1u64);
-        pusher.give(Timestamp::new(0), 2u64);
+        pusher.give_batch(Timestamp::new(0), &mut vec![1u64, 2]);
         pusher.flush();
         assert!(puller.pull().is_some());
         let t = rc.recorder.harvest(0).unwrap();
@@ -1152,7 +1125,7 @@ mod tests {
         rc.my_index = 0;
         let flow = rc.flow.clone().unwrap();
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(1), Pact::exchange(|_: &u64| 1), j.clone());
-        pusher.give(Timestamp::new(0), 7u64);
+        pusher.give_batch(Timestamp::new(0), &mut vec![7u64]);
         pusher.flush();
         assert!(flow.in_flight_bytes() > 0, "emit spends credits");
         let spent = flow.in_flight_bytes();
@@ -1174,10 +1147,10 @@ mod tests {
         let rc = flow_ctx(reg.clone(), 1); // 1-byte budget: second batch cannot fit
         let flow = rc.flow.clone().unwrap();
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(1), Pact::exchange(|_: &u64| 1), j);
-        pusher.give(Timestamp::new(0), 7u64);
+        pusher.give_batch(Timestamp::new(0), &mut vec![7u64]);
         pusher.flush(); // admitted: empty queue always admits
         assert_eq!(flow.overdrafts(), 0);
-        pusher.give(Timestamp::new(0), 8u64);
+        pusher.give_batch(Timestamp::new(0), &mut vec![8u64]);
         pusher.flush(); // parks for the full wait, then overdrafts
         assert_eq!(flow.overdrafts(), 1, "Block policy pierces the budget");
         assert!(flow.credit_waits() >= 1);
@@ -1196,7 +1169,7 @@ mod tests {
         let flow = rc.flow.clone().unwrap();
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(0), Pact::Pipeline, j);
         for i in 0..8u64 {
-            pusher.give(Timestamp::new(0), i);
+            pusher.give_batch(Timestamp::new(0), &mut vec![i]);
             pusher.flush();
         }
         assert_eq!(
@@ -1224,9 +1197,9 @@ mod tests {
         rc.flow = Some(flow.clone());
         rc.overload = Some(overload);
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(1), Pact::exchange(|_: &u64| 1), j.clone());
-        pusher.give(Timestamp::new(0), 7u64);
+        pusher.give_batch(Timestamp::new(0), &mut vec![7u64]);
         pusher.flush(); // admitted
-        pusher.give(Timestamp::new(0), 8u64);
+        pusher.give_batch(Timestamp::new(0), &mut vec![8u64]);
         pusher.flush(); // shed
         assert_eq!(flow.shed_batches(), 1);
         assert_eq!(flow.shed_records(), 1);

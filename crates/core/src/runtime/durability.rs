@@ -24,8 +24,10 @@ const BLOB_MAGIC: [u8; 4] = *b"NCKP";
 /// typed [`RestoreError::PartitionCountMismatch`] instead of a silent
 /// wrong-routing hazard. Version 3 follows the wire codec's change of
 /// `Vec<integer>` layout to a width-packed column: state and logged input
-/// holding one would mis-decode from a version-2 payload.
-const BLOB_VERSION: u16 = 3;
+/// holding one would mis-decode from a version-2 payload. Version 4
+/// follows the operator library's change of key hash: a version-3 shard
+/// was cut by the old hash and would restore keys onto the wrong worker.
+const BLOB_VERSION: u16 = 4;
 /// Sealed-blob header length: magic + version + payload length + checksum.
 const BLOB_HEADER_LEN: usize = 4 + 2 + 8 + 8;
 

@@ -552,3 +552,101 @@ fn broadcast_pact_reaches_every_worker() {
     assert_eq!(results[0], vec![1, 2, 3]);
     assert_eq!(results[1], vec![1, 2, 3]);
 }
+
+/// How one step of [`buffered_outputs_keep_record_order`]'s script hands
+/// its records to the output.
+#[derive(Clone, Copy)]
+enum Give {
+    Record,
+    Iterator,
+    Container,
+    PortRecord,
+}
+
+/// Records given singly, from iterators and as whole containers, mixed
+/// and at two interleaved times, reach a Pipeline and an Exchange
+/// consumer in the order given at each time, with a batch size small
+/// enough that singly given records fill and flush containers mid-script.
+#[test]
+fn buffered_outputs_keep_record_order() {
+    let script: std::sync::Arc<Vec<(u64, Give, Vec<u64>)>> = std::sync::Arc::new(vec![
+        (0, Give::Record, vec![0]),
+        (0, Give::Iterator, (1..6).collect()),
+        (0, Give::Container, (6..9).collect()),
+        (1, Give::PortRecord, vec![9]),
+        (0, Give::Record, vec![10]),
+        (0, Give::Container, (11..20).collect()),
+        (1, Give::Iterator, (20..23).collect()),
+        (1, Give::Container, (23..25).collect()),
+        (0, Give::Iterator, (25..27).collect()),
+        (1, Give::Record, vec![27, 28, 29, 30, 31]),
+        (0, Give::PortRecord, vec![32, 33]),
+    ]);
+    let given = |epoch: u64| -> Vec<u64> {
+        script
+            .iter()
+            .filter(|(e, _, _)| *e == epoch)
+            .flat_map(|(_, _, records)| records.iter().copied())
+            .collect()
+    };
+    let expected_pipeline = vec![(0, given(0)), (1, given(1))];
+    let owned_by = |worker: u64| -> Vec<(u64, Vec<u64>)> {
+        let owned = |e: u64| given(e).into_iter().filter(|x| x % 2 == worker).collect();
+        (0..2).map(|e| (e, owned(e))).collect()
+    };
+
+    let feed = script.clone();
+    let results = execute(Config::single_process(2).batch_size(4), move |worker| {
+        let script = feed.clone();
+        let (mut input, pipeline, exchange) = worker.dataflow(|scope| {
+            let (input, trigger) = scope.new_input::<u64>();
+            let out = trigger.unary(Pact::Pipeline, "Script", move |_info| {
+                move |input: &mut InputPort<u64>, output: &mut OutputPort<u64>| {
+                    input.for_each(|_, _| {
+                        for (epoch, how, records) in script.iter() {
+                            let time = Timestamp::new(*epoch);
+                            match how {
+                                Give::Record => {
+                                    let mut session = output.session(time);
+                                    for &r in records {
+                                        session.give(r);
+                                    }
+                                }
+                                Give::Iterator => {
+                                    output.session(time).give_iterator(records.iter().copied());
+                                }
+                                Give::Container => {
+                                    output.session(time).give_container(&mut records.clone());
+                                }
+                                Give::PortRecord => {
+                                    for &r in records {
+                                        output.give(time, r);
+                                    }
+                                }
+                            }
+                        }
+                    });
+                }
+            });
+            let routed = out.unary(Pact::exchange(|x: &u64| *x), "Route", |_info| {
+                |input: &mut InputPort<u64>, output: &mut OutputPort<u64>| {
+                    input.for_each_batch(|time, data| output.session(time).give_container(data));
+                }
+            });
+            (input, out.capture(), routed.capture())
+        });
+        if worker.index() == 0 {
+            input.send(0);
+        }
+        input.close();
+        worker.step_until_done();
+        let result = (pipeline.borrow().clone(), exchange.borrow().clone());
+        result
+    })
+    .unwrap();
+    assert_eq!(results[0].0, expected_pipeline, "Pipeline consumer");
+    assert!(results[1].0.is_empty(), "Pipeline stays on worker 0");
+    for (w, (_, exchange)) in results.iter().enumerate() {
+        assert_eq!(exchange, &owned_by(w as u64), "Exchange, worker {w}");
+    }
+}

@@ -7,7 +7,8 @@
 //! Per-time state is reclaimed by a purge notification (§2.4) that never
 //! holds back the frontier.
 
-use std::collections::{HashMap, HashSet};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::runtime::Pact;
@@ -15,6 +16,7 @@ use naiad::{Stream, Timestamp};
 use naiad_wire::ExchangeData;
 
 use crate::hash_of;
+use crate::keyed::TimedTables;
 
 /// Deduplication operators.
 pub trait DistinctOps<D: ExchangeData> {
@@ -30,20 +32,17 @@ pub trait DistinctOps<D: ExchangeData> {
 impl<D: ExchangeData + std::hash::Hash + Eq> DistinctOps<D> for Stream<D> {
     fn distinct(&self) -> Stream<D> {
         self.unary_notify(Pact::exchange(|d: &D| hash_of(d)), "Distinct", |_info| {
-            let seen: std::rc::Rc<std::cell::RefCell<HashMap<Timestamp, HashSet<D>>>> =
-                std::rc::Rc::new(std::cell::RefCell::new(HashMap::new()));
+            let seen: Rc<RefCell<TimedTables<D, ()>>> = Rc::default();
             let recv_seen = seen.clone();
             (
                 move |input: &mut InputPort<D>, output: &mut OutputPort<D>, notify: &Notify| {
                     let mut seen = recv_seen.borrow_mut();
-                    input.for_each(|time, data| {
-                        let set = seen.entry(time).or_insert_with(|| {
-                            notify.notify_at_purge(time);
-                            HashSet::new()
-                        });
+                    input.for_each_batch(|time, data| {
+                        let set = seen.at(time, || notify.notify_at_purge(time));
                         let mut session = output.session(time);
-                        for record in data {
-                            if set.insert(record.clone()) {
+                        for record in data.drain(..) {
+                            if !set.contains_key(&record) {
+                                set.insert(record.clone(), ());
                                 session.give(record);
                             }
                         }
@@ -51,7 +50,7 @@ impl<D: ExchangeData + std::hash::Hash + Eq> DistinctOps<D> for Stream<D> {
                 },
                 // Purge: the time is complete everywhere, free its set.
                 move |time: Timestamp, _output: &mut OutputPort<D>, _notify: &Notify| {
-                    seen.borrow_mut().remove(&time);
+                    seen.borrow_mut().close(time, |_| {});
                 },
             )
         })

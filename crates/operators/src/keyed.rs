@@ -6,6 +6,7 @@
 //! style §2.4 recommends at the boundary of composable sub-computations.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Drain;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::rc::Rc;
@@ -15,11 +16,53 @@ use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
 use naiad_wire::ExchangeData;
 
-use crate::hash_of;
+use crate::{hash_of, KeyMap};
 
 /// A key type: hashable, comparable, exchangeable.
 pub trait ExchangeKey: ExchangeData + Hash + Eq {}
 impl<K: ExchangeData + Hash + Eq> ExchangeKey for K {}
+
+/// The per-time tables of a keyed operator. A time's table opens with its
+/// first batch and is drained when the time completes; its storage then
+/// serves the next time to open, unless its capacity is more than four
+/// times what the drained time used — draining costs the whole capacity,
+/// so one large time must not tax every small one after it.
+pub(crate) struct TimedTables<K, V> {
+    open: HashMap<Timestamp, KeyMap<K, V>>,
+    spare: Vec<KeyMap<K, V>>,
+}
+
+impl<K, V> Default for TimedTables<K, V> {
+    fn default() -> Self {
+        TimedTables {
+            open: HashMap::new(),
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl<K: Hash + Eq, V> TimedTables<K, V> {
+    /// The table of `time`; `on_open` runs if this opens it.
+    pub(crate) fn at(&mut self, time: Timestamp, on_open: impl FnOnce()) -> &mut KeyMap<K, V> {
+        let spare = &mut self.spare;
+        self.open.entry(time).or_insert_with(|| {
+            on_open();
+            spare.pop().unwrap_or_default()
+        })
+    }
+
+    /// Hands `time`'s entries to `emit` and keeps the table for reuse.
+    pub(crate) fn close(&mut self, time: Timestamp, emit: impl FnOnce(Drain<'_, K, V>)) {
+        let Some(mut table) = self.open.remove(&time) else {
+            return;
+        };
+        let used = table.len();
+        emit(table.drain());
+        if table.capacity() <= 4 * used {
+            self.spare.push(table);
+        }
+    }
+}
 
 /// Keyed blocking operators over `(key, value)` streams.
 pub trait KeyedOps<K: ExchangeKey, V: ExchangeData> {
@@ -51,31 +94,27 @@ impl<K: ExchangeKey, V: ExchangeData> KeyedOps<K, V> for Stream<(K, V)> {
             Pact::exchange(|(k, _): &(K, V)| hash_of(k)),
             "GroupBy",
             move |_info| {
-                let buffers: Rc<RefCell<HashMap<Timestamp, HashMap<K, Vec<V>>>>> =
-                    Rc::new(RefCell::new(HashMap::new()));
-                let recv_buffers = buffers.clone();
+                let tables: Rc<RefCell<TimedTables<K, Vec<V>>>> = Rc::default();
+                let recv_tables = tables.clone();
                 (
                     move |input: &mut InputPort<(K, V)>,
                           _output: &mut OutputPort<R>,
                           notify: &Notify| {
-                        let mut buffers = recv_buffers.borrow_mut();
-                        input.for_each(|time, data| {
-                            let groups = buffers.entry(time).or_insert_with(|| {
-                                notify.notify_at(time);
-                                HashMap::new()
-                            });
-                            for (k, v) in data {
+                        let mut tables = recv_tables.borrow_mut();
+                        input.for_each_batch(|time, data| {
+                            let groups = tables.at(time, || notify.notify_at(time));
+                            for (k, v) in data.drain(..) {
                                 groups.entry(k).or_default().push(v);
                             }
                         });
                     },
                     move |time: Timestamp, output: &mut OutputPort<R>, _notify: &Notify| {
-                        if let Some(groups) = buffers.borrow_mut().remove(&time) {
+                        tables.borrow_mut().close(time, |groups| {
                             let mut session = output.session(time);
                             for (k, vs) in groups {
                                 session.give_iterator(reduce(&k, vs));
                             }
-                        }
+                        });
                     },
                 )
             },
@@ -93,29 +132,30 @@ impl<K: ExchangeKey, V: ExchangeData> KeyedOps<K, V> for Stream<(K, V)> {
             Pact::exchange(|(k, _): &(K, V)| hash_of(k)),
             "Reduce",
             move |_info| {
-                let accs: Rc<RefCell<HashMap<Timestamp, HashMap<K, A>>>> =
-                    Rc::new(RefCell::new(HashMap::new()));
-                let recv_accs = accs.clone();
+                let tables: Rc<RefCell<TimedTables<K, A>>> = Rc::default();
+                let recv_tables = tables.clone();
                 (
                     move |input: &mut InputPort<(K, V)>,
                           _output: &mut OutputPort<(K, A)>,
                           notify: &Notify| {
-                        let mut accs = recv_accs.borrow_mut();
-                        input.for_each(|time, data| {
-                            let per_time = accs.entry(time).or_insert_with(|| {
-                                notify.notify_at(time);
-                                HashMap::new()
-                            });
-                            for (k, v) in data {
-                                let acc = per_time.entry(k.clone()).or_insert_with(&init);
-                                fold(&k, acc, v);
+                        let mut tables = recv_tables.borrow_mut();
+                        input.for_each_batch(|time, data| {
+                            let accs = tables.at(time, || notify.notify_at(time));
+                            for (k, v) in data.drain(..) {
+                                if let Some(acc) = accs.get_mut(&k) {
+                                    fold(&k, acc, v);
+                                } else {
+                                    let mut acc = init();
+                                    fold(&k, &mut acc, v);
+                                    accs.insert(k, acc);
+                                }
                             }
                         });
                     },
                     move |time: Timestamp, output: &mut OutputPort<(K, A)>, _notify: &Notify| {
-                        if let Some(per_time) = accs.borrow_mut().remove(&time) {
-                            output.session(time).give_iterator(per_time);
-                        }
+                        tables
+                            .borrow_mut()
+                            .close(time, |accs| output.session(time).give_iterator(accs));
                     },
                 )
             },
@@ -144,37 +184,34 @@ impl<D: ExchangeData + Hash + Eq> DistinctCountOps<D> for Stream<D> {
             Pact::exchange(|d: &D| hash_of(d)),
             "DistinctCount",
             |_info| {
-                let counts: Rc<RefCell<HashMap<Timestamp, HashMap<D, u64>>>> =
-                    Rc::new(RefCell::new(HashMap::new()));
-                let recv_counts = counts.clone();
+                let tables: Rc<RefCell<TimedTables<D, u64>>> = Rc::default();
+                let recv_tables = tables.clone();
                 (
                     move |input: &mut InputPort<D>,
                           output: &mut OutputPort<(D, u64)>,
                           notify: &Notify| {
-                        let mut counts = recv_counts.borrow_mut();
-                        input.for_each(|time, data| {
-                            let per_time = counts.entry(time).or_insert_with(|| {
-                                notify.notify_at(time);
-                                HashMap::new()
-                            });
+                        let mut tables = recv_tables.borrow_mut();
+                        input.for_each_batch(|time, data| {
+                            let counts = tables.at(time, || notify.notify_at(time));
                             let mut session = output.session(time);
-                            for record in data {
-                                let n = per_time.entry(record.clone()).or_insert(0);
-                                if *n == 0 {
+                            for record in data.drain(..) {
+                                if let Some(n) = counts.get_mut(&record) {
+                                    *n += 1;
+                                } else {
                                     // Output 1: distinct records may be sent
                                     // as soon as they are seen (count tag 0).
-                                    session.give((record, 0));
+                                    session.give((record.clone(), 0));
+                                    counts.insert(record, 1);
                                 }
-                                *n += 1;
                             }
                         });
                     },
                     move |time: Timestamp, output: &mut OutputPort<(D, u64)>, _notify: &Notify| {
                         // Output 2: counts must wait until all records
                         // bearing this time have been received.
-                        if let Some(per_time) = counts.borrow_mut().remove(&time) {
-                            output.session(time).give_iterator(per_time);
-                        }
+                        tables
+                            .borrow_mut()
+                            .close(time, |counts| output.session(time).give_iterator(counts));
                     },
                 )
             },
@@ -253,6 +290,32 @@ mod tests {
             out,
             vec![(0, ("s".to_string(), 7)), (0, ("t".to_string(), 10))]
         );
+    }
+
+    #[test]
+    fn a_large_times_table_is_not_reused_after_a_small_one() {
+        let mut tables = TimedTables::<u64, u64>::default();
+        let mut opened = 0;
+        let large = tables.at(Timestamp::new(0), || opened += 1);
+        large.extend((0..1_000).map(|k| (k, k)));
+        let capacity = large.capacity();
+        let mut drained = 0;
+        tables.close(Timestamp::new(0), |entries| drained = entries.count());
+        assert_eq!(drained, 1_000);
+
+        // Kept: the next time drains into the same storage.
+        let small = tables.at(Timestamp::new(1), || opened += 1);
+        assert!(small.is_empty());
+        assert_eq!(small.capacity(), capacity);
+        small.insert(7, 1);
+        let mut entries = Vec::new();
+        tables.close(Timestamp::new(1), |drain| entries.extend(drain));
+        assert_eq!(entries, vec![(7, 1)]);
+
+        // Dropped: more than four times the one entry its last time used.
+        let fresh = tables.at(Timestamp::new(2), || opened += 1);
+        assert_eq!(fresh.capacity(), 0);
+        assert_eq!(opened, 3);
     }
 
     #[test]

@@ -61,6 +61,7 @@ mod aggregate;
 mod concat;
 mod distinct;
 mod exchange;
+mod hash;
 mod iterate;
 mod join;
 mod keyed;
@@ -74,6 +75,7 @@ pub use aggregate::AggregateOps;
 pub use concat::ConcatOps;
 pub use distinct::DistinctOps;
 pub use exchange::ExchangeOps;
+pub use hash::{hash_of, KeyHasher, KeyMap};
 pub use iterate::IterateOps;
 pub use join::JoinOps;
 pub use keyed::{DistinctCountOps, ExchangeKey, KeyedOps};
@@ -91,16 +93,6 @@ pub mod prelude {
         StalenessOps, WindowOps,
     };
     pub use naiad::runtime::Pact;
-}
-
-use std::hash::{Hash, Hasher};
-
-/// A deterministic 64-bit hash used as the default partitioning function
-/// for keyed operators ("group by" routing, §3.1).
-pub fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    value.hash(&mut hasher);
-    hasher.finish()
 }
 
 #[cfg(test)]

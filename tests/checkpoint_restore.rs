@@ -248,12 +248,12 @@ fn try_restore_reports_corruption() {
         let mut flipped = blob.clone();
         *flipped.last_mut().unwrap() ^= 1;
         let corrupt = worker.try_restore(&flipped);
-        // A blob sealed as format version 2 — intact magic, length and
-        // checksum — predates the packed `Vec<integer>` layout: it is
-        // refused by version, never handed to the state decoders.
-        let mut sealed_v2 = blob.clone();
-        sealed_v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let stale = worker.try_restore(&sealed_v2);
+        // A blob sealed as format version 3 — intact magic, length and
+        // checksum — was cut by the old key hash: it is refused by
+        // version, never handed to the state decoders.
+        let mut sealed_v3 = blob.clone();
+        sealed_v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+        let stale = worker.try_restore(&sealed_v3);
         // The pristine blob restores cleanly afterwards.
         let clean = worker.try_restore(&blob);
         (garbage, corrupt, stale, clean)
@@ -262,7 +262,7 @@ fn try_restore_reports_corruption() {
     for (garbage, corrupt, stale, clean) in &errors {
         assert_eq!(garbage, &Err(RestoreError::BadMagic));
         assert!(matches!(corrupt, Err(RestoreError::ChecksumMismatch { .. })));
-        assert_eq!(stale, &Err(RestoreError::UnsupportedVersion(2)));
+        assert_eq!(stale, &Err(RestoreError::UnsupportedVersion(3)));
         assert_eq!(clean, &Ok(()));
     }
 }
