@@ -6,8 +6,9 @@
 //! central [`GroupCore`] — but replaces the fabric with explicit
 //! [`Event`]s: `Act(w)` (worker `w` performs one legal §2.3 step and
 //! flushes its journal into the protocol), `Deliver(src, dst)` (the
-//! oldest batch on a link reaches its endpoint's router), and `Apply(w)`
-//! (worker `w` drains one routed batch into its local table). Which event
+//! oldest batch on a link reaches every worker mailbox of its endpoint),
+//! and `Apply(w)` (worker `w` tees one delivered batch into its process
+//! accumulator and applies it to its local table). Which event
 //! fires next is the *schedule* — the driver's choice — so every legal
 //! interleaving of broadcast, accumulation, and application is reachable.
 //!
@@ -57,9 +58,9 @@ pub fn fnv64(words: &[u64]) -> u64 {
 pub enum Event {
     /// Worker `w` performs one legal protocol action and flushes it.
     Act(usize),
-    /// The oldest batch on link `src → dst` reaches `dst`'s router.
+    /// The oldest batch on link `src → dst` reaches `dst`'s mailboxes.
     Deliver(Endpoint, Endpoint),
-    /// Worker `w` applies the oldest batch routed to it.
+    /// Worker `w` applies the oldest batch delivered to it.
     Apply(usize),
 }
 
@@ -399,7 +400,7 @@ impl Obligations {
 struct VirtualWorker {
     core: WorkerCore,
     obligations: Obligations,
-    /// Batches the router has handed this worker, not yet applied.
+    /// Batches delivered to this worker's mailbox, not yet applied.
     pending: VecDeque<ProgressBatch>,
     /// Cumulative applied deltas, for the policy-equivalence check.
     applied: HashMap<Pointstamp, i64>,
@@ -636,17 +637,11 @@ impl Cluster {
                 None
             }
             Endpoint::Process(p) => {
-                // The router hands the batch to every local worker's queue
-                // and to the process accumulator, where there is one.
+                // The fabric puts the batch into every local worker's
+                // mailbox.
                 let lo = p * self.cfg.workers_per_process;
                 for w in lo..lo + self.cfg.workers_per_process {
                     self.workers[w].pending.push_back(batch.clone());
-                }
-                if let Some(acc) = self.accs.get_mut(p) {
-                    let hop = acc.hop();
-                    if let Some(out) = acc.observe(&batch) {
-                        self.send(dst, hop, &out);
-                    }
                 }
                 None
             }
@@ -655,6 +650,16 @@ impl Cluster {
 
     fn do_apply(&mut self, w: usize) -> Option<Violation> {
         let batch = self.workers[w].pending.pop_front().expect("eligibility");
+        // The tee: a worker hands every batch to its process accumulator,
+        // where there is one, before applying it; the first hand-off of a
+        // batch is the one the accumulator observes.
+        let process = self.process_of(w);
+        if let Some(acc) = self.accs.get_mut(process) {
+            let hop = acc.hop();
+            if let Some(out) = acc.observe(&batch) {
+                self.send(Endpoint::Process(process), hop, &out);
+            }
+        }
         let retired = batch.updates.iter().any(|(_, d)| *d < 0);
         for &(p, d) in &batch.updates {
             let e = self.workers[w].applied.entry(p).or_insert(0);

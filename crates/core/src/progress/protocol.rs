@@ -90,15 +90,16 @@ pub enum Role {
 pub enum Hop {
     /// Into the flushing worker's own process accumulator, in memory.
     OwnAccumulator,
-    /// To every process, whose router hands the batch to each of its
-    /// workers (and to its accumulator, where there is one).
+    /// To every process: into each of its workers' mailboxes, and through
+    /// the first worker to apply it into its accumulator, where there is
+    /// one.
     EveryProcess,
     /// To the central accumulator.
     Central,
 }
 
-/// A fabric endpoint: a process (its workers and accumulator, behind one
-/// router) or the central accumulator.
+/// A fabric endpoint: a process (its workers and accumulator) or the
+/// central accumulator.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Endpoint {
     /// Process `p`.
@@ -470,6 +471,10 @@ pub struct GroupCore {
     /// (a peer group can broadcast first); replayed in arrival order on
     /// registration.
     stashed: HashMap<u32, Vec<ProgressUpdate>>,
+    /// The highest `seq` observed per `(sender, dataflow)`: every local
+    /// worker hands this group each batch it applies, and only the first
+    /// hand-off counts.
+    observed: HashMap<(u32, u32), u64>,
 }
 
 impl GroupCore {
@@ -483,6 +488,7 @@ impl GroupCore {
             total_workers,
             accs: HashMap::new(),
             stashed: HashMap::new(),
+            observed: HashMap::new(),
         }
     }
 
@@ -532,15 +538,23 @@ impl GroupCore {
         Some(self.emitter.batch(dataflow, flushed))
     }
 
-    /// Observes a broadcast the group's router was handed (what a router
-    /// does with every batch it fans out to its workers), stashing it if
-    /// the dataflow is not registered yet; returns the batch to broadcast
-    /// if the buffered updates are no longer safe to hold. The group's own
-    /// broadcasts are ignored: their content was folded as they left.
+    /// Observes a broadcast one of the group's workers is about to apply,
+    /// stashing it if the dataflow is not registered yet; returns the batch
+    /// to broadcast if the buffered updates are no longer safe to hold.
+    /// The group's own broadcasts are ignored: their content was folded as
+    /// they left. So is a `(sender, dataflow, seq)` already observed: each
+    /// local worker hands over every batch it applies, and a sender's
+    /// batches reach every worker in `seq` order, so the first hand-off of
+    /// each is the one that counts, and they count in `seq` order.
     pub fn observe(&mut self, batch: &ProgressBatch) -> Option<ProgressBatch> {
         if batch.sender == self.emitter.sender {
             return None;
         }
+        let key = (batch.sender, batch.dataflow);
+        match self.observed.get(&key) {
+            Some(&last) if batch.seq <= last => return None,
+            _ => self.observed.insert(key, batch.seq),
+        };
         match self.accs.get_mut(&batch.dataflow) {
             Some(acc) => {
                 let flushed = acc.observe(batch.updates.iter())?;
@@ -561,6 +575,18 @@ impl GroupCore {
     pub fn has_buffered(&self) -> bool {
         // lint-allow(NS0003): `any` is order-insensitive.
         self.accs.values().any(|a| a.has_buffered())
+    }
+
+    /// The highest `seq` observed from `sender` for `dataflow`.
+    #[cfg(test)]
+    pub(crate) fn observed_through(&self, sender: u32, dataflow: u32) -> Option<u64> {
+        self.observed.get(&(sender, dataflow)).copied()
+    }
+
+    /// `dataflow`'s view, once registered.
+    #[cfg(test)]
+    pub(crate) fn view(&self, dataflow: u32) -> Option<&PointstampTable> {
+        self.accs.get(&dataflow).map(|acc| &acc.view)
     }
 }
 
@@ -932,7 +958,7 @@ mod tests {
         assert_eq!(batch.sender, PROC_ACC_SENDER_BASE);
         assert_eq!(batch.seq, 0);
         assert_eq!(batch.dataflow, 0);
-        // Its own broadcast, handed back by a router, is not observed
+        // Its own broadcast, handed back by a worker, is not observed
         // again — the view folded it as it left. Counted twice, the peer's
         // input pointstamp would be gone from the view and nothing would
         // cover a creation at stage a.
@@ -940,6 +966,53 @@ mod tests {
         assert!(core
             .deposit(0, vec![(Pointstamp::at_vertex(ts(0), StageId(1)), 1)])
             .is_none());
+    }
+
+    /// Every local worker hands the group each batch it applies; the group
+    /// observes a `(sender, dataflow, seq)` the first time only. Here the
+    /// peer's retirement of the input stamp, observed twice, would flush
+    /// the held creation at b early.
+    #[test]
+    fn group_core_observes_each_batch_once() {
+        let mut core = GroupCore::new(PROC_ACC_SENDER_BASE, Hop::EveryProcess, 2);
+        core.register(0, chain_graph());
+        let peer = |seq, updates| ProgressBatch {
+            sender: PROC_ACC_SENDER_BASE + 1,
+            seq,
+            dataflow: 0,
+            updates,
+        };
+        let advance = peer(
+            0,
+            vec![
+                (Pointstamp::at_vertex(ts(1), INPUT), 1),
+                (Pointstamp::at_vertex(ts(0), INPUT), -1),
+            ],
+        );
+        // Held: the other worker's epoch-0 input stamp still covers it.
+        assert!(core
+            .deposit(0, vec![(Pointstamp::at_vertex(ts(0), B), 1)])
+            .is_none());
+        for _worker in 0..2 {
+            assert!(
+                core.observe(&advance).is_none(),
+                "observed once, still covered"
+            );
+        }
+        // A later batch from the same sender still counts, once.
+        let close = peer(1, vec![(Pointstamp::at_vertex(ts(1), INPUT), -1)]);
+        assert!(core.observe(&close).is_none());
+        assert!(core.observe(&close).is_none());
+        // Sequence numbers are per sender and dataflow.
+        let other_dataflow = ProgressBatch {
+            dataflow: 1,
+            ..advance.clone()
+        };
+        assert!(core.observe(&other_dataflow).is_none());
+        assert!(
+            core.stashed.contains_key(&1),
+            "a first sighting for dataflow 1"
+        );
     }
 
     #[test]

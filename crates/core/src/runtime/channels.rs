@@ -20,8 +20,9 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Duration;
 
-use naiad_netsim::{NetReceiver, NetSender};
+use naiad_netsim::{Envelope, NetReceiver, NetSender};
 use naiad_wire::{Bytes, ExchangeData, SlabPool, Wire, WireError};
 
 use super::queue::{ring, RingReceiver, RingSender};
@@ -34,19 +35,13 @@ use crate::progress::{Pointstamp, ProgressUpdate};
 use crate::telemetry::{Recorder, TelemetryEvent};
 use crate::time::Timestamp;
 
-/// Channel tag carrying progress broadcasts to a process (fanned out to
-/// all its workers by the router).
+/// Channel tag carrying progress broadcasts into the mailboxes of all a
+/// process's workers.
 pub(crate) const PROGRESS_TAG: u32 = 0xFFFF_FFFF;
 /// Channel tag carrying progress batches to the central accumulator.
 pub(crate) const CENTRAL_TAG: u32 = 0xFFFF_FFFE;
 /// Channel tag carrying liveness heartbeats on the control plane.
 pub(crate) const HEARTBEAT_TAG: u32 = 0xFFFF_FFFD;
-/// Channel tag carrying cluster-membership announcements (elastic
-/// rescaling) on the control plane.
-pub(crate) const MEMBERSHIP_TAG: u32 = 0xFFFF_FFFC;
-/// Channel tag carrying credit returns for remote data batches on the
-/// control plane (DESIGN.md §15): `(data tag: u32, bytes: u64)`.
-pub(crate) const CREDIT_TAG: u32 = 0xFFFF_FFFB;
 
 const DATAFLOW_BITS: u32 = 10;
 const CHANNEL_BITS: u32 = 14;
@@ -148,8 +143,6 @@ impl<D> Message<D> {
 pub(crate) enum ChannelKey {
     /// Typed shared-memory queue: `(dataflow, channel, dst local worker)`.
     Data(usize, usize, usize),
-    /// A worker's progress inbox.
-    Progress(usize),
     /// The spare-container stack shared by a data endpoint's senders and
     /// its puller (DESIGN.md §16).
     Spares(usize, usize, usize),
@@ -212,7 +205,7 @@ impl<D> SparePool<D> {
     }
 }
 
-/// Lazily-created queues shared by a process's workers and its router.
+/// Lazily-created queues shared by a process's workers.
 ///
 /// Whichever side touches a key first creates the queue; the consuming side
 /// takes the receiver exactly once.
@@ -230,8 +223,7 @@ impl ProcessRegistry {
         let mut map = self.map.lock();
         let entry = map.entry(key).or_insert_with(|| {
             // flow-exempt: Data queues are credit-bounded at the
-            // Pusher/Puller layer (runtime::flow); Progress inboxes carry the
-            // §3.3 protocol and must never block (DESIGN.md §15).
+            // Pusher/Puller layer (runtime::flow, DESIGN.md §15).
             let (tx, rx) = ring::<T>();
             Box::new(Chan {
                 tx,
@@ -285,8 +277,8 @@ impl ProcessRegistry {
             .clone()
     }
 
-    /// Publishes a dataflow's logical graph so the process router and
-    /// accumulator can reason about its pointstamps.
+    /// Publishes a dataflow's logical graph so the process accumulator can
+    /// reason about its pointstamps.
     pub(crate) fn register_dataflow(&self, id: usize, graph: Arc<LogicalGraph>) {
         self.dataflows.lock().entry(id).or_insert(graph);
     }
@@ -302,11 +294,17 @@ impl ProcessRegistry {
 /// credit return (DESIGN.md §15).
 type RemoteQueue = Rc<RefCell<VecDeque<(u32, Bytes)>>>;
 
-/// A worker's end of the remote data plane (DESIGN.md §10): the fabric
-/// mailbox that other processes' pushers put this worker's frames into,
-/// and the table that sorts them by `(dataflow, channel)` for its pullers.
-/// Both are the worker's alone — no lock, no hash of a shared registry and
-/// no other thread sit between the fabric and the operator.
+/// A progress batch out of a worker's mailbox: the fabric endpoint that
+/// sent it, and its encoding.
+pub(crate) type ProgressFrame = (usize, Bytes);
+
+/// A worker's end of the fabric (DESIGN.md §10): the mailbox into which
+/// other processes' pushers put this worker's data frames and every
+/// flushing thread its progress batches, each source's in the order it
+/// sent them, and the table that sorts the data frames by
+/// `(dataflow, channel)` for its pullers. Both are the worker's alone — no
+/// lock, no hash of a shared registry and no other thread sit between the
+/// fabric and the operator.
 pub(crate) struct Mailbox {
     rx: NetReceiver,
     queues: HashMap<(usize, usize), RemoteQueue>,
@@ -327,23 +325,58 @@ impl Mailbox {
         self.queues.entry((dataflow, channel)).or_default().clone()
     }
 
-    /// Moves every frame the fabric has for this worker into its channel's
-    /// queue and returns how many. The depth it reports to `recorder` is
-    /// what the mailbox held when polled: those frames, plus the ones a
-    /// latency model still holds back.
-    pub(crate) fn drain(&mut self, recorder: &Recorder) -> usize {
-        let mut frames = 0;
-        while let Some(env) = self.rx.try_recv() {
-            let (dataflow, channel, _) = parse_data_tag(env.channel);
-            let queue = self.queues.entry((dataflow, channel)).or_default();
-            queue.borrow_mut().push_back((env.src as u32, env.payload));
-            frames += 1;
+    /// Moves every frame the fabric has for this worker out of the mailbox,
+    /// in arrival order: a data frame into its channel's queue, a progress
+    /// batch onto `progress` for the worker to apply. Returns how many
+    /// frames moved. The depth it reports to `recorder` is what the mailbox
+    /// held when polled: those frames, plus the ones a latency model still
+    /// holds back.
+    pub(crate) fn drain(
+        &mut self,
+        recorder: &Recorder,
+        progress: &mut Vec<ProgressFrame>,
+    ) -> usize {
+        self.take(None, recorder, progress)
+    }
+
+    /// Parks until a frame arrives or `timeout` passes, then drains like
+    /// [`Mailbox::drain`].
+    pub(crate) fn wait(
+        &mut self,
+        timeout: Duration,
+        recorder: &Recorder,
+        progress: &mut Vec<ProgressFrame>,
+    ) -> usize {
+        match self.rx.recv_deadline(Some(timeout)) {
+            Ok(first) => self.take(Some(first), recorder, progress),
+            Err(_) => 0,
         }
-        let depth = frames + self.rx.delayed();
+    }
+
+    fn take(
+        &mut self,
+        first: Option<Envelope>,
+        recorder: &Recorder,
+        progress: &mut Vec<ProgressFrame>,
+    ) -> usize {
+        let (mut data, mut batches) = (0, 0);
+        let rest = std::iter::from_fn(|| self.rx.try_recv());
+        for env in first.into_iter().chain(rest) {
+            if env.channel == PROGRESS_TAG {
+                progress.push((env.src, env.payload));
+                batches += 1;
+            } else {
+                let (dataflow, channel, _) = parse_data_tag(env.channel);
+                let queue = self.queues.entry((dataflow, channel)).or_default();
+                queue.borrow_mut().push_back((env.src as u32, env.payload));
+                data += 1;
+            }
+        }
+        let depth = data + batches + self.rx.delayed();
         if depth > 0 {
-            recorder.record_mailbox(frames, depth);
+            recorder.record_mailbox(data, batches, depth);
         }
-        frames
+        data + batches
     }
 
     /// `(due, not_yet_due)`: frames sorted into a queue that their puller
@@ -797,7 +830,9 @@ struct PullerFlow {
     local_cell: Arc<CreditCell>,
     /// Fabric sender for control-plane credit returns to remote senders.
     net: Arc<Mutex<NetSender>>,
-    /// This endpoint's data tag, echoed in remote credit returns.
+    /// This worker's process, the receiving end of every remote key.
+    process: usize,
+    /// This endpoint's data tag, which names its remote credit cells.
     tag: u32,
 }
 
@@ -819,6 +854,7 @@ impl<D: ExchangeData> Puller<D> {
             registry: registry.clone(),
             local_cell: registry.cell(FlowKey::Local(ctx.process, ctx.dataflow, channel, my_local)),
             net: ctx.net.clone(),
+            process: ctx.process,
             tag: data_tag(ctx.dataflow, channel, my_local),
         });
         Puller {
@@ -899,17 +935,19 @@ impl<D: ExchangeData> Puller<D> {
                 match owed {
                     OwedCredit::Local(bytes) => flow.registry.release(&flow.local_cell, bytes),
                     OwedCredit::Remote { src, bytes } => {
-                        // The return rides the control plane like a
-                        // heartbeat: exempt from latency and loss
-                        // injection, lost only to a crash or partition —
-                        // in which case the parked sender escapes through
-                        // its bounded wait.
-                        // slab-exempt: a ~10-byte control-plane credit
-                        // return, not data-plane traffic.
-                        let mut payload = Vec::new();
-                        flow.tag.encode(&mut payload);
-                        bytes.encode(&mut payload);
-                        let _ = flow.net.lock().send_control(src, CREDIT_TAG, payload.into());
+                        // The return is a `(data tag, bytes)` frame on the
+                        // control plane, exempt from latency and loss: the
+                        // fabric admitting it is its delivery, so this
+                        // worker repays the sender's cell itself and no
+                        // thread at the sender has to read it. A crash or
+                        // partition refuses it, and the parked sender
+                        // escapes through its bounded wait.
+                        let len = flow.tag.encoded_len() + bytes.encoded_len();
+                        let admitted = flow.net.lock().admit_control(src, len).is_ok();
+                        if admitted {
+                            let key = FlowKey::Remote(src, flow.process, flow.tag);
+                            flow.registry.release_key(key, bytes);
+                        }
                     }
                 }
             }
@@ -957,8 +995,7 @@ mod tests {
         for (d, c, w) in [(0, 0, 0), (5, 1000, 3), (1023, 16383, 127)] {
             assert_eq!(parse_data_tag(data_tag(d, c, w)), (d, c, w));
         }
-        assert!(data_tag(1023, 16383, 127) < CENTRAL_TAG);
-        assert!(data_tag(1023, 16383, 127) < CREDIT_TAG);
+        assert!(data_tag(1023, 16383, 127) < HEARTBEAT_TAG);
     }
 
     #[test]
@@ -973,7 +1010,7 @@ mod tests {
         let tx = reg.sender::<u32>(ChannelKey::Data(0, 1, 0));
         tx.send(7);
         let rx = reg.receiver::<u32>(ChannelKey::Data(0, 1, 0));
-        assert_eq!(rx.recv(), 7);
+        assert_eq!(rx.try_recv(), Some(7));
     }
 
     #[test]

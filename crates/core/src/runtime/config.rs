@@ -48,13 +48,14 @@ pub struct Config {
     /// Aggregate counters stay exact even after the buffer fills.
     pub telemetry_capacity: usize,
     /// Whether processes exchange heartbeats and run the peer failure
-    /// detector (§3.4/§3.5 liveness machinery). Off by default: with no
-    /// detector, a crashed or partitioned peer that never faults a send
-    /// is only caught by the stall watchdog.
+    /// detector (§3.4/§3.5 liveness machinery), on one liveness thread per
+    /// process. Off by default: with no detector, a crashed or partitioned
+    /// peer that never faults a send is only caught by the stall watchdog,
+    /// and a process runs no thread but its workers.
     pub heartbeats: bool,
     /// Cadence of heartbeats: one to every peer per interval, whether or
-    /// not other traffic flows (what a router receives in between also
-    /// counts as proof of life).
+    /// not other traffic flows. Heartbeats are the only proof of life: data
+    /// and progress go to the workers' mailboxes, past the detector.
     pub heartbeat_interval: Duration,
     /// Silence after which a peer is marked *suspected* (telemetry only;
     /// nothing unwinds yet).

@@ -69,9 +69,9 @@
 //!    ([`Worker::restore_shards`]) and resumes feeding at the fence,
 //!    replaying logged input where the log has it.
 //! 5. **Re-register** — the new phase's cluster bring-up re-registers the
-//!    heartbeat/liveness plane for the new membership, with the
-//!    membership generation bumped so stale or duplicated control-plane
-//!    messages from the old generation are discarded.
+//!    heartbeat/liveness plane for the new membership on a fabric of its
+//!    own, so no message of the old membership can reach it; the session
+//!    reports the bumped membership generation.
 //!
 //! A failure in the migration window never hangs the run: see
 //! [`Execution::run`] and [`RescaleOutcome`].
@@ -566,7 +566,6 @@ impl Execution {
                 .map(|step| (*step, Arc::new(MigrationSlot::default())));
             let stop_epoch = outgoing.as_ref().map_or(total_epochs, |(s, _)| s.at_epoch);
             let phase = Phase {
-                generation,
                 certify_rescale: elastic.is_some_and(|e| e.certify),
             };
             // The migration deadline tightens the stall watchdog over the

@@ -1,9 +1,14 @@
 //! Cluster bring-up and tear-down.
 //!
-//! [`execute`] assembles the fabric, spawns one router thread per process
-//! and one worker thread per worker (plus the central accumulator when the
-//! progress mode uses one), runs the user's worker closure everywhere, and
-//! joins everything down cleanly.
+//! [`execute`] assembles the fabric, spawns one thread per worker, runs the
+//! user's worker closure everywhere, and joins everything down cleanly.
+//! Each worker's fabric mailbox carries everything other threads send it —
+//! data frames and progress batches alike — so a process runs its workers
+//! and nothing else. Two threads are the exceptions, each with work no
+//! worker can do: with [`Config::heartbeats`] on, one
+//! `naiad-liveness-<p>` thread per process beats and judges its peers
+//! ([`super::liveness`]), and under a global progress mode the central
+//! accumulator runs behind the fabric's extra endpoint.
 //!
 //! When a [`FaultPlan`](naiad_netsim::FaultPlan) is installed
 //! ([`Config::faults`](super::config::Config::faults)), injected faults
@@ -22,9 +27,7 @@ use super::channels::ProcessRegistry;
 use super::config::Config;
 use super::flow::FlowRegistry;
 use super::liveness::Liveness;
-use super::progress_hub::{
-    run_central_accumulator, run_router, HubStats, ProcessAccumulator, ProgressLinks,
-};
+use super::progress_hub::{run_central_accumulator, HubStats, ProcessAccumulator, ProgressLinks};
 use super::retry::{EscalationCell, FaultKind, FaultPanic, RetryPolicy};
 use super::sync::Mutex;
 use super::worker::Worker;
@@ -244,11 +247,6 @@ where
 /// [`Config`]; the plain `execute*` entry points pass the default.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Phase {
-    /// Cluster-membership generation, bumped each time the worker set
-    /// changes. Routers announce it on the control plane so duplicated or
-    /// stale membership messages from a previous generation are discarded
-    /// instead of confusing the failure detector.
-    pub(crate) generation: u64,
     /// Whether [`Worker::dataflow`] analyzes graphs with the `NA0006`
     /// rescale-safe certification enabled (see
     /// [`AnalysisConfig::rescale_contracts`](crate::analysis::AnalysisConfig::rescale_contracts)),
@@ -295,9 +293,9 @@ where
     let escalation = Arc::new(EscalationCell::default());
     let hub_stats = Arc::new(HubStats::default());
     // Cluster-global credit registry (DESIGN.md §15), shared by every
-    // process's workers and routers like the escalation cell; remote
-    // credit returns still traverse the control plane so crash and
-    // partition semantics stay honest.
+    // process's workers like the escalation cell; a remote credit return
+    // is still admitted by the control plane before the consumer repays
+    // it, so crash and partition semantics stay honest.
     let flow = config
         .flow
         .as_ref()
@@ -307,7 +305,7 @@ where
     // from each other.
     let slabs = Arc::new(naiad_wire::SlabPool::default());
     // One liveness detector per process (when heartbeats are on), driven by
-    // that process's router thread; kept here so the snapshot can sum the
+    // that process's liveness thread; kept here so the snapshot can sum the
     // per-process counters after the join.
     let mut liveness_handles: Vec<Arc<Liveness>> = Vec::new();
     let policy = RetryPolicy::from_config(config);
@@ -336,11 +334,13 @@ where
     // of dataflow graphs shared by every process and the central accumulator.
     let directory = Arc::new(ProcessRegistry::default());
 
-    let mut router_handles = Vec::new();
+    let mut liveness_threads = Vec::new();
     let mut worker_handles = Vec::new();
 
     for (process, endpoint) in fabric.into_iter().enumerate() {
-        let (tx, rx, mailboxes) = endpoint.split_mailboxes();
+        // The merged queue carries heartbeats and nothing else: it has a
+        // reader only while a liveness thread runs, and is dropped otherwise.
+        let (tx, merged, mailboxes) = endpoint.split_mailboxes();
         let net = Arc::new(Mutex::new(tx));
         let registry = if processes == 1 {
             directory.clone()
@@ -350,8 +350,6 @@ where
         let progress_links = Arc::new(ProgressLinks::new(
             process,
             processes,
-            config.workers_per_process,
-            &registry,
             net.clone(),
             policy,
             hub_stats.clone(),
@@ -376,44 +374,17 @@ where
             .then(|| Arc::new(Liveness::new(process, processes, config, clock.clone())));
         if let Some(live) = &liveness {
             liveness_handles.push(live.clone());
-        }
-
-        {
-            let registry = registry.clone();
-            let accumulator = accumulator.clone();
-            let shutdown = shutdown.clone();
-            let wpp = config.workers_per_process;
+            let live = live.clone();
             let net = net.clone();
-            let liveness = liveness.clone();
             let escalation = escalation.clone();
-            let stats = hub_stats.clone();
-            let membership = naiad_netsim::MembershipMsg {
-                generation: phase.generation,
-                process,
-                processes,
-            };
-            let flow = flow.clone();
-            router_handles.push(
+            let shutdown = shutdown.clone();
+            liveness_threads.push(
                 thread::Builder::new()
-                    .name(format!("naiad-router-{process}"))
-                    .spawn(move || {
-                        run_router(
-                            rx,
-                            &registry,
-                            wpp,
-                            accumulator.as_deref(),
-                            &shutdown,
-                            &net,
-                            liveness.as_deref(),
-                            &escalation,
-                            &stats,
-                            membership,
-                            flow.as_deref(),
-                        )
-                    })
+                    .name(format!("naiad-liveness-{process}"))
+                    .spawn(move || live.run(merged, &net, &escalation, &shutdown))
                     // lint-allow(NS0004): OS thread-spawn failure is
                     // resource exhaustion; unwinding tears down the run.
-                    .expect("spawn router thread"),
+                    .expect("spawn liveness thread"),
             );
         }
 
@@ -461,37 +432,34 @@ where
                         result
                     })
                     // lint-allow(NS0004): same spawn-failure policy as
-                    // the router thread above.
+                    // the liveness thread above.
                     .expect("spawn worker thread"),
             );
         }
     }
 
     let central_thread = central_handle.map(|(rx, net)| {
+        let links = ProgressLinks::new(processes, processes, net, policy, hub_stats.clone());
         let directory = directory.clone();
         let shutdown = shutdown.clone();
         let escalation = escalation.clone();
         let total_workers = config.total_workers();
         let mode = config.progress_mode;
-        let stats = hub_stats.clone();
         thread::Builder::new()
             .name("naiad-central-accumulator".to_string())
             .spawn(move || {
                 run_central_accumulator(
                     rx,
-                    &net,
+                    &links,
                     &directory,
                     mode,
-                    processes,
                     total_workers,
                     &shutdown,
-                    policy,
                     &escalation,
-                    &stats,
                 )
             })
             // lint-allow(NS0004): same spawn-failure policy as the
-            // router thread above.
+            // liveness thread above.
             .expect("spawn central accumulator thread")
     });
 
@@ -525,7 +493,7 @@ where
         }
     }
     shutdown.store(true, Ordering::Release);
-    for handle in router_handles {
+    for handle in liveness_threads {
         let _ = handle.join();
     }
     if let Some(handle) = central_thread {
@@ -538,13 +506,10 @@ where
                 let logs = std::mem::take(&mut *hub.lock());
                 let mut snap = TelemetrySnapshot::assemble(logs, &metrics);
                 snap.hub = HubCounters {
-                    router_idle_ticks: hub_stats.router_idle_ticks.load(Ordering::Relaxed),
                     central_idle_ticks: hub_stats.central_idle_ticks.load(Ordering::Relaxed),
                     progress_local_deliveries: hub_stats
                         .progress_local_deliveries
                         .load(Ordering::Relaxed),
-                    progress_routed: hub_stats.progress_routed.load(Ordering::Relaxed),
-                    router_envelopes: hub_stats.router_envelopes.load(Ordering::Relaxed),
                     heartbeats_sent: liveness_handles.iter().map(|l| l.beats_sent()).sum(),
                     suspicions: liveness_handles.iter().map(|l| l.suspicions()).sum(),
                     peer_failures: liveness_handles.iter().map(|l| l.failures()).sum(),

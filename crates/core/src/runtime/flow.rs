@@ -387,7 +387,8 @@ impl FlowRegistry {
     }
 
     /// Like [`FlowRegistry::release`], resolving the cell by key (the
-    /// router's credit-return path).
+    /// remote credit-return path, taken by the consuming worker once the
+    /// fabric admits the return).
     pub(crate) fn release_key(&self, key: FlowKey, cost: u64) {
         let cell = self.cell(key);
         self.release(&cell, cost);

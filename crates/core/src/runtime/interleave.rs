@@ -20,11 +20,12 @@
 //! ordering race, need exactly one. Voluntary switches (the running
 //! thread blocked or finished) are free.
 //!
-//! **Timeouts.** The model ignores wall-clock durations: a timed condvar
-//! waiter is *rescuable* — if every thread is blocked, timed waiters are
-//! woken as timed-out, which models timeout expiry without real sleeps.
-//! If no thread is rescuable the schedule is a genuine deadlock and the
-//! explorer panics with the choice trace as a witness.
+//! **Timeouts.** The model ignores wall-clock durations: every condvar
+//! wait is timed (the shims offer no other), so a waiter is *rescuable* —
+//! if every thread is blocked, condvar waiters are woken as timed-out,
+//! which models timeout expiry without real sleeps. If no thread is
+//! rescuable the schedule is a genuine deadlock and the explorer panics
+//! with the choice trace as a witness.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -62,13 +63,6 @@ enum Run {
     Finished,
 }
 
-struct CvWaiter {
-    tid: usize,
-    /// Timed waiters can be rescued (woken as timed-out) when the
-    /// schedule would otherwise deadlock.
-    timed: bool,
-}
-
 struct State {
     run: Vec<Run>,
     /// The thread holding the execution token; `None` while the
@@ -87,7 +81,9 @@ struct State {
     taken: Vec<(usize, usize)>,
     mutex_owner: HashMap<usize, usize>,
     mutex_waiters: HashMap<usize, Vec<usize>>,
-    cv_waiters: HashMap<usize, Vec<CvWaiter>>,
+    /// Threads parked per condvar; all can be rescued (woken as timed
+    /// out) when the schedule would otherwise deadlock.
+    cv_waiters: HashMap<usize, Vec<usize>>,
     /// Per-thread flag handed back by `condvar_wait`: the wake was a
     /// rescue (modeled timeout), not a notification.
     timed_out: Vec<bool>,
@@ -258,37 +254,21 @@ impl Sched {
         }
     }
 
-    /// Wakes blocked threads when nothing is runnable: timed condvar
-    /// waiters wake as timed-out (modeled timeout expiry); after a
-    /// thread panic *every* waiter is woken so the run can unwind.
-    /// Returns whether anyone woke.
+    /// Wakes blocked threads when nothing is runnable: every condvar
+    /// waiter wakes as timed-out (modeled timeout expiry), which also
+    /// lets a run unwind after a thread panic. Returns whether anyone
+    /// woke.
     fn rescue(&self, st: &mut State) -> bool {
         st.rescues += 1;
         if st.rescues > 1_000 {
             return false;
         }
-        let rescue_all = st.failed;
-        let mut woke = false;
-        let cv_ids: Vec<usize> = st.cv_waiters.keys().copied().collect();
-        for cv in cv_ids {
-            let Some(waiters) = st.cv_waiters.remove(&cv) else {
-                continue;
-            };
-            let mut keep = Vec::new();
-            for w in waiters {
-                if w.timed || rescue_all {
-                    st.run[w.tid] = Run::Runnable;
-                    st.timed_out[w.tid] = w.timed;
-                    woke = true;
-                } else {
-                    keep.push(w);
-                }
-            }
-            if !keep.is_empty() {
-                st.cv_waiters.insert(cv, keep);
-            }
+        let waiters: Vec<usize> = st.cv_waiters.drain().flat_map(|(_, ws)| ws).collect();
+        for &tid in &waiters {
+            st.run[tid] = Run::Runnable;
+            st.timed_out[tid] = true;
         }
-        woke
+        !waiters.is_empty()
     }
 }
 
@@ -416,7 +396,7 @@ pub(crate) fn mutex_unlock(id: usize) {
 /// timeout. The caller re-acquires the mutex afterwards.
 // lint-allow(NS0004): tids come off the scheduler's own lists, in range
 // by construction.
-pub(crate) fn condvar_wait(cv_id: usize, mutex_id: usize, timed: bool) -> bool {
+pub(crate) fn condvar_wait(cv_id: usize, mutex_id: usize) -> bool {
     let Some((sched, tid)) = scheduler() else {
         return false;
     };
@@ -427,10 +407,7 @@ pub(crate) fn condvar_wait(cv_id: usize, mutex_id: usize, timed: bool) -> bool {
             st.run[w] = Run::Runnable;
         }
     }
-    st.cv_waiters
-        .entry(cv_id)
-        .or_default()
-        .push(CvWaiter { tid, timed });
+    st.cv_waiters.entry(cv_id).or_default().push(tid);
     st.timed_out[tid] = false;
     let mut st = sched.block(st, tid);
     let timed_out = st.timed_out[tid];
@@ -438,26 +415,16 @@ pub(crate) fn condvar_wait(cv_id: usize, mutex_id: usize, timed: bool) -> bool {
     timed_out
 }
 
-/// Model-notifies condvar `cv_id`; a schedule point.
+/// Model-notifies every waiter on condvar `cv_id`; a schedule point.
 // lint-allow(NS0004): woken tids come off the scheduler's own lists, in
 // range by construction.
-pub(crate) fn condvar_notify(cv_id: usize, all: bool) {
+pub(crate) fn condvar_notify_all(cv_id: usize) {
     let Some((sched, tid)) = scheduler() else {
         return;
     };
     sched.pause(tid);
     let mut st = sched.state();
-    let Some(ws) = st.cv_waiters.get_mut(&cv_id) else {
-        return;
-    };
-    let woken: Vec<usize> = if all {
-        ws.drain(..).map(|w| w.tid).collect()
-    } else if ws.is_empty() {
-        Vec::new()
-    } else {
-        vec![ws.remove(0).tid]
-    };
-    for w in woken {
+    for w in st.cv_waiters.remove(&cv_id).unwrap_or_default() {
         st.run[w] = Run::Runnable;
     }
 }

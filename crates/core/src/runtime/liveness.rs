@@ -7,21 +7,24 @@
 //! machinery — ping/pong failure detection and lease-based membership —
 //! and this module is that half of the loop.
 //!
-//! One [`Liveness`] detector exists per *process* and is driven from the
-//! process's router thread, which ticks every few milliseconds even when
-//! all workers are busy or parked:
+//! With [`Config::heartbeats`] on, one [`Liveness`] detector exists per
+//! *process*, driven by the process's `naiad-liveness-<p>` thread
+//! ([`Liveness::run`]), which ticks every few milliseconds even when all
+//! workers are busy or parked. It is the one thread a process runs besides
+//! its workers, and it runs only when heartbeats are on:
 //!
 //! * **Emission** — [`Liveness::maybe_beat`] sends a heartbeat to every
 //!   peer once per configured interval, whatever else the link carries,
-//!   over the fabric's latency-exempt control channel. Everything the
-//!   router receives refreshes liveness as well ([`Liveness::note_heard`]:
-//!   progress batches, membership, credit returns); data frames do not,
-//!   they go to the workers' mailboxes without passing the router.
+//!   over the fabric's latency-exempt control channel.
+//! * **Reception** — heartbeats are all that arrives on an endpoint's
+//!   merged queue, and the thread reads them ([`Liveness::note_heard`]).
+//!   Data frames and progress batches go to the workers' mailboxes, so the
+//!   beats alone keep a peer alive in the detector's eyes.
 //! * **Detection** — [`Liveness::scan`] compares each peer's
 //!   last-heard timestamp (from the fabric's shared [`ClusterClock`])
 //!   against the suspicion and failure thresholds. Crossing the
 //!   suspicion threshold is recorded but benign; crossing the failure
-//!   threshold returns [`FaultKind::ProcessCrashed`], which the router
+//!   threshold returns [`FaultKind::ProcessCrashed`], which the thread
 //!   escalates into the regular typed-error → coordinated-rollback path.
 //! * **Send-side detection** — a heartbeat that bounces with a crash
 //!   error is itself a detection: the peer is gone, no timeout needed.
@@ -29,18 +32,23 @@
 //!   side (the receive-side timeout owns that, keeping the error
 //!   attribution on the unreachable peer rather than the link).
 //!
-//! Detection latency is bounded by `heartbeat_fail_after` plus one
-//! router tick; chaos tests assert the bound. All state is atomic so the
-//! router thread scans while worker telemetry drains transitions.
+//! The detector does not ride worker steps: a process whose only worker
+//! spends longer than `heartbeat_fail_after` inside one operator call is
+//! alive, and a detector driven by that worker would stop beating for it
+//! (`tests/liveness.rs` pins this). Detection latency is bounded by
+//! `heartbeat_fail_after` plus one tick; chaos tests assert the bound. All
+//! state is atomic so the thread scans while worker telemetry drains
+//! transitions.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use naiad_netsim::{ClusterClock, NetSender, SendError};
+use naiad_netsim::{ClusterClock, NetReceiver, NetSender, RecvError, SendError};
 
 use super::channels::HEARTBEAT_TAG;
 use super::config::Config;
-use super::retry::FaultKind;
+use super::retry::{EscalationCell, FaultKind};
 use super::sync::Mutex;
 
 /// A state change in the failure detector, drained into worker telemetry.
@@ -112,10 +120,35 @@ impl Liveness {
         }
     }
 
-    /// The configured heartbeat interval (used to cap the router's idle
-    /// backoff so detector ticks stay timely).
-    pub(crate) fn interval(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.interval_ns)
+    /// The liveness thread body: until `shutdown`, beats when due, scans,
+    /// and waits at most half an interval on the endpoint's merged queue
+    /// for other processes' heartbeats. A detected failure is raised on
+    /// the escalation cell, for the workers to unwind on; the thread itself
+    /// keeps going.
+    pub(crate) fn run(
+        &self,
+        mut rx: NetReceiver,
+        net: &Arc<Mutex<NetSender>>,
+        escalation: &EscalationCell,
+        shutdown: &AtomicBool,
+    ) {
+        let tick = (Duration::from_nanos(self.interval_ns) / 2)
+            .clamp(Duration::from_millis(1), Duration::from_millis(20));
+        while !shutdown.load(Ordering::Acquire) {
+            // `maybe_beat` is interval-gated internally (one atomic load
+            // when not due).
+            if let Some(kind) = self.maybe_beat(net).or_else(|| self.scan()) {
+                escalation.raise(kind);
+            }
+            match rx.recv_deadline(Some(tick)) {
+                Ok(env) => {
+                    debug_assert_eq!(env.channel, HEARTBEAT_TAG);
+                    self.note_heard(env.src);
+                }
+                Err(RecvError::Timeout) => {}
+                Err(RecvError::Disconnected) => return,
+            }
+        }
     }
 
     fn push_transition(&self, t: LivenessTransition) {
@@ -148,7 +181,7 @@ impl Liveness {
     /// immediate detection and is returned for escalation.
     pub(crate) fn maybe_beat(&self, net: &Arc<Mutex<NetSender>>) -> Option<FaultKind> {
         let now = self.clock.now_ns();
-        // Single consumer (the router thread), so a plain load-check-store
+        // Single consumer (the liveness thread), so a plain load-check-store
         // is race-free; atomics are only for the workers' reads.
         if now < self.next_beat.load(Ordering::Acquire) {
             return None;

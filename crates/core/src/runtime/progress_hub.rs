@@ -1,6 +1,5 @@
 //! Transport shell for the progress protocol (§3.3): process-level and
-//! cluster-level accumulation behind the fabric, plus the per-process
-//! router thread that dispatches incoming progress and control traffic.
+//! cluster-level accumulation behind the fabric.
 //!
 //! The protocol itself — buffering policy, batch sequencing, stash-until-
 //! registration — lives in the pure [`GroupCore`] state machine
@@ -11,24 +10,22 @@
 //! By default Naiad accumulates updates at the process level and at the
 //! cluster level: each process sends accumulated updates to a central
 //! accumulator, which broadcasts their net effect to all workers. The
-//! [`ProcessAccumulator`] is shared by a process's workers (deposits) and
-//! its router (observations of external broadcasts); the central
-//! accumulator runs on its own thread behind an extra fabric endpoint.
+//! [`ProcessAccumulator`] is shared by a process's workers: they deposit
+//! their journals into it, and each hands it every batch from another
+//! endpoint before applying the batch itself. The central accumulator runs
+//! on its own thread behind an extra fabric endpoint.
 //!
 //! Who delivers a progress batch ([`ProgressLinks`]): the thread that
-//! flushes it hands the copy addressed to its *own* process straight to
-//! the local workers' inboxes — the bytes never leave the process, so no
-//! second thread is woken to move them — and enqueues the copies for
-//! other processes on the fabric, whose routers fan them out on arrival.
+//! flushes it. A batch for a process is one [fan-out](NetSender::fan_out)
+//! into the mailboxes of all that process's workers — its own process
+//! included, where the bytes skip the latency model — so no thread sits
+//! between the flush and the worker that applies it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use naiad_netsim::{
-    MembershipEvent, MembershipMsg, MembershipTable, NetReceiver, NetSender, RecvError, SendError,
-    TrafficClass,
-};
+use naiad_netsim::{NetReceiver, NetSender, RecvError, SendError, TrafficClass};
 use naiad_wire::{encode_to_vec, Bytes};
 
 use super::sync::Mutex;
@@ -37,13 +34,7 @@ use crate::progress::{
     Endpoint, GroupCore, Hop, ProgressBatch, ProgressMode, ProgressUpdate, Role,
 };
 
-use super::channels::{
-    ChannelKey, ProcessRegistry, CENTRAL_TAG, CREDIT_TAG, HEARTBEAT_TAG, MEMBERSHIP_TAG,
-    PROGRESS_TAG,
-};
-use super::flow::{FlowKey, FlowRegistry};
-use super::liveness::Liveness;
-use super::queue::RingSender;
+use super::channels::{ProcessRegistry, CENTRAL_TAG, PROGRESS_TAG};
 use super::retry::{escalate, send_with_retry, with_retry, EscalationCell, FaultKind, RetryPolicy};
 
 pub(crate) use crate::progress::protocol::{CENTRAL_SENDER, PROC_ACC_SENDER_BASE};
@@ -51,30 +42,23 @@ pub(crate) use crate::progress::protocol::{CENTRAL_SENDER, PROC_ACC_SENDER_BASE}
 /// Counters for the progress hub, surfaced through
 /// [`HubCounters`](crate::telemetry::HubCounters).
 ///
-/// Each idle tick of a hub thread (router or central accumulator) is one
-/// *bounded-backoff* receive timeout: the loops double their wait from
-/// [`IDLE_WAIT_BASE`] up to [`IDLE_WAIT_MAX`] while quiet and snap back
-/// on traffic, so an idle cluster costs a handful of wakeups per second
-/// instead of a tight 5 ms re-loop.
+/// Each idle tick of the central accumulator is one *bounded-backoff*
+/// receive timeout: its loop doubles the wait from [`IDLE_WAIT_BASE`] up
+/// to [`IDLE_WAIT_MAX`] while quiet and snaps back on traffic, so an idle
+/// cluster costs a handful of wakeups per second instead of a tight 5 ms
+/// re-loop.
 #[derive(Debug, Default)]
 pub(crate) struct HubStats {
-    pub(crate) router_idle_ticks: AtomicU64,
     pub(crate) central_idle_ticks: AtomicU64,
-    /// Progress batches the flushing thread put into its own process's
-    /// inboxes itself ([`ProgressLinks::send`]).
+    /// Progress batches a process addressed to its own workers
+    /// ([`ProgressLinks::send`]).
     pub(crate) progress_local_deliveries: AtomicU64,
-    /// Progress batches a router thread took off the fabric and fanned
-    /// out to its process's inboxes.
-    pub(crate) progress_routed: AtomicU64,
-    /// Every envelope a router thread took off the fabric: progress and
-    /// control. Data frames go to their worker's mailbox, past the router.
-    pub(crate) router_envelopes: AtomicU64,
 }
 
 /// First idle wait after traffic.
 const IDLE_WAIT_BASE: Duration = Duration::from_millis(5);
-/// Backoff ceiling; also bounds shutdown-observation latency (the loops
-/// only check the shutdown flag on the timeout arm).
+/// Backoff ceiling; also bounds shutdown-observation latency (the loop
+/// only checks the shutdown flag on the timeout arm).
 const IDLE_WAIT_MAX: Duration = Duration::from_millis(20);
 
 /// Lazily registers `dataflow`'s graph with a [`GroupCore`], looking the
@@ -88,46 +72,32 @@ fn ensure_registered(core: &mut GroupCore, registry: &ProcessRegistry, dataflow:
     }
 }
 
-/// Where a protocol endpoint lives on the fabric, and the tag its batches
-/// travel under: the central accumulator is the one extra endpoint after
-/// the processes.
-fn address(endpoint: Endpoint, processes: usize) -> (usize, u32) {
-    match endpoint {
-        Endpoint::Process(p) => (p, PROGRESS_TAG),
-        Endpoint::Central => (processes, CENTRAL_TAG),
-    }
-}
-
-/// One process's outgoing links for progress batches, shared by its
-/// workers and its accumulator: a fabric link to every other endpoint,
-/// and for the copy a process addresses to itself, its own workers'
-/// inboxes.
+/// One fabric endpoint's outgoing links for progress batches, shared by
+/// the flushing threads there: a process's workers and accumulator, or the
+/// central accumulator.
 pub(crate) struct ProgressLinks {
-    process: usize,
+    /// The sending endpoint: a process, or `processes` for the central
+    /// accumulator's.
+    endpoint: usize,
     processes: usize,
     net: Arc<Mutex<NetSender>>,
     policy: RetryPolicy,
-    /// Progress-inbox senders, one per local worker, resolved once.
-    inboxes: Vec<RingSender<Bytes>>,
     stats: Arc<HubStats>,
 }
 
 impl ProgressLinks {
     pub(crate) fn new(
-        process: usize,
+        endpoint: usize,
         processes: usize,
-        workers_per_process: usize,
-        registry: &ProcessRegistry,
         net: Arc<Mutex<NetSender>>,
         policy: RetryPolicy,
         stats: Arc<HubStats>,
     ) -> Self {
         ProgressLinks {
-            process,
+            endpoint,
             processes,
             net,
             policy,
-            inboxes: progress_inboxes(registry, workers_per_process),
             stats,
         }
     }
@@ -137,14 +107,13 @@ impl ProgressLinks {
     /// link never re-sends to links that already accepted the batch —
     /// re-delivery would violate the per-sender FIFO sequence check.
     ///
-    /// The copy for this process itself is delivered here, by the calling
-    /// thread. The fabric still accounts for it as a send to self
-    /// ([`NetSender::send_loopback`]: attempt counters, crash and
-    /// partition state, loopback metering), so fault schedules fire at the
-    /// same send and Fig 6c counts the same bytes as when it crossed the
-    /// fabric.
+    /// A process receives the batch in every worker's mailbox at once
+    /// ([`NetSender::fan_out`]): one fabric send, so fault schedules fire
+    /// at the same send and Fig 6c counts one frame per `(src, dst)` link,
+    /// the own process's loopback copy included — which no latency model
+    /// delays.
     ///
-    /// A sender's batches must reach every inbox in `seq` order: callers
+    /// A sender's batches must reach every mailbox in `seq` order: callers
     /// emit and send under one lock (the accumulator's) or from the one
     /// thread that owns the emitter (a worker's).
     pub(crate) fn send(&self, hop: Hop, bytes: &Bytes) -> Result<(), SendError> {
@@ -153,40 +122,27 @@ impl ProgressLinks {
     }
 
     fn send_to(&self, endpoint: Endpoint, bytes: &Bytes) -> Result<(), SendError> {
-        if endpoint != Endpoint::Process(self.process) {
-            let (dst, tag) = address(endpoint, self.processes);
-            return send_with_retry(&self.net, self.policy, dst, tag, bytes);
-        }
+        let Endpoint::Process(process) = endpoint else {
+            return send_with_retry(&self.net, self.policy, self.processes, CENTRAL_TAG, bytes);
+        };
         with_retry(self.policy, || {
             self.net
                 .lock()
-                .send_loopback(TrafficClass::Progress, bytes.len())
+                .fan_out(process, PROGRESS_TAG, TrafficClass::Progress, bytes.clone())
         })?;
-        for inbox in &self.inboxes {
-            inbox.send(bytes.clone());
+        if process == self.endpoint {
+            self.stats
+                .progress_local_deliveries
+                .fetch_add(1, Ordering::Relaxed);
         }
-        self.stats
-            .progress_local_deliveries
-            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 }
 
-/// The progress-inbox senders of a process's workers, in local-worker
-/// order.
-fn progress_inboxes(
-    registry: &ProcessRegistry,
-    workers_per_process: usize,
-) -> Vec<RingSender<Bytes>> {
-    (0..workers_per_process)
-        .map(|w| registry.sender::<Bytes>(ChannelKey::Progress(w)))
-        .collect()
-}
-
 /// The process-level accumulator (§3.3): a transport shell around a pure
-/// [`GroupCore`]. Workers deposit their journals; the router reports
-/// external broadcasts; flushes leave through the fabric according to
-/// the progress mode.
+/// [`GroupCore`]. Workers deposit their journals and tee it the batches
+/// other endpoints broadcast; flushes leave through the fabric according
+/// to the progress mode.
 pub(crate) struct ProcessAccumulator {
     core: GroupCore,
     registry: Arc<ProcessRegistry>,
@@ -224,9 +180,13 @@ impl ProcessAccumulator {
         }
     }
 
-    /// Observes a broadcast the router took off the fabric (from another
-    /// process's accumulator or the central accumulator); forwards a flush
-    /// if the buffered updates are no longer safe to hold.
+    /// The tee: observes a broadcast from another endpoint (another
+    /// process's accumulator or the central accumulator) that a local
+    /// worker is about to apply; forwards a flush if the buffered updates
+    /// are no longer safe to hold. Every local worker calls this before it
+    /// applies such a batch, and the core observes each batch the first
+    /// time only — so the accumulator has observed every batch before any
+    /// local worker applies it.
     pub(crate) fn observe(&mut self, batch: &ProgressBatch) {
         ensure_registered(&mut self.core, &self.registry, batch.dataflow as usize);
         if let Some(flushed) = self.core.observe(batch) {
@@ -234,9 +194,9 @@ impl ProcessAccumulator {
         }
     }
 
-    /// Sends a flush where the mode says. A copy for our own process
-    /// lands in the local inboxes before `send` returns, under the lock
-    /// the caller holds on `self`.
+    /// Sends a flush where the mode says. A copy for our own process is in
+    /// the local mailboxes before `send` returns, under the lock the caller
+    /// holds on `self`.
     fn forward(&self, batch: &ProgressBatch) {
         let bytes: Bytes = encode_to_vec(batch).into();
         if let Err(err) = self.links.send(self.core.hop(), &bytes) {
@@ -247,19 +207,19 @@ impl ProcessAccumulator {
 
 /// The cluster-level accumulator thread body (§3.3): receives batches on
 /// the extra fabric endpoint, accumulates, and broadcasts net effects to
-/// every process.
-#[allow(clippy::too_many_arguments)]
+/// every process through `links`.
+///
+/// It keeps a thread of its own — the one thread in a run that is not a
+/// worker — because it is the paper's separate cluster-level endpoint: no
+/// worker lives at it to drive it.
 pub(crate) fn run_central_accumulator(
     mut rx: NetReceiver,
-    net: &Arc<Mutex<NetSender>>,
+    links: &ProgressLinks,
     registry: &ProcessRegistry,
     mode: ProgressMode,
-    processes: usize,
     total_workers: usize,
     shutdown: &AtomicBool,
-    policy: RetryPolicy,
     escalation: &EscalationCell,
-    stats: &HubStats,
 ) {
     let mut core = GroupCore::new(
         CENTRAL_SENDER,
@@ -285,16 +245,16 @@ pub(crate) fn run_central_accumulator(
                 ensure_registered(&mut core, registry, batch.dataflow as usize);
                 if let Some(out) = core.deposit(batch.dataflow, batch.updates) {
                     let bytes: Bytes = encode_to_vec(&out).into();
-                    for endpoint in core.hop().endpoints(processes) {
-                        let (dst, tag) = address(endpoint, processes);
-                        if let Err(err) = send_with_retry(net, policy, dst, tag, &bytes) {
-                            escalate(escalation, FaultKind::from_send_error(err));
-                        }
+                    if let Err(err) = links.send(core.hop(), &bytes) {
+                        escalate(escalation, FaultKind::from_send_error(err));
                     }
                 }
             }
             Err(RecvError::Timeout) => {
-                stats.central_idle_ticks.fetch_add(1, Ordering::Relaxed);
+                links
+                    .stats
+                    .central_idle_ticks
+                    .fetch_add(1, Ordering::Relaxed);
                 if shutdown.load(Ordering::Acquire) {
                     return;
                 }
@@ -307,205 +267,28 @@ pub(crate) fn run_central_accumulator(
     }
 }
 
-/// The per-process router thread body: reads the endpoint's merged queue —
-/// progress, membership, heartbeats, credit returns — fanning progress
-/// broadcasts out to every local worker and teeing them into the process
-/// accumulator where the mode requires. The broadcasts it sees come from
-/// other endpoints; this process's own are delivered by the thread that
-/// flushed them ([`ProgressLinks::send`]). Data frames never come this way:
-/// the fabric puts each into the mailbox of the worker that reads it
-/// ([`Mailbox`](super::channels::Mailbox)).
-///
-/// The router also *is* the process's liveness driver: it ticks the
-/// failure detector every loop iteration (it wakes at least every
-/// `heartbeat_interval / 2` when a detector is installed, even with all
-/// workers parked), refreshes peer liveness on every arrival, and raises
-/// detected failures on the escalation cell — without panicking itself,
-/// so routing continues while the workers unwind.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_router(
-    mut rx: NetReceiver,
-    registry: &ProcessRegistry,
-    workers_per_process: usize,
-    accumulator: Option<&Mutex<ProcessAccumulator>>,
-    shutdown: &AtomicBool,
-    net: &Arc<Mutex<NetSender>>,
-    liveness: Option<&Liveness>,
-    escalation: &EscalationCell,
-    stats: &HubStats,
-    membership: MembershipMsg,
-    flow: Option<&FlowRegistry>,
-) {
-    let progress_txs = progress_inboxes(registry, workers_per_process);
-    // Membership plane (elastic rescaling): announce this process's view
-    // of the current generation, then fold peer announcements into a
-    // table that dedups chaos re-deliveries and discards pre-rescale
-    // stragglers. Announcements are best-effort — a peer we cannot reach
-    // is the failure detector's concern, not the membership plane's.
-    let mut members = MembershipTable::new(membership.generation, membership.processes);
-    members
-        .observe(membership)
-        // lint-allow(NS0004): the table was seeded from this very
-        // announcement two lines up; self-observation cannot conflict.
-        .expect("own membership announcement is self-consistent");
-    {
-        let payload: Bytes = membership.encode().to_vec().into();
-        let mut net = net.lock();
-        for dst in 0..membership.processes {
-            if dst != membership.process {
-                let _ = net.send_control(dst, MEMBERSHIP_TAG, payload.clone());
-            }
-        }
-    }
-    // With a detector installed the idle wait is additionally capped so
-    // heartbeat emission and suspicion scans stay timely.
-    let wait_cap = match &liveness {
-        Some(live) => (live.interval() / 2).clamp(Duration::from_millis(1), IDLE_WAIT_MAX),
-        None => IDLE_WAIT_MAX,
-    };
-    let mut wait = IDLE_WAIT_BASE.min(wait_cap);
-    loop {
-        if let Some(live) = &liveness {
-            // Emission and detection both ride the router tick: `maybe_beat`
-            // is interval-gated internally (one atomic load when not due).
-            let detected = live.maybe_beat(net).or_else(|| live.scan());
-            if let Some(kind) = detected {
-                escalation.raise(kind);
-            }
-        }
-        match rx.recv_deadline(Some(wait)) {
-            Ok(env) => {
-                wait = IDLE_WAIT_BASE.min(wait_cap);
-                stats.router_envelopes.fetch_add(1, Ordering::Relaxed);
-                if let Some(live) = &liveness {
-                    // Anything the router receives proves its sender alive;
-                    // heartbeats carry no other content.
-                    live.note_heard(env.src);
-                }
-                match env.channel {
-                    HEARTBEAT_TAG => {}
-                    MEMBERSHIP_TAG => {
-                        let msg = MembershipMsg::decode(&env.payload).unwrap_or_else(|e| {
-                            panic!(
-                                "router: undecodable membership announcement from endpoint {} \
-                                 ({} bytes) — wire corruption or protocol mismatch: {e}",
-                                env.src,
-                                env.payload.len()
-                            )
-                        });
-                        match members.observe(msg) {
-                            // Admitted peers and idempotent re-deliveries are
-                            // the protocol working; stale announcements are
-                            // pre-rescale stragglers that must not resurrect
-                            // removed peers; a future generation means this
-                            // phase is being superseded and will be torn down
-                            // by the coordinator momentarily.
-                            Ok(
-                                MembershipEvent::Admitted
-                                | MembershipEvent::Duplicate
-                                | MembershipEvent::Stale { .. }
-                                | MembershipEvent::Future { .. },
-                            ) => {}
-                            Err(e) => panic!(
-                                "router: membership conflict from endpoint {}: {e}",
-                                env.src
-                            ),
-                        }
-                    }
-                    PROGRESS_TAG => {
-                        stats.progress_routed.fetch_add(1, Ordering::Relaxed);
-                        for tx in &progress_txs {
-                            tx.send(env.payload.clone());
-                        }
-                        if let Some(acc) = &accumulator {
-                            let batch: ProgressBatch =
-                                naiad_wire::decode_from_slice(&env.payload).unwrap_or_else(|e| {
-                                    panic!(
-                                        "router: undecodable progress batch from endpoint {} \
-                                         ({} bytes) — wire corruption or protocol mismatch: {e:?}",
-                                        env.src,
-                                        env.payload.len()
-                                    )
-                                });
-                            // In Local+Global everything arrives via the
-                            // central accumulator and is observed, this
-                            // process's own updates included, because its
-                            // flushes were not folded.
-                            acc.lock().observe(&batch);
-                        }
-                    }
-                    CREDIT_TAG => {
-                        // Credit return from a remote receiver (DESIGN.md
-                        // §15): `(data tag, bytes)` for a batch one of our
-                        // workers sent to process `env.src` and that has now
-                        // been consumed there. Stray returns after a local
-                        // reconfiguration are ignored — the flow registry is
-                        // per-run.
-                        if let Some(flow) = flow {
-                            let mut input = &env.payload[..];
-                            let decoded = naiad_wire::Wire::decode(&mut input)
-                                .and_then(|tag: u32| {
-                                    naiad_wire::Wire::decode(&mut input)
-                                        .map(|bytes: u64| (tag, bytes))
-                                });
-                            match decoded {
-                                Ok((tag, bytes)) => {
-                                    let key =
-                                        FlowKey::Remote(membership.process, env.src, tag);
-                                    flow.release_key(key, bytes);
-                                }
-                                Err(e) => panic!(
-                                    "router: undecodable credit return from endpoint {} \
-                                     ({} bytes): {e:?}",
-                                    env.src,
-                                    env.payload.len()
-                                ),
-                            }
-                        }
-                    }
-                    tag => panic!(
-                        "router: endpoint {} sent tag {tag:#x} ({} bytes) to the merged queue — \
-                         a data frame is addressed to its worker's mailbox and a central batch \
-                         to the central endpoint, never to a router",
-                        env.src,
-                        env.payload.len()
-                    ),
-                }
-            }
-            Err(RecvError::Timeout) => {
-                stats.router_idle_ticks.fetch_add(1, Ordering::Relaxed);
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                // Bounded backoff between idle ticks (capped tighter when a
-                // detector needs timely scans).
-                wait = (wait * 2).min(wait_cap);
-            }
-            Err(RecvError::Disconnected) => return,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     use crate::graph::{ContextId, GraphBuilder, StageId, StageKind};
     use crate::progress::Pointstamp;
-    use crate::runtime::queue::RingReceiver;
     use crate::time::Timestamp;
 
-    /// A one-process Local-mode hub over the graph input(0) → sink(1),
-    /// already registered with the accumulator.
+    /// Process 0 of a Local-mode cluster of `processes` processes with
+    /// `workers` workers each, over the graph input(0) → sink(1), already
+    /// registered with process 0's accumulator.
     struct Hub {
         acc: Arc<Mutex<ProcessAccumulator>>,
-        /// Every worker's progress inbox.
-        inboxes: Vec<RingReceiver<Bytes>>,
+        /// Every local worker's mailbox.
+        mailboxes: Vec<NetReceiver>,
         net: Arc<Mutex<NetSender>>,
+        /// Process 1's send half, when there is a process 1.
+        peer: Option<NetSender>,
         stats: Arc<HubStats>,
     }
 
-    fn hub(workers: usize) -> Hub {
+    fn hub(processes: usize, workers: usize) -> Hub {
         let mut g = GraphBuilder::new();
         let input = g.add_stage("in", StageKind::Input, ContextId::ROOT, 0, 1);
         let sink = g.add_stage("sink", StageKind::Regular, ContextId::ROOT, 1, 0);
@@ -514,14 +297,13 @@ mod tests {
 
         let registry = Arc::new(ProcessRegistry::default());
         registry.register_dataflow(0, graph);
-        let inboxes = (0..workers)
-            .map(|w| registry.receiver::<Bytes>(ChannelKey::Progress(w)))
-            .collect();
-        let (tx, _rx) = naiad_netsim::Fabric::builder(1)
+        let mut endpoints = naiad_netsim::Fabric::builder(processes)
+            .mailboxes(workers)
             .build()
-            .pop()
-            .expect("one endpoint")
-            .split();
+            .into_iter()
+            .map(naiad_netsim::Endpoint::split_mailboxes);
+        let (tx, _merged, mailboxes) = endpoints.next().expect("process 0");
+        let peer = endpoints.next().map(|(tx, _, _)| tx);
         let net = Arc::new(Mutex::new(tx));
         let stats = Arc::new(HubStats::default());
         let policy = RetryPolicy {
@@ -530,9 +312,7 @@ mod tests {
         };
         let links = Arc::new(ProgressLinks::new(
             0,
-            1,
-            workers,
-            &registry,
+            processes,
             net.clone(),
             policy,
             stats.clone(),
@@ -542,7 +322,7 @@ mod tests {
             ProgressMode::Local,
             registry,
             links,
-            workers,
+            processes * workers,
             Arc::new(EscalationCell::default()),
         );
         // A +1/−1 pair cancels in the buffer and flushes nothing; it makes
@@ -552,22 +332,26 @@ mod tests {
         acc.deposit(0, vec![(sink_at_0, 1), (sink_at_0, -1)]);
         Hub {
             acc: Arc::new(Mutex::new(acc)),
-            inboxes,
+            mailboxes,
             net,
+            peer,
             stats,
         }
     }
 
-    /// One worker's input moving from `epoch` to the next. While no
+    /// `workers` input stamps moving from `epoch` to the next. While no
     /// worker lags behind `epoch`, the retired pointstamp is at the
     /// frontier and covered by nothing, so the deposit flushes a batch.
-    fn advance_input(epoch: u64) -> Vec<ProgressUpdate> {
+    fn advance_input(epoch: u64, workers: i64) -> Vec<ProgressUpdate> {
         vec![
             (
                 Pointstamp::at_vertex(Timestamp::new(epoch + 1), StageId(0)),
-                1,
+                workers,
             ),
-            (Pointstamp::at_vertex(Timestamp::new(epoch), StageId(0)), -1),
+            (
+                Pointstamp::at_vertex(Timestamp::new(epoch), StageId(0)),
+                -workers,
+            ),
         ]
     }
 
@@ -575,22 +359,29 @@ mod tests {
         naiad_wire::decode_from_slice(bytes).expect("hub delivers encoded batches")
     }
 
-    /// Fig 6c's definition survives the shortcut: the loopback link
-    /// meters each own-process batch once, at its encoded length, and
-    /// every local worker is handed those same bytes.
+    /// Every batch a mailbox holds right now, decoded.
+    fn received(mailbox: &mut NetReceiver) -> Vec<ProgressBatch> {
+        std::iter::from_fn(|| mailbox.try_recv())
+            .map(|env| decode(&env.payload))
+            .collect()
+    }
+
+    /// Fig 6c's definition survives the fan-out: the loopback link meters
+    /// each own-process batch once, at its encoded length, and every local
+    /// worker's mailbox is handed those same bytes.
     #[test]
     fn own_process_copy_is_metered_once_at_its_encoded_length() {
-        let hub = hub(2);
+        let mut hub = hub(1, 2);
         let batches = 200u64;
         for epoch in 0..batches / 2 {
             for _worker in 0..2 {
-                hub.acc.lock().deposit(0, advance_input(epoch));
+                hub.acc.lock().deposit(0, advance_input(epoch, 1));
             }
         }
         let delivered: Vec<Vec<Bytes>> = hub
-            .inboxes
-            .iter()
-            .map(|inbox| std::iter::from_fn(|| inbox.try_recv()).collect())
+            .mailboxes
+            .iter_mut()
+            .map(|mailbox| std::iter::from_fn(|| mailbox.try_recv().map(|e| e.payload)).collect())
             .collect();
         assert_eq!(delivered[0], delivered[1], "workers share one encoding");
         let seqs: Vec<u64> = delivered[0].iter().map(|b| decode(b).seq).collect();
@@ -610,59 +401,162 @@ mod tests {
         );
     }
 
-    #[cfg(loom)]
+    /// A worker parked on its mailbox while a peer's deposit flushes under
+    /// the accumulator lock is woken with the batch. (The mailbox is a
+    /// `std::sync::mpsc` queue, which the `--cfg loom` explorer cannot
+    /// schedule, so this runs on real threads.)
+    #[test]
+    fn a_parked_worker_is_woken_by_a_local_delivery() {
+        for _ in 0..20 {
+            let Hub {
+                acc, mut mailboxes, ..
+            } = hub(1, 1);
+            let mut mailbox = mailboxes.remove(0);
+            let parked = std::thread::spawn(move || {
+                mailbox
+                    .recv_deadline(Some(Duration::from_secs(5)))
+                    .map(|env| decode(&env.payload).seq)
+            });
+            acc.lock().deposit(0, advance_input(0, 1));
+            assert_eq!(parked.join().expect("parked worker"), Ok(0));
+        }
+    }
+
     type Body = Box<dyn FnOnce() + Send>;
 
-    /// A worker parked on its progress inbox while a peer's deposit
-    /// flushes under the accumulator lock: in every schedule the worker
-    /// is handed the batch. A lost wake-up would leave it parked until
-    /// the model's timeout rescue, and `recv_timeout` would answer `None`.
-    #[cfg(loom)]
-    #[test]
-    fn loom_parked_worker_never_misses_a_local_delivery() {
-        crate::runtime::interleave::explore(|| {
-            let Hub {
-                acc, mut inboxes, ..
-            } = hub(1);
-            let inbox = inboxes.remove(0);
-            vec![
-                Box::new(move || {
-                    let got = inbox.recv_timeout(Duration::from_secs(5));
-                    assert_eq!(
-                        got.as_ref().map(|b| decode(b).seq),
-                        Some(0),
-                        "a parked worker must be woken with the flushed batch"
-                    );
-                }) as Body,
-                Box::new(move || acc.lock().deposit(0, advance_input(0))) as Body,
-            ]
-        });
+    /// Runs a scenario's threads once, on the OS scheduler (the `--cfg
+    /// loom` tests below explore the same scenarios in every schedule).
+    fn run_threads(bodies: Vec<Body>) {
+        let threads: Vec<_> = bodies.into_iter().map(std::thread::spawn).collect();
+        for thread in threads {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     }
 
     /// Two workers depositing concurrently: whichever order the
-    /// accumulator serves them in, every worker's inbox receives the
-    /// accumulator's batches in `seq` order.
+    /// accumulator serves them in, every mailbox receives the
+    /// accumulator's batches in `seq` order. (The mailboxes are read once
+    /// both deposits are done: the explorer cannot park on them.)
+    fn concurrent_depositors() -> Vec<Body> {
+        use std::sync::atomic::AtomicUsize;
+        let Hub { acc, mailboxes, .. } = hub(1, 2);
+        let mailboxes = Arc::new(std::sync::Mutex::new(mailboxes));
+        let done = Arc::new(AtomicUsize::new(0));
+        let depositor = |acc: Arc<Mutex<ProcessAccumulator>>| {
+            let mailboxes = mailboxes.clone();
+            let done = done.clone();
+            Box::new(move || {
+                acc.lock().deposit(0, advance_input(0, 1));
+                if done.fetch_add(1, Ordering::SeqCst) == 1 {
+                    let mut mailboxes = mailboxes.lock().expect("one reader");
+                    for (worker, mailbox) in mailboxes.iter_mut().enumerate() {
+                        let seqs: Vec<u64> = received(mailbox).iter().map(|b| b.seq).collect();
+                        assert_eq!(seqs, [0, 1], "mailbox {worker} out of order");
+                    }
+                }
+            }) as Body
+        };
+        vec![depositor(acc.clone()), depositor(acc)]
+    }
+
+    #[test]
+    fn concurrent_depositors_deliver_in_seq_order() {
+        for _ in 0..20 {
+            run_threads(concurrent_depositors());
+        }
+    }
+
     #[cfg(loom)]
     #[test]
     fn loom_concurrent_depositors_deliver_in_seq_order() {
-        crate::runtime::interleave::explore(|| {
-            let Hub { acc, inboxes, .. } = hub(2);
-            let depositor = |acc: Arc<Mutex<ProcessAccumulator>>| {
-                Box::new(move || acc.lock().deposit(0, advance_input(0))) as Body
+        let schedules = crate::runtime::interleave::explore(concurrent_depositors);
+        assert!(schedules > 1, "the explorer must branch, got {schedules}");
+    }
+
+    /// The tee: two local workers each take the same two batches from
+    /// another process's accumulator out of their mailboxes, hand each to
+    /// the process accumulator and apply it. The accumulator has observed a
+    /// batch before either worker applies it, and observes each exactly
+    /// once, in `seq` order — its view ends with the remote workers' input
+    /// stamps moved exactly twice.
+    fn two_workers_tee_external_batches() -> Vec<Body> {
+        use crate::progress::WorkerCore;
+        use std::sync::atomic::AtomicUsize;
+        let Hub {
+            acc,
+            mailboxes,
+            peer,
+            ..
+        } = hub(2, 2);
+        let mut peer = peer.expect("process 1");
+        let remote = PROC_ACC_SENDER_BASE + 1;
+        for seq in 0..2 {
+            let batch = ProgressBatch {
+                sender: remote,
+                seq,
+                dataflow: 0,
+                updates: advance_input(seq, 2),
             };
-            vec![
-                depositor(acc.clone()),
-                depositor(acc),
+            let bytes: Bytes = encode_to_vec(&batch).into();
+            peer.fan_out(0, PROGRESS_TAG, TrafficClass::Progress, bytes)
+                .expect("fault-free fabric");
+        }
+        let graph = acc
+            .lock()
+            .registry
+            .dataflow_graph(0)
+            .expect("registered graph");
+        let done = Arc::new(AtomicUsize::new(0));
+        mailboxes
+            .into_iter()
+            .enumerate()
+            .map(|(worker, mut mailbox)| {
+                let acc = acc.clone();
+                let done = done.clone();
+                let mut core = WorkerCore::new(graph.clone(), 0, worker as u32, 4);
                 Box::new(move || {
-                    for (worker, inbox) in inboxes.iter().enumerate() {
-                        let seqs: Vec<_> = (0..2)
-                            .map(|_| inbox.recv_timeout(Duration::from_secs(5)))
-                            .map(|bytes| bytes.as_ref().map(|b| decode(b).seq))
-                            .collect();
-                        assert_eq!(seqs, [Some(0), Some(1)], "inbox {worker} out of order");
+                    for batch in received(&mut mailbox) {
+                        acc.lock().observe(&batch);
+                        let observed = acc.lock().core.observed_through(remote, 0);
+                        assert!(
+                            observed >= Some(batch.seq),
+                            "worker {worker} applies seq {} before the accumulator \
+                             observed it ({observed:?})",
+                            batch.seq
+                        );
+                        core.apply(&batch).expect("per-sender FIFO");
                     }
-                }) as Body,
-            ]
-        });
+                    if done.fetch_add(1, Ordering::SeqCst) == 1 {
+                        let acc = acc.lock();
+                        let view = acc.core.view(0).expect("registered");
+                        let input_at =
+                            |epoch| Pointstamp::at_vertex(Timestamp::new(epoch), StageId(0));
+                        // Four input stamps at epoch 0; the remote two moved
+                        // to 1, then to 2 — once each.
+                        assert_eq!(
+                            [0, 1, 2].map(|e| view.occurrence(&input_at(e))),
+                            [2, 0, 2],
+                            "each external batch observed exactly once"
+                        );
+                    }
+                }) as Body
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_workers_tee_an_external_batch_once_before_applying() {
+        for _ in 0..20 {
+            run_threads(two_workers_tee_external_batches());
+        }
+    }
+
+    #[cfg(loom)]
+    #[test]
+    fn loom_two_workers_tee_an_external_batch_once_before_applying() {
+        let schedules = crate::runtime::interleave::explore(two_workers_tee_external_batches);
+        assert!(schedules > 1, "the explorer must branch, got {schedules}");
     }
 }

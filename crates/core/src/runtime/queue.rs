@@ -3,30 +3,25 @@
 //! `std::sync::mpsc` allocates a fresh node for every send; on the
 //! exchange hot path that is one heap allocation per batch per hop,
 //! which the allocation-regression harness (`tests/alloc_budget.rs`)
-//! forbids. These queues are a `VecDeque` behind a mutex plus a condvar:
-//! the deque's ring storage is *retained* across pops, so a warmed-up
-//! queue moves batches with zero allocations (DESIGN.md §16).
+//! forbids. These queues are a `VecDeque` behind a mutex: the deque's ring
+//! storage is *retained* across pops, so a warmed-up queue moves batches
+//! with zero allocations (DESIGN.md §16).
 //!
-//! The API mirrors the slice of `mpsc` the runtime used — `send`,
-//! `try_recv`, `recv`, `recv_timeout` — with `Option` results instead of
-//! disconnect errors: queue lifetime is governed by the worker shutdown
-//! protocol (liveness watchdog + epoch fences), not by sender drops, so
-//! a disconnect signal would have no consumer.
+//! The API is the slice of `mpsc` the runtime uses — `send` and
+//! `try_recv` — with an `Option` result instead of disconnect errors:
+//! queue lifetime is governed by the worker shutdown protocol (liveness
+//! watchdog + epoch fences), not by sender drops, so a disconnect signal
+//! would have no consumer. Nothing blocks on a ring: a worker polls its
+//! rings every step and parks on its fabric mailbox.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
-use super::sync::{Condvar, Mutex};
-
-struct Ring<T> {
-    deque: Mutex<VecDeque<T>>,
-    ready: Condvar,
-}
+use super::sync::Mutex;
 
 /// The sending handle of a ring queue; clone freely.
 pub(crate) struct RingSender<T> {
-    ring: Arc<Ring<T>>,
+    ring: Arc<Mutex<VecDeque<T>>>,
 }
 
 impl<T> Clone for RingSender<T> {
@@ -41,63 +36,26 @@ impl<T> RingSender<T> {
     /// Enqueues `value`. Never blocks and never fails; backpressure is the
     /// credit layer's job (`runtime::flow`), not the queue's.
     pub(crate) fn send(&self, value: T) {
-        self.ring.deque.lock().push_back(value);
-        self.ring.ready.notify_one();
+        self.ring.lock().push_back(value);
     }
 }
 
 /// The receiving handle of a ring queue.
 pub(crate) struct RingReceiver<T> {
-    ring: Arc<Ring<T>>,
+    ring: Arc<Mutex<VecDeque<T>>>,
 }
 
 impl<T> RingReceiver<T> {
     /// Dequeues the next value if one is ready.
     pub(crate) fn try_recv(&self) -> Option<T> {
-        self.ring.deque.lock().pop_front()
-    }
-
-    /// Blocks until a value arrives.
-    #[cfg(test)]
-    pub(crate) fn recv(&self) -> T {
-        let mut guard = self.ring.deque.lock();
-        loop {
-            if let Some(v) = guard.pop_front() {
-                return v;
-            }
-            guard = self.ring.ready.wait(guard);
-        }
-    }
-
-    /// Blocks up to `timeout` for a value.
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.ring.deque.lock();
-        loop {
-            if let Some(v) = guard.pop_front() {
-                return Some(v);
-            }
-            let now = std::time::Instant::now();
-            let remaining = deadline.checked_duration_since(now)?;
-            let (g, timed_out) = self.ring.ready.wait_timeout(guard, remaining);
-            guard = g;
-            if timed_out && guard.is_empty() {
-                return None;
-            }
-        }
+        self.ring.lock().pop_front()
     }
 }
 
 /// Creates a connected sender/receiver pair.
 pub(crate) fn ring<T>() -> (RingSender<T>, RingReceiver<T>) {
-    let ring = Arc::new(Ring {
-        deque: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
-    });
-    (
-        RingSender { ring: ring.clone() },
-        RingReceiver { ring },
-    )
+    let ring = Arc::new(Mutex::new(VecDeque::new()));
+    (RingSender { ring: ring.clone() }, RingReceiver { ring })
 }
 
 #[cfg(test)]
@@ -111,24 +69,8 @@ mod tests {
         tx.send(1);
         tx.send(2);
         assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.recv(), 2);
-    }
-
-    #[test]
-    fn recv_timeout_returns_none_when_idle() {
-        let (_tx, rx) = ring::<u32>();
-        let start = std::time::Instant::now();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), None);
-        assert!(start.elapsed() >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn recv_timeout_wakes_on_send() {
-        let (tx, rx) = ring::<u32>();
-        let t = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(5));
-        tx.send(9);
-        assert_eq!(t.join().unwrap(), Some(9));
+        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(rx.try_recv(), None);
     }
 
     #[test]
@@ -141,45 +83,12 @@ mod tests {
         for _ in 0..64 {
             rx.try_recv().unwrap();
         }
-        let cap_probe = |r: &RingReceiver<u64>| r.ring.deque.lock().capacity();
+        let cap_probe = |r: &RingReceiver<u64>| r.ring.lock().capacity();
         let warmed = cap_probe(&rx);
         for round in 0..1000u64 {
             tx.send(round);
             rx.try_recv().unwrap();
         }
         assert_eq!(cap_probe(&rx), warmed, "steady state must not reallocate");
-    }
-}
-
-#[cfg(all(test, loom))]
-mod loom_tests {
-    use super::*;
-    use crate::runtime::interleave::explore;
-
-    /// FIFO order and wakeup across every schedule: a sender pushing two
-    /// values and a receiver taking two must always hand over `[1, 2]`,
-    /// whether the receiver races ahead (and parks) or trails the
-    /// sender. Exercises the full model condvar protocol — park, notify,
-    /// mutex re-acquire — under the explorer.
-    #[test]
-    fn loom_ring_fifo_and_wakeup() {
-        explore(|| {
-            let (tx, rx) = ring::<u32>();
-            vec![
-                Box::new(move || {
-                    tx.send(1);
-                    tx.send(2);
-                }) as Box<dyn FnOnce() + Send>,
-                Box::new(move || {
-                    let first = rx.recv_timeout(Duration::from_secs(5));
-                    let second = rx.recv_timeout(Duration::from_secs(5));
-                    assert_eq!(
-                        (first, second),
-                        (Some(1), Some(2)),
-                        "ring must be FIFO and lossless in every schedule"
-                    );
-                }) as Box<dyn FnOnce() + Send>,
-            ]
-        });
     }
 }

@@ -99,19 +99,6 @@ mod imp {
             Condvar(std::sync::Condvar::new())
         }
 
-        /// Blocks until notified (or a spurious wake; callers loop on
-        /// their predicate regardless). Only blocking *test* receivers
-        /// use the untimed wait — production paths all bound their
-        /// waits — hence the dead-code allowance outside test builds.
-        #[cfg_attr(not(test), allow(dead_code))]
-        pub(crate) fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            let inner = match self.0.wait(guard.inner) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            MutexGuard { inner }
-        }
-
         /// Blocks up to `timeout`; the `bool` is `true` when the wait
         /// timed out rather than being notified.
         pub(crate) fn wait_timeout<'a, T>(
@@ -124,10 +111,6 @@ mod imp {
                 Err(poisoned) => poisoned.into_inner(),
             };
             (MutexGuard { inner }, result.timed_out())
-        }
-
-        pub(crate) fn notify_one(&self) {
-            self.0.notify_one();
         }
 
         pub(crate) fn notify_all(&self) {
@@ -265,17 +248,13 @@ mod imp {
             }
         }
 
-        fn model_wait<'a, T>(
-            &self,
-            mut guard: MutexGuard<'a, T>,
-            timed: bool,
-        ) -> (MutexGuard<'a, T>, bool) {
+        fn model_wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> (MutexGuard<'a, T>, bool) {
             let mutex = guard.mutex;
             // Drop the std lock, then atomically (we hold the schedule
             // token until the next yield point, so nothing runs between)
             // release the model mutex and park on the model condvar.
             drop(guard.held.take());
-            let timed_out = interleave::condvar_wait(self.id, mutex.id, timed);
+            let timed_out = interleave::condvar_wait(self.id, mutex.id);
             interleave::mutex_lock(mutex.id);
             (
                 MutexGuard {
@@ -284,25 +263,6 @@ mod imp {
                 },
                 timed_out,
             )
-        }
-
-        pub(crate) fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-            if interleave::on_model_thread() {
-                return self.model_wait(guard, false).0;
-            }
-            let mut guard = guard;
-            let Some(held) = guard.held.take() else {
-                unreachable!("wait on a guard mid-handoff")
-            };
-            let mutex = guard.mutex;
-            let inner = match self.inner.wait(held) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            MutexGuard {
-                held: Some(inner),
-                mutex,
-            }
         }
 
         pub(crate) fn wait_timeout<'a, T>(
@@ -314,7 +274,7 @@ mod imp {
                 // The model ignores wall-clock durations: a timed waiter
                 // is simply *rescuable* when the schedule would otherwise
                 // deadlock, which models timeout expiry.
-                return self.model_wait(guard, true);
+                return self.model_wait(guard);
             }
             let mut guard = guard;
             let Some(held) = guard.held.take() else {
@@ -334,13 +294,8 @@ mod imp {
             )
         }
 
-        pub(crate) fn notify_one(&self) {
-            interleave::condvar_notify(self.id, false);
-            self.inner.notify_one();
-        }
-
         pub(crate) fn notify_all(&self) {
-            interleave::condvar_notify(self.id, true);
+            interleave::condvar_notify_all(self.id);
             self.inner.notify_all();
         }
     }

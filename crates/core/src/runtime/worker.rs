@@ -18,7 +18,7 @@ use crate::graph::StageId;
 use crate::progress::{Hop, ProgressBatch, ProgressUpdate, Role, WorkerCore};
 use crate::telemetry::{Recorder, TelemetryEvent, WorkerTelemetry};
 
-use super::channels::{ChannelKey, Journal, Mailbox, ProcessRegistry, RoutingContext};
+use super::channels::{Journal, Mailbox, ProcessRegistry, ProgressFrame, RoutingContext};
 use super::config::Config;
 use super::durability::{open_blob, seal_blob, RestoreError};
 use super::flow::{FlowRegistry, OverloadFlag, OverloadMonitor};
@@ -51,9 +51,10 @@ struct DataflowRuntime {
 }
 
 /// The watchdog tick of [`Worker::idle_wait`]: an idle worker blocks on
-/// its progress inbox's condvar and wakes the moment a batch arrives; this
-/// bounds the wait so it re-polls its data queues and feeds the stall
-/// watchdog even when no progress traffic comes. Not a latency floor.
+/// its fabric mailbox and wakes the moment a frame — a progress batch or a
+/// remote data frame — arrives; this bounds the wait so it re-polls its
+/// same-process data queues and feeds the stall watchdog even when no
+/// frame comes. Not a latency floor.
 const IDLE_TICK: Duration = Duration::from_micros(200);
 
 /// A per-step callback installed by the introspection harness: runs at
@@ -87,10 +88,13 @@ pub struct Worker {
     /// Where this worker's own progress batches leave (Broadcast and
     /// Global modes; in the local modes the accumulator sends).
     progress_links: Arc<ProgressLinks>,
-    progress_rx: super::queue::RingReceiver<Bytes>,
-    /// Where other processes' data frames for this worker arrive, shared
-    /// with the pullers that read them.
+    /// Where everything other threads send this worker arrives — other
+    /// processes' data frames, every progress batch — shared with the
+    /// pullers that read the data.
     mailbox: Rc<RefCell<Mailbox>>,
+    /// The progress batches of the last mailbox drain, waiting to be
+    /// applied (kept for its capacity).
+    inbound: Vec<ProgressFrame>,
     accumulator: Option<Arc<Mutex<ProcessAccumulator>>>,
     /// Global dataflow directory, shared with the central accumulator.
     directory: Arc<ProcessRegistry>,
@@ -164,9 +168,7 @@ impl Worker {
         slabs: Arc<naiad_wire::SlabPool>,
         certify_rescale: bool,
     ) -> Self {
-        let local_index = index % config.workers_per_process;
         let process = index / config.workers_per_process;
-        let progress_rx = registry.receiver::<Bytes>(ChannelKey::Progress(local_index));
         let policy = RetryPolicy::from_config(&config);
         // `NAIAD_DEBUG` enables recording even when the config does not,
         // so the structured state dump always has events to print.
@@ -186,8 +188,8 @@ impl Worker {
             registry,
             net,
             progress_links,
-            progress_rx,
             mailbox: Rc::new(RefCell::new(Mailbox::new(mailbox))),
+            inbound: Vec::new(),
             accumulator,
             directory,
             dataflows: Vec::new(),
@@ -668,8 +670,7 @@ impl Worker {
         self.drain_liveness_transitions();
         self.poll_overload();
         self.last_step_worked = false;
-        self.mailbox.borrow_mut().drain(&self.recorder);
-        self.drain_progress();
+        self.drain_mailbox();
         if !self.hooks.is_empty() {
             // The hook arg is the min open epoch over *user* dataflows:
             // monotone per worker (§3.3), so the observer can advance its
@@ -684,7 +685,7 @@ impl Worker {
         for df in 0..self.dataflows.len() {
             self.step_dataflow(df);
         }
-        self.drain_progress();
+        self.drain_mailbox();
         if self.recorder.enabled() {
             self.probe_frontiers();
         }
@@ -716,7 +717,7 @@ impl Worker {
     }
 
     /// Surfaces failure-detector state changes (raised by this process's
-    /// router thread) as telemetry events in this worker's log.
+    /// liveness thread) as telemetry events in this worker's log.
     fn drain_liveness_transitions(&mut self) {
         let Some(live) = &self.liveness else {
             return;
@@ -888,27 +889,30 @@ impl Worker {
         }
     }
 
-    /// Blocks on the progress inbox for at most one [`IDLE_TICK`], so idle
-    /// workers neither spin nor miss a batch; a worker with data frames in
-    /// its mailbox does not park at all.
+    /// Blocks on the mailbox for at most one [`IDLE_TICK`], so idle
+    /// workers neither spin nor miss a frame; a worker with frames in its
+    /// mailbox does not park at all.
     /// Consecutive fruitless waits while pointstamps are outstanding feed
     /// the stall watchdog.
     pub(crate) fn idle_wait(&mut self) {
-        if self.last_step_worked || self.mailbox.borrow_mut().drain(&self.recorder) > 0 {
+        if self.last_step_worked {
             self.stall_since = None;
             return;
         }
-        if let Some(bytes) = self.progress_rx.try_recv() {
-            self.apply_progress_bytes(&bytes);
+        let mut inbound = std::mem::take(&mut self.inbound);
+        let frames = {
+            let mut mailbox = self.mailbox.borrow_mut();
+            match mailbox.drain(&self.recorder, &mut inbound) {
+                0 => mailbox.wait(IDLE_TICK, &self.recorder, &mut inbound),
+                frames => frames,
+            }
+        };
+        self.apply_inbound(inbound);
+        if frames > 0 {
             self.stall_since = None;
-            return;
+        } else {
+            self.check_stall();
         }
-        if let Some(bytes) = self.progress_rx.recv_timeout(IDLE_TICK) {
-            self.apply_progress_bytes(&bytes);
-            self.stall_since = None;
-            return;
-        }
-        self.check_stall();
     }
 
     /// The stall watchdog (§3.3's progress invariant, operationalized):
@@ -1052,10 +1056,8 @@ impl Worker {
     /// Hands this step's journal to the protocol, along the worker's hop
     /// of the progress mode's topology (§3.3). Local views are fed
     /// exclusively by the protocol: this worker's own updates come back
-    /// through its progress inbox like everyone else's, put there by the
-    /// flushing thread for batches that stay in the process and by the
-    /// router for batches that crossed the fabric
-    /// ([`ProgressLinks::send`]).
+    /// through its mailbox like everyone else's, put there by whichever
+    /// thread flushed them ([`ProgressLinks::send`]).
     // lint-allow(NS0004): `df` is the worker's own loop index over
     // `0..self.dataflows.len()`, and the accumulator handle is allocated
     // whenever the progress mode is Local/LocalGlobal (construction
@@ -1097,15 +1099,35 @@ impl Worker {
         }
     }
 
-    /// Applies all queued progress batches to the relevant trackers.
-    fn drain_progress(&mut self) {
-        while let Some(bytes) = self.progress_rx.try_recv() {
-            self.apply_progress_bytes(&bytes);
-            self.last_step_worked = true;
-        }
+    /// Drains the mailbox: remote data frames into their channels' queues,
+    /// and every progress batch applied to the relevant tracker.
+    fn drain_mailbox(&mut self) {
+        let mut inbound = std::mem::take(&mut self.inbound);
+        self.mailbox
+            .borrow_mut()
+            .drain(&self.recorder, &mut inbound);
+        self.apply_inbound(inbound);
     }
 
-    fn apply_progress_bytes(&mut self, bytes: &Bytes) {
+    /// Applies the progress batches of a mailbox drain, in arrival order,
+    /// and keeps the emptied buffer.
+    fn apply_inbound(&mut self, mut inbound: Vec<ProgressFrame>) {
+        if !inbound.is_empty() {
+            self.last_step_worked = true;
+        }
+        for (src, bytes) in inbound.drain(..) {
+            self.apply_progress(src, &bytes);
+        }
+        self.inbound = inbound;
+    }
+
+    /// Applies one progress batch from fabric endpoint `src`. A batch from
+    /// another endpoint is first handed to this process's accumulator, if
+    /// there is one (§3.3: an accumulator's view must have observed every
+    /// batch any of its workers has applied, or it could hold an update
+    /// that the workers' views no longer cover). The accumulator observes
+    /// the first hand-off of each batch and ignores the rest.
+    fn apply_progress(&mut self, src: usize, bytes: &Bytes) {
         let batch: ProgressBatch = naiad_wire::decode_from_slice(bytes).unwrap_or_else(|e| {
             panic!(
                 "worker {}: undecodable progress batch ({} bytes) — wire corruption \
@@ -1114,6 +1136,11 @@ impl Worker {
                 bytes.len()
             )
         });
+        if src != self.process {
+            if let Some(acc) = &self.accumulator {
+                acc.lock().observe(&batch);
+            }
+        }
         // A batch can arrive for a dataflow this worker has not built yet
         // (peers construct concurrently): its core stashes it for
         // construction rather than dropping counts on the floor.

@@ -43,6 +43,9 @@ pub struct WorkerCounters {
     /// Data frames from other processes drained from this worker's fabric
     /// mailbox (one per remote `MessageSent` addressed to it).
     pub remote_frames: u64,
+    /// Progress batches drained from the same mailbox (one per progress
+    /// message the fabric metered into this worker's process).
+    pub progress_frames: u64,
     /// High-water mark of the mailbox's depth at a poll: frames waiting to
     /// be drained plus frames a latency model was still holding back.
     pub mailbox_depth: u64,
@@ -419,13 +422,14 @@ impl Recorder {
         }
     }
 
-    /// Counts `frames` data frames drained from the worker's fabric
-    /// mailbox, which held `depth` when polled.
+    /// Counts `data` data frames and `progress` progress batches drained
+    /// from the worker's fabric mailbox, which held `depth` when polled.
     #[inline]
-    pub(crate) fn record_mailbox(&self, frames: usize, depth: usize) {
+    pub(crate) fn record_mailbox(&self, data: usize, progress: usize, depth: usize) {
         if let Some(log) = &self.inner {
             let counters = &mut log.borrow_mut().counters;
-            counters.remote_frames += frames as u64;
+            counters.remote_frames += data as u64;
+            counters.progress_frames += progress as u64;
             counters.mailbox_depth = counters.mailbox_depth.max(depth as u64);
         }
     }

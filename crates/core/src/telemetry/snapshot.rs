@@ -99,28 +99,17 @@ pub struct TrafficSummary {
     pub faults: FaultCounters,
 }
 
-/// Counters gathered outside the worker threads: router and
-/// central-accumulator idle ticks, who delivered the progress batches,
-/// and failure-detector activity.
+/// Counters gathered outside the worker threads: central-accumulator idle
+/// ticks, progress batches a process addressed to itself, and
+/// failure-detector activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HubCounters {
-    /// Idle receive timeouts observed by router threads (each one a
-    /// bounded-backoff wait, not a spin).
-    pub router_idle_ticks: u64,
-    /// Idle receive timeouts observed by the central accumulator.
+    /// Idle receive timeouts observed by the central accumulator (each one
+    /// a bounded-backoff wait, not a spin).
     pub central_idle_ticks: u64,
-    /// Progress batches delivered to their own process's workers by the
-    /// thread that flushed them, without waking the router.
-    /// `local / (local + routed)` is the share that skipped the router.
+    /// Progress batches a process addressed to its own workers' mailboxes;
+    /// they are metered on the loopback link and never delayed.
     pub progress_local_deliveries: u64,
-    /// Progress batches a router took off the fabric and fanned out to
-    /// its process's workers.
-    pub progress_routed: u64,
-    /// Every envelope the routers took off the fabric: progress batches
-    /// plus control messages (membership, heartbeats, credit returns).
-    /// Data frames are not among them — they go to their worker's mailbox
-    /// (`WorkerCounters::remote_frames`).
-    pub router_envelopes: u64,
     /// Standalone heartbeats emitted by the liveness layer.
     pub heartbeats_sent: u64,
     /// Peer-suspected transitions raised by the detectors.
@@ -172,8 +161,8 @@ pub struct TelemetrySnapshot {
     pub frontier: Vec<FrontierSample>,
     /// Fabric traffic totals and fault counters.
     pub traffic: TrafficSummary,
-    /// Liveness-layer counters (router/central idle ticks, heartbeats,
-    /// detector transitions). Populated by the runtime after assembly.
+    /// Liveness-layer counters (central idle ticks, heartbeats, detector
+    /// transitions). Populated by the runtime after assembly.
     pub hub: HubCounters,
     /// Credit-flow gauges. Populated by the runtime after assembly when
     /// the run was configured with flow control; all-zero otherwise.
@@ -494,17 +483,13 @@ impl TelemetrySnapshot {
         if *h != HubCounters::default() {
             let _ = writeln!(
                 s,
-                "liveness: heartbeats={} suspicions={} peer_failures={} router_idle={} central_idle={}",
-                h.heartbeats_sent,
-                h.suspicions,
-                h.peer_failures,
-                h.router_idle_ticks,
-                h.central_idle_ticks
+                "liveness: heartbeats={} suspicions={} peer_failures={} central_idle={}",
+                h.heartbeats_sent, h.suspicions, h.peer_failures, h.central_idle_ticks
             );
             let _ = writeln!(
                 s,
-                "progress hub: local_deliveries={} routed={} router_envelopes={}",
-                h.progress_local_deliveries, h.progress_routed, h.router_envelopes
+                "progress hub: local_deliveries={}",
+                h.progress_local_deliveries
             );
         }
 

@@ -37,6 +37,11 @@ pub struct Envelope {
 struct Timed {
     deliver_at: Option<Instant>,
     envelope: Envelope,
+    /// Whether suppressing this copy counts toward
+    /// [`FaultCounters::duplicates_suppressed`](crate::FaultCounters): a
+    /// duplicate drawn for a [fan-out](NetSender::fan_out) reaches every
+    /// mailbox but is one fault, so only one of its copies counts.
+    counted: bool,
 }
 
 /// Error returned by [`Endpoint::recv_blocking`].
@@ -82,21 +87,21 @@ pub struct FabricBuilder {
 }
 
 impl FabricBuilder {
-    /// Gives every endpoint `per_endpoint` data mailboxes beside its merged
+    /// Gives every endpoint `per_endpoint` mailboxes beside its merged
     /// queue, one per reader of that process (the runtime: one per
-    /// worker). [`NetSender::send_data`] addresses one of them; the
-    /// endpoint's owner takes them with [`Endpoint::split_mailboxes`]. The
-    /// default is none: everything sent to the endpoint arrives on the
-    /// merged queue.
+    /// worker). [`NetSender::send_data`] addresses one of them,
+    /// [`NetSender::fan_out`] all of them; the endpoint's owner takes them
+    /// with [`Endpoint::split_mailboxes`]. The default is none: everything
+    /// sent to the endpoint arrives on the merged queue.
     pub fn mailboxes(mut self, per_endpoint: usize) -> Self {
         self.mailboxes = per_endpoint;
         self
     }
 
     /// Injects a delivery-latency model on every link, loopback included
-    /// for whatever is [sent](NetSender::send) to it. A message accounted
-    /// for with [`NetSender::send_loopback`] never enters a link, so it is
-    /// not delayed.
+    /// for whatever is [sent](NetSender::send) to it. A
+    /// [fan-out](NetSender::fan_out) to the sender's own endpoint never
+    /// leaves the process, so it is not delayed.
     pub fn latency(mut self, model: LatencyModel) -> Self {
         self.latency = Some(model);
         self
@@ -189,14 +194,15 @@ impl FabricBuilder {
 ///
 /// An endpoint can be [`split`](Endpoint::split) into a [`NetSender`] and a
 /// [`NetReceiver`] so a process's workers can share the send half (behind a
-/// lock) while a dedicated router thread owns the receive half.
+/// lock) while another thread owns the receive half.
 ///
 /// A fabric built with [`FabricBuilder::mailboxes`] gives the endpoint that
 /// many more receive queues, each a [`NetReceiver`] of its own with the
 /// same guarantees per `(source, mailbox)`:
 /// [`split_mailboxes`](Endpoint::split_mailboxes) hands them out, one per
-/// reader, and [`NetSender::send_data`] puts a frame straight into the
-/// mailbox of the reader that will consume it — no thread in between.
+/// reader, [`NetSender::send_data`] puts a frame straight into the mailbox
+/// of the reader that will consume it, and [`NetSender::fan_out`] into
+/// every mailbox — no thread in between.
 pub struct Endpoint {
     sender: NetSender,
     receiver: NetReceiver,
@@ -384,23 +390,61 @@ impl NetSender {
         Ok(())
     }
 
-    /// Accounts for a message of `len` bytes that this endpoint addresses
-    /// to *itself* and that the caller delivers to its own consumers: the
-    /// bytes never leave the process, so nothing is enqueued.
+    /// Sends one frame to *every* mailbox of endpoint `dst`
+    /// ([`FabricBuilder::mailboxes`]), each of whose readers receives it
+    /// directly: the primitive a broadcast to all of a process's readers
+    /// needs, without a thread to copy it out of the merged queue.
     ///
-    /// Everything else [`NetSender::send`] does for `dst == self.index()`
-    /// happens here: the attempt counts toward crash schedules and
-    /// partition windows, crash and partition state reject it, the
-    /// loopback link meters the bytes, a sequence number is consumed.
+    /// The frame crosses the link once: one attempt toward crash schedules
+    /// and partition windows, one meter reading, one drop and one duplicate
+    /// draw, one latency sample — so the fabric's counters read exactly as
+    /// after one [`NetSender::send`]. A drawn duplicate trails the frame in
+    /// every mailbox and is suppressed in each, counted once. A fan-out to
+    /// this endpoint itself is never delayed: the bytes never leave the
+    /// process. Sequence numbers are per `(source, mailbox)`, shared with
+    /// [`NetSender::send_data`], so each mailbox holds a source's frames of
+    /// both kinds in the order they were sent.
+    ///
+    /// As with [`NetSender::send_data`], a mailbox outlives its reader.
     ///
     /// # Errors
     ///
-    /// As [`NetSender::send`] to this endpoint's own index.
-    pub fn send_loopback(&mut self, class: TrafficClass, len: usize) -> Result<(), SendError> {
-        let dst = self.index;
-        // Loopback never crosses a network, so it is never duplicated.
-        self.admit(dst, class, len)?;
-        self.lanes[dst][0].next_seq += 1;
+    /// The injected faults of [`NetSender::send`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is out of range or has no mailboxes.
+    pub fn fan_out(
+        &mut self,
+        dst: usize,
+        channel: u32,
+        class: TrafficClass,
+        payload: Bytes,
+    ) -> Result<(), SendError> {
+        let lanes = self.lanes.get(dst).map_or(0, Vec::len);
+        assert!(lanes > 1, "endpoint {dst} has no mailboxes");
+        let duplicate = self.admit(dst, class, payload.len())?;
+        // Loopback is never duplicated (`admit`), and never delayed here.
+        let (deliver_at, copy_at) = if dst == self.index {
+            (None, None)
+        } else {
+            let deliver_at = self.schedule(dst, payload.len());
+            (deliver_at, duplicate.then(|| self.schedule(dst, 0)))
+        };
+        if copy_at.is_some() {
+            self.metrics.record_duplicated();
+        }
+        let envelope = Envelope {
+            src: self.index,
+            channel,
+            class,
+            seq: 0,
+            payload,
+        };
+        for lane in 1..lanes {
+            let copy = copy_at.map(|at| (at, lane == 1));
+            self.put(dst, lane, envelope.clone(), deliver_at, copy);
+        }
         Ok(())
     }
 
@@ -468,10 +512,9 @@ impl NetSender {
             && self.fault_rng[dst].chance(self.faults.plan.duplicate_probability))
     }
 
-    /// The transport half of a send: stamps the next sequence number of
-    /// receive queue `lane` at `dst` and puts the envelope (and its
-    /// fabric-injected duplicate) into it. `false` if the queue's reader
-    /// is gone.
+    /// The transport half of a send: schedules the frame (and its
+    /// fabric-injected duplicate) on the link to `dst` and puts both into
+    /// receive queue `lane` there. `false` if the queue's reader is gone.
     fn enqueue(
         &mut self,
         dst: usize,
@@ -484,30 +527,58 @@ impl NetSender {
         let deliver_at = self.schedule(dst, payload.len());
         // The copy trails the original on the link.
         let copy_at = duplicate.then(|| self.schedule(dst, 0));
-        let lane = &mut self.lanes[dst][lane];
         let envelope = Envelope {
             src: self.index,
             channel,
             class,
-            seq: lane.next_seq,
+            seq: 0,
             payload,
         };
+        let delivered = self.put(
+            dst,
+            lane,
+            envelope,
+            deliver_at,
+            copy_at.map(|at| (at, true)),
+        );
+        if delivered && copy_at.is_some() {
+            self.metrics.record_duplicated();
+        }
+        delivered
+    }
+
+    /// Stamps `envelope` with the next sequence number of receive queue
+    /// `lane` at `dst` and puts it there, followed by a duplicate copy
+    /// `(deliver_at, counted)` if the fabric drew one. `false` if the
+    /// queue's reader is gone.
+    fn put(
+        &mut self,
+        dst: usize,
+        lane: usize,
+        mut envelope: Envelope,
+        deliver_at: Option<Instant>,
+        copy: Option<(Option<Instant>, bool)>,
+    ) -> bool {
+        let lane = &mut self.lanes[dst][lane];
+        envelope.seq = lane.next_seq;
         lane.next_seq += 1;
-        let timed = Timed {
+        // The copy carries the same sequence number, so the receiver
+        // suppresses it.
+        let copy = copy.map(|(deliver_at, counted)| Timed {
             deliver_at,
             envelope: envelope.clone(),
+            counted,
+        });
+        let timed = Timed {
+            deliver_at,
+            envelope,
+            counted: true,
         };
         if lane.tx.send(timed).is_err() {
             return false;
         }
-        if let Some(deliver_at) = copy_at {
-            // The copy carries the same sequence number, so the receiver
-            // suppresses it.
-            self.metrics.record_duplicated();
-            let _ = lane.tx.send(Timed {
-                deliver_at,
-                envelope,
-            });
+        if let Some(copy) = copy {
+            let _ = lane.tx.send(copy);
         }
         true
     }
@@ -568,6 +639,44 @@ impl NetSender {
         channel: u32,
         payload: Bytes,
     ) -> Result<(), SendError> {
+        self.admit_control(dst, payload.len())?;
+        let seq = self.next_ctl_seq[dst];
+        self.next_ctl_seq[dst] += 1;
+        let timed = Timed {
+            // Control skips latency injection: detection latency is
+            // governed by the detector's timeouts, not the link model.
+            deliver_at: None,
+            envelope: Envelope {
+                src: self.index,
+                channel,
+                class: TrafficClass::Control,
+                seq,
+                payload,
+            },
+            counted: true,
+        };
+        if self.lanes[dst][0].tx.send(timed).is_err() {
+            return Err(SendError::Disconnected { dst });
+        }
+        Ok(())
+    }
+
+    /// The admission half of [`NetSender::send_control`] for a control
+    /// frame of `len` bytes whose effect the sender applies itself: crash
+    /// and partition state are checked and the link meters the bytes, but
+    /// nothing is enqueued. Control traffic is exempt from latency and
+    /// loss, so a frame this admits is as good as delivered — the caller
+    /// needs no reader at `dst` to act on it.
+    ///
+    /// # Errors
+    ///
+    /// [`SendError::SelfCrashed`] / [`SendError::PeerCrashed`] if either end
+    /// is crashed, [`SendError::Partitioned`] if the link is severed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is out of range.
+    pub fn admit_control(&mut self, dst: usize, len: usize) -> Result<(), SendError> {
         assert!(dst < self.lanes.len(), "destination {dst} out of range");
         let src = self.index;
 
@@ -594,28 +703,9 @@ impl NetSender {
             self.metrics.record_partition_reject();
             return Err(SendError::Partitioned { src, dst });
         }
-
         self.metrics
             .link(src, dst)
-            .record(TrafficClass::Control, payload.len());
-
-        let seq = self.next_ctl_seq[dst];
-        self.next_ctl_seq[dst] += 1;
-        let timed = Timed {
-            // Control skips latency injection: detection latency is
-            // governed by the detector's timeouts, not the link model.
-            deliver_at: None,
-            envelope: Envelope {
-                src,
-                channel,
-                class: TrafficClass::Control,
-                seq,
-                payload,
-            },
-        };
-        if self.lanes[dst][0].tx.send(timed).is_err() {
-            return Err(SendError::Disconnected { dst });
-        }
+            .record(TrafficClass::Control, len);
         Ok(())
     }
 
@@ -654,7 +744,9 @@ impl NetReceiver {
         }
         if let Some(&last) = self.last_seen.get(&env.src) {
             if env.seq <= last {
-                self.metrics.record_duplicate_suppressed();
+                if timed.counted {
+                    self.metrics.record_duplicate_suppressed();
+                }
                 return None;
             }
         }
@@ -883,46 +975,6 @@ mod tests {
         a.send(0, 3, TrafficClass::Progress, vec![9].into()).unwrap();
         let env = a.try_recv().unwrap();
         assert_eq!((env.src, env.channel), (0, 3));
-    }
-
-    #[test]
-    fn loopback_is_accounted_like_a_send_to_self_but_not_enqueued() {
-        // Crash point at attempt 3: two loopbacks and one real send pass,
-        // the fourth attempt fails whichever entry point makes it.
-        let plan = FaultPlan::seeded(1).crash(0, 3);
-        let mut eps = Fabric::builder(2).faults(plan).build();
-        let (mut a, mut a_rx) = eps.swap_remove(0).split();
-        let payload = Bytes::from_static(&[1, 2, 3, 4]);
-        assert_eq!(a.send_loopback(TrafficClass::Progress, payload.len()), Ok(()));
-        assert_eq!(a.send_loopback(TrafficClass::Progress, payload.len()), Ok(()));
-        a.send(1, 9, TrafficClass::Progress, payload.clone())
-            .unwrap();
-        assert_eq!(
-            a.send_loopback(TrafficClass::Progress, payload.len()),
-            Err(SendError::SelfCrashed { src: 0 })
-        );
-        // Metered once per accepted loopback, on the loopback link only.
-        let own = a.metrics().link_counters(0, 0).progress;
-        assert_eq!((own.messages, own.bytes), (2, 8));
-        assert_eq!(a.metrics().network_bytes(TrafficClass::Progress), 4);
-        // Nothing was enqueued for the receiver.
-        assert!(a_rx.try_recv().is_none());
-    }
-
-    #[test]
-    fn loopback_respects_partition_state() {
-        let mut eps = Fabric::builder(1).build();
-        let ctl = eps[0].fault_controller();
-        let (mut a, _rx) = eps.swap_remove(0).split();
-        let payload = Bytes::from_static(&[7]);
-        ctl.sever(0, 0);
-        assert_eq!(
-            a.send_loopback(TrafficClass::Progress, payload.len()),
-            Err(SendError::Partitioned { src: 0, dst: 0 })
-        );
-        ctl.heal(0, 0);
-        assert_eq!(a.send_loopback(TrafficClass::Progress, payload.len()), Ok(()));
-        assert_eq!(a.metrics().link_counters(0, 0).progress.messages, 1);
     }
 
     #[test]
@@ -1254,6 +1306,31 @@ mod fault_tests {
         assert!(b.try_recv().is_none());
     }
 
+    /// A control frame settled on admission meets the same crash and
+    /// partition state as one sent, is metered alike, and enqueues nothing.
+    #[test]
+    fn admitted_control_is_metered_but_never_enqueued() {
+        let mut eps = Fabric::builder(2).build();
+        let ctl = eps[0].fault_controller();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        assert_eq!(a.sender.admit_control(1, 10), Ok(()));
+        ctl.sever(0, 1);
+        assert_eq!(
+            a.sender.admit_control(1, 10),
+            Err(SendError::Partitioned { src: 0, dst: 1 })
+        );
+        ctl.heal(0, 1);
+        ctl.crash(1);
+        assert_eq!(
+            a.sender.admit_control(1, 10),
+            Err(SendError::PeerCrashed { dst: 1 })
+        );
+        let control = a.metrics().link_counters(0, 1).control;
+        assert_eq!((control.messages, control.bytes), (1, 10));
+        assert!(b.try_recv().is_none());
+    }
+
     #[test]
     fn control_inside_scheduled_partition_window_is_rejected() {
         // Window covers link attempts 0..5; no data has flowed, so the
@@ -1533,5 +1610,149 @@ mod mailbox_tests {
     fn send_data_to_a_bare_endpoint_panics() {
         let mut a = Fabric::builder(1).build().pop().unwrap().split().0;
         let _ = a.send_data(0, 0, 0, vec![1].into());
+    }
+
+    #[test]
+    #[should_panic(expected = "has no mailboxes")]
+    fn fan_out_to_a_bare_endpoint_panics() {
+        let mut a = Fabric::builder(1).build().pop().unwrap().split().0;
+        let _ = a.fan_out(0, 0, TrafficClass::Progress, vec![1].into());
+    }
+
+    /// One fan-out is one send to the link — one attempt toward a crash
+    /// point, one meter reading — and one frame in every mailbox, none on
+    /// the merged queue. To its own endpoint it is metered on the loopback
+    /// link and, latency model or not, deliverable at once.
+    #[test]
+    fn a_fan_out_is_admitted_and_metered_once() {
+        // Crash point at attempt 4: three fan-outs and one send pass, the
+        // fifth attempt fails whichever entry point makes it.
+        let plan = FaultPlan::seeded(1).crash(0, 4);
+        let model = LatencyModel::constant(Duration::from_secs(60));
+        let mut eps = Fabric::builder(2)
+            .mailboxes(2)
+            .faults(plan)
+            .latency(model)
+            .build();
+        let (_b, mut b_merged, mut b_mailboxes) = eps.pop().unwrap().split_mailboxes();
+        let (mut a, mut a_merged, mut a_mailboxes) = eps.pop().unwrap().split_mailboxes();
+        let payload = Bytes::from_static(&[1, 2, 3, 4]);
+        for dst in [0, 0, 1] {
+            a.fan_out(dst, 3, TrafficClass::Progress, payload.clone())
+                .unwrap();
+        }
+        a.send(1, 9, TrafficClass::Progress, payload.clone())
+            .unwrap();
+        assert_eq!(
+            a.fan_out(0, 3, TrafficClass::Progress, payload),
+            Err(SendError::SelfCrashed { src: 0 })
+        );
+        let own = a.metrics().link_counters(0, 0).progress;
+        assert_eq!((own.messages, own.bytes), (2, 8));
+        let cross = a.metrics().link_counters(0, 1).progress;
+        assert_eq!((cross.messages, cross.bytes), (2, 8));
+        // The own-process copies are not delayed by a minute-long model.
+        for rx in &mut a_mailboxes {
+            for _ in 0..2 {
+                let env = rx
+                    .try_recv()
+                    .expect("own-endpoint fan-out is never delayed");
+                assert_eq!(
+                    (env.src, env.channel, env.class),
+                    (0, 3, TrafficClass::Progress)
+                );
+            }
+            assert!(rx.try_recv().is_none());
+        }
+        // The remote copy crossed the (delayed) link once, into both
+        // mailboxes; the plain send went to the merged queue.
+        for rx in &mut b_mailboxes {
+            assert!(rx.try_recv().is_none());
+            assert_eq!(rx.delayed(), 1);
+        }
+        assert!(a_merged.try_recv().is_none());
+        assert!(b_merged.try_recv().is_none());
+    }
+
+    /// A mailbox holds a source's `send_data` and `fan_out` frames in one
+    /// order, under latency and duplication alike, and a duplicate drawn
+    /// for a fan-out is suppressed in every mailbox it reaches, counted
+    /// once.
+    #[test]
+    fn fan_out_keeps_fifo_and_suppresses_its_duplicate_in_every_mailbox() {
+        let plan = FaultPlan::seeded(5).duplicate_probability(0.4);
+        let model = LatencyModel::lossy(
+            Duration::from_micros(200),
+            0.4,
+            Duration::from_millis(2),
+            17,
+        );
+        let (mut a, mut merged, mut mailboxes) =
+            pair(Fabric::builder(2).faults(plan).latency(model));
+        let mut expected = [Vec::new(), Vec::new()];
+        for i in 0..120u8 {
+            if i % 3 == 0 {
+                a.fan_out(1, 1, TrafficClass::Progress, vec![i].into())
+                    .unwrap();
+                expected.iter_mut().for_each(|frames| frames.push(i));
+            } else {
+                let mailbox = usize::from(i % 2);
+                a.send_data(1, mailbox, 0, vec![i].into()).unwrap();
+                expected[mailbox].push(i);
+            }
+        }
+        for (rx, expected) in mailboxes.iter_mut().zip(&expected) {
+            let got: Vec<u8> = drain(rx, expected.len())
+                .iter()
+                .map(|env| env.payload[0])
+                .collect();
+            assert_eq!(&got, expected);
+            assert!(rx.try_recv().is_none(), "a duplicate got through");
+            assert_eq!(rx.delayed(), 0);
+        }
+        assert!(merged.try_recv().is_none());
+        let faults = a.metrics().faults();
+        assert!(faults.duplicated > 10, "duplicated = {}", faults.duplicated);
+        // Counted per mailbox, suppressions would outnumber duplicates.
+        assert_eq!(faults.duplicated, faults.duplicates_suppressed);
+    }
+
+    /// A seeded plan injects the same faults at the same sends, and the
+    /// meters and `FaultCounters` read the same, whether each frame is a
+    /// `send` or a `fan_out`; only the number of copies delivered differs.
+    #[test]
+    fn a_fault_plan_treats_send_and_fan_out_alike() {
+        let run = |fanned: bool| {
+            let plan = FaultPlan::seeded(29)
+                .drop_probability(0.2)
+                .duplicate_probability(0.2)
+                .partition(0, 1, 40, 55)
+                .crash(0, 180);
+            let (mut a, mut merged, mut mailboxes) = pair(Fabric::builder(2).faults(plan));
+            let outcomes: Vec<_> = (0..200u8)
+                .map(|i| {
+                    let payload = Bytes::from(vec![i; 1 + usize::from(i % 5)]);
+                    if fanned {
+                        a.fan_out(1, 0, TrafficClass::Progress, payload)
+                    } else {
+                        a.send(1, 0, TrafficClass::Progress, payload)
+                    }
+                })
+                .collect();
+            let delivered = outcomes.iter().filter(|o| o.is_ok()).count();
+            let copies = if fanned { mailboxes.len() } else { 1 };
+            let mut received = 0;
+            for rx in mailboxes.iter_mut().chain([&mut merged]) {
+                received += std::iter::from_fn(|| rx.try_recv()).count();
+            }
+            assert_eq!(received, delivered * copies);
+            let metrics = a.metrics();
+            (outcomes, metrics.faults(), metrics.link_counters(0, 1))
+        };
+        let (outcomes, faults, _) = run(false);
+        assert!(faults.dropped > 0 && faults.duplicated > 0 && faults.crashes == 1);
+        assert_eq!(faults.duplicated, faults.duplicates_suppressed);
+        assert!(outcomes.contains(&Err(SendError::SelfCrashed { src: 0 })));
+        assert_eq!(run(true), run(false));
     }
 }

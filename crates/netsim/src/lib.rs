@@ -7,13 +7,15 @@
 //!
 //! * every ordered pair of endpoints has a FIFO link,
 //! * an endpoint receives on one merged queue — and, when the fabric is
-//!   built with [`mailboxes`](FabricBuilder::mailboxes), on that many data
+//!   built with [`mailboxes`](FabricBuilder::mailboxes), on that many
 //!   mailboxes beside it, the receive queues of a multi-queue NIC:
 //!   [`send_data`](NetSender::send_data) crosses the same link under the
 //!   same admission (faults, metering, latency) and lands in the mailbox of
-//!   the reader that will consume the frame, so no thread has to forward
-//!   it. The runtime gives every worker one and keeps the merged queue for
-//!   progress and control traffic,
+//!   the reader that will consume the frame, and
+//!   [`fan_out`](NetSender::fan_out) admits a frame once and lands it in
+//!   every mailbox of the destination, so no thread has to forward either.
+//!   The runtime gives every worker one and keeps the merged queue for
+//!   heartbeats,
 //! * every payload is a byte buffer (the runtime serializes records with
 //!   `naiad-wire` before they reach the fabric),
 //! * links meter bytes and message counts separately for data and
@@ -28,7 +30,9 @@
 //! * a latency-exempt **control channel**
 //!   ([`send_control`](Endpoint::send_control)) carries heartbeats and
 //!   failure-detection pings (§3.4/§3.5) without perturbing data-path
-//!   fault schedules, and a fabric-wide [`ClusterClock`] gives every
+//!   fault schedules — since it loses nothing and delays nothing, a
+//!   sender that needs no reader can settle a control frame on admission
+//!   ([`admit_control`](NetSender::admit_control)) — and a fabric-wide [`ClusterClock`] gives every
 //!   endpoint the same monotonic time base for suspicion timeouts.
 //!
 //! # Examples
@@ -50,7 +54,6 @@ mod clock;
 mod endpoint;
 mod fault;
 mod latency;
-mod membership;
 mod metrics;
 
 pub use clock::ClusterClock;
@@ -59,9 +62,6 @@ pub use endpoint::{
 };
 pub use fault::{CrashPoint, FaultController, FaultPlan, LinkPartition, SendError};
 pub use latency::LatencyModel;
-pub use membership::{
-    MembershipError, MembershipEvent, MembershipMsg, MembershipTable, MEMBERSHIP_MSG_LEN,
-};
 pub use metrics::{
     ClassCounters, FabricMetrics, FaultCounters, LinkCounters, TrafficClass, TrafficTotals,
 };

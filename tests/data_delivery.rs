@@ -1,19 +1,18 @@
 //! Who delivers a data frame (DESIGN.md §10): the fabric puts it into the
 //! mailbox of the worker that will read it, and that worker drains its own
-//! mailbox at the top of every step. No router thread touches it, a frame
+//! mailbox at the top of every step. No other thread touches it, a frame
 //! waits for a dataflow that is not built yet, and a mailbox accepts frames
 //! for as long as the fabric exists.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier, Mutex};
 
 use naiad::dataflow::{InputPort, OutputPort};
 use naiad::telemetry::TelemetryEvent;
 use naiad::{
-    execute, execute_with_metrics, execute_with_telemetry, Config, FlowConfig, InputHandle, Pact,
-    Worker,
+    execute, execute_with_metrics, Config, Execution, FlowConfig, InputHandle, Pact, Worker,
 };
 use naiad_netsim::FaultCounters;
 
@@ -49,29 +48,46 @@ fn sorted(seen: &Seen) -> Vec<u64> {
     keys
 }
 
-/// A router sees progress and control envelopes and nothing else; every
-/// remote `MessageSent` is one frame some worker drained from its mailbox.
+/// Nothing but workers reads a process endpoint: every frame the fabric
+/// meters into a process is drained by that process's workers from their
+/// own mailboxes. Per worker, the data frames drained are the remote
+/// `MessageSent`s addressed to it, and the progress frames drained are the
+/// progress messages into its process — every one of them, in every
+/// worker. With heartbeats off the control plane carries credit returns,
+/// settled on admission, and nothing else.
 #[test]
-fn routers_carry_progress_and_control_and_mailboxes_carry_the_data() {
-    let plain = Config::processes_and_workers(2, 2).telemetry_capacity(1 << 16);
+fn nothing_but_workers_reads_a_process_endpoint() {
+    const WORKERS_PER_PROCESS: usize = 2;
+    let plain = Config::processes_and_workers(2, WORKERS_PER_PROCESS)
+        .telemetry(true)
+        .telemetry_capacity(1 << 16);
     let credited = plain.clone().flow(FlowConfig::default().budget(1 << 20));
     for config in [plain, credited] {
         let credited = config.flow.is_some();
-        let (rows, snapshot) = execute_with_telemetry(config, |worker| {
-            let (mut input, seen) = build(worker, |k| *k / 4);
-            for epoch in 0..4 {
-                let share = (0..KEYS).filter(|k| *k as usize % worker.peers() == worker.index());
-                input.send_batch(share);
-                input.advance_to(epoch + 1);
-            }
-            input.close();
-            worker.step_until_done();
-            let seen = seen.borrow().len() as u64;
-            seen
-        })
-        .expect("fault-free run");
+        // Once every worker is done no one sends again; one more step
+        // drains whatever reached a worker after it finished.
+        let finished = Arc::new(Barrier::new(config.total_workers()));
+        let report = Execution::new(config)
+            .run(move |worker, _session| {
+                let (mut input, seen) = build(worker, |k| *k / 4);
+                for epoch in 0..4 {
+                    let share =
+                        (0..KEYS).filter(|k| *k as usize % worker.peers() == worker.index());
+                    input.send_batch(share);
+                    input.advance_to(epoch + 1);
+                }
+                input.close();
+                worker.step_until_done();
+                finished.wait();
+                worker.step();
+                let seen = seen.borrow().len() as u64;
+                seen
+            })
+            .expect("fault-free run");
+        let snapshot = report.telemetry.as_ref().expect("telemetry on");
+        let metrics = &report.metrics;
         assert_eq!(
-            rows.iter().sum::<u64>(),
+            report.phases[0].results.iter().sum::<u64>(),
             4 * KEYS,
             "every key of every epoch, once"
         );
@@ -79,35 +95,48 @@ fn routers_carry_progress_and_control_and_mailboxes_carry_the_data() {
 
         let traffic = snapshot.traffic;
         assert_eq!(
-            snapshot.hub.router_envelopes,
-            traffic.progress_network.messages + traffic.control_network.messages,
-            "credited = {credited}: a router handled something that is neither"
-        );
-        assert!(snapshot.hub.progress_routed > 0);
-        assert_eq!(
-            traffic.control_network.messages > 2,
+            traffic.control_network.messages > 0,
             credited,
-            "membership announcements, plus credit returns under flow control"
+            "credited = {credited}: credit returns, and nothing else, ride the control plane"
         );
-
-        let sent_remote = snapshot
-            .logs
-            .iter()
-            .flat_map(|log| &log.events)
-            .filter(|r| matches!(r.event, TelemetryEvent::MessageSent { remote: true, .. }))
-            .count() as u64;
-        assert!(sent_remote > 0);
-        assert_eq!(traffic.data_network.messages, sent_remote);
-        let drained: u64 = snapshot
-            .workers
-            .iter()
-            .map(|w| w.counters.remote_frames)
-            .sum();
-        assert_eq!(drained, sent_remote, "credited = {credited}");
+        let sent_remote = |target: Option<usize>| {
+            snapshot
+                .logs
+                .iter()
+                .flat_map(|log| &log.events)
+                .filter(|r| match r.event {
+                    TelemetryEvent::MessageSent {
+                        remote: true,
+                        target: to,
+                        ..
+                    } => target.is_none_or(|t| t == to as usize),
+                    _ => false,
+                })
+                .count() as u64
+        };
+        assert!(sent_remote(None) > 0);
+        assert_eq!(traffic.data_network.messages, sent_remote(None));
         for worker in &snapshot.workers {
-            let depth = worker.counters.mailbox_depth;
+            let counters = worker.counters;
+            assert_eq!(
+                counters.remote_frames,
+                sent_remote(Some(worker.worker)),
+                "credited = {credited}: worker {}'s data frames",
+                worker.worker
+            );
+            let process = worker.worker / WORKERS_PER_PROCESS;
+            let into_process: u64 = (0..2)
+                .map(|src| metrics.link_counters(src, process).progress.messages)
+                .sum();
+            assert!(into_process > 0);
+            assert_eq!(
+                counters.progress_frames, into_process,
+                "credited = {credited}: worker {}'s progress frames",
+                worker.worker
+            );
+            let depth = counters.mailbox_depth;
             assert!(
-                (1..=worker.counters.remote_frames).contains(&depth),
+                (1..=counters.remote_frames + counters.progress_frames).contains(&depth),
                 "worker {}: high-water depth {depth}",
                 worker.worker
             );

@@ -35,8 +35,16 @@ fn records(epoch: u64) -> Vec<(u64, u64)> {
 /// (whenever its key hashes elsewhere), so the credited queues carry the
 /// full workload.
 fn build(scope: &mut Scope) -> (naiad::InputHandle<(u64, u64)>, naiad::ProbeHandle, Captured) {
+    build_routed(scope, |r| r.0)
+}
+
+/// [`build`] with the exchange routing every record by `route`.
+fn build_routed(
+    scope: &mut Scope,
+    route: fn(&(u64, u64)) -> u64,
+) -> (naiad::InputHandle<(u64, u64)>, naiad::ProbeHandle, Captured) {
     let (input, stream) = scope.new_input::<(u64, u64)>();
-    let routed = stream.unary(Pact::exchange(|r: &(u64, u64)| r.0), "Route", |_info| {
+    let routed = stream.unary(Pact::exchange(route), "Route", |_info| {
         move |input: &mut InputPort<(u64, u64)>, output: &mut OutputPort<(u64, u64)>| {
             input.for_each(|time, data| {
                 let mut session = output.session(time);
@@ -52,8 +60,16 @@ fn build(scope: &mut Scope) -> (naiad::InputHandle<(u64, u64)>, naiad::ProbeHand
 /// Runs the pass-through dataflow under `config`, returning the captured
 /// records merged across workers and sorted per epoch, plus the snapshot.
 fn run(config: Config) -> (Vec<Vec<(u64, u64)>>, TelemetrySnapshot) {
-    let (results, snapshot) = execute_with_telemetry(config, |worker| {
-        let (mut input, probe, captured) = worker.dataflow(build);
+    run_routed(config, |r| r.0)
+}
+
+/// [`run`] with the exchange routing every record by `route`.
+fn run_routed(
+    config: Config,
+    route: fn(&(u64, u64)) -> u64,
+) -> (Vec<Vec<(u64, u64)>>, TelemetrySnapshot) {
+    let (results, snapshot) = execute_with_telemetry(config, move |worker| {
+        let (mut input, probe, captured) = worker.dataflow(|scope| build_routed(scope, route));
         for epoch in 0..EPOCHS {
             for r in my_share(&records(epoch), worker.index(), worker.peers()) {
                 input.send(r);
@@ -148,6 +164,35 @@ fn tiny_budget_block_policy_is_lossless_under_contention() {
         );
         assert_eq!(flow.in_flight_bytes, 0);
         assert_eq!(flow.shed_records, 0);
+    });
+}
+
+/// A sender parked on a remote credit wait is repaid by the consumer,
+/// with no thread in the sender's process reading the return. Every key
+/// goes to worker 1, so process 0's only worker is the only remote sender,
+/// and a budget under one 32-record frame parks it behind every frame it
+/// has in flight. Were its returns waiting for a reader in process 0 — the
+/// parked worker itself — every wait would run out its 5 s and overdraw.
+#[test]
+fn a_parked_sender_is_repaid_without_a_reader() {
+    with_deadline(120, || {
+        let to_worker_1 = |_: &(u64, u64)| 1;
+        let config = Config::processes_and_workers(2, 1).batch_size(32);
+        let (reference, _) = run_routed(config.clone(), to_worker_1);
+        let (credited, snapshot) = run_routed(
+            config.flow(
+                FlowConfig::default()
+                    .budget(64)
+                    .credit_wait(Duration::from_secs(5))
+                    .policy(ShedPolicy::Block),
+            ),
+            to_worker_1,
+        );
+        assert_eq!(credited, reference, "Block is lossless");
+        let flow = snapshot.flow;
+        assert!(flow.credit_waits > 0, "the sender must park");
+        assert_eq!(flow.overdrafts, 0, "every wait ends in a repayment");
+        assert_eq!(flow.in_flight_bytes, 0);
     });
 }
 

@@ -24,7 +24,7 @@ use naiad::dataflow::{InputPort, OutputPort};
 use naiad::{
     execute, execute_with_metrics, execute_with_telemetry, Config, ElasticOptions, ExecuteError,
     Execution, FlowConfig, Pact, PhaseReport, RecoveryOptions, RescaleOutcome, RescaleStep,
-    RunReport, Scope, Worker,
+    RunReport, Scope, Stream, Worker,
 };
 use naiad_examples::my_share;
 
@@ -47,6 +47,12 @@ fn inputs() -> Vec<Vec<(u64, u64)>> {
 /// configuration where send-error-based detection is blind.
 fn build(scope: &mut Scope) -> (naiad::InputHandle<(u64, u64)>, naiad::ProbeHandle, Captured) {
     let (input, stream) = scope.new_input::<(u64, u64)>();
+    let (probe, captured) = min_at_zero(&stream);
+    (input, probe, captured)
+}
+
+/// The keyed minimum of [`build`], over any stream.
+fn min_at_zero(stream: &Stream<(u64, u64)>) -> (naiad::ProbeHandle, Captured) {
     let mins = stream.unary(Pact::exchange(|_: &(u64, u64)| 0), "MinAtZero", |info| {
         let acc: Rc<RefCell<HashMap<u64, u64>>> = Rc::new(RefCell::new(HashMap::new()));
         info.register_keyed_state(acc.clone(), |_: &u64| 0);
@@ -65,7 +71,7 @@ fn build(scope: &mut Scope) -> (naiad::InputHandle<(u64, u64)>, naiad::ProbeHand
             });
         }
     });
-    (input, mins.probe(), mins.capture())
+    (mins.probe(), mins.capture())
 }
 
 /// Runs `f` on a helper thread and panics if it exceeds `secs` — the
@@ -131,28 +137,32 @@ fn play_dead(worker: &mut Worker) -> ! {
     unreachable!("a silent worker only leaves by unwinding");
 }
 
-/// The fault-free reference: output per epoch, plus the fabric meters
-/// proving the victim's incoming link never carries data.
-fn reference_run() -> (Vec<Vec<(u64, u64)>>, u64) {
-    let all = Arc::new(inputs());
-    let (results, metrics) = execute_with_metrics(detect_config(false), move |worker| {
-        let (mut input, probe, captured) = worker.dataflow(build);
-        for epoch in 0..EPOCHS {
-            for r in my_share(&all[epoch as usize], worker.index(), worker.peers()) {
-                input.send(r);
-            }
-            input.advance_to(epoch + 1);
-            worker.step_while(|| !probe.done_through(epoch));
+/// Feeds every epoch through the dataflow `build` makes, one epoch in
+/// flight, and returns what the worker captured.
+fn drive(
+    worker: &mut Worker,
+    build: impl FnOnce(&mut Scope) -> (naiad::InputHandle<(u64, u64)>, naiad::ProbeHandle, Captured),
+) -> Out {
+    let all = inputs();
+    let (mut input, probe, captured) = worker.dataflow(build);
+    for epoch in 0..EPOCHS {
+        for r in my_share(&all[epoch as usize], worker.index(), worker.peers()) {
+            input.send(r);
         }
-        input.close();
-        worker.step_until_done();
-        let result = captured.borrow().clone();
-        result
-    })
-    .expect("fault-free reference");
+        input.advance_to(epoch + 1);
+        worker.step_while(|| !probe.done_through(epoch));
+    }
+    input.close();
+    worker.step_until_done();
+    let result = captured.borrow().clone();
+    result
+}
+
+/// Every worker's captures, merged and sorted per epoch.
+fn by_epoch(results: Vec<Out>) -> Vec<Vec<(u64, u64)>> {
     let mut merged: Out = results.into_iter().flatten().collect();
     merged.sort();
-    let by_epoch = (0..EPOCHS)
+    (0..EPOCHS)
         .map(|e| {
             let mut v: Vec<(u64, u64)> = merged
                 .iter()
@@ -162,9 +172,17 @@ fn reference_run() -> (Vec<Vec<(u64, u64)>>, u64) {
             v.sort();
             v
         })
-        .collect();
+        .collect()
+}
+
+/// The fault-free reference: output per epoch, plus the fabric meters
+/// proving the victim's incoming link never carries data.
+fn reference_run() -> (Vec<Vec<(u64, u64)>>, u64) {
+    let (results, metrics) =
+        execute_with_metrics(detect_config(false), |worker| drive(worker, build))
+            .expect("fault-free reference");
     let data_into_victim = metrics.link_counters(0, 1).data.messages;
-    (by_epoch, data_into_victim)
+    (by_epoch(results), data_into_victim)
 }
 
 /// The silent-failure scenario under coordinated recovery. Attempt 0
@@ -660,5 +678,41 @@ fn healthy_heartbeats_are_benign_and_metered() {
             snapshot.traffic.control_total.messages,
             snapshot.hub.heartbeats_sent
         );
+    });
+}
+
+/// A busy process is not a dead one: process 1's only worker spends
+/// 400 ms — over three failure thresholds — inside one operator call in
+/// epoch 1. Its process keeps beating all the while, because the detector
+/// runs on a thread of its own rather than on the steps of the worker it
+/// vouches for: nobody is declared failed, and the output matches the
+/// fault-free reference.
+#[test]
+fn a_long_operator_is_not_a_dead_process() {
+    with_deadline(120, || {
+        let (reference, _) = reference_run();
+        let (results, snapshot) = execute_with_telemetry(detect_config(true), |worker| {
+            let dawdler = worker.index() == 1;
+            drive(worker, |scope: &mut Scope| {
+                let (input, stream) = scope.new_input::<(u64, u64)>();
+                let stream = stream.unary(Pact::Pipeline, "Dawdle", move |_info| {
+                    move |input: &mut InputPort<(u64, u64)>,
+                          output: &mut OutputPort<(u64, u64)>| {
+                        input.for_each(|time, data| {
+                            if dawdler && time.epoch == 1 {
+                                thread::sleep(Duration::from_millis(400));
+                            }
+                            output.session(time).give_vec(data);
+                        });
+                    }
+                });
+                let (probe, captured) = min_at_zero(&stream);
+                (input, probe, captured)
+            })
+        })
+        .expect("a long operator call is not a fault");
+        assert!(snapshot.hub.heartbeats_sent > 0);
+        assert_eq!(snapshot.hub.peer_failures, 0, "nobody died");
+        assert_eq!(by_epoch(results), reference);
     });
 }

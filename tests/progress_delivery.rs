@@ -1,9 +1,9 @@
 //! Who delivers a progress batch (DESIGN.md §10): the thread that
-//! flushes it hands the copy for its own process to the local workers'
-//! inboxes itself; only copies for other processes cross the fabric to a
-//! router. The fabric still accounts for the own-process copy — fault
-//! schedules, Fig 6c bytes — but never carries it, so a latency model
-//! does not delay it.
+//! flushes it puts one copy per process into the mailboxes of all that
+//! process's workers — its own process included — and each worker applies
+//! the batches it drains from its own mailbox. The own-process copy is
+//! still a fabric send — fault schedules, Fig 6c bytes — but it never
+//! leaves the process, so a latency model does not delay it.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -123,11 +123,23 @@ fn batches_applied(snapshot: &TelemetrySnapshot, worker: usize) -> BTreeSet<(u32
         .collect()
 }
 
+/// Each worker's mailbox drains exactly the batches the fabric metered
+/// into its process: one frame per batch, whoever flushed it.
+fn assert_every_worker_drained(snapshot: &TelemetrySnapshot, frames: u64, label: &str) {
+    for worker in &snapshot.workers {
+        assert_eq!(
+            worker.counters.progress_frames, frames,
+            "{label}: worker {} drained its process's batches",
+            worker.worker
+        );
+    }
+}
+
 /// One process, two workers: every batch stays in the process, so the
-/// flushing thread delivers all of them, the router none, and the
+/// flushing thread puts each into both workers' mailboxes, and the
 /// loopback link meters each exactly once.
 #[test]
-fn own_process_batches_skip_the_router_and_are_metered_once() {
+fn own_process_batches_ride_the_mailbox_and_are_metered_once() {
     for mode in [ProgressMode::Local, ProgressMode::Broadcast] {
         let (rows, snapshot) = run_traced(Config::single_process(2).progress_mode(mode));
         assert_eq!(rows, reference(), "{mode:?}");
@@ -140,12 +152,9 @@ fn own_process_batches_skip_the_router_and_are_metered_once() {
             "{mode:?}: both workers see every batch"
         );
         let emitted = batches.len() as u64;
+        assert_every_worker_drained(&snapshot, emitted, &format!("{mode:?}"));
 
         let hub = snapshot.hub;
-        assert_eq!(
-            hub.progress_routed, 0,
-            "{mode:?}: nothing crossed the fabric"
-        );
         assert_eq!(hub.progress_local_deliveries, emitted, "{mode:?}");
 
         let traffic = snapshot.traffic;
@@ -161,18 +170,19 @@ fn own_process_batches_skip_the_router_and_are_metered_once() {
     }
 }
 
-/// The own-process copy never enters a link, so a latency model on the
-/// fabric neither delays it nor sends it to the router.
+/// The own-process copy never leaves the process, so a latency model on
+/// the fabric does not delay it (netsim's
+/// `a_fan_out_is_admitted_and_metered_once` pins the undelayed delivery):
+/// it is metered once and drained by every worker, as without a model.
 #[test]
 fn latency_model_does_not_reroute_the_own_process_copy() {
     let model = LatencyModel::constant(Duration::from_millis(3));
     let (rows, snapshot) = run_traced(Config::single_process(2).latency(model));
     assert_eq!(rows, reference());
-    assert_eq!(snapshot.hub.progress_routed, 0);
-    assert_eq!(
-        snapshot.hub.progress_local_deliveries,
-        batches_applied(&snapshot, 0).len() as u64
-    );
+    let emitted = batches_applied(&snapshot, 0).len() as u64;
+    assert_eq!(snapshot.hub.progress_local_deliveries, emitted);
+    assert_eq!(snapshot.traffic.progress_total.messages, emitted);
+    assert_every_worker_drained(&snapshot, emitted, "latency");
 }
 
 /// A scheduled crash (`FaultPlan::crash(process, after_sends)`, what the
@@ -199,9 +209,9 @@ fn scheduled_crash_counts_own_process_batches_as_sends() {
     assert_eq!(crash_at(attempts), Ok(reference()), "one later never fires");
 }
 
-/// Two processes of two workers: the own-process copy is delivered by
-/// the flusher, the other process's by its router; the output does not
-/// care, in any accumulation mode.
+/// Two processes of two workers: the own-process copy skips the latency
+/// of a link, the other process's crosses one; the output does not care,
+/// in any accumulation mode.
 #[test]
 fn mixed_delivery_is_bit_identical_to_the_single_worker_reference() {
     let reference = Arc::new(reference());
@@ -213,11 +223,18 @@ fn mixed_delivery_is_bit_identical_to_the_single_worker_reference() {
     ] {
         let (rows, snapshot) = run_traced(Config::processes_and_workers(2, 2).progress_mode(mode));
         assert_eq!(rows, *reference, "{mode:?}");
-        let hub = snapshot.hub;
         assert!(
-            hub.progress_routed > 0,
-            "{mode:?}: remote copies are routed"
+            snapshot.traffic.progress_network.messages > 0,
+            "{mode:?}: copies cross processes"
         );
+        assert!(
+            snapshot
+                .workers
+                .iter()
+                .all(|w| w.counters.progress_frames > 0),
+            "{mode:?}: every worker drains progress from its mailbox"
+        );
+        let hub = snapshot.hub;
         // With a central accumulator every broadcast originates at the
         // extra endpoint, so no process ever addresses itself.
         assert_eq!(
