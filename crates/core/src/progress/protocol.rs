@@ -42,11 +42,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use naiad_wire::hash::KeyMap;
 use naiad_wire::{Wire, WireError};
 
 use crate::graph::LogicalGraph;
 
-use super::tracker::PointstampTable;
+use super::tracker::{add_count, PointstampTable};
 use super::{Pointstamp, ProgressUpdate};
 
 /// Sender-id base for process-level accumulators (workers use their own
@@ -265,8 +266,8 @@ pub struct Accumulator {
     /// has flushed (in flight or delivered) plus everything observed from
     /// other groups.
     view: PointstampTable,
-    /// Combined, not-yet-forwarded updates.
-    buffer: HashMap<Pointstamp, i64>,
+    /// Combined, not-yet-forwarded updates; zero entries are elided.
+    buffer: KeyMap<Pointstamp, i64>,
     /// Whether flushed updates fold into the local view ([`Hop::folds`]).
     fold_on_flush: bool,
 }
@@ -280,7 +281,7 @@ impl Accumulator {
     pub fn new(graph: Arc<LogicalGraph>, total_workers: usize) -> Self {
         Accumulator {
             view: PointstampTable::initialized(graph, total_workers),
-            buffer: HashMap::new(),
+            buffer: KeyMap::default(),
             fold_on_flush: true,
         }
     }
@@ -308,11 +309,7 @@ impl Accumulator {
         updates: I,
     ) -> Option<Vec<ProgressUpdate>> {
         for (p, delta) in updates {
-            let count = self.buffer.entry(p).or_insert(0);
-            *count += delta;
-            if *count == 0 {
-                self.buffer.remove(&p);
-            }
+            add_count(&mut self.buffer, p, delta);
         }
         if self.buffer_is_safe() {
             None
@@ -327,8 +324,6 @@ impl Accumulator {
     /// pointstamp precedes it, so no frontier can reach it until that
     /// cover retires — and its retirement re-tests this condition).
     fn buffer_is_safe(&self) -> bool {
-        // lint-allow(NS0003): `all` is order-insensitive; no iteration
-        // order escapes this predicate.
         self.buffer
             .iter()
             .all(|(p, &delta)| (delta > 0 && self.view.is_active(p)) || self.view.blocked(p))
@@ -336,11 +331,8 @@ impl Accumulator {
 
     /// Drains the buffer: positive deltas first, then negatives (§3.3),
     /// and folds the drained updates into the local view (they are now in
-    /// flight).
+    /// flight). The sort makes a flush canonical: the drain's order is not.
     pub fn flush(&mut self) -> Vec<ProgressUpdate> {
-        // lint-allow(NS0003): the drain is sorted into the canonical
-        // positive-first order on the very next statement, so hash order
-        // never reaches the wire.
         let mut updates: Vec<ProgressUpdate> = self.buffer.drain().collect();
         positives_first(&mut updates);
         if self.fold_on_flush {
@@ -466,7 +458,7 @@ pub struct GroupCore {
     hop: Hop,
     total_workers: usize,
     /// Per-dataflow accumulators, created on registration.
-    accs: HashMap<u32, Accumulator>,
+    accs: KeyMap<u32, Accumulator>,
     /// Observations that arrived before the dataflow's graph was known
     /// (a peer group can broadcast first); replayed in arrival order on
     /// registration.
@@ -486,7 +478,7 @@ impl GroupCore {
             emitter: BatchEmitter::new(sender),
             hop,
             total_workers,
-            accs: HashMap::new(),
+            accs: KeyMap::default(),
             stashed: HashMap::new(),
             observed: HashMap::new(),
         }
@@ -573,7 +565,6 @@ impl GroupCore {
     /// Whether any registered dataflow still holds buffered updates
     /// (the liveness oracle's quiescence test).
     pub fn has_buffered(&self) -> bool {
-        // lint-allow(NS0003): `any` is order-insensitive.
         self.accs.values().any(|a| a.has_buffered())
     }
 

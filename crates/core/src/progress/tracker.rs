@@ -4,8 +4,10 @@
 //! (§3.3).
 
 use std::cell::{OnceCell, RefCell};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
+
+use naiad_wire::hash::KeyMap;
 
 use crate::graph::{FollowArc, Location, LogicalGraph, StageKind};
 use crate::order::PartialOrder;
@@ -25,14 +27,14 @@ use super::{Pointstamp, ProgressUpdate};
 /// pointstamps; a notification may be delivered exactly when its
 /// pointstamp is in the frontier.
 ///
-/// An update costs one hash-map operation; an activation also pushes its
+/// An update costs one [`KeyMap`] probe; an activation also pushes its
 /// time forward while the blockers are current, and a retirement nothing
 /// else preceded drops them, for the next query to derive again.
 #[derive(Debug, Clone)]
 pub struct PointstampTable {
     graph: Arc<LogicalGraph>,
     /// Net occurrence counts; zero entries are elided.
-    counts: HashMap<Pointstamp, i64>,
+    counts: KeyMap<Pointstamp, i64>,
     /// Per location (by `LogicalGraph::location_index`), the least time
     /// that blocks a pointstamp there — reached through an arc, or the
     /// successor of an active time there (`s < t` iff `s.successor() ≤ t`;
@@ -66,6 +68,18 @@ fn activate(
     graph.propagate_into(work, blockers);
 }
 
+/// Adds `delta` to `p`'s count with one probe of `counts`, removing a
+/// count that reaches zero; returns the count before (the new one less
+/// `delta`).
+pub(super) fn add_count(counts: &mut KeyMap<Pointstamp, i64>, p: Pointstamp, delta: i64) -> i64 {
+    match counts.entry(p) {
+        Entry::Occupied(count) if *count.get() + delta == 0 => count.remove(),
+        Entry::Occupied(mut count) => count.insert(*count.get() + delta),
+        Entry::Vacant(_) if delta == 0 => 0,
+        Entry::Vacant(slot) => *slot.insert(delta) - delta,
+    }
+}
+
 impl PointstampTable {
     /// An empty table reasoning over `graph`'s could-result-in relation,
     /// with no a-priori input state. Prefer
@@ -73,7 +87,7 @@ impl PointstampTable {
     pub fn new(graph: Arc<LogicalGraph>) -> Self {
         PointstampTable {
             graph,
-            counts: HashMap::new(),
+            counts: KeyMap::default(),
             blockers: OnceCell::new(),
             spare: RefCell::default(),
         }
@@ -103,13 +117,8 @@ impl PointstampTable {
 
     /// Applies one occurrence-count update.
     pub fn update(&mut self, pointstamp: Pointstamp, delta: i64) {
-        let count = self.counts.entry(pointstamp).or_insert(0);
-        let was_active = *count > 0;
-        *count += delta;
-        let is_active = *count > 0;
-        if *count == 0 {
-            self.counts.remove(&pointstamp);
-        }
+        let before = add_count(&mut self.counts, pointstamp, delta);
+        let (was_active, is_active) = (before > 0, before + delta > 0);
         if was_active == is_active {
             return;
         }
@@ -223,9 +232,9 @@ impl PointstampTable {
         self.active().count()
     }
 
-    /// Iterates the active pointstamps (positive occurrence), in no
-    /// particular order. The model-checker's safety oracle enumerates the
-    /// omniscient reference table through this.
+    /// Iterates the active pointstamps (positive occurrence), in an order
+    /// fixed by the table's history. The model-checker's safety oracle
+    /// enumerates the omniscient reference table through this.
     pub fn active(&self) -> impl Iterator<Item = Pointstamp> + '_ {
         self.counts
             .iter()

@@ -27,6 +27,7 @@ fn is_hot_path(rel: &str) -> bool {
 
 fn is_deterministic_module(rel: &str) -> bool {
     rel == "crates/core/src/progress/protocol.rs"
+        || rel == "crates/core/src/progress/tracker.rs"
         || rel.starts_with("crates/core/src/progress/modelcheck/")
         || rel.starts_with("crates/netsim/src/")
 }
@@ -214,8 +215,9 @@ pub fn ns0002(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// NS0003: nondeterminism sources inside modules whose outputs must be
-/// bit-identical across runs (`progress::{protocol,modelcheck}` feed the
-/// model-checker's replay; `netsim` feeds the seeded chaos soaks):
+/// bit-identical across runs (`progress::{protocol,tracker,modelcheck}`
+/// feed the model-checker's replay — its reference view is a
+/// `PointstampTable`; `netsim` feeds the seeded chaos soaks):
 /// wall-clock reads, hasher randomness, and iteration over
 /// `HashMap`/`HashSet` bindings (order varies per process).
 pub fn ns0003(f: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -423,4 +425,37 @@ fn stmt_first_ident(toks: &[Tok], ti: usize) -> Option<&str> {
         i -= 1;
     }
     toks.get(i).and_then(Tok::ident)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ns0003_lines(rel: &str, src: &str) -> Vec<u32> {
+        let mut out = Vec::new();
+        ns0003(&SourceFile::parse(rel, src), &mut out);
+        out.iter().map(|d| d.line).collect()
+    }
+
+    /// The tracker's count table reaches the model-checker's replay: a
+    /// `std` map's iteration is flagged there, a `KeyMap`'s (fixed hash,
+    /// fixed order) is not.
+    #[test]
+    fn ns0003_covers_the_tracker_and_accepts_key_maps() {
+        const TRACKER: &str = "crates/core/src/progress/tracker.rs";
+        let std_map = "\
+struct T { counts: HashMap<P, i64> }
+fn active(t: &T) -> usize { t.counts.iter().count() }
+";
+        let key_map = "\
+struct T { counts: KeyMap<P, i64> }
+fn active(t: &T) -> usize { t.counts.iter().count() }
+";
+        assert_eq!(ns0003_lines(TRACKER, std_map), [2]);
+        assert!(ns0003_lines(TRACKER, key_map).is_empty());
+        assert!(
+            ns0003_lines("crates/core/src/graph/mod.rs", std_map).is_empty(),
+            "outside the deterministic modules"
+        );
+    }
 }

@@ -61,7 +61,6 @@ mod aggregate;
 mod concat;
 mod distinct;
 mod exchange;
-mod hash;
 mod iterate;
 mod join;
 mod keyed;
@@ -75,11 +74,11 @@ pub use aggregate::AggregateOps;
 pub use concat::ConcatOps;
 pub use distinct::DistinctOps;
 pub use exchange::ExchangeOps;
-pub use hash::{hash_of, KeyHasher, KeyMap};
 pub use iterate::IterateOps;
 pub use join::JoinOps;
 pub use keyed::{DistinctCountOps, ExchangeKey, KeyedOps};
 pub use map::MapOps;
+pub use naiad_wire::hash::{hash_of, KeyHasher, KeyMap};
 pub use reduction::{AllReduceOps, ReductionOps};
 pub use relational::{NumericOps, RelationalOps};
 pub use staleness::StalenessOps;

@@ -40,6 +40,7 @@ mod collections;
 mod columnar;
 mod decode_ref;
 mod error;
+pub mod hash;
 mod primitives;
 mod slab;
 mod tuples;

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use naiad::graph::{
     ConnectorId, ContextId, GraphBuilder, Location, LogicalGraph, StageId, StageKind,
 };
-use naiad::progress::{Accumulator, Pointstamp, PointstampTable};
+use naiad::progress::{Accumulator, Pointstamp, PointstampTable, ProgressBatch, ProgressUpdate};
 use naiad::summary::Summary;
 use naiad::{Antichain, PartialOrder, Timestamp};
 use naiad_rng::Xorshift;
@@ -312,6 +312,52 @@ fn flushes_order_positives_first() {
         let out = acc.flush();
         let first_negative = out.iter().position(|(_, d)| *d < 0).unwrap_or(out.len());
         assert!(out[first_negative..].iter().all(|(_, d)| *d < 0));
+    }
+}
+
+/// A flush is canonical: the same deposits in another order, with `+1`/`−1`
+/// pairs that cancel in the buffer and behind another history of churn,
+/// flush equal updates that encode to identical bytes.
+#[test]
+fn flushes_are_canonical_whatever_the_deposit_order() {
+    let mut rng = Xorshift::new(0xBB);
+    for _ in 0..CASES {
+        let graph = gen_graph(&mut rng);
+        let pool = gen_pool(&graph, &mut rng);
+        let mut deposits: Vec<ProgressUpdate> = Vec::new();
+        for _ in 0..(1 + rng.below_usize(23)) {
+            let p = pool[rng.below_usize(pool.len())];
+            deposits.push((p, gen_delta(&mut rng)));
+            if rng.chance(0.3) {
+                deposits.extend([(p, 1), (p, -1)]);
+            }
+        }
+        let flush_of = |order: &[ProgressUpdate], rng: &mut Xorshift| {
+            let mut acc = Accumulator::new(graph.clone(), 2);
+            // Churn that cancels within one deposit leaves the buffer empty,
+            // and its table with a history of its own.
+            let churn: Vec<_> = pool.iter().filter(|_| rng.chance(0.5)).copied().collect();
+            let cancelled = churn
+                .iter()
+                .map(|&p| (p, 1))
+                .chain(churn.iter().map(|&p| (p, -1)));
+            assert!(acc.deposit(cancelled).is_none());
+            let updates = acc
+                .deposit(order.iter().copied())
+                .unwrap_or_else(|| acc.flush());
+            let batch = ProgressBatch {
+                sender: 1,
+                seq: 0,
+                dataflow: 0,
+                updates,
+            };
+            (naiad::wire::encode_to_vec(&batch), batch.updates)
+        };
+        let first = flush_of(&deposits, &mut rng);
+        for i in (1..deposits.len()).rev() {
+            deposits.swap(i, rng.below_usize(i + 1));
+        }
+        assert_eq!(flush_of(&deposits, &mut rng), first);
     }
 }
 
