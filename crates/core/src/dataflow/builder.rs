@@ -101,7 +101,7 @@ impl OperatorBuilder {
             stage,
             notify.clone(),
             inner.routing.my_index,
-            inner.routing.peers,
+            inner.routing.peers(),
             inner.states.clone(),
         );
         drop(inner);

@@ -49,6 +49,7 @@ impl Scope {
         // `try_advance_to` cannot race ahead of the frontier.
         let window = inner
             .routing
+            .bringup
             .flow
             .as_ref()
             .and_then(|f| f.config().max_open_epochs);
@@ -218,25 +219,10 @@ impl<D: ExchangeData> InputHandle<D> {
         shared.epoch.saturating_sub(shared.frontier_epoch())
     }
 
-    /// Sets (or clears) the admission window consulted by
-    /// [`try_advance_to`](Self::try_advance_to): at most `window` epochs
-    /// open beyond the frontier. Inputs of a flow-controlled run start
-    /// with the [`FlowConfig`](crate::runtime::FlowConfig)'s
-    /// `max_open_epochs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `Some(0)`: the producer always holds its own current
-    /// epoch open, so a zero window could never admit an advance.
-    pub fn set_admission_window(&mut self, window: Option<u64>) {
-        assert!(
-            window != Some(0),
-            "admission window of 0 can never admit an advance"
-        );
-        self.shared.borrow_mut().window = window;
-    }
-
-    /// The admission window, if any.
+    /// The admission window consulted by
+    /// [`try_advance_to`](Self::try_advance_to), if any: at most this many
+    /// epochs open beyond the frontier. Every input of a run takes it from
+    /// its [`FlowConfig`](crate::runtime::FlowConfig)'s `max_open_epochs`.
     pub fn admission_window(&self) -> Option<u64> {
         self.shared.borrow().window
     }

@@ -306,7 +306,7 @@ impl Scope {
 
     /// Total number of workers cooperating on this dataflow.
     pub fn peers(&self) -> usize {
-        self.inner.borrow().routing.peers
+        self.inner.borrow().routing.peers()
     }
 
     pub(crate) fn clone_ref(&self) -> Scope {
@@ -391,7 +391,7 @@ impl<D> Clone for Stream<D> {
 impl<D: ExchangeData> Stream<D> {
     /// Creates a stream for a freshly added stage output.
     pub(crate) fn new(stage: StageId, port: usize, context: ContextId, scope: Scope) -> Self {
-        let tee = TeeState::shared(scope.inner.borrow().routing.batch_size);
+        let tee = TeeState::shared(scope.inner.borrow().routing.bringup.config.batch_size);
         Stream {
             stage,
             port,

@@ -788,22 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn unbroadcast_churn_cancels_without_a_flush() {
-        let mut acc = Accumulator::new(chain_graph(), 1);
-        // With an external cover in place, local churn cancels silently.
-        assert!(acc
-            .observe(&[(Pointstamp::at_vertex(ts(0), INPUT), 1)])
-            .is_none());
-        assert!(acc
-            .deposit([(Pointstamp::at_vertex(ts(0), B), 1)])
-            .is_none());
-        assert!(acc
-            .deposit([(Pointstamp::at_vertex(ts(0), B), -1)])
-            .is_none());
-        assert_eq!(acc.buffered_len(), 0, "churn cancelled in the buffer");
-    }
-
-    #[test]
     fn positives_flush_before_negatives() {
         let mut acc = Accumulator::new(chain_graph(), 1);
         assert!(acc

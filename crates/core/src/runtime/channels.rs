@@ -22,15 +22,16 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use naiad_netsim::{Envelope, NetReceiver, NetSender};
-use naiad_wire::{Bytes, ExchangeData, SlabPool, Wire, WireError};
+use naiad_netsim::{Envelope, NetReceiver};
+use naiad_wire::{Bytes, ExchangeData, Wire, WireError};
 
 use super::queue::{ring, RingReceiver, RingSender};
 use super::sync::Mutex;
 
-use super::flow::{Acquire, CreditCell, FlowKey, FlowRegistry, OverloadFlag, OverloadState, ShedPolicy};
-use super::retry::{escalate, with_retry, EscalationCell, FaultKind, RetryPolicy};
-use crate::graph::{ConnectorId, LogicalGraph};
+use super::execute::{Bringup, Process};
+use super::flow::{Acquire, CreditCell, FlowKey, OverloadFlag, OverloadState, ShedPolicy};
+use super::retry::{escalate, with_retry, FaultKind};
+use crate::graph::ConnectorId;
 use crate::progress::{Pointstamp, ProgressUpdate};
 use crate::telemetry::{Recorder, TelemetryEvent};
 use crate::time::Timestamp;
@@ -212,7 +213,6 @@ impl<D> SparePool<D> {
 #[derive(Default)]
 pub(crate) struct ProcessRegistry {
     map: Mutex<HashMap<ChannelKey, Box<dyn Any + Send>>>,
-    dataflows: Mutex<HashMap<usize, Arc<LogicalGraph>>>,
 }
 
 impl ProcessRegistry {
@@ -275,17 +275,6 @@ impl ProcessRegistry {
             .downcast_ref::<SparePool<D>>()
             .expect("spare pool key reused at a different type")
             .clone()
-    }
-
-    /// Publishes a dataflow's logical graph so the process accumulator can
-    /// reason about its pointstamps.
-    pub(crate) fn register_dataflow(&self, id: usize, graph: Arc<LogicalGraph>) {
-        self.dataflows.lock().entry(id).or_insert(graph);
-    }
-
-    /// The logical graph of a registered dataflow.
-    pub(crate) fn dataflow_graph(&self, id: usize) -> Option<Arc<LogicalGraph>> {
-        self.dataflows.lock().get(&id).cloned()
     }
 }
 
@@ -464,11 +453,7 @@ enum Route<D> {
     /// Another process: the batch is encoded into a slab and the fabric
     /// carries it to the destination worker's mailbox; the typed buffer is
     /// cleared in place and keeps its capacity.
-    Remote {
-        process: usize,
-        tag: u32,
-        net: Arc<Mutex<NetSender>>,
-    },
+    Remote { process: usize, tag: u32 },
 }
 
 /// One destination worker of a [`Pusher`].
@@ -487,77 +472,72 @@ pub(crate) struct Pusher<D> {
     connector: ConnectorId,
     pact: Pact<D>,
     my_index: usize,
-    batch_size: usize,
     /// One entry per worker of the stage, reached only through
     /// [`Pusher::dest`].
     dests: Vec<Dest<D>>,
     buffer_time: Option<Timestamp>,
-    /// The per-run slab pool backing remote encodes.
-    slabs: Arc<SlabPool>,
     /// Last remote frame length: the capacity hint for the next slab
     /// checkout, so growth self-corrects without an `encoded_len` pass.
     encode_hint: usize,
     journal: Journal,
-    escalation: Arc<EscalationCell>,
-    policy: RetryPolicy,
     dataflow: u32,
     recorder: Recorder,
-    /// Credit-based flow control (DESIGN.md §15); `None` leaves the
-    /// data plane unbounded, bit for bit today's behavior.
-    flow: Option<Arc<FlowRegistry>>,
+    /// This worker's process, whose send half carries remote batches.
+    process: Arc<Process>,
+    /// The run's batch size, slab pool, retry policy, escalation cell and
+    /// credit registry (DESIGN.md §15; without one the data plane is
+    /// unbounded).
+    bringup: Arc<Bringup>,
     /// This worker's overload state, consulted on the shed path.
     overload: Option<Arc<OverloadFlag>>,
 }
 
-/// Everything a pusher needs to resolve worker routes.
+/// What a dataflow's pushers and pullers at one worker resolve their
+/// routes from: the dataflow, the worker, and the values the worker's
+/// process and the run share.
 pub(crate) struct RoutingContext {
     pub dataflow: usize,
     pub my_index: usize,
-    pub peers: usize,
-    pub workers_per_process: usize,
-    pub process: usize,
-    pub batch_size: usize,
-    pub slabs: Arc<SlabPool>,
-    pub registry: Arc<ProcessRegistry>,
-    pub net: Arc<Mutex<NetSender>>,
+    pub process: Arc<Process>,
+    pub bringup: Arc<Bringup>,
     pub mailbox: Rc<RefCell<Mailbox>>,
-    pub escalation: Arc<EscalationCell>,
-    pub policy: RetryPolicy,
     pub recorder: Recorder,
-    pub flow: Option<Arc<FlowRegistry>>,
     pub overload: Option<Arc<OverloadFlag>>,
 }
 
 impl RoutingContext {
+    /// Total number of workers, and so of each exchange's destinations.
+    pub(crate) fn peers(&self) -> usize {
+        self.bringup.config.total_workers()
+    }
+
     /// The route, an empty buffer and (under flow control) the credit
     /// cell for worker `dst` on `channel`.
     fn dest<D: ExchangeData>(&self, channel: usize, dst: usize) -> Dest<D> {
-        let dst_process = dst / self.workers_per_process;
-        let dst_local = dst % self.workers_per_process;
-        let (route, key) = if dst_process == self.process {
+        let workers_per_process = self.bringup.config.workers_per_process;
+        let (dst_process, dst_local) = (dst / workers_per_process, dst % workers_per_process);
+        let (process, registry) = (self.process.index, &self.process.registry);
+        let (route, key) = if dst_process == process {
             let route = Route::Local {
-                tx: self
-                    .registry
-                    .sender(ChannelKey::Data(self.dataflow, channel, dst_local)),
-                spares: self.registry.spares(self.dataflow, channel, dst_local),
+                tx: registry.sender(ChannelKey::Data(self.dataflow, channel, dst_local)),
+                spares: registry.spares(self.dataflow, channel, dst_local),
             };
-            let key = FlowKey::Local(self.process, self.dataflow, channel, dst_local);
+            let key = FlowKey::Local(process, self.dataflow, channel, dst_local);
             (route, key)
         } else {
             let tag = data_tag(self.dataflow, channel, dst_local);
             let route = Route::Remote {
                 process: dst_process,
                 tag,
-                net: self.net.clone(),
             };
-            (route, FlowKey::Remote(self.process, dst_process, tag))
+            (route, FlowKey::Remote(process, dst_process, tag))
         };
         Dest {
             route,
             // slab-exempt: allocated once at construction and recycled
             // for the pusher's lifetime.
             buffer: Vec::new(),
-            credit: self.flow.as_ref().map(|flow| flow.cell(key)),
+            credit: self.bringup.flow.as_ref().map(|flow| flow.cell(key)),
         }
     }
 }
@@ -575,17 +555,14 @@ impl<D: ExchangeData> Pusher<D> {
             connector,
             pact,
             my_index: ctx.my_index,
-            batch_size: ctx.batch_size,
-            dests: (0..ctx.peers).map(|dst| ctx.dest(channel, dst)).collect(),
+            dests: (0..ctx.peers()).map(|dst| ctx.dest(channel, dst)).collect(),
             buffer_time: None,
-            slabs: ctx.slabs.clone(),
             encode_hint: 0,
             journal,
-            escalation: ctx.escalation.clone(),
-            policy: ctx.policy,
             dataflow: ctx.dataflow as u32,
             recorder: ctx.recorder.clone(),
-            flow: ctx.flow.clone(),
+            process: ctx.process.clone(),
+            bringup: ctx.bringup.clone(),
             overload: ctx.overload.clone(),
         }
     }
@@ -617,7 +594,7 @@ impl<D: ExchangeData> Pusher<D> {
             self.flush();
             self.buffer_time = Some(time);
         }
-        let limit = self.batch_size;
+        let limit = self.bringup.config.batch_size;
         match &self.pact {
             Pact::Pipeline => {
                 let dst = self.my_index;
@@ -662,7 +639,7 @@ impl<D: ExchangeData> Pusher<D> {
 
     /// Emits `dst`'s batch once it holds `batch_size` records.
     fn emit_if_full(&mut self, dst: usize, time: Timestamp) {
-        if Self::dest(&mut self.dests, dst).buffer.len() >= self.batch_size {
+        if Self::dest(&mut self.dests, dst).buffer.len() >= self.bringup.config.batch_size {
             self.emit(dst, time);
         }
     }
@@ -691,7 +668,7 @@ impl<D: ExchangeData> Pusher<D> {
         // entry so a shed batch can leave the occurrence counts
         // net-unchanged.
         let admit = |cost: u64| -> bool {
-            let (Some(flow), Some(cell)) = (&self.flow, &dest.credit) else {
+            let (Some(flow), Some(cell)) = (&self.bringup.flow, &dest.credit) else {
                 return true;
             };
             if dst == self.my_index {
@@ -758,14 +735,14 @@ impl<D: ExchangeData> Pusher<D> {
                 tx.send(Message { time, data });
                 (0, false)
             }
-            Route::Remote { process, tag, net } => {
+            Route::Remote { process, tag } => {
                 // A remote frame is encoded *before* the credit spend so
                 // it is priced by its exact slab footprint — the length
                 // of the very buffer the fabric will carry (DESIGN.md
                 // §16). A shed after encode wastes the encode CPU, but
                 // the frozen frame just drops and its slab returns
                 // straight to the pool.
-                let mut slab = self.slabs.get(self.encode_hint);
+                let mut slab = self.bringup.slabs.get(self.encode_hint);
                 time.encode(slab.buffer());
                 dest.buffer.encode(slab.buffer());
                 dest.buffer.clear();
@@ -777,12 +754,13 @@ impl<D: ExchangeData> Pusher<D> {
                 journal_update(&self.journal, sent, 1);
                 // The tag names the destination worker, and so its mailbox.
                 let (_, _, mailbox) = parse_data_tag(*tag);
+                let net = &self.process.net;
                 let send = || net.lock().send_data(*process, mailbox, *tag, bytes.clone());
-                if let Err(err) = with_retry(self.policy, send) {
+                if let Err(err) = with_retry(self.bringup.policy, send) {
                     let kind = FaultKind::from_send_error(err);
                     self.recorder
                         .record(TelemetryEvent::FaultEscalated { kind });
-                    escalate(&self.escalation, kind);
+                    escalate(&self.bringup.escalation, kind);
                 }
                 (bytes.len() as u32, true)
             }
@@ -816,6 +794,11 @@ pub(crate) struct Puller<D> {
     unsettled: Option<Timestamp>,
     dataflow: u32,
     recorder: Recorder,
+    /// This worker's process: the receiving end of every remote credit
+    /// key, and the send half that admits credit returns.
+    process: Arc<Process>,
+    /// The run's shared state, whose credit registry this puller repays.
+    bringup: Arc<Bringup>,
     /// Credit-return state (DESIGN.md §15); `None` when flow control is
     /// off.
     flow: Option<PullerFlow>,
@@ -825,13 +808,8 @@ pub(crate) struct Puller<D> {
 
 /// The receiving half of the credit protocol for one puller.
 struct PullerFlow {
-    registry: Arc<FlowRegistry>,
     /// The cell same-process senders spend on for this endpoint.
     local_cell: Arc<CreditCell>,
-    /// Fabric sender for control-plane credit returns to remote senders.
-    net: Arc<Mutex<NetSender>>,
-    /// This worker's process, the receiving end of every remote key.
-    process: usize,
     /// This endpoint's data tag, which names its remote credit cells.
     tag: u32,
 }
@@ -848,24 +826,27 @@ impl<D: ExchangeData> Puller<D> {
         connector: ConnectorId,
         journal: Journal,
     ) -> Self {
-        let my_local = ctx.my_index % ctx.workers_per_process;
+        let my_local = ctx.my_index % ctx.bringup.config.workers_per_process;
         let local_key = ChannelKey::Data(ctx.dataflow, channel, my_local);
-        let flow = ctx.flow.as_ref().map(|registry| PullerFlow {
-            registry: registry.clone(),
-            local_cell: registry.cell(FlowKey::Local(ctx.process, ctx.dataflow, channel, my_local)),
-            net: ctx.net.clone(),
-            process: ctx.process,
-            tag: data_tag(ctx.dataflow, channel, my_local),
+        let registry = &ctx.process.registry;
+        let flow = ctx.bringup.flow.as_ref().map(|flow| {
+            let key = FlowKey::Local(ctx.process.index, ctx.dataflow, channel, my_local);
+            PullerFlow {
+                local_cell: flow.cell(key),
+                tag: data_tag(ctx.dataflow, channel, my_local),
+            }
         });
         Puller {
             connector,
-            local: ctx.registry.receiver(local_key),
+            local: registry.receiver(local_key),
             remote: ctx.mailbox.borrow_mut().queue(ctx.dataflow, channel),
-            spares: ctx.registry.spares(ctx.dataflow, channel, my_local),
+            spares: registry.spares(ctx.dataflow, channel, my_local),
             journal,
             unsettled: None,
             dataflow: ctx.dataflow as u32,
             recorder: ctx.recorder.clone(),
+            process: ctx.process.clone(),
+            bringup: ctx.bringup.clone(),
             flow,
             owed: None,
         }
@@ -930,25 +911,25 @@ impl<D: ExchangeData> Puller<D> {
         }
         // Credits return only after OnRecv completes, mirroring the §2.3
         // retirement: the batch's memory is genuinely free by now.
-        if let Some(owed) = self.owed.take() {
-            if let Some(flow) = &self.flow {
-                match owed {
-                    OwedCredit::Local(bytes) => flow.registry.release(&flow.local_cell, bytes),
-                    OwedCredit::Remote { src, bytes } => {
-                        // The return is a `(data tag, bytes)` frame on the
-                        // control plane, exempt from latency and loss: the
-                        // fabric admitting it is its delivery, so this
-                        // worker repays the sender's cell itself and no
-                        // thread at the sender has to read it. A crash or
-                        // partition refuses it, and the parked sender
-                        // escapes through its bounded wait.
-                        let len = flow.tag.encoded_len() + bytes.encoded_len();
-                        let admitted = flow.net.lock().admit_control(src, len).is_ok();
-                        if admitted {
-                            let key = FlowKey::Remote(src, flow.process, flow.tag);
-                            flow.registry.release_key(key, bytes);
-                        }
-                    }
+        let (Some(owed), Some(flow), Some(registry)) =
+            (self.owed.take(), &self.flow, &self.bringup.flow)
+        else {
+            return;
+        };
+        match owed {
+            OwedCredit::Local(bytes) => registry.release(&flow.local_cell, bytes),
+            OwedCredit::Remote { src, bytes } => {
+                // The return is a `(data tag, bytes)` frame on the control
+                // plane, exempt from latency and loss: the fabric admitting
+                // it is its delivery, so this worker repays the sender's
+                // cell itself and no thread at the sender has to read it. A
+                // crash or partition refuses it, and the parked sender
+                // escapes through its bounded wait.
+                let len = flow.tag.encoded_len() + bytes.encoded_len();
+                let admitted = self.process.net.lock().admit_control(src, len).is_ok();
+                if admitted {
+                    let key = FlowKey::Remote(src, self.process.index, flow.tag);
+                    registry.release_key(key, bytes);
                 }
             }
         }
@@ -958,32 +939,37 @@ impl<D: ExchangeData> Puller<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::config::Config;
+    use crate::runtime::flow::{FlowConfig, FlowRegistry};
     use naiad_wire::encode_to_vec;
     use std::cell::RefCell;
 
-    fn ctx(registry: Arc<ProcessRegistry>) -> RoutingContext {
+    /// Worker 0's context in a run of one process with two workers and
+    /// batches of four records, plus `flow` control when given.
+    fn ctx_with(flow: Option<FlowConfig>) -> RoutingContext {
         // Both workers live in process 0, so nothing is ever sent on it.
         let (fabric, rx) = naiad_netsim::Fabric::builder(1).build().remove(0).split();
+        let mut config = Config::single_process(2).batch_size(4).send_retries(0);
+        config.flow = flow;
+        let bringup = Bringup::new(&config, false);
         RoutingContext {
             dataflow: 0,
             my_index: 0,
-            peers: 2,
-            workers_per_process: 2,
-            process: 0,
-            batch_size: 4,
-            slabs: Arc::new(SlabPool::default()),
-            registry,
-            net: Arc::new(Mutex::new(fabric)),
+            process: Arc::new(Process::new(0, fabric, &bringup, None)),
+            bringup: Arc::new(bringup),
             mailbox: Rc::new(RefCell::new(Mailbox::new(rx))),
-            escalation: Arc::new(EscalationCell::default()),
-            policy: RetryPolicy {
-                retries: 0,
-                backoff: std::time::Duration::ZERO,
-            },
             recorder: Recorder::disabled(),
-            flow: None,
             overload: None,
         }
+    }
+
+    fn ctx() -> RoutingContext {
+        ctx_with(None)
+    }
+
+    /// The registry of the queues between the context's workers.
+    fn queues(rc: &RoutingContext) -> &ProcessRegistry {
+        &rc.process.registry
     }
 
     fn journal() -> Journal {
@@ -1023,9 +1009,9 @@ mod tests {
 
     #[test]
     fn exchange_routes_by_hash_and_batches() {
-        let reg = Arc::new(ProcessRegistry::default());
         let j = journal();
-        let rc = ctx(reg.clone());
+        let rc = ctx();
+        let reg = queues(&rc);
         let mut pusher = Pusher::new(
             &rc,
             3,
@@ -1051,8 +1037,8 @@ mod tests {
 
     #[test]
     fn time_changes_flush_buffers() {
-        let reg = Arc::new(ProcessRegistry::default());
-        let rc = ctx(reg.clone());
+        let rc = ctx();
+        let reg = queues(&rc);
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(0), Pact::Pipeline, journal());
         pusher.give_batch(Timestamp::new(0), &mut vec![1u64]);
         pusher.give_batch(Timestamp::new(1), &mut vec![2u64]);
@@ -1066,9 +1052,8 @@ mod tests {
 
     #[test]
     fn puller_journals_retirement_after_settle() {
-        let reg = Arc::new(ProcessRegistry::default());
         let j = journal();
-        let rc = ctx(reg);
+        let rc = ctx();
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(4), Pact::Pipeline, j.clone());
         let mut puller = Puller::<u64>::new(&rc, 0, ConnectorId(4), j.clone());
         pusher.give_batch(Timestamp::new(2), &mut vec![42u64]);
@@ -1086,9 +1071,8 @@ mod tests {
 
     #[test]
     fn pull_settles_previous_batch() {
-        let reg = Arc::new(ProcessRegistry::default());
         let j = journal();
-        let rc = ctx(reg);
+        let rc = ctx();
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(0), Pact::Pipeline, j.clone());
         let mut puller = Puller::<u64>::new(&rc, 0, ConnectorId(0), j.clone());
         pusher.give_batch(Timestamp::new(0), &mut vec![1u64]);
@@ -1108,9 +1092,9 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_all_local_workers() {
-        let reg = Arc::new(ProcessRegistry::default());
-        let mut rc = ctx(reg.clone());
+        let mut rc = ctx();
         rc.recorder = Recorder::with_capacity(16);
+        let reg = &rc.process.registry;
         let mut pusher = Pusher::new(&rc, 1, ConnectorId(0), Pact::Broadcast, journal());
         pusher.give_batch(Timestamp::new(0), &mut vec![5u64]);
         pusher.flush();
@@ -1123,9 +1107,8 @@ mod tests {
 
     #[test]
     fn pusher_and_puller_record_telemetry() {
-        let reg = Arc::new(ProcessRegistry::default());
         let j = journal();
-        let mut rc = ctx(reg);
+        let mut rc = ctx();
         rc.recorder = Recorder::with_capacity(16);
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(4), Pact::Pipeline, j.clone());
         let mut puller = Puller::<u64>::new(&rc, 0, ConnectorId(4), j);
@@ -1142,25 +1125,28 @@ mod tests {
         assert_eq!(c.bytes_out, 0, "local batches never serialize");
     }
 
-    fn flow_ctx(registry: Arc<ProcessRegistry>, budget: usize) -> RoutingContext {
-        use super::super::flow::FlowConfig;
-        let mut rc = ctx(registry);
+    fn flow_ctx(budget: usize) -> RoutingContext {
         let config = FlowConfig::default()
             .budget(budget)
             .credit_wait(std::time::Duration::from_millis(5));
-        rc.flow = Some(Arc::new(FlowRegistry::new(config)));
+        let mut rc = ctx_with(Some(config));
         rc.overload = Some(Arc::new(OverloadFlag::default()));
         rc
     }
 
+    /// The context's credit registry.
+    fn credits(rc: &RoutingContext) -> &FlowRegistry {
+        rc.bringup.flow.as_ref().expect("flow control on")
+    }
+
     #[test]
     fn local_credits_spend_on_emit_and_return_on_settle() {
-        let reg = Arc::new(ProcessRegistry::default());
         let j = journal();
-        let mut rc = flow_ctx(reg, 1 << 20);
+        let mut rc = flow_ctx(1 << 20);
         // Route to worker 1 (cross-worker, credited); we are worker 0.
         rc.my_index = 0;
-        let flow = rc.flow.clone().unwrap();
+        let bringup = rc.bringup.clone();
+        let flow = bringup.flow.as_ref().unwrap();
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(1), Pact::exchange(|_: &u64| 1), j.clone());
         pusher.give_batch(Timestamp::new(0), &mut vec![7u64]);
         pusher.flush();
@@ -1179,10 +1165,9 @@ mod tests {
 
     #[test]
     fn exhausted_credits_overdraft_after_bounded_wait() {
-        let reg = Arc::new(ProcessRegistry::default());
         let j = journal();
-        let rc = flow_ctx(reg.clone(), 1); // 1-byte budget: second batch cannot fit
-        let flow = rc.flow.clone().unwrap();
+        let rc = flow_ctx(1); // 1-byte budget: second batch cannot fit
+        let (flow, reg) = (credits(&rc), queues(&rc));
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(1), Pact::exchange(|_: &u64| 1), j);
         pusher.give_batch(Timestamp::new(0), &mut vec![7u64]);
         pusher.flush(); // admitted: empty queue always admits
@@ -1200,10 +1185,9 @@ mod tests {
 
     #[test]
     fn self_routes_never_park() {
-        let reg = Arc::new(ProcessRegistry::default());
         let j = journal();
-        let rc = flow_ctx(reg, 1); // tiny budget
-        let flow = rc.flow.clone().unwrap();
+        let rc = flow_ctx(1); // tiny budget
+        let flow = credits(&rc);
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(0), Pact::Pipeline, j);
         for i in 0..8u64 {
             pusher.give_batch(Timestamp::new(0), &mut vec![i]);
@@ -1220,19 +1204,16 @@ mod tests {
 
     #[test]
     fn shed_policy_drops_with_exact_counts_when_shedding() {
-        use super::super::flow::FlowConfig;
-        let reg = Arc::new(ProcessRegistry::default());
         let j = journal();
-        let mut rc = ctx(reg.clone());
         let config = FlowConfig::default()
             .budget(1)
             .credit_wait(std::time::Duration::from_millis(2))
             .policy(ShedPolicy::Shed);
-        let flow = Arc::new(FlowRegistry::new(config));
+        let mut rc = ctx_with(Some(config));
         let overload = Arc::new(OverloadFlag::default());
         overload.set(OverloadState::Shedding);
-        rc.flow = Some(flow.clone());
         rc.overload = Some(overload);
+        let (flow, reg) = (credits(&rc), queues(&rc));
         let mut pusher = Pusher::new(&rc, 0, ConnectorId(1), Pact::exchange(|_: &u64| 1), j.clone());
         pusher.give_batch(Timestamp::new(0), &mut vec![7u64]);
         pusher.flush(); // admitted

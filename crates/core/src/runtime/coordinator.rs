@@ -84,7 +84,7 @@ use naiad_netsim::FabricMetrics;
 use naiad_wire::Wire;
 
 use super::config::Config;
-use super::execute::{execute_inner, ExecuteError, Phase};
+use super::execute::{execute_inner, ExecuteError};
 use super::rescale::{ElasticOptions, MigrationSlot, RescaleOutcome, RescaleStep};
 use super::sync::Mutex;
 use super::worker::Worker;
@@ -544,6 +544,7 @@ impl Execution {
         } = self;
         let budget = recovery.or(elastic.map(|e| e.recovery));
         let rollback_on_abort = elastic.is_none_or(|e| e.rollback_on_abort);
+        let certify_rescale = elastic.is_some_and(|e| e.certify);
         let observer = introspect.map(|options| Arc::new(Observer::new(options, &mut config)));
         let worker_fn = Arc::new(worker_fn);
         let inputs: InputLog = Arc::default();
@@ -565,9 +566,6 @@ impl Execution {
                 .get(step_index)
                 .map(|step| (*step, Arc::new(MigrationSlot::default())));
             let stop_epoch = outgoing.as_ref().map_or(total_epochs, |(s, _)| s.at_epoch);
-            let phase = Phase {
-                certify_rescale: elastic.is_some_and(|e| e.certify),
-            };
             // The migration deadline tightens the stall watchdog over the
             // migration window (the first phase after a fence).
             let mut phase_config = config.clone();
@@ -597,7 +595,7 @@ impl Execution {
                 };
                 let f = worker_fn.clone();
                 let observer = observer.clone();
-                let attempt = execute_inner(&phase_config, phase, move |worker| {
+                let attempt = execute_inner(&phase_config, certify_rescale, move |worker| {
                     let harness = observer
                         .as_ref()
                         .map(|o| Harness::install(worker, o, resume_epoch..stop_epoch));

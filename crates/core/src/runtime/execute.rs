@@ -2,6 +2,14 @@
 //!
 //! [`execute`] assembles the fabric, spawns one thread per worker, runs the
 //! user's worker closure everywhere, and joins everything down cleanly.
+//! Before any thread starts it builds two values, and every thread reads
+//! its state through them: one [`Bringup`] with what all threads of the
+//! run share (config, escalation cell, credit registry, slab pool, retry
+//! policy, graph directory, hub counters), and one [`Process`] per fabric
+//! endpoint with what that endpoint's threads share (send half, channel
+//! registry, progress accumulator, failure detector). A worker is built
+//! from its index, its process, the bring-up and its mailbox.
+//!
 //! Each worker's fabric mailbox carries everything other threads send it —
 //! data frames and progress batches alike — so a process runs its workers
 //! and nothing else. Two threads are the exceptions, each with work no
@@ -17,20 +25,26 @@
 //! run coordinator's retry loop ([`Execution`](super::coordinator::Execution))
 //! recovers from.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 use std::thread;
 
-use naiad_netsim::{Fabric, FabricMetrics};
+use naiad_netsim::{Fabric, FabricMetrics, NetSender};
+use naiad_wire::SlabPool;
 
 use super::channels::ProcessRegistry;
 use super::config::Config;
 use super::flow::FlowRegistry;
 use super::liveness::Liveness;
-use super::progress_hub::{run_central_accumulator, HubStats, ProcessAccumulator, ProgressLinks};
+use super::progress_hub::{
+    run_central_accumulator, HubStats, CENTRAL_SENDER, PROC_ACC_SENDER_BASE,
+};
 use super::retry::{EscalationCell, FaultKind, FaultPanic, RetryPolicy};
 use super::sync::Mutex;
 use super::worker::Worker;
+use crate::graph::LogicalGraph;
+use crate::progress::{GroupCore, Role};
 use crate::telemetry::{HubCounters, TelemetrySnapshot, WorkerTelemetry};
 
 /// Errors surfaced by [`execute`].
@@ -217,7 +231,7 @@ where
     F: Fn(&mut Worker) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    execute_inner(&config, Phase::default(), worker_fn).map(|run| (run.results, run.metrics))
+    execute_inner(&config, false, worker_fn).map(|run| (run.results, run.metrics))
 }
 
 /// Like [`execute`], with telemetry forced on: returns the unified
@@ -233,7 +247,7 @@ where
     T: Send + 'static,
 {
     let config = config.telemetry(true);
-    execute_inner(&config, Phase::default(), worker_fn).map(|run| {
+    execute_inner(&config, false, worker_fn).map(|run| {
         (
             run.results,
             // lint-allow(NS0004): this wrapper forced telemetry on one
@@ -243,16 +257,122 @@ where
     })
 }
 
-/// Per-bring-up state owned by the run coordinator rather than the user's
-/// [`Config`]; the plain `execute*` entry points pass the default.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Phase {
+/// What every thread of one bring-up shares, built before any of them
+/// starts and handed to each through an `Arc`: the run's configuration
+/// and the cluster-wide state no one process owns.
+pub(crate) struct Bringup {
+    pub(crate) config: Config,
+    /// Cluster-global fault slot, polled by every worker each step so all
+    /// of them unwind when any thread escalates an injected fault.
+    pub(crate) escalation: EscalationCell,
+    /// Cluster-global credit registry (DESIGN.md §15), `None` with flow
+    /// control off. A remote credit return is still admitted by the
+    /// control plane before the consumer repays it, so crash and partition
+    /// semantics stay honest.
+    pub(crate) flow: Option<FlowRegistry>,
+    /// The slab pool backing every remote encode (DESIGN.md §16). One pool
+    /// per run keeps gauges exact for tests and isolates runs from each
+    /// other.
+    pub(crate) slabs: Arc<SlabPool>,
+    /// Retry budget for sends over the faulting fabric.
+    pub(crate) policy: RetryPolicy,
+    /// The graph directory: every dataflow's logical graph, registered by
+    /// the workers that build it and read by the accumulators.
+    graphs: Mutex<HashMap<usize, Arc<LogicalGraph>>>,
+    pub(crate) hub_stats: HubStats,
     /// Whether [`Worker::dataflow`] analyzes graphs with the `NA0006`
     /// rescale-safe certification enabled (see
     /// [`AnalysisConfig::rescale_contracts`](crate::analysis::AnalysisConfig::rescale_contracts)),
     /// so a graph whose state cannot be re-partitioned is denied at build
-    /// time instead of aborting mid-rescale.
+    /// time instead of aborting mid-rescale. Set by the run coordinator
+    /// for elastic runs.
     pub(crate) certify_rescale: bool,
+    /// Raised once the workers have joined, for the threads that are not
+    /// workers.
+    pub(crate) shutdown: AtomicBool,
+}
+
+impl Bringup {
+    pub(crate) fn new(config: &Config, certify_rescale: bool) -> Self {
+        Bringup {
+            config: config.clone(),
+            escalation: EscalationCell::default(),
+            flow: config.flow.clone().map(FlowRegistry::new),
+            slabs: Arc::default(),
+            policy: RetryPolicy::from_config(config),
+            graphs: Mutex::default(),
+            hub_stats: HubStats::default(),
+            certify_rescale,
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
+    /// Publishes a dataflow's logical graph so the accumulators can reason
+    /// about its pointstamps.
+    pub(crate) fn register_dataflow(&self, id: usize, graph: Arc<LogicalGraph>) {
+        self.graphs.lock().entry(id).or_insert(graph);
+    }
+
+    /// The logical graph of a registered dataflow.
+    pub(crate) fn dataflow_graph(&self, id: usize) -> Option<Arc<LogicalGraph>> {
+        self.graphs.lock().get(&id).cloned()
+    }
+}
+
+/// One fabric endpoint's shared state, built before its threads start and
+/// handed whole to each of them: a process's workers and liveness thread,
+/// or the central accumulator.
+pub(crate) struct Process {
+    /// The endpoint: a process, or `processes` for the central
+    /// accumulator's.
+    pub(crate) index: usize,
+    /// The endpoint's send half, shared by everything that sends from it.
+    pub(crate) net: Mutex<NetSender>,
+    /// The queues between the process's workers.
+    pub(crate) registry: ProcessRegistry,
+    /// The endpoint's progress accumulator (§3.3): a process's under the
+    /// local progress modes, and the central one's under the global modes.
+    /// Lock order: this before `net`.
+    pub(super) accumulator: Option<Mutex<GroupCore>>,
+    /// The process's heartbeat failure detector, when
+    /// [`Config::heartbeats`] is on.
+    pub(crate) liveness: Option<Liveness>,
+}
+
+impl Process {
+    pub(crate) fn new(
+        index: usize,
+        net: NetSender,
+        bringup: &Bringup,
+        liveness: Option<Liveness>,
+    ) -> Self {
+        let config = &bringup.config;
+        let mode = config.progress_mode;
+        let core = |sender, role| {
+            Mutex::new(GroupCore::new(
+                sender,
+                mode.hop(role),
+                config.total_workers(),
+            ))
+        };
+        let accumulator = if index == config.processes {
+            Some(core(CENTRAL_SENDER, Role::CentralAccumulator))
+        } else {
+            mode.local().then(|| {
+                core(
+                    PROC_ACC_SENDER_BASE + index as u32,
+                    Role::ProcessAccumulator,
+                )
+            })
+        };
+        Process {
+            index,
+            net: Mutex::new(net),
+            registry: ProcessRegistry::default(),
+            accumulator,
+            liveness,
+        }
+    }
 }
 
 /// One successful cluster bring-up: worker results, the fabric meters,
@@ -263,10 +383,23 @@ pub(crate) struct ClusterRun<T> {
     pub(crate) telemetry: Option<TelemetrySnapshot>,
 }
 
+/// Starts a thread of the run under `name`.
+fn spawn<T: Send + 'static>(
+    name: String,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> thread::JoinHandle<T> {
+    thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        // lint-allow(NS0004): OS thread-spawn failure is resource
+        // exhaustion; unwinding tears down the run.
+        .expect("spawn a run thread")
+}
+
 /// The shared bring-up/tear-down path behind every way to run.
 pub(crate) fn execute_inner<F, T>(
     config: &Config,
-    phase: Phase,
+    certify_rescale: bool,
     worker_fn: F,
 ) -> Result<ClusterRun<T>, ExecuteError>
 where
@@ -283,185 +416,65 @@ where
     if let Some(faults) = &config.faults {
         builder = builder.faults(faults.clone());
     }
-    let mut fabric = builder.build();
+    let fabric = builder.build();
     // lint-allow(NS0004): the builder allocates one endpoint per process
     // (at least one) plus the optional central endpoint.
     let metrics = fabric[0].metrics().clone();
     // lint-allow(NS0004): same builder guarantee as above.
     let clock = fabric[0].clock().clone();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let escalation = Arc::new(EscalationCell::default());
-    let hub_stats = Arc::new(HubStats::default());
-    // Cluster-global credit registry (DESIGN.md §15), shared by every
-    // process's workers like the escalation cell; a remote credit return
-    // is still admitted by the control plane before the consumer repays
-    // it, so crash and partition semantics stay honest.
-    let flow = config
-        .flow
-        .as_ref()
-        .map(|fc| Arc::new(FlowRegistry::new(fc.clone())));
-    // The per-run slab pool backing every remote encode (DESIGN.md §16).
-    // One pool per run keeps gauges exact for tests and isolates runs
-    // from each other.
-    let slabs = Arc::new(naiad_wire::SlabPool::default());
-    // One liveness detector per process (when heartbeats are on), driven by
-    // that process's liveness thread; kept here so the snapshot can sum the
-    // per-process counters after the join.
-    let mut liveness_handles: Vec<Arc<Liveness>> = Vec::new();
-    let policy = RetryPolicy::from_config(config);
+    let bringup = Arc::new(Bringup::new(config, certify_rescale));
     let worker_fn = Arc::new(worker_fn);
     // When telemetry is on, worker threads push their harvests here after
     // the closure returns; the snapshot is assembled post-join.
-    let hub: Option<Arc<Mutex<Vec<WorkerTelemetry>>>> = config
+    let harvest: Option<Arc<Mutex<Vec<WorkerTelemetry>>>> = config
         .telemetry
         .then(|| Arc::new(Mutex::new(Vec::with_capacity(config.total_workers()))));
 
-    // The central accumulator (if any) owns the extra endpoint.
-    let central_handle = if config.progress_mode.global() {
-        // lint-allow(NS0004): global progress modes build the fabric with
-        // the extra central endpoint appended last.
-        let (tx, rx) = fabric.pop().expect("central endpoint allocated").split();
-        let net = Arc::new(Mutex::new(tx));
-        // The central accumulator resolves dataflow graphs through a
-        // registry shared with every process (see below); it is created
-        // after the registries, so stash the pieces here.
-        Some((rx, net))
-    } else {
-        None
-    };
-
-    // One registry per process for its channel queues, plus this directory
-    // of dataflow graphs shared by every process and the central accumulator.
-    let directory = Arc::new(ProcessRegistry::default());
-
-    let mut liveness_threads = Vec::new();
-    let mut worker_handles = Vec::new();
-
-    for (process, endpoint) in fabric.into_iter().enumerate() {
-        // The merged queue carries heartbeats and nothing else: it has a
-        // reader only while a liveness thread runs, and is dropped otherwise.
+    // Every endpoint's `Process`, kept for the snapshot's liveness counters.
+    let mut ends: Vec<Arc<Process>> = Vec::with_capacity(endpoints);
+    let mut helpers = Vec::new();
+    let mut workers = Vec::new();
+    for (p, endpoint) in fabric.into_iter().enumerate() {
+        // A process's merged queue carries heartbeats and nothing else: it
+        // has a reader only while a liveness thread runs, and is dropped
+        // otherwise. The central endpoint's carries the batches the
+        // processes send it.
         let (tx, merged, mailboxes) = endpoint.split_mailboxes();
-        let net = Arc::new(Mutex::new(tx));
-        let registry = if processes == 1 {
-            directory.clone()
-        } else {
-            Arc::new(ProcessRegistry::default())
-        };
-        let progress_links = Arc::new(ProgressLinks::new(
-            process,
-            processes,
-            net.clone(),
-            policy,
-            hub_stats.clone(),
-        ));
-        // Dataflow graphs must be visible to the central accumulator, which
-        // reads through `directory`; workers register into both.
-        let accumulator = if config.progress_mode.local() {
-            Some(Arc::new(Mutex::new(ProcessAccumulator::new(
-                process,
-                config.progress_mode,
-                registry.clone(),
-                progress_links.clone(),
-                config.total_workers(),
-                escalation.clone(),
-            ))))
-        } else {
-            None
-        };
-
-        let liveness = config
-            .heartbeats
-            .then(|| Arc::new(Liveness::new(process, processes, config, clock.clone())));
-        if let Some(live) = &liveness {
-            liveness_handles.push(live.clone());
-            let live = live.clone();
-            let net = net.clone();
-            let escalation = escalation.clone();
-            let shutdown = shutdown.clone();
-            liveness_threads.push(
-                thread::Builder::new()
-                    .name(format!("naiad-liveness-{process}"))
-                    .spawn(move || live.run(merged, &net, &escalation, &shutdown))
-                    // lint-allow(NS0004): OS thread-spawn failure is
-                    // resource exhaustion; unwinding tears down the run.
-                    .expect("spawn liveness thread"),
-            );
+        let liveness = (config.heartbeats && p < processes)
+            .then(|| Liveness::new(p, processes, config, clock.clone()));
+        let process = Arc::new(Process::new(p, tx, &bringup, liveness));
+        ends.push(process.clone());
+        if p == processes {
+            let bringup = bringup.clone();
+            helpers.push(spawn("naiad-central-accumulator".to_string(), move || {
+                run_central_accumulator(merged, &process, &bringup);
+            }));
+            continue;
         }
-
+        if process.liveness.is_some() {
+            let (process, bringup) = (process.clone(), bringup.clone());
+            helpers.push(spawn(format!("naiad-liveness-{p}"), move || {
+                if let Some(live) = &process.liveness {
+                    live.run(merged, &process.net, &bringup);
+                }
+            }));
+        }
         for (local, mailbox) in mailboxes.into_iter().enumerate() {
-            let index = process * config.workers_per_process + local;
-            let peers = config.total_workers();
-            let config = config.clone();
-            let registry = registry.clone();
-            let directory = directory.clone();
-            let net = net.clone();
-            let progress_links = progress_links.clone();
-            let accumulator = accumulator.clone();
-            let escalation = escalation.clone();
-            let worker_fn = worker_fn.clone();
-            let hub = hub.clone();
-            let liveness = liveness.clone();
-            let flow = flow.clone();
-            let slabs = slabs.clone();
-            worker_handles.push(
-                thread::Builder::new()
-                    .name(format!("naiad-worker-{index}"))
-                    .spawn(move || {
-                        let mut worker = Worker::new(
-                            index,
-                            peers,
-                            config,
-                            registry,
-                            net,
-                            mailbox,
-                            progress_links,
-                            accumulator,
-                            directory,
-                            escalation,
-                            liveness,
-                            flow,
-                            slabs,
-                            phase.certify_rescale,
-                        );
-                        let result = worker_fn(&mut worker);
-                        if let Some(hub) = &hub {
-                            if let Some(telemetry) = worker.take_telemetry() {
-                                hub.lock().push(telemetry);
-                            }
-                        }
-                        result
-                    })
-                    // lint-allow(NS0004): same spawn-failure policy as
-                    // the liveness thread above.
-                    .expect("spawn worker thread"),
-            );
+            let index = p * config.workers_per_process + local;
+            let (process, bringup) = (process.clone(), bringup.clone());
+            let (worker_fn, harvest) = (worker_fn.clone(), harvest.clone());
+            workers.push(spawn(format!("naiad-worker-{index}"), move || {
+                let mut worker = Worker::new(index, process, bringup, mailbox);
+                let result = worker_fn(&mut worker);
+                if let Some(harvest) = &harvest {
+                    if let Some(telemetry) = worker.take_telemetry() {
+                        harvest.lock().push(telemetry);
+                    }
+                }
+                result
+            }));
         }
     }
-
-    let central_thread = central_handle.map(|(rx, net)| {
-        let links = ProgressLinks::new(processes, processes, net, policy, hub_stats.clone());
-        let directory = directory.clone();
-        let shutdown = shutdown.clone();
-        let escalation = escalation.clone();
-        let total_workers = config.total_workers();
-        let mode = config.progress_mode;
-        thread::Builder::new()
-            .name("naiad-central-accumulator".to_string())
-            .spawn(move || {
-                run_central_accumulator(
-                    rx,
-                    &links,
-                    &directory,
-                    mode,
-                    total_workers,
-                    &shutdown,
-                    &escalation,
-                )
-            })
-            // lint-allow(NS0004): same spawn-failure policy as the
-            // liveness thread above.
-            .expect("spawn central accumulator thread")
-    });
 
     fn observe(error: &mut Option<ExecuteError>, e: ExecuteError) {
         match error {
@@ -469,9 +482,10 @@ where
             _ => *error = Some(e),
         }
     }
-    let mut results = Vec::with_capacity(worker_handles.len());
+    let escalation = &bringup.escalation;
+    let mut results = Vec::with_capacity(workers.len());
     let mut error: Option<ExecuteError> = None;
-    for (index, handle) in worker_handles.into_iter().enumerate() {
+    for (index, handle) in workers.into_iter().enumerate() {
         match handle.join() {
             Ok(result) => results.push(result),
             Err(payload) => {
@@ -489,53 +503,51 @@ where
     // happened to exit before polling the cell.
     if error.is_some() {
         if let Some(kind) = escalation.check() {
-            observe(&mut error, ExecuteError::from_fault(kind, escalation.take_detail()));
+            observe(
+                &mut error,
+                ExecuteError::from_fault(kind, escalation.take_detail()),
+            );
         }
     }
-    shutdown.store(true, Ordering::Release);
-    for handle in liveness_threads {
+    bringup.shutdown.store(true, Ordering::Release);
+    for handle in helpers {
         let _ = handle.join();
     }
-    if let Some(handle) = central_thread {
-        let _ = handle.join();
+    if let Some(e) = error {
+        return Err(e);
     }
-    match error {
-        Some(e) => Err(e),
-        None => {
-            let telemetry = hub.map(|hub| {
-                let logs = std::mem::take(&mut *hub.lock());
-                let mut snap = TelemetrySnapshot::assemble(logs, &metrics);
-                snap.hub = HubCounters {
-                    central_idle_ticks: hub_stats.central_idle_ticks.load(Ordering::Relaxed),
-                    progress_local_deliveries: hub_stats
-                        .progress_local_deliveries
-                        .load(Ordering::Relaxed),
-                    heartbeats_sent: liveness_handles.iter().map(|l| l.beats_sent()).sum(),
-                    suspicions: liveness_handles.iter().map(|l| l.suspicions()).sum(),
-                    peer_failures: liveness_handles.iter().map(|l| l.failures()).sum(),
-                };
-                snap.slab = slabs.gauges();
-                if let Some(flow) = &flow {
-                    snap.flow = crate::telemetry::FlowGauges {
-                        enabled: true,
-                        in_flight_bytes: flow.in_flight_bytes(),
-                        peak_in_flight_bytes: flow.peak_in_flight_bytes(),
-                        credit_waits: flow.credit_waits(),
-                        credit_wait_ns: flow.credit_wait_ns(),
-                        credit_returns: flow.returns(),
-                        overdrafts: flow.overdrafts(),
-                        shed_batches: flow.shed_batches(),
-                        shed_records: flow.shed_records(),
-                        shed_bytes: flow.shed_bytes(),
-                    };
-                }
-                snap
-            });
-            Ok(ClusterRun {
-                results,
-                metrics,
-                telemetry,
-            })
+    let telemetry = harvest.map(|harvest| {
+        let logs = std::mem::take(&mut *harvest.lock());
+        let mut snap = TelemetrySnapshot::assemble(logs, &metrics);
+        let detectors = || ends.iter().filter_map(|p| p.liveness.as_ref());
+        let stats = &bringup.hub_stats;
+        snap.hub = HubCounters {
+            central_idle_ticks: stats.central_idle_ticks.load(Ordering::Relaxed),
+            progress_local_deliveries: stats.progress_local_deliveries.load(Ordering::Relaxed),
+            heartbeats_sent: detectors().map(Liveness::beats_sent).sum(),
+            suspicions: detectors().map(Liveness::suspicions).sum(),
+            peer_failures: detectors().map(Liveness::failures).sum(),
+        };
+        snap.slab = bringup.slabs.gauges();
+        if let Some(flow) = &bringup.flow {
+            snap.flow = crate::telemetry::FlowGauges {
+                enabled: true,
+                in_flight_bytes: flow.in_flight_bytes(),
+                peak_in_flight_bytes: flow.peak_in_flight_bytes(),
+                credit_waits: flow.credit_waits(),
+                credit_wait_ns: flow.credit_wait_ns(),
+                credit_returns: flow.returns(),
+                overdrafts: flow.overdrafts(),
+                shed_batches: flow.shed_batches(),
+                shed_records: flow.shed_records(),
+                shed_bytes: flow.shed_bytes(),
+            };
         }
-    }
+        snap
+    });
+    Ok(ClusterRun {
+        results,
+        metrics,
+        telemetry,
+    })
 }

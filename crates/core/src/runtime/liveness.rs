@@ -48,7 +48,8 @@ use naiad_netsim::{ClusterClock, NetReceiver, NetSender, RecvError, SendError};
 
 use super::channels::HEARTBEAT_TAG;
 use super::config::Config;
-use super::retry::{EscalationCell, FaultKind};
+use super::execute::Bringup;
+use super::retry::FaultKind;
 use super::sync::Mutex;
 
 /// A state change in the failure detector, drained into worker telemetry.
@@ -120,25 +121,19 @@ impl Liveness {
         }
     }
 
-    /// The liveness thread body: until `shutdown`, beats when due, scans,
-    /// and waits at most half an interval on the endpoint's merged queue
-    /// for other processes' heartbeats. A detected failure is raised on
-    /// the escalation cell, for the workers to unwind on; the thread itself
-    /// keeps going.
-    pub(crate) fn run(
-        &self,
-        mut rx: NetReceiver,
-        net: &Arc<Mutex<NetSender>>,
-        escalation: &EscalationCell,
-        shutdown: &AtomicBool,
-    ) {
+    /// The liveness thread body: until the bring-up shuts down, beats from
+    /// `net` when due, scans, and waits at most half an interval on the
+    /// endpoint's merged queue for other processes' heartbeats. A detected
+    /// failure is raised on the escalation cell, for the workers to unwind
+    /// on; the thread itself keeps going.
+    pub(crate) fn run(&self, mut rx: NetReceiver, net: &Mutex<NetSender>, bringup: &Bringup) {
         let tick = (Duration::from_nanos(self.interval_ns) / 2)
             .clamp(Duration::from_millis(1), Duration::from_millis(20));
-        while !shutdown.load(Ordering::Acquire) {
+        while !bringup.shutdown.load(Ordering::Acquire) {
             // `maybe_beat` is interval-gated internally (one atomic load
             // when not due).
             if let Some(kind) = self.maybe_beat(net).or_else(|| self.scan()) {
-                escalation.raise(kind);
+                bringup.escalation.raise(kind);
             }
             match rx.recv_deadline(Some(tick)) {
                 Ok(env) => {
@@ -179,7 +174,7 @@ impl Liveness {
     /// failures (drops, partitions) and vanished endpoints are ignored —
     /// the receive-side timeout owns those — but a crash error is an
     /// immediate detection and is returned for escalation.
-    pub(crate) fn maybe_beat(&self, net: &Arc<Mutex<NetSender>>) -> Option<FaultKind> {
+    pub(crate) fn maybe_beat(&self, net: &Mutex<NetSender>) -> Option<FaultKind> {
         let now = self.clock.now_ns();
         // Single consumer (the liveness thread), so a plain load-check-store
         // is race-free; atomics are only for the workers' reads.

@@ -9,33 +9,32 @@
 //!
 //! By default Naiad accumulates updates at the process level and at the
 //! cluster level: each process sends accumulated updates to a central
-//! accumulator, which broadcasts their net effect to all workers. The
-//! [`ProcessAccumulator`] is shared by a process's workers: they deposit
-//! their journals into it, and each hands it every batch from another
-//! endpoint before applying the batch itself. The central accumulator runs
-//! on its own thread behind an extra fabric endpoint.
+//! accumulator, which broadcasts their net effect to all workers. Each
+//! fabric endpoint's accumulator is part of its [`Process`], which the
+//! endpoint's threads share: a process's workers [deposit](Process::deposit)
+//! their journals into it, and each [hands it](Process::observe) every batch
+//! from another endpoint before applying the batch itself. The central
+//! accumulator runs on its own thread behind an extra fabric endpoint and
+//! deposits what the processes send it the same way.
 //!
-//! Who delivers a progress batch ([`ProgressLinks`]): the thread that
-//! flushes it. A batch for a process is one [fan-out](NetSender::fan_out)
-//! into the mailboxes of all that process's workers — its own process
-//! included, where the bytes skip the latency model — so no thread sits
-//! between the flush and the worker that applies it.
+//! Who delivers a progress batch ([`Process::send_progress`]): the thread
+//! that flushes it. A batch for a process is one
+//! [fan-out](naiad_netsim::NetSender::fan_out) into the mailboxes of all
+//! that process's workers — its own process included, where the bytes skip
+//! the latency model — so no thread sits between the flush and the worker
+//! that applies it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use naiad_netsim::{NetReceiver, NetSender, RecvError, SendError, TrafficClass};
+use naiad_netsim::{NetReceiver, RecvError, SendError, TrafficClass};
 use naiad_wire::{encode_to_vec, Bytes};
 
-use super::sync::Mutex;
+use crate::progress::{Endpoint, GroupCore, Hop, ProgressBatch, ProgressUpdate};
 
-use crate::progress::{
-    Endpoint, GroupCore, Hop, ProgressBatch, ProgressMode, ProgressUpdate, Role,
-};
-
-use super::channels::{ProcessRegistry, CENTRAL_TAG, PROGRESS_TAG};
-use super::retry::{escalate, send_with_retry, with_retry, EscalationCell, FaultKind, RetryPolicy};
+use super::channels::{CENTRAL_TAG, PROGRESS_TAG};
+use super::execute::{Bringup, Process};
+use super::retry::{escalate, send_with_retry, with_retry, FaultKind};
 
 pub(crate) use crate::progress::protocol::{CENTRAL_SENDER, PROC_ACC_SENDER_BASE};
 
@@ -47,11 +46,14 @@ pub(crate) use crate::progress::protocol::{CENTRAL_SENDER, PROC_ACC_SENDER_BASE}
 /// to [`IDLE_WAIT_MAX`] while quiet and snaps back on traffic, so an idle
 /// cluster costs a handful of wakeups per second instead of a tight 5 ms
 /// re-loop.
+// A cache line of its own: these counters are written on every local
+// delivery, and the rest of the bring-up is read by every worker each step.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub(crate) struct HubStats {
     pub(crate) central_idle_ticks: AtomicU64,
     /// Progress batches a process addressed to its own workers
-    /// ([`ProgressLinks::send`]).
+    /// ([`Process::send_progress`]).
     pub(crate) progress_local_deliveries: AtomicU64,
 }
 
@@ -62,121 +64,77 @@ const IDLE_WAIT_BASE: Duration = Duration::from_millis(5);
 const IDLE_WAIT_MAX: Duration = Duration::from_millis(20);
 
 /// Lazily registers `dataflow`'s graph with a [`GroupCore`], looking the
-/// graph up in the process registry (a peer's broadcast can outrun local
+/// graph up in the graph directory (a peer's broadcast can outrun every
 /// construction, in which case the core stashes the observation itself).
-fn ensure_registered(core: &mut GroupCore, registry: &ProcessRegistry, dataflow: usize) {
+fn ensure_registered(core: &mut GroupCore, bringup: &Bringup, dataflow: usize) {
     if !core.is_registered(dataflow as u32) {
-        if let Some(graph) = registry.dataflow_graph(dataflow) {
+        if let Some(graph) = bringup.dataflow_graph(dataflow) {
             core.register(dataflow as u32, graph);
         }
     }
 }
 
-/// One fabric endpoint's outgoing links for progress batches, shared by
-/// the flushing threads there: a process's workers and accumulator, or the
-/// central accumulator.
-pub(crate) struct ProgressLinks {
-    /// The sending endpoint: a process, or `processes` for the central
-    /// accumulator's.
-    endpoint: usize,
-    processes: usize,
-    net: Arc<Mutex<NetSender>>,
-    policy: RetryPolicy,
-    stats: Arc<HubStats>,
-}
-
-impl ProgressLinks {
-    pub(crate) fn new(
-        endpoint: usize,
-        processes: usize,
-        net: Arc<Mutex<NetSender>>,
-        policy: RetryPolicy,
-        stats: Arc<HubStats>,
-    ) -> Self {
-        ProgressLinks {
-            endpoint,
-            processes,
-            net,
-            policy,
-            stats,
-        }
-    }
-
-    /// Sends one encoded batch along `hop` ([`ProgressMode::hop`]). Each
+impl Process {
+    /// Sends one encoded batch from this endpoint along `hop`
+    /// ([`ProgressMode::hop`](crate::progress::ProgressMode::hop)). Each
     /// endpoint's link retries transient failures on its own, so a flaky
     /// link never re-sends to links that already accepted the batch —
     /// re-delivery would violate the per-sender FIFO sequence check.
     ///
     /// A process receives the batch in every worker's mailbox at once
-    /// ([`NetSender::fan_out`]): one fabric send, so fault schedules fire
-    /// at the same send and Fig 6c counts one frame per `(src, dst)` link,
-    /// the own process's loopback copy included — which no latency model
-    /// delays.
+    /// ([`NetSender::fan_out`](naiad_netsim::NetSender::fan_out)): one
+    /// fabric send, so fault schedules fire at the same send and Fig 6c
+    /// counts one frame per `(src, dst)` link, the own process's loopback
+    /// copy included — which no latency model delays.
     ///
     /// A sender's batches must reach every mailbox in `seq` order: callers
     /// emit and send under one lock (the accumulator's) or from the one
     /// thread that owns the emitter (a worker's).
-    pub(crate) fn send(&self, hop: Hop, bytes: &Bytes) -> Result<(), SendError> {
-        hop.endpoints(self.processes)
-            .try_for_each(|endpoint| self.send_to(endpoint, bytes))
+    pub(crate) fn send_progress(
+        &self,
+        bringup: &Bringup,
+        hop: Hop,
+        bytes: &Bytes,
+    ) -> Result<(), SendError> {
+        let processes = bringup.config.processes;
+        hop.endpoints(processes).try_for_each(|endpoint| {
+            let Endpoint::Process(process) = endpoint else {
+                return send_with_retry(&self.net, bringup.policy, processes, CENTRAL_TAG, bytes);
+            };
+            with_retry(bringup.policy, || {
+                self.net.lock().fan_out(
+                    process,
+                    PROGRESS_TAG,
+                    TrafficClass::Progress,
+                    bytes.clone(),
+                )
+            })?;
+            if process == self.index {
+                bringup
+                    .hub_stats
+                    .progress_local_deliveries
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(())
+        })
     }
 
-    fn send_to(&self, endpoint: Endpoint, bytes: &Bytes) -> Result<(), SendError> {
-        let Endpoint::Process(process) = endpoint else {
-            return send_with_retry(&self.net, self.policy, self.processes, CENTRAL_TAG, bytes);
+    /// Deposits a journal into this endpoint's accumulator — a worker's,
+    /// or a process's batch at the central one — and forwards a flush if
+    /// the §3.3 condition requires one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the endpoint has no accumulator: only the local progress
+    /// modes deposit at a process, and they give every process one.
+    pub(crate) fn deposit(&self, bringup: &Bringup, dataflow: usize, updates: Vec<ProgressUpdate>) {
+        let Some(accumulator) = &self.accumulator else {
+            unreachable!("endpoint {} deposits without an accumulator", self.index);
         };
-        with_retry(self.policy, || {
-            self.net
-                .lock()
-                .fan_out(process, PROGRESS_TAG, TrafficClass::Progress, bytes.clone())
-        })?;
-        if process == self.endpoint {
-            self.stats
-                .progress_local_deliveries
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-}
-
-/// The process-level accumulator (§3.3): a transport shell around a pure
-/// [`GroupCore`]. Workers deposit their journals and tee it the batches
-/// other endpoints broadcast; flushes leave through the fabric according
-/// to the progress mode.
-pub(crate) struct ProcessAccumulator {
-    core: GroupCore,
-    registry: Arc<ProcessRegistry>,
-    links: Arc<ProgressLinks>,
-    escalation: Arc<EscalationCell>,
-}
-
-impl ProcessAccumulator {
-    pub(crate) fn new(
-        process: usize,
-        mode: ProgressMode,
-        registry: Arc<ProcessRegistry>,
-        links: Arc<ProgressLinks>,
-        total_workers: usize,
-        escalation: Arc<EscalationCell>,
-    ) -> Self {
-        ProcessAccumulator {
-            core: GroupCore::new(
-                PROC_ACC_SENDER_BASE + process as u32,
-                mode.hop(Role::ProcessAccumulator),
-                total_workers,
-            ),
-            registry,
-            links,
-            escalation,
-        }
-    }
-
-    /// Deposits a worker's journal; forwards a flush if the §3.3 condition
-    /// requires one.
-    pub(crate) fn deposit(&mut self, dataflow: usize, updates: Vec<ProgressUpdate>) {
-        ensure_registered(&mut self.core, &self.registry, dataflow);
-        if let Some(batch) = self.core.deposit(dataflow as u32, updates) {
-            self.forward(&batch);
+        let mut core = accumulator.lock();
+        ensure_registered(&mut core, bringup, dataflow);
+        if let Some(batch) = core.deposit(dataflow as u32, updates) {
+            self.forward(bringup, core.hop(), &batch);
         }
     }
 
@@ -186,46 +144,39 @@ impl ProcessAccumulator {
     /// are no longer safe to hold. Every local worker calls this before it
     /// applies such a batch, and the core observes each batch the first
     /// time only — so the accumulator has observed every batch before any
-    /// local worker applies it.
-    pub(crate) fn observe(&mut self, batch: &ProgressBatch) {
-        ensure_registered(&mut self.core, &self.registry, batch.dataflow as usize);
-        if let Some(flushed) = self.core.observe(batch) {
-            self.forward(&flushed);
+    /// local worker applies it. Without an accumulator there is nothing to
+    /// observe.
+    pub(crate) fn observe(&self, bringup: &Bringup, batch: &ProgressBatch) {
+        let Some(accumulator) = &self.accumulator else {
+            return;
+        };
+        let mut core = accumulator.lock();
+        ensure_registered(&mut core, bringup, batch.dataflow as usize);
+        if let Some(flushed) = core.observe(batch) {
+            self.forward(bringup, core.hop(), &flushed);
         }
     }
 
-    /// Sends a flush where the mode says. A copy for our own process is in
-    /// the local mailboxes before `send` returns, under the lock the caller
-    /// holds on `self`.
-    fn forward(&self, batch: &ProgressBatch) {
+    /// Sends an accumulator's flush along its `hop`, escalating a fault the
+    /// retry budget cannot mask. A copy for this process is in its
+    /// mailboxes before this returns, under the accumulator lock the
+    /// caller holds.
+    fn forward(&self, bringup: &Bringup, hop: Hop, batch: &ProgressBatch) {
         let bytes: Bytes = encode_to_vec(batch).into();
-        if let Err(err) = self.links.send(self.core.hop(), &bytes) {
-            escalate(&self.escalation, FaultKind::from_send_error(err));
+        if let Err(err) = self.send_progress(bringup, hop, &bytes) {
+            escalate(&bringup.escalation, FaultKind::from_send_error(err));
         }
     }
 }
 
 /// The cluster-level accumulator thread body (§3.3): receives batches on
-/// the extra fabric endpoint, accumulates, and broadcasts net effects to
-/// every process through `links`.
+/// the extra fabric endpoint `central`, deposits them into its
+/// accumulator, which broadcasts net effects to every process.
 ///
 /// It keeps a thread of its own — the one thread in a run that is not a
 /// worker — because it is the paper's separate cluster-level endpoint: no
 /// worker lives at it to drive it.
-pub(crate) fn run_central_accumulator(
-    mut rx: NetReceiver,
-    links: &ProgressLinks,
-    registry: &ProcessRegistry,
-    mode: ProgressMode,
-    total_workers: usize,
-    shutdown: &AtomicBool,
-    escalation: &EscalationCell,
-) {
-    let mut core = GroupCore::new(
-        CENTRAL_SENDER,
-        mode.hop(Role::CentralAccumulator),
-        total_workers,
-    );
+pub(crate) fn run_central_accumulator(mut rx: NetReceiver, central: &Process, bringup: &Bringup) {
     let mut wait = IDLE_WAIT_BASE;
     loop {
         match rx.recv_deadline(Some(wait)) {
@@ -242,20 +193,14 @@ pub(crate) fn run_central_accumulator(
                             env.payload.len()
                         )
                     });
-                ensure_registered(&mut core, registry, batch.dataflow as usize);
-                if let Some(out) = core.deposit(batch.dataflow, batch.updates) {
-                    let bytes: Bytes = encode_to_vec(&out).into();
-                    if let Err(err) = links.send(core.hop(), &bytes) {
-                        escalate(escalation, FaultKind::from_send_error(err));
-                    }
-                }
+                central.deposit(bringup, batch.dataflow as usize, batch.updates);
             }
             Err(RecvError::Timeout) => {
-                links
-                    .stats
+                bringup
+                    .hub_stats
                     .central_idle_ticks
                     .fetch_add(1, Ordering::Relaxed);
-                if shutdown.load(Ordering::Acquire) {
+                if bringup.shutdown.load(Ordering::Acquire) {
                     return;
                 }
                 // Bounded backoff: quiet periods cost progressively fewer
@@ -271,21 +216,27 @@ pub(crate) fn run_central_accumulator(
 mod tests {
     use super::*;
 
+    use std::sync::Arc;
+
+    use naiad_netsim::NetSender;
+
     use crate::graph::{ContextId, GraphBuilder, StageId, StageKind};
-    use crate::progress::Pointstamp;
+    use crate::progress::{Pointstamp, ProgressMode};
+    use crate::runtime::config::Config;
+    use crate::runtime::retry::RetryPolicy;
+    use crate::runtime::sync::Mutex;
     use crate::time::Timestamp;
 
     /// Process 0 of a Local-mode cluster of `processes` processes with
     /// `workers` workers each, over the graph input(0) → sink(1), already
     /// registered with process 0's accumulator.
     struct Hub {
-        acc: Arc<Mutex<ProcessAccumulator>>,
+        process: Arc<Process>,
+        bringup: Arc<Bringup>,
         /// Every local worker's mailbox.
         mailboxes: Vec<NetReceiver>,
-        net: Arc<Mutex<NetSender>>,
         /// Process 1's send half, when there is a process 1.
         peer: Option<NetSender>,
-        stats: Arc<HubStats>,
     }
 
     fn hub(processes: usize, workers: usize) -> Hub {
@@ -295,8 +246,14 @@ mod tests {
         g.connect(input, 0, sink, 0);
         let graph = Arc::new(g.build().expect("two-stage chain is valid"));
 
-        let registry = Arc::new(ProcessRegistry::default());
-        registry.register_dataflow(0, graph);
+        let config =
+            Config::processes_and_workers(processes, workers).progress_mode(ProgressMode::Local);
+        let mut bringup = Bringup::new(&config, false);
+        bringup.policy = RetryPolicy {
+            retries: 0,
+            backoff: Duration::ZERO,
+        };
+        bringup.register_dataflow(0, graph);
         let mut endpoints = naiad_netsim::Fabric::builder(processes)
             .mailboxes(workers)
             .build()
@@ -304,39 +261,26 @@ mod tests {
             .map(naiad_netsim::Endpoint::split_mailboxes);
         let (tx, _merged, mailboxes) = endpoints.next().expect("process 0");
         let peer = endpoints.next().map(|(tx, _, _)| tx);
-        let net = Arc::new(Mutex::new(tx));
-        let stats = Arc::new(HubStats::default());
-        let policy = RetryPolicy {
-            retries: 0,
-            backoff: Duration::ZERO,
-        };
-        let links = Arc::new(ProgressLinks::new(
-            0,
-            processes,
-            net.clone(),
-            policy,
-            stats.clone(),
-        ));
-        let mut acc = ProcessAccumulator::new(
-            0,
-            ProgressMode::Local,
-            registry,
-            links,
-            processes * workers,
-            Arc::new(EscalationCell::default()),
-        );
+        let process = Process::new(0, tx, &bringup, None);
         // A +1/−1 pair cancels in the buffer and flushes nothing; it makes
         // the accumulator look the graph up now, so later deposits do not
-        // take the registry lock.
+        // take the directory lock.
         let sink_at_0 = Pointstamp::at_vertex(Timestamp::new(0), StageId(1));
-        acc.deposit(0, vec![(sink_at_0, 1), (sink_at_0, -1)]);
+        process.deposit(&bringup, 0, vec![(sink_at_0, 1), (sink_at_0, -1)]);
         Hub {
-            acc: Arc::new(Mutex::new(acc)),
+            process: Arc::new(process),
+            bringup: Arc::new(bringup),
             mailboxes,
-            net,
             peer,
-            stats,
         }
+    }
+
+    /// Process 0's accumulator core.
+    fn accumulator(process: &Process) -> &Mutex<GroupCore> {
+        process
+            .accumulator
+            .as_ref()
+            .expect("Local mode gives every process an accumulator")
     }
 
     /// `workers` input stamps moving from `epoch` to the next. While no
@@ -375,7 +319,8 @@ mod tests {
         let batches = 200u64;
         for epoch in 0..batches / 2 {
             for _worker in 0..2 {
-                hub.acc.lock().deposit(0, advance_input(epoch, 1));
+                hub.process
+                    .deposit(&hub.bringup, 0, advance_input(epoch, 1));
             }
         }
         let delivered: Vec<Vec<Bytes>> = hub
@@ -388,7 +333,7 @@ mod tests {
         assert_eq!(seqs, (0..batches).collect::<Vec<_>>());
         let encoded: usize = delivered[0].iter().map(|b| b.len()).sum();
 
-        let metrics = hub.net.lock().metrics().clone();
+        let metrics = hub.process.net.lock().metrics().clone();
         let loopback = metrics.link_counters(0, 0).progress;
         assert_eq!(
             (loopback.messages, loopback.bytes),
@@ -396,7 +341,10 @@ mod tests {
         );
         assert_eq!(metrics.total(TrafficClass::Progress, true), loopback);
         assert_eq!(
-            hub.stats.progress_local_deliveries.load(Ordering::Relaxed),
+            hub.bringup
+                .hub_stats
+                .progress_local_deliveries
+                .load(Ordering::Relaxed),
             batches
         );
     }
@@ -409,7 +357,10 @@ mod tests {
     fn a_parked_worker_is_woken_by_a_local_delivery() {
         for _ in 0..20 {
             let Hub {
-                acc, mut mailboxes, ..
+                process,
+                bringup,
+                mut mailboxes,
+                ..
             } = hub(1, 1);
             let mut mailbox = mailboxes.remove(0);
             let parked = std::thread::spawn(move || {
@@ -417,7 +368,7 @@ mod tests {
                     .recv_deadline(Some(Duration::from_secs(5)))
                     .map(|env| decode(&env.payload).seq)
             });
-            acc.lock().deposit(0, advance_input(0, 1));
+            process.deposit(&bringup, 0, advance_input(0, 1));
             assert_eq!(parked.join().expect("parked worker"), Ok(0));
         }
     }
@@ -441,14 +392,20 @@ mod tests {
     /// both deposits are done: the explorer cannot park on them.)
     fn concurrent_depositors() -> Vec<Body> {
         use std::sync::atomic::AtomicUsize;
-        let Hub { acc, mailboxes, .. } = hub(1, 2);
+        let Hub {
+            process,
+            bringup,
+            mailboxes,
+            ..
+        } = hub(1, 2);
         let mailboxes = Arc::new(std::sync::Mutex::new(mailboxes));
         let done = Arc::new(AtomicUsize::new(0));
-        let depositor = |acc: Arc<Mutex<ProcessAccumulator>>| {
+        let depositor = || {
+            let (process, bringup) = (process.clone(), bringup.clone());
             let mailboxes = mailboxes.clone();
             let done = done.clone();
             Box::new(move || {
-                acc.lock().deposit(0, advance_input(0, 1));
+                process.deposit(&bringup, 0, advance_input(0, 1));
                 if done.fetch_add(1, Ordering::SeqCst) == 1 {
                     let mut mailboxes = mailboxes.lock().expect("one reader");
                     for (worker, mailbox) in mailboxes.iter_mut().enumerate() {
@@ -458,7 +415,7 @@ mod tests {
                 }
             }) as Body
         };
-        vec![depositor(acc.clone()), depositor(acc)]
+        vec![depositor(), depositor()]
     }
 
     #[test]
@@ -485,10 +442,10 @@ mod tests {
         use crate::progress::WorkerCore;
         use std::sync::atomic::AtomicUsize;
         let Hub {
-            acc,
+            process,
+            bringup,
             mailboxes,
             peer,
-            ..
         } = hub(2, 2);
         let mut peer = peer.expect("process 1");
         let remote = PROC_ACC_SENDER_BASE + 1;
@@ -503,23 +460,19 @@ mod tests {
             peer.fan_out(0, PROGRESS_TAG, TrafficClass::Progress, bytes)
                 .expect("fault-free fabric");
         }
-        let graph = acc
-            .lock()
-            .registry
-            .dataflow_graph(0)
-            .expect("registered graph");
+        let graph = bringup.dataflow_graph(0).expect("registered graph");
         let done = Arc::new(AtomicUsize::new(0));
         mailboxes
             .into_iter()
             .enumerate()
             .map(|(worker, mut mailbox)| {
-                let acc = acc.clone();
+                let (process, bringup) = (process.clone(), bringup.clone());
                 let done = done.clone();
                 let mut core = WorkerCore::new(graph.clone(), 0, worker as u32, 4);
                 Box::new(move || {
                     for batch in received(&mut mailbox) {
-                        acc.lock().observe(&batch);
-                        let observed = acc.lock().core.observed_through(remote, 0);
+                        process.observe(&bringup, &batch);
+                        let observed = accumulator(&process).lock().observed_through(remote, 0);
                         assert!(
                             observed >= Some(batch.seq),
                             "worker {worker} applies seq {} before the accumulator \
@@ -529,8 +482,8 @@ mod tests {
                         core.apply(&batch).expect("per-sender FIFO");
                     }
                     if done.fetch_add(1, Ordering::SeqCst) == 1 {
-                        let acc = acc.lock();
-                        let view = acc.core.view(0).expect("registered");
+                        let acc = accumulator(&process).lock();
+                        let view = acc.view(0).expect("registered");
                         let input_at =
                             |epoch| Pointstamp::at_vertex(Timestamp::new(epoch), StageId(0));
                         // Four input stamps at epoch 0; the remote two moved

@@ -19,7 +19,7 @@
 //!   progress from the failed process unwind too, so `execute` can join
 //!   everything and report the fault.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use naiad_netsim::{NetSender, SendError, TrafficClass};
@@ -80,6 +80,9 @@ pub(crate) struct FaultPanic(pub(crate) FaultKind);
 /// failed send.
 #[derive(Debug, Default)]
 pub(crate) struct EscalationCell {
+    /// Whether `slot` holds a fault: what every worker polls each step, so
+    /// the poll reads a line nobody writes until a fault is raised.
+    raised: AtomicBool,
     slot: Mutex<Option<FaultKind>>,
     /// Free-form diagnostic attached to the *winning* fault (e.g. the
     /// stall watchdog's structured state dump).
@@ -90,8 +93,9 @@ impl EscalationCell {
     /// Records `kind` if no fault was raised yet; returns the fault that
     /// now occupies the cell.
     pub(crate) fn raise(&self, kind: FaultKind) -> FaultKind {
-        let mut slot = self.slot.lock();
-        *slot.get_or_insert(kind)
+        let first = *self.slot.lock().get_or_insert(kind);
+        self.raised.store(true, Ordering::Release);
+        first
     }
 
     /// Like [`raise`](Self::raise), but attaches `detail` when this call
@@ -102,12 +106,16 @@ impl EscalationCell {
         if slot.is_none() {
             *slot = Some(kind);
             *self.detail.lock() = Some(detail);
+            self.raised.store(true, Ordering::Release);
         }
         slot.unwrap_or(kind)
     }
 
     /// The raised fault, if any.
     pub(crate) fn check(&self) -> Option<FaultKind> {
+        if !self.raised.load(Ordering::Acquire) {
+            return None;
+        }
         *self.slot.lock()
     }
 
@@ -174,7 +182,7 @@ pub(crate) fn with_retry<T>(
 /// Sends a progress batch to `dst` under [`with_retry`]. (A data frame
 /// goes to a worker's mailbox: `Pusher::emit` retries `send_data` itself.)
 pub(crate) fn send_with_retry(
-    net: &Arc<Mutex<NetSender>>,
+    net: &Mutex<NetSender>,
     policy: RetryPolicy,
     dst: usize,
     channel: u32,
@@ -206,7 +214,7 @@ mod tests {
         let mut b = endpoints.pop().unwrap();
         let a = endpoints.pop().unwrap();
         let (tx, _rx) = a.split();
-        let net = Arc::new(Mutex::new(tx));
+        let net = Mutex::new(tx);
         send_with_retry(&net, policy(8), 1, 7, &vec![1u8].into()).unwrap();
         assert_eq!(b.recv_blocking().unwrap().payload.as_ref(), &[1u8]);
         assert_eq!(net.lock().metrics().faults().partition_rejects, 3);
@@ -219,7 +227,7 @@ mod tests {
         let _b = endpoints.pop().unwrap();
         let a = endpoints.pop().unwrap();
         let (tx, _rx) = a.split();
-        let net = Arc::new(Mutex::new(tx));
+        let net = Mutex::new(tx);
         let err = send_with_retry(&net, policy(4), 1, 7, &vec![1u8].into()).unwrap_err();
         assert_eq!(err, SendError::Partitioned { src: 0, dst: 1 });
         assert!(FaultKind::from_send_error(err) == FaultKind::LinkFailed { src: 0, dst: 1 });
@@ -232,7 +240,7 @@ mod tests {
         let a = endpoints.pop().unwrap();
         a.fault_controller().crash(1);
         let (tx, _rx) = a.split();
-        let net = Arc::new(Mutex::new(tx));
+        let net = Mutex::new(tx);
         let err = send_with_retry(&net, policy(8), 1, 7, &vec![1u8].into()).unwrap_err();
         assert_eq!(err, SendError::PeerCrashed { dst: 1 });
         assert_eq!(

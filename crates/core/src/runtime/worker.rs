@@ -1,5 +1,13 @@
 //! Workers: vertex scheduling, notification delivery, and the worker side
 //! of the progress protocol (§3.2, §3.3).
+//!
+//! A worker is built from four things: its index, its [`Process`] (shared
+//! with the process's other workers), the run's [`Bringup`] and its fabric
+//! mailbox. What else it holds is its own: its dataflows with their
+//! progress cores and journals, its recorder and its overload monitor.
+//! Each dataflow it builds gets a [`RoutingContext`] over the same shared
+//! values, from which the dataflow's pushers and pullers resolve their
+//! routes.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -7,10 +15,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use naiad_netsim::{FaultController, NetReceiver, NetSender};
+use naiad_netsim::{FaultController, NetReceiver};
 use naiad_wire::{encode_to_vec, Bytes};
-
-use super::sync::Mutex;
 
 use crate::analysis::{AnalysisConfig, AnalysisReport};
 use crate::dataflow::{Scope, StateHandle, StateRegistry, TrackerCell, Vertex};
@@ -18,14 +24,13 @@ use crate::graph::StageId;
 use crate::progress::{Hop, ProgressBatch, ProgressUpdate, Role, WorkerCore};
 use crate::telemetry::{Recorder, TelemetryEvent, WorkerTelemetry};
 
-use super::channels::{Journal, Mailbox, ProcessRegistry, ProgressFrame, RoutingContext};
-use super::config::Config;
+use super::channels::{Journal, Mailbox, ProgressFrame, RoutingContext};
 use super::durability::{open_blob, seal_blob, RestoreError};
-use super::flow::{FlowRegistry, OverloadFlag, OverloadMonitor};
+use super::execute::{Bringup, Process};
+use super::flow::{OverloadFlag, OverloadMonitor};
 use super::rescale::RescaleError;
-use super::liveness::{Liveness, LivenessTransition};
-use super::progress_hub::{ProcessAccumulator, ProgressLinks};
-use super::retry::{escalate, EscalationCell, FaultKind, FaultPanic, RetryPolicy};
+use super::liveness::LivenessTransition;
+use super::retry::{escalate, FaultKind, FaultPanic};
 
 /// One dataflow installed at this worker.
 struct DataflowRuntime {
@@ -80,14 +85,14 @@ fn new_core(id: usize, index: usize) -> TrackerCell {
 /// directly.
 pub struct Worker {
     index: usize,
-    peers: usize,
-    process: usize,
-    config: Config,
-    registry: Arc<ProcessRegistry>,
-    net: Arc<Mutex<NetSender>>,
-    /// Where this worker's own progress batches leave (Broadcast and
-    /// Global modes; in the local modes the accumulator sends).
-    progress_links: Arc<ProgressLinks>,
+    /// This worker's process, shared with its other workers: the send
+    /// half, the queues between them, the progress accumulator and the
+    /// failure detector.
+    process: Arc<Process>,
+    /// What every thread of the run shares: the config, the escalation
+    /// cell, the credit registry, the slab pool, the retry policy and the
+    /// graph directory.
+    bringup: Arc<Bringup>,
     /// Where everything other threads send this worker arrives — other
     /// processes' data frames, every progress batch — shared with the
     /// pullers that read the data.
@@ -95,9 +100,6 @@ pub struct Worker {
     /// The progress batches of the last mailbox drain, waiting to be
     /// applied (kept for its capacity).
     inbound: Vec<ProgressFrame>,
-    accumulator: Option<Arc<Mutex<ProcessAccumulator>>>,
-    /// Global dataflow directory, shared with the central accumulator.
-    directory: Arc<ProcessRegistry>,
     dataflows: Vec<DataflowRuntime>,
     next_dataflow: usize,
     /// Whether the previous step processed anything, used to decide when
@@ -107,20 +109,11 @@ pub struct Worker {
     /// concurrently), stashing the batches that arrived for them until
     /// construction registers the graph.
     early: HashMap<usize, TrackerCell>,
-    /// Cluster-global fault slot, polled each step so this worker unwinds
-    /// when any thread escalates an injected fault.
-    escalation: Arc<EscalationCell>,
-    /// This process's heartbeat failure detector (when
-    /// [`Config::heartbeats`] is on); workers drain its transitions into
-    /// telemetry.
-    liveness: Option<Arc<Liveness>>,
     /// When the current idle spell began, for the stall watchdog. `None`
     /// whenever the last step worked or every dataflow is complete.
     stall_since: Option<Instant>,
     /// Scheduling rounds completed, reported in stall dumps.
     steps: u64,
-    /// Retry budget for sends over the faulting fabric.
-    policy: RetryPolicy,
     /// Structured telemetry ([`crate::telemetry`]); disabled (all calls
     /// are single branches) unless `Config::telemetry` or `NAIAD_DEBUG`
     /// asks for it.
@@ -131,10 +124,8 @@ pub struct Worker {
     /// Introspection step hooks ([`crate::introspect`]); empty unless a
     /// harness installed one.
     hooks: Vec<StepHook>,
-    /// Cluster-global credit registry ([`crate::runtime::flow`]); `None`
-    /// when flow control is off.
-    flow: Option<Arc<FlowRegistry>>,
-    /// This worker's overload state, shared with its pushers (shed path).
+    /// This worker's overload state, shared with its pushers (shed path);
+    /// `None` when flow control is off.
     overload: Option<Arc<OverloadFlag>>,
     /// The overload detector driving [`Worker::overload`].
     monitor: Option<OverloadMonitor>,
@@ -143,33 +134,16 @@ pub struct Worker {
     last_flow_returns: u64,
     /// Credit waits seen at the last overload poll.
     last_flow_waits: u64,
-    /// The per-run slab pool backing remote encodes (DESIGN.md §16).
-    slabs: Arc<naiad_wire::SlabPool>,
-    /// Whether [`Worker::dataflow`] applies the `NA0006` rescale-safe
-    /// certification (set by the run coordinator for elastic runs).
-    certify_rescale: bool,
 }
 
 impl Worker {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         index: usize,
-        peers: usize,
-        config: Config,
-        registry: Arc<ProcessRegistry>,
-        net: Arc<Mutex<NetSender>>,
+        process: Arc<Process>,
+        bringup: Arc<Bringup>,
         mailbox: NetReceiver,
-        progress_links: Arc<ProgressLinks>,
-        accumulator: Option<Arc<Mutex<ProcessAccumulator>>>,
-        directory: Arc<ProcessRegistry>,
-        escalation: Arc<EscalationCell>,
-        liveness: Option<Arc<Liveness>>,
-        flow: Option<Arc<FlowRegistry>>,
-        slabs: Arc<naiad_wire::SlabPool>,
-        certify_rescale: bool,
     ) -> Self {
-        let process = index / config.workers_per_process;
-        let policy = RetryPolicy::from_config(&config);
+        let config = &bringup.config;
         // `NAIAD_DEBUG` enables recording even when the config does not,
         // so the structured state dump always has events to print.
         let recorder = if config.telemetry || std::env::var_os("NAIAD_DEBUG").is_some() {
@@ -178,37 +152,26 @@ impl Worker {
             Recorder::disabled()
         };
         recorder.set_worker(index);
-        let overload = flow.as_ref().map(|_| Arc::new(OverloadFlag::default()));
-        let monitor = flow.as_ref().map(|f| OverloadMonitor::new(f.config()));
+        let flow = bringup.flow.as_ref();
+        let overload = flow.map(|_| Arc::new(OverloadFlag::default()));
+        let monitor = flow.map(|f| OverloadMonitor::new(f.config()));
         Worker {
             index,
-            peers,
             process,
-            config,
-            registry,
-            net,
-            progress_links,
+            bringup,
             mailbox: Rc::new(RefCell::new(Mailbox::new(mailbox))),
             inbound: Vec::new(),
-            accumulator,
-            directory,
             dataflows: Vec::new(),
             next_dataflow: 0,
             last_step_worked: true,
             early: HashMap::new(),
-            escalation,
-            liveness,
             stall_since: None,
             steps: 0,
-            policy,
             recorder,
             schedule_seq: 0,
             hooks: Vec::new(),
-            flow,
             overload,
             monitor,
-            slabs,
-            certify_rescale,
             last_flow_returns: 0,
             last_flow_waits: 0,
         }
@@ -275,18 +238,18 @@ impl Worker {
 
     /// Total number of workers in the computation.
     pub fn peers(&self) -> usize {
-        self.peers
+        self.bringup.config.total_workers()
     }
 
     /// The process hosting this worker.
     pub fn process(&self) -> usize {
-        self.process
+        self.process.index
     }
 
     /// A handle for injecting faults into the fabric at runtime: crash or
     /// revive processes, sever or heal links.
     pub fn fault_controller(&self) -> FaultController {
-        self.net.lock().fault_controller()
+        self.process.net.lock().fault_controller()
     }
 
     /// Crashes this worker's own process and unwinds (this function does
@@ -301,12 +264,12 @@ impl Worker {
     /// use this to emulate a mid-computation process loss at a precise
     /// point in the input stream.
     pub fn inject_crash(&self) -> ! {
-        self.fault_controller().crash(self.process);
+        self.fault_controller().crash(self.process.index);
         let kind = FaultKind::ProcessCrashed {
-            process: self.process,
+            process: self.process.index,
         };
         self.recorder.record(TelemetryEvent::FaultEscalated { kind });
-        escalate(&self.escalation, kind)
+        escalate(&self.bringup.escalation, kind)
     }
 
     /// Builds a dataflow. Every worker must call `dataflow` the same
@@ -326,7 +289,7 @@ impl Worker {
     /// analyzer diagnostic at `Error` severity.
     pub fn dataflow<R>(&mut self, construct: impl FnOnce(&mut Scope) -> R) -> R {
         let mut analysis = AnalysisConfig::default();
-        if self.certify_rescale {
+        if self.bringup.certify_rescale {
             analysis = analysis.with_rescale_contracts();
         }
         self.dataflow_with_report(&analysis, construct).0
@@ -356,18 +319,10 @@ impl Worker {
         let routing = RoutingContext {
             dataflow: id,
             my_index: self.index,
-            peers: self.peers,
-            workers_per_process: self.config.workers_per_process,
-            process: self.process,
-            batch_size: self.config.batch_size,
-            slabs: self.slabs.clone(),
-            registry: self.registry.clone(),
-            net: self.net.clone(),
+            process: self.process.clone(),
+            bringup: self.bringup.clone(),
             mailbox: self.mailbox.clone(),
-            escalation: self.escalation.clone(),
-            policy: self.policy,
             recorder: self.recorder.clone(),
-            flow: self.flow.clone(),
             overload: self.overload.clone(),
         };
         let mut scope = Scope::new(routing, journal.clone(), core.clone());
@@ -375,8 +330,7 @@ impl Worker {
 
         let (graph, ops, states, report) = scope.finalize(config);
         let graph = Arc::new(graph);
-        self.registry.register_dataflow(id, graph.clone());
-        self.directory.register_dataflow(id, graph.clone());
+        self.bringup.register_dataflow(id, graph.clone());
         if self.recorder.enabled() {
             let operators = ops
                 .iter()
@@ -394,7 +348,7 @@ impl Worker {
             });
         }
         // Batches that raced ahead of construction apply now.
-        for batch in core.borrow_mut().register(graph, self.peers) {
+        for batch in core.borrow_mut().register(graph, self.peers()) {
             self.record_applied(&batch);
         }
         self.dataflows.push(DataflowRuntime {
@@ -425,7 +379,7 @@ impl Worker {
         // Version 2 payloads open with the worker count that partitioned
         // the snapshot, so restoring into a different cluster size is a
         // typed error instead of a silent wrong-routing hazard.
-        naiad_wire::Wire::encode(&self.peers, &mut out);
+        naiad_wire::Wire::encode(&self.peers(), &mut out);
         self.encode_states(&mut out, StateHandle::checkpoint);
         let sealed = seal_blob(&out);
         self.recorder.record(TelemetryEvent::CheckpointTaken {
@@ -553,10 +507,10 @@ impl Worker {
             let input = &mut payload;
             let parts = <usize as naiad_wire::Wire>::decode(input)
                 .map_err(|_| RestoreError::Truncated("shard partition arity"))?;
-            if parts != self.peers {
+            if parts != self.peers() {
                 return Err(RestoreError::PartitionCountMismatch {
                     checkpointed: parts,
-                    restoring: self.peers,
+                    restoring: self.peers(),
                 });
             }
             let part = <usize as naiad_wire::Wire>::decode(input)
@@ -636,13 +590,13 @@ impl Worker {
         let input = &mut payload;
         let checkpointed = <usize as naiad_wire::Wire>::decode(input)
             .map_err(|_| RestoreError::Truncated("snapshot worker count"))?;
-        if checkpointed != self.peers {
+        if checkpointed != self.peers() {
             // A snapshot partitions keyed state by `hash % peers`; loading
             // it into a different worker count would silently violate the
             // exchange contract. The rescale path re-partitions instead.
             return Err(RestoreError::PartitionCountMismatch {
                 checkpointed,
-                restoring: self.peers,
+                restoring: self.peers(),
             });
         }
         let blobs = self.decode_states(input)?;
@@ -662,8 +616,8 @@ impl Worker {
         // If any thread escalated an injected fault, unwind too: peers of
         // a crashed process would otherwise block forever waiting for its
         // progress updates.
-        if let Some(kind) = self.escalation.check() {
-            escalate(&self.escalation, kind);
+        if let Some(kind) = self.bringup.escalation.check() {
+            escalate(&self.bringup.escalation, kind);
         }
         self.recorder.record_step();
         self.steps += 1;
@@ -699,7 +653,7 @@ impl Worker {
     /// transitions to this worker's pushers and telemetry.
     fn poll_overload(&mut self) {
         let (Some(flow), Some(monitor), Some(flag)) =
-            (&self.flow, &mut self.monitor, &self.overload)
+            (&self.bringup.flow, &mut self.monitor, &self.overload)
         else {
             return;
         };
@@ -719,7 +673,7 @@ impl Worker {
     /// Surfaces failure-detector state changes (raised by this process's
     /// liveness thread) as telemetry events in this worker's log.
     fn drain_liveness_transitions(&mut self) {
-        let Some(live) = &self.liveness else {
+        let Some(live) = &self.process.liveness else {
             return;
         };
         if !self.recorder.enabled() {
@@ -830,7 +784,7 @@ impl Worker {
             "{{\"w\":{},\"ev\":\"mailbox\",\"due\":{due},\"not_yet_due\":{not_yet_due}}}",
             self.index
         );
-        if let Some(flow) = &self.flow {
+        if let Some(flow) = &self.bringup.flow {
             let status = if self.backpressured() {
                 "backpressured"
             } else {
@@ -877,7 +831,7 @@ impl Worker {
     /// is parked on a credit wait, or credits have been returned since
     /// the last watchdog check.
     fn backpressured(&self) -> bool {
-        self.flow.as_ref().is_some_and(|flow| {
+        self.bringup.flow.as_ref().is_some_and(|flow| {
             flow.parked_senders() > 0 || flow.returns() != self.last_flow_returns
         })
     }
@@ -924,7 +878,7 @@ impl Worker {
     /// every worker into
     /// [`ExecuteError::Stalled`](super::execute::ExecuteError::Stalled).
     fn check_stall(&mut self) {
-        let Some(timeout) = self.config.stall_timeout else {
+        let Some(timeout) = self.bringup.config.stall_timeout else {
             return;
         };
         // Only armed while a dataflow is incomplete: an idle worker whose
@@ -948,7 +902,7 @@ impl Worker {
         // `FlowConfig::credit_wait`, so a dead cluster stops returning
         // credits within one wait and the next timeout window fires.
         if self.backpressured() {
-            if let Some(flow) = &self.flow {
+            if let Some(flow) = &self.bringup.flow {
                 self.last_flow_returns = flow.returns();
             }
             self.stall_since = Some(Instant::now());
@@ -964,6 +918,7 @@ impl Worker {
             .record(TelemetryEvent::Stalled { idle_ms, active });
         let dump = self.state_dump();
         let first = self
+            .bringup
             .escalation
             .raise_with_detail(FaultKind::Stalled { worker: self.index }, dump);
         std::panic::panic_any(FaultPanic(first));
@@ -1057,11 +1012,9 @@ impl Worker {
     /// of the progress mode's topology (§3.3). Local views are fed
     /// exclusively by the protocol: this worker's own updates come back
     /// through its mailbox like everyone else's, put there by whichever
-    /// thread flushed them ([`ProgressLinks::send`]).
+    /// thread flushed them ([`Process::send_progress`]).
     // lint-allow(NS0004): `df` is the worker's own loop index over
-    // `0..self.dataflows.len()`, and the accumulator handle is allocated
-    // whenever the progress mode is Local/LocalGlobal (construction
-    // invariant in `new`).
+    // `0..self.dataflows.len()`.
     fn flush_progress(&mut self, df: usize) {
         let updates: Vec<ProgressUpdate> =
             std::mem::take(&mut *self.dataflows[df].journal.borrow_mut());
@@ -1069,17 +1022,13 @@ impl Worker {
             return;
         }
         let dataflow = self.dataflows[df].id;
-        let hop = self.config.progress_mode.hop(Role::Worker);
+        let hop = self.bringup.config.progress_mode.hop(Role::Worker);
         if hop == Hop::OwnAccumulator {
-            let acc = self
-                .accumulator
-                .as_ref()
-                .expect("local modes allocate a process accumulator");
             self.recorder.record(TelemetryEvent::ProgressDeposited {
                 dataflow: dataflow as u32,
                 updates: updates.len() as u32,
             });
-            acc.lock().deposit(dataflow, updates);
+            self.process.deposit(&self.bringup, dataflow, updates);
             return;
         }
         let batches = self.dataflows[df].core.borrow_mut().emit_for(hop, updates);
@@ -1091,10 +1040,10 @@ impl Worker {
             });
             let bytes: Bytes = encode_to_vec(&batch).into();
             // Escalates a fault the links' retry budget cannot mask.
-            if let Err(err) = self.progress_links.send(hop, &bytes) {
+            if let Err(err) = self.process.send_progress(&self.bringup, hop, &bytes) {
                 let kind = FaultKind::from_send_error(err);
                 self.recorder.record(TelemetryEvent::FaultEscalated { kind });
-                escalate(&self.escalation, kind);
+                escalate(&self.bringup.escalation, kind);
             }
         }
     }
@@ -1123,7 +1072,7 @@ impl Worker {
 
     /// Applies one progress batch from fabric endpoint `src`. A batch from
     /// another endpoint is first handed to this process's accumulator, if
-    /// there is one (§3.3: an accumulator's view must have observed every
+    /// it has one (§3.3: an accumulator's view must have observed every
     /// batch any of its workers has applied, or it could hold an update
     /// that the workers' views no longer cover). The accumulator observes
     /// the first hand-off of each batch and ignores the rest.
@@ -1136,10 +1085,8 @@ impl Worker {
                 bytes.len()
             )
         });
-        if src != self.process {
-            if let Some(acc) = &self.accumulator {
-                acc.lock().observe(&batch);
-            }
+        if src != self.process.index {
+            self.process.observe(&self.bringup, &batch);
         }
         // A batch can arrive for a dataflow this worker has not built yet
         // (peers construct concurrently): its core stashes it for

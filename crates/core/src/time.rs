@@ -107,12 +107,6 @@ impl CounterStack {
         self.vals[top] = self.vals[top].saturating_add(amount);
         Some(self)
     }
-
-    /// Lexicographic comparison, the total order §2.1 specifies for loop
-    /// counters of equal depth.
-    pub fn lex_cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
 }
 
 impl std::fmt::Debug for CounterStack {

@@ -583,32 +583,6 @@ impl NetSender {
         true
     }
 
-    /// Sends the same payload to every endpoint (including this one), the
-    /// primitive used by progress-update broadcasts.
-    ///
-    /// # Errors
-    ///
-    /// Every destination is attempted; the first failure (in destination
-    /// order) is returned. Callers needing per-destination recovery should
-    /// loop over [`NetSender::send`] instead.
-    pub fn broadcast(
-        &mut self,
-        channel: u32,
-        class: TrafficClass,
-        payload: &Bytes,
-    ) -> Result<(), SendError> {
-        let mut first_err = None;
-        for dst in 0..self.lanes.len() {
-            if let Err(e) = self.send(dst, channel, class, payload.clone()) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
     /// Sends a liveness control message to endpoint `dst` on `channel`.
     ///
     /// The control channel models a tiny ping/heartbeat datagram riding a
@@ -912,20 +886,6 @@ impl Endpoint {
         self.sender.send_control(dst, channel, payload)
     }
 
-    /// Broadcasts to every endpoint; see [`NetSender::broadcast`].
-    ///
-    /// # Errors
-    ///
-    /// See [`NetSender::broadcast`].
-    pub fn broadcast(
-        &mut self,
-        channel: u32,
-        class: TrafficClass,
-        payload: &Bytes,
-    ) -> Result<(), SendError> {
-        self.sender.broadcast(channel, class, payload)
-    }
-
     /// Returns the next deliverable message, if any, without blocking.
     pub fn try_recv(&mut self) -> Option<Envelope> {
         self.receiver.try_recv()
@@ -978,10 +938,14 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_everyone_and_meters_each_link() {
+    fn sends_meter_each_link_and_loopback_stays_off_the_network() {
         let mut eps = Fabric::builder(3).build();
         let payload = Bytes::from_static(&[1, 2, 3, 4]);
-        eps[0].broadcast(1, TrafficClass::Progress, &payload).unwrap();
+        for dst in 0..3 {
+            eps[0]
+                .send(dst, 1, TrafficClass::Progress, payload.clone())
+                .unwrap();
+        }
         let metrics = eps[0].metrics().clone();
         for ep in eps.iter_mut() {
             let env = ep.recv_blocking().unwrap();

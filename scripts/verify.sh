@@ -19,10 +19,12 @@ for root in src/lib.rs crates/*/src/lib.rs; do
 done
 
 echo "== weight (ROADMAP aims 2 and 3 as a ratchet) =="
-# Four sizes that should only fall: the core crate's lines, the places
-# the runtime crates suppress a lint, Config's option count, and the code
-# the crates keep past the dead-code lint. Each ceiling is the count at
-# the last PR that lowered it; a PR that lowers a count lowers its ceiling
+# Five sizes that should only fall: the core crate's lines, the places
+# the runtime crates suppress a lint, Config's option count, the code the
+# crates keep past the dead-code lint, and the clippy lints the crates
+# silence (shared state threaded through as loose parameters would need
+# `too_many_arguments` again). Each ceiling is the count at the last PR
+# that lowered it; a PR that lowers a count lowers its ceiling
 # here, and one that must raise a ceiling says why in CHANGES.md.
 weigh() { # <what> <count> <ceiling>
   printf '%-62s %6d (ceiling %d)\n' "$1" "$2" "$3"
@@ -32,14 +34,16 @@ weigh() { # <what> <count> <ceiling>
   fi
 }
 weigh "lines in crates/core/src" \
-  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 19716
+  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 19574
 weigh "lint-allow / *-exempt markers in crates/{core,wire,netsim}/src" \
-  "$(grep -rhoE 'lint-allow\(|[a-z]+-exempt:' crates/core/src crates/wire/src crates/netsim/src | wc -l)" 37
+  "$(grep -rhoE 'lint-allow\(|[a-z]+-exempt:' crates/core/src crates/wire/src crates/netsim/src | wc -l)" 34
 weigh "pub fields of Config" \
   "$(awk '/^pub struct Config \{/ {on = 1; next} on && /^\}/ {on = 0} on && /^    pub [a-z_]+:/ {n++} END {print n + 0}' \
     crates/core/src/runtime/config.rs)" 15
 weigh "allow(dead_code) attributes in crates/*/src" \
   "$(grep -rhoE 'allow\(dead_code\)' crates/*/src | wc -l)" 4
+weigh "allow(clippy::*) attributes in crates/*/src" \
+  "$(grep -rhoE 'allow\(clippy::' crates/*/src | wc -l)" 6
 
 echo "== source invariant linter (naiad-lint-src, NS0001-NS0006) =="
 # Token-level replacement for the old flow-exempt/slab-exempt grep|awk
