@@ -34,7 +34,7 @@ mod telemetry;
 mod workloads;
 
 pub use model::{
-    ClusterSim, ClusterSpec, FailureModel, HeartbeatModel, IntrospectionModel, PhaseStats,
+    ClusterSim, ClusterSpec, FailureModel, HeartbeatModel, PhaseStats,
     RecoveryStats, RescaleModel, StragglerModel,
 };
 pub use telemetry::{PhaseAgg, SimTelemetry};

@@ -208,57 +208,6 @@ impl RescaleModel {
     }
 }
 
-/// Analytical cost model of the self-hosted introspection pipeline
-/// (`naiad::introspect`): the recorder tax on every worker, the tap
-/// drain and event→sample attribution in the step hook, and the observer
-/// dataflow's own exchange and analysis work. Prices what Fig 6a-style
-/// runs pay for leaving critical-path analysis on — the "introspection
-/// tax" EXPERIMENTS.md tables against the runtime's measured numbers.
-#[derive(Debug, Clone)]
-pub struct IntrospectionModel {
-    /// Telemetry events recorded per worker per epoch (schedule slices,
-    /// transit, progress traffic, notifications).
-    pub events_per_worker_per_epoch: f64,
-    /// Seconds per recorder append (a bounds check and a buffer write;
-    /// the runtime's regression test holds this under ~100 ns even with
-    /// the tap installed).
-    pub record_seconds: f64,
-    /// Fraction of recorded events that are attributable and become
-    /// activity samples (the tap filters the rest).
-    pub attributable_fraction: f64,
-    /// Seconds to drain, attribute, and enqueue one sample in the step
-    /// hook.
-    pub sample_seconds: f64,
-    /// Serialized bytes per sample crossing the fabric to the epoch's
-    /// analysis vertex (the runtime's wire encoding is ~40 bytes).
-    pub sample_bytes: f64,
-    /// Seconds the analysis vertex spends folding one sample into its
-    /// epoch accumulator.
-    pub fold_seconds: f64,
-}
-
-impl IntrospectionModel {
-    /// Runtime-plausible defaults, matching the measured recorder and
-    /// accumulator costs: ~60 ns per append, ~150 ns per sample drained,
-    /// 40-byte samples, ~80 ns per fold, with roughly 70% of events
-    /// attributable.
-    pub fn paper_default(events_per_worker_per_epoch: f64) -> Self {
-        IntrospectionModel {
-            events_per_worker_per_epoch,
-            record_seconds: 60.0e-9,
-            attributable_fraction: 0.7,
-            sample_seconds: 150.0e-9,
-            sample_bytes: 40.0,
-            fold_seconds: 80.0e-9,
-        }
-    }
-
-    /// Samples generated per worker per epoch.
-    pub fn samples_per_worker(&self) -> f64 {
-        self.events_per_worker_per_epoch * self.attributable_fraction
-    }
-}
-
 /// Outcome of simulating a checkpointed streaming job under a
 /// [`FailureModel`] — see [`ClusterSim::recovery_run`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -506,48 +455,6 @@ impl ClusterSim {
             straggler_delay: straggler,
         };
         self.telemetry.record_rescale(stats);
-        stats
-    }
-
-    /// Prices one epoch's *steady-state* introspection tax: the recorder
-    /// appends on the hot path, the step hook's tap drain and
-    /// attribution, the sample exchange to the epoch's analysis vertex,
-    /// and the accumulator fold. The per-worker costs run in parallel
-    /// across the cluster. Samples exchange by epoch, so consecutive
-    /// epochs land on *different* analysis vertices and their transfers
-    /// and folds pipeline — amortized per epoch, each NIC carries its
-    /// own egress plus a 1/n share of the converging ingress, and each
-    /// computer folds a 1/n share of the epochs.
-    pub fn introspection_phase(&mut self, model: &IntrospectionModel) -> PhaseStats {
-        let workers = self.spec.workers_per_computer as f64;
-        // Per-worker, parallel: recording and the hook's drain.
-        let record = model.events_per_worker_per_epoch * model.record_seconds;
-        let drain = model.samples_per_worker() * model.sample_seconds;
-        let n = self.spec.computers as f64;
-        let total_samples = model.samples_per_worker() * workers * n;
-        let total_remote_bytes = if self.spec.computers > 1 {
-            total_samples * model.sample_bytes * (n - 1.0) / n
-        } else {
-            0.0
-        };
-        // Egress: each computer ships its own remote share. Ingress: one
-        // epoch converges on one computer, but epochs rotate, so the
-        // amortized per-computer ingress equals the egress — the NIC
-        // pays each byte once out, once (on average) in.
-        let nic_rate = self.spec.nic_bps * self.spec.socket_efficiency / 8.0;
-        let transfer = 2.0 * (total_remote_bytes / n) / nic_rate + self.spec.hop_latency;
-        // The fold serializes per epoch at one vertex, but pipelines
-        // across the rotating vertices: a 1/n share per computer.
-        let fold = total_samples * model.fold_seconds / n;
-        // Observation only: no barrier of its own, so no straggler
-        // exposure beyond what the phases it shadows already pay.
-        let duration = record + drain + transfer + fold;
-        self.clock += duration;
-        let stats = PhaseStats {
-            duration,
-            straggler_delay: 0.0,
-        };
-        self.telemetry.record_introspection(stats);
         stats
     }
 
@@ -824,49 +731,6 @@ mod tests {
         assert_eq!(RescaleModel::moved_fraction(4, 4), 0.0);
         assert!(RescaleModel::moved_fraction(4, 5) > 0.75);
         assert!(RescaleModel::moved_fraction(63, 64) > 0.98);
-    }
-
-    #[test]
-    fn introspection_tax_is_small_against_paper_epochs() {
-        // A paper-scale epoch: 64 computers, ~2000 events per worker.
-        let mut sim = quiet(64);
-        let epoch = sim.compute_phase(0.05).duration + sim.exchange_phase(10.0e6).duration;
-        let model = IntrospectionModel::paper_default(2000.0);
-        let tax = sim.introspection_phase(&model).duration;
-        assert!(tax > 0.0);
-        assert!(
-            tax < epoch * 0.10,
-            "introspection tax {tax} exceeds 10% of the epoch {epoch}"
-        );
-        assert_eq!(sim.telemetry().introspection.phases, 1);
-        assert!((sim.telemetry().total_seconds() - sim.now()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn introspection_tax_scales_with_event_volume() {
-        let tax = |events: f64| {
-            let mut sim = quiet(16);
-            sim.introspection_phase(&IntrospectionModel::paper_default(events))
-                .duration
-        };
-        let light = tax(500.0);
-        let heavy = tax(50_000.0);
-        assert!(heavy > light * 10.0, "light {light}, heavy {heavy}");
-        // The fold at the single analysis vertex eventually dominates:
-        // doubling events at least doubles the marginal cost.
-        let heavier = tax(100_000.0);
-        assert!(heavier > heavy * 1.5);
-    }
-
-    #[test]
-    fn single_computer_introspection_skips_the_fabric() {
-        let model = IntrospectionModel::paper_default(10_000.0);
-        let local = quiet(1).introspection_phase(&model).duration;
-        let mut sim = quiet(2);
-        let distributed = sim.introspection_phase(&model).duration;
-        // Two computers record twice the samples AND pay the NIC for the
-        // remote half converging on the analysis vertex.
-        assert!(distributed > local, "local {local}, distributed {distributed}");
     }
 
     #[test]

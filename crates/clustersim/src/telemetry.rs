@@ -49,9 +49,6 @@ pub struct SimTelemetry {
     /// Elastic-rescale stalls (quiesce + snapshot + transfer + restore +
     /// replay).
     pub rescale: PhaseAgg,
-    /// Introspection tax (recorder appends, tap drain, sample exchange,
-    /// analysis fold).
-    pub introspection: PhaseAgg,
 }
 
 impl SimTelemetry {
@@ -71,17 +68,12 @@ impl SimTelemetry {
         self.rescale.record(stats);
     }
 
-    pub(crate) fn record_introspection(&mut self, stats: PhaseStats) {
-        self.introspection.record(stats);
-    }
-
     /// Total simulated seconds across every phase kind.
     pub fn total_seconds(&self) -> f64 {
         self.compute.seconds
             + self.exchange.seconds
             + self.coordination.seconds
             + self.rescale.seconds
-            + self.introspection.seconds
     }
 
     /// Total straggler-attributable seconds.
@@ -90,7 +82,6 @@ impl SimTelemetry {
             + self.exchange.straggler_seconds
             + self.coordination.straggler_seconds
             + self.rescale.straggler_seconds
-            + self.introspection.straggler_seconds
     }
 
     /// A per-phase-kind breakdown table, mirroring the real registry's
@@ -109,7 +100,6 @@ impl SimTelemetry {
             ("exchange", &self.exchange),
             ("coordination", &self.coordination),
             ("rescale", &self.rescale),
-            ("introspection", &self.introspection),
         ] {
             let _ = writeln!(
                 s,

@@ -3,22 +3,20 @@
 //! Following SnailTrail's model, every attributable telemetry event
 //! becomes one [`ActivitySample`] — a span of worker activity (operator
 //! scheduling, message transit, progress traffic, notification delivery)
-//! tagged with the *source epoch* it served. Samples are what flow into
-//! the observer dataflow; [`EpochAccumulator`] folds the samples of one
-//! epoch into a [`CriticalPathSummary`].
+//! tagged with the *source epoch* it served. [`EpochAccumulator`] folds
+//! the samples of one epoch into a [`CriticalPathSummary`].
 //!
-//! The event→sample mapping lives in [`AttributionState`] and is shared
-//! verbatim between the online path (the step hook draining the recorder
-//! tap) and the offline reference ([`offline_reference`] over a harvested
-//! [`WorkerTelemetry`] log) — the golden test's equality is by
+//! `Fold` is the whole pipeline for one worker's event stream: the
+//! event→sample mapping ([`AttributionState`]) into one accumulator per
+//! epoch. The same code runs online (the recorder's tap, fed as events
+//! are recorded) and offline ([`offline_reference`] over harvested
+//! [`WorkerTelemetry`] logs) — the golden test's equality is by
 //! construction, not by coincidence.
 //!
 //! All arithmetic is integer-only so summaries are bit-identical across
 //! runs, platforms, and the online/offline split.
 
 use std::collections::{BTreeMap, HashMap};
-
-use naiad_wire::{Wire, WireError};
 
 use crate::telemetry::{EventRecord, TelemetryEvent, WorkerTelemetry};
 
@@ -39,47 +37,10 @@ pub enum ActivityKind {
     CreditWait,
 }
 
-impl ActivityKind {
-    fn code(self) -> u8 {
-        match self {
-            ActivityKind::Schedule => 0,
-            ActivityKind::TransitOut => 1,
-            ActivityKind::TransitIn => 2,
-            ActivityKind::Progress => 3,
-            ActivityKind::Notify => 4,
-            ActivityKind::CreditWait => 5,
-        }
-    }
-}
-
-impl Wire for ActivityKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(self.code());
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let code = u8::decode(input)?;
-        match code {
-            0 => Ok(ActivityKind::Schedule),
-            1 => Ok(ActivityKind::TransitOut),
-            2 => Ok(ActivityKind::TransitIn),
-            3 => Ok(ActivityKind::Progress),
-            4 => Ok(ActivityKind::Notify),
-            5 => Ok(ActivityKind::CreditWait),
-            other => Err(WireError::InvalidTag(other)),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
 /// One node of the program-activity graph: a span of attributable worker
 /// activity, tagged with the source epoch it served.
 ///
-/// Samples are exchanged between workers by `epoch`, so the summary for
-/// one epoch is assembled at exactly one analysis vertex.
+/// The samples of one epoch, from every worker, fold into one summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActivitySample {
     /// Global index of the worker the activity ran on.
@@ -102,41 +63,12 @@ pub struct ActivitySample {
     pub seq: u64,
 }
 
-impl Wire for ActivitySample {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.worker.encode(buf);
-        self.epoch.encode(buf);
-        self.kind.encode(buf);
-        self.start_ns.encode(buf);
-        self.duration_ns.encode(buf);
-        self.records.encode(buf);
-        self.bytes.encode(buf);
-        self.stage.encode(buf);
-        self.seq.encode(buf);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(ActivitySample {
-            worker: u32::decode(input)?,
-            epoch: u64::decode(input)?,
-            kind: ActivityKind::decode(input)?,
-            start_ns: u64::decode(input)?,
-            duration_ns: u64::decode(input)?,
-            records: u32::decode(input)?,
-            bytes: u32::decode(input)?,
-            stage: u32::decode(input)?,
-            seq: u64::decode(input)?,
-        })
-    }
-}
-
 /// Incremental event→sample attribution for one worker's event stream.
 ///
 /// Fed event records in log order; returns the sample each attributable
 /// event maps to. Non-attributable events (frontier probes, checkpoints,
 /// faults, `ScheduleStart`, …) return `None` and leave the state
-/// untouched, so feeding the *full* log and feeding the tap's filtered
-/// subsequence produce identical samples.
+/// untouched.
 ///
 /// Epoch attribution: `ScheduleStop` carries the tracker's minimum open
 /// epoch, which becomes the running attribution epoch for subsequent
@@ -155,17 +87,6 @@ impl AttributionState {
             worker,
             last_epoch: 0,
         }
-    }
-
-    /// The running attribution epoch: the smallest epoch any *future*
-    /// inherited sample can carry. The tracker's minimum open epoch is
-    /// monotone per worker, so this never regresses. The step hook uses
-    /// it as a clamp on the observer clock: the observer input must not
-    /// advance past it, or a transit/progress sample attributed to it
-    /// could be introduced behind the observer frontier.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.last_epoch
     }
 
     /// Attributes one event record; `None` for non-attributable events.
@@ -319,8 +240,9 @@ impl WorkerExtent {
 /// [`CriticalPathSummary`].
 ///
 /// Accumulation is commutative (sums, minima, maxima, counts), so the
-/// result is independent of sample arrival order — the online exchange
-/// may interleave workers arbitrarily and still match the offline
+/// result is independent of sample order and of how the samples were
+/// split between accumulators before [`EpochAccumulator::absorb`] joined
+/// them — per-worker folds merged in any order match the offline
 /// reference.
 #[derive(Debug, Default)]
 pub struct EpochAccumulator {
@@ -363,6 +285,28 @@ impl EpochAccumulator {
                 self.credit_wait_ns += sample.duration_ns;
             }
         }
+    }
+
+    /// Folds in everything `other` accumulated, as if its samples had
+    /// been pushed here: extents of the same worker widen and their busy
+    /// times add (per-worker folds never share a worker, so there they
+    /// are disjoint), and every counter sums.
+    pub fn absorb(&mut self, other: EpochAccumulator) {
+        for (worker, theirs) in other.per_worker {
+            let extent = self.per_worker.entry(worker).or_default();
+            extent.busy_ns += theirs.busy_ns;
+            extent.first_ns = extent.first_ns.min(theirs.first_ns);
+            extent.last_ns = extent.last_ns.max(theirs.last_ns);
+        }
+        self.transit_msgs += other.transit_msgs;
+        self.transit_records += other.transit_records;
+        self.transit_bytes += other.transit_bytes;
+        self.progress_batches += other.progress_batches;
+        self.progress_updates += other.progress_updates;
+        self.notifications += other.notifications;
+        self.credit_waits += other.credit_waits;
+        self.credit_wait_ns += other.credit_wait_ns;
+        self.samples += other.samples;
     }
 
     /// Closes the epoch and produces its summary.
@@ -432,8 +376,8 @@ impl EpochAccumulator {
 /// The per-epoch critical-path analysis result.
 ///
 /// All fields are integers; the summary is a pure fold over the epoch's
-/// [`ActivitySample`]s, so the self-hosted dataflow and the offline
-/// reference produce bit-identical values from the same samples.
+/// [`ActivitySample`]s, so the online fold and the offline reference
+/// produce bit-identical values from the same samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CriticalPathSummary {
     /// The source epoch summarized.
@@ -520,79 +464,54 @@ impl CriticalPathSummary {
     }
 }
 
-impl Wire for CriticalPathSummary {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.epoch.encode(buf);
-        self.workers.encode(buf);
-        self.span_ns.encode(buf);
-        self.critical_worker.encode(buf);
-        self.critical_path_ns.encode(buf);
-        self.busy_total_ns.encode(buf);
-        self.busy_max_ns.encode(buf);
-        self.busy_min_ns.encode(buf);
-        self.idle_ns.encode(buf);
-        self.skew_milli.encode(buf);
-        self.transit_msgs.encode(buf);
-        self.transit_records.encode(buf);
-        self.transit_bytes.encode(buf);
-        self.progress_batches.encode(buf);
-        self.progress_updates.encode(buf);
-        self.notifications.encode(buf);
-        self.credit_waits.encode(buf);
-        self.credit_wait_ns.encode(buf);
-        self.samples.encode(buf);
+/// One worker's event stream folded by epoch: each attributable event
+/// becomes a sample ([`AttributionState`]) and lands in its epoch's
+/// [`EpochAccumulator`].
+#[derive(Debug)]
+pub(crate) struct Fold {
+    attribution: AttributionState,
+    epochs: BTreeMap<u64, EpochAccumulator>,
+}
+
+impl Fold {
+    /// An empty fold of worker `worker`'s events.
+    pub(crate) fn new(worker: u32) -> Self {
+        Fold {
+            attribution: AttributionState::new(worker),
+            epochs: BTreeMap::new(),
+        }
     }
 
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(CriticalPathSummary {
-            epoch: u64::decode(input)?,
-            workers: u32::decode(input)?,
-            span_ns: u64::decode(input)?,
-            critical_worker: u32::decode(input)?,
-            critical_path_ns: u64::decode(input)?,
-            busy_total_ns: u64::decode(input)?,
-            busy_max_ns: u64::decode(input)?,
-            busy_min_ns: u64::decode(input)?,
-            idle_ns: u64::decode(input)?,
-            skew_milli: u64::decode(input)?,
-            transit_msgs: u64::decode(input)?,
-            transit_records: u64::decode(input)?,
-            transit_bytes: u64::decode(input)?,
-            progress_batches: u64::decode(input)?,
-            progress_updates: u64::decode(input)?,
-            notifications: u64::decode(input)?,
-            credit_waits: u64::decode(input)?,
-            credit_wait_ns: u64::decode(input)?,
-            samples: u64::decode(input)?,
-        })
+    /// Folds one event record in (non-attributable events change nothing).
+    pub(crate) fn push(&mut self, record: &EventRecord) {
+        if let Some(sample) = self.attribution.push(record) {
+            self.epochs.entry(sample.epoch).or_default().push(&sample);
+        }
+    }
+
+    /// Absorbs every epoch of this fold into `into`.
+    pub(crate) fn merge_into(self, into: &mut BTreeMap<u64, EpochAccumulator>) {
+        for (epoch, accumulator) in self.epochs {
+            into.entry(epoch).or_default().absorb(accumulator);
+        }
     }
 }
 
 /// Recomputes the per-epoch critical-path summaries from harvested event
-/// logs — the offline reference the golden test checks the self-hosted
-/// dataflow against.
+/// logs — the offline reference the golden test checks the online fold
+/// against.
 ///
-/// Runs the same [`AttributionState`] over each worker's log (skipping
-/// events of `exclude_dataflow`, exactly as the recorder tap does) and
-/// folds the samples through the same [`EpochAccumulator`]; summaries
-/// come back sorted by epoch.
+/// Runs each worker's log through the same `Fold` the recorder's tap
+/// feeds and merges the folds; summaries come back sorted by epoch.
 #[must_use]
-pub fn offline_reference(
-    logs: &[WorkerTelemetry],
-    exclude_dataflow: Option<u32>,
-) -> Vec<CriticalPathSummary> {
+pub fn offline_reference(logs: &[WorkerTelemetry]) -> Vec<CriticalPathSummary> {
     let mut epochs: BTreeMap<u64, EpochAccumulator> = BTreeMap::new();
     for log in logs {
-        let worker = u32::try_from(log.worker).unwrap_or(u32::MAX);
-        let mut attribution = AttributionState::new(worker);
+        let mut fold = Fold::new(u32::try_from(log.worker).unwrap_or(u32::MAX));
         for record in &log.events {
-            if record.event.dataflow_id() == exclude_dataflow && exclude_dataflow.is_some() {
-                continue;
-            }
-            if let Some(sample) = attribution.push(record) {
-                epochs.entry(sample.epoch).or_default().push(&sample);
-            }
+            fold.push(record);
         }
+        fold.merge_into(&mut epochs);
     }
     epochs
         .iter()
@@ -603,33 +522,9 @@ pub fn offline_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use naiad_wire::{decode_from_slice, encode_to_vec};
 
     fn record(nanos: u64, event: TelemetryEvent) -> EventRecord {
         EventRecord { nanos, event }
-    }
-
-    #[test]
-    fn samples_round_trip_over_the_wire() {
-        let sample = ActivitySample {
-            worker: 3,
-            epoch: 7,
-            kind: ActivityKind::TransitOut,
-            start_ns: 123_456,
-            duration_ns: 0,
-            records: 42,
-            bytes: 512,
-            stage: 9,
-            seq: 17,
-        };
-        let bytes = encode_to_vec(&sample);
-        let back: ActivitySample = decode_from_slice(&bytes).unwrap();
-        assert_eq!(sample, back);
-
-        let summary = EpochAccumulator::default().finish(5);
-        let bytes = encode_to_vec(&summary);
-        let back: CriticalPathSummary = decode_from_slice(&bytes).unwrap();
-        assert_eq!(summary, back);
     }
 
     #[test]
@@ -748,10 +643,6 @@ mod tests {
         assert_eq!(summary.credit_wait_ns, 200);
         let json = summary.to_json();
         assert!(json.contains("\"credit_wait_ns\":200"), "{json}");
-
-        let bytes = encode_to_vec(&summary);
-        let back: CriticalPathSummary = decode_from_slice(&bytes).unwrap();
-        assert_eq!(summary, back);
     }
 
     #[test]
@@ -855,45 +746,49 @@ mod tests {
             reverse.push(s);
         }
         assert_eq!(forward.finish(2), reverse.finish(2));
+
+        // Split at every point, fold each side apart, then absorb: the
+        // per-worker merge the online fold does must change nothing.
+        for split in 0..=samples.len() {
+            let (left, right) = samples.split_at(split);
+            let mut joined = EpochAccumulator::default();
+            let mut other = EpochAccumulator::default();
+            for s in left {
+                joined.push(s);
+            }
+            for s in right {
+                other.push(s);
+            }
+            joined.absorb(other);
+            assert_eq!(joined.finish(2), forward.finish(2), "split at {split}");
+        }
     }
 
     #[test]
-    fn offline_reference_excludes_the_observer_dataflow() {
-        let log = WorkerTelemetry {
-            worker: 0,
-            events: vec![
-                record(
-                    100,
-                    TelemetryEvent::ScheduleStop {
-                        dataflow: 0, // observer: excluded
-                        stage: 1,
-                        nanos: 40,
-                        worked: true,
-                        epoch: 0,
-                        seq: 0,
-                    },
-                ),
-                record(
-                    200,
-                    TelemetryEvent::ScheduleStop {
-                        dataflow: 1,
-                        stage: 1,
-                        nanos: 40,
-                        worked: true,
-                        epoch: 0,
-                        seq: 1,
-                    },
-                ),
-            ],
+    fn offline_reference_folds_every_worker_and_dataflow() {
+        let log = |worker: usize, dataflow: u32| WorkerTelemetry {
+            worker,
+            events: vec![record(
+                100,
+                TelemetryEvent::ScheduleStop {
+                    dataflow,
+                    stage: 1,
+                    nanos: 40,
+                    worked: true,
+                    epoch: 0,
+                    seq: 0,
+                },
+            )],
             dropped: 0,
             counters: crate::telemetry::WorkerCounters::default(),
             ops: Vec::new(),
             connectors: Vec::new(),
             directory: Vec::new(),
         };
-        let summaries = offline_reference(&[log], Some(0));
+        let summaries = offline_reference(&[log(0, 0), log(1, 1)]);
         assert_eq!(summaries.len(), 1);
-        assert_eq!(summaries[0].samples, 1);
-        assert_eq!(summaries[0].busy_total_ns, 40);
+        assert_eq!(summaries[0].workers, 2);
+        assert_eq!(summaries[0].samples, 2);
+        assert_eq!(summaries[0].busy_total_ns, 80);
     }
 }

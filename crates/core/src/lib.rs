@@ -17,9 +17,9 @@
 //! * [`dataflow`] — the typed graph-assembly interface (§4.3),
 //! * [`telemetry`] — per-worker event logs, the unified metrics
 //!   registry, and frontier probes (§5–§6 measurement substrate),
-//! * [`introspect`] — self-hosted critical-path analysis: the telemetry
-//!   stream fed into a second dataflow on the same runtime for per-epoch
-//!   straggler attribution (§5.3).
+//! * [`introspect`] — online critical-path analysis: each worker folds
+//!   its telemetry stream into per-epoch straggler attribution as it is
+//!   recorded (§5.3).
 //!
 //! # Examples
 //!
@@ -81,7 +81,7 @@ pub mod telemetry;
 pub mod time;
 
 pub use dataflow::{InputHandle, ProbeHandle, Scope, Stream};
-pub use introspect::{CriticalPathSummary, IntrospectOptions};
+pub use introspect::CriticalPathSummary;
 pub use order::{Antichain, PartialOrder};
 pub use runtime::execute::{execute, execute_with_metrics, execute_with_telemetry, ExecuteError};
 pub use telemetry::TelemetrySnapshot;

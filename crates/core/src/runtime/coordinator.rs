@@ -23,9 +23,10 @@
 //!   and re-runs the worker closure from the resume epoch. Plain crash
 //!   recovery is that loop with no rescale step: a single phase.
 //!   [`Execution::elastic`] adds fences between phases;
-//! * **per-attempt introspection** — [`Execution::introspect`] installs
-//!   the self-hosted observer ([`crate::introspect`]) around the worker
-//!   closure of every attempt.
+//! * **per-attempt introspection** — [`Execution::introspect`] taps
+//!   every worker's recorder with a per-epoch critical-path fold
+//!   ([`crate::introspect`]) for the worker closure of every attempt, and
+//!   the coordinator commits each attempt's folds into summaries.
 //!
 //! # The driver contract
 //!
@@ -88,7 +89,7 @@ use super::execute::{execute_inner, ExecuteError};
 use super::rescale::{ElasticOptions, MigrationSlot, RescaleOutcome, RescaleStep};
 use super::sync::Mutex;
 use super::worker::Worker;
-use crate::introspect::{CriticalPathSummary, Harness, IntrospectOptions, Observer};
+use crate::introspect::{CriticalPathSummary, Harness, Observer};
 use crate::telemetry::{TelemetryEvent, TelemetrySnapshot};
 
 /// The fault budget and checkpoint cadence of a resilient run
@@ -382,12 +383,9 @@ pub struct RunReport<T> {
     pub telemetry: Option<TelemetrySnapshot>,
     /// Per-epoch critical-path summaries of an introspected run, sorted
     /// by epoch: at most one per epoch across every attempt and phase (a
-    /// retried attempt's replaces the failed one's), and one for every
-    /// epoch the final attempt of each phase computed.
+    /// retried attempt's replaces the failed one's from its resume epoch
+    /// on), and one for every epoch any attempt computed activity for.
     pub summaries: Vec<CriticalPathSummary>,
-    /// Events dropped at the introspection tap queues across all workers
-    /// (0 means the activity graph is complete).
-    pub tap_dropped: u64,
 }
 
 impl<T> RunReport<T> {
@@ -424,7 +422,7 @@ pub struct Execution {
     steps: Vec<RescaleStep>,
     total_epochs: u64,
     elastic: Option<ElasticOptions>,
-    introspect: Option<IntrospectOptions>,
+    introspect: bool,
 }
 
 impl Execution {
@@ -437,7 +435,7 @@ impl Execution {
             steps: Vec::new(),
             total_epochs: u64::MAX,
             elastic: None,
-            introspect: None,
+            introspect: false,
         }
     }
 
@@ -500,19 +498,21 @@ impl Execution {
         self
     }
 
-    /// Installs the self-hosted critical-path observer
-    /// ([`crate::introspect`]) on every worker of every attempt.
+    /// Computes a per-epoch critical path ([`crate::introspect`]) on
+    /// every worker of every attempt.
     ///
-    /// Telemetry is forced on. Each worker gets a recorder tap, the
-    /// observer dataflow, and a step hook feeding one into the other;
-    /// after the worker closure returns, the observer runs to completion
-    /// so every closed source epoch yields a [`CriticalPathSummary`].
-    /// Summaries are in the epochs the driver feeds, so a driver that
-    /// resumes must feed logical epochs (advance its inputs to
-    /// [`Session::resume_epoch`] first) for a retried attempt's summaries
-    /// to replace the failed one's.
-    pub fn introspect(mut self, options: IntrospectOptions) -> Self {
-        self.introspect = Some(options);
+    /// Telemetry is forced on. Each worker's recorder folds its events
+    /// into per-epoch accumulators as they are recorded; when the worker
+    /// closure returns or unwinds, the worker merges them into its
+    /// attempt's, and after the attempt every epoch it computed yields one
+    /// [`CriticalPathSummary`] in [`RunReport::summaries`]. No dataflow
+    /// is added: the workers build only the closure's. Summaries are in
+    /// the epochs the driver feeds, so a driver that resumes must feed
+    /// logical epochs (advance its inputs to [`Session::resume_epoch`]
+    /// first) for a retried attempt's summaries to replace the failed
+    /// one's.
+    pub fn introspect(mut self) -> Self {
+        self.introspect = true;
         self
     }
 
@@ -545,7 +545,7 @@ impl Execution {
         let budget = recovery.or(elastic.map(|e| e.recovery));
         let rollback_on_abort = elastic.is_none_or(|e| e.rollback_on_abort);
         let certify_rescale = elastic.is_some_and(|e| e.certify);
-        let observer = introspect.map(|options| Arc::new(Observer::new(options, &mut config)));
+        let mut observer = introspect.then(|| Observer::new(&mut config));
         let worker_fn = Arc::new(worker_fn);
         let inputs: InputLog = Arc::default();
 
@@ -594,17 +594,17 @@ impl Execution {
                         .map(|(step, slot)| (step.workers(), slot.clone())),
                 };
                 let f = worker_fn.clone();
-                let observer = observer.clone();
+                let folds = observer
+                    .as_mut()
+                    .map(|o| o.attempt(resume_epoch..stop_epoch));
+                let attempt_folds = folds.clone();
                 let attempt = execute_inner(&phase_config, certify_rescale, move |worker| {
-                    let harness = observer
-                        .as_ref()
-                        .map(|o| Harness::install(worker, o, resume_epoch..stop_epoch));
-                    let result = f(worker, &session);
-                    if let Some(harness) = harness {
-                        harness.finish(worker);
-                    }
-                    result
+                    let _fold = attempt_folds.as_ref().map(|a| Harness::install(worker, a));
+                    f(worker, &session)
                 });
+                if let (Some(observer), Some(folds)) = (&mut observer, &folds) {
+                    observer.commit(folds);
+                }
                 match attempt {
                     Ok(run) => break Ok(run),
                     Err(err) => {
@@ -685,8 +685,7 @@ impl Execution {
                         });
                     }
                     let Some((step, slot)) = outgoing else {
-                        let (summaries, tap_dropped) =
-                            observer.map(|o| o.finish()).unwrap_or_default();
+                        let summaries = observer.map(Observer::finish).unwrap_or_default();
                         let mut telemetry = run.telemetry;
                         if let Some(snapshot) = &mut telemetry {
                             snapshot.critical_paths.clone_from(&summaries);
@@ -697,7 +696,6 @@ impl Execution {
                             metrics: run.metrics,
                             telemetry,
                             summaries,
-                            tap_dropped,
                         });
                     };
                     step_index += 1;

@@ -25,5 +25,4 @@ pub use flow::{FlowConfig, OverloadState, ShedPolicy};
 pub use coordinator::{Execution, PhaseReport, RecoveryOptions, RunReport, Session};
 pub use rescale::{ElasticOptions, RescaleError, RescaleOutcome, RescaleStep};
 pub use retry::FaultKind;
-pub(crate) use worker::StepHook;
 pub use worker::Worker;

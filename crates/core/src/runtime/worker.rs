@@ -45,11 +45,6 @@ struct DataflowRuntime {
     /// Last frontier-probe sample `(active, input_epoch)`, so probes are
     /// recorded only when the sampled values change.
     last_probe: Option<(u32, Option<u64>)>,
-    /// An introspection dataflow ([`crate::introspect`]): excluded from
-    /// [`Worker::step`] liveness so its open input never blocks
-    /// `step_until_done`, and excluded from the recorder tap so the
-    /// observer cannot feed back into itself.
-    observer: bool,
     /// Last non-`None` tracker min-epoch, used to attribute scheduling
     /// slices once every pointstamp has drained.
     last_epoch: u64,
@@ -61,12 +56,6 @@ struct DataflowRuntime {
 /// same-process data queues and feeds the stall watchdog even when no
 /// frame comes. Not a latency floor.
 const IDLE_TICK: Duration = Duration::from_micros(200);
-
-/// A per-step callback installed by the introspection harness: runs at
-/// the top of every [`Worker::step`] with the minimum open epoch across
-/// non-observer dataflows (`None` when they have all drained). The
-/// closure lives on the worker's thread (`Rc`, not `Arc`).
-pub(crate) type StepHook = Rc<RefCell<dyn FnMut(Option<u64>)>>;
 
 /// The protocol core of worker `index` for dataflow `id`, before its
 /// graph is known.
@@ -121,9 +110,6 @@ pub struct Worker {
     /// Monotone per-worker scheduling-slice sequence, shared by the
     /// Start/Stop pair of each slice.
     schedule_seq: u64,
-    /// Introspection step hooks ([`crate::introspect`]); empty unless a
-    /// harness installed one.
-    hooks: Vec<StepHook>,
     /// This worker's overload state, shared with its pushers (shed path);
     /// `None` when flow control is off.
     overload: Option<Arc<OverloadFlag>>,
@@ -169,7 +155,6 @@ impl Worker {
             steps: 0,
             recorder,
             schedule_seq: 0,
-            hooks: Vec::new(),
             overload,
             monitor,
             last_flow_returns: 0,
@@ -182,47 +167,6 @@ impl Worker {
     /// own in this worker's log).
     pub(crate) fn recorder(&self) -> Recorder {
         self.recorder.clone()
-    }
-
-    /// Marks a dataflow as an *observer*: it no longer counts toward
-    /// [`Worker::step`] liveness (its open input must not block the user
-    /// closure's `step_until_done`) and its events are excluded from any
-    /// recorder tap.
-    pub(crate) fn mark_observer(&mut self, id: usize) {
-        if let Some(df) = self.dataflows.iter_mut().find(|d| d.id == id) {
-            df.observer = true;
-        }
-    }
-
-    /// Installs a per-step introspection hook.
-    pub(crate) fn add_step_hook(&mut self, hook: StepHook) {
-        self.hooks.push(hook);
-    }
-
-    /// Whether every observer dataflow has completed (trivially `true`
-    /// when none is installed).
-    pub(crate) fn observers_complete(&self) -> bool {
-        self.dataflows
-            .iter()
-            .filter(|df| df.observer)
-            .all(|df| df.complete)
-    }
-
-    /// The user's dataflows: everything but the introspection observer,
-    /// which is not part of the computation's state — checkpoints, shard
-    /// migration and the quiesce barrier all skip it, so a blob taken with
-    /// the observer installed restores without it and vice versa.
-    fn user_dataflows(&self) -> impl Iterator<Item = &DataflowRuntime> {
-        self.dataflows.iter().filter(|df| !df.observer)
-    }
-
-    /// The minimum open epoch across non-observer dataflows: the oldest
-    /// work the *user's* computation can still perform. `None` once all
-    /// their pointstamps have drained.
-    fn min_open_epoch(&self) -> Option<u64> {
-        self.user_dataflows()
-            .filter_map(|df| df.core.borrow().table().min_epoch())
-            .min()
     }
 
     /// Drains this worker's telemetry into a harvest for the registry
@@ -359,7 +303,6 @@ impl Worker {
             states,
             complete: false,
             last_probe: None,
-            observer: false,
             last_epoch: 0,
         });
         (result, report)
@@ -388,22 +331,22 @@ impl Worker {
         sealed
     }
 
-    /// Every registered state of the user's dataflows with its dataflow's
+    /// Every registered state of every dataflow with its dataflow's
     /// index, in the order [`Worker::encode_states`] writes them.
-    fn user_states(&self) -> impl Iterator<Item = (usize, StageId, StateHandle)> + '_ {
-        self.user_dataflows().enumerate().flat_map(|(index, df)| {
+    fn all_states(&self) -> impl Iterator<Item = (usize, StageId, StateHandle)> + '_ {
+        self.dataflows.iter().enumerate().flat_map(|(index, df)| {
             let states = df.states.borrow();
             let states = states.iter().map(|(stage, state)| (index, *stage, state.clone()));
             states.collect::<Vec<_>>()
         })
     }
 
-    /// Appends the user dataflows' registered states to `out`: the
+    /// Appends the dataflows' registered states to `out`: the
     /// dataflow count, then per dataflow its state count and one
     /// length-prefixed blob per state, filled by `write`.
     fn encode_states(&self, out: &mut Vec<u8>, write: impl Fn(&StateHandle, &mut Vec<u8>)) {
-        naiad_wire::Wire::encode(&self.user_dataflows().count(), out);
-        for df in self.user_dataflows() {
+        naiad_wire::Wire::encode(&self.dataflows.len(), out);
+        for df in &self.dataflows {
             let states = df.states.borrow();
             naiad_wire::Wire::encode(&states.len(), out);
             for (_stage, state) in states.iter() {
@@ -415,7 +358,7 @@ impl Worker {
     }
 
     /// Reads what [`Worker::encode_states`] wrote — one blob per state, in
-    /// [`Worker::user_states`] order — validating its shape against the
+    /// [`Worker::all_states`] order — validating its shape against the
     /// constructed dataflows, so callers touch no state until every blob
     /// is in hand.
     fn decode_states(&self, input: &mut &[u8]) -> Result<Vec<Vec<u8>>, RestoreError> {
@@ -432,9 +375,9 @@ impl Worker {
         };
         let dataflows = <usize as naiad_wire::Wire>::decode(input)
             .map_err(|_| RestoreError::Truncated("dataflow count"))?;
-        expect("dataflow count", self.user_dataflows().count(), dataflows)?;
+        expect("dataflow count", self.dataflows.len(), dataflows)?;
         let mut blobs = Vec::new();
-        for df in self.user_dataflows() {
+        for df in &self.dataflows {
             let count = <usize as naiad_wire::Wire>::decode(input)
                 .map_err(|_| RestoreError::Truncated("registered-state count"))?;
             expect("registered-state count", df.states.borrow().len(), count)?;
@@ -459,7 +402,7 @@ impl Worker {
     /// registered opaque (non-keyed) state — such state has no
     /// partitioning the coordinator could re-route.
     pub fn checkpoint_partitioned(&self, parts: usize) -> Result<Vec<Vec<u8>>, RescaleError> {
-        if let Some((dataflow, stage, _)) = self.user_states().find(|(_, _, s)| !s.is_keyed()) {
+        if let Some((dataflow, stage, _)) = self.all_states().find(|(_, _, s)| !s.is_keyed()) {
             return Err(RescaleError::UnmigratableState {
                 dataflow,
                 stage: stage.0,
@@ -491,7 +434,7 @@ impl Worker {
     /// leave the worker half-migrated.
     pub fn restore_shards(&mut self, shards: &[Vec<u8>]) -> Result<(), RestoreError> {
         let mut keyed = Vec::new();
-        for (_, _, state) in self.user_states() {
+        for (_, _, state) in self.all_states() {
             let Some(state) = state.keyed() else {
                 return Err(RestoreError::ShapeMismatch {
                     what: "keyed-state registration",
@@ -545,12 +488,13 @@ impl Worker {
     }
 
     /// The migration frontier barrier (§3.3 applied to rescaling): `true`
-    /// when, in every user dataflow, no active pointstamp carries an epoch at
+    /// when, in every dataflow, no active pointstamp carries an epoch at
     /// or below `epoch`. The rescale coordinator requires this of the
     /// fence's predecessor before sharding state — a still-draining epoch
     /// would make the snapshot miss in-flight records.
     pub fn frontier_closed_through(&self, epoch: u64) -> bool {
-        self.user_dataflows()
+        self.dataflows
+            .iter()
             .all(|df| df.core.borrow().table().closed_through(epoch))
     }
 
@@ -600,7 +544,7 @@ impl Worker {
             });
         }
         let blobs = self.decode_states(input)?;
-        for ((_, _, state), blob) in self.user_states().zip(&blobs) {
+        for ((_, _, state), blob) in self.all_states().zip(&blobs) {
             state.restore(&mut &blob[..]);
         }
         self.recorder.record(TelemetryEvent::CheckpointRestored {
@@ -625,17 +569,6 @@ impl Worker {
         self.poll_overload();
         self.last_step_worked = false;
         self.drain_mailbox();
-        if !self.hooks.is_empty() {
-            // The hook arg is the min open epoch over *user* dataflows:
-            // monotone per worker (§3.3), so the observer can advance its
-            // input and cut activity windows per closed epoch. Hooks are
-            // `Rc`s; the clone is a pointer copy per hook.
-            let min = self.min_open_epoch();
-            let hooks = self.hooks.clone();
-            for hook in &hooks {
-                (hook.borrow_mut())(min);
-            }
-        }
         for df in 0..self.dataflows.len() {
             self.step_dataflow(df);
         }
@@ -643,9 +576,7 @@ impl Worker {
         if self.recorder.enabled() {
             self.probe_frontiers();
         }
-        // Observer dataflows keep an input open for the lifetime of the
-        // run; they must not hold the user's `step_until_done` hostage.
-        self.dataflows.iter().any(|df| !df.complete && !df.observer)
+        self.dataflows.iter().any(|df| !df.complete)
     }
 
     /// Feeds the overload detector one observation per step (two atomic

@@ -42,7 +42,6 @@ mod recorder;
 mod snapshot;
 
 pub use event::{EventRecord, TelemetryEvent};
-pub(crate) use recorder::Tap;
 pub use recorder::{
     ConnectorCounters, DataflowDirectory, OpCounters, Recorder, WorkerCounters, WorkerTelemetry,
 };

@@ -11,12 +11,13 @@
 //! on every record call even after the buffer fills, so the registry's
 //! totals stay exact no matter how long the run.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
 use crate::graph::{LogicalGraph, StageId};
+use crate::introspect::Fold;
 
 use super::event::{EventRecord, TelemetryEvent};
 
@@ -160,42 +161,6 @@ pub struct WorkerTelemetry {
     pub directory: Vec<DataflowDirectory>,
 }
 
-/// An in-process bounded tap on a worker's recorder: the introspection
-/// harness drains the queue from a step hook on the same thread (`Rc`,
-/// no locks on the hot path). Events from the excluded dataflow (the
-/// observer's own analysis dataflow) are never tapped, so the layer
-/// cannot feed back into itself.
-#[derive(Clone)]
-pub(crate) struct Tap {
-    /// Pending tapped records, drained by the harness each step.
-    pub(crate) queue: Rc<RefCell<VecDeque<EventRecord>>>,
-    /// Queue bound; records past it are counted, not queued.
-    pub(crate) capacity: usize,
-    /// Records the tap discarded because the queue was full.
-    pub(crate) dropped: Rc<Cell<u64>>,
-    /// Dataflow id whose events are never tapped.
-    pub(crate) exclude_dataflow: u32,
-}
-
-impl Tap {
-    /// Whether this event kind contributes to the program-activity
-    /// graph. Start markers and probe samples are skipped at the tap so
-    /// the observer only pays for attributable activity.
-    fn wants(event: &TelemetryEvent) -> bool {
-        matches!(
-            event,
-            TelemetryEvent::ScheduleStop { .. }
-                | TelemetryEvent::MessageSent { .. }
-                | TelemetryEvent::MessageReceived { .. }
-                | TelemetryEvent::ProgressBatchSent { .. }
-                | TelemetryEvent::ProgressDeposited { .. }
-                | TelemetryEvent::ProgressApplied { .. }
-                | TelemetryEvent::NotificationDelivered { .. }
-                | TelemetryEvent::CreditWait { .. }
-        )
-    }
-}
-
 struct EventLog {
     base: Instant,
     events: Vec<EventRecord>,
@@ -207,7 +172,9 @@ struct EventLog {
     ops: HashMap<(u32, u32), OpCounters>,
     connectors: HashMap<(u32, u32), ConnectorCounters>,
     directory: Vec<DataflowDirectory>,
-    tap: Option<Tap>,
+    /// The introspection fold ([`crate::introspect`]), fed every event
+    /// as it is recorded, whether or not the buffer has room for it.
+    tap: Option<Fold>,
 }
 
 impl EventLog {
@@ -229,19 +196,15 @@ impl EventLog {
 
     fn record(&mut self, event: TelemetryEvent) {
         self.count(&event);
-        let nanos = self.base.elapsed().as_nanos() as u64;
-        if let Some(tap) = &self.tap {
-            if Tap::wants(&event) && event.dataflow_id() != Some(tap.exclude_dataflow) {
-                let mut queue = tap.queue.borrow_mut();
-                if queue.len() < tap.capacity {
-                    queue.push_back(EventRecord { nanos, event });
-                } else {
-                    tap.dropped.set(tap.dropped.get() + 1);
-                }
-            }
+        let record = EventRecord {
+            nanos: self.base.elapsed().as_nanos() as u64,
+            event,
+        };
+        if let Some(fold) = &mut self.tap {
+            fold.push(&record);
         }
         if self.events.len() < self.capacity {
-            self.events.push(EventRecord { nanos, event });
+            self.events.push(record);
         } else {
             self.dropped += 1;
             if !self.warned {
@@ -399,19 +362,18 @@ impl Recorder {
         }
     }
 
-    /// Installs an introspection tap. At most one tap is active; a second
-    /// install replaces the first.
-    pub(crate) fn install_tap(&self, tap: Tap) {
+    /// Installs an introspection tap: `fold` sees every event recorded
+    /// from now on. At most one tap is active; a second install replaces
+    /// the first.
+    pub(crate) fn install_tap(&self, fold: Fold) {
         if let Some(log) = &self.inner {
-            log.borrow_mut().tap = Some(tap);
+            log.borrow_mut().tap = Some(fold);
         }
     }
 
-    /// Removes the introspection tap, if any.
-    pub(crate) fn remove_tap(&self) {
-        if let Some(log) = &self.inner {
-            log.borrow_mut().tap = None;
-        }
+    /// Removes the introspection tap and hands back what it folded.
+    pub(crate) fn take_tap(&self) -> Option<Fold> {
+        self.inner.as_ref()?.borrow_mut().tap.take()
     }
 
     /// Counts one scheduling round.
@@ -620,49 +582,40 @@ mod tests {
     }
 
     #[test]
-    fn tap_captures_attributable_events_and_excludes_the_observer() {
-        let r = Recorder::with_capacity(64);
-        let queue = Rc::new(RefCell::new(VecDeque::new()));
-        let dropped = Rc::new(Cell::new(0u64));
-        r.install_tap(Tap {
-            queue: Rc::clone(&queue),
-            capacity: 2,
-            dropped: Rc::clone(&dropped),
-            exclude_dataflow: 0,
-        });
-        // Start markers and the observer's own dataflow are filtered.
+    fn tap_folds_every_attributable_event_even_past_a_full_buffer() {
+        let r = Recorder::with_capacity(2);
+        r.install_tap(Fold::new(0));
+        // A start marker is not attributable; six worked slices are, and
+        // four of them arrive after the buffer filled.
         r.record(TelemetryEvent::ScheduleStart {
-            dataflow: 1,
+            dataflow: 0,
             stage: 0,
             epoch: 0,
             seq: 0,
         });
-        r.record(TelemetryEvent::ScheduleStop {
-            dataflow: 0,
-            stage: 0,
-            nanos: 1,
-            worked: true,
-            epoch: 0,
-            seq: 1,
-        });
-        assert!(queue.borrow().is_empty());
-        // Attributable events from other dataflows land in the queue,
-        // bounded by the tap capacity with a separate drop counter.
-        for seq in 0..4u64 {
+        for seq in 0..6u64 {
             r.record(TelemetryEvent::ScheduleStop {
-                dataflow: 1,
+                dataflow: 0,
                 stage: 0,
                 nanos: 1,
                 worked: true,
-                epoch: 0,
+                epoch: seq % 2,
                 seq,
             });
         }
-        assert_eq!(queue.borrow().len(), 2);
-        assert_eq!(dropped.get(), 2);
-        // The worker's own buffer saw everything regardless of the tap.
+        let mut epochs = std::collections::BTreeMap::new();
+        r.take_tap()
+            .expect("the tap was installed")
+            .merge_into(&mut epochs);
+        let samples: Vec<(u64, u64)> = epochs
+            .iter()
+            .map(|(epoch, acc)| (*epoch, acc.finish(*epoch).samples))
+            .collect();
+        assert_eq!(samples, vec![(0, 3), (1, 3)]);
+        assert!(r.take_tap().is_none(), "taking the tap removes it");
+        // The buffer kept its prefix and counted the rest, tap or no tap.
         let t = r.harvest(0).unwrap();
-        assert_eq!(t.events.len(), 6);
-        assert_eq!(t.dropped, 0);
+        assert_eq!(t.events.len(), 2);
+        assert_eq!(t.dropped, 5);
     }
 }

@@ -173,8 +173,8 @@ pub struct TelemetrySnapshot {
     /// The raw per-worker harvests (event logs included), sorted by
     /// worker index.
     pub logs: Vec<WorkerTelemetry>,
-    /// Per-epoch critical-path summaries from the self-hosted analysis
-    /// dataflow ([`crate::introspect`]), sorted by epoch. Empty unless
+    /// Per-epoch critical-path summaries from the online analysis
+    /// ([`crate::introspect`]), sorted by epoch. Empty unless
     /// the run executed under
     /// [`Execution::introspect`](crate::runtime::Execution::introspect).
     pub critical_paths: Vec<crate::introspect::CriticalPathSummary>,

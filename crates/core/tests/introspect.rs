@@ -1,12 +1,12 @@
-//! End-to-end tests for self-hosted critical-path analysis: the golden
+//! End-to-end tests for online critical-path analysis: the golden
 //! online-vs-offline equality, straggler attribution and wall-clock
-//! accounting, tap/buffer overflow behavior, result transparency, and the
-//! recorder-overhead regression bound.
+//! accounting, buffer overflow behavior, result and dataflow
+//! transparency, and the recorder-overhead regression bound.
 
 use std::time::Instant;
 
 use naiad::dataflow::{InputPort, OutputPort};
-use naiad::introspect::{offline_reference, IntrospectOptions};
+use naiad::introspect::offline_reference;
 use naiad::runtime::Pact;
 use naiad::telemetry::{Recorder, TelemetryEvent};
 use naiad::{execute, execute_with_telemetry, Config, Execution, Worker};
@@ -76,46 +76,44 @@ fn skewed_sums(worker: &mut Worker, epochs: u64, records_per_epoch: u64) -> Vec<
     result
 }
 
-/// Golden test: the summaries computed by the observer dataflow *on the
-/// runtime itself* equal the offline reference recomputed from the
-/// harvested event logs through the same attribution code.
+/// Golden test: the summaries the workers fold *while the run goes* equal
+/// the offline reference recomputed from the harvested event logs
+/// through the same attribution code.
 #[test]
-fn self_hosted_summaries_match_the_offline_reference() {
+fn online_summaries_match_the_offline_reference() {
     let config = Config::single_process(2).telemetry_capacity(1 << 20);
     let report = Execution::new(config)
-        .introspect(IntrospectOptions::default().tap_capacity(1 << 20))
+        .introspect()
         .run(|worker, _| skewed_sums(worker, 4, 64))
         .unwrap();
     let snapshot = report.telemetry.as_ref().expect("introspection forces telemetry on");
     assert_eq!(report.phases[0].results.len(), 2);
-    assert_eq!(report.tap_dropped, 0, "golden run must not drop tap events");
     assert_eq!(
         snapshot.total_events_dropped(),
         0,
         "golden run must not drop buffer events"
     );
 
-    let reference = offline_reference(&snapshot.logs, Some(0));
+    let reference = offline_reference(&snapshot.logs);
     assert!(!report.summaries.is_empty());
     assert_eq!(
         report.summaries, reference,
-        "self-hosted summaries must be bit-identical to the offline reference"
+        "online summaries must be bit-identical to the offline reference"
     );
     assert_eq!(snapshot.critical_paths, report.summaries);
 }
 
 /// Multi-process, unfenced epochs: workers advance their inputs without
 /// waiting for the previous epoch to close, so transit and progress
-/// events can be recorded one step after the frontier moved — the case
-/// where a lagging attribution epoch could introduce a sample behind the
-/// observer frontier and split an epoch into two summaries. The clamp on
-/// the observer clock must keep every epoch in exactly one summary, and
-/// the result must still equal the offline reference.
+/// events can be recorded one step after the frontier moved and are
+/// attributed to an epoch other workers have moved past. Each epoch must
+/// still get exactly one summary, and the result must still equal the
+/// offline reference.
 #[test]
 fn unfenced_multi_process_epochs_get_exactly_one_summary() {
     let config = Config::processes_and_workers(2, 2).telemetry_capacity(1 << 20);
     let report = Execution::new(config)
-        .introspect(IntrospectOptions::default().tap_capacity(1 << 20))
+        .introspect()
         .run(|worker, _| {
             let index = worker.index() as u64;
             let (mut input, probe) = worker.dataflow(|scope| {
@@ -154,7 +152,7 @@ fn unfenced_multi_process_epochs_get_exactly_one_summary() {
     for e in 0..4 {
         assert!(epochs.contains(&e), "epoch {e} has no summary");
     }
-    let reference = offline_reference(&snapshot.logs, Some(0));
+    let reference = offline_reference(&snapshot.logs);
     assert_eq!(report.summaries, reference);
 }
 
@@ -167,7 +165,7 @@ fn four_workers_attribute_the_straggler_and_account_the_span() {
     const EPOCHS: u64 = 5;
     let config = Config::single_process(4).telemetry_capacity(1 << 20);
     let report = Execution::new(config)
-        .introspect(IntrospectOptions::default().tap_capacity(1 << 20))
+        .introspect()
         .run(|worker, _| skewed_sums(worker, EPOCHS, 256))
         .unwrap();
 
@@ -235,22 +233,6 @@ fn buffer_overflow_is_counted_and_surfaced() {
     assert!(header.contains(&format!("\"dropped\":{dropped}")));
 }
 
-/// Tap overflow is counted per worker and never blocks or corrupts the
-/// computation.
-#[test]
-fn tap_overflow_is_counted_not_fatal() {
-    let plain = execute(Config::single_process(2), |worker| {
-        skewed_sums(worker, 3, 64)
-    })
-    .unwrap();
-    let report = Execution::new(Config::single_process(2))
-        .introspect(IntrospectOptions::default().tap_capacity(2))
-        .run(|worker, _| skewed_sums(worker, 3, 64))
-        .unwrap();
-    assert!(report.tap_dropped > 0, "a 2-event tap must overflow");
-    assert_eq!(plain, report.into_results(), "overflow must not perturb results");
-}
-
 /// Introspection is observation only: user results are identical to an
 /// uninstrumented run.
 #[test]
@@ -260,10 +242,46 @@ fn introspection_does_not_perturb_results() {
     })
     .unwrap();
     let report = Execution::new(Config::single_process(2))
-        .introspect(IntrospectOptions::default())
+        .introspect()
         .run(|worker, _| skewed_sums(worker, 4, 32))
         .unwrap();
     assert_eq!(plain, report.into_results());
+}
+
+/// Introspection adds no dataflow: the workers of an introspected run
+/// build exactly the closure's dataflows, under the same ids as a plain
+/// run's.
+#[test]
+fn introspection_builds_only_the_user_dataflows() {
+    fn analyzed(snapshot: &naiad::TelemetrySnapshot) -> Vec<(usize, u32)> {
+        snapshot
+            .logs
+            .iter()
+            .flat_map(|log| {
+                log.events
+                    .iter()
+                    .filter_map(move |record| match record.event {
+                        TelemetryEvent::AnalysisReport { dataflow, .. } => {
+                            Some((log.worker, dataflow))
+                        }
+                        _ => None,
+                    })
+            })
+            .collect()
+    }
+    let config = Config::single_process(2).telemetry_capacity(1 << 20);
+    let (_, plain) =
+        execute_with_telemetry(config.clone(), |worker| skewed_sums(worker, 2, 16)).unwrap();
+    let report = Execution::new(config)
+        .introspect()
+        .run(|worker, _| skewed_sums(worker, 2, 16))
+        .unwrap();
+    let introspected = report
+        .telemetry
+        .as_ref()
+        .expect("introspection forces telemetry on");
+    assert_eq!(analyzed(&plain), vec![(0, 0), (1, 0)]);
+    assert_eq!(analyzed(introspected), analyzed(&plain));
 }
 
 /// Overhead regression: a disabled recorder is a single branch per call;

@@ -34,7 +34,7 @@ weigh() { # <what> <count> <ceiling>
   fi
 }
 weigh "lines in crates/core/src" \
-  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 19574
+  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 19168
 weigh "lint-allow / *-exempt markers in crates/{core,wire,netsim}/src" \
   "$(grep -rhoE 'lint-allow\(|[a-z]+-exempt:' crates/core/src crates/wire/src crates/netsim/src | wc -l)" 34
 weigh "pub fields of Config" \
@@ -94,10 +94,10 @@ echo "== static dataflow analyzer (naiad-lint over the in-repo catalog) =="
 # diagnostic (NA0001–NA0006; DESIGN.md §12).
 cargo run -q --release --example naiad_lint
 
-echo "== self-hosted critical-path report (introspection gate) =="
+echo "== online critical-path report (introspection gate) =="
 # Runs the workload catalog under Execution::introspect; the example
-# asserts one summary per closed epoch, >=95% wall-clock accounting, and
-# no tap overflow (DESIGN.md §14).
+# asserts one summary per closed epoch, no epoch summarized twice, and
+# >=95% wall-clock accounting (DESIGN.md §14).
 cargo run -q --release --example critical_path_report >/dev/null
 
 echo "== overload report (flow-control gate) =="
@@ -114,7 +114,7 @@ cargo run -q --release --example overload_report >/dev/null
 soaks="
 CHAOS_SOAK_SEEDS       extended_soak_honours_env             composite fault schedules under recovery, and the composed recovery x rescale x flow x introspection matrix
 RESCALE_SOAK_SEEDS     extended_rescale_soak_honours_env     the same fault plans with a grow or shrink fenced mid-run
-INTROSPECT_SOAK_SEEDS  extended_introspect_soak_honours_env  lossy schedules with the self-hosted observer installed
+INTROSPECT_SOAK_SEEDS  extended_introspect_soak_honours_env  lossy schedules under online critical-path introspection
 OVERLOAD_SOAK_SEEDS    extended_overload_soak_honours_env    2x-offered-load schedules against a dawdling consumer, Block and Shed
 SLAB_SOAK_SEEDS        extended_slab_soak_honours_env        the chaos fault plans with container-fed inputs over the slab path
 "

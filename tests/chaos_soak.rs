@@ -3,7 +3,7 @@
 //! windows, and scheduled process crashes — derived from 32 base seeds
 //! (more via `CHAOS_SOAK_SEEDS`; `SLAB_SOAK_SEEDS` runs the same plans
 //! with container-fed inputs over the slab-backed remote path). Further
-//! matrices add a mid-run rescale, the introspection observer, overload,
+//! matrices add a mid-run rescale, introspection, overload,
 //! and — the composed soak — all of those layers in one run.
 //!
 //! The contract under chaos is binary and typed:
@@ -29,8 +29,8 @@ use std::time::Duration;
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::{
     execute, execute_with_telemetry, Config, ElasticOptions, ExecuteError, Execution, FlowConfig,
-    IntrospectOptions, Pact, PhaseReport, RecoveryOptions, RescaleOutcome, RescaleStep, RunReport,
-    Scope, ShedPolicy, TelemetrySnapshot, Timestamp,
+    Pact, PhaseReport, RecoveryOptions, RescaleOutcome, RescaleStep, RunReport, Scope, ShedPolicy,
+    TelemetrySnapshot, Timestamp,
 };
 use naiad_examples::my_share;
 use naiad_netsim::FaultPlan;
@@ -673,9 +673,9 @@ fn extended_rescale_soak_honours_env() {
 
 // --- Introspection soak ---------------------------------------------
 //
-// The self-hosted critical-path observer must be observation only: a
-// lossy run with introspection enabled produces output
-// bit-identical to the fault-free, uninstrumented baseline.
+// Online critical-path analysis must be observation only: a lossy run
+// with introspection enabled produces output bit-identical to the
+// fault-free, uninstrumented baseline.
 
 /// A lossy-but-crashless plan for the introspection soak: drops and
 /// duplicates ride the retry layer (the composed soak below adds the
@@ -687,7 +687,7 @@ fn introspect_plan_for_seed(seed: u64) -> FaultPlan {
         .duplicate_probability(0.03 * unit(splitmix(&mut s)))
 }
 
-/// One lossy run with the observer installed; returns the per-epoch
+/// One lossy run under introspection; returns the per-epoch
 /// sorted output plus the introspection report.
 fn introspect_run(seed: u64) -> (Vec<Vec<(u64, u64)>>, RunReport<Out>) {
     let all = Arc::new(inputs());
@@ -696,7 +696,7 @@ fn introspect_run(seed: u64) -> (Vec<Vec<(u64, u64)>>, RunReport<Out>) {
         .faults(introspect_plan_for_seed(seed))
         .send_retries(16);
     let report = Execution::new(config)
-        .introspect(IntrospectOptions::default())
+        .introspect()
         .run(move |worker, _session| {
             let (mut input, probe, captured) = worker.dataflow(build);
             for epoch in 0..EPOCHS {
@@ -776,7 +776,7 @@ fn extended_introspect_soak_honours_env() {
 //
 // Recovery × elasticity × flow control × introspection in one run: each
 // layer has its own matrix above; this one runs them together, so a
-// rollback happens with the observer installed, credits in flight and a
+// rollback happens under introspection, with credits in flight and a
 // rescale fence in the plan.
 
 /// The composite plan of composed seed `seed`, a pure function of it:
@@ -796,7 +796,7 @@ fn composed_plan_for_seed(seed: u64) -> FaultPlan {
 
 /// One composed run: the elastic driver under the composite plan, with
 /// `Block` flow control on a budget small enough that credits circulate,
-/// and the observer installed.
+/// and introspection on.
 fn composed_run(seed: u64) -> Result<RunReport<(u64, Out)>, ExecuteError> {
     let config = chaos_config()
         .faults(composed_plan_for_seed(seed))
@@ -805,7 +805,7 @@ fn composed_run(seed: u64) -> Result<RunReport<(u64, Out)>, ExecuteError> {
         Execution::new(config)
             .resilient(RecoveryOptions::default().max_attempts(6).checkpoint_every(1))
             .elastic(&[rescale_step_for_seed(seed)], EPOCHS, ElasticOptions::default())
-            .introspect(IntrospectOptions::default()),
+            .introspect(),
     )
 }
 

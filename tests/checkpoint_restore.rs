@@ -3,7 +3,7 @@
 //! restore, and continue — the resumed run must match an uninterrupted
 //! one exactly.
 
-use naiad::{execute, Config, ExecuteError, Execution, IntrospectOptions, RecoveryOptions, Worker};
+use naiad::{execute, Config, ExecuteError, Execution, RecoveryOptions, Worker};
 use naiad_examples::my_share;
 use naiad_operators::prelude::*;
 use std::cell::RefCell;
@@ -31,7 +31,7 @@ fn run(from: u64, to: u64, snapshot: Option<Vec<Vec<u8>>>) -> (Out, Vec<u8>) {
     run_observed(false, from, to, snapshot)
 }
 
-/// [`run`], with the introspection observer installed when `observed`.
+/// [`run`], under [`Execution::introspect`] when `observed`.
 /// `snapshot` holds one blob per worker.
 fn run_observed(
     observed: bool,
@@ -68,7 +68,7 @@ fn run_observed(
     let config = Config::single_process(2);
     let results = if observed {
         Execution::new(config)
-            .introspect(IntrospectOptions::default())
+            .introspect()
             .run(move |worker, _| segment(worker))
             .map(|report| report.into_results())
     } else {
@@ -170,10 +170,10 @@ fn resumed_run_matches_uninterrupted_run() {
     assert_eq!(prefix, head_reference);
 }
 
-/// The introspection observer is not part of the computation's state: a
-/// blob checkpointed with the observer installed restores in a plain run,
-/// and the reverse — the resumed epochs match the uninterrupted reference
-/// either way.
+/// Introspection is not part of the computation's state: a blob
+/// checkpointed by an introspected run restores in a plain run, and the
+/// reverse — the resumed epochs match the uninterrupted reference either
+/// way.
 #[test]
 fn checkpoints_cross_the_introspection_boundary() {
     fn epochs(out: &Out, range: std::ops::Range<u64>) -> Vec<Vec<(u64, u64)>> {
@@ -197,7 +197,7 @@ fn checkpoints_cross_the_introspection_boundary() {
         assert_eq!(
             epochs(&resumed, 0..3),
             tail_reference,
-            "checkpoint {} the observer, restore {} it",
+            "checkpoint {} introspection, restore {} it",
             if observed_first { "with" } else { "without" },
             if observed_first { "without" } else { "with" },
         );
@@ -711,6 +711,103 @@ fn recovery_matches_fault_free_run_at_every_crash_epoch() {
             );
         }
     }
+}
+
+/// Under introspection, a crashed attempt keeps the summaries of the
+/// epochs it closed: the retry resumes past them and recomputes only the
+/// rest, so every epoch ends with exactly one critical-path summary, and
+/// the recovered results still match the fault-free run.
+#[test]
+fn a_crashed_attempt_keeps_the_summaries_of_its_closed_epochs() {
+    const CRASH_EPOCH: u64 = 3;
+    let total_epochs = inputs().len() as u64;
+    let (reference, _) = run(0, total_epochs, None);
+    let all = Arc::new(inputs());
+    let report = Execution::new(Config::single_process(2))
+        .resilient(
+            RecoveryOptions::default()
+                .max_attempts(3)
+                .checkpoint_every(1),
+        )
+        .introspect()
+        .run(move |worker, recovery| {
+            let (mut input, probe, captured) = worker.dataflow(|scope| {
+                let (input, stream) = scope.new_input::<(u64, u64)>();
+                let mins = stream.min_monotonic();
+                let captured = mins.capture();
+                (input, mins.probe(), captured)
+            });
+            recovery.restore_into(worker);
+            let resume = recovery.resume_epoch();
+            // Logical epochs, so the retry's summaries line up with the
+            // crashed attempt's.
+            if resume > 0 {
+                input.advance_to(resume);
+            }
+            for epoch in resume..total_epochs {
+                if recovery.attempt() == 0 && epoch == CRASH_EPOCH && worker.index() == 1 {
+                    worker.inject_crash();
+                }
+                let records = match recovery.logged_input::<(u64, u64)>(epoch, worker.index(), 0) {
+                    Some(records) => records,
+                    None => {
+                        let records =
+                            my_share(&all[epoch as usize], worker.index(), worker.peers());
+                        recovery.log_input(epoch, worker.index(), 0, &records);
+                        records
+                    }
+                };
+                for r in records {
+                    input.send(r);
+                }
+                // The final epoch closes via `close` below: advancing past
+                // it would open an epoch with no input, which the fold
+                // could summarize too.
+                if epoch + 1 < total_epochs {
+                    input.advance_to(epoch + 1);
+                    worker.step_while(|| !probe.done_through(epoch));
+                    if recovery.should_checkpoint(epoch) {
+                        recovery.checkpoint(worker, epoch);
+                    }
+                }
+            }
+            input.close();
+            worker.step_until_done();
+            let result = (resume, captured.borrow().clone());
+            result
+        })
+        .expect("recovery absorbs the injected crash");
+
+    let epochs: Vec<u64> = report.summaries.iter().map(|s| s.epoch).collect();
+    assert_eq!(
+        epochs,
+        (0..total_epochs).collect::<Vec<_>>(),
+        "one summary per epoch"
+    );
+    let phase = &report.phases[0];
+    assert_eq!(phase.attempts, 2, "the crash struck once");
+    let resume = phase.results[0].0;
+    assert!(
+        resume > 0 && resume <= CRASH_EPOCH,
+        "the retry resumes past the closed epochs, at {resume}"
+    );
+    let mut recovered: Out = report
+        .into_results()
+        .into_iter()
+        .flat_map(|(_, cap)| cap)
+        .collect();
+    recovered.sort();
+    for (_, data) in recovered.iter_mut() {
+        data.sort();
+    }
+    let tail: Out = reference
+        .into_iter()
+        .filter(|(e, _)| *e >= resume)
+        .collect();
+    assert_eq!(
+        recovered, tail,
+        "recovered results diverge from the plain run"
+    );
 }
 
 /// A crash that strikes while an input still buffers records (sent, not
