@@ -10,8 +10,8 @@ use std::collections::HashMap;
 use naiad::dataflow::{InputPort, OutputPort};
 use naiad::runtime::Pact;
 use naiad::Stream;
-use naiad_operators::hash_of;
 use naiad_operators::prelude::*;
+use naiad_operators::{hash_of, KeyMap};
 
 /// Distances from each of `sources` to every reachable node, per epoch:
 /// emits `(node, source, distance)` improvements; the minimum per
@@ -34,9 +34,9 @@ pub fn approximate_shortest_paths(
         Pact::exchange(|(n, _, _): &(u64, u64, u64)| hash_of(n)),
         "AspPropagate",
         move |_info| {
-            let mut adjacency: HashMap<u64, Vec<u64>> = HashMap::new();
+            let mut adjacency: KeyMap<u64, Vec<u64>> = KeyMap::default();
             // dist[(node, source)] = best known distance.
-            let mut dist: HashMap<(u64, u64), u64> = HashMap::new();
+            let mut dist: KeyMap<(u64, u64), u64> = KeyMap::default();
             move |edges: &mut InputPort<(u64, u64)>,
                   msgs: &mut InputPort<(u64, u64, u64)>,
                   output: &mut OutputPort<(u64, u64, u64)>| {

@@ -22,8 +22,8 @@ use std::rc::Rc;
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
-use naiad_operators::hash_of;
 use naiad_operators::prelude::*;
+use naiad_operators::{hash_of, KeyMap};
 use naiad_pregel::{pregel, Compute, VertexProgram};
 
 const DAMPING: f64 = 0.85;
@@ -47,15 +47,10 @@ pub fn pagerank_vertex(edges: &Stream<(u64, u64)>, iterations: u64) -> Stream<(u
         rank: f64,
         edges: Vec<u64>,
     }
+    #[derive(Default)]
     struct Run {
-        nodes: HashMap<u64, Node>,
-        sums: HashMap<u64, HashMap<u64, f64>>,
-    }
-    fn new_run() -> Run {
-        Run {
-            nodes: HashMap::new(),
-            sums: HashMap::new(),
-        }
+        nodes: KeyMap<u64, Node>,
+        sums: KeyMap<u64, KeyMap<u64, f64>>,
     }
     fn new_node() -> Node {
         Node {
@@ -70,7 +65,7 @@ pub fn pagerank_vertex(edges: &Stream<(u64, u64)>, iterations: u64) -> Stream<(u
         Pact::exchange(|(n, _): &(u64, f64)| hash_of(n)),
         "PageRankVertex",
         move |_info| {
-            let runs: Rc<RefCell<HashMap<u64, Run>>> = Rc::new(RefCell::new(HashMap::new()));
+            let runs: Rc<RefCell<KeyMap<u64, Run>>> = Rc::default();
             let recv_runs = runs.clone();
             (
                 move |edges: &mut InputPort<(u64, u64)>,
@@ -80,7 +75,7 @@ pub fn pagerank_vertex(edges: &Stream<(u64, u64)>, iterations: u64) -> Stream<(u
                     let mut runs = recv_runs.borrow_mut();
                     edges.for_each(|time, data| {
                         notify.notify_at(time);
-                        let run = runs.entry(time.epoch).or_insert_with(new_run);
+                        let run = runs.entry(time.epoch).or_default();
                         for (src, dst) in data {
                             run.nodes
                                 .entry(src)
@@ -90,7 +85,7 @@ pub fn pagerank_vertex(edges: &Stream<(u64, u64)>, iterations: u64) -> Stream<(u
                         }
                     });
                     ranks.for_each(|time, data| {
-                        let run = runs.entry(time.epoch).or_insert_with(new_run);
+                        let run = runs.entry(time.epoch).or_default();
                         let sums = run.sums.entry(iteration_of(&time)).or_default();
                         for (n, v) in data {
                             *sums.entry(n).or_insert(0.0) += v;
@@ -202,17 +197,12 @@ pub fn pagerank_edge(
         Pact::exchange(|(n, _): &(u64, f64)| hash_of(n)),
         "PageRankNodes",
         move |_info| {
+            #[derive(Default)]
             struct Run {
-                nodes: HashMap<u64, (f64, u64)>,
-                sums: HashMap<u64, HashMap<u64, f64>>,
+                nodes: KeyMap<u64, (f64, u64)>,
+                sums: KeyMap<u64, KeyMap<u64, f64>>,
             }
-            fn new_run() -> Run {
-                Run {
-                    nodes: HashMap::new(),
-                    sums: HashMap::new(),
-                }
-            }
-            let runs: Rc<RefCell<HashMap<u64, Run>>> = Rc::new(RefCell::new(HashMap::new()));
+            let runs: Rc<RefCell<KeyMap<u64, Run>>> = Rc::default();
             let recv_runs = runs.clone();
             (
                 move |degrees: &mut InputPort<(u64, u64)>,
@@ -222,14 +212,14 @@ pub fn pagerank_edge(
                     let mut runs = recv_runs.borrow_mut();
                     degrees.for_each(|time, data| {
                         notify.notify_at(time);
-                        let run = runs.entry(time.epoch).or_insert_with(new_run);
+                        let run = runs.entry(time.epoch).or_default();
                         for (n, deg) in data {
                             let e = run.nodes.entry(n).or_insert((1.0, 0));
                             e.1 += deg;
                         }
                     });
                     partials.for_each(|time, data| {
-                        let run = runs.entry(time.epoch).or_insert_with(new_run);
+                        let run = runs.entry(time.epoch).or_default();
                         let sums = run.sums.entry(iteration_of(&time)).or_default();
                         for (n, v) in data {
                             *sums.entry(n).or_insert(0.0) += v;
@@ -284,17 +274,12 @@ pub fn pagerank_edge(
         Pact::exchange(|(cell, _, _): &(u64, u64, f64)| *cell),
         "PageRankCells",
         move |_info| {
+            #[derive(Default)]
             struct Cell {
-                by_src: HashMap<u64, Vec<u64>>,
-                partial: HashMap<u64, HashMap<u64, f64>>,
+                by_src: KeyMap<u64, Vec<u64>>,
+                partial: KeyMap<u64, KeyMap<u64, f64>>,
             }
-            fn new_cell() -> Cell {
-                Cell {
-                    by_src: HashMap::new(),
-                    partial: HashMap::new(),
-                }
-            }
-            let cells: Rc<RefCell<HashMap<u64, Cell>>> = Rc::new(RefCell::new(HashMap::new()));
+            let cells: Rc<RefCell<KeyMap<u64, Cell>>> = Rc::default();
             let recv_cells = cells.clone();
             (
                 move |edges: &mut InputPort<(u64, u64, u64)>,
@@ -303,13 +288,13 @@ pub fn pagerank_edge(
                       notify: &Notify| {
                     let mut cells = recv_cells.borrow_mut();
                     edges.for_each(|time, data| {
-                        let cell = cells.entry(time.epoch).or_insert_with(new_cell);
+                        let cell = cells.entry(time.epoch).or_default();
                         for (_c, src, dst) in data {
                             cell.by_src.entry(src).or_default().push(dst);
                         }
                     });
                     shares.for_each(|time, data| {
-                        let cell = cells.entry(time.epoch).or_insert_with(new_cell);
+                        let cell = cells.entry(time.epoch).or_default();
                         let iter = iteration_of(&time);
                         let first = !cell.partial.contains_key(&iter);
                         let mut any = false;

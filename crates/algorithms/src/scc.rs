@@ -19,8 +19,8 @@ use std::collections::HashMap;
 use naiad::dataflow::{InputPort, LoopContext, OutputPort};
 use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
-use naiad_operators::hash_of;
 use naiad_operators::prelude::*;
+use naiad_operators::{hash_of, KeyMap};
 
 /// Key identifying one propagation instance: (epoch, outer round).
 fn round_key(time: &Timestamp) -> (u64, u64) {
@@ -45,8 +45,8 @@ fn propagate_min(outer: &LoopContext, edges: &Stream<(u64, u64)>) -> Stream<(u64
             // State per (epoch, outer round): this operator is shared by
             // every outer iteration, so scoping by round is what makes the
             // nested loop correct.
-            let mut adjacency: HashMap<(u64, u64), HashMap<u64, Vec<u64>>> = HashMap::new();
-            let mut labels: HashMap<(u64, u64), HashMap<u64, u64>> = HashMap::new();
+            let mut adjacency: KeyMap<(u64, u64), KeyMap<u64, Vec<u64>>> = KeyMap::default();
+            let mut labels: KeyMap<(u64, u64), KeyMap<u64, u64>> = KeyMap::default();
             move |edges: &mut InputPort<(u64, u64)>,
                   msgs: &mut InputPort<(u64, u64)>,
                   output: &mut OutputPort<(u64, u64)>| {

@@ -16,13 +16,15 @@
 //! observes a later epoch's edges — the multi-version discipline the
 //! paper's incremental library [McSherry et al., CIDR 2013] formalizes.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
-use naiad_operators::hash_of;
 use naiad_operators::prelude::*;
+use naiad_operators::{hash_of, KeyMap};
 
 /// A node's label history: `(epoch, label)` with strictly increasing
 /// epochs and strictly decreasing labels.
@@ -75,8 +77,8 @@ pub fn connected_components(edges: &Stream<(u64, u64)>) -> Stream<(u64, u64)> {
         "MinLabelPropagate",
         |_info| {
             // Adjacency entries remember the epoch that introduced them.
-            let mut adjacency: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
-            let mut labels: HashMap<u64, Versions> = HashMap::new();
+            let mut adjacency: KeyMap<u64, Vec<(u64, u64)>> = KeyMap::default();
+            let mut labels: KeyMap<u64, Versions> = KeyMap::default();
             // Offers to later epochs' first iterations, sent after the
             // batch's own session closes.
             let mut later: Vec<(u64, (u64, u64))> = Vec::new();
@@ -126,22 +128,18 @@ pub fn connected_components(edges: &Stream<(u64, u64)>) -> Stream<(u64, u64)> {
     );
 
     handle.connect(&improvements);
-    // Outside the loop: collapse each epoch's offer churn to the minimal
+    // Outside the loop: fold each epoch's offer churn to the minimal
     // candidate per node, then emit only labels that improve on earlier
     // epochs — clean per-epoch deltas for incremental consumers (§6.4).
     // Epochs are processed in notification order, which the frontier
     // guarantees is epoch order, so the cross-epoch filter is sound.
-    let per_epoch = lc
-        .leave(&improvements)
-        .reduce(|| u64::MAX, |_n, acc, l| *acc = (*acc).min(l));
-    per_epoch.unary_notify(
+    lc.leave(&improvements).unary_notify(
         Pact::exchange(|(n, _): &(u64, u64)| hash_of(n)),
         "ImprovementFilter",
         |_info| {
-            let pending: std::rc::Rc<std::cell::RefCell<HashMap<u64, HashMap<u64, u64>>>> =
-                std::rc::Rc::new(std::cell::RefCell::new(HashMap::new()));
+            let pending: Rc<RefCell<KeyMap<u64, KeyMap<u64, u64>>>> = Rc::default();
             let recv_pending = pending.clone();
-            let mut best: HashMap<u64, u64> = HashMap::new();
+            let mut best: KeyMap<u64, u64> = KeyMap::default();
             (
                 move |input: &mut InputPort<(u64, u64)>,
                       _output: &mut OutputPort<(u64, u64)>,
@@ -150,7 +148,7 @@ pub fn connected_components(edges: &Stream<(u64, u64)>) -> Stream<(u64, u64)> {
                     input.for_each(|time, data| {
                         let epoch = pending.entry(time.epoch).or_insert_with(|| {
                             notify.notify_at(time);
-                            HashMap::new()
+                            KeyMap::default()
                         });
                         for (n, label) in data {
                             let e = epoch.entry(n).or_insert(label);
@@ -264,6 +262,100 @@ mod tests {
         let edges = random_graph(100, 150, 9);
         let ours = wcc_once(Config::processes_and_workers(2, 2), edges.clone());
         assert_eq!(ours, wcc_reference(&edges));
+    }
+
+    #[test]
+    fn an_earlier_epoch_improving_drops_the_later_versions_it_beats() {
+        let mut versions = Versions(vec![(0, 5), (2, 3)]);
+        assert!(versions.improve(1, 2));
+        assert_eq!(versions.0, [(0, 5), (1, 2)]);
+        assert_eq!(versions.at(2), Some(2));
+        assert!(!versions.improve(2, 4), "epoch 2 already reads 2");
+    }
+
+    #[test]
+    fn a_later_epoch_improving_leaves_the_earlier_label_readable() {
+        let mut versions = Versions(vec![(0, 5)]);
+        assert!(versions.improve(2, 3));
+        assert_eq!(versions.0, [(0, 5), (2, 3)]);
+        assert_eq!(versions.at(0), Some(5));
+        assert_eq!(versions.at(1), Some(5));
+        assert_eq!(versions.at(2), Some(3));
+        assert_eq!(Versions::default().at(0), None);
+    }
+
+    /// Every epoch of `epochs` fed before the first step, edges dealt
+    /// round-robin over the workers: each epoch's output, sorted.
+    fn run_in_flight(config: Config, epochs: &[Vec<(u64, u64)>]) -> Vec<Vec<(u64, u64)>> {
+        let mut by_epoch = vec![Vec::new(); epochs.len()];
+        let epochs = std::sync::Arc::new(epochs.to_vec());
+        let results = naiad::execute(config, move |worker| {
+            let (mut input, captured) = worker.dataflow(|scope| {
+                let (input, stream) = scope.new_input::<(u64, u64)>();
+                (input, connected_components(&stream).capture())
+            });
+            let (peers, index) = (worker.peers(), worker.index());
+            for (epoch, edges) in epochs.iter().enumerate() {
+                if epoch > 0 {
+                    input.advance_to(epoch as u64);
+                }
+                input.send_batch(edges.iter().skip(index).step_by(peers).copied());
+            }
+            input.close();
+            worker.step_until_done();
+            let result = captured.borrow().clone();
+            result
+        })
+        .unwrap();
+        for (epoch, data) in results.into_iter().flatten() {
+            by_epoch[epoch as usize].extend(data);
+        }
+        for output in &mut by_epoch {
+            output.sort_unstable();
+        }
+        by_epoch
+    }
+
+    /// The labels each epoch changes, by [`wcc_reference`] over the
+    /// prefix of epochs that ends with it.
+    fn reference_deltas(epochs: &[Vec<(u64, u64)>]) -> Vec<Vec<(u64, u64)>> {
+        let mut prefix = Vec::new();
+        let mut before = HashMap::new();
+        epochs
+            .iter()
+            .map(|edges| {
+                prefix.extend_from_slice(edges);
+                let after = wcc_reference(&prefix);
+                let mut delta: Vec<(u64, u64)> = after
+                    .iter()
+                    .filter(|&(n, l)| before.get(n) != Some(l))
+                    .map(|(&n, &l)| (n, l))
+                    .collect();
+                delta.sort_unstable();
+                before = after;
+                delta
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_epochs_in_flight_each_report_their_own_delta() {
+        // Epoch 0: {1, 2, 5, 7} and {3, 4, 6, 8}; epoch 1 bridges them.
+        let epochs = [
+            vec![(1, 2), (2, 5), (7, 5), (4, 3), (4, 6), (8, 6)],
+            vec![(7, 8)],
+        ];
+        let expected = reference_deltas(&epochs);
+        assert_eq!(expected[1], [(3, 1), (4, 1), (6, 1), (8, 1)]);
+        for (shape, config) in [
+            ("1 process x 2 workers", Config::single_process(2)),
+            (
+                "2 processes x 1 worker",
+                Config::processes_and_workers(2, 1),
+            ),
+        ] {
+            assert_eq!(run_in_flight(config, &epochs), expected, "{shape}");
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use iterate::IterateOps;
 pub use join::JoinOps;
 pub use keyed::{DistinctCountOps, ExchangeKey, KeyedOps};
 pub use map::MapOps;
-pub use naiad_wire::hash::{hash_of, KeyHasher, KeyMap};
+pub use naiad_wire::hash::{hash_of, KeyHasher, KeyMap, KeySet};
 pub use reduction::{AllReduceOps, ReductionOps};
 pub use relational::{NumericOps, RelationalOps};
 pub use staleness::StalenessOps;

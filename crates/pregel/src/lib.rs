@@ -69,20 +69,19 @@
 
 #![forbid(unsafe_code)]
 
-// Dataflow state cells are inherently nested (`Rc<RefCell<HashMap<…>>>`);
+// Dataflow state cells are inherently nested (`Rc<RefCell<KeyMap<…>>>`);
 // naming each shape would add indirection without clarity.
 #![allow(clippy::type_complexity)]
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use naiad::dataflow::ops::concatenate;
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
-use naiad_operators::hash_of;
 use naiad_operators::prelude::*;
+use naiad_operators::{hash_of, KeyMap, KeySet};
 use naiad_wire::{ExchangeData, Wire, WireError};
 
 /// A Pregel vertex program.
@@ -253,16 +252,16 @@ struct VertexData<P: VertexProgram> {
 }
 
 struct EpochRun<P: VertexProgram> {
-    vertices: HashMap<u64, VertexData<P>>,
+    vertices: KeyMap<u64, VertexData<P>>,
     /// Messages gathered per superstep, keyed by target vertex.
-    inboxes: HashMap<u64, HashMap<u64, Vec<P::Msg>>>,
+    inboxes: KeyMap<u64, KeyMap<u64, Vec<P::Msg>>>,
 }
 
 impl<P: VertexProgram> Default for EpochRun<P> {
     fn default() -> Self {
         EpochRun {
-            vertices: HashMap::new(),
-            inboxes: HashMap::new(),
+            vertices: KeyMap::default(),
+            inboxes: KeyMap::default(),
         }
     }
 }
@@ -295,8 +294,7 @@ pub fn pregel<P: VertexProgram>(
         "PregelVertex",
         move |_info| {
             let mut program = program;
-            let runs: Rc<RefCell<HashMap<u64, EpochRun<P>>>> =
-                Rc::new(RefCell::new(HashMap::new()));
+            let runs: Rc<RefCell<KeyMap<u64, EpochRun<P>>>> = Rc::default();
             let recv_runs = runs.clone();
             (
                 move |seeds: &mut InputPort<(u64, (P::State, Vec<u64>))>,
@@ -402,7 +400,7 @@ pub fn pregel<P: VertexProgram>(
                         }
                     }
                     // Apply the combiner per target before emitting.
-                    let mut combined: HashMap<u64, Vec<P::Msg>> = HashMap::new();
+                    let mut combined: KeyMap<u64, Vec<P::Msg>> = KeyMap::default();
                     for (target, msg) in outbox {
                         let entry = combined.entry(target).or_default();
                         match entry.pop() {
@@ -485,15 +483,14 @@ fn join_left_empty<S: ExchangeData>(
     states: &Stream<(u64, S)>,
     adjacency: &Stream<(u64, Vec<u64>)>,
 ) -> Stream<(u64, (S, Vec<u64>))> {
-    type PerTime<S> = (HashMap<u64, S>, std::collections::HashSet<u64>);
+    type PerTime<S> = (KeyMap<u64, S>, KeySet<u64>);
     states.binary_notify(
         adjacency,
         Pact::exchange(|(v, _): &(u64, S)| hash_of(v)),
         Pact::exchange(|(v, _): &(u64, Vec<u64>)| hash_of(v)),
         "SeedIsolated",
         |_info| {
-            let state: Rc<RefCell<HashMap<Timestamp, PerTime<S>>>> =
-                Rc::new(RefCell::new(HashMap::new()));
+            let state: Rc<RefCell<KeyMap<Timestamp, PerTime<S>>>> = Rc::default();
             let recv_state = state.clone();
             (
                 move |states: &mut InputPort<(u64, S)>,
@@ -541,6 +538,7 @@ fn join_left_empty<S: ExchangeData>(
 mod tests {
     use super::*;
     use naiad::{execute, Config};
+    use std::collections::HashMap;
 
     /// Propagate the minimum label (connected components by min-id).
     struct MinLabel;

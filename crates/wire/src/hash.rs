@@ -1,6 +1,6 @@
 //! The one key hash: the partition function keyed exchanges route by, the
-//! hasher of the keyed operators' tables, and the hasher of the progress
-//! tracker's pointstamp count tables.
+//! hasher of the keyed operators' and graph vertices' tables, and the
+//! hasher of the progress tracker's pointstamp count tables.
 //!
 //! It is an Fx-style word hash (one rotate, xor and multiply per 64-bit
 //! word, as in rustc's `FxHasher`) followed by murmur3's 64-bit finalizer.
@@ -21,7 +21,7 @@
 //! It lives beside the codec because, like the codec, its output is a
 //! stable format every crate must agree on.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Fx's multiplier.
@@ -112,6 +112,9 @@ fn tail_word(tail: &[u8]) -> u64 {
 
 /// A hash table keyed by [`hash_of`]'s hash.
 pub type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// A hash set keyed by [`hash_of`]'s hash.
+pub type KeySet<K> = HashSet<K, BuildHasherDefault<KeyHasher>>;
 
 /// The partitioning function of keyed operators ("group by" routing,
 /// §3.1): a fixed 64-bit hash, the same in every process and release.

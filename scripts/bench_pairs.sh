@@ -13,6 +13,11 @@
 # summary rows of the table — are also written to that path as JSON, the
 # machine-readable record a PR commits under results/.
 #
+# Each run also records the share of the box's CPU time the hypervisor
+# stole while it ran (the `steal` column of /proc/stat, read before and
+# after the run); the range per side is printed under the table. A shared
+# VM's slow spells show up there.
+#
 # The parent is exported with `git archive` into a temporary directory
 # (under $TMPDIR), not a `git worktree`: the benchmark is specified on a
 # plain checkout, and nothing is left registered in .git. This script
@@ -22,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-  sed -n '2,20p' "$0"
+  sed -n '2,25p' "$0"
   exit 2
 fi
 parent_rev=$1
@@ -54,6 +59,12 @@ echo "building and priming both sides" >&2
 run_side "$work/parent" 1 1 >/dev/null
 run_side "$PWD" 1 1 >/dev/null
 
+# Prints the steal and total jiffies of /proc/stat's aggregate cpu line
+# (user through steal; guest time is already inside user and nice).
+cpu_ticks() {
+  awk '/^cpu /{t = 0; for (i = 2; i <= 9; i++) t += $i; print $9, t}' /proc/stat
+}
+
 # Seeds no earlier session can have tuned against.
 base=$(($(date +%s) % 1000000))
 : >"$work/runs.jsonl"
@@ -62,9 +73,12 @@ for i in $(seq 1 "$pairs"); do
   if ((i % 2)); then order="parent change"; else order="change parent"; fi
   for side in $order; do
     if [ "$side" = parent ]; then dir=$work/parent; else dir=$PWD; fi
+    read -r steal0 total0 < <(cpu_ticks)
     result=$(run_side "$dir" "$seed" "$seconds")
-    echo "pair $i seed $seed $side: $result" >&2
-    printf '{"pair": %d, "seed": %d, "side": "%s", "result": %s}\n' "$i" "$seed" "$side" "${result:-null}" >>"$work/runs.jsonl"
+    read -r steal1 total1 < <(cpu_ticks)
+    steal=$(awk -v s=$((steal1 - steal0)) -v t=$((total1 - total0)) 'BEGIN {printf "%.4f", (t > 0 ? s / t : 0)}')
+    echo "pair $i seed $seed $side (steal $steal): $result" >&2
+    printf '{"pair": %d, "seed": %d, "side": "%s", "steal": %s, "result": %s}\n' "$i" "$seed" "$side" "$steal" "${result:-null}" >>"$work/runs.jsonl"
   done
 done
 
@@ -125,6 +139,11 @@ for metric in spec["end_to_end"]:
     print(f"| `{name}` [{metric['unit']}, {metric['better']} is better, bound {metric['bound']:.0%}] "
           f"| {cells[0]} | {cells[1]} | {change[1] / parent[1]:.3f} | {won} / {len(both)} | {verdict} |")
 print()
+steal = {}
+for side in ("parent", "change"):
+    shares = [run["steal"] for run in runs if run["side"] == side]
+    steal[side] = {"min": min(shares), "max": max(shares)}
+    print(f"{side}: CPU steal {min(shares):.1%} to {max(shares):.1%} of box time per run")
 operations = {}
 for side, results in sides.items():
     done = [result for result in results.values() if result]
@@ -135,14 +154,15 @@ for side, results in sides.items():
     print("{side}: {failed} of {attempted} operations failed, {output_checks_failed} output checks failed, "
           "{runs_without_result} of {runs} runs printed no result".format(side=side, **operations[side]))
 if json_out:
-    rows = [{"pair": run["pair"], "seed": run["seed"], "side": run["side"],
+    rows = [{"pair": run["pair"], "seed": run["seed"], "side": run["side"], "steal": run["steal"],
              **({key: run["result"][key] for key in ("attempted", "failed", "correct")} if run["result"] else {}),
              "metrics": {name: m["value"] for name, m in (run["result"] or {}).get("metrics", {}).items()}}
             for run in runs]
     with open(json_out, "w") as out:
         json.dump({"workload": workload, "parent": parent_rev, "change": change_rev,
                    "command": spec["command"], "seconds": spec["run_seconds"], "trace": 0,
-                   "pairs": pairs, "runs": rows, "summary": summary, "operations": operations},
+                   "pairs": pairs, "runs": rows, "summary": summary, "steal": steal,
+                   "operations": operations},
                   out, indent=1)
         out.write("\n")
     print(f"wrote {json_out}")

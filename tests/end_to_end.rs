@@ -275,3 +275,49 @@ fn lossy_links_preserve_results_under_ten_percent_drop() {
     );
     assert_eq!(faults.crashes, 0);
 }
+
+/// One worker's graph outputs repeat run to run: the same records in the
+/// same order, PageRank's ranks bit for bit. A vertex's tables iterate
+/// in an order fixed by its operations, so its emissions, and the order
+/// its float shares are summed in, do not vary between runs.
+#[test]
+fn graph_outputs_repeat_run_to_run() {
+    use naiad_algorithms::datasets::powerlaw_graph;
+    use naiad_algorithms::pagerank::pagerank_vertex;
+    use naiad_algorithms::wcc::connected_components;
+
+    /// PageRank's `(node, rank bits)` and WCC's `(node, label)`, as emitted.
+    type Outputs = (Vec<(u64, u64)>, Vec<(u64, u64)>);
+
+    fn run_once(edges: &[(u64, u64)]) -> Outputs {
+        let edges = Arc::new(edges.to_vec());
+        let mut results = execute(Config::single_process(1), move |worker| {
+            let (mut input, ranks, labels) = worker.dataflow(|scope| {
+                let (input, stream) = scope.new_input::<(u64, u64)>();
+                let ranks = pagerank_vertex(&stream, 5).capture();
+                (input, ranks, connected_components(&stream).capture())
+            });
+            input.send_batch(edges.iter().copied());
+            input.close();
+            worker.step_until_done();
+            let ranks: Vec<(u64, u64)> = ranks
+                .borrow()
+                .iter()
+                .flat_map(|(_, data)| data.iter().map(|&(n, r)| (n, r.to_bits())))
+                .collect();
+            let labels: Vec<(u64, u64)> = labels
+                .borrow()
+                .iter()
+                .flat_map(|(_, data)| data.clone())
+                .collect();
+            (ranks, labels)
+        })
+        .unwrap();
+        results.pop().expect("one worker")
+    }
+
+    let edges = powerlaw_graph(500, 3_000, 31);
+    let first = run_once(&edges);
+    assert_eq!(first.0.len(), 500, "every node ranked");
+    assert_eq!(run_once(&edges), first);
+}
