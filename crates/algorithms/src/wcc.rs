@@ -16,13 +16,12 @@
 //! observes a later epoch's edges — the multi-version discipline the
 //! paper's incremental library [McSherry et al., CIDR 2013] formalizes.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
+use naiad_operators::per_time;
 use naiad_operators::prelude::*;
 use naiad_operators::{hash_of, KeyMap};
 
@@ -137,29 +136,22 @@ pub fn connected_components(edges: &Stream<(u64, u64)>) -> Stream<(u64, u64)> {
         Pact::exchange(|(n, _): &(u64, u64)| hash_of(n)),
         "ImprovementFilter",
         |_info| {
-            let pending: Rc<RefCell<KeyMap<u64, KeyMap<u64, u64>>>> = Rc::default();
-            let recv_pending = pending.clone();
             let mut best: KeyMap<u64, u64> = KeyMap::default();
+            let (opener, closer) = per_time::states::<KeyMap<u64, u64>>(Notify::notify_at);
             (
-                move |input: &mut InputPort<(u64, u64)>,
-                      _output: &mut OutputPort<(u64, u64)>,
-                      notify: &Notify| {
-                    let mut pending = recv_pending.borrow_mut();
+                move |input, _output, notify| {
                     input.for_each(|time, data| {
-                        let epoch = pending.entry(time.epoch).or_insert_with(|| {
-                            notify.notify_at(time);
-                            KeyMap::default()
-                        });
+                        let mut epoch = opener.open(time, notify);
                         for (n, label) in data {
                             let e = epoch.entry(n).or_insert(label);
                             *e = (*e).min(label);
                         }
                     });
                 },
-                move |time: Timestamp, output: &mut OutputPort<(u64, u64)>, _notify: &Notify| {
-                    if let Some(epoch) = pending.borrow_mut().remove(&time.epoch) {
+                move |time, output, _notify| {
+                    closer.close(time, |epoch| {
                         let mut session = output.session(time);
-                        for (n, label) in epoch {
+                        for (n, label) in epoch.drain() {
                             match best.get_mut(&n) {
                                 None => {
                                     best.insert(n, label);
@@ -172,7 +164,7 @@ pub fn connected_components(edges: &Stream<(u64, u64)>) -> Stream<(u64, u64)> {
                                 _ => {}
                             }
                         }
-                    }
+                    });
                 },
             )
         },

@@ -30,6 +30,7 @@ fn is_deterministic_module(rel: &str) -> bool {
         || rel == "crates/core/src/progress/tracker.rs"
         || rel.starts_with("crates/core/src/progress/modelcheck/")
         || rel.starts_with("crates/netsim/src/")
+        || rel.starts_with("crates/operators/src/")
 }
 
 /// The first line of the statement containing token `ti` (for marker
@@ -217,7 +218,8 @@ pub fn ns0002(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// NS0003: nondeterminism sources inside modules whose outputs must be
 /// bit-identical across runs (`progress::{protocol,tracker,modelcheck}`
 /// feed the model-checker's replay — its reference view is a
-/// `PointstampTable`; `netsim` feeds the seeded chaos soaks):
+/// `PointstampTable`; `netsim` feeds the seeded chaos soaks; the
+/// operator library's emission order is its output order):
 /// wall-clock reads, hasher randomness, and iteration over
 /// `HashMap`/`HashSet` bindings (order varies per process).
 pub fn ns0003(f: &SourceFile, out: &mut Vec<Diagnostic>) {

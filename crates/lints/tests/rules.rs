@@ -69,6 +69,7 @@ fn trigger_diagnostics_land_on_the_expected_files() {
         (Code::UnboundedChannel, "crates/core/src/runtime/acks.rs"),
         (Code::HotPathAlloc, "crates/core/src/runtime/channels.rs"),
         (Code::Nondeterminism, "crates/core/src/progress/protocol.rs"),
+        (Code::Nondeterminism, "crates/operators/src/cogroup.rs"),
         (Code::PanicPath, "crates/core/src/runtime/merge.rs"),
         (
             Code::TelemetryConservation,

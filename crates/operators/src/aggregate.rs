@@ -17,13 +17,14 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use naiad::dataflow::{InputPort, Notify, OutputPort};
+use naiad::dataflow::{InputPort, Notify};
 use naiad::runtime::Pact;
-use naiad::{Stream, Timestamp};
+use naiad::Stream;
 use naiad_wire::ExchangeData;
 
 use crate::hash_of;
 use crate::keyed::ExchangeKey;
+use crate::per_time;
 
 /// Monotonic aggregation operators.
 pub trait AggregateOps<K: ExchangeKey, V: ExchangeData> {
@@ -57,29 +58,22 @@ impl<K: ExchangeKey, V: ExchangeData> AggregateOps<K, V> for Stream<(K, V)> {
                 // keyed by the exchange hash above.
                 let folded: Rc<RefCell<HashMap<K, A>>> = Rc::new(RefCell::new(HashMap::new()));
                 info.register_keyed_state(folded.clone(), |k: &K| hash_of(k));
-                // Values at times still open, until their notification
-                // folds them in. Not registered: a replay rebuilds them.
-                let open: Rc<RefCell<HashMap<Timestamp, Vec<(K, V)>>>> =
-                    Rc::new(RefCell::new(HashMap::new()));
                 let fold = Rc::new(RefCell::new(Fold { init, improve }));
                 // The aggregate over everything received, which decides
                 // what to emit; a key restored into `folded` enters it on
                 // its first new value.
                 let mut seen: HashMap<K, A> = HashMap::new();
-                let (recv_folded, recv_open, recv_fold) =
-                    (folded.clone(), open.clone(), fold.clone());
+                let (recv_folded, recv_fold) = (folded.clone(), fold.clone());
+                // Each open time's state is the values it received, until
+                // its notification folds them in. Not registered: a replay
+                // rebuilds them.
+                let (opener, closer) = per_time::states::<Vec<(K, V)>>(Notify::notify_at);
                 (
-                    move |input: &mut InputPort<(K, V)>,
-                          output: &mut OutputPort<(K, A)>,
-                          notify: &Notify| {
-                        let (folded, mut open) = (recv_folded.borrow(), recv_open.borrow_mut());
-                        let mut fold = recv_fold.borrow_mut();
+                    move |input: &mut InputPort<(K, V)>, output, notify| {
+                        let (folded, mut fold) = (recv_folded.borrow(), recv_fold.borrow_mut());
                         input.for_each(|time, data| {
                             let mut session = output.session(time);
-                            let pending = open.entry(time).or_insert_with(|| {
-                                notify.notify_at(time);
-                                Vec::new()
-                            });
+                            let mut pending = opener.open(time, notify);
                             for (k, v) in data {
                                 if !seen.contains_key(&k) {
                                     if let Some(a) = folded.get(&k) {
@@ -93,14 +87,13 @@ impl<K: ExchangeKey, V: ExchangeData> AggregateOps<K, V> for Stream<(K, V)> {
                             }
                         });
                     },
-                    move |time: Timestamp, _output: &mut OutputPort<(K, A)>, _notify: &Notify| {
-                        let Some(values) = open.borrow_mut().remove(&time) else {
-                            return;
-                        };
+                    move |time, _output, _notify| {
                         let (mut folded, mut fold) = (folded.borrow_mut(), fold.borrow_mut());
-                        for (k, v) in values {
-                            fold.apply(&mut folded, k, v);
-                        }
+                        closer.close(time, |values| {
+                            for (k, v) in values.drain(..) {
+                                fold.apply(&mut folded, k, v);
+                            }
+                        });
                     },
                 )
             },

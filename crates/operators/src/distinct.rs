@@ -7,16 +7,13 @@
 //! Per-time state is reclaimed by a purge notification (§2.4) that never
 //! holds back the frontier.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use naiad::dataflow::{InputPort, Notify, OutputPort};
+use naiad::dataflow::Notify;
 use naiad::runtime::Pact;
-use naiad::{Stream, Timestamp};
+use naiad::Stream;
 use naiad_wire::ExchangeData;
 
-use crate::hash_of;
-use crate::keyed::TimedTables;
+use crate::per_time;
+use crate::{hash_of, KeyMap};
 
 /// Deduplication operators.
 pub trait DistinctOps<D: ExchangeData> {
@@ -32,26 +29,22 @@ pub trait DistinctOps<D: ExchangeData> {
 impl<D: ExchangeData + std::hash::Hash + Eq> DistinctOps<D> for Stream<D> {
     fn distinct(&self) -> Stream<D> {
         self.unary_notify(Pact::exchange(|d: &D| hash_of(d)), "Distinct", |_info| {
-            let seen: Rc<RefCell<TimedTables<D, ()>>> = Rc::default();
-            let recv_seen = seen.clone();
+            let (opener, closer) = per_time::states::<KeyMap<D, ()>>(Notify::notify_at_purge);
             (
-                move |input: &mut InputPort<D>, output: &mut OutputPort<D>, notify: &Notify| {
-                    let mut seen = recv_seen.borrow_mut();
+                move |input, output, notify| {
                     input.for_each_batch(|time, data| {
-                        let set = seen.at(time, || notify.notify_at_purge(time));
+                        let mut seen = opener.open(time, notify);
                         let mut session = output.session(time);
                         for record in data.drain(..) {
-                            if !set.contains_key(&record) {
-                                set.insert(record.clone(), ());
+                            if !seen.contains_key(&record) {
+                                seen.insert(record.clone(), ());
                                 session.give(record);
                             }
                         }
                     });
                 },
                 // Purge: the time is complete everywhere, free its set.
-                move |time: Timestamp, _output: &mut OutputPort<D>, _notify: &Notify| {
-                    seen.borrow_mut().close(time, |_| {});
-                },
+                move |time, _output, _notify| closer.close(time, |_| {}),
             )
         })
     }

@@ -11,8 +11,17 @@ use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
 use naiad_wire::ExchangeData;
 
-use crate::hash_of;
 use crate::keyed::ExchangeKey;
+use crate::per_time;
+use crate::{hash_of, KeyMap};
+
+/// Each key's values from both inputs of a per-time binary operator.
+pub(crate) type Sides<K, V1, V2> = KeyMap<K, (Vec<V1>, Vec<V2>)>;
+
+/// One side of [`JoinOps::join_accumulate`]'s relation: each key's values
+/// with the epoch each arrived at. Registered for checkpoints, so it is
+/// the `std` map core's state registration takes.
+type Relation<K, V> = Rc<RefCell<HashMap<K, Vec<(V, u64)>>>>;
 
 /// Join operators over `(key, value)` streams.
 pub trait JoinOps<K: ExchangeKey, V1: ExchangeData> {
@@ -47,56 +56,39 @@ impl<K: ExchangeKey, V1: ExchangeData> JoinOps<K, V1> for Stream<(K, V1)> {
         other: &Stream<(K, V2)>,
         mut result: impl FnMut(&K, &V1, &V2) -> R + 'static,
     ) -> Stream<R> {
-        type Sides<K, V1, V2> = (HashMap<K, Vec<V1>>, HashMap<K, Vec<V2>>);
         self.binary_notify(
             other,
             Pact::exchange(|(k, _): &(K, V1)| hash_of(k)),
             Pact::exchange(|(k, _): &(K, V2)| hash_of(k)),
             "Join",
             move |_info| {
-                let state: Rc<RefCell<HashMap<Timestamp, Sides<K, V1, V2>>>> =
-                    Rc::new(RefCell::new(HashMap::new()));
-                let recv_state = state.clone();
+                let (opener, closer) =
+                    per_time::states::<Sides<K, V1, V2>>(Notify::notify_at_purge);
                 (
-                    move |left: &mut InputPort<(K, V1)>,
-                          right: &mut InputPort<(K, V2)>,
-                          output: &mut OutputPort<R>,
-                          notify: &Notify| {
-                        let mut state = recv_state.borrow_mut();
+                    move |left, right, output, notify| {
                         left.for_each(|time, data| {
-                            let (lefts, rights) = state.entry(time).or_insert_with(|| {
-                                notify.notify_at_purge(time);
-                                (HashMap::new(), HashMap::new())
-                            });
+                            let mut sides = opener.open(time, notify);
                             let mut session = output.session(time);
                             for (k, v1) in data {
-                                if let Some(v2s) = rights.get(&k) {
-                                    for v2 in v2s {
-                                        session.give(result(&k, &v1, v2));
-                                    }
+                                if let Some((_, v2s)) = sides.get(&k) {
+                                    session.give_iterator(v2s.iter().map(|v2| result(&k, &v1, v2)));
                                 }
-                                lefts.entry(k).or_default().push(v1);
+                                sides.entry(k).or_default().0.push(v1);
                             }
                         });
                         right.for_each(|time, data| {
-                            let (lefts, rights) = state.entry(time).or_insert_with(|| {
-                                notify.notify_at_purge(time);
-                                (HashMap::new(), HashMap::new())
-                            });
+                            let mut sides = opener.open(time, notify);
                             let mut session = output.session(time);
                             for (k, v2) in data {
-                                if let Some(v1s) = lefts.get(&k) {
-                                    for v1 in v1s {
-                                        session.give(result(&k, v1, &v2));
-                                    }
+                                if let Some((v1s, _)) = sides.get(&k) {
+                                    session.give_iterator(v1s.iter().map(|v1| result(&k, v1, &v2)));
                                 }
-                                rights.entry(k).or_default().push(v2);
+                                sides.entry(k).or_default().1.push(v2);
                             }
                         });
                     },
-                    move |time: Timestamp, _output: &mut OutputPort<R>, _notify: &Notify| {
-                        state.borrow_mut().remove(&time);
-                    },
+                    // Purge: the time is complete everywhere, free its sides.
+                    move |time, _output, _notify| closer.close(time, |_| {}),
                 )
             },
         )
@@ -113,10 +105,8 @@ impl<K: ExchangeKey, V1: ExchangeData> JoinOps<K, V1> for Stream<(K, V1)> {
             Pact::exchange(|(k, _): &(K, V2)| hash_of(k)),
             "JoinAccumulate",
             move |info| {
-                let lefts: Rc<RefCell<HashMap<K, Vec<(V1, u64)>>>> =
-                    Rc::new(RefCell::new(HashMap::new()));
-                let rights: Rc<RefCell<HashMap<K, Vec<(V2, u64)>>>> =
-                    Rc::new(RefCell::new(HashMap::new()));
+                let lefts: Relation<K, V1> = Rc::default();
+                let rights: Relation<K, V2> = Rc::default();
                 // The accumulated relation persists across epochs, so both
                 // sides are registered for checkpointing (§3.4) — keyed by
                 // the exchange hash, so rescales can re-partition them.

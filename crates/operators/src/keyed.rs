@@ -5,64 +5,19 @@
 //! exactly one output per key per completed time — the coordination-using
 //! style §2.4 recommends at the boundary of composable sub-computations.
 
-use std::cell::RefCell;
-use std::collections::hash_map::Drain;
-use std::collections::HashMap;
 use std::hash::Hash;
-use std::rc::Rc;
 
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::runtime::Pact;
-use naiad::{Stream, Timestamp};
+use naiad::Stream;
 use naiad_wire::ExchangeData;
 
+use crate::per_time;
 use crate::{hash_of, KeyMap};
 
 /// A key type: hashable, comparable, exchangeable.
 pub trait ExchangeKey: ExchangeData + Hash + Eq {}
 impl<K: ExchangeData + Hash + Eq> ExchangeKey for K {}
-
-/// The per-time tables of a keyed operator. A time's table opens with its
-/// first batch and is drained when the time completes; its storage then
-/// serves the next time to open, unless its capacity is more than four
-/// times what the drained time used — draining costs the whole capacity,
-/// so one large time must not tax every small one after it.
-pub(crate) struct TimedTables<K, V> {
-    open: HashMap<Timestamp, KeyMap<K, V>>,
-    spare: Vec<KeyMap<K, V>>,
-}
-
-impl<K, V> Default for TimedTables<K, V> {
-    fn default() -> Self {
-        TimedTables {
-            open: HashMap::new(),
-            spare: Vec::new(),
-        }
-    }
-}
-
-impl<K: Hash + Eq, V> TimedTables<K, V> {
-    /// The table of `time`; `on_open` runs if this opens it.
-    pub(crate) fn at(&mut self, time: Timestamp, on_open: impl FnOnce()) -> &mut KeyMap<K, V> {
-        let spare = &mut self.spare;
-        self.open.entry(time).or_insert_with(|| {
-            on_open();
-            spare.pop().unwrap_or_default()
-        })
-    }
-
-    /// Hands `time`'s entries to `emit` and keeps the table for reuse.
-    pub(crate) fn close(&mut self, time: Timestamp, emit: impl FnOnce(Drain<'_, K, V>)) {
-        let Some(mut table) = self.open.remove(&time) else {
-            return;
-        };
-        let used = table.len();
-        emit(table.drain());
-        if table.capacity() <= 4 * used {
-            self.spare.push(table);
-        }
-    }
-}
 
 /// Keyed blocking operators over `(key, value)` streams.
 pub trait KeyedOps<K: ExchangeKey, V: ExchangeData> {
@@ -94,24 +49,20 @@ impl<K: ExchangeKey, V: ExchangeData> KeyedOps<K, V> for Stream<(K, V)> {
             Pact::exchange(|(k, _): &(K, V)| hash_of(k)),
             "GroupBy",
             move |_info| {
-                let tables: Rc<RefCell<TimedTables<K, Vec<V>>>> = Rc::default();
-                let recv_tables = tables.clone();
+                let (opener, closer) = per_time::states::<KeyMap<K, Vec<V>>>(Notify::notify_at);
                 (
-                    move |input: &mut InputPort<(K, V)>,
-                          _output: &mut OutputPort<R>,
-                          notify: &Notify| {
-                        let mut tables = recv_tables.borrow_mut();
+                    move |input, _output, notify| {
                         input.for_each_batch(|time, data| {
-                            let groups = tables.at(time, || notify.notify_at(time));
+                            let mut groups = opener.open(time, notify);
                             for (k, v) in data.drain(..) {
                                 groups.entry(k).or_default().push(v);
                             }
                         });
                     },
-                    move |time: Timestamp, output: &mut OutputPort<R>, _notify: &Notify| {
-                        tables.borrow_mut().close(time, |groups| {
+                    move |time, output, _notify| {
+                        closer.close(time, |groups| {
                             let mut session = output.session(time);
-                            for (k, vs) in groups {
+                            for (k, vs) in groups.drain() {
                                 session.give_iterator(reduce(&k, vs));
                             }
                         });
@@ -132,15 +83,11 @@ impl<K: ExchangeKey, V: ExchangeData> KeyedOps<K, V> for Stream<(K, V)> {
             Pact::exchange(|(k, _): &(K, V)| hash_of(k)),
             "Reduce",
             move |_info| {
-                let tables: Rc<RefCell<TimedTables<K, A>>> = Rc::default();
-                let recv_tables = tables.clone();
+                let (opener, closer) = per_time::states::<KeyMap<K, A>>(Notify::notify_at);
                 (
-                    move |input: &mut InputPort<(K, V)>,
-                          _output: &mut OutputPort<(K, A)>,
-                          notify: &Notify| {
-                        let mut tables = recv_tables.borrow_mut();
+                    move |input, _output, notify| {
                         input.for_each_batch(|time, data| {
-                            let accs = tables.at(time, || notify.notify_at(time));
+                            let mut accs = opener.open(time, notify);
                             for (k, v) in data.drain(..) {
                                 if let Some(acc) = accs.get_mut(&k) {
                                     fold(&k, acc, v);
@@ -152,10 +99,10 @@ impl<K: ExchangeKey, V: ExchangeData> KeyedOps<K, V> for Stream<(K, V)> {
                             }
                         });
                     },
-                    move |time: Timestamp, output: &mut OutputPort<(K, A)>, _notify: &Notify| {
-                        tables
-                            .borrow_mut()
-                            .close(time, |accs| output.session(time).give_iterator(accs));
+                    move |time, output, _notify| {
+                        closer.close(time, |accs| {
+                            output.session(time).give_iterator(accs.drain())
+                        });
                     },
                 )
             },
@@ -184,15 +131,11 @@ impl<D: ExchangeData + Hash + Eq> DistinctCountOps<D> for Stream<D> {
             Pact::exchange(|d: &D| hash_of(d)),
             "DistinctCount",
             |_info| {
-                let tables: Rc<RefCell<TimedTables<D, u64>>> = Rc::default();
-                let recv_tables = tables.clone();
+                let (opener, closer) = per_time::states::<KeyMap<D, u64>>(Notify::notify_at);
                 (
-                    move |input: &mut InputPort<D>,
-                          output: &mut OutputPort<(D, u64)>,
-                          notify: &Notify| {
-                        let mut tables = recv_tables.borrow_mut();
+                    move |input, output, notify| {
                         input.for_each_batch(|time, data| {
-                            let counts = tables.at(time, || notify.notify_at(time));
+                            let mut counts = opener.open(time, notify);
                             let mut session = output.session(time);
                             for record in data.drain(..) {
                                 if let Some(n) = counts.get_mut(&record) {
@@ -206,12 +149,12 @@ impl<D: ExchangeData + Hash + Eq> DistinctCountOps<D> for Stream<D> {
                             }
                         });
                     },
-                    move |time: Timestamp, output: &mut OutputPort<(D, u64)>, _notify: &Notify| {
-                        // Output 2: counts must wait until all records
-                        // bearing this time have been received.
-                        tables
-                            .borrow_mut()
-                            .close(time, |counts| output.session(time).give_iterator(counts));
+                    // Output 2: counts must wait until all records bearing
+                    // this time have been received.
+                    move |time, output, _notify| {
+                        closer.close(time, |counts| {
+                            output.session(time).give_iterator(counts.drain())
+                        });
                     },
                 )
             },
@@ -290,32 +233,6 @@ mod tests {
             out,
             vec![(0, ("s".to_string(), 7)), (0, ("t".to_string(), 10))]
         );
-    }
-
-    #[test]
-    fn a_large_times_table_is_not_reused_after_a_small_one() {
-        let mut tables = TimedTables::<u64, u64>::default();
-        let mut opened = 0;
-        let large = tables.at(Timestamp::new(0), || opened += 1);
-        large.extend((0..1_000).map(|k| (k, k)));
-        let capacity = large.capacity();
-        let mut drained = 0;
-        tables.close(Timestamp::new(0), |entries| drained = entries.count());
-        assert_eq!(drained, 1_000);
-
-        // Kept: the next time drains into the same storage.
-        let small = tables.at(Timestamp::new(1), || opened += 1);
-        assert!(small.is_empty());
-        assert_eq!(small.capacity(), capacity);
-        small.insert(7, 1);
-        let mut entries = Vec::new();
-        tables.close(Timestamp::new(1), |drain| entries.extend(drain));
-        assert_eq!(entries, vec![(7, 1)]);
-
-        // Dropped: more than four times the one entry its last time used.
-        let fresh = tables.at(Timestamp::new(2), || opened += 1);
-        assert_eq!(fresh.capacity(), 0);
-        assert_eq!(opened, 3);
     }
 
     #[test]

@@ -8,13 +8,19 @@
 //! * *asynchronous* operators ([`distinct`](DistinctOps::distinct),
 //!   [`join`](JoinOps::join), [`concat`](ConcatOps::concat), monotonic
 //!   [`aggregate`](AggregateOps::aggregate_monotonic)) emit from `OnRecv`
-//!   without any coordination and free their state with purge
-//!   notifications;
+//!   without any coordination; `distinct` and `join` free each time's
+//!   state with a purge notification, which holds nothing back;
 //! * *blocking* operators ([`count`](KeyedOps::count),
 //!   [`group_by`](KeyedOps::group_by), [`reduce`](KeyedOps::reduce)) use
 //!   `OnNotify` to emit once per completed time, giving the
 //!   single-value-per-time guarantee that makes sub-computations
 //!   composable.
+//!
+//! Every operator that keeps state per time keeps it in one shape,
+//! [`per_time`]: a time's state opens with the time's first record, which
+//! requests the time's notification, blocking or purge, and that
+//! notification hands the state to the operator's completion logic and
+//! frees it for reuse.
 //!
 //! # Examples
 //!
@@ -53,10 +59,6 @@
 
 #![forbid(unsafe_code)]
 
-// Dataflow state cells are inherently nested (`Rc<RefCell<HashMap<…>>>`);
-// naming each shape would add indirection without clarity.
-#![allow(clippy::type_complexity)]
-
 mod aggregate;
 mod concat;
 mod distinct;
@@ -65,6 +67,7 @@ mod iterate;
 mod join;
 mod keyed;
 mod map;
+pub mod per_time;
 mod reduction;
 mod relational;
 mod staleness;
@@ -78,7 +81,7 @@ pub use iterate::IterateOps;
 pub use join::JoinOps;
 pub use keyed::{DistinctCountOps, ExchangeKey, KeyedOps};
 pub use map::MapOps;
-pub use naiad_wire::hash::{hash_of, KeyHasher, KeyMap, KeySet};
+pub use naiad_wire::hash::{hash_of, KeyHasher, KeyMap};
 pub use reduction::{AllReduceOps, ReductionOps};
 pub use relational::{NumericOps, RelationalOps};
 pub use staleness::StalenessOps;

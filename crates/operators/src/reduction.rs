@@ -6,14 +6,13 @@
 //! a binary tree like Vowpal Wabbit — the variant the paper credits with
 //! its 35% asymptotic improvement on full-bisection clusters.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
-
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
 use naiad_wire::ExchangeData;
+
+use crate::per_time;
+use crate::KeyMap;
 
 /// Whole-stream folds.
 pub trait ReductionOps<D: ExchangeData> {
@@ -33,26 +32,19 @@ impl<D: ExchangeData> ReductionOps<D> for Stream<D> {
         mut fold: impl FnMut(&mut A, D) + 'static,
     ) -> Stream<A> {
         self.unary_notify(Pact::exchange(|_d: &D| 0), "FoldAll", move |_info| {
-            let accs: Rc<RefCell<HashMap<Timestamp, A>>> = Rc::new(RefCell::new(HashMap::new()));
-            let recv_accs = accs.clone();
+            let (opener, closer) = per_time::states::<Option<A>>(Notify::notify_at);
             (
-                move |input: &mut InputPort<D>, _output: &mut OutputPort<A>, notify: &Notify| {
-                    let mut accs = recv_accs.borrow_mut();
+                move |input, _output, notify| {
                     input.for_each(|time, data| {
-                        accs.entry(time).or_insert_with(|| {
-                            notify.notify_at(time);
-                            init()
-                        });
-                        let acc = accs.get_mut(&time).expect("just inserted");
+                        let mut acc = opener.open(time, notify);
+                        let acc = acc.get_or_insert_with(&init);
                         for d in data {
                             fold(acc, d);
                         }
                     });
                 },
-                move |time: Timestamp, output: &mut OutputPort<A>, _notify: &Notify| {
-                    if let Some(acc) = accs.borrow_mut().remove(&time) {
-                        output.session(time).give(acc);
-                    }
+                move |time, output, _notify| {
+                    closer.close(time, |acc| output.session(time).give_iterator(acc.take()));
                 },
             )
         })
@@ -101,7 +93,7 @@ impl AllReduceOps for Stream<Vec<f64>> {
             "AllReduceSlice",
             |info| {
                 let peers = info.peers;
-                let mut partial: HashMap<(Timestamp, u64), (usize, Vec<f64>)> = HashMap::new();
+                let mut partial: KeyMap<(Timestamp, u64), (usize, Vec<f64>)> = KeyMap::default();
                 move |input: &mut InputPort<(u64, u64, Vec<f64>)>,
                       output: &mut OutputPort<(u64, u64, Vec<f64>)>| {
                     input.for_each(|time, data| {
@@ -129,7 +121,7 @@ impl AllReduceOps for Stream<Vec<f64>> {
         // reassembles the full vector once all slices arrive.
         reduced.unary(Pact::Broadcast, "AllReduceGather", |info| {
             let peers = info.peers as u64;
-            let mut pending: HashMap<Timestamp, Vec<Option<Vec<f64>>>> = HashMap::new();
+            let mut pending: KeyMap<Timestamp, Vec<Option<Vec<f64>>>> = KeyMap::default();
             move |input: &mut InputPort<(u64, u64, Vec<f64>)>, output: &mut OutputPort<Vec<f64>>| {
                 input.for_each(|time, data| {
                     for (slice, len, values) in data {

@@ -5,17 +5,15 @@
 //! emit once from `OnNotify`, giving the one-value-per-time guarantee that
 //! makes them composable at sub-computation boundaries (§2.4).
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
-
-use naiad::dataflow::{InputPort, Notify, OutputPort};
+use naiad::dataflow::Notify;
 use naiad::runtime::Pact;
-use naiad::{Stream, Timestamp};
+use naiad::Stream;
 use naiad_wire::ExchangeData;
 
 use crate::hash_of;
+use crate::join::Sides;
 use crate::keyed::ExchangeKey;
+use crate::per_time;
 
 /// Relational operators over `(key, value)` streams.
 pub trait RelationalOps<K: ExchangeKey, V1: ExchangeData> {
@@ -48,52 +46,35 @@ impl<K: ExchangeKey, V1: ExchangeData> RelationalOps<K, V1> for Stream<(K, V1)> 
         other: &Stream<(K, V2)>,
         mut reduce: impl FnMut(&K, Vec<V1>, Vec<V2>) -> I + 'static,
     ) -> Stream<R> {
-        type Sides<K, V1, V2> = (HashMap<K, Vec<V1>>, HashMap<K, Vec<V2>>);
         self.binary_notify(
             other,
             Pact::exchange(|(k, _): &(K, V1)| hash_of(k)),
             Pact::exchange(|(k, _): &(K, V2)| hash_of(k)),
             "CoGroup",
             move |_info| {
-                let state: Rc<RefCell<HashMap<Timestamp, Sides<K, V1, V2>>>> =
-                    Rc::new(RefCell::new(HashMap::new()));
-                let recv_state = state.clone();
+                let (opener, closer) = per_time::states::<Sides<K, V1, V2>>(Notify::notify_at);
                 (
-                    move |left: &mut InputPort<(K, V1)>,
-                          right: &mut InputPort<(K, V2)>,
-                          _output: &mut OutputPort<R>,
-                          notify: &Notify| {
-                        let mut state = recv_state.borrow_mut();
+                    move |left, right, _output, notify| {
                         left.for_each(|time, data| {
-                            let entry = state.entry(time).or_insert_with(|| {
-                                notify.notify_at(time);
-                                Default::default()
-                            });
+                            let mut groups = opener.open(time, notify);
                             for (k, v) in data {
-                                entry.0.entry(k).or_default().push(v);
+                                groups.entry(k).or_default().0.push(v);
                             }
                         });
                         right.for_each(|time, data| {
-                            let entry = state.entry(time).or_insert_with(|| {
-                                notify.notify_at(time);
-                                Default::default()
-                            });
+                            let mut groups = opener.open(time, notify);
                             for (k, v) in data {
-                                entry.1.entry(k).or_default().push(v);
+                                groups.entry(k).or_default().1.push(v);
                             }
                         });
                     },
-                    move |time: Timestamp, output: &mut OutputPort<R>, _notify: &Notify| {
-                        if let Some((mut lefts, mut rights)) = state.borrow_mut().remove(&time) {
-                            let keys: HashSet<K> =
-                                lefts.keys().chain(rights.keys()).cloned().collect();
+                    move |time, output, _notify| {
+                        closer.close(time, |groups| {
                             let mut session = output.session(time);
-                            for k in keys {
-                                let l = lefts.remove(&k).unwrap_or_default();
-                                let r = rights.remove(&k).unwrap_or_default();
-                                session.give_iterator(reduce(&k, l, r));
+                            for (k, (lefts, rights)) in groups.drain() {
+                                session.give_iterator(reduce(&k, lefts, rights));
                             }
-                        }
+                        });
                     },
                 )
             },
@@ -101,35 +82,11 @@ impl<K: ExchangeKey, V1: ExchangeData> RelationalOps<K, V1> for Stream<(K, V1)> 
     }
 
     fn semijoin(&self, keys: &Stream<K>) -> Stream<(K, V1)> {
-        let tagged = keys.clone();
-        self.cogroup(
-            &key_units(&tagged),
-            |k: &K, lefts: Vec<V1>, rights: Vec<()>| {
-                let keep = !rights.is_empty();
-                let k = k.clone();
-                lefts
-                    .into_iter()
-                    .filter(move |_| keep)
-                    .map(move |v| (k.clone(), v))
-                    .collect::<Vec<_>>()
-            },
-        )
+        keep_by_key(self, keys, true)
     }
 
     fn antijoin(&self, keys: &Stream<K>) -> Stream<(K, V1)> {
-        let tagged = keys.clone();
-        self.cogroup(
-            &key_units(&tagged),
-            |k: &K, lefts: Vec<V1>, rights: Vec<()>| {
-                let keep = rights.is_empty();
-                let k = k.clone();
-                lefts
-                    .into_iter()
-                    .filter(move |_| keep)
-                    .map(move |v| (k.clone(), v))
-                    .collect::<Vec<_>>()
-            },
-        )
+        keep_by_key(self, keys, false)
     }
 
     fn top_k(&self, k: usize) -> Stream<(K, Vec<V1>)>
@@ -145,9 +102,23 @@ impl<K: ExchangeKey, V1: ExchangeData> RelationalOps<K, V1> for Stream<(K, V1)> 
     }
 }
 
-fn key_units<K: ExchangeKey>(keys: &Stream<K>) -> Stream<(K, ())> {
+/// The records whose key appears in `keys` at the same time, if
+/// `present`, or those whose key does not.
+fn keep_by_key<K: ExchangeKey, V: ExchangeData>(
+    records: &Stream<(K, V)>,
+    keys: &Stream<K>,
+    present: bool,
+) -> Stream<(K, V)> {
     use crate::map::MapOps;
-    keys.map(|k| (k, ()))
+    let units = keys.map(|k| (k, ()));
+    records.cogroup(&units, move |k: &K, values: Vec<V>, units: Vec<()>| {
+        let keep = units.is_empty() != present;
+        values
+            .into_iter()
+            .filter(|_| keep)
+            .map(|v| (k.clone(), v))
+            .collect::<Vec<_>>()
+    })
 }
 
 /// Numeric folds over unkeyed streams.

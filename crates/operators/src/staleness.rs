@@ -9,14 +9,12 @@
 //! iteration `c − k` has completed, turning a free-running asynchronous
 //! loop into a `k`-bounded one.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
-
-use naiad::dataflow::{InputPort, Notify, OutputPort};
+use naiad::dataflow::Notify;
 use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
 use naiad_wire::ExchangeData;
+
+use crate::per_time;
 
 /// Staleness control for loop streams.
 pub trait StalenessOps<D: ExchangeData> {
@@ -35,14 +33,15 @@ impl<D: ExchangeData> StalenessOps<D> for Stream<D> {
     fn bounded_staleness(&self, k: u64) -> Stream<D> {
         assert!(k > 0, "a staleness bound of zero would deadlock the loop");
         self.unary_notify(Pact::Pipeline, "BoundedStaleness", move |_info| {
-            let held: Rc<RefCell<HashMap<Timestamp, Vec<D>>>> =
-                Rc::new(RefCell::new(HashMap::new()));
-            let recv_held = held.clone();
+            // Held records live under their gate: the iteration whose
+            // completion releases them.
+            let (opener, closer) = per_time::states::<Vec<D>>(Notify::notify_at);
             (
-                move |input: &mut InputPort<D>, output: &mut OutputPort<D>, notify: &Notify| {
+                move |input, output, notify| {
                     input.for_each(|time, data| {
-                        let counters = time.counters.as_slice();
-                        let c = *counters
+                        let c = *time
+                            .counters
+                            .as_slice()
                             .last()
                             .expect("bounded_staleness requires a loop context");
                         if c < k {
@@ -54,38 +53,34 @@ impl<D: ExchangeData> StalenessOps<D> for Stream<D> {
                             // iteration; its "capability" is exercised at
                             // the later time we emit at — tc > tg is always
                             // legal, and here it is what bounds the lead.
-                            let mut gate = time;
-                            gate.counters = gate
-                                .counters
-                                .popped()
-                                .expect("loop counter present")
-                                .pushed(c - k);
-                            let mut held = recv_held.borrow_mut();
-                            let first = !held.contains_key(&time);
-                            held.entry(time).or_default().extend(data);
-                            if first {
-                                notify.notify_at(gate);
-                            }
+                            let gate = with_iteration(time, c - k);
+                            opener.open(gate, notify).extend(data);
                         }
                     });
                 },
-                move |gate: Timestamp, output: &mut OutputPort<D>, _notify: &Notify| {
+                move |gate, output, _notify| {
                     // Iteration `gate` is complete: release `gate + k`.
-                    let counters = gate.counters.as_slice();
-                    let c = *counters.last().expect("loop counter present");
-                    let mut release = gate;
-                    release.counters = release
+                    let c = *gate
                         .counters
-                        .popped()
-                        .expect("loop counter present")
-                        .pushed(c + k);
-                    if let Some(data) = held.borrow_mut().remove(&release) {
-                        output.session(release).give_vec(data);
-                    }
+                        .as_slice()
+                        .last()
+                        .expect("loop counter present");
+                    let release = with_iteration(gate, c + k);
+                    closer.close(gate, |held| output.session(release).give_container(held));
                 },
             )
         })
     }
+}
+
+/// `time` at loop iteration `c` of its innermost loop.
+fn with_iteration(mut time: Timestamp, c: u64) -> Timestamp {
+    time.counters = time
+        .counters
+        .popped()
+        .expect("loop counter present")
+        .pushed(c);
+    time
 }
 
 #[cfg(test)]

@@ -8,17 +8,14 @@
 //! connected components; these operators are the keyed-aggregate
 //! building blocks of that style.)
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
-
-use naiad::dataflow::{InputPort, Notify, OutputPort};
+use naiad::dataflow::Notify;
 use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
 use naiad_wire::ExchangeData;
 
-use crate::hash_of;
 use crate::keyed::ExchangeKey;
+use crate::per_time;
+use crate::{hash_of, KeyMap};
 
 /// Windowed aggregation over `(key, value)` streams at the top level.
 ///
@@ -55,42 +52,25 @@ impl<K: ExchangeKey, V: ExchangeData> WindowOps<K, V> for Stream<(K, V)> {
             Pact::exchange(|(k, _): &(K, V)| hash_of(k)),
             "TumblingFold",
             move |_info| {
-                // Partial aggregates per window per key, plus the set of
-                // epochs we asked to be notified at (window closers).
-                let state: Rc<RefCell<HashMap<u64, HashMap<K, A>>>> =
-                    Rc::new(RefCell::new(HashMap::new()));
-                let recv_state = state.clone();
+                // Partial aggregates per key, under the window's closing
+                // epoch: the time the window is notified at.
+                let (opener, closer) = per_time::states::<KeyMap<K, A>>(Notify::notify_at);
                 (
-                    move |input: &mut InputPort<(K, V)>,
-                          _output: &mut OutputPort<(K, u64, A)>,
-                          notify: &Notify| {
-                        let mut state = recv_state.borrow_mut();
+                    move |input, _output, notify| {
                         input.for_each(|time, data| {
-                            let window = time.epoch / width;
-                            let close = window * width + width - 1;
-                            state.entry(window).or_insert_with(|| {
-                                // Ask to run when the window's last epoch
-                                // completes.
-                                notify.notify_at(Timestamp::new(close));
-                                HashMap::new()
-                            });
-                            let per_key = state.get_mut(&window).expect("just inserted");
+                            let close = (time.epoch / width) * width + width - 1;
+                            let mut per_key = opener.open(Timestamp::new(close), notify);
                             for (k, v) in data {
-                                let acc = per_key.entry(k).or_insert_with(&init);
-                                fold(acc, v);
+                                fold(per_key.entry(k).or_insert_with(&init), v);
                             }
                         });
                     },
-                    move |time: Timestamp,
-                          output: &mut OutputPort<(K, u64, A)>,
-                          _notify: &Notify| {
+                    move |time, output, _notify| {
                         let window = time.epoch / width;
-                        if let Some(per_key) = state.borrow_mut().remove(&window) {
-                            let mut session = output.session(time);
-                            for (k, acc) in per_key {
-                                session.give((k, window, acc));
-                            }
-                        }
+                        closer.close(time, |per_key| {
+                            let rows = per_key.drain().map(|(k, acc)| (k, window, acc));
+                            output.session(time).give_iterator(rows);
+                        });
                     },
                 )
             },
@@ -103,39 +83,33 @@ impl<K: ExchangeKey, V: ExchangeData> WindowOps<K, V> for Stream<(K, V)> {
             Pact::exchange(|(k, _): &(K, V)| hash_of(k)),
             "SlidingCount",
             move |_info| {
-                let state: Rc<RefCell<HashMap<u64, HashMap<K, u64>>>> =
-                    Rc::new(RefCell::new(HashMap::new()));
-                let recv_state = state.clone();
+                // The counts of the notified epochs a later window may
+                // still read, oldest first, and the window being summed.
+                let mut recent: Vec<(u64, KeyMap<K, u64>)> = Vec::new();
+                let mut totals: KeyMap<K, u64> = KeyMap::default();
+                let (opener, closer) = per_time::states::<KeyMap<K, u64>>(Notify::notify_at);
                 (
-                    move |input: &mut InputPort<(K, V)>,
-                          _output: &mut OutputPort<(K, u64)>,
-                          notify: &Notify| {
-                        let mut state = recv_state.borrow_mut();
+                    move |input, _output, notify| {
                         input.for_each(|time, data| {
-                            state.entry(time.epoch).or_insert_with(|| {
-                                notify.notify_at(time);
-                                HashMap::new()
-                            });
-                            let per_key = state.get_mut(&time.epoch).expect("just inserted");
+                            let mut per_key = opener.open(time, notify);
                             for (k, _v) in data {
                                 *per_key.entry(k).or_insert(0) += 1;
                             }
                         });
                     },
-                    move |time: Timestamp, output: &mut OutputPort<(K, u64)>, _n: &Notify| {
-                        let state = state.borrow_mut();
-                        let from = time.epoch.saturating_sub(width - 1);
-                        let mut totals: HashMap<K, u64> = HashMap::new();
-                        for (epoch, per_key) in state.iter() {
-                            if (from..=time.epoch).contains(epoch) {
-                                for (k, n) in per_key {
-                                    *totals.entry(k.clone()).or_insert(0) += n;
-                                }
+                    move |time, output, _notify| {
+                        let e = time.epoch;
+                        closer.close(time, |counts| recent.push((e, std::mem::take(counts))));
+                        for (_, per_key) in recent.iter().filter(|(epoch, _)| epoch + width > e) {
+                            for (k, n) in per_key {
+                                *totals.entry(k.clone()).or_insert(0) += n;
                             }
                         }
-                        // Epochs older than any future window could be
-                        // purged here; kept simple since widths are small.
-                        output.session(time).give_iterator(totals);
+                        output.session(time).give_iterator(totals.drain());
+                        // Blocking notifications arrive in time order, so
+                        // no later window reads an epoch at or before
+                        // `e + 1 − width`.
+                        recent.retain(|(epoch, _)| epoch + width > e + 1);
                     },
                 )
             },

@@ -76,12 +76,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use naiad::dataflow::ops::concatenate;
 use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::runtime::Pact;
 use naiad::{Stream, Timestamp};
 use naiad_operators::prelude::*;
-use naiad_operators::{hash_of, KeyMap, KeySet};
+use naiad_operators::{hash_of, KeyMap};
 use naiad_wire::{ExchangeData, Wire, WireError};
 
 /// A Pregel vertex program.
@@ -463,75 +462,21 @@ fn superstep_of(time: &Timestamp) -> u64 {
         .expect("loop times carry a superstep counter")
 }
 
-/// Builds Pregel seeds from separate vertex-state and edge streams:
-/// vertices appearing only as edge sources still need a state record, and
-/// vertices with no out-edges get an empty adjacency list.
+/// Builds Pregel seeds from separate vertex-state and edge streams: each
+/// vertex state is paired with its out-edges at the same time, or with an
+/// empty list when it has none. Edges of a vertex with no state seed
+/// nothing.
 pub fn seeds_from<S: ExchangeData>(
     states: &Stream<(u64, S)>,
     edges: &Stream<(u64, u64)>,
 ) -> Stream<(u64, (S, Vec<u64>))> {
-    let adjacency: Stream<(u64, Vec<u64>)> =
-        edges.group_by(|src: &u64, dsts: Vec<u64>| vec![(*src, dsts)]);
-    let paired = states.join(&adjacency, |v, s, dsts| (*v, (s.clone(), dsts.clone())));
-    let isolated = join_left_empty(states, &adjacency);
-    concatenate(&paired, &isolated)
-}
-
-/// States with no matching adjacency entry, paired with an empty edge
-/// list (per time).
-fn join_left_empty<S: ExchangeData>(
-    states: &Stream<(u64, S)>,
-    adjacency: &Stream<(u64, Vec<u64>)>,
-) -> Stream<(u64, (S, Vec<u64>))> {
-    type PerTime<S> = (KeyMap<u64, S>, KeySet<u64>);
-    states.binary_notify(
-        adjacency,
-        Pact::exchange(|(v, _): &(u64, S)| hash_of(v)),
-        Pact::exchange(|(v, _): &(u64, Vec<u64>)| hash_of(v)),
-        "SeedIsolated",
-        |_info| {
-            let state: Rc<RefCell<KeyMap<Timestamp, PerTime<S>>>> = Rc::default();
-            let recv_state = state.clone();
-            (
-                move |states: &mut InputPort<(u64, S)>,
-                      adj: &mut InputPort<(u64, Vec<u64>)>,
-                      _output: &mut OutputPort<(u64, (S, Vec<u64>))>,
-                      notify: &Notify| {
-                    let mut state = recv_state.borrow_mut();
-                    states.for_each(|time, data| {
-                        let entry = state.entry(time).or_insert_with(|| {
-                            notify.notify_at(time);
-                            Default::default()
-                        });
-                        for (v, s) in data {
-                            entry.0.insert(v, s);
-                        }
-                    });
-                    adj.for_each(|time, data| {
-                        let entry = state.entry(time).or_insert_with(|| {
-                            notify.notify_at(time);
-                            Default::default()
-                        });
-                        for (v, _) in data {
-                            entry.1.insert(v);
-                        }
-                    });
-                },
-                move |time: Timestamp,
-                      output: &mut OutputPort<(u64, (S, Vec<u64>))>,
-                      _notify: &Notify| {
-                    if let Some((states, with_edges)) = state.borrow_mut().remove(&time) {
-                        let mut session = output.session(time);
-                        for (v, s) in states {
-                            if !with_edges.contains(&v) {
-                                session.give((v, (s, Vec::new())));
-                            }
-                        }
-                    }
-                },
-            )
-        },
-    )
+    states.cogroup(edges, |v: &u64, states: Vec<S>, dsts: Vec<u64>| {
+        let v = *v;
+        states
+            .into_iter()
+            .map(move |s| (v, (s, dsts.clone())))
+            .collect::<Vec<_>>()
+    })
 }
 
 #[cfg(test)]

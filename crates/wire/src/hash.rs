@@ -21,7 +21,7 @@
 //! It lives beside the codec because, like the codec, its output is a
 //! stable format every crate must agree on.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Fx's multiplier.
@@ -112,9 +112,6 @@ fn tail_word(tail: &[u8]) -> u64 {
 
 /// A hash table keyed by [`hash_of`]'s hash.
 pub type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
-
-/// A hash set keyed by [`hash_of`]'s hash.
-pub type KeySet<K> = HashSet<K, BuildHasherDefault<KeyHasher>>;
 
 /// The partitioning function of keyed operators ("group by" routing,
 /// §3.1): a fixed 64-bit hash, the same in every process and release.

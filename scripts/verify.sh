@@ -19,13 +19,13 @@ for root in src/lib.rs crates/*/src/lib.rs; do
 done
 
 echo "== weight (ROADMAP aims 2 and 3 as a ratchet) =="
-# Five sizes that should only fall: the core crate's lines, the places
-# the runtime crates suppress a lint, Config's option count, the code the
-# crates keep past the dead-code lint, and the clippy lints the crates
-# silence (shared state threaded through as loose parameters would need
-# `too_many_arguments` again). Each ceiling is the count at the last PR
-# that lowered it; a PR that lowers a count lowers its ceiling
-# here, and one that must raise a ceiling says why in CHANGES.md.
+# Six sizes that should only fall: the core and operator crates' lines,
+# the places the runtime crates suppress a lint, Config's option count,
+# the code the crates keep past the dead-code lint, and the clippy lints
+# the crates silence (shared state threaded through as loose parameters
+# would need `too_many_arguments` again). Each ceiling is the count at
+# the last PR that lowered it; a PR that lowers a count lowers its
+# ceiling here, and one that must raise a ceiling says why in CHANGES.md.
 weigh() { # <what> <count> <ceiling>
   printf '%-62s %6d (ceiling %d)\n' "$1" "$2" "$3"
   if [ "$2" -gt "$3" ]; then
@@ -35,6 +35,8 @@ weigh() { # <what> <count> <ceiling>
 }
 weigh "lines in crates/core/src" \
   "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 19168
+weigh "lines in crates/operators/src" \
+  "$(find crates/operators/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 2105
 weigh "lint-allow / *-exempt markers in crates/{core,wire,netsim}/src" \
   "$(grep -rhoE 'lint-allow\(|[a-z]+-exempt:' crates/core/src crates/wire/src crates/netsim/src | wc -l)" 34
 weigh "pub fields of Config" \
@@ -43,7 +45,7 @@ weigh "pub fields of Config" \
 weigh "allow(dead_code) attributes in crates/*/src" \
   "$(grep -rhoE 'allow\(dead_code\)' crates/*/src | wc -l)" 4
 weigh "allow(clippy::*) attributes in crates/*/src" \
-  "$(grep -rhoE 'allow\(clippy::' crates/*/src | wc -l)" 6
+  "$(grep -rhoE 'allow\(clippy::' crates/*/src | wc -l)" 5
 
 echo "== source invariant linter (naiad-lint-src, NS0001-NS0006) =="
 # Token-level replacement for the old flow-exempt/slab-exempt grep|awk

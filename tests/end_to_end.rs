@@ -276,10 +276,60 @@ fn lossy_links_preserve_results_under_ten_percent_drop() {
     assert_eq!(faults.crashes, 0);
 }
 
+/// A sliding count forgets each epoch once no later window reads it, and
+/// still counts every window exactly: two workers, 300 epochs, width 3,
+/// every key in every epoch, against a brute-force count over
+/// `(e − width, e]`.
+#[test]
+fn sliding_counts_match_brute_force_over_a_long_run() {
+    const EPOCHS: u64 = 300;
+    const WIDTH: u64 = 3;
+    // Key `k` appears `1 + (e + k) % 3` times in epoch `e`, so a window
+    // holding one epoch too many or too few changes some total.
+    fn times(e: u64, k: u64) -> u64 {
+        1 + (e + k) % 3
+    }
+    let results = execute(Config::single_process(2), |worker| {
+        let (mut input, captured) = worker.dataflow(|scope| {
+            let (input, stream) = scope.new_input::<(u64, ())>();
+            (input, stream.sliding_count(WIDTH).capture())
+        });
+        for e in 0..EPOCHS {
+            if e > 0 {
+                input.advance_to(e);
+            }
+            for k in (0..8u64).filter(|k| *k as usize % worker.peers() == worker.index()) {
+                input.send_batch((0..times(e, k)).map(|_| (k, ())));
+            }
+        }
+        input.close();
+        worker.step_until_done();
+        let result = captured.borrow().clone();
+        result
+    })
+    .unwrap();
+    let mut counts: Vec<(u64, u64, u64)> = results
+        .into_iter()
+        .flatten()
+        .flat_map(|(e, rows)| rows.into_iter().map(move |(k, n)| (e, k, n)))
+        .collect();
+    counts.sort_unstable();
+    let expected: Vec<(u64, u64, u64)> = (0..EPOCHS)
+        .flat_map(|e| {
+            (0..8u64).map(move |k| {
+                let window = e.saturating_sub(WIDTH - 1)..=e;
+                (e, k, window.map(|epoch| times(epoch, k)).sum())
+            })
+        })
+        .collect();
+    assert_eq!(counts, expected);
+}
+
 /// One worker's graph outputs repeat run to run: the same records in the
 /// same order, PageRank's ranks bit for bit. A vertex's tables iterate
 /// in an order fixed by its operations, so its emissions, and the order
-/// its float shares are summed in, do not vary between runs.
+/// its float shares are summed in, do not vary between runs. The same
+/// holds for the library's notified operators' per-time tables.
 #[test]
 fn graph_outputs_repeat_run_to_run() {
     use naiad_algorithms::datasets::powerlaw_graph;
@@ -316,8 +366,70 @@ fn graph_outputs_repeat_run_to_run() {
         results.pop().expect("one worker")
     }
 
+    /// One operator's `(epoch, row)`s, as emitted.
+    type Rows = Vec<(u64, (u64, u64, u64))>;
+
+    /// The notified library operators' outputs over a few hundred keys
+    /// and six epochs.
+    fn run_operators_once() -> Vec<Rows> {
+        let mut results = execute(Config::single_process(1), |worker| {
+            let (mut input, captures) = worker.dataflow(|scope| {
+                let (input, pairs) = scope.new_input::<(u64, u64)>();
+                let thirds = pairs.filter_map(|(k, v)| (k % 3 == 0).then_some((k, v + 1)));
+                let evens = pairs.filter_map(|(k, _)| (k % 2 == 0).then_some(k));
+                let (distinct, counts) = pairs.distinct_count();
+                let captures = vec![
+                    pairs
+                        .cogroup(&thirds, |k, l: Vec<u64>, r: Vec<u64>| {
+                            vec![(*k, l.len() as u64, r.iter().sum())]
+                        })
+                        .capture(),
+                    pairs.antijoin(&evens).map(|(k, v)| (k, v, 0)).capture(),
+                    pairs
+                        .tumbling_fold(2, || 0u64, |acc, v| *acc += v)
+                        .capture(),
+                    pairs.sliding_count(3).map(|(k, n)| (k, n, 0)).capture(),
+                    distinct.map(|(k, v)| (k, v, 0)).capture(),
+                    counts.map(|((k, v), n)| (k, v, n)).capture(),
+                ];
+                (input, captures)
+            });
+            for epoch in 0..6u64 {
+                if epoch > 0 {
+                    input.advance_to(epoch);
+                }
+                input.send_batch(
+                    (0..300u64)
+                        .filter(|k| (k + epoch) % 4 != 0)
+                        .map(|k| (k, (k * epoch) % 7)),
+                );
+            }
+            input.close();
+            worker.step_until_done();
+            captures
+                .iter()
+                .map(|captured| {
+                    captured
+                        .borrow()
+                        .iter()
+                        .flat_map(|(epoch, data)| data.iter().map(|row| (*epoch, *row)))
+                        .collect()
+                })
+                .collect::<Vec<_>>()
+        })
+        .unwrap();
+        results.pop().expect("one worker")
+    }
+
     let edges = powerlaw_graph(500, 3_000, 31);
     let first = run_once(&edges);
     assert_eq!(first.0.len(), 500, "every node ranked");
     assert_eq!(run_once(&edges), first);
+
+    let first = run_operators_once();
+    assert!(
+        first.iter().all(|rows| !rows.is_empty()),
+        "every operator emitted"
+    );
+    assert_eq!(run_operators_once(), first);
 }
