@@ -60,7 +60,6 @@ use std::rc::Rc;
 use naiad_wire::ExchangeData;
 
 use crate::graph::{ContextId, StageId, StageKind};
-use crate::progress::PointstampTable;
 use crate::runtime::channels::Pact;
 use crate::time::Timestamp;
 
@@ -96,14 +95,18 @@ impl OperatorBuilder {
     /// live in `context`.
     pub(super) fn at(scope: &Scope, stage: StageId, context: ContextId) -> Self {
         let inner = scope.inner.borrow();
-        let notify = Notify::new(stage, inner.journal.clone(), inner.notify_log.clone());
-        let info = OperatorInfo::new(
+        let notify = Notify {
             stage,
-            notify.clone(),
-            inner.routing.my_index,
-            inner.routing.peers(),
-            inner.states.clone(),
-        );
+            journal: inner.journal.clone(),
+            requests: inner.requests.clone(),
+        };
+        let info = OperatorInfo {
+            stage,
+            notify: notify.clone(),
+            worker_index: inner.routing.my_index,
+            peers: inner.routing.peers(),
+            states: inner.states.clone(),
+        };
         drop(inner);
         OperatorBuilder {
             scope: scope.clone_ref(),
@@ -192,7 +195,6 @@ impl OperatorBuilder {
     pub fn build(self, pump: impl FnMut() + 'static, deliver: impl FnMut(Timestamp) + 'static) {
         let vertex = Vertex {
             stage: self.stage,
-            notify: self.notify,
             worked: self.worked,
             outputs: self.outputs,
             pump: Box::new(pump),
@@ -205,7 +207,6 @@ impl OperatorBuilder {
 /// One vertex as its worker schedules it (§3.2), held by value.
 pub(crate) struct Vertex {
     stage: StageId,
-    notify: Notify,
     worked: Rc<Cell<bool>>,
     outputs: Vec<Box<dyn Flush>>,
     pump: Box<dyn FnMut()>,
@@ -213,7 +214,7 @@ pub(crate) struct Vertex {
 }
 
 impl Vertex {
-    /// The stage this vertex belongs to (telemetry and diagnostics).
+    /// The stage this vertex belongs to (delivery, telemetry, diagnostics).
     pub(crate) fn stage(&self) -> StageId {
         self.stage
     }
@@ -226,21 +227,10 @@ impl Vertex {
         self.worked.replace(false)
     }
 
-    /// Removes and returns the notifications `table` now permits:
-    /// `(time, blocking)` pairs, blocking ones first.
-    pub(crate) fn ready(&self, table: &PointstampTable) -> Vec<(Timestamp, bool)> {
-        self.notify.take_ready(table)
-    }
-
-    /// Runs the `OnNotify` logic for `time` and flushes the outputs; a
-    /// blocking notification then retires (§2.3: the occurrence count
-    /// decrements as `OnNotify` completes).
-    pub(crate) fn deliver(&mut self, time: Timestamp, blocking: bool) {
+    /// Runs the `OnNotify` logic for `time` and flushes the outputs.
+    pub(crate) fn deliver(&mut self, time: Timestamp) {
         (self.deliver)(time);
         self.flush();
-        if blocking {
-            self.notify.retire(time);
-        }
     }
 
     fn flush(&self) {

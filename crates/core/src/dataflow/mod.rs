@@ -12,6 +12,10 @@
 //! * `OnRecv` logic drains an [`InputPort`] and writes an [`OutputPort`];
 //! * `OnNotify` logic runs when the system guarantees no further messages
 //!   at or before the requested time (§2.2), requested through [`Notify`].
+//!
+//! A vertex keeps no notification state of its own: every [`Notify`] of a
+//! dataflow writes into the dataflow's one request set, which the worker
+//! owns, tests and delivers from.
 
 pub mod builder;
 pub mod input;
@@ -30,8 +34,8 @@ use std::rc::Rc;
 
 use naiad_wire::ExchangeData;
 
-use crate::graph::{ContextId, GraphBuilder, StageId};
-use crate::progress::{Pointstamp, PointstampTable, WorkerCore};
+use crate::graph::{ContextId, GraphBuilder, Location, StageId};
+use crate::progress::{Pointstamp, WorkerCore};
 use crate::runtime::channels::{journal_update, Journal, Pact, Puller, Pusher, RoutingContext};
 use crate::runtime::durability::{Checkpoint, KeyedCheckpoint, KeyedState};
 use crate::time::Timestamp;
@@ -45,60 +49,82 @@ use ports::{Tee, TeeState};
 /// clones.
 pub(crate) type TrackerCell = Rc<RefCell<WorkerCore>>;
 
-/// Construction-time `notify_at` requests, drained into
-/// [`GraphBuilder::declare_notification`] when the scope finalizes so the
-/// static analyzer (`NA0003`) can check them. `None` once the dataflow is
-/// running — runtime requests are checked dynamically by the tracker.
-pub(crate) type NotifyLog = Rc<RefCell<Option<Vec<(StageId, Timestamp)>>>>;
+/// The dataflow's pending notification requests: one ordered set, owned
+/// by the worker and shared by every [`Notify`] of the dataflow. A held
+/// blocking request is the occurrence its pointstamp counts (§2.3), so
+/// what is deliverable changes only when a request arrives or the worker's
+/// view moves; either sets `dirty`, and the worker tests the set only then.
+#[derive(Default)]
+pub(crate) struct Requests {
+    /// Each request once as `(pointstamp, purge)`, sorted: canonical
+    /// [`Pointstamp`] order, a blocking request before a purge one (§2.4)
+    /// at the same pointstamp.
+    pending: Vec<(Pointstamp, bool)>,
+    pub(crate) dirty: bool,
+}
+
+/// The worker's request set for a dataflow; [`Notify`] handles hold clones.
+pub(crate) type RequestSet = Rc<RefCell<Requests>>;
+
+impl Requests {
+    /// Adds a request, returning whether it is new (duplicates coalesce).
+    fn insert(&mut self, request: (Pointstamp, bool)) -> bool {
+        let Err(at) = self.pending.binary_search(&request) else {
+            return false;
+        };
+        self.pending.insert(at, request);
+        self.dirty = true;
+        true
+    }
+
+    /// The pending requests, in order.
+    pub(crate) fn pending(&self) -> &[(Pointstamp, bool)] {
+        &self.pending
+    }
+
+    /// Removes and returns the requests `tracker`'s view now permits, in
+    /// the set's order — or nothing, without borrowing `tracker`, unless
+    /// the set is dirty.
+    pub(crate) fn drain_due(&mut self, tracker: &TrackerCell) -> Vec<(Pointstamp, bool)> {
+        let mut due = Vec::new();
+        if !std::mem::take(&mut self.dirty) || self.pending.is_empty() {
+            return due;
+        }
+        let core = tracker.borrow();
+        let table = core.table();
+        self.pending.retain(|&(p, purge)| {
+            let ready = if purge {
+                table.done_through(&p.time, p.location)
+            } else {
+                table.in_frontier(&p)
+            };
+            if ready {
+                due.push((p, purge));
+            }
+            !ready
+        });
+        due
+    }
+}
 
 /// A handle for requesting notifications at a stage (§2.2's `NotifyAt`).
 ///
 /// Cloneable; `OnRecv` logic typically captures one to request future
-/// notifications.
+/// notifications. Requests land in the dataflow's one request set.
 #[derive(Clone)]
 pub struct Notify {
-    inner: Rc<RefCell<NotifyState>>,
-}
-
-struct NotifyState {
     stage: StageId,
     journal: Journal,
-    /// Requested blocking notifications, deduplicated by time.
-    pending: Vec<Timestamp>,
-    /// Requested purge notifications (§2.4: capability time ⊤): delivered
-    /// once the frontier passes, but never counted as occurrences, so they
-    /// introduce no coordination.
-    purge: Vec<Timestamp>,
-    /// Shared construction log (active until the scope finalizes).
-    log: NotifyLog,
+    requests: RequestSet,
 }
 
 impl Notify {
-    pub(crate) fn new(stage: StageId, journal: Journal, log: NotifyLog) -> Self {
-        Notify {
-            inner: Rc::new(RefCell::new(NotifyState {
-                stage,
-                journal,
-                pending: Vec::new(),
-                purge: Vec::new(),
-                log,
-            })),
-        }
-    }
-
     /// Requests that `OnNotify` run once no more messages at or before
     /// `time` can arrive. Duplicate requests for the same time coalesce.
     pub fn notify_at(&self, time: Timestamp) {
-        let mut state = self.inner.borrow_mut();
-        if !state.pending.contains(&time) {
-            state.pending.push(time);
-            let p = Pointstamp::at_vertex(time, state.stage);
-            journal_update(&state.journal, p, 1);
-            // While the graph is still under construction, record the
-            // interest for the static analyzer (`NA0003`).
-            if let Some(log) = state.log.borrow_mut().as_mut() {
-                log.push((state.stage, time));
-            }
+        let p = Pointstamp::at_vertex(time, self.stage);
+        if self.requests.borrow_mut().insert((p, false)) {
+            journal_update(&self.journal, p, 1);
         }
     }
 
@@ -106,43 +132,8 @@ impl Notify {
     /// before `time`, but carrying no capability to send — so it does not
     /// hold back the frontier. Use it to free state for completed times.
     pub fn notify_at_purge(&self, time: Timestamp) {
-        let mut state = self.inner.borrow_mut();
-        if !state.purge.contains(&time) {
-            state.purge.push(time);
-        }
-    }
-
-    /// Removes and returns notifications that are now deliverable:
-    /// `(time, blocking)` pairs, blocking ones first.
-    pub(crate) fn take_ready(&self, tracker: &PointstampTable) -> Vec<(Timestamp, bool)> {
-        let mut state = self.inner.borrow_mut();
-        let stage = state.stage;
-        let mut ready = Vec::new();
-        state.pending.retain(|&t| {
-            if tracker.in_frontier(&Pointstamp::at_vertex(t, stage)) {
-                ready.push((t, true));
-                false
-            } else {
-                true
-            }
-        });
-        state.purge.retain(|&t| {
-            if tracker.done_through(&t, crate::graph::Location::Vertex(stage)) {
-                ready.push((t, false));
-                false
-            } else {
-                true
-            }
-        });
-        ready
-    }
-
-    /// Journals the retirement of a delivered blocking notification; runs
-    /// after the `OnNotify` logic completes (§2.3).
-    pub(crate) fn retire(&self, time: Timestamp) {
-        let state = self.inner.borrow();
-        let p = Pointstamp::at_vertex(time, state.stage);
-        journal_update(&state.journal, p, -1);
+        let p = Pointstamp::at_vertex(time, self.stage);
+        self.requests.borrow_mut().insert((p, true));
     }
 }
 
@@ -207,22 +198,6 @@ pub struct OperatorInfo {
 }
 
 impl OperatorInfo {
-    pub(crate) fn new(
-        stage: StageId,
-        notify: Notify,
-        worker_index: usize,
-        peers: usize,
-        states: StateRegistry,
-    ) -> Self {
-        OperatorInfo {
-            stage,
-            notify,
-            worker_index,
-            peers,
-            states,
-        }
-    }
-
     /// Registers vertex state for checkpointing (§3.4): the state is
     /// serialized by [`Worker::checkpoint`](crate::runtime::Worker::checkpoint)
     /// and reloaded by [`Worker::restore`](crate::runtime::Worker::restore).
@@ -278,8 +253,7 @@ pub(crate) struct ScopeInner {
     pub(crate) tracker: TrackerCell,
     pub(crate) ops: Vec<Vertex>,
     pub(crate) states: StateRegistry,
-    /// Construction-time notification interests (`Some` until finalize).
-    pub(crate) notify_log: NotifyLog,
+    pub(crate) requests: RequestSet,
     next_channel: usize,
 }
 
@@ -293,7 +267,7 @@ impl Scope {
                 tracker,
                 ops: Vec::new(),
                 states: Rc::new(RefCell::new(Vec::new())),
-                notify_log: Rc::new(RefCell::new(Some(Vec::new()))),
+                requests: RequestSet::default(),
                 next_channel: 0,
             })),
         }
@@ -328,12 +302,15 @@ impl Scope {
         let mut builder = std::mem::replace(&mut inner.builder, GraphBuilder::new());
         let ops = std::mem::take(&mut inner.ops);
         let states = inner.states.clone();
-        // Close the construction window: notify_at calls made while the
-        // dataflow runs are checked dynamically, not statically.
-        let declared = inner.notify_log.borrow_mut().take().unwrap_or_default();
+        let requests = inner.requests.clone();
         drop(inner);
-        for (stage, time) in declared {
-            builder.declare_notification(stage, time);
+        // No step has run: the set holds every `notify_at` made during
+        // construction, for the analyzer (`NA0003`); later requests are
+        // checked dynamically by the tracker.
+        for &(p, purge) in &requests.borrow().pending {
+            if let (Location::Vertex(stage), false) = (p.location, purge) {
+                builder.declare_notification(stage, p.time);
+            }
         }
         // Surface state registrations to the analyzer (NA0006's
         // rescale-contracts mode certifies keyed state placement).
@@ -343,17 +320,18 @@ impl Scope {
         let (graph, report) = builder
             .build_checked(config)
             .unwrap_or_else(|e| panic!("invalid dataflow graph: {e}"));
-        (graph, ops, states, report)
+        (graph, ops, states, requests, report)
     }
 }
 
 /// Everything [`Scope::finalize`] hands the worker: the validated graph,
-/// the vertex harnesses, the checkpointable state registry, and the
-/// static analyzer's report.
+/// the vertex harnesses, the checkpointable state registry, the request
+/// set, and the static analyzer's report.
 pub(crate) type FinalizedDataflow = (
     crate::graph::LogicalGraph,
     Vec<Vertex>,
     StateRegistry,
+    RequestSet,
     crate::analysis::AnalysisReport,
 );
 

@@ -8,6 +8,12 @@
 //! Each dataflow it builds gets a [`RoutingContext`] over the same shared
 //! values, from which the dataflow's pushers and pullers resolve their
 //! routes.
+//!
+//! A dataflow's notification requests are one ordered set the worker
+//! owns. After a step's pumps the worker tests the set against its view
+//! only if a request arrived or a progress batch was applied to that view
+//! since the last test, and delivers what is ready to the vertices of the
+//! requests' stages, in canonical pointstamp order.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -19,12 +25,12 @@ use naiad_netsim::{FaultController, NetReceiver};
 use naiad_wire::{encode_to_vec, Bytes};
 
 use crate::analysis::{AnalysisConfig, AnalysisReport};
-use crate::dataflow::{Scope, StateHandle, StateRegistry, TrackerCell, Vertex};
-use crate::graph::StageId;
+use crate::dataflow::{RequestSet, Scope, StateHandle, StateRegistry, TrackerCell, Vertex};
+use crate::graph::{Location, StageId};
 use crate::progress::{Hop, ProgressBatch, ProgressUpdate, Role, WorkerCore};
 use crate::telemetry::{Recorder, TelemetryEvent, WorkerTelemetry};
 
-use super::channels::{Journal, Mailbox, ProgressFrame, RoutingContext};
+use super::channels::{journal_update, Journal, Mailbox, ProgressFrame, RoutingContext};
 use super::durability::{open_blob, seal_blob, RestoreError};
 use super::execute::{Bringup, Process};
 use super::flow::{OverloadFlag, OverloadMonitor};
@@ -39,6 +45,8 @@ struct DataflowRuntime {
     /// view of the dataflow's progress.
     core: TrackerCell,
     journal: Journal,
+    /// The dataflow's pending notification requests.
+    requests: RequestSet,
     ops: Vec<Vertex>,
     states: StateRegistry,
     complete: bool,
@@ -272,7 +280,7 @@ impl Worker {
         let mut scope = Scope::new(routing, journal.clone(), core.clone());
         let result = construct(&mut scope);
 
-        let (graph, ops, states, report) = scope.finalize(config);
+        let (graph, ops, states, requests, report) = scope.finalize(config);
         let graph = Arc::new(graph);
         self.bringup.register_dataflow(id, graph.clone());
         if self.recorder.enabled() {
@@ -299,6 +307,7 @@ impl Worker {
             id,
             core,
             journal,
+            requests,
             ops,
             states,
             complete: false,
@@ -704,6 +713,16 @@ impl Worker {
             if let Some(p) = frontier.first() {
                 let _ = write!(out, ",\"frontier_min\":\"{p:?}\"");
             }
+            // What waits on the frontier: the pending requests.
+            let requests = df.requests.borrow();
+            let pending = requests.pending();
+            let least = pending.first().map(|(p, _)| format!("\"{p:?}\""));
+            let _ = write!(
+                out,
+                ",\"notifications\":{},\"notification_min\":{}",
+                pending.len(),
+                least.as_deref().unwrap_or("null"),
+            );
             out.push_str("}\n");
         }
         // Remote data that reached this worker and has gone no further: read
@@ -919,22 +938,30 @@ impl Worker {
         self.check_complete(df);
     }
 
+    /// Delivers the dataflow's ready requests to the vertices of their
+    /// stages, in the set's order; a blocking one retires after its
+    /// `OnNotify` completes (§2.3).
     fn deliver_notifications(&mut self, df: usize) {
         let Some(runtime) = self.dataflows.get_mut(df) else {
             return;
         };
-        for op in &mut runtime.ops {
-            let ready = op.ready(runtime.core.borrow().table());
-            for (time, blocking) in ready {
-                op.deliver(time, blocking);
-                if self.recorder.enabled() {
-                    self.recorder.record(TelemetryEvent::NotificationDelivered {
-                        dataflow: runtime.id as u32,
-                        stage: op.stage().0 as u32,
-                        epoch: time.epoch,
-                        blocking,
-                    });
-                }
+        let due = runtime.requests.borrow_mut().drain_due(&runtime.core);
+        for (p, purge) in due {
+            let vertex_of = |op: &&mut Vertex| p.location == Location::Vertex(op.stage());
+            let Some(op) = runtime.ops.iter_mut().find(vertex_of) else {
+                continue;
+            };
+            op.deliver(p.time);
+            if !purge {
+                journal_update(&runtime.journal, p, -1);
+            }
+            if self.recorder.enabled() {
+                self.recorder.record(TelemetryEvent::NotificationDelivered {
+                    dataflow: runtime.id as u32,
+                    stage: op.stage().0 as u32,
+                    epoch: p.time.epoch,
+                    blocking: !purge,
+                });
             }
         }
     }
@@ -1036,7 +1063,8 @@ impl Worker {
         if let Err(violation) = core.borrow_mut().apply(&batch) {
             panic!("worker {}: {}", self.index, violation);
         }
-        if built.is_some() {
+        if let Some(runtime) = built {
+            runtime.requests.borrow_mut().dirty = true;
             self.record_applied(&batch);
         }
     }

@@ -3,8 +3,9 @@
 //! the exact diagnostic code) and a neighboring graph that passes.
 
 use naiad::analysis::{analyze, AnalysisConfig, Code, Severity};
+use naiad::dataflow::{InputPort, Notify, OutputPort};
 use naiad::graph::{ContextId, GraphBuilder, GraphError, PactKind, StageKind};
-use naiad::Timestamp;
+use naiad::{Pact, Timestamp};
 
 fn codes(report: &naiad::analysis::AnalysisReport) -> Vec<Code> {
     report.diagnostics().iter().map(|d| d.code).collect()
@@ -213,6 +214,34 @@ fn reachable_notification_passes_na0003() {
     let report = analyze(&g.build().unwrap(), &AnalysisConfig::default());
     assert!(report.with_code(Code::UnreachableNotification).next().is_none());
     assert!(report.is_error_clean());
+}
+
+/// A `notify_at` made while a worker builds the dataflow reaches `NA0003`:
+/// the dataflow's request set holds it when the scope finalizes.
+#[test]
+fn construction_time_request_reaches_na0003_through_the_runtime() {
+    let hits = naiad::execute(naiad::Config::single_process(1), |worker| {
+        let config = AnalysisConfig {
+            deny: Severity::Never,
+            ..AnalysisConfig::default()
+        };
+        let ((), report) = worker.dataflow_with_report(&config, |scope| {
+            let (_input, stream) = scope.new_input::<u64>();
+            stream.unary_notify(Pact::Pipeline, "agg", |info| {
+                // `agg` sits at loop depth 0 but requests a depth-1 time.
+                info.notify.notify_at(Timestamp::with_counters(0, &[3]));
+                (
+                    |_input: &mut InputPort<u64>,
+                     _output: &mut OutputPort<u64>,
+                     _notify: &Notify| {},
+                    |_time: Timestamp, _output: &mut OutputPort<u64>, _notify: &Notify| {},
+                )
+            });
+        });
+        report.with_code(Code::UnreachableNotification).count()
+    })
+    .expect("fault-free run");
+    assert_eq!(hits, vec![1]);
 }
 
 // ---------------------------------------------------------------------------

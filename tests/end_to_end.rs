@@ -329,12 +329,15 @@ fn sliding_counts_match_brute_force_over_a_long_run() {
 /// same order, PageRank's ranks bit for bit. A vertex's tables iterate
 /// in an order fixed by its operations, so its emissions, and the order
 /// its float shares are summed in, do not vary between runs. The same
-/// holds for the library's notified operators' per-time tables.
+/// holds for the library's notified operators' per-time tables, and for
+/// graph computations whose epochs' notifications are ready together.
 #[test]
 fn graph_outputs_repeat_run_to_run() {
     use naiad_algorithms::datasets::powerlaw_graph;
-    use naiad_algorithms::pagerank::pagerank_vertex;
+    use naiad_algorithms::pagerank::{pagerank_edge, pagerank_pregel, pagerank_vertex};
+    use naiad_algorithms::scc::strongly_connected_components;
     use naiad_algorithms::wcc::connected_components;
+    use std::collections::BTreeMap;
 
     /// PageRank's `(node, rank bits)` and WCC's `(node, label)`, as emitted.
     type Outputs = (Vec<(u64, u64)>, Vec<(u64, u64)>);
@@ -421,7 +424,69 @@ fn graph_outputs_repeat_run_to_run() {
         results.pop().expect("one worker")
     }
 
+    /// One computation's `(epoch, node, value)`s, as emitted: rank bits
+    /// or a component label.
+    type Emitted = Vec<(u64, u64, u64)>;
+
+    /// Edge-partitioned and Pregel PageRank and SCC over `edges` split
+    /// across three epochs, all sent before the first step: incomparable
+    /// times whose notifications are ready together.
+    fn run_epochs_once(edges: &[(u64, u64)]) -> Vec<Emitted> {
+        let edges = Arc::new(edges.to_vec());
+        let mut results = execute(Config::single_process(1), move |worker| {
+            let (mut input, mut seeds, captures) = worker.dataflow(|scope| {
+                let (input, stream) = scope.new_input::<(u64, u64)>();
+                let (seeds, seed_stream) = scope.new_input::<(u64, (f64, Vec<u64>))>();
+                let bits = |(n, rank): (u64, f64)| (n, rank.to_bits());
+                let captures = vec![
+                    pagerank_edge(&stream, 4, 1).map(bits).capture(),
+                    pagerank_pregel(&seed_stream, 4).map(bits).capture(),
+                    strongly_connected_components(&stream, 6).capture(),
+                ];
+                (input, seeds, captures)
+            });
+            for (epoch, part) in edges.chunks(edges.len().div_ceil(3)).enumerate() {
+                if epoch > 0 {
+                    input.advance_to(epoch as u64);
+                    seeds.advance_to(epoch as u64);
+                }
+                let mut adjacency: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+                for &(a, b) in part {
+                    adjacency.entry(a).or_default().push(b);
+                    adjacency.entry(b).or_default();
+                }
+                input.send_batch(part.iter().copied());
+                seeds.send_batch(adjacency.into_iter().map(|(n, outs)| (n, (1.0, outs))));
+            }
+            input.close();
+            seeds.close();
+            worker.step_until_done();
+            captures
+                .iter()
+                .map(|captured| {
+                    captured
+                        .borrow()
+                        .iter()
+                        .flat_map(|(epoch, data)| data.iter().map(|&(n, v)| (*epoch, n, v)))
+                        .collect()
+                })
+                .collect::<Vec<_>>()
+        })
+        .unwrap();
+        results.pop().expect("one worker")
+    }
+
     let edges = powerlaw_graph(500, 3_000, 31);
+    let first = run_epochs_once(&edges);
+    assert!(
+        first.iter().all(|emitted| {
+            let epochs: std::collections::BTreeSet<u64> = emitted.iter().map(|e| e.0).collect();
+            epochs.len() == 3
+        }),
+        "every computation emitted in every epoch"
+    );
+    assert_eq!(run_epochs_once(&edges), first);
+
     let first = run_once(&edges);
     assert_eq!(first.0.len(), 500, "every node ranked");
     assert_eq!(run_once(&edges), first);

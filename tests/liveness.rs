@@ -387,6 +387,10 @@ fn silent_crash_without_heartbeats_stalls_with_dump() {
                         && dump.contains("\"not_yet_due\":"),
                     "dump reports the data parked in the worker's mailbox: {dump}"
                 );
+                assert!(
+                    dump.contains("\"notifications\":") && dump.contains("\"notification_min\":"),
+                    "dump reports the pending notification requests: {dump}"
+                );
             }
             other => panic!("expected a stall declaration, got {other:?}"),
         }

@@ -364,3 +364,43 @@ fn a_dataflow_built_late_replays_the_batches_that_outran_it() {
         assert!(overtaken || mode == ProgressMode::Broadcast, "{mode:?}");
     }
 }
+
+/// A request that no progress follows is still delivered. One worker, its
+/// input advanced to epoch 10 and left open, one record at epoch 0: the
+/// sink purges at the record's time, and each purge below epoch 4 requests
+/// a purge at the next epoch, already complete. Purge deliveries journal
+/// nothing, so no batch follows them; only the request itself can prompt
+/// the worker to test its requests again.
+#[test]
+fn a_request_that_no_progress_follows_is_still_delivered() {
+    let delivered = execute(Config::single_process(1), |worker| {
+        let delivered: Rc<RefCell<Vec<u64>>> = Rc::default();
+        let log = delivered.clone();
+        let mut input = worker.dataflow(|scope| {
+            let (input, stream) = scope.new_input::<u64>();
+            stream.sink_notify(Pact::Pipeline, "PurgeChain", |_| {
+                (
+                    |input: &mut InputPort<u64>, notify: &Notify| {
+                        input.for_each(|time, _data| notify.notify_at_purge(time));
+                    },
+                    move |time: Timestamp, notify: &Notify| {
+                        log.borrow_mut().push(time.epoch);
+                        if time.epoch < 4 {
+                            notify.notify_at_purge(Timestamp::new(time.epoch + 1));
+                        }
+                    },
+                )
+            });
+            input
+        });
+        input.send(7);
+        input.advance_to(10);
+        for _ in 0..200 {
+            worker.step();
+        }
+        let epochs = delivered.borrow().clone();
+        epochs
+    })
+    .expect("fault-free run");
+    assert_eq!(delivered, vec![vec![0, 1, 2, 3, 4]]);
+}
