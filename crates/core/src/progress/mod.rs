@@ -30,7 +30,7 @@ pub use tracker::PointstampTable;
 use naiad_wire::{Wire, WireError};
 
 use crate::graph::{ConnectorId, Location, StageId};
-use crate::time::Timestamp;
+use crate::time::{Timestamp, MAX_LOOP_DEPTH};
 
 /// A timestamp at a location: the coordinate of an unprocessed event.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -77,41 +77,41 @@ impl PartialOrd for Pointstamp {
     }
 }
 
+/// One head varint, `(index << 4) | (depth << 1) | kind` — kind 0 for a
+/// stage, 1 for a connector — then the epoch, then exactly `depth` loop
+/// counters: a root-context pointstamp at a small location and epoch
+/// takes two bytes.
 impl Wire for Pointstamp {
     fn encode(&self, buf: &mut Vec<u8>) {
-        match self.location {
-            Location::Vertex(s) => {
-                buf.push(0);
-                s.0.encode(buf);
-            }
-            Location::Edge(c) => {
-                buf.push(1);
-                c.0.encode(buf);
-            }
+        let (index, kind) = match self.location {
+            Location::Vertex(s) => (s.0, 0),
+            Location::Edge(c) => (c.0, 1),
+        };
+        let counters = self.time.counters.as_slice();
+        (((index as u64) << 4) | ((counters.len() as u64) << 1) | kind).encode(buf);
+        self.time.epoch.encode(buf);
+        for counter in counters {
+            counter.encode(buf);
         }
-        self.time.encode(buf);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let (&tag, rest) = input.split_first().ok_or(WireError::UnexpectedEof)?;
-        *input = rest;
-        let location = match tag {
-            0 => Location::Vertex(StageId(usize::decode(input)?)),
-            1 => Location::Edge(ConnectorId(usize::decode(input)?)),
-            other => return Err(WireError::InvalidTag(other)),
+        let head = u64::decode(input)?;
+        let index = usize::try_from(head >> 4).map_err(|_| WireError::VarintOverflow)?;
+        let depth = ((head >> 1) & 0b111) as usize;
+        if depth > MAX_LOOP_DEPTH {
+            return Err(WireError::InvalidValue);
+        }
+        let location = if head & 1 == 0 {
+            Location::Vertex(StageId(index))
+        } else {
+            Location::Edge(ConnectorId(index))
         };
-        Ok(Pointstamp {
-            time: Timestamp::decode(input)?,
-            location,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        let loc = match self.location {
-            Location::Vertex(s) => s.0.encoded_len(),
-            Location::Edge(c) => c.0.encoded_len(),
-        };
-        1 + loc + self.time.encoded_len()
+        let mut time = Timestamp::new(u64::decode(input)?);
+        for _ in 0..depth {
+            time.counters = time.counters.pushed(u64::decode(input)?);
+        }
+        Ok(Pointstamp { time, location })
     }
 }
 
@@ -139,14 +139,20 @@ mod tests {
     }
 
     #[test]
-    fn pointstamp_rejects_bad_location_tag() {
-        assert!(naiad_wire::decode_from_slice::<Pointstamp>(&[2, 0, 0, 0]).is_err());
+    fn frames_reject_a_depth_of_five_and_sender_role_three() {
+        // Head: stage 0 at depth 5; the epoch and five counters follow.
+        let deep = [5 << 1, 0, 1, 2, 3, 4, 5];
+        let decoded = naiad_wire::decode_from_slice::<Pointstamp>(&deep);
+        assert_eq!(decoded, Err(WireError::InvalidValue));
+        // Sender head: index 0, role 3; seq, dataflow, no updates follow.
+        let decoded = naiad_wire::decode_from_slice::<ProgressBatch>(&[3, 0, 0, 0]);
+        assert_eq!(decoded, Err(WireError::InvalidTag(3)));
     }
 
     #[test]
     fn small_pointstamps_encode_compactly() {
-        // Stage 3, epoch 5, no counters: tag + stage + epoch + len = 4 bytes.
+        // Stage 3, epoch 5, no counters: one head byte and the epoch.
         let p = Pointstamp::at_vertex(Timestamp::new(5), StageId(3));
-        assert_eq!(p.encoded_len(), 4);
+        assert_eq!(p.encoded_len(), 2);
     }
 }

@@ -204,9 +204,23 @@ pub struct ProgressBatch {
     pub updates: Vec<ProgressUpdate>,
 }
 
+/// A sender id on the wire: `(index << 2) | role`, role 0 for a worker,
+/// 1 for a process accumulator, 2 for the central accumulator, so every
+/// sender of a small cluster takes one byte.
+fn sender_head(sender: u32) -> u64 {
+    let (base, role) = match sender {
+        s if s >= CENTRAL_SENDER => (CENTRAL_SENDER, 2),
+        s if s >= PROC_ACC_SENDER_BASE => (PROC_ACC_SENDER_BASE, 1),
+        _ => (0, 0),
+    };
+    (u64::from(sender - base) << 2) | role
+}
+
+/// The sender's head varint, the sequence number, the dataflow, then the
+/// updates, each a [`Pointstamp`] and its delta.
 impl Wire for ProgressBatch {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.sender.encode(buf);
+        sender_head(self.sender).encode(buf);
         self.seq.encode(buf);
         self.dataflow.encode(buf);
         self.updates.len().encode(buf);
@@ -217,11 +231,25 @@ impl Wire for ProgressBatch {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let sender = u32::decode(input)?;
+        let head = u64::decode(input)?;
+        let base = match head & 0b11 {
+            0 => 0,
+            1 => PROC_ACC_SENDER_BASE,
+            2 => CENTRAL_SENDER,
+            _ => return Err(WireError::InvalidTag(3)),
+        };
+        // Only the canonical head: an index reaching into the next role's
+        // ids is refused.
+        let sender = u32::try_from(head >> 2)
+            .ok()
+            .and_then(|index| base.checked_add(index))
+            .filter(|&sender| sender_head(sender) == head)
+            .ok_or(WireError::InvalidValue)?;
         let seq = u64::decode(input)?;
         let dataflow = u32::decode(input)?;
         let len = usize::decode(input)?;
-        if len > input.len() {
+        // The shortest update is three bytes: a head, an epoch, a delta.
+        if len > input.len() / 3 {
             return Err(WireError::LengthOverrun {
                 declared: len,
                 remaining: input.len(),
@@ -239,18 +267,6 @@ impl Wire for ProgressBatch {
             dataflow,
             updates,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.sender.encoded_len()
-            + self.seq.encoded_len()
-            + self.dataflow.encoded_len()
-            + self.updates.len().encoded_len()
-            + self
-                .updates
-                .iter()
-                .map(|(p, d)| p.encoded_len() + d.encoded_len())
-                .sum::<usize>()
     }
 }
 

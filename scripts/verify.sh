@@ -34,7 +34,7 @@ weigh() { # <what> <count> <ceiling>
   fi
 }
 weigh "lines in crates/core/src" \
-  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 19164
+  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 19186
 weigh "lines in crates/operators/src" \
   "$(find crates/operators/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 2105
 weigh "lint-allow / *-exempt markers in crates/{core,wire,netsim}/src" \

@@ -5,7 +5,7 @@
 //! runs word count over a fixed 64-word vocabulary on 2 processes × 1
 //! worker at 1×/4×/16× word volume. What a word legitimately costs is
 //! shared by many: a line `String` per 64 words, one partial-count `String`
-//! per distinct word per combiner batch, one decoded key per remote row.
+//! per distinct word per combiner epoch, one decoded key per remote row.
 //! Anything per *word* — a `String` for every occurrence, a table rebuilt
 //! per batch or per epoch — shows up as growth with volume and trips the
 //! gate below.

@@ -329,14 +329,16 @@ fn sliding_counts_match_brute_force_over_a_long_run() {
 /// same order, PageRank's ranks bit for bit. A vertex's tables iterate
 /// in an order fixed by its operations, so its emissions, and the order
 /// its float shares are summed in, do not vary between runs. The same
-/// holds for the library's notified operators' per-time tables, and for
-/// graph computations whose epochs' notifications are ready together.
+/// holds for the library's notified operators' per-time tables, for
+/// graph computations whose epochs' notifications are ready together,
+/// and for word count fed each epoch in several chunks.
 #[test]
 fn graph_outputs_repeat_run_to_run() {
-    use naiad_algorithms::datasets::powerlaw_graph;
+    use naiad_algorithms::datasets::{powerlaw_graph, zipf_words};
     use naiad_algorithms::pagerank::{pagerank_edge, pagerank_pregel, pagerank_vertex};
     use naiad_algorithms::scc::strongly_connected_components;
     use naiad_algorithms::wcc::connected_components;
+    use naiad_algorithms::wordcount::wordcount;
     use std::collections::BTreeMap;
 
     /// PageRank's `(node, rank bits)` and WCC's `(node, label)`, as emitted.
@@ -476,6 +478,37 @@ fn graph_outputs_repeat_run_to_run() {
         results.pop().expect("one worker")
     }
 
+    /// Word count's `(epoch, word, count)`s, as emitted, over six epochs
+    /// of Zipf text, each fed in three chunks with a step after each.
+    fn run_wordcount_once() -> Vec<(u64, String, u64)> {
+        let mut results = execute(Config::single_process(1), |worker| {
+            let (mut input, captured) = worker.dataflow(|scope| {
+                let (input, lines) = scope.new_input::<String>();
+                (input, wordcount(&lines).capture())
+            });
+            for epoch in 0..6u64 {
+                if epoch > 0 {
+                    input.advance_to(epoch);
+                }
+                let words = zipf_words(900, 150, 40 + epoch);
+                for chunk in words.chunks(300) {
+                    input.send_batch(chunk.chunks(10).map(|line| line.join(" ")));
+                    worker.step();
+                }
+            }
+            input.close();
+            worker.step_until_done();
+            let emitted = captured
+                .borrow()
+                .iter()
+                .flat_map(|(epoch, rows)| rows.iter().map(|(w, n)| (*epoch, w.clone(), *n)))
+                .collect::<Vec<_>>();
+            emitted
+        })
+        .unwrap();
+        results.pop().expect("one worker")
+    }
+
     let edges = powerlaw_graph(500, 3_000, 31);
     let first = run_epochs_once(&edges);
     assert!(
@@ -497,4 +530,9 @@ fn graph_outputs_repeat_run_to_run() {
         "every operator emitted"
     );
     assert_eq!(run_operators_once(), first);
+
+    let first = run_wordcount_once();
+    let epochs: std::collections::BTreeSet<u64> = first.iter().map(|row| row.0).collect();
+    assert_eq!(epochs.len(), 6, "word count emitted in every epoch");
+    assert_eq!(run_wordcount_once(), first);
 }
