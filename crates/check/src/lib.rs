@@ -3,14 +3,14 @@
 //!
 //! The thread-based runtime only ever samples the interleavings the OS
 //! scheduler happens to produce; this harness *enumerates* them. It
-//! drives the pure protocol cores ([`crate::progress::protocol`]) of a
+//! drives the pure protocol cores ([`naiad::progress::protocol`]) of a
 //! virtual cluster — N workers over P processes, per-process and central
 //! accumulators per the [`ProgressMode`] — across seeded schedules of
 //! three event types (worker actions, link deliveries, batch
 //! applications), checking two oracles at every step:
 //!
 //! * **Safety** — no worker's local view may ever believe a pointstamp
-//!   complete ([`done_through`](crate::progress::PointstampTable::done_through))
+//!   complete ([`done_through`](naiad::progress::PointstampTable::done_through))
 //!   while that pointstamp is
 //!   outstanding in an omniscient reference tracker that sees every
 //!   journal the instant it is produced. A violated view could deliver a
@@ -29,7 +29,7 @@
 //! seed, schedule salt, configuration, and the minimized trace.
 //!
 //! ```
-//! use naiad::progress::modelcheck::{explore, McConfig, Topology};
+//! use naiad_check::{explore, McConfig, Topology};
 //! use naiad::progress::ProgressMode;
 //!
 //! let cfg = McConfig::new(Topology::Chain, ProgressMode::Local);
@@ -37,6 +37,8 @@
 //! assert!(report.failures.is_empty(), "{}", report.failures[0]);
 //! assert!(report.distinct_interleavings > 0);
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod sim;
 mod topology;
@@ -47,12 +49,11 @@ pub use sim::{
 };
 pub use topology::Topology;
 
-use naiad_rng::Xorshift;
-
 use std::collections::HashMap;
 use std::collections::HashSet;
 
-use super::{Pointstamp, ProgressMode};
+use naiad::progress::{Pointstamp, ProgressMode, ProgressUpdate};
+use naiad_rng::Xorshift;
 
 /// The outcome of one scheduled run (or replay).
 #[derive(Debug)]
@@ -67,7 +68,7 @@ pub struct RunOutcome {
     /// Each worker's emitted-update journal, in emission order. Depends
     /// only on the seed, never on the schedule or accumulation policy —
     /// the policy-equivalence oracle compares these across modes.
-    pub journals: Vec<Vec<super::ProgressUpdate>>,
+    pub journals: Vec<Vec<ProgressUpdate>>,
 }
 
 impl RunOutcome {
@@ -229,7 +230,7 @@ impl std::fmt::Display for Failure {
         }
         write!(
             f,
-            "]\n  replay: modelcheck::replay(&cfg, {:#x}, &trace)",
+            "]\n  replay: naiad_check::replay(&cfg, {:#x}, &trace)",
             self.seed
         )
     }

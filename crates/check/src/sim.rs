@@ -20,18 +20,16 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
+use naiad::graph::{ConnectorId, Location, LogicalGraph, StageId, StageKind};
+use naiad::progress::protocol::{CENTRAL_SENDER, PROC_ACC_SENDER_BASE};
+use naiad::progress::{
+    Endpoint, FifoViolation, GroupCore, Hop, Pointstamp, PointstampTable, ProgressBatch,
+    ProgressMode, ProgressUpdate, Role, WorkerCore,
+};
+use naiad::Timestamp;
 use naiad_rng::Xorshift;
 
-use crate::graph::{ConnectorId, Location, LogicalGraph, StageId, StageKind};
-use crate::progress::protocol::{CENTRAL_SENDER, PROC_ACC_SENDER_BASE};
-use crate::progress::tracker::PointstampTable;
-use crate::progress::{
-    Endpoint, FifoViolation, GroupCore, Hop, Pointstamp, ProgressBatch, ProgressMode,
-    ProgressUpdate, Role, WorkerCore,
-};
-use crate::time::Timestamp;
-
-use super::topology::Topology;
+use crate::topology::Topology;
 
 /// The single dataflow id every model run uses.
 const DATAFLOW: u32 = 0;

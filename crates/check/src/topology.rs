@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 
-use crate::graph::{ContextId, GraphBuilder, LogicalGraph, StageKind};
+use naiad::graph::{ContextId, GraphBuilder, LogicalGraph, StageKind};
 
-/// A model topology (ISSUE 4's minimum matrix: chain, diamond, nested loop).
+/// A model topology (the minimum matrix: chain, diamond, nested loop).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Topology {
     /// `input → a → b → out`.

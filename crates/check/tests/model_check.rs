@@ -8,11 +8,9 @@
 //! CI widens the sweep with `MODEL_CHECK_SEEDS=n` (n extra seeds past
 //! the pinned base), mirroring the `CHAOS_SOAK_SEEDS` contract.
 
-use naiad::progress::modelcheck::{
-    explore, explore_matrix, replay, Chaos, McConfig, Topology, ViolationKind,
-};
 use naiad::progress::{Pointstamp, ProgressMode};
 use naiad::Timestamp;
+use naiad_check::{explore, explore_matrix, replay, Chaos, McConfig, Topology, ViolationKind};
 
 const ALL_MODES: [ProgressMode; 4] = [
     ProgressMode::Broadcast,
@@ -75,7 +73,7 @@ fn extended_matrix_honours_env() {
 
 /// Replays a failure's minimized trace twice and insists both runs
 /// reproduce the recorded violation bit-identically.
-fn assert_bit_identical_replay(failure: &naiad::progress::modelcheck::Failure) {
+fn assert_bit_identical_replay(failure: &naiad_check::Failure) {
     let first = replay(&failure.cfg, failure.seed, &failure.trace);
     let second = replay(&failure.cfg, failure.seed, &failure.trace);
     assert_eq!(
@@ -193,8 +191,7 @@ fn policies_are_equivalent_under_permuted_schedules() {
             let expected: std::collections::HashMap<_, _> =
                 [(seed_stamp, -total_workers)].into_iter().collect();
             for salt in 0..SALTS {
-                let outcome =
-                    naiad::progress::modelcheck::run_schedule(&cfg, PINNED_SEED, salt);
+                let outcome = naiad_check::run_schedule(&cfg, PINNED_SEED, salt);
                 assert!(
                     outcome.violation.is_none(),
                     "{}/{} salt {salt}: {:?}",

@@ -67,7 +67,7 @@ pub struct ActivitySample {
 ///
 /// Fed event records in log order; returns the sample each attributable
 /// event maps to. Non-attributable events (frontier probes, checkpoints,
-/// faults, `ScheduleStart`, …) return `None` and leave the state
+/// faults, …) return `None` and leave the state
 /// untouched.
 ///
 /// Epoch attribution: `ScheduleStop` carries the tracker's minimum open

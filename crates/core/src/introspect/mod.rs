@@ -42,7 +42,8 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::runtime::sync::Mutex;
+use naiad_wire::sync::Mutex;
+
 use crate::runtime::{Config, Worker};
 use crate::telemetry::Recorder;
 

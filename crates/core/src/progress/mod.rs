@@ -14,10 +14,9 @@
 //! update encoding, the buffering accumulators whose traffic Figure 6c
 //! measures, the per-worker and per-group state machines, and which
 //! participant sends to which under each [`ProgressMode`]. The runtime
-//! and the model-checker ([`modelcheck`]) are two drivers of those same
+//! and the model-checker (the `naiad-check` crate) are two drivers of those same
 //! state machines.
 
-pub mod modelcheck;
 pub mod protocol;
 pub mod tracker;
 

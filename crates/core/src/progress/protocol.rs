@@ -12,7 +12,7 @@
 //! clock, no threads. [`WorkerCore`] is a worker's part in one dataflow,
 //! [`GroupCore`] an accumulation site's, and [`ProgressMode::hop`] says
 //! who sends to whom. The runtime ([`crate::runtime`]) and the
-//! model-checker ([`super::modelcheck`]) are two drivers of these same
+//! model-checker (the `naiad-check` crate) are two drivers of these same
 //! types; neither holds a copy of any rule stated here.
 //!
 //! [`Accumulator`] implements the buffering rule over a

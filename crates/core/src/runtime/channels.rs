@@ -23,10 +23,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use naiad_netsim::{Envelope, NetReceiver};
+use naiad_wire::sync::queue::{ring, RingReceiver, RingSender};
+use naiad_wire::sync::Mutex;
 use naiad_wire::{Bytes, ExchangeData, Wire, WireError};
-
-use super::queue::{ring, RingReceiver, RingSender};
-use super::sync::Mutex;
 
 use super::execute::{Bringup, Process};
 use super::flow::{Acquire, CreditCell, FlowKey, OverloadFlag, OverloadState, ShedPolicy};

@@ -82,12 +82,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use naiad_netsim::FabricMetrics;
+use naiad_wire::sync::Mutex;
 use naiad_wire::Wire;
 
 use super::config::Config;
 use super::execute::{execute_inner, ExecuteError};
 use super::rescale::{ElasticOptions, MigrationSlot, RescaleOutcome, RescaleStep};
-use super::sync::Mutex;
 use super::worker::Worker;
 use crate::introspect::{CriticalPathSummary, Harness, Observer};
 use crate::telemetry::{TelemetryEvent, TelemetrySnapshot};

@@ -31,6 +31,7 @@ use std::sync::{Arc, Once};
 use std::thread;
 
 use naiad_netsim::{Fabric, FabricMetrics, NetSender};
+use naiad_wire::sync::Mutex;
 use naiad_wire::SlabPool;
 
 use super::channels::ProcessRegistry;
@@ -41,7 +42,6 @@ use super::progress_hub::{
     run_central_accumulator, HubStats, CENTRAL_SENDER, PROC_ACC_SENDER_BASE,
 };
 use super::retry::{EscalationCell, FaultKind, FaultPanic, RetryPolicy};
-use super::sync::Mutex;
 use super::worker::Worker;
 use crate::graph::LogicalGraph;
 use crate::progress::{GroupCore, Role};

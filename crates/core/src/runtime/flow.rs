@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 
 // Loom-schedulable shims: plain std re-exports outside `--cfg loom`, so
 // this module's concurrency is exactly what the interleaving explorer
-// (runtime::interleave) model-checks.
-use super::sync::{AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard};
+// (`naiad_wire::sync::interleave`) model-checks.
+use naiad_wire::sync::{AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard};
 
 /// What a sender does when its bounded credit wait expires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -709,7 +709,7 @@ mod tests {
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::*;
-    use crate::runtime::interleave::explore;
+    use naiad_wire::sync::interleave::explore;
     use std::sync::Arc;
 
     /// Re-finds the PR 8 gauge-ordering race. [`FlowRegistry::release`]

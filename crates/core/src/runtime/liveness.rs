@@ -45,12 +45,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use naiad_netsim::{ClusterClock, NetReceiver, NetSender, RecvError, SendError};
+use naiad_wire::sync::Mutex;
 
 use super::channels::HEARTBEAT_TAG;
 use super::config::Config;
 use super::execute::Bringup;
 use super::retry::FaultKind;
-use super::sync::Mutex;
 
 /// A state change in the failure detector, drained into worker telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,14 +7,10 @@ pub mod coordinator;
 pub mod durability;
 pub mod execute;
 pub mod flow;
-#[cfg(loom)]
-pub(crate) mod interleave;
 mod liveness;
 mod progress_hub;
-pub(crate) mod queue;
 pub mod rescale;
 mod retry;
-pub(crate) mod sync;
 mod worker;
 
 pub use channels::{Message, Pact};

@@ -4,7 +4,7 @@
 //! The protocol itself — buffering policy, batch sequencing, stash-until-
 //! registration — lives in the pure [`GroupCore`] state machine
 //! ([`crate::progress::protocol`]), which the deterministic model-checker
-//! ([`crate::progress::modelcheck`]) drives over virtual links. This
+//! (the `naiad-check` crate) drives over virtual links. This
 //! module only wires cores to the fabric: encode, retry, escalate.
 //!
 //! By default Naiad accumulates updates at the process level and at the
@@ -219,12 +219,12 @@ mod tests {
     use std::sync::Arc;
 
     use naiad_netsim::NetSender;
+    use naiad_wire::sync::Mutex;
 
     use crate::graph::{ContextId, GraphBuilder, StageId, StageKind};
     use crate::progress::{Pointstamp, ProgressMode};
     use crate::runtime::config::Config;
     use crate::runtime::retry::RetryPolicy;
-    use crate::runtime::sync::Mutex;
     use crate::time::Timestamp;
 
     /// Process 0 of a Local-mode cluster of `processes` processes with
@@ -428,7 +428,7 @@ mod tests {
     #[cfg(loom)]
     #[test]
     fn loom_concurrent_depositors_deliver_in_seq_order() {
-        let schedules = crate::runtime::interleave::explore(concurrent_depositors);
+        let schedules = naiad_wire::sync::interleave::explore(concurrent_depositors);
         assert!(schedules > 1, "the explorer must branch, got {schedules}");
     }
 
@@ -509,7 +509,7 @@ mod tests {
     #[cfg(loom)]
     #[test]
     fn loom_two_workers_tee_an_external_batch_once_before_applying() {
-        let schedules = crate::runtime::interleave::explore(two_workers_tee_external_batches);
+        let schedules = naiad_wire::sync::interleave::explore(two_workers_tee_external_batches);
         assert!(schedules > 1, "the explorer must branch, got {schedules}");
     }
 }

@@ -7,9 +7,10 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use naiad_wire::sync::Mutex;
+
 use super::coordinator::RecoveryOptions;
 use super::execute::ExecuteError;
-use super::sync::Mutex;
 
 /// A typed reason an elastic rescale could not proceed.
 #[derive(Debug, Clone, PartialEq, Eq)]

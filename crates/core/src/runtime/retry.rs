@@ -23,9 +23,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use naiad_netsim::{NetSender, SendError, TrafficClass};
+use naiad_wire::sync::Mutex;
 use naiad_wire::Bytes;
-
-use super::sync::Mutex;
 
 /// The classified cause of a cluster unwind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

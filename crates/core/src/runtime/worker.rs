@@ -907,12 +907,6 @@ impl Worker {
                     let stage = op.stage().0 as u32;
                     let seq = self.schedule_seq;
                     self.schedule_seq += 1;
-                    self.recorder.record(TelemetryEvent::ScheduleStart {
-                        dataflow,
-                        stage,
-                        epoch,
-                        seq,
-                    });
                     let start = Instant::now();
                     let w = op.pump();
                     self.recorder.record(TelemetryEvent::ScheduleStop {

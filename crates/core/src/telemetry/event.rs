@@ -8,20 +8,9 @@ use crate::runtime::FaultKind;
 /// preallocated buffer — no per-event allocation on the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TelemetryEvent {
-    /// An operator's `pump` (OnRecv scheduling slice) is about to run.
-    ScheduleStart {
-        /// Dataflow id.
-        dataflow: u32,
-        /// Stage id of the scheduled operator.
-        stage: u32,
-        /// Minimum open epoch in the dataflow's tracker when the slice
-        /// began (the epoch of the work item being processed).
-        epoch: u64,
-        /// Per-worker monotone slice sequence number; the matching
-        /// [`TelemetryEvent::ScheduleStop`] carries the same value.
-        seq: u64,
-    },
-    /// The matching end of a [`TelemetryEvent::ScheduleStart`].
+    /// An operator's `pump` (OnRecv scheduling slice) ran. The event is
+    /// recorded when the slice ends, so its record's timestamp minus
+    /// `nanos` is when the slice began.
     ScheduleStop {
         /// Dataflow id.
         dataflow: u32,
@@ -34,8 +23,7 @@ pub enum TelemetryEvent {
         /// Minimum open epoch in the dataflow's tracker when the slice
         /// began (the epoch of the work item being processed).
         epoch: u64,
-        /// Per-worker monotone slice sequence number shared with the
-        /// matching [`TelemetryEvent::ScheduleStart`].
+        /// Per-worker monotone slice sequence number.
         seq: u64,
     },
     /// A data batch was emitted on a connector.
@@ -245,7 +233,6 @@ impl TelemetryEvent {
     /// Short machine-readable event name (the `"ev"` JSON field).
     pub fn name(&self) -> &'static str {
         match self {
-            TelemetryEvent::ScheduleStart { .. } => "schedule_start",
             TelemetryEvent::ScheduleStop { .. } => "schedule_stop",
             TelemetryEvent::MessageSent { .. } => "message_sent",
             TelemetryEvent::MessageReceived { .. } => "message_received",
@@ -276,8 +263,7 @@ impl TelemetryEvent {
     /// no dataflow and return `None`.
     pub fn dataflow_id(&self) -> Option<u32> {
         match *self {
-            TelemetryEvent::ScheduleStart { dataflow, .. }
-            | TelemetryEvent::ScheduleStop { dataflow, .. }
+            TelemetryEvent::ScheduleStop { dataflow, .. }
             | TelemetryEvent::MessageSent { dataflow, .. }
             | TelemetryEvent::MessageReceived { dataflow, .. }
             | TelemetryEvent::ProgressBatchSent { dataflow, .. }
@@ -316,17 +302,6 @@ impl EventRecord {
             self.event.name()
         );
         match self.event {
-            TelemetryEvent::ScheduleStart {
-                dataflow,
-                stage,
-                epoch,
-                seq,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"df\":{dataflow},\"stage\":{stage},\"epoch\":{epoch},\"seq\":{seq}"
-                );
-            }
             TelemetryEvent::ScheduleStop {
                 dataflow,
                 stage,
@@ -508,15 +483,6 @@ mod tests {
     fn json_lines_are_well_formed() {
         let records = [
             EventRecord {
-                nanos: 5,
-                event: TelemetryEvent::ScheduleStart {
-                    dataflow: 0,
-                    stage: 3,
-                    epoch: 2,
-                    seq: 40,
-                },
-            },
-            EventRecord {
                 nanos: 9,
                 event: TelemetryEvent::ScheduleStop {
                     dataflow: 0,
@@ -650,11 +616,10 @@ mod tests {
 
     #[test]
     fn dataflow_id_distinguishes_dataflow_events_from_cluster_events() {
-        let ev = TelemetryEvent::ScheduleStart {
+        let ev = TelemetryEvent::FrontierProbe {
             dataflow: 3,
-            stage: 0,
-            epoch: 0,
-            seq: 0,
+            active: 0,
+            input_epoch: None,
         };
         assert_eq!(ev.dataflow_id(), Some(3));
         let ev = TelemetryEvent::CheckpointTaken { bytes: 10 };

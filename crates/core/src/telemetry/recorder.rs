@@ -222,7 +222,6 @@ impl EventLog {
     fn count(&mut self, event: &TelemetryEvent) {
         let c = &mut self.counters;
         match *event {
-            TelemetryEvent::ScheduleStart { .. } => {}
             TelemetryEvent::ScheduleStop {
                 dataflow,
                 stage,
@@ -460,9 +459,11 @@ mod tests {
     fn disabled_recorder_allocates_and_records_nothing() {
         let r = Recorder::disabled();
         assert!(!r.enabled());
-        r.record(TelemetryEvent::ScheduleStart {
+        r.record(TelemetryEvent::ScheduleStop {
             dataflow: 0,
             stage: 0,
+            nanos: 0,
+            worked: false,
             epoch: 0,
             seq: 0,
         });
@@ -585,13 +586,12 @@ mod tests {
     fn tap_folds_every_attributable_event_even_past_a_full_buffer() {
         let r = Recorder::with_capacity(2);
         r.install_tap(Fold::new(0));
-        // A start marker is not attributable; six worked slices are, and
-        // four of them arrive after the buffer filled.
-        r.record(TelemetryEvent::ScheduleStart {
+        // A frontier probe is not attributable; six worked slices are,
+        // and four of them arrive after the buffer filled.
+        r.record(TelemetryEvent::FrontierProbe {
             dataflow: 0,
-            stage: 0,
-            epoch: 0,
-            seq: 0,
+            active: 0,
+            input_epoch: None,
         });
         for seq in 0..6u64 {
             r.record(TelemetryEvent::ScheduleStop {

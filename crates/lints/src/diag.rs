@@ -34,7 +34,7 @@ pub enum Code {
     /// `NS0002`: fresh hot-path allocation without `// slab-exempt:`.
     HotPathAlloc,
     /// `NS0003`: nondeterminism source inside deterministic-by-contract
-    /// modules (`progress::{protocol,modelcheck}`, `netsim`).
+    /// modules (`progress::{protocol,tracker}`, `naiad-check`, `netsim`).
     Nondeterminism,
     /// `NS0004`: panic path (`unwrap`/`expect`/indexing) in `runtime/`.
     PanicPath,

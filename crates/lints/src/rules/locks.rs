@@ -1,4 +1,5 @@
-//! NS0006: lock-order cycle detection across `crates/core/src/runtime/`.
+//! NS0006: lock-order cycle detection across `crates/core/src/runtime/`
+//! and `crates/wire/src/sync/`.
 //!
 //! A heuristic whole-module analysis, not a proof: lock identity is the
 //! receiver's tail identifier at each `.lock()` site (`self.in_flight
@@ -56,7 +57,7 @@ struct Edge {
 pub fn ns0006(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     let mut infos: Vec<FnInfo> = Vec::new();
     for (fi, f) in files.iter().enumerate() {
-        if !f.rel.starts_with("crates/core/src/runtime/") {
+        if !super::in_runtime(&f.rel) {
             continue;
         }
         for (xi, item) in f.fns.iter().enumerate() {

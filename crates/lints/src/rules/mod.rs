@@ -14,9 +14,10 @@ use crate::diag::{Code, Diagnostic, Severity};
 use crate::source::SourceFile;
 use crate::lexer::{Tok, TokKind};
 
-/// Paths (relative, `/`-separated) a rule applies to.
-fn in_runtime(rel: &str) -> bool {
-    rel.starts_with("crates/core/src/runtime/")
+/// Paths (relative, `/`-separated) a rule applies to. `runtime/` covers
+/// the runtime and the sync kernel it is built on (`naiad_wire::sync`).
+pub(crate) fn in_runtime(rel: &str) -> bool {
+    rel.starts_with("crates/core/src/runtime/") || rel.starts_with("crates/wire/src/sync/")
 }
 
 fn is_hot_path(rel: &str) -> bool {
@@ -28,7 +29,7 @@ fn is_hot_path(rel: &str) -> bool {
 fn is_deterministic_module(rel: &str) -> bool {
     rel == "crates/core/src/progress/protocol.rs"
         || rel == "crates/core/src/progress/tracker.rs"
-        || rel.starts_with("crates/core/src/progress/modelcheck/")
+        || rel.starts_with("crates/check/src/")
         || rel.starts_with("crates/netsim/src/")
         || rel.starts_with("crates/operators/src/")
 }
@@ -216,8 +217,8 @@ pub fn ns0002(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// NS0003: nondeterminism sources inside modules whose outputs must be
-/// bit-identical across runs (`progress::{protocol,tracker,modelcheck}`
-/// feed the model-checker's replay — its reference view is a
+/// bit-identical across runs (`progress::{protocol,tracker}` and
+/// `naiad-check` feed the model-checker's replay — its reference view is a
 /// `PointstampTable`; `netsim` feeds the seeded chaos soaks; the
 /// operator library's emission order is its output order):
 /// wall-clock reads, hasher randomness, and iteration over

@@ -70,7 +70,9 @@ fn trigger_diagnostics_land_on_the_expected_files() {
         (Code::HotPathAlloc, "crates/core/src/runtime/channels.rs"),
         (Code::Nondeterminism, "crates/core/src/progress/protocol.rs"),
         (Code::Nondeterminism, "crates/operators/src/cogroup.rs"),
+        (Code::Nondeterminism, "crates/check/src/sim.rs"),
         (Code::PanicPath, "crates/core/src/runtime/merge.rs"),
+        (Code::PanicPath, "crates/wire/src/sync/queue.rs"),
         (
             Code::TelemetryConservation,
             "crates/core/src/telemetry/event.rs",

@@ -43,6 +43,7 @@ mod error;
 pub mod hash;
 mod primitives;
 mod slab;
+pub mod sync;
 mod tuples;
 pub mod varint;
 
@@ -51,8 +52,6 @@ pub use columnar::{KeyedBatch, KeyedBatchIter, KeyedBatchView};
 pub use decode_ref::{decode_ref_from_slice, SeqView, SeqViewIter, WireRef};
 pub use error::WireError;
 pub use slab::{BytesSlab, SlabGauges, SlabPool};
-#[cfg(loom)]
-pub use slab::slab_loom_hook;
 
 /// A type with a deterministic binary encoding.
 ///

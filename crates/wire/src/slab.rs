@@ -13,49 +13,15 @@
 //!
 //! The pool is all safe code, honouring the workspace-wide
 //! `forbid(unsafe_code)`: recycling is `Mutex<Vec<Vec<u8>>>` free lists,
-//! sharing is `Arc`, and the return path is an ordinary `Drop` impl.
+//! sharing is `Arc`, and the return path is an ordinary `Drop` impl. The
+//! locks and counters are the [`sync`](crate::sync) shims, so under
+//! `--cfg loom` the interleaving explorer schedules around each of them.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, MutexGuard};
 use crate::Bytes;
-
-/// Interleaving pause points for `--cfg loom` builds: the core crate's
-/// explorer registers its yield function here, and `get`/`put` call it
-/// at the steps whose orderings matter (counter updates vs. free-list
-/// mutation). Off-loom the calls compile to nothing; on-loom with no
-/// hook registered they are no-ops, so ordinary tests still pass under
-/// `RUSTFLAGS="--cfg loom"`.
-#[cfg(loom)]
-mod loom_hook {
-    use std::sync::OnceLock;
-
-    static HOOK: OnceLock<fn()> = OnceLock::new();
-
-    /// Registers the explorer's yield point (first registration wins;
-    /// the hook is process-global like the explorer itself).
-    pub fn set(hook: fn()) {
-        let _ = HOOK.set(hook);
-    }
-
-    pub(crate) fn point() {
-        if let Some(hook) = HOOK.get() {
-            hook();
-        }
-    }
-}
-
-/// Registers the interleaving explorer's yield point (loom builds only).
-#[cfg(loom)]
-pub fn slab_loom_hook(hook: fn()) {
-    loom_hook::set(hook);
-}
-
-/// A schedulable step under the interleaving explorer; nothing otherwise.
-fn pause_point() {
-    #[cfg(loom)]
-    loom_hook::point();
-}
 
 /// Capacity of the smallest size class (4 KiB).
 const MIN_CLASS_BYTES: usize = 1 << 12;
@@ -144,10 +110,8 @@ impl SlabPool {
         Some((wanted / MIN_CLASS_BYTES).trailing_zeros() as usize)
     }
 
-    fn free_list(&self, class: usize) -> std::sync::MutexGuard<'_, Vec<Vec<u8>>> {
-        self.classes[class]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn free_list(&self, class: usize) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        self.classes[class].lock()
     }
 
     /// Checks a writable slab with at least `capacity_hint` bytes of room
@@ -155,11 +119,9 @@ impl SlabPool {
     /// slab grows like any `Vec` if the payload runs larger, and the
     /// grown buffer re-enters the pool at its new class on return.
     pub fn get(self: &Arc<Self>, capacity_hint: usize) -> BytesSlab {
-        pause_point();
         self.in_use.fetch_add(1, Ordering::Relaxed);
         let buf = match Self::class_for(capacity_hint) {
             Some(class) => {
-                pause_point();
                 let recycled = self.free_list(class).pop();
                 match recycled {
                     Some(buf) => {
@@ -191,7 +153,6 @@ impl SlabPool {
     /// per checked-out slab, from `Drop` glue — never directly — which is
     /// what makes double-return unrepresentable.
     pub(crate) fn put(&self, mut buf: Vec<u8>) {
-        pause_point();
         self.in_use.fetch_sub(1, Ordering::Relaxed);
         let capacity = buf.capacity();
         if capacity == 0 {
@@ -215,10 +176,8 @@ impl SlabPool {
             return;
         }
         buf.clear();
-        pause_point();
         self.resident_bytes.fetch_add(capacity, Ordering::Relaxed);
         self.returns.fetch_add(1, Ordering::Relaxed);
-        pause_point();
         self.free_list(class).push(buf);
     }
 
@@ -227,7 +186,7 @@ impl SlabPool {
         let resident_slabs = self
             .classes
             .iter()
-            .map(|c| c.lock().unwrap_or_else(PoisonError::into_inner).len() as u64)
+            .map(|c| c.lock().len() as u64)
             .sum();
         SlabGauges {
             slab_allocs: self.allocs.load(Ordering::Relaxed),

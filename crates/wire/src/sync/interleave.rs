@@ -1,5 +1,5 @@
 //! A miniature loom: exhaustive, preemption-bounded exploration of
-//! thread interleavings over the [`sync`](super::sync) shims.
+//! thread interleavings over the [`sync`](super) shims.
 //!
 //! Compiled only under `--cfg loom`. The workspace is dependency-free,
 //! so instead of the `loom` crate this module carries its own explorer:
@@ -16,8 +16,8 @@
 //! the number of *involuntary* switches (taking the token from a thread
 //! that could have continued) to a small constant cuts that to a few
 //! thousand while still covering every bug reachable with that many
-//! preemptions — most real races, including the PR 8 credit-gauge
-//! ordering race, need exactly one. Voluntary switches (the running
+//! preemptions — most real races, including the runtime credit cell's
+//! gauge-ordering race, need exactly one. Voluntary switches (the running
 //! thread blocked or finished) are free.
 //!
 //! **Timeouts.** The model ignores wall-clock durations: every condvar
@@ -430,7 +430,6 @@ pub(crate) fn condvar_notify_all(cv_id: usize) {
 }
 
 /// Exploration parameters.
-#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) struct Explore {
     /// Involuntary context switches allowed per schedule.
     pub(crate) preemption_bound: usize,
@@ -451,13 +450,11 @@ impl Default for Explore {
 /// default preemption bound. Panics (with the witness trace) if any
 /// schedule panics or deadlocks. Returns the number of schedules
 /// explored.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn explore(factory: impl Fn() -> Vec<Box<dyn FnOnce() + Send>>) -> usize {
+pub fn explore(factory: impl Fn() -> Vec<Box<dyn FnOnce() + Send>>) -> usize {
     explore_with(&Explore::default(), factory)
 }
 
 /// [`explore`] with explicit parameters.
-#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn explore_with(
     opts: &Explore,
     factory: impl Fn() -> Vec<Box<dyn FnOnce() + Send>>,
@@ -557,7 +554,7 @@ mod loom_tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering};
 
-    use crate::runtime::sync::{AtomicU64, Condvar, Mutex};
+    use crate::sync::{AtomicU64, Condvar, Mutex};
 
     /// Two threads incrementing through a model mutex: every schedule
     /// must end at 2, and with two yield-heavy bodies the bounded DFS
@@ -653,14 +650,13 @@ mod loom_tests {
     /// SlabPool conservation under concurrent returns: two pooled
     /// payloads dropped from two threads — in every interleaving the
     /// pool ends with nothing in use and both buffers accounted for
-    /// (returned or discarded), never double-returned. The wire crate's
-    /// loom hook routes its internal pause points through this explorer
-    /// so the puts genuinely interleave.
+    /// (returned or discarded), never double-returned. The pool locks
+    /// and counts through the [`sync`](crate::sync) shims, so every
+    /// free-list lock and counter update is a schedule point.
     #[test]
     fn loom_slab_pool_returns_exactly_once() {
-        naiad_wire::slab_loom_hook(yield_point);
-        explore(|| {
-            let pool = std::sync::Arc::new(naiad_wire::SlabPool::default());
+        let schedules = explore(|| {
+            let pool = std::sync::Arc::new(crate::SlabPool::default());
             let a = {
                 let mut slab = pool.get(64);
                 slab.buffer().extend_from_slice(&[1u8; 16]);
@@ -689,9 +685,10 @@ mod loom_tests {
                 }) as Box<dyn FnOnce() + Send>,
             ]
         });
+        assert!(schedules > 1, "explorer must branch, got {schedules}");
     }
 
-    fn check_conserved(pool: &naiad_wire::SlabPool) {
+    fn check_conserved(pool: &crate::SlabPool) {
         let g = pool.gauges();
         assert_eq!(g.in_use_slabs, 0, "every checkout must be closed");
         assert_eq!(

@@ -1,14 +1,16 @@
 //! Synchronization shims: `parking_lot`-style ergonomics over `std::sync`
 //! (`lock()` without an `unwrap` at every call site, a `try_lock` that
 //! answers `Option`), plus the seam the interleaving explorer
-//! ([`interleave`](super::interleave)) hooks into.
+//! ([`interleave`]) hooks into. The runtime's concurrency kernels (credit
+//! cells, registries, the [`queue`] rings) and this crate's slab pool
+//! lock and count through these types.
 //!
 //! Poisoning is deliberately ignored: worker panics are part of normal
-//! control flow for the fault-injection machinery (see
-//! [`retry`](super::retry)), and the values guarded here (net senders,
-//! channel registries, accumulators, credit ledgers) remain structurally
-//! valid after a panicked critical section — the recovery coordinator
-//! rebuilds the whole cluster anyway.
+//! control flow for the runtime's fault-injection machinery, and the
+//! values guarded here (net senders, channel registries, accumulators,
+//! credit ledgers, slab free lists) remain structurally valid after a
+//! panicked critical section — the recovery coordinator rebuilds the
+//! whole cluster anyway.
 //!
 //! Under `--cfg loom` every type here gains a model identity and routes
 //! acquisition/blocking through the cooperative scheduler, so the
@@ -18,31 +20,36 @@
 //! through to `std`, so ordinary unit tests still run under
 //! `--cfg loom`.
 
+#[cfg(loom)]
+pub mod interleave;
+pub mod queue;
+
 #[cfg(not(loom))]
 mod imp {
     use std::time::Duration;
 
-    /// Atomics pass straight through outside loom builds; `runtime::flow`
-    /// imports them from here so the loom build can substitute
+    /// Atomics pass straight through outside loom builds; their users
+    /// import them from here so the loom build can substitute
     /// schedulable wrappers.
-    pub(crate) use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize};
+    pub use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize};
 
-    pub(crate) struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
+    /// A mutual-exclusion lock whose `lock` never reports poisoning.
+    pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
     /// A held lock; releases on drop. A thin newtype so the loom build
     /// can substitute a guard that reports the release to the scheduler.
-    pub(crate) struct MutexGuard<'a, T: ?Sized> {
+    pub struct MutexGuard<'a, T: ?Sized> {
         inner: std::sync::MutexGuard<'a, T>,
     }
 
     impl<T> Mutex<T> {
-        pub(crate) fn new(value: T) -> Self {
+        pub fn new(value: T) -> Self {
             Mutex(std::sync::Mutex::new(value))
         }
     }
 
     impl<T: ?Sized> Mutex<T> {
-        pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
+        pub fn lock(&self) -> MutexGuard<'_, T> {
             let inner = match self.0.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
@@ -53,7 +60,7 @@ mod imp {
         /// Acquires the lock only if it is free right now. `None` means
         /// *currently held*, never poisoned — a poisoned-but-free mutex
         /// is claimed like `lock()` claims it.
-        pub(crate) fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
             match self.0.try_lock() {
                 Ok(inner) => Some(MutexGuard { inner }),
                 Err(std::sync::TryLockError::Poisoned(poisoned)) => Some(MutexGuard {
@@ -92,16 +99,17 @@ mod imp {
     /// Condition variable paired with [`Mutex`]; poison-ignoring, and
     /// timeouts answer a plain `bool` instead of a `WaitTimeoutResult`.
     #[derive(Default)]
-    pub(crate) struct Condvar(std::sync::Condvar);
+    pub struct Condvar(std::sync::Condvar);
 
     impl Condvar {
-        pub(crate) fn new() -> Self {
+        #[inline]
+        pub fn new() -> Self {
             Condvar(std::sync::Condvar::new())
         }
 
         /// Blocks up to `timeout`; the `bool` is `true` when the wait
         /// timed out rather than being notified.
-        pub(crate) fn wait_timeout<'a, T>(
+        pub fn wait_timeout<'a, T>(
             &self,
             guard: MutexGuard<'a, T>,
             timeout: Duration,
@@ -113,7 +121,8 @@ mod imp {
             (MutexGuard { inner }, result.timed_out())
         }
 
-        pub(crate) fn notify_all(&self) {
+        #[inline]
+        pub fn notify_all(&self) {
             self.0.notify_all();
         }
     }
@@ -124,14 +133,14 @@ mod imp {
     use std::sync::atomic::Ordering;
     use std::time::Duration;
 
-    use super::super::interleave;
+    use super::interleave;
 
-    pub(crate) struct Mutex<T: ?Sized> {
+    pub struct Mutex<T: ?Sized> {
         id: usize,
         inner: std::sync::Mutex<T>,
     }
 
-    pub(crate) struct MutexGuard<'a, T: ?Sized> {
+    pub struct MutexGuard<'a, T: ?Sized> {
         /// `Some` while the std lock is held; the condvar protocol takes
         /// it out to sleep and `Drop` skips the model release when it is
         /// already gone.
@@ -140,7 +149,7 @@ mod imp {
     }
 
     impl<T> Mutex<T> {
-        pub(crate) fn new(value: T) -> Self {
+        pub fn new(value: T) -> Self {
             Mutex {
                 id: interleave::next_object_id(),
                 inner: std::sync::Mutex::new(value),
@@ -156,7 +165,7 @@ mod imp {
             }
         }
 
-        pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
+        pub fn lock(&self) -> MutexGuard<'_, T> {
             // Model exclusivity first: among explored threads the std
             // lock below is then uncontended, so the *schedule* decides
             // who wins, not the OS.
@@ -167,7 +176,7 @@ mod imp {
             }
         }
 
-        pub(crate) fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
             if !interleave::mutex_try_lock(self.id) {
                 return None;
             }
@@ -229,7 +238,7 @@ mod imp {
         }
     }
 
-    pub(crate) struct Condvar {
+    pub struct Condvar {
         id: usize,
         inner: std::sync::Condvar,
     }
@@ -241,7 +250,7 @@ mod imp {
     }
 
     impl Condvar {
-        pub(crate) fn new() -> Self {
+        pub fn new() -> Self {
             Condvar {
                 id: interleave::next_object_id(),
                 inner: std::sync::Condvar::new(),
@@ -265,7 +274,7 @@ mod imp {
             )
         }
 
-        pub(crate) fn wait_timeout<'a, T>(
+        pub fn wait_timeout<'a, T>(
             &self,
             guard: MutexGuard<'a, T>,
             timeout: Duration,
@@ -294,7 +303,7 @@ mod imp {
             )
         }
 
-        pub(crate) fn notify_all(&self) {
+        pub fn notify_all(&self) {
             interleave::condvar_notify_all(self.id);
             self.inner.notify_all();
         }
@@ -305,43 +314,41 @@ mod imp {
     /// explorer can interleave around the operation.
     macro_rules! model_atomic {
         ($name:ident, $std:ty, $prim:ty) => {
-            pub(crate) struct $name($std);
+            pub struct $name($std);
 
-            // The wrappers deliberately mirror the full std surface the
-            // runtime uses anywhere, so consumers can migrate without
-            // per-method gating; not every type uses every method.
-            #[allow(dead_code)]
+            // The wrappers mirror the std surface their users touch, so
+            // code reads the same against either build.
             impl $name {
-                pub(crate) const fn new(v: $prim) -> Self {
+                pub const fn new(v: $prim) -> Self {
                     $name(<$std>::new(v))
                 }
 
-                pub(crate) fn load(&self, order: Ordering) -> $prim {
+                pub fn load(&self, order: Ordering) -> $prim {
                     interleave::yield_point();
                     self.0.load(order)
                 }
 
-                pub(crate) fn store(&self, v: $prim, order: Ordering) {
+                pub fn store(&self, v: $prim, order: Ordering) {
                     interleave::yield_point();
                     self.0.store(v, order);
                 }
 
-                pub(crate) fn swap(&self, v: $prim, order: Ordering) -> $prim {
+                pub fn swap(&self, v: $prim, order: Ordering) -> $prim {
                     interleave::yield_point();
                     self.0.swap(v, order)
                 }
 
-                pub(crate) fn fetch_add(&self, v: $prim, order: Ordering) -> $prim {
+                pub fn fetch_add(&self, v: $prim, order: Ordering) -> $prim {
                     interleave::yield_point();
                     self.0.fetch_add(v, order)
                 }
 
-                pub(crate) fn fetch_sub(&self, v: $prim, order: Ordering) -> $prim {
+                pub fn fetch_sub(&self, v: $prim, order: Ordering) -> $prim {
                     interleave::yield_point();
                     self.0.fetch_sub(v, order)
                 }
 
-                pub(crate) fn fetch_max(&self, v: $prim, order: Ordering) -> $prim {
+                pub fn fetch_max(&self, v: $prim, order: Ordering) -> $prim {
                     interleave::yield_point();
                     self.0.fetch_max(v, order)
                 }
@@ -360,7 +367,7 @@ mod imp {
     model_atomic!(AtomicU8, std::sync::atomic::AtomicU8, u8);
 }
 
-pub(crate) use imp::{AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard};
+pub use imp::{AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard};
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,12 @@
 //! Intra-process ring queues for the data plane.
 //!
-//! `std::sync::mpsc` allocates a fresh node for every send; on the
-//! exchange hot path that is one heap allocation per batch per hop,
-//! which the allocation-regression harness (`tests/alloc_budget.rs`)
-//! forbids. These queues are a `VecDeque` behind a mutex: the deque's ring
-//! storage is *retained* across pops, so a warmed-up queue moves batches
-//! with zero allocations (DESIGN.md §16).
+//! `std::sync::mpsc` is a list of blocks (as of Rust 1.95): it allocates
+//! one block per 31 sends and frees it once drained, so its allocations
+//! still grow with traffic, which the allocation-regression harness
+//! (`tests/alloc_budget.rs`) forbids on the exchange path. These queues
+//! are a `VecDeque` behind a mutex: the deque's ring storage is
+//! *retained* across pops, so a warmed-up queue moves batches with zero
+//! allocations (DESIGN.md §16).
 //!
 //! The API is the slice of `mpsc` the runtime uses — `send` and
 //! `try_recv` — with an `Option` result instead of disconnect errors:
@@ -17,10 +18,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use super::sync::Mutex;
+use super::Mutex;
 
 /// The sending handle of a ring queue; clone freely.
-pub(crate) struct RingSender<T> {
+pub struct RingSender<T> {
     ring: Arc<Mutex<VecDeque<T>>>,
 }
 
@@ -34,26 +35,26 @@ impl<T> Clone for RingSender<T> {
 
 impl<T> RingSender<T> {
     /// Enqueues `value`. Never blocks and never fails; backpressure is the
-    /// credit layer's job (`runtime::flow`), not the queue's.
-    pub(crate) fn send(&self, value: T) {
+    /// credit layer's job (`naiad::runtime::flow`), not the queue's.
+    pub fn send(&self, value: T) {
         self.ring.lock().push_back(value);
     }
 }
 
 /// The receiving handle of a ring queue.
-pub(crate) struct RingReceiver<T> {
+pub struct RingReceiver<T> {
     ring: Arc<Mutex<VecDeque<T>>>,
 }
 
 impl<T> RingReceiver<T> {
     /// Dequeues the next value if one is ready.
-    pub(crate) fn try_recv(&self) -> Option<T> {
+    pub fn try_recv(&self) -> Option<T> {
         self.ring.lock().pop_front()
     }
 }
 
 /// Creates a connected sender/receiver pair.
-pub(crate) fn ring<T>() -> (RingSender<T>, RingReceiver<T>) {
+pub fn ring<T>() -> (RingSender<T>, RingReceiver<T>) {
     let ring = Arc::new(Mutex::new(VecDeque::new()));
     (RingSender { ring: ring.clone() }, RingReceiver { ring })
 }

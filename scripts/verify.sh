@@ -19,11 +19,11 @@ for root in src/lib.rs crates/*/src/lib.rs; do
 done
 
 echo "== weight (ROADMAP aims 2 and 3 as a ratchet) =="
-# Six sizes that should only fall: the core and operator crates' lines,
-# the places the runtime crates suppress a lint, Config's option count,
-# the code the crates keep past the dead-code lint, and the clippy lints
-# the crates silence (shared state threaded through as loose parameters
-# would need `too_many_arguments` again). Each ceiling is the count at
+# Seven sizes that should only fall: the core, checker and operator
+# crates' lines, the places the runtime crates suppress a lint, Config's
+# option count, the code the crates keep past the dead-code lint, and the
+# clippy lints the crates silence (shared state threaded through as loose
+# parameters would need `too_many_arguments` again). Each ceiling is the count at
 # the last PR that lowered it; a PR that lowers a count lowers its
 # ceiling here, and one that must raise a ceiling says why in CHANGES.md.
 weigh() { # <what> <count> <ceiling>
@@ -34,7 +34,9 @@ weigh() { # <what> <count> <ceiling>
   fi
 }
 weigh "lines in crates/core/src" \
-  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 19186
+  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 16596
+weigh "lines in crates/check/src" \
+  "$(find crates/check/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 1311
 weigh "lines in crates/operators/src" \
   "$(find crates/operators/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 2105
 weigh "lint-allow / *-exempt markers in crates/{core,wire,netsim}/src" \
@@ -43,7 +45,7 @@ weigh "pub fields of Config" \
   "$(awk '/^pub struct Config \{/ {on = 1; next} on && /^\}/ {on = 0} on && /^    pub [a-z_]+:/ {n++} END {print n + 0}' \
     crates/core/src/runtime/config.rs)" 15
 weigh "allow(dead_code) attributes in crates/*/src" \
-  "$(grep -rhoE 'allow\(dead_code\)' crates/*/src | wc -l)" 4
+  "$(grep -rhoE 'allow\(dead_code\)' crates/*/src | wc -l)" 0
 weigh "allow(clippy::*) attributes in crates/*/src" \
   "$(grep -rhoE 'allow\(clippy::' crates/*/src | wc -l)" 5
 
@@ -74,6 +76,14 @@ fi
 
 echo "== tests (workspace) =="
 cargo test -q --workspace
+
+echo "== interleaving exploration (loom) =="
+# Under --cfg loom the sync shims (naiad_wire::sync) become model
+# mutexes, condvars and atomics, and every loom_* test explores all
+# schedules up to a preemption bound (DESIGN.md §17). The flag change
+# rebuilds everything, so it gets a target directory of its own.
+RUSTFLAGS="--cfg loom -D warnings" CARGO_TARGET_DIR=target/loom \
+  cargo test -q -p naiad-wire -p naiad --lib loom_
 
 echo "== benchmark build + smoke test (ledger/, naiad-bench) =="
 # `ledger/` is a workspace of its own, so the steps above never compile
@@ -135,6 +145,6 @@ done <<<"$soaks"
 # behaviour seeds, mirroring the chaos soak contract (CI sets 32).
 echo "== model-check smoke (base seeds${MODEL_CHECK_SEEDS:+ +$MODEL_CHECK_SEEDS extra}) =="
 timeout "${MODEL_CHECK_DEADLINE:-900}" \
-  cargo test -q --release -p naiad --test model_check
+  cargo test -q --release -p naiad-check --test model_check
 
 echo "verify: OK"
