@@ -82,13 +82,12 @@ impl Requests {
         &self.pending
     }
 
-    /// Removes and returns the requests `tracker`'s view now permits, in
-    /// the set's order — or nothing, without borrowing `tracker`, unless
-    /// the set is dirty.
-    pub(crate) fn drain_due(&mut self, tracker: &TrackerCell) -> Vec<(Pointstamp, bool)> {
-        let mut due = Vec::new();
+    /// Moves the requests `tracker`'s view now permits onto `due`, in the
+    /// set's order — or nothing, without borrowing `tracker`, unless the
+    /// set is dirty.
+    pub(crate) fn drain_due(&mut self, tracker: &TrackerCell, due: &mut Vec<(Pointstamp, bool)>) {
         if !std::mem::take(&mut self.dirty) || self.pending.is_empty() {
-            return due;
+            return;
         }
         let core = tracker.borrow();
         let table = core.table();
@@ -103,7 +102,6 @@ impl Requests {
             }
             !ready
         });
-        due
     }
 }
 

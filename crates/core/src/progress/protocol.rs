@@ -536,7 +536,7 @@ impl GroupCore {
     pub fn deposit(
         &mut self,
         dataflow: u32,
-        updates: Vec<ProgressUpdate>,
+        updates: impl IntoIterator<Item = ProgressUpdate>,
     ) -> Option<ProgressBatch> {
         let acc = self
             .accs

@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use naiad_netsim::{Envelope, NetReceiver};
 use naiad_wire::sync::queue::{ring, RingReceiver, RingSender};
@@ -296,13 +296,25 @@ pub(crate) type ProgressFrame = (usize, Bytes);
 pub(crate) struct Mailbox {
     rx: NetReceiver,
     queues: HashMap<(usize, usize), RemoteQueue>,
+    /// Polls in a row that found nothing, and how many more waits park
+    /// without polling because of them ([`Mailbox::wait`]).
+    misses: u32,
+    skip: u32,
 }
+
+/// After the `n`th fruitless poll in a row, the next `2^n` waits park
+/// without polling, `n` capped here: while polls keep missing, one wait
+/// in 65 polls. A new mailbox starts as if after such a run, so the
+/// spawning and building of a run park as they would without polls.
+const MAX_MISSES: u32 = 6;
 
 impl Mailbox {
     pub(crate) fn new(rx: NetReceiver) -> Self {
         Mailbox {
             rx,
             queues: HashMap::new(),
+            misses: MAX_MISSES,
+            skip: 1 << MAX_MISSES,
         }
     }
 
@@ -327,18 +339,44 @@ impl Mailbox {
         self.take(None, recorder, progress)
     }
 
-    /// Parks until a frame arrives or `timeout` passes, then drains like
-    /// [`Mailbox::drain`].
+    /// Waits for a frame, then drains like [`Mailbox::drain`]: it polls
+    /// for up to `poll`, and only then parks, for at most `park`. A frame
+    /// already there is drained at once. A poll that finds nothing makes
+    /// the next waits skip theirs, twice as many after each further miss
+    /// ([`MAX_MISSES`]): where the sender cannot run while this thread
+    /// polls — more runnable threads than CPUs — each poll would hold a
+    /// CPU from it for the whole window.
     pub(crate) fn wait(
         &mut self,
-        timeout: Duration,
+        poll: Duration,
+        park: Duration,
         recorder: &Recorder,
         progress: &mut Vec<ProgressFrame>,
     ) -> usize {
-        match self.rx.recv_deadline(Some(timeout)) {
-            Ok(first) => self.take(Some(first), recorder, progress),
-            Err(_) => 0,
-        }
+        let poll = if self.skip > 0 {
+            self.skip -= 1;
+            Duration::ZERO
+        } else {
+            poll
+        };
+        let polling = Instant::now();
+        let first = loop {
+            if let Some(first) = self.rx.try_recv() {
+                if !poll.is_zero() {
+                    self.misses = 0;
+                }
+                break Some(first);
+            }
+            if polling.elapsed() >= poll {
+                if !poll.is_zero() {
+                    self.misses = (self.misses + 1).min(MAX_MISSES);
+                    self.skip = 1 << self.misses;
+                }
+                break self.rx.recv_deadline(Some(park)).ok();
+            }
+            std::hint::spin_loop();
+        };
+        first.map_or(0, |first| self.take(Some(first), recorder, progress))
     }
 
     fn take(

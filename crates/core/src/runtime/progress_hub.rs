@@ -127,7 +127,12 @@ impl Process {
     ///
     /// Panics if the endpoint has no accumulator: only the local progress
     /// modes deposit at a process, and they give every process one.
-    pub(crate) fn deposit(&self, bringup: &Bringup, dataflow: usize, updates: Vec<ProgressUpdate>) {
+    pub(crate) fn deposit(
+        &self,
+        bringup: &Bringup,
+        dataflow: usize,
+        updates: impl IntoIterator<Item = ProgressUpdate>,
+    ) {
         let Some(accumulator) = &self.accumulator else {
             unreachable!("endpoint {} deposits without an accumulator", self.index);
         };

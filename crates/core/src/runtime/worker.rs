@@ -14,6 +14,12 @@
 //! only if a request arrived or a progress batch was applied to that view
 //! since the last test, and delivers what is ready to the vertices of the
 //! requests' stages, in canonical pointstamp order.
+//!
+//! A step runs each dataflow as: pump until quiet, deliver, and, if
+//! anything was delivered, pump and deliver once more; then it flushes
+//! the journal once. So what `OnNotify` emits moves in the step that
+//! delivered it. The view changes only between steps, so the second pass
+//! delivers nothing earlier than the next step would (DESIGN.md §3).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -27,7 +33,7 @@ use naiad_wire::{encode_to_vec, Bytes};
 use crate::analysis::{AnalysisConfig, AnalysisReport};
 use crate::dataflow::{RequestSet, Scope, StateHandle, StateRegistry, TrackerCell, Vertex};
 use crate::graph::{Location, StageId};
-use crate::progress::{Hop, ProgressBatch, ProgressUpdate, Role, WorkerCore};
+use crate::progress::{Hop, Pointstamp, ProgressBatch, Role, WorkerCore};
 use crate::telemetry::{Recorder, TelemetryEvent, WorkerTelemetry};
 
 use super::channels::{journal_update, Journal, Mailbox, ProgressFrame, RoutingContext};
@@ -58,12 +64,18 @@ struct DataflowRuntime {
     last_epoch: u64,
 }
 
-/// The watchdog tick of [`Worker::idle_wait`]: an idle worker blocks on
+/// The watchdog tick of [`Worker::idle_wait`]: an idle worker parks on
 /// its fabric mailbox and wakes the moment a frame — a progress batch or a
-/// remote data frame — arrives; this bounds the wait so it re-polls its
+/// remote data frame — arrives; this bounds the park so it re-polls its
 /// same-process data queues and feeds the stall watchdog even when no
 /// frame comes. Not a latency floor.
 const IDLE_TICK: Duration = Duration::from_micros(200);
+
+/// How long [`Worker::idle_wait`] polls its mailbox before it parks. A
+/// peer's reply to a barrier round takes a few microseconds, while a
+/// parked thread's vCPU halts and waking it costs more than a whole round.
+/// While polls find nothing the mailbox skips them (`Mailbox::wait`).
+const IDLE_POLL: Duration = Duration::from_micros(50);
 
 /// The protocol core of worker `index` for dataflow `id`, before its
 /// graph is known.
@@ -97,6 +109,8 @@ pub struct Worker {
     /// The progress batches of the last mailbox drain, waiting to be
     /// applied (kept for its capacity).
     inbound: Vec<ProgressFrame>,
+    /// The requests being delivered (kept for its capacity).
+    due: Vec<(Pointstamp, bool)>,
     dataflows: Vec<DataflowRuntime>,
     next_dataflow: usize,
     /// Whether the previous step processed anything, used to decide when
@@ -155,6 +169,7 @@ impl Worker {
             bringup,
             mailbox: Rc::new(RefCell::new(Mailbox::new(mailbox))),
             inbound: Vec::new(),
+            due: Vec::new(),
             dataflows: Vec::new(),
             next_dataflow: 0,
             last_step_worked: true,
@@ -562,9 +577,11 @@ impl Worker {
         Ok(())
     }
 
-    /// Runs one scheduling round: pumps vertices, delivers ready
-    /// notifications, flushes progress updates, and applies incoming ones.
-    /// Returns whether any dataflow is still live.
+    /// Runs one scheduling round: applies incoming progress, then per
+    /// dataflow pumps vertices, delivers ready notifications, pumps what
+    /// they emitted and flushes the journal once (module docs), and
+    /// applies what arrived meanwhile. Returns whether any dataflow is
+    /// still live.
     pub fn step(&mut self) -> bool {
         // If any thread escalated an injected fault, unwind too: peers of
         // a crashed process would otherwise block forever waiting for its
@@ -793,9 +810,11 @@ impl Worker {
         }
     }
 
-    /// Blocks on the mailbox for at most one [`IDLE_TICK`], so idle
-    /// workers neither spin nor miss a frame; a worker with frames in its
-    /// mailbox does not park at all.
+    /// Waits on the mailbox after a step that did nothing: polls it for
+    /// [`IDLE_POLL`], where a peer's reply usually lands, unless recent
+    /// polls found nothing, then parks for at most one [`IDLE_TICK`], so
+    /// an idle worker neither spins long nor misses a frame; a worker with
+    /// frames in its mailbox does not wait.
     /// Consecutive fruitless waits while pointstamps are outstanding feed
     /// the stall watchdog.
     pub(crate) fn idle_wait(&mut self) {
@@ -804,13 +823,10 @@ impl Worker {
             return;
         }
         let mut inbound = std::mem::take(&mut self.inbound);
-        let frames = {
-            let mut mailbox = self.mailbox.borrow_mut();
-            match mailbox.drain(&self.recorder, &mut inbound) {
-                0 => mailbox.wait(IDLE_TICK, &self.recorder, &mut inbound),
-                frames => frames,
-            }
-        };
+        let frames =
+            self.mailbox
+                .borrow_mut()
+                .wait(IDLE_POLL, IDLE_TICK, &self.recorder, &mut inbound);
         self.apply_inbound(inbound);
         if frames > 0 {
             self.stall_since = None;
@@ -881,66 +897,84 @@ impl Worker {
         if self.dataflows[df].complete {
             return;
         }
-        // Pump vertices until locally quiet (bounded to stay responsive to
-        // progress traffic).
-        let telemetry = self.recorder.enabled();
-        let dataflow = self.dataflows[df].id as u32;
-        // Attribute this round's slices to the oldest open epoch in the
+        // Attribute this step's slices to the oldest open epoch in the
         // dataflow's tracker (monotone per worker, §3.3); once every
         // pointstamp has drained, fall back to the last seen epoch.
-        let epoch = if telemetry {
-            let min = self.dataflows[df].core.borrow().table().min_epoch();
-            match min {
-                Some(e) => {
-                    self.dataflows[df].last_epoch = e;
-                    e
-                }
-                None => self.dataflows[df].last_epoch,
+        let epoch = if self.recorder.enabled() {
+            let runtime = &mut self.dataflows[df];
+            if let Some(e) = runtime.core.borrow().table().min_epoch() {
+                runtime.last_epoch = e;
             }
+            runtime.last_epoch
         } else {
             0
         };
+        // What a delivery emits moves in the step that delivered it: a
+        // second pass pumps it and delivers what that unblocks, and the
+        // step's journal goes out in one flush (module docs).
+        for _pass in 0..2 {
+            self.pump(df, epoch);
+            if !self.deliver_notifications(df) {
+                break;
+            }
+        }
+        self.flush_progress(df);
+        // The tracker starts with the a-priori input pointstamps, and
+        // queued batches and pending blocking notifications all hold
+        // occurrence counts, so "empty" subsumes every form of outstanding
+        // work; see the progress module docs for why FIFO +
+        // consequence-before-retirement ordering makes this sound.
+        let runtime = &mut self.dataflows[df];
+        runtime.complete =
+            runtime.core.borrow().table().is_empty() && runtime.journal.borrow().is_empty();
+    }
+
+    /// Pumps the dataflow's vertices until locally quiet, bounded to stay
+    /// responsive to progress traffic.
+    fn pump(&mut self, df: usize, epoch: u64) {
+        let telemetry = self.recorder.enabled();
+        let Some(runtime) = self.dataflows.get_mut(df) else {
+            return;
+        };
+        let dataflow = runtime.id as u32;
         for _round in 0..8 {
             let mut worked = false;
-            for op in &mut self.dataflows[df].ops {
-                if telemetry {
-                    let stage = op.stage().0 as u32;
-                    let seq = self.schedule_seq;
-                    self.schedule_seq += 1;
-                    let start = Instant::now();
-                    let w = op.pump();
+            for op in &mut runtime.ops {
+                let start = telemetry.then(Instant::now);
+                let w = op.pump();
+                if let Some(start) = start {
                     self.recorder.record(TelemetryEvent::ScheduleStop {
                         dataflow,
-                        stage,
+                        stage: op.stage().0 as u32,
                         nanos: start.elapsed().as_nanos() as u64,
                         worked: w,
                         epoch,
-                        seq,
+                        seq: self.schedule_seq,
                     });
-                    worked |= w;
-                } else {
-                    worked |= op.pump();
+                    self.schedule_seq += 1;
                 }
+                worked |= w;
             }
             self.last_step_worked |= worked;
             if !worked {
                 break;
             }
         }
-        self.deliver_notifications(df);
-        self.flush_progress(df);
-        self.check_complete(df);
     }
 
     /// Delivers the dataflow's ready requests to the vertices of their
     /// stages, in the set's order; a blocking one retires after its
-    /// `OnNotify` completes (§2.3).
-    fn deliver_notifications(&mut self, df: usize) {
+    /// `OnNotify` completes (§2.3). Returns whether any was delivered.
+    fn deliver_notifications(&mut self, df: usize) -> bool {
         let Some(runtime) = self.dataflows.get_mut(df) else {
-            return;
+            return false;
         };
-        let due = runtime.requests.borrow_mut().drain_due(&runtime.core);
-        for (p, purge) in due {
+        runtime
+            .requests
+            .borrow_mut()
+            .drain_due(&runtime.core, &mut self.due);
+        let delivered = !self.due.is_empty();
+        for (p, purge) in self.due.drain(..) {
             let vertex_of = |op: &&mut Vertex| p.location == Location::Vertex(op.stage());
             let Some(op) = runtime.ops.iter_mut().find(vertex_of) else {
                 continue;
@@ -958,6 +992,7 @@ impl Worker {
                 });
             }
         }
+        delivered
     }
 
     /// Hands this step's journal to the protocol, along the worker's hop
@@ -968,22 +1003,24 @@ impl Worker {
     // lint-allow(NS0004): `df` is the worker's own loop index over
     // `0..self.dataflows.len()`.
     fn flush_progress(&mut self, df: usize) {
-        let updates: Vec<ProgressUpdate> =
-            std::mem::take(&mut *self.dataflows[df].journal.borrow_mut());
-        if updates.is_empty() {
+        let runtime = &self.dataflows[df];
+        let mut journal = runtime.journal.borrow_mut();
+        if journal.is_empty() {
             return;
         }
-        let dataflow = self.dataflows[df].id;
         let hop = self.bringup.config.progress_mode.hop(Role::Worker);
         if hop == Hop::OwnAccumulator {
             self.recorder.record(TelemetryEvent::ProgressDeposited {
-                dataflow: dataflow as u32,
-                updates: updates.len() as u32,
+                dataflow: runtime.id as u32,
+                updates: journal.len() as u32,
             });
-            self.process.deposit(&self.bringup, dataflow, updates);
+            // Drained, not taken: the journal keeps its capacity.
+            self.process
+                .deposit(&self.bringup, runtime.id, journal.drain(..));
             return;
         }
-        let batches = self.dataflows[df].core.borrow_mut().emit_for(hop, updates);
+        let updates = journal.drain(..).collect();
+        let batches = runtime.core.borrow_mut().emit_for(hop, updates);
         for batch in batches {
             self.recorder.record(TelemetryEvent::ProgressBatchSent {
                 dataflow: batch.dataflow,
@@ -1074,30 +1111,4 @@ impl Worker {
             });
         }
     }
-
-    fn check_complete(&mut self, df: usize) {
-        let Some(runtime) = self.dataflows.get_mut(df) else {
-            return;
-        };
-        if runtime.complete {
-            return;
-        }
-        let tracker_empty = runtime.core.borrow().table().is_empty();
-        let journal_empty = runtime.journal.borrow().is_empty();
-        // The tracker starts with the a-priori input pointstamps, and
-        // queued batches and pending blocking notifications all hold
-        // occurrence counts, so "empty" subsumes every form of outstanding
-        // work; see the progress module docs for why FIFO +
-        // consequence-before-retirement ordering makes this sound.
-        if tracker_empty && journal_empty {
-            runtime.complete = true;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    // Worker behaviour is exercised end-to-end in the runtime integration
-    // tests (`runtime::execute` and the crate-level tests); unit tests here
-    // would need the full fabric anyway.
 }

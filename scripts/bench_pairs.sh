@@ -16,11 +16,13 @@
 # Each run also records the share of the box's CPU time the hypervisor
 # stole while it ran (the `steal` column of /proc/stat, read before and
 # after the run); the range per side is printed under the table. A shared
-# VM's slow spells show up there. Beside it goes the run's CPU seconds
-# (user + sys of the benchmark command and its children, setup included,
-# from the shell's `time`), printed per side as a range and as the median
-# per epoch: a change that moves when an idle worker works shows up there
-# even where the wall-clock metrics do not move.
+# VM's slow spells show up there. Beside it go the run's CPU seconds
+# (user + sys) and voluntary context switches (`ru_nvcsw`: how often a
+# thread gave up its CPU to wait, so how often a worker parked), both of
+# the benchmark command and its children, setup included; each is printed
+# per side as a range and as the median per epoch. A change that moves
+# when an idle worker works or parks shows up there even where the
+# wall-clock metrics do not move.
 #
 # The parent is exported with `git archive` into a temporary directory
 # (under $TMPDIR), not a `git worktree`: the benchmark is specified on a
@@ -31,7 +33,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-  sed -n '2,29p' "$0"
+  sed -n '2,31p' "$0"
   exit 2
 fi
 parent_rev=$1
@@ -53,10 +55,18 @@ for word in json.load(open("BENCHMARK.json"))["command"]:
     print(word)')
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
-# One run: prints the benchmark's result line (its last line of stdout).
-# A run with a failed operation exits non-zero and still reports.
+# One run: prints the benchmark's result line (its last line of stdout)
+# and writes "<cpu seconds> <voluntary context switches>" of the command
+# and its children to $work/usage. A run with a failed operation exits
+# non-zero and still reports.
 run_side() { # <dir> <seed> <seconds>
-  (cd "$1" && "${command[@]}" --workload "$workload" --seed "$2" --seconds "$3" --trace 0 || true) | tail -n 1
+  python3 -c '
+import resource, subprocess, sys
+subprocess.call(sys.argv[3:], cwd=sys.argv[2])
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+with open(sys.argv[1], "w") as out:
+    out.write(f"{usage.ru_utime + usage.ru_stime:.3f} {usage.ru_nvcsw}\n")
+' "$work/usage" "$1" "${command[@]}" --workload "$workload" --seed "$2" --seconds "$3" --trace 0 | tail -n 1
 }
 
 echo "building and priming both sides" >&2
@@ -69,9 +79,6 @@ cpu_ticks() {
   awk '/^cpu /{t = 0; for (i = 2; i <= 9; i++) t += $i; print $9, t}' /proc/stat
 }
 
-# `time` prints user and sys CPU seconds, children included.
-TIMEFORMAT='%U %S'
-
 # Seeds no earlier session can have tuned against.
 base=$(($(date +%s) % 1000000))
 : >"$work/runs.jsonl"
@@ -81,13 +88,12 @@ for i in $(seq 1 "$pairs"); do
   for side in $order; do
     if [ "$side" = parent ]; then dir=$work/parent; else dir=$PWD; fi
     read -r steal0 total0 < <(cpu_ticks)
-    # `time` reports into $work/cpu; the run's own stderr passes through.
-    result=$( { time run_side "$dir" "$seed" "$seconds" 2>&3; } 3>&2 2>"$work/cpu")
+    result=$(run_side "$dir" "$seed" "$seconds")
     read -r steal1 total1 < <(cpu_ticks)
     steal=$(awk -v s=$((steal1 - steal0)) -v t=$((total1 - total0)) 'BEGIN {printf "%.4f", (t > 0 ? s / t : 0)}')
-    cpu_s=$(awk '{printf "%.3f", $1 + $2}' "$work/cpu")
-    echo "pair $i seed $seed $side (steal $steal, cpu ${cpu_s}s): $result" >&2
-    printf '{"pair": %d, "seed": %d, "side": "%s", "steal": %s, "cpu_s": %s, "result": %s}\n' "$i" "$seed" "$side" "$steal" "$cpu_s" "${result:-null}" >>"$work/runs.jsonl"
+    read -r cpu_s nvcsw <"$work/usage"
+    echo "pair $i seed $seed $side (steal $steal, cpu ${cpu_s}s, nvcsw $nvcsw): $result" >&2
+    printf '{"pair": %d, "seed": %d, "side": "%s", "steal": %s, "cpu_s": %s, "nvcsw": %s, "result": %s}\n' "$i" "$seed" "$side" "$steal" "$cpu_s" "$nvcsw" "${result:-null}" >>"$work/runs.jsonl"
   done
 done
 
@@ -153,18 +159,22 @@ for side in ("parent", "change"):
     shares = [run["steal"] for run in runs if run["side"] == side]
     steal[side] = {"min": min(shares), "max": max(shares)}
     print(f"{side}: CPU steal {min(shares):.1%} to {max(shares):.1%} of box time per run")
-cpu = {}
-for side, results in sides.items():
-    seconds = [run["cpu_s"] for run in runs if run["side"] == side]
-    per_epoch = [run["cpu_s"] / (result["metrics"]["epochs_per_s"]["value"] * spec["run_seconds"])
-                 for run in runs if run["side"] == side
-                 for result in [results.get(run["pair"])]
-                 if result and result.get("metrics", {}).get("epochs_per_s", {}).get("value")]
-    cpu[side] = {"min": min(seconds), "max": max(seconds),
-                 "median_per_epoch": statistics.median(per_epoch) if per_epoch else None}
-    per_epoch_text = f"{cpu[side]['median_per_epoch']:.4g} s" if per_epoch else "n/a"
-    print(f"{side}: {min(seconds):.2f} to {max(seconds):.2f} CPU seconds per run, "
-          f"median {per_epoch_text} per epoch")
+def usage(key, what, unit):
+    by_side = {}
+    for side, results in sides.items():
+        values = [run[key] for run in runs if run["side"] == side]
+        per_epoch = [run[key] / (result["metrics"]["epochs_per_s"]["value"] * spec["run_seconds"])
+                     for run in runs if run["side"] == side
+                     for result in [results.get(run["pair"])]
+                     if result and result.get("metrics", {}).get("epochs_per_s", {}).get("value")]
+        by_side[side] = {"min": min(values), "max": max(values),
+                         "median_per_epoch": statistics.median(per_epoch) if per_epoch else None}
+        per_epoch_text = f"{by_side[side]['median_per_epoch']:.4g}{unit}" if per_epoch else "n/a"
+        print(f"{side}: {min(values):.6g} to {max(values):.6g} {what} per run, "
+              f"median {per_epoch_text} per epoch")
+    return by_side
+cpu = usage("cpu_s", "CPU seconds", " s")
+nvcsw = usage("nvcsw", "voluntary context switches", "")
 operations = {}
 for side, results in sides.items():
     done = [result for result in results.values() if result]
@@ -176,14 +186,14 @@ for side, results in sides.items():
           "{runs_without_result} of {runs} runs printed no result".format(side=side, **operations[side]))
 if json_out:
     rows = [{"pair": run["pair"], "seed": run["seed"], "side": run["side"], "steal": run["steal"],
-             "cpu_s": run["cpu_s"],
+             "cpu_s": run["cpu_s"], "nvcsw": run["nvcsw"],
              **({key: run["result"][key] for key in ("attempted", "failed", "correct")} if run["result"] else {}),
              "metrics": {name: m["value"] for name, m in (run["result"] or {}).get("metrics", {}).items()}}
             for run in runs]
     with open(json_out, "w") as out:
         json.dump({"workload": workload, "parent": parent_rev, "change": change_rev,
                    "command": spec["command"], "seconds": spec["run_seconds"], "trace": 0,
-                   "pairs": pairs, "runs": rows, "summary": summary, "steal": steal, "cpu": cpu,
+                   "pairs": pairs, "runs": rows, "summary": summary, "steal": steal, "cpu": cpu, "nvcsw": nvcsw,
                    "operations": operations},
                   out, indent=1)
         out.write("\n")

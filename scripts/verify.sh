@@ -34,7 +34,7 @@ weigh() { # <what> <count> <ceiling>
   fi
 }
 weigh "lines in crates/core/src" \
-  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 16596
+  "$(find crates/core/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 16648
 weigh "lines in crates/check/src" \
   "$(find crates/check/src -name '*.rs' -print0 | xargs -0 cat | wc -l)" 1311
 weigh "lines in crates/operators/src" \
@@ -93,13 +93,15 @@ echo "== benchmark build + smoke test (ledger/, naiad-bench) =="
 cargo build --release --manifest-path ledger/Cargo.toml
 cargo test --release --manifest-path ledger/Cargo.toml
 
-echo "== allocation-budget gate (zero-copy data plane) =="
+echo "== allocation-budget gate (zero-copy data plane, coordination round) =="
 # The counting-allocator harnesses re-run in release mode: the fig6a
 # exchange at 1x/4x/16x volume must hold steady-state allocations flat
-# (a per-batch constant, never per-record — DESIGN.md §16), and word
-# count at 1x/4x/16x words must stay under 0.05 allocations per word.
+# (a per-batch constant, never per-record — DESIGN.md §16), word count
+# at 1x/4x/16x words must stay under 0.05 allocations per word, and a
+# fig6b barrier round must stay within its per-round budget.
 cargo test -q --release --test alloc_budget
 cargo test -q --release --test alloc_budget_text
+cargo test -q --release --test alloc_budget_barrier
 
 echo "== static dataflow analyzer (naiad-lint over the in-repo catalog) =="
 # Exits non-zero if any in-repo dataflow carries an Error-severity

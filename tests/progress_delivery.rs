@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use naiad::dataflow::{InputPort, Notify, OutputPort};
+use naiad::graph::ContextId;
 use naiad::progress::ProgressMode;
 use naiad::telemetry::TelemetryEvent;
 use naiad::{
@@ -403,4 +404,71 @@ fn a_request_that_no_progress_follows_is_still_delivered() {
     })
     .expect("fault-free run");
     assert_eq!(delivered, vec![vec![0, 1, 2, 3, 4]]);
+}
+
+/// Figure 6b's barrier round: one token per worker circles a loop whose
+/// one stage requests a notification for each round it sees and passes
+/// the token on from `OnNotify`, through round `rounds - 1`. Returns the
+/// rounds each worker was notified of, and the run's telemetry.
+fn barrier(config: Config, rounds: u64) -> (Vec<Vec<u64>>, TelemetrySnapshot) {
+    let config = config.telemetry_capacity(1 << 10);
+    execute_with_telemetry(config, move |worker| {
+        let notified: Rc<RefCell<Vec<u64>>> = Rc::default();
+        let log = notified.clone();
+        let mut input = worker.dataflow(|scope| {
+            let (input, stream) = scope.new_input::<u64>();
+            let mut inner = stream.scope();
+            let lc = inner.loop_context(ContextId::ROOT);
+            let entered = lc.enter(&stream);
+            let (handle, cycle) = lc.feedback::<u64>(None);
+            let stepped =
+                entered.binary_notify(&cycle, Pact::Pipeline, Pact::Pipeline, "Barrier", |_| {
+                    (
+                        |seed: &mut InputPort<u64>,
+                         loopback: &mut InputPort<u64>,
+                         _output: &mut OutputPort<u64>,
+                         notify: &Notify| {
+                            seed.for_each(|time, _| notify.notify_at(time));
+                            loopback.for_each(|time, _| notify.notify_at(time));
+                        },
+                        move |time: Timestamp, output: &mut OutputPort<u64>, _notify: &Notify| {
+                            let round = *time.counters.as_slice().last().expect("loop counter");
+                            log.borrow_mut().push(round);
+                            if round + 1 < rounds {
+                                output.session(time).give(0);
+                            }
+                        },
+                    )
+                });
+            handle.connect(&stepped);
+            let _ = lc.leave(&stepped);
+            input
+        });
+        input.send(0);
+        input.close();
+        worker.step_until_done();
+        let rounds = notified.borrow().clone();
+        rounds
+    })
+    .expect("fault-free run")
+}
+
+/// A notification's output moves in the step that delivered it, so the
+/// round it starts is journalled with the retirement that started it: on
+/// one worker in the default mode a barrier round costs one progress
+/// frame, not two. On one process of two workers every worker is notified
+/// of every round.
+#[test]
+fn a_barrier_round_costs_one_progress_frame() {
+    const ROUNDS: u64 = 200;
+    let (notified, snapshot) = barrier(Config::single_process(1), ROUNDS);
+    assert_eq!(notified, vec![(0..ROUNDS).collect::<Vec<_>>()]);
+    let frames = snapshot.hub.progress_local_deliveries;
+    assert!(
+        frames <= ROUNDS + 2,
+        "{frames} progress frames for {ROUNDS} rounds: a delivery's output waited a step"
+    );
+
+    let (notified, _) = barrier(Config::single_process(2), ROUNDS);
+    assert_eq!(notified, vec![(0..ROUNDS).collect::<Vec<_>>(); 2]);
 }
