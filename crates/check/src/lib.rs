@@ -213,9 +213,11 @@ impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "model-check failure: topology={} mode={} chaos={:?} seed={:#x} salt={}",
+            "model-check failure: topology={} mode={} shape={}x{} chaos={:?} seed={:#x} salt={}",
             self.cfg.topology.label(),
             self.cfg.mode.figure_label(),
+            self.cfg.processes,
+            self.cfg.workers_per_process,
             self.cfg.chaos,
             self.seed,
             self.salt,
@@ -294,24 +296,32 @@ pub fn explore(cfg: &McConfig, seed: u64, schedules: usize) -> ExploreReport {
     }
 }
 
-/// The full acceptance matrix: every topology × every accumulation
-/// policy, `schedules` interleavings each. Returns the per-config
-/// reports keyed by `(topology, mode)`.
-pub fn explore_matrix(
-    seed: u64,
-    schedules: usize,
-) -> Vec<((Topology, ProgressMode), ExploreReport)> {
-    let modes = [
-        ProgressMode::Broadcast,
-        ProgressMode::Local,
-        ProgressMode::Global,
-        ProgressMode::LocalGlobal,
+/// The full acceptance matrix, `schedules` interleavings per cell: every
+/// topology × every accumulation policy on the default 2 × 2 shape, and
+/// every topology on the one-process shapes whose process accumulator is
+/// sole ([`ProgressMode::sole`]): `Local` on 1 × 2 and 1 × 3, and
+/// `LocalGlobal` on 1 × 2 (with a sole central accumulator behind it).
+/// Returns each cell's configuration and report.
+pub fn explore_matrix(seed: u64, schedules: usize) -> Vec<(McConfig, ExploreReport)> {
+    let cells = [
+        (ProgressMode::Broadcast, 2, 2),
+        (ProgressMode::Local, 2, 2),
+        (ProgressMode::Global, 2, 2),
+        (ProgressMode::LocalGlobal, 2, 2),
+        (ProgressMode::Local, 1, 2),
+        (ProgressMode::Local, 1, 3),
+        (ProgressMode::LocalGlobal, 1, 2),
     ];
     let mut out = Vec::new();
     for topology in Topology::ALL {
-        for mode in modes {
-            let cfg = McConfig::new(topology, mode);
-            out.push(((topology, mode), explore(&cfg, seed, schedules)));
+        for (mode, processes, workers_per_process) in cells {
+            let cfg = McConfig {
+                processes,
+                workers_per_process,
+                ..McConfig::new(topology, mode)
+            };
+            let report = explore(&cfg, seed, schedules);
+            out.push((cfg, report));
         }
     }
     out

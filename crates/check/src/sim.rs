@@ -23,8 +23,8 @@ use std::sync::Arc;
 use naiad::graph::{ConnectorId, Location, LogicalGraph, StageId, StageKind};
 use naiad::progress::protocol::{CENTRAL_SENDER, PROC_ACC_SENDER_BASE};
 use naiad::progress::{
-    Endpoint, FifoViolation, GroupCore, Hop, Pointstamp, PointstampTable, ProgressBatch,
-    ProgressMode, ProgressUpdate, Role, WorkerCore,
+    consolidate, Endpoint, FifoViolation, GroupCore, Hop, Pointstamp, PointstampTable,
+    ProgressBatch, ProgressMode, ProgressUpdate, Role, WorkerCore,
 };
 use naiad::Timestamp;
 use naiad_rng::Xorshift;
@@ -118,6 +118,12 @@ pub enum Chaos {
     /// the batch identity against the given per-mille rate). Counts never
     /// net out → the liveness (or safety) oracle must fire.
     DropBatch(u32),
+    /// Every accumulator is marked sole, whatever
+    /// [`ProgressMode::sole`] says: each holds a retirement that leaves
+    /// its pointstamp active in its view. With two groups, each can hold
+    /// its share of a retirement while counting the other's → the liveness
+    /// oracle must fire.
+    SoleEverywhere,
     /// The data plane's credit returns are withheld entirely: every batch
     /// crossing a link is tallied as one that a credit-bound plane would
     /// have parked forever. Unlike the other knobs this one must be
@@ -449,7 +455,8 @@ impl Cluster {
             })
             .collect();
         let group = |sender, role| {
-            let mut core = GroupCore::new(sender, cfg.mode.hop(role), total);
+            let sole = cfg.chaos == Chaos::SoleEverywhere || cfg.mode.sole(role, cfg.processes);
+            let mut core = GroupCore::new(sender, cfg.mode.hop(role), sole, total);
             core.register(DATAFLOW, graph.clone());
             core
         };
@@ -587,12 +594,14 @@ impl Cluster {
             .filter(|(_, d)| *d > 0)
             .map(|(p, _)| *p)
             .collect();
-        // Hand the flushes to the protocol, per the mode under test.
+        // Hand the flushes to the protocol, per the mode under test, and
+        // consolidated as the runtime's are.
         let process = self.process_of(w);
         let here = Endpoint::Process(process);
         let hop = self.cfg.mode.hop(Role::Worker);
-        for flush in flushes {
+        for mut flush in flushes {
             if hop == Hop::OwnAccumulator {
+                consolidate(&mut flush);
                 if let Some(batch) = self.accs[process].deposit(DATAFLOW, flush) {
                     self.send(here, self.accs[process].hop(), &batch);
                 }

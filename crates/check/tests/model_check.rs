@@ -19,8 +19,9 @@ const ALL_MODES: [ProgressMode; 4] = [
     ProgressMode::LocalGlobal,
 ];
 
-/// Schedules per (topology, mode) cell: 12 cells × 90 = 1,080 schedules
-/// per seed, comfortably past the 1,000-distinct-interleavings floor.
+/// Schedules per (topology, mode, shape) cell: 21 cells × 90 = 1,890
+/// schedules per seed, comfortably past the 1,000-distinct-interleavings
+/// floor.
 const SCHEDULES_PER_CELL: usize = 90;
 
 /// The pinned base seeds every run checks. Failures print a `Failure`
@@ -29,14 +30,20 @@ const BASE_SEEDS: [u64; 2] = [0xDA7A, 42];
 
 fn assert_matrix_clean(seed: u64) {
     let matrix = explore_matrix(seed, SCHEDULES_PER_CELL);
-    assert_eq!(matrix.len(), 12, "3 topologies × 4 policies");
+    assert_eq!(
+        matrix.len(),
+        21,
+        "3 topologies × (4 policies on 2 x 2 + 3 one-process shapes)"
+    );
     let mut distinct = 0;
-    for ((topology, mode), report) in &matrix {
+    for (cfg, report) in &matrix {
         assert!(
             report.failures.is_empty(),
-            "seed {seed:#x} {}/{} violated an oracle:\n{}",
-            topology.label(),
-            mode.figure_label(),
+            "seed {seed:#x} {}/{} at {} x {} violated an oracle:\n{}",
+            cfg.topology.label(),
+            cfg.mode.figure_label(),
+            cfg.processes,
+            cfg.workers_per_process,
             report.failures[0]
         );
         assert_eq!(report.schedules, SCHEDULES_PER_CELL);
@@ -48,7 +55,8 @@ fn assert_matrix_clean(seed: u64) {
     );
 }
 
-/// The clean acceptance matrix: every topology × every policy, oracles
+/// The clean acceptance matrix: every topology × every policy, and the
+/// one-process shapes with a sole process accumulator, oracles
 /// asserted at every step of every schedule, no violations, ≥ 1,000
 /// distinct interleavings per seed.
 #[test]
@@ -123,6 +131,31 @@ fn premature_retirement_trips_safety_oracle() {
     );
     for failure in &report.failures {
         assert_bit_identical_replay(failure);
+    }
+}
+
+/// A sole accumulator holds a retirement that leaves its pointstamp
+/// active in its view (`ProgressMode::sole`). Marked so where it has a
+/// peer group, each process accumulator holds its workers' share of the
+/// input's retirement while counting the other's, and neither flushes:
+/// the liveness oracle must fire, and the failure must replay exactly.
+#[test]
+fn sole_holding_at_every_accumulator_trips_the_liveness_oracle() {
+    for mode in [ProgressMode::Local, ProgressMode::LocalGlobal] {
+        let mut cfg = McConfig::new(Topology::Chain, mode);
+        cfg.chaos = Chaos::SoleEverywhere;
+        let report = explore(&cfg, 0xDA7A, 10);
+        assert!(
+            report
+                .failures
+                .iter()
+                .any(|f| f.violation.violation.kind() == ViolationKind::Liveness),
+            "{}: holding every retirement never tripped the liveness oracle",
+            mode.figure_label()
+        );
+        for failure in &report.failures {
+            assert_bit_identical_replay(failure);
+        }
     }
 }
 

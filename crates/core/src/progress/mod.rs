@@ -21,8 +21,8 @@ pub mod protocol;
 pub mod tracker;
 
 pub use protocol::{
-    Accumulator, Endpoint, FifoViolation, GroupCore, Hop, ProgressBatch, ProgressMode, Role,
-    WorkerCore,
+    consolidate, Accumulator, Endpoint, FifoViolation, GroupCore, Hop, ProgressBatch, ProgressMode,
+    Role, WorkerCore,
 };
 pub use tracker::PointstampTable;
 

@@ -352,6 +352,7 @@ impl Process {
             Mutex::new(GroupCore::new(
                 sender,
                 mode.hop(role),
+                mode.sole(role, config.processes),
                 config.total_workers(),
             ))
         };

@@ -317,12 +317,15 @@ mod tests {
 
     /// Fig 6c's definition survives the fan-out: the loopback link meters
     /// each own-process batch once, at its encoded length, and every local
-    /// worker's mailbox is handed those same bytes.
+    /// worker's mailbox is handed those same bytes. The one process's
+    /// accumulator is sole, so it holds the first worker's move of its
+    /// input stamp (the second still counts the epoch active) and flushes
+    /// both workers' moves as one batch per epoch.
     #[test]
     fn own_process_copy_is_metered_once_at_its_encoded_length() {
         let mut hub = hub(1, 2);
-        let batches = 200u64;
-        for epoch in 0..batches / 2 {
+        let batches = 100u64;
+        for epoch in 0..batches {
             for _worker in 0..2 {
                 hub.process
                     .deposit(&hub.bringup, 0, advance_input(epoch, 1));
@@ -334,8 +337,13 @@ mod tests {
             .map(|mailbox| std::iter::from_fn(|| mailbox.try_recv().map(|e| e.payload)).collect())
             .collect();
         assert_eq!(delivered[0], delivered[1], "workers share one encoding");
-        let seqs: Vec<u64> = delivered[0].iter().map(|b| decode(b).seq).collect();
-        assert_eq!(seqs, (0..batches).collect::<Vec<_>>());
+        let flushes: Vec<(u64, Vec<ProgressUpdate>)> = delivered[0]
+            .iter()
+            .map(decode)
+            .map(|batch| (batch.seq, batch.updates))
+            .collect();
+        let combined = (0..batches).map(|epoch| (epoch, advance_input(epoch, 2)));
+        assert_eq!(flushes, combined.collect::<Vec<_>>());
         let encoded: usize = delivered[0].iter().map(|b| b.len()).sum();
 
         let metrics = hub.process.net.lock().metrics().clone();
@@ -393,8 +401,10 @@ mod tests {
 
     /// Two workers depositing concurrently: whichever order the
     /// accumulator serves them in, every mailbox receives the
-    /// accumulator's batches in `seq` order. (The mailboxes are read once
-    /// both deposits are done: the explorer cannot park on them.)
+    /// accumulator's batches in `seq` order. The cluster has a second
+    /// process, so the accumulator is not sole and each deposit flushes.
+    /// (The mailboxes are read once both deposits are done: the explorer
+    /// cannot park on them.)
     fn concurrent_depositors() -> Vec<Body> {
         use std::sync::atomic::AtomicUsize;
         let Hub {
@@ -402,7 +412,7 @@ mod tests {
             bringup,
             mailboxes,
             ..
-        } = hub(1, 2);
+        } = hub(2, 2);
         let mailboxes = Arc::new(std::sync::Mutex::new(mailboxes));
         let done = Arc::new(AtomicUsize::new(0));
         let depositor = || {

@@ -16,7 +16,9 @@
 # Each run also records the share of the box's CPU time the hypervisor
 # stole while it ran (the `steal` column of /proc/stat, read before and
 # after the run); the range per side is printed under the table. A shared
-# VM's slow spells show up there. Beside it go the run's CPU seconds
+# VM's slow spells show up there, so a second table repeats the first over
+# only the pairs in which neither run's steal exceeded 10 %, with the count
+# of pairs it dropped. The all-pairs table stays the record. Beside it go the run's CPU seconds
 # (user + sys) and voluntary context switches (`ru_nvcsw`: how often a
 # thread gave up its CPU to wait, so how often a worker parked), both of
 # the benchmark command and its children, setup included; each is printed
@@ -33,7 +35,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-  sed -n '2,31p' "$0"
+  sed -n '2,33p' "$0"
   exit 2
 fi
 parent_rev=$1
@@ -118,20 +120,30 @@ def quartiles(values):
 
 print(f"`{workload}`: {pairs} pairs, parent `{parent_rev}` vs this checkout, "
       f"`--seconds {spec['run_seconds']} --trace 0`, seeds {base + 1}..{base + pairs}")
-print()
-print("| metric | parent q1 / median / q3 | change q1 / median / q3 | change ÷ parent | pairs won | verdict |")
-print("|---|---|---|---|---|---|")
-summary = []
-for metric in spec["end_to_end"]:
+
+def table(kept):
+    """Prints the metric table over the pairs in `kept`; returns its rows."""
+    print()
+    print("| metric | parent q1 / median / q3 | change q1 / median / q3 | change ÷ parent | pairs won | verdict |")
+    print("|---|---|---|---|---|---|")
+    rows = []
+    for metric in spec["end_to_end"]:
+        row = metric_row(metric, kept)
+        if row:
+            rows.append(row)
+    return rows
+
+def metric_row(metric, kept):
     name, lower = metric["name"], metric["better"] == "lower"
     column = {}
     for side, results in sides.items():
         column[side] = {pair: result["metrics"][name]["value"]
-                        for pair, result in results.items() if result and name in result.get("metrics", {})}
+                        for pair, result in results.items()
+                        if pair in kept and result and name in result.get("metrics", {})}
     both = sorted(set(column["parent"]) & set(column["change"]))
     if not both:
         print(f"| `{name}` | no complete pair | | | | |")
-        continue
+        return None
     parent = quartiles([column["parent"][pair] for pair in both])
     change = quartiles([column["change"][pair] for pair in both])
     sign = -1 if lower else 1
@@ -145,14 +157,24 @@ for metric in spec["end_to_end"]:
         verdict = "gain (>= 9/10 pairs, medians apart by more than the parent's IQR)"
     else:
         verdict = "within bound"
-    summary.append({"metric": name, "unit": metric["unit"], "better": metric["better"],
-                    "bound": metric["bound"], "pairs": len(both), "won": won,
-                    "parent": dict(zip(("q1", "median", "q3"), parent)),
-                    "change": dict(zip(("q1", "median", "q3"), change)),
-                    "ratio": change[1] / parent[1], "verdict": verdict})
     cells = [" / ".join(f"{v:.6g}" for v in side) for side in (parent, change)]
     print(f"| `{name}` [{metric['unit']}, {metric['better']} is better, bound {metric['bound']:.0%}] "
           f"| {cells[0]} | {cells[1]} | {change[1] / parent[1]:.3f} | {won} / {len(both)} | {verdict} |")
+    return {"metric": name, "unit": metric["unit"], "better": metric["better"],
+            "bound": metric["bound"], "pairs": len(both), "won": won,
+            "parent": dict(zip(("q1", "median", "q3"), parent)),
+            "change": dict(zip(("q1", "median", "q3"), change)),
+            "ratio": change[1] / parent[1], "verdict": verdict}
+
+STEAL_LIMIT = 0.10
+summary = table(set(range(1, pairs + 1)))
+steal_of = {(run["pair"], run["side"]): run["steal"] for run in runs}
+quiet = {pair for pair in range(1, pairs + 1)
+         if all(steal_of.get((pair, side), 1.0) <= STEAL_LIMIT for side in ("parent", "change"))}
+print()
+print(f"The same over the {len(quiet)} pairs in which neither run's steal exceeded "
+      f"{STEAL_LIMIT:.0%} ({pairs - len(quiet)} of {pairs} pairs dropped; the table above is the record):")
+summary_quiet = table(quiet) if quiet else []
 print()
 steal = {}
 for side in ("parent", "change"):
@@ -193,7 +215,10 @@ if json_out:
     with open(json_out, "w") as out:
         json.dump({"workload": workload, "parent": parent_rev, "change": change_rev,
                    "command": spec["command"], "seconds": spec["run_seconds"], "trace": 0,
-                   "pairs": pairs, "runs": rows, "summary": summary, "steal": steal, "cpu": cpu, "nvcsw": nvcsw,
+                   "pairs": pairs, "runs": rows, "summary": summary,
+                   "summary_low_steal": {"steal_limit": STEAL_LIMIT, "pairs_dropped": pairs - len(quiet),
+                                         "rows": summary_quiet},
+                   "steal": steal, "cpu": cpu, "nvcsw": nvcsw,
                    "operations": operations},
                   out, indent=1)
         out.write("\n")

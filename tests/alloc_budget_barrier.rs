@@ -54,10 +54,14 @@ static COUNTER: Counting = Counting;
 const SHORT: u64 = 2_000;
 const LONG: u64 = 20_000;
 
-/// Allocations per round, at most: 1 × 2 and 2 × 1 each read 12.53–12.55
-/// when this budget was set (30–34 while a notification's output waited a
-/// step to move).
-const ALLOCS_PER_ROUND: f64 = 13.0;
+/// Allocations per round, at most, per shape `(processes, workers)`. On
+/// 1 × 2 the process accumulator flushes both workers' rounds as one
+/// frame, so a round encodes, sends and decodes half as many; 2 × 1 has
+/// two accumulators, each flushing its own worker's round. 1 × 2 read
+/// 7.27 and 2 × 1 12.53 when these budgets were set (12.53–12.55 for both
+/// while every deposit flushed, 30–34 while a notification's output
+/// waited a step to move).
+const BUDGETS: [((usize, usize), f64); 2] = [((1, 2), 8.0), ((2, 1), 13.0)];
 
 /// Runs `rounds` barrier rounds on `config` and returns the allocations
 /// the whole run cost.
@@ -110,7 +114,7 @@ fn barrier_run(config: Config, rounds: u64) -> u64 {
 
 #[test]
 fn a_barrier_round_stays_within_its_allocation_budget() {
-    for (processes, workers) in [(1, 2), (2, 1)] {
+    for ((processes, workers), budget) in BUDGETS {
         let config = || Config::processes_and_workers(processes, workers);
         // Warm-up run: first-touch costs that belong to the process.
         let _ = barrier_run(config(), SHORT);
@@ -119,9 +123,9 @@ fn a_barrier_round_stays_within_its_allocation_budget() {
         let per_round = long.saturating_sub(short) as f64 / (LONG - SHORT) as f64;
         println!("{processes}x{workers}: {SHORT} rounds {short}, {LONG} rounds {long}: {per_round:.2} allocations per round");
         assert!(
-            per_round <= ALLOCS_PER_ROUND,
+            per_round <= budget,
             "{processes}x{workers}: a barrier round costs {per_round:.2} allocations \
-             (budget {ALLOCS_PER_ROUND}) — an allocation joined the coordination round"
+             (budget {budget}) — an allocation joined the coordination round"
         );
     }
 }

@@ -272,10 +272,13 @@ fn drive_two(worker: &mut naiad::Worker) -> (WorkerRows, WorkerRows) {
         second = Some((input, probe, rows));
     }
     feed(&mut first, worker, 1);
-    // Senders are FIFO, and an input's retirement is held by no
-    // accumulator: when every peer's epoch-1 retirement of the first
-    // dataflow has been applied here, their batches for the second
-    // dataflow arrived before it.
+    // Senders are FIFO, and an input's retirement is held by no process
+    // accumulator of a two-process run: when every peer's epoch-1
+    // retirement of the first dataflow has been applied here, their
+    // batches for the second dataflow arrived before it. (The global
+    // modes' central accumulator is sole: it holds those batches' input
+    // retirements while this worker's a-priori stamp keeps the input
+    // active, so there nothing outruns the construction.)
     worker.step_while(|| !first_probe.done_through(1));
     let (mut second, second_probe, second_rows) = second.unwrap_or_else(|| {
         let (mut input, probe, rows) = worker.dataflow(build);
@@ -299,7 +302,8 @@ fn drive_two(worker: &mut naiad::Worker) -> (WorkerRows, WorkerRows) {
 }
 
 /// Every progress mode on two processes of two workers: both dataflows
-/// equal the single-worker reference, and the late worker applied its
+/// equal the single-worker reference, nothing applies to a dataflow
+/// before it is built, and under `Local` the late worker applied its
 /// peers' stashed batches when it built the second dataflow.
 #[test]
 fn a_dataflow_built_late_replays_the_batches_that_outran_it() {
@@ -355,14 +359,22 @@ fn a_dataflow_built_late_replays_the_batches_that_outran_it() {
         // Accumulators number their batches across dataflows, so a batch
         // applied after a later one from the same sender sat in the stash.
         // (Workers, the senders of Broadcast mode, number per dataflow:
-        // there the order of arrival leaves no trace in the log.)
+        // there the order of arrival leaves no trace in the log.) The
+        // global modes' sole central accumulator sends nothing for the
+        // second dataflow before the late worker takes part (`drive_two`).
         let overtaken = applied.iter().any(|&(at, dataflow, sender, seq)| {
             dataflow == 1
                 && applied
                     .iter()
                     .any(|&(before, _, s, later)| before < at && s == sender && later > seq)
         });
-        assert!(overtaken || mode == ProgressMode::Broadcast, "{mode:?}");
+        match mode {
+            ProgressMode::Local => assert!(overtaken, "{mode:?}: nothing was stashed"),
+            ProgressMode::Broadcast => {}
+            ProgressMode::Global | ProgressMode::LocalGlobal => {
+                assert!(!overtaken, "{mode:?}: a held batch outran the construction");
+            }
+        }
     }
 }
 
@@ -471,4 +483,22 @@ fn a_barrier_round_costs_one_progress_frame() {
 
     let (notified, _) = barrier(Config::single_process(2), ROUNDS);
     assert_eq!(notified, vec![(0..ROUNDS).collect::<Vec<_>>(); 2]);
+}
+
+/// On one process of two workers the process accumulator is sole: it
+/// holds the first worker's retirement of a round's notification, which
+/// the other worker's request still keeps active, and flushes both
+/// workers' rounds in one frame. So a round costs one progress frame,
+/// not one per worker.
+#[test]
+fn two_workers_share_one_progress_frame_per_barrier_round() {
+    const ROUNDS: u64 = 200;
+    let (notified, snapshot) = barrier(Config::single_process(2), ROUNDS);
+    assert_eq!(notified, vec![(0..ROUNDS).collect::<Vec<_>>(); 2]);
+    let frames = snapshot.hub.progress_local_deliveries;
+    assert!(
+        frames <= ROUNDS + 2,
+        "{frames} progress frames for {ROUNDS} rounds on two workers: \
+         each worker's retirement flushed on its own"
+    );
 }

@@ -9,7 +9,9 @@ use std::sync::Arc;
 use naiad::graph::{
     ConnectorId, ContextId, GraphBuilder, Location, LogicalGraph, StageId, StageKind,
 };
-use naiad::progress::{Accumulator, Pointstamp, PointstampTable, ProgressBatch, ProgressUpdate};
+use naiad::progress::{
+    consolidate, Accumulator, Pointstamp, PointstampTable, ProgressBatch, ProgressUpdate,
+};
 use naiad::summary::Summary;
 use naiad::{Antichain, PartialOrder, Timestamp};
 use naiad_rng::Xorshift;
@@ -652,9 +654,12 @@ impl Oracle {
         out.sort_by_key(Oracle::sort_key);
         out
     }
-    /// §3.3's holding rule for one buffered update against this view.
-    fn covers(&self, p: &Pointstamp, delta: i64) -> bool {
-        (delta > 0 && self.count(p) > 0) || self.reached(p, false)
+    /// §3.3's holding rule for one buffered update against this view, at
+    /// a sole accumulator or not.
+    fn covers(&self, p: &Pointstamp, delta: i64, sole: bool) -> bool {
+        (delta > 0 && self.count(p) > 0)
+            || (sole && delta < 0 && self.count(p) + delta > 0)
+            || self.reached(p, false)
     }
 }
 
@@ -725,15 +730,18 @@ fn tracker_queries_match_the_all_pairs_oracle() {
 
 /// The accumulator holds or flushes exactly when the oracle's holding
 /// rule says, flushes exactly the combined buffer in canonical order,
-/// and keeps its view in step (flushes fold, observations refine).
+/// and keeps its view in step (flushes fold, observations refine) —
+/// marked sole or not, over the same update sequences.
 #[test]
 fn accumulator_decisions_match_the_all_pairs_oracle() {
     let mut rng = Xorshift::new(0xBA);
-    let (mut held, mut flushed) = (0, 0);
-    for _ in 0..CASES {
+    let (mut held, mut flushed, mut held_as_sole) = (0, 0, 0);
+    for case in 0..2 * CASES {
+        let sole = case % 2 == 1;
         let graph = gen_graph(&mut rng);
         let pool = gen_pool(&graph, &mut rng);
-        let mut acc = Accumulator::new(graph.clone(), 2);
+        let acc = Accumulator::new(graph.clone(), 2);
+        let mut acc = if sole { acc.sole() } else { acc };
         let mut view = Oracle {
             psi: Psi::of(&graph),
             counts: Default::default(),
@@ -752,7 +760,10 @@ fn accumulator_decisions_match_the_all_pairs_oracle() {
                 acc.observe(&[update])
             };
             buffer.retain(|_, d| *d != 0);
-            let expected = if buffer.iter().all(|(p, &d)| view.covers(p, d)) {
+            let expected = if buffer.iter().all(|(p, &d)| view.covers(p, d, sole)) {
+                held_as_sole += usize::from(
+                    !buffer.is_empty() && !buffer.iter().all(|(p, &d)| view.covers(p, d, false)),
+                );
                 None
             } else {
                 let mut out: Vec<_> = buffer.drain().collect();
@@ -769,7 +780,54 @@ fn accumulator_decisions_match_the_all_pairs_oracle() {
         }
     }
     assert!(
-        held > 50 && flushed > 50,
-        "both decisions exercised: {held} held, {flushed} flushed"
+        held > 50 && flushed > 50 && held_as_sole > 20,
+        "both decisions exercised: {held} held ({held_as_sole} only as sole), {flushed} flushed"
+    );
+}
+
+/// A consolidated journal is merged (one update per pointstamp), free of
+/// zero deltas, sorted, and the same whatever order the journal was in —
+/// with the same net delta at every pointstamp as the journal.
+#[test]
+fn consolidated_journals_are_merged_zero_free_and_canonical() {
+    let mut rng = Xorshift::new(0xBC);
+    let mut cancelled = 0;
+    for _ in 0..CASES {
+        let graph = gen_graph(&mut rng);
+        let pool = gen_pool(&graph, &mut rng);
+        let mut journal: Vec<ProgressUpdate> = Vec::new();
+        for _ in 0..rng.below_usize(24) {
+            let p = pool[rng.below_usize(pool.len())];
+            journal.push((p, gen_delta(&mut rng)));
+            if rng.chance(0.3) {
+                journal.extend([(p, 1), (p, -1)]);
+            }
+        }
+        let mut net: std::collections::HashMap<Pointstamp, i64> = Default::default();
+        for &(p, d) in &journal {
+            *net.entry(p).or_insert(0) += d;
+        }
+        net.retain(|_, d| *d != 0);
+        let mut first = journal.clone();
+        consolidate(&mut first);
+        assert!(first.iter().all(|&(_, d)| d != 0), "zero-free: {first:?}");
+        assert!(
+            first
+                .windows(2)
+                .all(|w| Oracle::sort_key(&w[0].0) < Oracle::sort_key(&w[1].0)),
+            "sorted, one update per pointstamp: {first:?}"
+        );
+        let merged: std::collections::HashMap<_, _> = first.iter().copied().collect();
+        assert_eq!(merged, net);
+        cancelled += journal.len() - first.len();
+        for i in (1..journal.len()).rev() {
+            journal.swap(i, rng.below_usize(i + 1));
+        }
+        consolidate(&mut journal);
+        assert_eq!(journal, first, "canonical whatever the order");
+    }
+    assert!(
+        cancelled > CASES,
+        "consolidation merged only {cancelled} updates"
     );
 }
