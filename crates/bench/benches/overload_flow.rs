@@ -97,7 +97,12 @@ fn run(chunks: usize, load: u32, budget: usize) -> (u64, f64, u64, u64) {
     let flow = snapshot.flow;
     assert_eq!(flow.shed_records, 0, "Block policy is lossless");
     assert_eq!(flow.in_flight_bytes, 0, "credits drain by the join");
-    (delivered, wall, flow.peak_in_flight_bytes, flow.credit_waits)
+    (
+        delivered,
+        wall,
+        flow.peak_in_flight_bytes,
+        flow.credit_waits,
+    )
 }
 
 fn main() {
@@ -117,7 +122,10 @@ fn main() {
         "load", "arm", "delivered", "seconds", "krec/s", "peak bytes", "credit waits"
     );
     for load in [1, 2, 4] {
-        for (arm, budget) in [("unbounded", UNBOUNDED_BUDGET), ("credited", CREDITED_BUDGET)] {
+        for (arm, budget) in [
+            ("unbounded", UNBOUNDED_BUDGET),
+            ("credited", CREDITED_BUDGET),
+        ] {
             let (delivered, wall, peak, waits) = run(chunks, load, budget);
             assert_eq!(delivered, (chunks * CHUNK) as u64, "lossless in every cell");
             if budget == CREDITED_BUDGET {

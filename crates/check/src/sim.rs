@@ -188,7 +188,10 @@ pub enum Violation {
     /// while `stamp` is outstanding in the omniscient reference.
     Safety { worker: usize, stamp: Pointstamp },
     /// Worker `worker` was handed out-of-order batches.
-    Fifo { worker: usize, violation: FifoViolation },
+    Fifo {
+        worker: usize,
+        violation: FifoViolation,
+    },
     /// The schedule drained (or exceeded [`MAX_STEPS`]) without reaching
     /// global quiescence.
     Liveness { detail: String },
@@ -521,10 +524,7 @@ impl Cluster {
                 .get(w)
                 .is_some_and(|vw| vw.obligations.has_work()),
             Event::Apply(w) => self.workers.get(w).is_some_and(|vw| !vw.pending.is_empty()),
-            Event::Deliver(src, dst) => self
-                .links
-                .get(&(src, dst))
-                .is_some_and(|q| !q.is_empty()),
+            Event::Deliver(src, dst) => self.links.get(&(src, dst)).is_some_and(|q| !q.is_empty()),
         }
     }
 

@@ -89,8 +89,14 @@ fn assert_bit_identical_replay(failure: &naiad_check::Failure) {
         Some(&failure.violation),
         "replay diverged from the recorded violation:\n{failure}"
     );
-    assert_eq!(first.violation, second.violation, "replay is nondeterministic");
-    assert_eq!(first.trace, second.trace, "replay trace is nondeterministic");
+    assert_eq!(
+        first.violation, second.violation,
+        "replay is nondeterministic"
+    );
+    assert_eq!(
+        first.trace, second.trace,
+        "replay trace is nondeterministic"
+    );
     assert_eq!(first.applied, second.applied);
 }
 

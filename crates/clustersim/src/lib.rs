@@ -34,13 +34,13 @@ mod telemetry;
 mod workloads;
 
 pub use model::{
-    ClusterSim, ClusterSpec, FailureModel, HeartbeatModel, PhaseStats,
-    RecoveryStats, RescaleModel, StragglerModel,
+    ClusterSim, ClusterSpec, FailureModel, HeartbeatModel, PhaseStats, RecoveryStats, RescaleModel,
+    StragglerModel,
 };
-pub use telemetry::{PhaseAgg, SimTelemetry};
 /// Re-export of the shared seeded generator (previously a private module
 /// here; now the workspace-wide randomness primitive).
 pub use naiad_rng::Xorshift;
+pub use telemetry::{PhaseAgg, SimTelemetry};
 pub use workloads::{
     allreduce_iteration_time, barrier_distribution, exchange_throughput_gbps, iterative_job_time,
     AllReduceKind, IterativeJob,

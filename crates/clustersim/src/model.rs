@@ -422,12 +422,7 @@ impl ClusterSim {
     /// # Panics
     ///
     /// Panics if either computer count is zero.
-    pub fn rescale_stall(
-        &mut self,
-        model: &RescaleModel,
-        from: usize,
-        to: usize,
-    ) -> PhaseStats {
+    pub fn rescale_stall(&mut self, model: &RescaleModel, from: usize, to: usize) -> PhaseStats {
         assert!(from > 0 && to > 0, "rescale between non-empty worker sets");
         let total_state = model.state_bytes_per_computer * from as f64;
         // Snapshot: each pre-rescale computer encodes its own state.
@@ -489,11 +484,10 @@ impl ClusterSim {
         // With heartbeats, detection latency is bounded by the beat
         // cadence; without, the run pays the model's pessimistic
         // progress-traffic timeout (EXPERIMENTS.md plots this trade).
-        let detection = self
-            .spec
-            .heartbeat
-            .as_ref()
-            .map_or(failures.detection_timeout, HeartbeatModel::detection_latency);
+        let detection = self.spec.heartbeat.as_ref().map_or(
+            failures.detection_timeout,
+            HeartbeatModel::detection_latency,
+        );
         while completed < epochs {
             // Run the epoch; a crash strikes at a uniform point within it.
             if p_epoch > 0.0 && self.rng.unit() < p_epoch {
@@ -643,7 +637,9 @@ mod tests {
                 let mut spec = ClusterSpec::paper_cluster(64);
                 spec.straggler = StragglerModel::none();
                 let mut sim = ClusterSim::new(spec, seed);
-                total += sim.recovery_run(200, 0.1, every, 0.05, &failures).replayed_epochs;
+                total += sim
+                    .recovery_run(200, 0.1, every, 0.05, &failures)
+                    .replayed_epochs;
             }
             total
         };

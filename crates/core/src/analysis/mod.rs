@@ -384,7 +384,9 @@ impl AnalysisReport {
             return None;
         }
         // Diagnostics are sorted most severe first.
-        self.diagnostics.first().filter(|d| d.severity >= config.deny)
+        self.diagnostics
+            .first()
+            .filter(|d| d.severity >= config.deny)
     }
 
     /// Renders a rustc-style multi-line report. `subject` names the

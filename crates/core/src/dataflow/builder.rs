@@ -82,11 +82,12 @@ pub struct OperatorBuilder {
 impl OperatorBuilder {
     /// Starts building a vertex in `context`.
     pub fn new(scope: &mut Scope, name: &str, context: ContextId) -> Self {
-        let stage = scope
-            .inner
-            .borrow_mut()
-            .builder
-            .add_stage(name, StageKind::Regular, context, 0, 0);
+        let stage =
+            scope
+                .inner
+                .borrow_mut()
+                .builder
+                .add_stage(name, StageKind::Regular, context, 0, 0);
         Self::at(scope, stage, context)
     }
 

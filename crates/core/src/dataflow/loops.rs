@@ -103,7 +103,9 @@ impl LoopContext {
                 .incremented()
                 .expect("feedback input carries a loop counter");
             let iteration = *next.counters.as_slice().last().expect("loop counter");
-            max_iterations.is_none_or(|max| iteration < max).then_some(next)
+            max_iterations
+                .is_none_or(|max| iteration < max)
+                .then_some(next)
         });
         let handle = FeedbackHandle {
             context: self.context,

@@ -83,11 +83,11 @@ pub mod time;
 pub use dataflow::{InputHandle, ProbeHandle, Scope, Stream};
 pub use introspect::CriticalPathSummary;
 pub use order::{Antichain, PartialOrder};
-pub use runtime::execute::{execute, execute_with_metrics, execute_with_telemetry, ExecuteError};
-pub use telemetry::TelemetrySnapshot;
 pub use runtime::coordinator::{Execution, PhaseReport, RecoveryOptions, RunReport, Session};
+pub use runtime::execute::{execute, execute_with_metrics, execute_with_telemetry, ExecuteError};
 pub use runtime::rescale::{ElasticOptions, RescaleError, RescaleOutcome, RescaleStep};
 pub use runtime::{Config, FlowConfig, OverloadState, Pact, ShedPolicy, Worker};
+pub use telemetry::TelemetrySnapshot;
 pub use time::Timestamp;
 
 /// Re-export of the wire codec used for exchanged records.

@@ -259,7 +259,9 @@ mod tests {
     fn telemetry_defaults_off_and_builders_compose() {
         let c = Config::default();
         assert!(!c.telemetry);
-        let c = Config::single_process(2).telemetry(true).telemetry_capacity(128);
+        let c = Config::single_process(2)
+            .telemetry(true)
+            .telemetry_capacity(128);
         assert!(c.telemetry);
         assert_eq!(c.telemetry_capacity, 128);
     }

@@ -255,9 +255,8 @@ impl Session {
     /// membership's migration shards and the rollback blob. Never, when
     /// the run is not resilient.
     pub fn should_checkpoint(&self, epoch: u64) -> bool {
-        self.checkpoint_every.is_some_and(|every| {
-            (epoch + 1).is_multiple_of(every) || epoch + 1 == self.stop_epoch
-        })
+        self.checkpoint_every
+            .is_some_and(|every| (epoch + 1).is_multiple_of(every) || epoch + 1 == self.stop_epoch)
     }
 
     /// Deposits `worker`'s state for `epoch`: always the plain sealed
@@ -340,9 +339,12 @@ impl Session {
     // lint-allow(NS0004): the type-confusion panic is documented above —
     // the log is in-memory, so a decode miss is a bug, not bit rot.
     pub fn logged_input<D: Wire>(&self, epoch: u64, worker: usize, input: usize) -> Option<Vec<D>> {
-        self.inputs.lock().get(&(epoch, worker, input)).map(|bytes| {
-            naiad_wire::decode_from_slice(bytes).expect("input log decoded at a different type")
-        })
+        self.inputs
+            .lock()
+            .get(&(epoch, worker, input))
+            .map(|bytes| {
+                naiad_wire::decode_from_slice(bytes).expect("input log decoded at a different type")
+            })
     }
 }
 
@@ -805,7 +807,9 @@ mod tests {
 
     #[test]
     fn options_validate() {
-        let o = RecoveryOptions::default().max_attempts(2).checkpoint_every(3);
+        let o = RecoveryOptions::default()
+            .max_attempts(2)
+            .checkpoint_every(3);
         assert_eq!((o.max_attempts, o.checkpoint_every), (2, 3));
     }
 

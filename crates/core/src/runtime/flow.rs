@@ -677,8 +677,10 @@ mod tests {
         assert_eq!(flag.get(), OverloadState::Normal);
         flag.set(OverloadState::Shedding);
         assert_eq!(flag.get(), OverloadState::Shedding);
-        assert_eq!(OverloadState::from_u8(OverloadState::Throttled.as_u8()),
-            OverloadState::Throttled);
+        assert_eq!(
+            OverloadState::from_u8(OverloadState::Throttled.as_u8()),
+            OverloadState::Throttled
+        );
     }
 
     #[test]
@@ -701,7 +703,10 @@ mod tests {
         // A held ledger must degrade to "held", not deadlock the dump.
         let held = cell.guard();
         let dump = reg.dump_cells();
-        assert!(dump.contains("\"in_flight\":\"held\""), "unexpected dump: {dump}");
+        assert!(
+            dump.contains("\"in_flight\":\"held\""),
+            "unexpected dump: {dump}"
+        );
         drop(held);
     }
 }

@@ -160,8 +160,7 @@ impl Liveness {
     /// `now_ns`. Out-of-range sources (the central accumulator's extra
     /// endpoint) are ignored. Clears any standing suspicion.
     fn note_heard_at(&self, peer: usize, now_ns: u64) {
-        let (Some(slot), Some(sus)) = (self.last_heard.get(peer), self.suspected.get(peer))
-        else {
+        let (Some(slot), Some(sus)) = (self.last_heard.get(peer), self.suspected.get(peer)) else {
             return;
         };
         slot.store(now_ns, Ordering::Release);
@@ -208,9 +207,10 @@ impl Liveness {
                             .is_some_and(|f| !f.swap(true, Ordering::AcqRel));
                         if fresh {
                             self.failures.fetch_add(1, Ordering::Relaxed);
-                            let silent_ns = self.last_heard.get(dst).map_or(0, |h| {
-                                now.saturating_sub(h.load(Ordering::Acquire))
-                            });
+                            let silent_ns = self
+                                .last_heard
+                                .get(dst)
+                                .map_or(0, |h| now.saturating_sub(h.load(Ordering::Acquire)));
                             self.push_transition(LivenessTransition::Failed {
                                 peer: dst,
                                 silent_ns,
@@ -358,7 +358,10 @@ mod tests {
         let (_net, _b_rx, _ctl, live) = two_process_fixture(&cfg);
         let t0 = heard_from_peer_at_start(&live);
         assert!(live.scan_at(t0).is_none(), "fresh table: everyone live");
-        assert!(live.scan_at(t0 + 7 * MS).is_none(), "suspected is not yet failed");
+        assert!(
+            live.scan_at(t0 + 7 * MS).is_none(),
+            "suspected is not yet failed"
+        );
         assert_eq!(live.suspicions(), 1);
         let ts = live.drain_transitions();
         assert!(matches!(

@@ -15,10 +15,10 @@ mod worker;
 
 pub use channels::{Message, Pact};
 pub use config::Config;
+pub use coordinator::{Execution, PhaseReport, RecoveryOptions, RunReport, Session};
 pub use durability::{open_blob, seal_blob, Checkpoint, KeyedCheckpoint, KeyedState, RestoreError};
 pub use execute::{execute, execute_with_metrics, execute_with_telemetry, ExecuteError};
 pub use flow::{FlowConfig, OverloadState, ShedPolicy};
-pub use coordinator::{Execution, PhaseReport, RecoveryOptions, RunReport, Session};
 pub use rescale::{ElasticOptions, RescaleError, RescaleOutcome, RescaleStep};
 pub use retry::FaultKind;
 pub use worker::Worker;

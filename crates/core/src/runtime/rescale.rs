@@ -81,7 +81,10 @@ impl RescaleStep {
     pub fn new(at_epoch: u64, processes: usize, workers_per_process: usize) -> Self {
         assert!(processes > 0, "at least one process");
         assert!(workers_per_process > 0, "at least one worker per process");
-        assert!(at_epoch > 0, "a rescale fence needs a closed epoch before it");
+        assert!(
+            at_epoch > 0,
+            "a rescale fence needs a closed epoch before it"
+        );
         RescaleStep {
             at_epoch,
             processes,

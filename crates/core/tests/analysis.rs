@@ -212,7 +212,10 @@ fn reachable_notification_passes_na0003() {
     g.connect(input, 0, a, 0);
     g.declare_notification(a, Timestamp::new(7));
     let report = analyze(&g.build().unwrap(), &AnalysisConfig::default());
-    assert!(report.with_code(Code::UnreachableNotification).next().is_none());
+    assert!(report
+        .with_code(Code::UnreachableNotification)
+        .next()
+        .is_none());
     assert!(report.is_error_clean());
 }
 
@@ -382,7 +385,10 @@ fn raised_bound_flags_ordinary_loops() {
     let default = analyze(&build(), &AnalysisConfig::default());
     assert!(default.with_code(Code::ReentrancyHazard).next().is_none());
 
-    let strict = analyze(&build(), &AnalysisConfig::default().with_reentrancy_bound(3));
+    let strict = analyze(
+        &build(),
+        &AnalysisConfig::default().with_reentrancy_bound(3),
+    );
     assert_eq!(strict.with_code(Code::ReentrancyHazard).count(), 1);
 }
 
@@ -497,7 +503,10 @@ fn diagnostics_sort_most_severe_first() {
     sorted.sort_by(|a, b| b.cmp(a));
     assert_eq!(severities, sorted, "most severe first: {severities:?}");
     assert_eq!(
-        report.first_denied(&AnalysisConfig::default()).unwrap().code,
+        report
+            .first_denied(&AnalysisConfig::default())
+            .unwrap()
+            .code,
         Code::ZeroDelayCycle
     );
 }

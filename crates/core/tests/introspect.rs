@@ -22,37 +22,33 @@ fn skewed_sums(worker: &mut Worker, epochs: u64, records_per_epoch: u64) -> Vec<
     let index = worker.index() as u64;
     let (mut input, captured) = worker.dataflow(|scope| {
         let (input, stream) = scope.new_input::<u64>();
-        let sums = stream.unary_notify(
-            Pact::exchange(|_| 0),
-            "SkewedSum",
-            |_info| {
-                let table: Rc<RefCell<HashMap<u64, u64>>> = Rc::default();
-                let flush = Rc::clone(&table);
-                (
-                    move |input: &mut InputPort<u64>,
-                          _output: &mut OutputPort<u64>,
-                          notify: &naiad::dataflow::Notify| {
-                        input.for_each(|time, data| {
-                            notify.notify_at(time);
-                            let mut table = table.borrow_mut();
-                            for x in data {
-                                // A nontrivial per-record cost so worker
-                                // 0's busy time visibly dominates.
-                                let cost: u64 = (0..x % 97).sum();
-                                *table.entry(time.epoch).or_default() += x + cost % 2;
-                            }
-                        });
-                    },
-                    move |time: naiad::Timestamp,
-                          output: &mut OutputPort<u64>,
-                          _notify: &naiad::dataflow::Notify| {
-                        if let Some(sum) = flush.borrow_mut().remove(&time.epoch) {
-                            output.session(time).give(sum);
+        let sums = stream.unary_notify(Pact::exchange(|_| 0), "SkewedSum", |_info| {
+            let table: Rc<RefCell<HashMap<u64, u64>>> = Rc::default();
+            let flush = Rc::clone(&table);
+            (
+                move |input: &mut InputPort<u64>,
+                      _output: &mut OutputPort<u64>,
+                      notify: &naiad::dataflow::Notify| {
+                    input.for_each(|time, data| {
+                        notify.notify_at(time);
+                        let mut table = table.borrow_mut();
+                        for x in data {
+                            // A nontrivial per-record cost so worker
+                            // 0's busy time visibly dominates.
+                            let cost: u64 = (0..x % 97).sum();
+                            *table.entry(time.epoch).or_default() += x + cost % 2;
                         }
-                    },
-                )
-            },
-        );
+                    });
+                },
+                move |time: naiad::Timestamp,
+                      output: &mut OutputPort<u64>,
+                      _notify: &naiad::dataflow::Notify| {
+                    if let Some(sum) = flush.borrow_mut().remove(&time.epoch) {
+                        output.session(time).give(sum);
+                    }
+                },
+            )
+        });
         (input, sums.capture())
     });
 
@@ -86,7 +82,10 @@ fn online_summaries_match_the_offline_reference() {
         .introspect()
         .run(|worker, _| skewed_sums(worker, 4, 64))
         .unwrap();
-    let snapshot = report.telemetry.as_ref().expect("introspection forces telemetry on");
+    let snapshot = report
+        .telemetry
+        .as_ref()
+        .expect("introspection forces telemetry on");
     assert_eq!(report.phases[0].results.len(), 2);
     assert_eq!(
         snapshot.total_events_dropped(),
@@ -143,12 +142,19 @@ fn unfenced_multi_process_epochs_get_exactly_one_summary() {
             worker.step_until_done();
         })
         .unwrap();
-    let snapshot = report.telemetry.as_ref().expect("introspection forces telemetry on");
+    let snapshot = report
+        .telemetry
+        .as_ref()
+        .expect("introspection forces telemetry on");
 
     let mut epochs: Vec<u64> = report.summaries.iter().map(|s| s.epoch).collect();
     let before = epochs.len();
     epochs.dedup();
-    assert_eq!(epochs.len(), before, "an epoch was split into two summaries");
+    assert_eq!(
+        epochs.len(),
+        before,
+        "an epoch was split into two summaries"
+    );
     for e in 0..4 {
         assert!(epochs.contains(&e), "epoch {e} has no summary");
     }
@@ -170,13 +176,21 @@ fn four_workers_attribute_the_straggler_and_account_the_span() {
         .unwrap();
 
     let epochs: Vec<u64> = report.summaries.iter().map(|s| s.epoch).collect();
-    assert_eq!(epochs, (0..EPOCHS).collect::<Vec<_>>(), "one summary per epoch");
+    assert_eq!(
+        epochs,
+        (0..EPOCHS).collect::<Vec<_>>(),
+        "one summary per epoch"
+    );
 
     for summary in &report.summaries {
         assert!(summary.workers >= 1 && summary.workers <= 4);
         assert!(summary.span_ns > 0, "epoch {} has zero span", summary.epoch);
         assert!(summary.critical_path_ns <= summary.span_ns);
-        assert!(summary.busy_max_ns > 0, "epoch {} saw no busy time", summary.epoch);
+        assert!(
+            summary.busy_max_ns > 0,
+            "epoch {} saw no busy time",
+            summary.epoch
+        );
         assert!(summary.busy_max_ns >= summary.busy_min_ns);
         assert!(summary.busy_total_ns >= summary.busy_max_ns);
         assert!(summary.samples > 0);
@@ -214,11 +228,11 @@ fn four_workers_attribute_the_straggler_and_account_the_span() {
 /// export header, and never fatal.
 #[test]
 fn buffer_overflow_is_counted_and_surfaced() {
-    let (_, snapshot) = execute_with_telemetry(
-        Config::single_process(2).telemetry_capacity(32),
-        |worker| skewed_sums(worker, 3, 64),
-    )
-    .unwrap();
+    let (_, snapshot) =
+        execute_with_telemetry(Config::single_process(2).telemetry_capacity(32), |worker| {
+            skewed_sums(worker, 3, 64)
+        })
+        .unwrap();
     let dropped = snapshot.total_events_dropped();
     assert!(dropped > 0, "a 32-event buffer must overflow");
     assert!(snapshot.workers.iter().any(|w| w.events_dropped > 0));

@@ -101,9 +101,7 @@ pub fn lint_files(files: &[SourceFile], cfg: &LintConfig) -> Vec<Diagnostic> {
     if cfg.wants(Code::LockOrderCycle) {
         rules::locks::ns0006(files, &mut out);
     }
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code))
-    });
+    out.sort_by(|a, b| (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code)));
     out
 }
 
@@ -142,9 +140,7 @@ mod tests {
         );
         let a = lint_files(std::slice::from_ref(&f), &LintConfig::default());
         let b = lint_files(std::slice::from_ref(&f), &LintConfig::default());
-        let render = |ds: &[Diagnostic]| {
-            ds.iter().map(Diagnostic::render_text).collect::<String>()
-        };
+        let render = |ds: &[Diagnostic]| ds.iter().map(Diagnostic::render_text).collect::<String>();
         assert_eq!(render(&a), render(&b));
         assert!(a.len() >= 3);
     }

@@ -92,13 +92,8 @@ pub fn ns0006(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
                     if name == "lock" && prev_dot && next_paren {
                         if let Some(id) = receiver_tail(toks, i - 1) {
                             let (let_bound, binding) = let_binding(toks, i);
-                            let end = live_end(
-                                toks,
-                                i,
-                                item.body_close,
-                                let_bound,
-                                binding.as_deref(),
-                            );
+                            let end =
+                                live_end(toks, i, item.body_close, let_bound, binding.as_deref());
                             locks.push(LockEv {
                                 id,
                                 ti: i,
@@ -204,8 +199,7 @@ fn dfs_cycles(
         if on_path.contains(&e.to) {
             // Cycle: from the first occurrence of e.to on the path.
             let from = path.iter().position(|(n, _)| n == &e.to).unwrap_or(0);
-            let mut names: Vec<String> =
-                path[from..].iter().map(|(n, _)| n.clone()).collect();
+            let mut names: Vec<String> = path[from..].iter().map(|(n, _)| n.clone()).collect();
             names.sort();
             if seen.insert(names) {
                 report_cycle(&path[from..], e, out);
@@ -311,7 +305,10 @@ fn let_binding(toks: &[Tok], ti: usize) -> (bool, Option<String>) {
     while toks.get(j).is_some_and(|t| t.is_ident("mut")) {
         j += 1;
     }
-    (true, toks.get(j).and_then(|t| t.ident().map(str::to_string)))
+    (
+        true,
+        toks.get(j).and_then(|t| t.ident().map(str::to_string)),
+    )
 }
 
 /// Conservative guard liveness: a temporary dies at the end of its

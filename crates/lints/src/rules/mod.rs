@@ -11,8 +11,8 @@ pub mod locks;
 pub mod telemetry;
 
 use crate::diag::{Code, Diagnostic, Severity};
-use crate::source::SourceFile;
 use crate::lexer::{Tok, TokKind};
+use crate::source::SourceFile;
 
 /// Paths (relative, `/`-separated) a rule applies to. `runtime/` covers
 /// the runtime and the sync kernel it is built on (`naiad_wire::sync`).
@@ -89,9 +89,7 @@ fn deliberate_panic_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0usize;
     while i + 2 < toks.len() {
-        let named = toks[i]
-            .ident()
-            .is_some_and(|s| MACROS.contains(&s));
+        let named = toks[i].ident().is_some_and(|s| MACROS.contains(&s));
         if named && toks[i + 1].is_punct('!') && toks[i + 2].is_punct('(') {
             let mut depth = 0i32;
             let mut j = i + 2;
@@ -157,7 +155,9 @@ pub fn ns0001(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 let qualified = i >= 2
                     && toks[i - 1].is_punct(':')
                     && toks[i - 2].is_punct(':')
-                    && toks.get(i.wrapping_sub(3)).is_some_and(|t| t.is_ident("mpsc"));
+                    && toks
+                        .get(i.wrapping_sub(3))
+                        .is_some_and(|t| t.is_ident("mpsc"));
                 let turbofish = toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
                     && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
                     && toks.get(i + 3).is_some_and(|t| t.is_punct('<'));
@@ -301,7 +301,9 @@ pub fn ns0003(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             Some("in") => {
                 // `for x in [&]name {` over a hash binding.
                 let mut j = i + 1;
-                while toks.get(j).is_some_and(|t| t.is_punct('&') || t.is_punct('*'))
+                while toks
+                    .get(j)
+                    .is_some_and(|t| t.is_punct('&') || t.is_punct('*'))
                     || toks.get(j).is_some_and(|t| t.is_ident("mut"))
                 {
                     j += 1;
@@ -312,14 +314,11 @@ pub fn ns0003(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                 {
                     j += 2;
                 }
-                if let (Some(name), Some(open)) = (
-                    toks.get(j).and_then(Tok::ident),
-                    toks.get(j + 1),
-                ) {
+                if let (Some(name), Some(open)) =
+                    (toks.get(j).and_then(Tok::ident), toks.get(j + 1))
+                {
                     if open.is_punct('{') && hash_names.iter().any(|n| n == name) {
-                        finding = Some(format!(
-                            "`for` loop over hash-ordered collection `{name}`"
-                        ));
+                        finding = Some(format!("`for` loop over hash-ordered collection `{name}`"));
                     }
                 }
             }
@@ -351,8 +350,7 @@ pub fn ns0004(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
     let toks = &f.toks;
     let deliberate = deliberate_panic_spans(toks);
-    let in_deliberate =
-        |i: usize| deliberate.iter().any(|&(a, b)| a <= i && i <= b);
+    let in_deliberate = |i: usize| deliberate.iter().any(|&(a, b)| a <= i && i <= b);
     const KEYWORDS: [&str; 12] = [
         "let", "in", "match", "return", "if", "else", "mut", "ref", "move", "as", "box", "dyn",
     ];

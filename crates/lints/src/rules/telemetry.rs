@@ -71,8 +71,7 @@ fn field_conservation(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
                 }
                 let used = files.iter().enumerate().any(|(oi, other)| {
                     other.toks.iter().any(|t| {
-                        t.is_ident(&field)
-                            && !(oi == fi && span.0 <= t.line && t.line <= span.1)
+                        t.is_ident(&field) && !(oi == fi && span.0 <= t.line && t.line <= span.1)
                     })
                 });
                 if !used {
@@ -214,9 +213,13 @@ fn counter_structs(f: &SourceFile) -> Vec<CounterStruct> {
                     let mut depth = 0i32;
                     while k < close {
                         match toks[k].kind {
-                            TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct('[')
+                            TokKind::Punct('{')
+                            | TokKind::Punct('(')
+                            | TokKind::Punct('[')
                             | TokKind::Punct('<') => depth += 1,
-                            TokKind::Punct('}') | TokKind::Punct(')') | TokKind::Punct(']')
+                            TokKind::Punct('}')
+                            | TokKind::Punct(')')
+                            | TokKind::Punct(']')
                             | TokKind::Punct('>') => depth -= 1,
                             TokKind::Punct(',') if depth <= 0 => break,
                             _ => {}

@@ -932,7 +932,8 @@ mod tests {
     fn loopback_works() {
         let mut eps = Fabric::builder(1).build();
         let mut a = eps.pop().unwrap();
-        a.send(0, 3, TrafficClass::Progress, vec![9].into()).unwrap();
+        a.send(0, 3, TrafficClass::Progress, vec![9].into())
+            .unwrap();
         let env = a.try_recv().unwrap();
         assert_eq!((env.src, env.channel), (0, 3));
     }
@@ -1193,12 +1194,8 @@ mod fault_tests {
         let plan = FaultPlan::seeded(13)
             .drop_probability(0.9)
             .duplicate_probability(0.9);
-        let model = LatencyModel::lossy(
-            Duration::from_millis(50),
-            0.0,
-            Duration::from_millis(50),
-            3,
-        );
+        let model =
+            LatencyModel::lossy(Duration::from_millis(50), 0.0, Duration::from_millis(50), 3);
         let mut eps = Fabric::builder(2).faults(plan).latency(model).build();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
@@ -1351,12 +1348,8 @@ mod fault_tests {
         let plan = FaultPlan::seeded(23)
             .drop_probability(0.2)
             .duplicate_probability(0.2);
-        let model = LatencyModel::lossy(
-            Duration::from_micros(100),
-            0.3,
-            Duration::from_millis(1),
-            9,
-        );
+        let model =
+            LatencyModel::lossy(Duration::from_micros(100), 0.3, Duration::from_millis(1), 9);
         let mut eps = Fabric::builder(2).faults(plan).latency(model).build();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();

@@ -57,9 +57,7 @@ mod latency;
 mod metrics;
 
 pub use clock::ClusterClock;
-pub use endpoint::{
-    Endpoint, Envelope, Fabric, FabricBuilder, NetReceiver, NetSender, RecvError,
-};
+pub use endpoint::{Endpoint, Envelope, Fabric, FabricBuilder, NetReceiver, NetSender, RecvError};
 pub use fault::{CrashPoint, FaultController, FaultPlan, LinkPartition, SendError};
 pub use latency::LatencyModel;
 pub use metrics::{

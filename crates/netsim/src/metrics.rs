@@ -150,7 +150,9 @@ impl FabricMetrics {
     }
 
     pub(crate) fn record_partition_reject(&self) {
-        self.faults.partition_rejects.fetch_add(1, Ordering::Relaxed);
+        self.faults
+            .partition_rejects
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_crash_reject(&self) {

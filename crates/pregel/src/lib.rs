@@ -68,7 +68,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-
 // Dataflow state cells are inherently nested (`Rc<RefCell<KeyMap<…>>>`);
 // naming each shape would add indirection without clarity.
 #![allow(clippy::type_complexity)]

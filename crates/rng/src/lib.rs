@@ -35,7 +35,9 @@ impl Xorshift {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(salt.wrapping_mul(0x2545_F491_4F6C_DD1D))
             ^ salt.rotate_left(17);
-        Xorshift { state: mixed.max(1) }
+        Xorshift {
+            state: mixed.max(1),
+        }
     }
 
     /// The next raw 64-bit output.
@@ -202,6 +204,9 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..32).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "a 32-element shuffle is almost surely nontrivial");
+        assert_ne!(
+            v, sorted,
+            "a 32-element shuffle is almost surely nontrivial"
+        );
     }
 }

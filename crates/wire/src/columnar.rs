@@ -72,10 +72,12 @@ impl<K: Wire> KeyedBatch<K> {
 
     /// Iterates the records as `(&key, payload)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &str)> {
-        self.keys.iter().zip(self.ends.iter().scan(0usize, |pos, &end| {
-            let start = std::mem::replace(pos, end);
-            Some(&self.text[start..end])
-        }))
+        self.keys
+            .iter()
+            .zip(self.ends.iter().scan(0usize, |pos, &end| {
+                let start = std::mem::replace(pos, end);
+                Some(&self.text[start..end])
+            }))
     }
 }
 

@@ -285,7 +285,12 @@ impl<'a, T: WireRef<'a>> Iterator for SeqViewIter<'a, T> {
 
 impl<T> std::fmt::Debug for SeqView<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SeqView({} elements, {} bytes)", self.len, self.bytes.len())
+        write!(
+            f,
+            "SeqView({} elements, {} bytes)",
+            self.len,
+            self.bytes.len()
+        )
     }
 }
 
@@ -335,8 +340,7 @@ mod tests {
 
     #[test]
     fn seq_view_iterates_without_materializing() {
-        let records: Vec<(u64, String)> =
-            (0..100).map(|i| (i, format!("record-{i}"))).collect();
+        let records: Vec<(u64, String)> = (0..100).map(|i| (i, format!("record-{i}"))).collect();
         let frame = encode_to_vec(&records);
         let view: SeqView<'_, (u64, &str)> = decode_ref_from_slice(&frame).unwrap();
         assert_eq!(view.len(), 100);

@@ -183,11 +183,7 @@ impl SlabPool {
 
     /// Current pool counters.
     pub fn gauges(&self) -> SlabGauges {
-        let resident_slabs = self
-            .classes
-            .iter()
-            .map(|c| c.lock().len() as u64)
-            .sum();
+        let resident_slabs = self.classes.iter().map(|c| c.lock().len() as u64).sum();
         SlabGauges {
             slab_allocs: self.allocs.load(Ordering::Relaxed),
             slab_reuses: self.reuses.load(Ordering::Relaxed),
@@ -296,7 +292,11 @@ mod tests {
         assert_eq!(&bytes[..], b"hello");
         let clone = bytes.clone();
         drop(bytes);
-        assert_eq!(pool.gauges().in_use_slabs, 1, "a clone still holds the slab");
+        assert_eq!(
+            pool.gauges().in_use_slabs,
+            1,
+            "a clone still holds the slab"
+        );
         drop(clone);
         let g = pool.gauges();
         assert_eq!((g.in_use_slabs, g.slab_returns), (0, 1));
@@ -355,7 +355,8 @@ mod tests {
     fn growth_past_the_hint_is_absorbed() {
         let pool = Arc::new(SlabPool::default());
         let mut slab = pool.get(16);
-        slab.buffer().extend(std::iter::repeat_n(7u8, 2 * MIN_CLASS_BYTES));
+        slab.buffer()
+            .extend(std::iter::repeat_n(7u8, 2 * MIN_CLASS_BYTES));
         let bytes = slab.freeze();
         assert_eq!(bytes.len(), 2 * MIN_CLASS_BYTES);
         drop(bytes);

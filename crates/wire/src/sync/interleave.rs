@@ -30,8 +30,9 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdGuard,
-    PoisonError};
+use std::sync::{
+    Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdGuard, PoisonError,
+};
 
 thread_local! {
     /// The model-thread index of the current OS thread, if the explorer
@@ -132,7 +133,11 @@ impl Sched {
 
     /// Blocks the calling model thread until the controller grants it
     /// the token (or shuts the exploration down).
-    fn wait_for_grant<'a>(&'a self, mut st: StdGuard<'a, State>, tid: usize) -> StdGuard<'a, State> {
+    fn wait_for_grant<'a>(
+        &'a self,
+        mut st: StdGuard<'a, State>,
+        tid: usize,
+    ) -> StdGuard<'a, State> {
         loop {
             if st.shutdown {
                 drop(st);
@@ -459,7 +464,9 @@ pub(crate) fn explore_with(
     opts: &Explore,
     factory: impl Fn() -> Vec<Box<dyn FnOnce() + Send>>,
 ) -> usize {
-    let _serial = EXPLORE_SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = EXPLORE_SERIAL
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let mut replay: Vec<usize> = Vec::new();
     let mut schedules = 0usize;
     loop {
@@ -491,7 +498,11 @@ fn run_schedule(
     replay: &[usize],
     bodies: Vec<Box<dyn FnOnce() + Send>>,
 ) -> Vec<(usize, usize)> {
-    let sched = Arc::new(Sched::new(bodies.len(), opts.preemption_bound, replay.to_vec()));
+    let sched = Arc::new(Sched::new(
+        bodies.len(),
+        opts.preemption_bound,
+        replay.to_vec(),
+    ));
     *ACTIVE.lock().unwrap_or_else(PoisonError::into_inner) = Some(sched.clone());
     let handles: Vec<_> = bodies
         .into_iter()
@@ -518,8 +529,7 @@ fn run_schedule(
             }
         })
         .collect();
-    let drive_result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.drive()));
+    let drive_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.drive()));
     let mut thread_payload = None;
     for handle in handles {
         if let Err(payload) = handle.join() {
@@ -602,11 +612,7 @@ mod loom_tests {
                             let v = cell.load(Ordering::SeqCst);
                             cell.store(v + 1, Ordering::SeqCst);
                             if done.fetch_add(1, Ordering::SeqCst) == 1 {
-                                assert_eq!(
-                                    cell.load(Ordering::SeqCst),
-                                    2,
-                                    "seeded lost update"
-                                );
+                                assert_eq!(cell.load(Ordering::SeqCst), 2, "seeded lost update");
                             }
                         }) as Box<dyn FnOnce() + Send>
                     })

@@ -157,7 +157,11 @@ fn borrowed_decode_agrees_with_owned_decode() {
         assert_eq!(raw, s.as_bytes());
 
         // Options and tuples compose views exactly as owned decode does.
-        let opt = if rng.chance(0.5) { Some(s.clone()) } else { None };
+        let opt = if rng.chance(0.5) {
+            Some(s.clone())
+        } else {
+            None
+        };
         let bytes = encode_to_vec(&opt);
         let view: Option<&str> = decode_ref_from_slice(&bytes).unwrap();
         assert_eq!(view, opt.as_deref());
@@ -168,8 +172,7 @@ fn borrowed_decode_agrees_with_owned_decode() {
         assert_eq!(view, (tup.0, tup.1.as_str(), tup.2));
 
         // Sequences: a SeqView iterates the same records Vec decodes.
-        let records: Vec<(u64, String)> =
-            gen_vec(&mut rng, |rng| (gen_u64(rng), gen_string(rng)));
+        let records: Vec<(u64, String)> = gen_vec(&mut rng, |rng| (gen_u64(rng), gen_string(rng)));
         let bytes = encode_to_vec(&records);
         let owned: Vec<(u64, String)> = decode_from_slice(&bytes).unwrap();
         let view: SeqView<(u64, &str)> = decode_ref_from_slice(&bytes).unwrap();
@@ -189,9 +192,9 @@ fn borrowed_decode_agrees_with_owned_decode() {
         let view: KeyedBatchView<u64> = decode_ref_from_slice(&bytes).unwrap();
         assert_eq!(view.len(), batch.len());
         let mut rows = Vec::new();
-        view.try_for_each(|k, s| rows.push((k, s.to_owned()))).unwrap();
-        let expect: Vec<(u64, String)> =
-            batch.iter().map(|(k, s)| (*k, s.to_owned())).collect();
+        view.try_for_each(|k, s| rows.push((k, s.to_owned())))
+            .unwrap();
+        let expect: Vec<(u64, String)> = batch.iter().map(|(k, s)| (*k, s.to_owned())).collect();
         assert_eq!(rows, expect);
     }
 }
@@ -378,7 +381,11 @@ fn varint_widths_step_at_every_seven_bit_boundary() {
         for v in [boundary - 1, boundary] {
             let mut buf = Vec::new();
             encode_u64(v, &mut buf);
-            let expect = if v < boundary { k as usize } else { k as usize + 1 };
+            let expect = if v < boundary {
+                k as usize
+            } else {
+                k as usize + 1
+            };
             assert_eq!(buf.len(), expect, "width of {v:#x}");
             assert_eq!(len_u64(v), expect);
             let mut slice = &buf[..];

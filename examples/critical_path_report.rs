@@ -83,7 +83,10 @@ fn run_skewed(worker: &mut Worker) {
 
 /// Checks the introspection contract and prints one workload's report.
 fn report(name: &str, report: &RunReport<()>) {
-    let snapshot = report.telemetry.as_ref().expect("introspection forces telemetry on");
+    let snapshot = report
+        .telemetry
+        .as_ref()
+        .expect("introspection forces telemetry on");
     println!("== {name} ==");
     println!("{}", snapshot.critical_path_json_lines());
 
@@ -97,7 +100,11 @@ fn report(name: &str, report: &RunReport<()>) {
     }
     let mut unique = epochs.clone();
     unique.dedup();
-    assert_eq!(unique.len(), epochs.len(), "{name}: an epoch has two summaries");
+    assert_eq!(
+        unique.len(),
+        epochs.len(),
+        "{name}: an epoch has two summaries"
+    );
 
     println!("epoch  straggler  skew     busy(ms)  wait(ms)  transit(rec)  progress(upd)");
     for s in &report.summaries {

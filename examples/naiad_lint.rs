@@ -71,9 +71,7 @@ fn catalog() -> Vec<Entry> {
                 w.dataflow_with_report(c, |scope| {
                     let (_input, seeds) = scope.new_input::<u64>();
                     seeds
-                        .iterate(Some(8), |inner| {
-                            inner.map(|x: u64| x / 2).distinct()
-                        })
+                        .iterate(Some(8), |inner| inner.map(|x: u64| x / 2).distinct())
                         .probe();
                 })
                 .1
@@ -213,10 +211,8 @@ fn main() {
         }
         let build = entry.build;
         let cfg = config.clone();
-        let mut reports = execute(Config::single_process(1), move |worker| {
-            build(worker, &cfg)
-        })
-        .expect("single-process lint run");
+        let mut reports = execute(Config::single_process(1), move |worker| build(worker, &cfg))
+            .expect("single-process lint run");
         let report = reports.pop().expect("one worker yields one report");
         errors += report.error_count();
         warnings += report.warning_count();

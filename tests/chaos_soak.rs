@@ -78,43 +78,47 @@ fn inputs() -> Vec<Vec<(u64, u64)>> {
 /// *not* registered: replay, not the checkpoint, reconstructs it.
 fn build(scope: &mut Scope) -> (naiad::InputHandle<(u64, u64)>, naiad::ProbeHandle, Captured) {
     let (input, stream) = scope.new_input::<(u64, u64)>();
-    let mins = stream.unary_notify(Pact::exchange(|(k, _): &(u64, u64)| *k), "KeyedMin", |info| {
-        let acc: Rc<RefCell<HashMap<u64, u64>>> = Rc::new(RefCell::new(HashMap::new()));
-        info.register_keyed_state(acc.clone(), |k: &u64| *k);
-        let pending: PendingByEpoch = Rc::new(RefCell::new(HashMap::new()));
-        let recv_pending = pending.clone();
-        (
-            move |input: &mut InputPort<(u64, u64)>,
-                  _output: &mut OutputPort<(u64, u64)>,
-                  notify: &Notify| {
-                input.for_each(|time, data| {
-                    let mut pending = recv_pending.borrow_mut();
-                    let slot = pending.entry(time).or_insert_with(|| {
-                        notify.notify_at(time);
-                        Vec::new()
+    let mins = stream.unary_notify(
+        Pact::exchange(|(k, _): &(u64, u64)| *k),
+        "KeyedMin",
+        |info| {
+            let acc: Rc<RefCell<HashMap<u64, u64>>> = Rc::new(RefCell::new(HashMap::new()));
+            info.register_keyed_state(acc.clone(), |k: &u64| *k);
+            let pending: PendingByEpoch = Rc::new(RefCell::new(HashMap::new()));
+            let recv_pending = pending.clone();
+            (
+                move |input: &mut InputPort<(u64, u64)>,
+                      _output: &mut OutputPort<(u64, u64)>,
+                      notify: &Notify| {
+                    input.for_each(|time, data| {
+                        let mut pending = recv_pending.borrow_mut();
+                        let slot = pending.entry(time).or_insert_with(|| {
+                            notify.notify_at(time);
+                            Vec::new()
+                        });
+                        slot.extend(data);
                     });
-                    slot.extend(data);
-                });
-            },
-            move |time: Timestamp, output: &mut OutputPort<(u64, u64)>, _notify: &Notify| {
-                let Some(mut records) = pending.borrow_mut().remove(&time) else {
-                    return;
-                };
-                // Sorted fold: at most one emission per improved key per
-                // epoch, independent of cross-sender arrival interleaving.
-                records.sort_unstable();
-                let mut acc = acc.borrow_mut();
-                let mut session = output.session(time);
-                for (k, v) in records {
-                    let best = acc.entry(k).or_insert(u64::MAX);
-                    if v < *best {
-                        *best = v;
-                        session.give((k, v));
+                },
+                move |time: Timestamp, output: &mut OutputPort<(u64, u64)>, _notify: &Notify| {
+                    let Some(mut records) = pending.borrow_mut().remove(&time) else {
+                        return;
+                    };
+                    // Sorted fold: at most one emission per improved key per
+                    // epoch, independent of cross-sender arrival interleaving.
+                    records.sort_unstable();
+                    let mut acc = acc.borrow_mut();
+                    let mut session = output.session(time);
+                    for (k, v) in records {
+                        let best = acc.entry(k).or_insert(u64::MAX);
+                        if v < *best {
+                            *best = v;
+                            session.give((k, v));
+                        }
                     }
-                }
-            },
-        )
-    });
+                },
+            )
+        },
+    );
     (input, mins.probe(), mins.capture())
 }
 
@@ -238,7 +242,11 @@ fn baseline() -> Vec<Vec<(u64, u64)>> {
 fn chaos_run(seed: u64, batched: bool) -> Result<PhaseReport<(u64, Out)>, ExecuteError> {
     let all = Arc::new(inputs());
     Execution::new(chaos_config().faults(plan_for_seed(seed)))
-        .resilient(RecoveryOptions::default().max_attempts(6).checkpoint_every(1))
+        .resilient(
+            RecoveryOptions::default()
+                .max_attempts(6)
+                .checkpoint_every(1),
+        )
         .run(move |worker, recovery| {
             let (mut input, probe, captured) = worker.dataflow(build);
             recovery.restore_into(worker);
@@ -377,8 +385,11 @@ fn rescale_step_for_seed(seed: u64) -> RescaleStep {
 /// The driver follows the standard elastic protocol and returns each
 /// attempt's resume epoch with its captures, as [`chaos_run`] does.
 fn rescale_chaos_run(seed: u64) -> Result<RunReport<(u64, Out)>, ExecuteError> {
-    let options = ElasticOptions::default()
-        .recovery(RecoveryOptions::default().max_attempts(6).checkpoint_every(1));
+    let options = ElasticOptions::default().recovery(
+        RecoveryOptions::default()
+            .max_attempts(6)
+            .checkpoint_every(1),
+    );
     elastic_driver(
         Execution::new(chaos_config().faults(plan_for_seed(seed))).elastic(
             &[rescale_step_for_seed(seed)],
@@ -435,11 +446,7 @@ fn rescale_soak(seeds: std::ops::Range<u64>, reference: &[Vec<(u64, u64)>]) -> u
     for seed in seeds {
         match rescale_chaos_run(seed) {
             Ok(report) => {
-                let recovered: usize = report
-                    .phases
-                    .iter()
-                    .map(|p| p.recovered_from.len())
-                    .sum();
+                let recovered: usize = report.phases.iter().map(|p| p.recovered_from.len()).sum();
                 let uncommitted = report
                     .outcomes
                     .iter()
@@ -803,8 +810,16 @@ fn composed_run(seed: u64) -> Result<RunReport<(u64, Out)>, ExecuteError> {
         .flow(FlowConfig::default().budget(1 << 10));
     elastic_driver(
         Execution::new(config)
-            .resilient(RecoveryOptions::default().max_attempts(6).checkpoint_every(1))
-            .elastic(&[rescale_step_for_seed(seed)], EPOCHS, ElasticOptions::default())
+            .resilient(
+                RecoveryOptions::default()
+                    .max_attempts(6)
+                    .checkpoint_every(1),
+            )
+            .elastic(
+                &[rescale_step_for_seed(seed)],
+                EPOCHS,
+                ElasticOptions::default(),
+            )
             .introspect(),
     )
 }
@@ -929,20 +944,27 @@ fn overload_run(seed: u64, policy: ShedPolicy) -> (u64, TelemetrySnapshot) {
             .policy(ShedPolicy::Shed)
             .thresholds(0.05, 0.1),
     };
-    let config = Config::processes_and_workers(1, 2).batch_size(64).flow(flow);
+    let config = Config::processes_and_workers(1, 2)
+        .batch_size(64)
+        .flow(flow);
     let (results, snapshot) = execute_with_telemetry(config, move |worker| {
         let (mut input, probe, counted) = worker.dataflow(|scope: &mut Scope| {
             let (input, stream) = scope.new_input::<(u64, u64)>();
             let counted: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
             let sink_count = counted.clone();
-            let sink = stream.unary(Pact::exchange(|_: &(u64, u64)| 1), "DawdlingSink", |_info| {
-                move |input: &mut InputPort<(u64, u64)>, _output: &mut OutputPort<(u64, u64)>| {
-                    input.for_each(|_time, data| {
-                        thread::sleep(Duration::from_millis(2));
-                        *sink_count.borrow_mut() += data.len() as u64;
-                    });
-                }
-            });
+            let sink = stream.unary(
+                Pact::exchange(|_: &(u64, u64)| 1),
+                "DawdlingSink",
+                |_info| {
+                    move |input: &mut InputPort<(u64, u64)>,
+                          _output: &mut OutputPort<(u64, u64)>| {
+                        input.for_each(|_time, data| {
+                            thread::sleep(Duration::from_millis(2));
+                            *sink_count.borrow_mut() += data.len() as u64;
+                        });
+                    }
+                },
+            );
             (input, sink.probe(), counted)
         });
         if worker.index() == 0 {
@@ -977,7 +999,10 @@ fn overload_soak(seeds: std::ops::Range<u64>) {
         let (delivered, snapshot) = overload_run(seed, ShedPolicy::Block);
         let flow = snapshot.flow;
         assert_eq!(delivered, offered, "seed {seed}: Block policy lost records");
-        assert_eq!(flow.shed_records, 0, "seed {seed}: Block policy must not shed");
+        assert_eq!(
+            flow.shed_records, 0,
+            "seed {seed}: Block policy must not shed"
+        );
         assert_eq!(
             flow.overdrafts, 0,
             "seed {seed}: a 2s credit wait against a 2ms dawdle must never time out"

@@ -261,7 +261,10 @@ fn try_restore_reports_corruption() {
     .unwrap();
     for (garbage, corrupt, stale, clean) in &errors {
         assert_eq!(garbage, &Err(RestoreError::BadMagic));
-        assert!(matches!(corrupt, Err(RestoreError::ChecksumMismatch { .. })));
+        assert!(matches!(
+            corrupt,
+            Err(RestoreError::ChecksumMismatch { .. })
+        ));
         assert_eq!(stale, &Err(RestoreError::UnsupportedVersion(3)));
         assert_eq!(clean, &Ok(()));
     }
@@ -423,7 +426,10 @@ fn partitioned_round_trip_matches_across_worker_counts() {
                 v
             })
             .collect();
-        assert_eq!(head_prefix, head_reference, "{from} -> {to}: prefix diverged");
+        assert_eq!(
+            head_prefix, head_reference,
+            "{from} -> {to}: prefix diverged"
+        );
 
         let resumed = resume_from_shards(to, split, bundles);
         let tail_resumed: Vec<Vec<(u64, u64)>> = (0..(6 - split))
@@ -480,7 +486,10 @@ fn restore_shards_rejects_corruption_with_typed_errors() {
     .unwrap();
     for (garbage, corrupt, truncated, clean) in outcomes {
         assert_eq!(garbage, Err(RestoreError::BadMagic));
-        assert!(matches!(corrupt, Err(RestoreError::ChecksumMismatch { .. })));
+        assert!(matches!(
+            corrupt,
+            Err(RestoreError::ChecksumMismatch { .. })
+        ));
         assert!(truncated.is_err(), "truncated shard must fail typed");
         assert_eq!(clean, Ok(()));
     }
@@ -566,7 +575,11 @@ fn checkpoint_holds_only_what_closed_epochs_folded() {
         } else {
             // Checkpoint epoch 0 only once the peer's epoch 1 has reached
             // this worker's aggregate and improved a key.
-            wait_fed.lock().unwrap().recv().expect("worker 1 feeds epoch 1");
+            wait_fed
+                .lock()
+                .unwrap()
+                .recv()
+                .expect("worker 1 feeds epoch 1");
             worker.step_while(|| *ahead.borrow() == 0);
             let blob = worker.checkpoint();
             input.advance_to(2);
@@ -601,7 +614,11 @@ fn checkpoint_holds_only_what_closed_epochs_folded() {
     })
     .unwrap();
     let replayed: Out = replayed.into_iter().flatten().collect();
-    assert_eq!(records_at(&first_run, 1).len(), 16, "epoch 1 improves every key");
+    assert_eq!(
+        records_at(&first_run, 1).len(),
+        16,
+        "epoch 1 improves every key"
+    );
     assert_eq!(
         records_at(&replayed, 0),
         records_at(&first_run, 1),
@@ -651,19 +668,16 @@ fn recovery_matches_fault_free_run_at_every_crash_epoch() {
                     }
                     // Replay the input log where it exists; read (and log)
                     // the source otherwise.
-                    let records = match recovery.logged_input::<(u64, u64)>(
-                        epoch,
-                        worker.index(),
-                        0,
-                    ) {
-                        Some(records) => records,
-                        None => {
-                            let records =
-                                my_share(&all[epoch as usize], worker.index(), worker.peers());
-                            recovery.log_input(epoch, worker.index(), 0, &records);
-                            records
-                        }
-                    };
+                    let records =
+                        match recovery.logged_input::<(u64, u64)>(epoch, worker.index(), 0) {
+                            Some(records) => records,
+                            None => {
+                                let records =
+                                    my_share(&all[epoch as usize], worker.index(), worker.peers());
+                                recovery.log_input(epoch, worker.index(), 0, &records);
+                                records
+                            }
+                        };
                     for r in records {
                         input.send(r);
                     }
@@ -694,7 +708,11 @@ fn recovery_matches_fault_free_run_at_every_crash_epoch() {
             resume <= crash_epoch,
             "rolled back past the crash point: resume {resume}, crash {crash_epoch}"
         );
-        let mut recovered: Out = report.results.into_iter().flat_map(|(_, cap)| cap).collect();
+        let mut recovered: Out = report
+            .results
+            .into_iter()
+            .flat_map(|(_, cap)| cap)
+            .collect();
         recovered.sort();
         for local in 0..(total_epochs - resume) {
             let mut got: Vec<(u64, u64)> = recovered

@@ -257,11 +257,7 @@ fn lossy_links_preserve_results_under_ten_percent_drop() {
     })
     .unwrap();
 
-    let mut counts: Vec<(u64, u64)> = results
-        .into_iter()
-        .flatten()
-        .flat_map(|(_, d)| d)
-        .collect();
+    let mut counts: Vec<(u64, u64)> = results.into_iter().flatten().flat_map(|(_, d)| d).collect();
     counts.sort_unstable();
     let expected: Vec<(u64, u64)> = (0..30).map(|k| (k, 20)).collect();
     assert_eq!(counts, expected, "lossy links corrupted the aggregation");

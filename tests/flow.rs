@@ -127,14 +127,15 @@ fn credited_run_is_bit_identical_and_drains() {
     with_deadline(120, || {
         let (reference, baseline) = run(Config::processes_and_workers(2, 2));
         assert!(!baseline.flow.enabled, "flow gauges default off");
-        let (credited, snapshot) = run(
-            Config::processes_and_workers(2, 2)
-                .flow(FlowConfig::default().budget(64 << 10)),
-        );
+        let (credited, snapshot) =
+            run(Config::processes_and_workers(2, 2).flow(FlowConfig::default().budget(64 << 10)));
         assert_eq!(credited, reference, "flow control must not change output");
         let flow = snapshot.flow;
         assert!(flow.enabled);
-        assert!(flow.credit_returns > 0, "data moved through credited queues");
+        assert!(
+            flow.credit_returns > 0,
+            "data moved through credited queues"
+        );
         assert_eq!(flow.in_flight_bytes, 0, "all spent credits were returned");
         assert_eq!(flow.shed_records, 0, "Block policy is lossless");
     });
@@ -232,8 +233,7 @@ fn shed_policy_accounts_for_every_record() {
 #[test]
 fn admission_window_bounds_open_epochs() {
     with_deadline(120, || {
-        let config =
-            Config::single_process(1).flow(FlowConfig::default().max_open_epochs(1));
+        let config = Config::single_process(1).flow(FlowConfig::default().max_open_epochs(1));
         let (results, _snapshot) = execute_with_telemetry(config, |worker| {
             let (mut input, probe, captured) = worker.dataflow(build);
             assert_eq!(

@@ -191,7 +191,11 @@ fn reference_run() -> (Vec<Vec<(u64, u64)>>, u64) {
 fn silent_failure_report(fault: Silent, config: Config) -> PhaseReport<(u64, Out)> {
     let all = Arc::new(inputs());
     Execution::new(config)
-        .resilient(RecoveryOptions::default().max_attempts(3).checkpoint_every(1))
+        .resilient(
+            RecoveryOptions::default()
+                .max_attempts(3)
+                .checkpoint_every(1),
+        )
         .run(move |worker, recovery| {
             let (mut input, probe, captured) = worker.dataflow(build);
             recovery.restore_into(worker);
@@ -483,7 +487,8 @@ fn wedged_migration_run(options: ElasticOptions) -> Result<RunReport<Out>, Execu
                 let records = match session.logged_input::<(u64, u64)>(epoch, worker.index(), 0) {
                     Some(records) => records,
                     None => {
-                        let records = my_share(&all[epoch as usize], worker.index(), worker.peers());
+                        let records =
+                            my_share(&all[epoch as usize], worker.index(), worker.peers());
                         session.log_input(epoch, worker.index(), 0, &records);
                         records
                     }
@@ -512,7 +517,11 @@ fn wedged_migration_run(options: ElasticOptions) -> Result<RunReport<Out>, Execu
 fn overrunning_migration_fails_typed_with_phase_dump() {
     with_deadline(120, || {
         let options = ElasticOptions::default()
-            .recovery(RecoveryOptions::default().max_attempts(1).checkpoint_every(1))
+            .recovery(
+                RecoveryOptions::default()
+                    .max_attempts(1)
+                    .checkpoint_every(1),
+            )
             .migration_deadline(Duration::from_millis(500))
             .rollback_on_abort(false);
         match wedged_migration_run(options) {
@@ -545,7 +554,11 @@ fn overrunning_migration_rolls_back_and_completes() {
     with_deadline(120, || {
         let (reference, _) = reference_run();
         let options = ElasticOptions::default()
-            .recovery(RecoveryOptions::default().max_attempts(1).checkpoint_every(1))
+            .recovery(
+                RecoveryOptions::default()
+                    .max_attempts(1)
+                    .checkpoint_every(1),
+            )
             .migration_deadline(Duration::from_millis(500));
         let report = wedged_migration_run(options).expect("rollback must save the run");
         assert!(
@@ -609,8 +622,7 @@ fn backpressured_worker_is_not_declared_stalled() {
                 // Everything lands at worker 1, whose vertex dawdles: the
                 // backlog parks the sender while epochs stay open.
                 let out = stream.unary(Pact::exchange(|_: &(u64, u64)| 1), "Dawdle", |_info| {
-                    move |input: &mut InputPort<(u64, u64)>,
-                          output: &mut OutputPort<(u64, u64)>| {
+                    move |input: &mut InputPort<(u64, u64)>, output: &mut OutputPort<(u64, u64)>| {
                         input.for_each(|time, data| {
                             thread::sleep(Duration::from_millis(25));
                             let mut session = output.session(time);
@@ -700,8 +712,7 @@ fn a_long_operator_is_not_a_dead_process() {
             drive(worker, |scope: &mut Scope| {
                 let (input, stream) = scope.new_input::<(u64, u64)>();
                 let stream = stream.unary(Pact::Pipeline, "Dawdle", move |_info| {
-                    move |input: &mut InputPort<(u64, u64)>,
-                          output: &mut OutputPort<(u64, u64)>| {
+                    move |input: &mut InputPort<(u64, u64)>, output: &mut OutputPort<(u64, u64)>| {
                         input.for_each(|time, data| {
                             if dawdler && time.epoch == 1 {
                                 thread::sleep(Duration::from_millis(400));

@@ -32,7 +32,8 @@ fn assert_conserved(g: SlabGauges) {
 fn dropping_an_unfrozen_slab_returns_it() {
     let pool = Arc::new(SlabPool::with_resident_cap(1 << 20));
     let mut slab = pool.get(100);
-    slab.buffer().extend_from_slice(b"scratch work, never frozen");
+    slab.buffer()
+        .extend_from_slice(b"scratch work, never frozen");
     drop(slab);
     let g = pool.gauges();
     assert_eq!(g.slab_returns, 1);
@@ -115,7 +116,11 @@ fn recovery_from_a_crash_leaks_no_slabs() {
             .telemetry(true)
             .faults(FaultPlan::seeded(0x51AB).crash(1, 5)),
     )
-    .resilient(RecoveryOptions::default().max_attempts(4).checkpoint_every(1))
+    .resilient(
+        RecoveryOptions::default()
+            .max_attempts(4)
+            .checkpoint_every(1),
+    )
     .run(|worker, recovery| {
         let (mut input, probe) = worker.dataflow(|scope| {
             let (input, stream) = scope.new_input::<(u64, u64)>();
@@ -124,8 +129,7 @@ fn recovery_from_a_crash_leaks_no_slabs() {
                     Pact::exchange(|(k, _): &(u64, u64)| *k),
                     "Scatter",
                     |_info| {
-                        |input: &mut InputPort<(u64, u64)>,
-                         output: &mut OutputPort<(u64, u64)>| {
+                        |input: &mut InputPort<(u64, u64)>, output: &mut OutputPort<(u64, u64)>| {
                             input.for_each_batch(|time, data| {
                                 output.session(time).give_container(data);
                             });

@@ -54,24 +54,28 @@ fn inputs() -> Vec<Vec<(u64, u64)>> {
 /// accumulator onto any worker set.
 fn build(scope: &mut Scope) -> (naiad::InputHandle<(u64, u64)>, naiad::ProbeHandle, Captured) {
     let (input, stream) = scope.new_input::<(u64, u64)>();
-    let mins = stream.unary(Pact::exchange(|(k, _): &(u64, u64)| *k), "KeyedMin", |info| {
-        let acc: Rc<RefCell<HashMap<u64, u64>>> = Rc::new(RefCell::new(HashMap::new()));
-        info.register_keyed_state(acc.clone(), |k: &u64| *k);
-        let acc2 = acc;
-        move |input: &mut InputPort<(u64, u64)>, output: &mut OutputPort<(u64, u64)>| {
-            input.for_each(|time, data| {
-                let mut acc = acc2.borrow_mut();
-                let mut session = output.session(time);
-                for (k, v) in data {
-                    let best = acc.entry(k).or_insert(u64::MAX);
-                    if v < *best {
-                        *best = v;
-                        session.give((k, v));
+    let mins = stream.unary(
+        Pact::exchange(|(k, _): &(u64, u64)| *k),
+        "KeyedMin",
+        |info| {
+            let acc: Rc<RefCell<HashMap<u64, u64>>> = Rc::new(RefCell::new(HashMap::new()));
+            info.register_keyed_state(acc.clone(), |k: &u64| *k);
+            let acc2 = acc;
+            move |input: &mut InputPort<(u64, u64)>, output: &mut OutputPort<(u64, u64)>| {
+                input.for_each(|time, data| {
+                    let mut acc = acc2.borrow_mut();
+                    let mut session = output.session(time);
+                    for (k, v) in data {
+                        let best = acc.entry(k).or_insert(u64::MAX);
+                        if v < *best {
+                            *best = v;
+                            session.give((k, v));
+                        }
                     }
-                }
-            });
-        }
-    });
+                });
+            }
+        },
+    );
     (input, mins.probe(), mins.capture())
 }
 
@@ -82,24 +86,28 @@ fn build_opaque(
     scope: &mut Scope,
 ) -> (naiad::InputHandle<(u64, u64)>, naiad::ProbeHandle, Captured) {
     let (input, stream) = scope.new_input::<(u64, u64)>();
-    let mins = stream.unary(Pact::exchange(|(k, _): &(u64, u64)| *k), "KeyedMin", |info| {
-        let acc: Rc<RefCell<HashMap<u64, u64>>> = Rc::new(RefCell::new(HashMap::new()));
-        info.register_state(acc.clone());
-        let acc2 = acc;
-        move |input: &mut InputPort<(u64, u64)>, output: &mut OutputPort<(u64, u64)>| {
-            input.for_each(|time, data| {
-                let mut acc = acc2.borrow_mut();
-                let mut session = output.session(time);
-                for (k, v) in data {
-                    let best = acc.entry(k).or_insert(u64::MAX);
-                    if v < *best {
-                        *best = v;
-                        session.give((k, v));
+    let mins = stream.unary(
+        Pact::exchange(|(k, _): &(u64, u64)| *k),
+        "KeyedMin",
+        |info| {
+            let acc: Rc<RefCell<HashMap<u64, u64>>> = Rc::new(RefCell::new(HashMap::new()));
+            info.register_state(acc.clone());
+            let acc2 = acc;
+            move |input: &mut InputPort<(u64, u64)>, output: &mut OutputPort<(u64, u64)>| {
+                input.for_each(|time, data| {
+                    let mut acc = acc2.borrow_mut();
+                    let mut session = output.session(time);
+                    for (k, v) in data {
+                        let best = acc.entry(k).or_insert(u64::MAX);
+                        if v < *best {
+                            *best = v;
+                            session.give((k, v));
+                        }
                     }
-                }
-            });
-        }
-    });
+                });
+            }
+        },
+    );
     (input, mins.probe(), mins.capture())
 }
 
