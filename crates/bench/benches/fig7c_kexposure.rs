@@ -7,7 +7,7 @@
 //! snapshot the accumulated graph/events state; logging persists each
 //! epoch's tweets before they enter the dataflow.
 
-use naiad::runtime::durability::{DurabilitySink, FileSink};
+use naiad::runtime::durability::FileSink;
 use naiad::{execute, Config, Execution, RecoveryOptions};
 use naiad_algorithms::datasets::{tweet_stream, Tweet};
 use naiad_algorithms::kexposure::k_exposure;

@@ -411,10 +411,17 @@ impl<D: ExchangeData> Stream<D> {
             &inner.routing,
             channel,
             connector,
+            self.stage,
             pact,
             inner.journal.clone(),
         );
-        let puller = Puller::new(&inner.routing, channel, connector, inner.journal.clone());
+        let puller = Puller::new(
+            &inner.routing,
+            channel,
+            connector,
+            dst,
+            inner.journal.clone(),
+        );
         drop(inner);
         self.tee.borrow_mut().pushers.push(pusher);
         InputPort::new(puller, worked.clone())

@@ -1,15 +1,14 @@
 //! The program-activity graph: telemetry events attributed to epochs.
 //!
-//! Following SnailTrail's model, every attributable telemetry event
-//! becomes one [`ActivitySample`] — a span of worker activity (operator
-//! scheduling, message transit, progress traffic, notification delivery)
-//! tagged with the *source epoch* it served. [`EpochAccumulator`] folds
-//! the samples of one epoch into a [`CriticalPathSummary`].
+//! Following SnailTrail's model, every attributable telemetry event is a
+//! span of worker activity (operator scheduling, message transit,
+//! progress traffic, notification delivery, a credit wait) tagged with
+//! the *source epoch* it served. `Fold` reads one worker's events and
+//! folds each into its epoch's [`EpochAccumulator`]; finishing an
+//! accumulator gives the epoch's [`CriticalPathSummary`].
 //!
-//! `Fold` is the whole pipeline for one worker's event stream: the
-//! event→sample mapping ([`AttributionState`]) into one accumulator per
-//! epoch. The same code runs online (the recorder's tap, fed as events
-//! are recorded) and offline ([`offline_reference`] over harvested
+//! The same `Fold` runs online (the recorder's tap, fed as events are
+//! recorded) and offline ([`offline_reference`] over harvested
 //! [`WorkerTelemetry`] logs) — the golden test's equality is by
 //! construction, not by coincidence.
 //!
@@ -19,194 +18,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::telemetry::{EventRecord, TelemetryEvent, WorkerTelemetry};
-
-/// The kind of activity a sample attributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ActivityKind {
-    /// An operator scheduling slice that processed work (`worked == true`).
-    Schedule,
-    /// A data batch emitted on a connector.
-    TransitOut,
-    /// A data batch pulled by the receiving vertex.
-    TransitIn,
-    /// Progress-protocol traffic (batch sent, deposited, or applied).
-    Progress,
-    /// A notification delivered to an operator.
-    Notify,
-    /// A sender parked waiting for data-plane credit (backpressure).
-    CreditWait,
-}
-
-/// One node of the program-activity graph: a span of attributable worker
-/// activity, tagged with the source epoch it served.
-///
-/// The samples of one epoch, from every worker, fold into one summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ActivitySample {
-    /// Global index of the worker the activity ran on.
-    pub worker: u32,
-    /// Source epoch the activity is attributed to.
-    pub epoch: u64,
-    /// What kind of activity this is.
-    pub kind: ActivityKind,
-    /// Start of the span, nanoseconds on the worker's own clock.
-    pub start_ns: u64,
-    /// Span duration (zero for instantaneous events like transit).
-    pub duration_ns: u64,
-    /// Records carried (batch records, progress updates), if any.
-    pub records: u32,
-    /// Serialized bytes carried, if any.
-    pub bytes: u32,
-    /// Stage or connector the activity belongs to.
-    pub stage: u32,
-    /// Originating sequence number (schedule slice or progress batch).
-    pub seq: u64,
-}
-
-/// Incremental event→sample attribution for one worker's event stream.
-///
-/// Fed event records in log order; returns the sample each attributable
-/// event maps to. Non-attributable events (frontier probes, checkpoints,
-/// faults, …) return `None` and leave the state
-/// untouched.
-///
-/// Epoch attribution: `ScheduleStop` carries the tracker's minimum open
-/// epoch, which becomes the running attribution epoch for subsequent
-/// transit and progress events (they serve the oldest open work).
-/// Notifications carry their own epoch.
-#[derive(Debug)]
-pub struct AttributionState {
-    worker: u32,
-    last_epoch: u64,
-}
-
-impl AttributionState {
-    /// New state for the given worker, starting at epoch 0.
-    pub fn new(worker: u32) -> Self {
-        AttributionState {
-            worker,
-            last_epoch: 0,
-        }
-    }
-
-    /// Attributes one event record; `None` for non-attributable events.
-    pub fn push(&mut self, record: &EventRecord) -> Option<ActivitySample> {
-        let worker = self.worker;
-        match record.event {
-            TelemetryEvent::ScheduleStop {
-                stage,
-                nanos,
-                worked,
-                epoch,
-                seq,
-                ..
-            } => {
-                self.last_epoch = epoch;
-                worked.then(|| ActivitySample {
-                    worker,
-                    epoch,
-                    kind: ActivityKind::Schedule,
-                    start_ns: record.nanos.saturating_sub(nanos),
-                    duration_ns: nanos,
-                    records: 0,
-                    bytes: 0,
-                    stage,
-                    seq,
-                })
-            }
-            TelemetryEvent::MessageSent {
-                connector,
-                records,
-                bytes,
-                ..
-            } => Some(ActivitySample {
-                worker,
-                epoch: self.last_epoch,
-                kind: ActivityKind::TransitOut,
-                start_ns: record.nanos,
-                duration_ns: 0,
-                records,
-                bytes,
-                stage: connector,
-                seq: 0,
-            }),
-            TelemetryEvent::MessageReceived {
-                connector, records, ..
-            } => Some(ActivitySample {
-                worker,
-                epoch: self.last_epoch,
-                kind: ActivityKind::TransitIn,
-                start_ns: record.nanos,
-                duration_ns: 0,
-                records,
-                bytes: 0,
-                stage: connector,
-                seq: 0,
-            }),
-            TelemetryEvent::ProgressBatchSent { seq, updates, .. } => Some(ActivitySample {
-                worker,
-                epoch: self.last_epoch,
-                kind: ActivityKind::Progress,
-                start_ns: record.nanos,
-                duration_ns: 0,
-                records: updates,
-                bytes: 0,
-                stage: 0,
-                seq,
-            }),
-            TelemetryEvent::ProgressDeposited { updates, .. } => Some(ActivitySample {
-                worker,
-                epoch: self.last_epoch,
-                kind: ActivityKind::Progress,
-                start_ns: record.nanos,
-                duration_ns: 0,
-                records: updates,
-                bytes: 0,
-                stage: 0,
-                seq: 0,
-            }),
-            TelemetryEvent::ProgressApplied { seq, updates, .. } => Some(ActivitySample {
-                worker,
-                epoch: self.last_epoch,
-                kind: ActivityKind::Progress,
-                start_ns: record.nanos,
-                duration_ns: 0,
-                records: updates,
-                bytes: 0,
-                stage: 0,
-                seq,
-            }),
-            TelemetryEvent::NotificationDelivered { stage, epoch, .. } => Some(ActivitySample {
-                worker,
-                epoch,
-                kind: ActivityKind::Notify,
-                start_ns: record.nanos,
-                duration_ns: 0,
-                records: 0,
-                bytes: 0,
-                stage,
-                seq: 0,
-            }),
-            TelemetryEvent::CreditWait {
-                connector,
-                waited_ns,
-                bytes,
-                ..
-            } => Some(ActivitySample {
-                worker,
-                epoch: self.last_epoch,
-                kind: ActivityKind::CreditWait,
-                start_ns: record.nanos.saturating_sub(waited_ns),
-                duration_ns: waited_ns,
-                records: 0,
-                bytes,
-                stage: connector,
-                seq: 0,
-            }),
-            _ => None,
-        }
-    }
-}
 
 /// Per-worker activity extent within one epoch.
 #[derive(Debug, Clone, Copy)]
@@ -236,16 +47,16 @@ impl WorkerExtent {
     }
 }
 
-/// Folds the [`ActivitySample`]s of one epoch into a
+/// What one epoch's events add up to, on their way to a
 /// [`CriticalPathSummary`].
 ///
 /// Accumulation is commutative (sums, minima, maxima, counts), so the
-/// result is independent of sample order and of how the samples were
-/// split between accumulators before [`EpochAccumulator::absorb`] joined
-/// them — per-worker folds merged in any order match the offline
-/// reference.
+/// result is independent of event order across workers and of how the
+/// events were split between accumulators before
+/// [`EpochAccumulator::absorb`] joined them — per-worker folds merged in
+/// any order match the offline reference.
 #[derive(Debug, Default)]
-pub struct EpochAccumulator {
+pub(crate) struct EpochAccumulator {
     per_worker: HashMap<u32, WorkerExtent>,
     transit_msgs: u64,
     transit_records: u64,
@@ -259,39 +70,21 @@ pub struct EpochAccumulator {
 }
 
 impl EpochAccumulator {
-    /// Folds one sample in.
-    pub fn push(&mut self, sample: &ActivitySample) {
+    /// Counts one sample on `worker` spanning `duration_ns` from
+    /// `start_ns`, and returns the worker's extent.
+    fn sample(&mut self, worker: u32, start_ns: u64, duration_ns: u64) -> &mut WorkerExtent {
         self.samples += 1;
-        let extent = self.per_worker.entry(sample.worker).or_default();
-        extent.first_ns = extent.first_ns.min(sample.start_ns);
-        extent.last_ns = extent
-            .last_ns
-            .max(sample.start_ns.saturating_add(sample.duration_ns));
-        match sample.kind {
-            ActivityKind::Schedule => extent.busy_ns += sample.duration_ns,
-            ActivityKind::TransitOut => {
-                self.transit_msgs += 1;
-                self.transit_records += u64::from(sample.records);
-                self.transit_bytes += u64::from(sample.bytes);
-            }
-            ActivityKind::TransitIn => {}
-            ActivityKind::Progress => {
-                self.progress_batches += 1;
-                self.progress_updates += u64::from(sample.records);
-            }
-            ActivityKind::Notify => self.notifications += 1,
-            ActivityKind::CreditWait => {
-                self.credit_waits += 1;
-                self.credit_wait_ns += sample.duration_ns;
-            }
-        }
+        let extent = self.per_worker.entry(worker).or_default();
+        extent.first_ns = extent.first_ns.min(start_ns);
+        extent.last_ns = extent.last_ns.max(start_ns.saturating_add(duration_ns));
+        extent
     }
 
-    /// Folds in everything `other` accumulated, as if its samples had
-    /// been pushed here: extents of the same worker widen and their busy
+    /// Folds in everything `other` accumulated, as if its events had
+    /// been folded here: extents of the same worker widen and their busy
     /// times add (per-worker folds never share a worker, so there they
     /// are disjoint), and every counter sums.
-    pub fn absorb(&mut self, other: EpochAccumulator) {
+    pub(crate) fn absorb(&mut self, other: EpochAccumulator) {
         for (worker, theirs) in other.per_worker {
             let extent = self.per_worker.entry(worker).or_default();
             extent.busy_ns += theirs.busy_ns;
@@ -319,7 +112,7 @@ impl EpochAccumulator {
     /// traffic, notification wait). `busy_max_ns + idle_ns == span_ns`
     /// by construction: the summary fully accounts for the epoch.
     #[must_use]
-    pub fn finish(&self, epoch: u64) -> CriticalPathSummary {
+    pub(crate) fn finish(&self, epoch: u64) -> CriticalPathSummary {
         let mut workers: Vec<(u32, WorkerExtent)> =
             self.per_worker.iter().map(|(w, e)| (*w, *e)).collect();
         workers.sort_by_key(|(w, _)| *w);
@@ -376,8 +169,8 @@ impl EpochAccumulator {
 /// The per-epoch critical-path analysis result.
 ///
 /// All fields are integers; the summary is a pure fold over the epoch's
-/// [`ActivitySample`]s, so the online fold and the offline reference
-/// produce bit-identical values from the same samples.
+/// events, so the online fold and the offline reference produce
+/// bit-identical values from the same events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CriticalPathSummary {
     /// The source epoch summarized.
@@ -422,7 +215,7 @@ pub struct CriticalPathSummary {
     /// Cumulative nanoseconds senders spent parked — the backpressure
     /// share of the epoch.
     pub credit_wait_ns: u64,
-    /// Total samples folded in.
+    /// Attributable events folded in (unworked slices are not).
     pub samples: u64,
 }
 
@@ -465,28 +258,81 @@ impl CriticalPathSummary {
 }
 
 /// One worker's event stream folded by epoch: each attributable event
-/// becomes a sample ([`AttributionState`]) and lands in its epoch's
-/// [`EpochAccumulator`].
+/// lands in its epoch's [`EpochAccumulator`].
+///
+/// A `ScheduleStop` carries the tracker's minimum open epoch, which
+/// becomes the running epoch: transit, progress and credit-wait events
+/// after it serve the oldest open work and count there. An unworked slice
+/// moves the running epoch but is not itself a sample. A notification
+/// counts at its own epoch and leaves the running one alone.
 #[derive(Debug)]
 pub(crate) struct Fold {
-    attribution: AttributionState,
+    worker: u32,
+    running: u64,
     epochs: BTreeMap<u64, EpochAccumulator>,
 }
 
 impl Fold {
-    /// An empty fold of worker `worker`'s events.
+    /// An empty fold of worker `worker`'s events, running at epoch 0.
     pub(crate) fn new(worker: u32) -> Self {
         Fold {
-            attribution: AttributionState::new(worker),
+            worker,
+            running: 0,
             epochs: BTreeMap::new(),
         }
     }
 
     /// Folds one event record in (non-attributable events change nothing).
     pub(crate) fn push(&mut self, record: &EventRecord) {
-        if let Some(sample) = self.attribution.push(record) {
-            self.epochs.entry(sample.epoch).or_default().push(&sample);
+        let (worker, now, running) = (self.worker, record.nanos, self.running);
+        match record.event {
+            TelemetryEvent::ScheduleStop {
+                nanos,
+                worked,
+                epoch,
+                ..
+            } => {
+                self.running = epoch;
+                if worked {
+                    let start = now.saturating_sub(nanos);
+                    self.at(epoch).sample(worker, start, nanos).busy_ns += nanos;
+                }
+            }
+            TelemetryEvent::MessageSent { records, bytes, .. } => {
+                let acc = self.at(running);
+                acc.sample(worker, now, 0);
+                acc.transit_msgs += 1;
+                acc.transit_records += u64::from(records);
+                acc.transit_bytes += u64::from(bytes);
+            }
+            TelemetryEvent::MessageReceived { .. } => {
+                self.at(running).sample(worker, now, 0);
+            }
+            TelemetryEvent::ProgressBatchSent { updates, .. }
+            | TelemetryEvent::ProgressDeposited { updates, .. }
+            | TelemetryEvent::ProgressApplied { updates, .. } => {
+                let acc = self.at(running);
+                acc.sample(worker, now, 0);
+                acc.progress_batches += 1;
+                acc.progress_updates += u64::from(updates);
+            }
+            TelemetryEvent::NotificationDelivered { epoch, .. } => {
+                let acc = self.at(epoch);
+                acc.sample(worker, now, 0);
+                acc.notifications += 1;
+            }
+            TelemetryEvent::CreditWait { waited_ns, .. } => {
+                let acc = self.at(running);
+                acc.sample(worker, now.saturating_sub(waited_ns), waited_ns);
+                acc.credit_waits += 1;
+                acc.credit_wait_ns += waited_ns;
+            }
+            _ => {}
         }
+    }
+
+    fn at(&mut self, epoch: u64) -> &mut EpochAccumulator {
+        self.epochs.entry(epoch).or_default()
     }
 
     /// Absorbs every epoch of this fold into `into`.
@@ -522,168 +368,191 @@ pub fn offline_reference(logs: &[WorkerTelemetry]) -> Vec<CriticalPathSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::WorkerCounters;
 
-    fn record(nanos: u64, event: TelemetryEvent) -> EventRecord {
-        EventRecord { nanos, event }
+    type Log<'a> = &'a [(u64, TelemetryEvent)];
+
+    /// Worker `worker`'s harvest holding `events` as `(nanos, event)`.
+    fn log(worker: usize, events: Log) -> WorkerTelemetry {
+        WorkerTelemetry {
+            worker,
+            events: events
+                .iter()
+                .map(|&(nanos, event)| EventRecord { nanos, event })
+                .collect(),
+            dropped: 0,
+            counters: WorkerCounters::default(),
+            ops: Vec::new(),
+            directory: Vec::new(),
+        }
+    }
+
+    fn slice(nanos: u64, worked: bool, epoch: u64) -> TelemetryEvent {
+        TelemetryEvent::ScheduleStop {
+            dataflow: 0,
+            stage: 1,
+            nanos,
+            worked,
+            epoch,
+            seq: 0,
+        }
+    }
+
+    fn sent(records: u32, bytes: u32) -> TelemetryEvent {
+        TelemetryEvent::MessageSent {
+            dataflow: 0,
+            connector: 4,
+            stage: 1,
+            target: 0,
+            records,
+            bytes,
+            remote: true,
+        }
+    }
+
+    fn notify(epoch: u64) -> TelemetryEvent {
+        TelemetryEvent::NotificationDelivered {
+            dataflow: 0,
+            stage: 2,
+            epoch,
+            blocking: true,
+        }
+    }
+
+    fn credit_wait(waited_ns: u64) -> TelemetryEvent {
+        TelemetryEvent::CreditWait {
+            dataflow: 0,
+            connector: 3,
+            waited_ns,
+            bytes: 1024,
+        }
+    }
+
+    /// Folds `event` at t = 500, after an unworked slice at epoch 3, and
+    /// returns the one summary that makes.
+    fn lone(event: TelemetryEvent) -> CriticalPathSummary {
+        let summaries = offline_reference(&[log(0, &[(100, slice(10, false, 3)), (500, event)])]);
+        let [summary] = summaries[..] else {
+            panic!("one epoch: {summaries:?}");
+        };
+        assert_eq!((summary.workers, summary.samples), (1, 1));
+        summary
     }
 
     #[test]
-    fn attribution_maps_schedule_transit_and_notify() {
-        let mut state = AttributionState::new(1);
-        // An idle slice produces no sample but still tracks the epoch.
-        assert!(state
-            .push(&record(
-                100,
-                TelemetryEvent::ScheduleStop {
-                    dataflow: 1,
-                    stage: 2,
-                    nanos: 50,
-                    worked: false,
-                    epoch: 3,
-                    seq: 8,
+    fn each_attributable_kind_counts_in_its_epoch() {
+        let s = lone(slice(60, true, 3));
+        assert_eq!((s.epoch, s.busy_total_ns, s.span_ns), (3, 60, 60));
+        let s = lone(sent(10, 80));
+        assert_eq!(
+            (s.epoch, s.transit_msgs, s.transit_records, s.transit_bytes),
+            (3, 1, 10, 80)
+        );
+        let s = lone(TelemetryEvent::MessageReceived {
+            dataflow: 0,
+            connector: 4,
+            stage: 2,
+            records: 10,
+            remote: true,
+        });
+        assert_eq!((s.epoch, s.transit_msgs, s.span_ns), (3, 0, 0));
+        for (event, updates) in [
+            (
+                TelemetryEvent::ProgressBatchSent {
+                    dataflow: 0,
+                    seq: 1,
+                    updates: 5,
                 },
-            ))
-            .is_none());
-        // A worked slice becomes a Schedule sample at the slice's epoch.
-        let s = state
-            .push(&record(
-                200,
-                TelemetryEvent::ScheduleStop {
-                    dataflow: 1,
-                    stage: 2,
-                    nanos: 60,
-                    worked: true,
-                    epoch: 3,
-                    seq: 9,
+                5,
+            ),
+            (
+                TelemetryEvent::ProgressDeposited {
+                    dataflow: 0,
+                    updates: 6,
                 },
-            ))
-            .unwrap();
-        assert_eq!(s.kind, ActivityKind::Schedule);
-        assert_eq!(s.epoch, 3);
-        assert_eq!(s.start_ns, 140);
-        assert_eq!(s.duration_ns, 60);
-        // Transit inherits the running epoch.
-        let s = state
-            .push(&record(
-                210,
-                TelemetryEvent::MessageSent {
-                    dataflow: 1,
-                    connector: 4,
-                    target: 0,
-                    records: 10,
-                    bytes: 80,
-                    remote: true,
+                6,
+            ),
+            (
+                TelemetryEvent::ProgressApplied {
+                    dataflow: 0,
+                    sender: 1,
+                    seq: 1,
+                    updates: 7,
+                    net: 0,
                 },
-            ))
-            .unwrap();
-        assert_eq!(s.kind, ActivityKind::TransitOut);
-        assert_eq!(s.epoch, 3);
-        assert_eq!((s.records, s.bytes), (10, 80));
-        // Notifications carry their own epoch.
-        let s = state
-            .push(&record(
-                220,
-                TelemetryEvent::NotificationDelivered {
-                    dataflow: 1,
-                    stage: 2,
-                    epoch: 5,
-                    blocking: true,
-                },
-            ))
-            .unwrap();
-        assert_eq!(s.kind, ActivityKind::Notify);
-        assert_eq!(s.epoch, 5);
-        // Non-attributable events are ignored.
-        assert!(state
-            .push(&record(
-                230,
-                TelemetryEvent::FrontierProbe {
-                    dataflow: 1,
-                    active: 1,
-                    input_epoch: Some(3),
-                },
-            ))
-            .is_none());
+                7,
+            ),
+        ] {
+            let s = lone(event);
+            assert_eq!(
+                (s.epoch, s.progress_batches, s.progress_updates),
+                (3, 1, updates)
+            );
+        }
+        let s = lone(notify(5));
+        assert_eq!((s.epoch, s.notifications), (5, 1));
+        let s = lone(credit_wait(200));
+        assert_eq!((s.epoch, s.credit_waits, s.credit_wait_ns), (3, 1, 200));
+        // Other events are not attributable.
+        let probe = TelemetryEvent::FrontierProbe {
+            dataflow: 0,
+            active: 1,
+            input_epoch: Some(3),
+        };
+        assert!(offline_reference(&[log(0, &[(100, probe)])]).is_empty());
     }
 
     #[test]
-    fn credit_waits_attribute_to_the_running_epoch() {
-        let mut state = AttributionState::new(2);
-        state.push(&record(
-            100,
-            TelemetryEvent::ScheduleStop {
-                dataflow: 1,
-                stage: 0,
-                nanos: 10,
-                worked: false,
-                epoch: 4,
-                seq: 0,
-            },
-        ));
-        let s = state
-            .push(&record(
-                500,
-                TelemetryEvent::CreditWait {
-                    dataflow: 1,
-                    connector: 3,
-                    waited_ns: 200,
-                    bytes: 1024,
-                },
-            ))
-            .unwrap();
-        assert_eq!(s.kind, ActivityKind::CreditWait);
-        assert_eq!(s.epoch, 4, "inherits the running epoch");
-        assert_eq!((s.start_ns, s.duration_ns), (300, 200));
-        assert_eq!(s.bytes, 1024);
+    fn an_unworked_slice_moves_the_running_epoch_but_adds_no_sample() {
+        let idle = [(100, slice(50, false, 2)), (200, slice(50, false, 4))];
+        assert!(offline_reference(&[log(0, &idle)]).is_empty());
+        let summaries = offline_reference(&[log(0, &[idle[0], idle[1], (300, sent(1, 8))])]);
+        let epochs: Vec<(u64, u64)> = summaries.iter().map(|s| (s.epoch, s.samples)).collect();
+        assert_eq!(epochs, vec![(4, 1)]);
+    }
 
-        let mut acc = EpochAccumulator::default();
-        acc.push(&s);
-        let summary = acc.finish(4);
-        assert_eq!(summary.credit_waits, 1);
-        assert_eq!(summary.credit_wait_ns, 200);
+    #[test]
+    fn a_notification_counts_at_its_own_epoch_and_keeps_the_running_one() {
+        let events = [
+            (100, slice(10, false, 3)),
+            (200, notify(5)),
+            (300, sent(1, 8)),
+        ];
+        let summaries = offline_reference(&[log(0, &events)]);
+        let epochs: Vec<(u64, u64, u64)> = summaries
+            .iter()
+            .map(|s| (s.epoch, s.transit_msgs, s.notifications))
+            .collect();
+        assert_eq!(epochs, vec![(3, 1, 0), (5, 0, 1)]);
+    }
+
+    #[test]
+    fn a_credit_wait_starts_waited_ns_before_its_record() {
+        let events = [
+            (100, slice(10, false, 4)),
+            (500, credit_wait(200)),
+            (600, sent(1, 8)),
+        ];
+        let summaries = offline_reference(&[log(0, &events)]);
+        let [summary] = summaries[..] else {
+            panic!("one epoch: {summaries:?}");
+        };
+        assert_eq!(summary.span_ns, 300, "the wait spans [300, 500]");
         let json = summary.to_json();
         assert!(json.contains("\"credit_wait_ns\":200"), "{json}");
     }
 
     #[test]
-    fn accumulator_attributes_the_straggler_and_accounts_the_span() {
-        let mut acc = EpochAccumulator::default();
-        // Worker 0: busy 100ns spanning [0, 100].
-        acc.push(&ActivitySample {
-            worker: 0,
-            epoch: 1,
-            kind: ActivityKind::Schedule,
-            start_ns: 0,
-            duration_ns: 100,
-            records: 0,
-            bytes: 0,
-            stage: 1,
-            seq: 0,
-        });
-        // Worker 1: busy 300ns spanning [50, 350], plus a notify at 400.
-        acc.push(&ActivitySample {
-            worker: 1,
-            epoch: 1,
-            kind: ActivityKind::Schedule,
-            start_ns: 50,
-            duration_ns: 300,
-            records: 0,
-            bytes: 0,
-            stage: 1,
-            seq: 1,
-        });
-        acc.push(&ActivitySample {
-            worker: 1,
-            epoch: 1,
-            kind: ActivityKind::Notify,
-            start_ns: 400,
-            duration_ns: 0,
-            records: 0,
-            bytes: 0,
-            stage: 1,
-            seq: 0,
-        });
-        let summary = acc.finish(1);
+    fn the_straggler_is_the_busiest_worker_and_the_span_is_accounted() {
+        // Worker 0: busy 100ns over [0, 100]. Worker 1: busy 300ns over
+        // [50, 350], then a notification at 400.
+        let summaries = offline_reference(&[
+            log(0, &[(100, slice(100, true, 1))]),
+            log(1, &[(350, slice(300, true, 1)), (400, notify(1))]),
+        ]);
+        let [summary] = summaries[..] else {
+            panic!("one epoch: {summaries:?}");
+        };
         assert_eq!(summary.workers, 2);
         assert_eq!(summary.critical_worker, 1);
         assert_eq!(summary.span_ns, 350); // worker 1: [50, 400]
@@ -701,91 +570,53 @@ mod tests {
     }
 
     #[test]
-    fn accumulation_is_order_insensitive() {
-        let samples = [
-            ActivitySample {
-                worker: 0,
-                epoch: 2,
-                kind: ActivityKind::Schedule,
-                start_ns: 10,
-                duration_ns: 90,
-                records: 0,
-                bytes: 0,
-                stage: 1,
-                seq: 0,
-            },
-            ActivitySample {
-                worker: 1,
-                epoch: 2,
-                kind: ActivityKind::TransitOut,
-                start_ns: 30,
-                duration_ns: 0,
-                records: 7,
-                bytes: 64,
-                stage: 2,
-                seq: 0,
-            },
-            ActivitySample {
-                worker: 1,
-                epoch: 2,
-                kind: ActivityKind::Progress,
-                start_ns: 60,
-                duration_ns: 0,
-                records: 4,
-                bytes: 0,
-                stage: 0,
-                seq: 1,
-            },
+    fn folds_merge_in_any_order() {
+        let a = [(100, slice(90, true, 2)), (130, sent(7, 64))];
+        let b = [(60, slice(40, true, 2)), (90, credit_wait(20))];
+        assert_eq!(
+            offline_reference(&[log(0, &a), log(1, &b)]),
+            offline_reference(&[log(1, &b), log(0, &a)])
+        );
+        // Slices and notifications carry their own epochs, so a log of
+        // them may be split anywhere, each part folded apart and the parts
+        // absorbed: the per-worker merge the online fold does changes
+        // nothing.
+        let events = [
+            (100, slice(90, true, 2)),
+            (150, notify(2)),
+            (220, slice(50, true, 2)),
+            (300, notify(3)),
         ];
-        let mut forward = EpochAccumulator::default();
-        let mut reverse = EpochAccumulator::default();
-        for s in &samples {
-            forward.push(s);
-        }
-        for s in samples.iter().rev() {
-            reverse.push(s);
-        }
-        assert_eq!(forward.finish(2), reverse.finish(2));
-
-        // Split at every point, fold each side apart, then absorb: the
-        // per-worker merge the online fold does must change nothing.
-        for split in 0..=samples.len() {
-            let (left, right) = samples.split_at(split);
-            let mut joined = EpochAccumulator::default();
-            let mut other = EpochAccumulator::default();
-            for s in left {
-                joined.push(s);
+        let whole = offline_reference(&[log(0, &events)]);
+        for split in 0..=events.len() {
+            let mut epochs = BTreeMap::new();
+            for part in [&events[..split], &events[split..]] {
+                let mut fold = Fold::new(0);
+                for &(nanos, event) in part {
+                    fold.push(&EventRecord { nanos, event });
+                }
+                fold.merge_into(&mut epochs);
             }
-            for s in right {
-                other.push(s);
-            }
-            joined.absorb(other);
-            assert_eq!(joined.finish(2), forward.finish(2), "split at {split}");
+            let merged: Vec<CriticalPathSummary> =
+                epochs.iter().map(|(e, acc)| acc.finish(*e)).collect();
+            assert_eq!(merged, whole, "split at {split}");
         }
     }
 
     #[test]
     fn offline_reference_folds_every_worker_and_dataflow() {
-        let log = |worker: usize, dataflow: u32| WorkerTelemetry {
-            worker,
-            events: vec![record(
-                100,
-                TelemetryEvent::ScheduleStop {
-                    dataflow,
-                    stage: 1,
-                    nanos: 40,
-                    worked: true,
-                    epoch: 0,
-                    seq: 0,
-                },
-            )],
-            dropped: 0,
-            counters: crate::telemetry::WorkerCounters::default(),
-            ops: Vec::new(),
-            connectors: Vec::new(),
-            directory: Vec::new(),
+        let other_dataflow = TelemetryEvent::ScheduleStop {
+            dataflow: 1,
+            stage: 1,
+            nanos: 40,
+            worked: true,
+            epoch: 0,
+            seq: 0,
         };
-        let summaries = offline_reference(&[log(0, 0), log(1, 1)]);
+        let summaries = offline_reference(&[
+            log(0, &[(100, slice(40, true, 0))]),
+            log(1, &[(100, other_dataflow)]),
+        ]);
         assert_eq!(summaries.len(), 1);
         assert_eq!(summaries[0].workers, 2);
         assert_eq!(summaries[0].samples, 2);

@@ -5,13 +5,13 @@
 //! module does the same analysis as the events are recorded:
 //!
 //! 1. **Fold at record time** — each worker's [`Recorder`] carries a tap
-//!    (`Fold`): every recorded event goes through the worker's
-//!    [`AttributionState`] into a worker-local map of per-epoch
-//!    [`EpochAccumulator`]s. The tap lives on the worker's thread, so
-//!    there is no queue, no lock and nothing to drop.
+//!    (`Fold`): it matches every recorded event once and adds it to its
+//!    epoch's `EpochAccumulator` in a worker-local map. The tap lives on
+//!    the worker's thread, so there is no queue, no lock and nothing to
+//!    drop.
 //! 2. **Merge once per worker** — when the worker closure returns, or
 //!    unwinds, the worker's `Harness` merges its map into its attempt's
-//!    shared map under one lock ([`EpochAccumulator::absorb`]).
+//!    shared map under one lock (`EpochAccumulator::absorb`).
 //! 3. **Commit per attempt** — after the attempt, the coordinator
 //!    finishes the epochs the attempt computed into one
 //!    [`CriticalPathSummary`] each. A retried attempt's summaries replace
@@ -32,11 +32,9 @@
 
 mod activity;
 
+use activity::EpochAccumulator;
 pub(crate) use activity::Fold;
-pub use activity::{
-    offline_reference, ActivityKind, ActivitySample, AttributionState, CriticalPathSummary,
-    EpochAccumulator,
-};
+pub use activity::{offline_reference, CriticalPathSummary};
 
 use std::collections::BTreeMap;
 use std::ops::Range;

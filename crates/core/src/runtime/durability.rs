@@ -1,9 +1,9 @@
 //! Fault tolerance: checkpoint and restore (§3.4).
 //!
-//! Stateful vertices implement [`Checkpoint`]; the runtime drives them
-//! through [`DurabilitySink`]s that either meter bytes in memory or write
-//! to stable storage. The full checkpoint/logging machinery is layered in
-//! the operator library and exercised by the Figure 7c benchmark.
+//! Stateful vertices implement [`Checkpoint`]; [`FileSink`] writes their
+//! bytes to stable storage, one fsync per blob. The full
+//! checkpoint/logging machinery is layered in the operator library and
+//! exercised by the Figure 7c benchmark.
 //!
 //! Checkpoint blobs produced by
 //! [`Worker::checkpoint`](crate::runtime::Worker::checkpoint) are sealed
@@ -326,45 +326,6 @@ where
     }
 }
 
-/// A destination for checkpoint and log bytes.
-pub trait DurabilitySink: Send {
-    /// Persists one blob, returning once the configured durability level
-    /// is reached.
-    fn persist(&mut self, bytes: &[u8]);
-    /// Total bytes persisted.
-    fn bytes_written(&self) -> u64;
-}
-
-/// An in-memory sink that only meters volume — the "no durability"
-/// baseline of Figure 7c.
-#[derive(Debug, Default)]
-pub struct MeteredSink {
-    bytes: u64,
-    blobs: u64,
-}
-
-impl MeteredSink {
-    /// A fresh sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of blobs persisted.
-    pub fn blobs(&self) -> u64 {
-        self.blobs
-    }
-}
-
-impl DurabilitySink for MeteredSink {
-    fn persist(&mut self, bytes: &[u8]) {
-        self.bytes += bytes.len() as u64;
-        self.blobs += 1;
-    }
-    fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-}
-
 /// A sink writing blobs to a temporary file with an fsync per blob: the
 /// durable checkpoint/log path of §3.4.
 #[derive(Debug)]
@@ -395,10 +356,13 @@ impl FileSink {
             .unwrap_or_else(|e| panic!("create durability file {}: {e}", path.display()));
         FileSink { file, bytes: 0 }
     }
-}
 
-impl DurabilitySink for FileSink {
-    fn persist(&mut self, bytes: &[u8]) {
+    /// Appends one blob and fsyncs it, returning once it is durable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the write or the fsync fails.
+    pub fn persist(&mut self, bytes: &[u8]) {
         self.file
             .write_all(bytes)
             .unwrap_or_else(|e| panic!("write checkpoint blob ({} bytes): {e}", bytes.len()));
@@ -407,7 +371,9 @@ impl DurabilitySink for FileSink {
             .unwrap_or_else(|e| panic!("fsync checkpoint blob: {e}"));
         self.bytes += bytes.len() as u64;
     }
-    fn bytes_written(&self) -> u64 {
+
+    /// Total bytes persisted.
+    pub fn bytes_written(&self) -> u64 {
         self.bytes
     }
 }
@@ -415,15 +381,6 @@ impl DurabilitySink for FileSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn metered_sink_counts() {
-        let mut sink = MeteredSink::new();
-        sink.persist(&[0; 10]);
-        sink.persist(&[0; 5]);
-        assert_eq!(sink.bytes_written(), 15);
-        assert_eq!(sink.blobs(), 2);
-    }
 
     #[test]
     fn file_sink_persists() {

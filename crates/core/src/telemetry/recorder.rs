@@ -6,17 +6,18 @@
 //! every call is a single `Option` branch — the near-zero-cost-off
 //! property the benchmarks depend on.
 //!
-//! Alongside the bounded event buffer the recorder maintains *aggregate
-//! counters* (per worker, per operator, per connector) that are updated
-//! on every record call even after the buffer fills, so the registry's
-//! totals stay exact no matter how long the run.
+//! The buffer keeps the *first* `capacity` events of a run (a prefix).
+//! Beside it the recorder keeps a ring of the newest 16 events, for the
+//! stall dump, and *aggregate counters* (per worker and per
+//! operator) that every record call updates, so the registry's totals
+//! stay exact no matter how long the run.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
-use crate::graph::{LogicalGraph, StageId};
+use crate::graph::StageId;
 use crate::introspect::Fold;
 
 use super::event::{EventRecord, TelemetryEvent};
@@ -98,7 +99,8 @@ pub struct WorkerCounters {
     pub analysis_warnings: u64,
 }
 
-/// Per-operator (dataflow, stage) scheduling aggregates.
+/// Per-operator (dataflow, stage) aggregates: scheduling, and the data
+/// batches the operator sent and received.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
     /// Scheduling slices run.
@@ -109,26 +111,20 @@ pub struct OpCounters {
     pub busy_nanos: u64,
     /// Notifications delivered to the operator.
     pub notifications: u64,
-}
-
-/// Per-connector data-plane aggregates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConnectorCounters {
-    /// Batches emitted on the connector by this worker.
+    /// Batches the operator emitted on its outgoing connectors.
     pub messages_out: u64,
     /// Records emitted.
     pub records_out: u64,
     /// Serialized bytes emitted (remote routes only).
     pub bytes_out: u64,
-    /// Batches received on the connector by this worker.
+    /// Batches the operator pulled from its incoming connectors.
     pub messages_in: u64,
     /// Records received.
     pub records_in: u64,
 }
 
-/// The logical shape of one dataflow, captured at construction so the
-/// registry can translate connector-level counters into per-operator
-/// rows and label stages by name.
+/// The names of one dataflow's operators, captured at construction so the
+/// registry can label per-operator rows.
 #[derive(Debug, Clone)]
 pub struct DataflowDirectory {
     /// The dataflow id.
@@ -136,28 +132,26 @@ pub struct DataflowDirectory {
     /// `(stage, name)` for every vertex this worker instantiated, in
     /// stage order.
     pub operators: Vec<(u32, String)>,
-    /// `connector → source stage`.
-    pub connector_src: Vec<u32>,
-    /// `connector → destination stage`.
-    pub connector_dst: Vec<u32>,
 }
+
+/// How many of the newest events [`Recorder::recent`] can return.
+const RECENT: usize = 16;
 
 /// Everything harvested from one worker after its closure returns.
 #[derive(Debug, Clone)]
 pub struct WorkerTelemetry {
     /// The worker's global index.
     pub worker: usize,
-    /// Recorded events, in order.
+    /// The first recorded events, in order: a prefix of the run, as long
+    /// as the buffer's capacity.
     pub events: Vec<EventRecord>,
-    /// Events discarded because the buffer was full.
+    /// Events recorded after the buffer filled, counted but not kept.
     pub dropped: u64,
     /// Worker-level counters.
     pub counters: WorkerCounters,
     /// Per-operator aggregates, keyed by `(dataflow, stage)`.
     pub ops: Vec<((u32, u32), OpCounters)>,
-    /// Per-connector aggregates, keyed by `(dataflow, connector)`.
-    pub connectors: Vec<((u32, u32), ConnectorCounters)>,
-    /// Logical shape of every dataflow the worker built.
+    /// Operator names of every dataflow the worker built.
     pub directory: Vec<DataflowDirectory>,
 }
 
@@ -165,12 +159,15 @@ struct EventLog {
     base: Instant,
     events: Vec<EventRecord>,
     capacity: usize,
+    /// A ring of the newest `RECENT` records.
+    recent: Vec<EventRecord>,
+    /// The ring slot the next record takes: the oldest's once it is full.
+    recent_next: usize,
     dropped: u64,
     warned: bool,
     worker: usize,
     counters: WorkerCounters,
     ops: HashMap<(u32, u32), OpCounters>,
-    connectors: HashMap<(u32, u32), ConnectorCounters>,
     directory: Vec<DataflowDirectory>,
     /// The introspection fold ([`crate::introspect`]), fed every event
     /// as it is recorded, whether or not the buffer has room for it.
@@ -183,12 +180,13 @@ impl EventLog {
             base: Instant::now(),
             events: Vec::with_capacity(capacity),
             capacity,
+            recent: Vec::with_capacity(RECENT),
+            recent_next: 0,
             dropped: 0,
             warned: false,
             worker: usize::MAX,
             counters: WorkerCounters::default(),
             ops: HashMap::new(),
-            connectors: HashMap::new(),
             directory: Vec::new(),
             tap: None,
         }
@@ -203,6 +201,11 @@ impl EventLog {
         if let Some(fold) = &mut self.tap {
             fold.push(&record);
         }
+        match self.recent.get_mut(self.recent_next) {
+            Some(slot) => *slot = record,
+            None => self.recent.push(record),
+        }
+        self.recent_next = (self.recent_next + 1) % RECENT;
         if self.events.len() < self.capacity {
             self.events.push(record);
         } else {
@@ -238,29 +241,29 @@ impl EventLog {
             }
             TelemetryEvent::MessageSent {
                 dataflow,
-                connector,
+                stage,
                 records,
                 bytes,
                 ..
             } => {
                 c.messages_sent += 1;
                 c.records_sent += u64::from(records);
-                let conn = self.connectors.entry((dataflow, connector)).or_default();
-                conn.messages_out += 1;
-                conn.records_out += u64::from(records);
-                conn.bytes_out += u64::from(bytes);
+                let op = self.ops.entry((dataflow, stage)).or_default();
+                op.messages_out += 1;
+                op.records_out += u64::from(records);
+                op.bytes_out += u64::from(bytes);
             }
             TelemetryEvent::MessageReceived {
                 dataflow,
-                connector,
+                stage,
                 records,
                 ..
             } => {
                 c.messages_received += 1;
                 c.records_received += u64::from(records);
-                let conn = self.connectors.entry((dataflow, connector)).or_default();
-                conn.messages_in += 1;
-                conn.records_in += u64::from(records);
+                let op = self.ops.entry((dataflow, stage)).or_default();
+                op.messages_in += 1;
+                op.records_in += u64::from(records);
             }
             TelemetryEvent::ProgressBatchSent { updates, .. } => {
                 c.progress_batches_sent += 1;
@@ -395,38 +398,32 @@ impl Recorder {
         }
     }
 
-    /// Registers a dataflow's logical shape and this worker's vertex
-    /// names, so the registry can label per-operator rows.
-    pub fn register_dataflow(
-        &self,
-        dataflow: usize,
-        graph: &LogicalGraph,
-        operators: Vec<(StageId, String)>,
-    ) {
+    /// Registers this worker's vertex names for a dataflow, so the
+    /// registry can label per-operator rows.
+    pub fn register_dataflow(&self, dataflow: usize, operators: Vec<(StageId, String)>) {
         let Some(log) = &self.inner else { return };
-        let connectors = graph.connectors();
         log.borrow_mut().directory.push(DataflowDirectory {
             dataflow: dataflow as u32,
             operators: operators
                 .into_iter()
                 .map(|(s, n)| (s.0 as u32, n))
                 .collect(),
-            connector_src: connectors.iter().map(|c| c.src.0 .0 as u32).collect(),
-            connector_dst: connectors.iter().map(|c| c.dst.0 .0 as u32).collect(),
         });
     }
 
-    /// The most recent `n` recorded events (diagnostic surface for the
-    /// `NAIAD_DEBUG` structured dump).
+    /// The newest `n` recorded events, oldest first, at most 16 of them:
+    /// the tail of the run even after the buffer filled (diagnostic
+    /// surface for the `NAIAD_DEBUG` structured dump).
     pub fn recent(&self, n: usize) -> Vec<EventRecord> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(log) => {
-                let log = log.borrow();
-                let start = log.events.len().saturating_sub(n);
-                log.events[start..].to_vec()
-            }
-        }
+        let Some(log) = &self.inner else {
+            return Vec::new();
+        };
+        let log = log.borrow();
+        let (newer, older) = log.recent.split_at(log.recent_next.min(log.recent.len()));
+        let ring = older.iter().chain(newer);
+        ring.skip(log.recent.len().saturating_sub(n))
+            .copied()
+            .collect()
     }
 
     /// Drains the log into a [`WorkerTelemetry`] for the registry.
@@ -437,15 +434,14 @@ impl Recorder {
         let mut log = log.borrow_mut();
         let mut ops: Vec<_> = log.ops.drain().collect();
         ops.sort_by_key(|(k, _)| *k);
-        let mut connectors: Vec<_> = log.connectors.drain().collect();
-        connectors.sort_by_key(|(k, _)| *k);
+        log.recent.clear();
+        log.recent_next = 0;
         Some(WorkerTelemetry {
             worker,
             events: std::mem::take(&mut log.events),
             dropped: std::mem::take(&mut log.dropped),
             counters: std::mem::take(&mut log.counters),
             ops,
-            connectors,
             directory: std::mem::take(&mut log.directory),
         })
     }
@@ -503,11 +499,12 @@ mod tests {
     }
 
     #[test]
-    fn connector_counters_accumulate_both_directions() {
+    fn message_counters_credit_the_sending_and_receiving_stages() {
         let r = Recorder::with_capacity(16);
         r.record(TelemetryEvent::MessageSent {
             dataflow: 0,
             connector: 2,
+            stage: 1,
             target: 1,
             records: 10,
             bytes: 80,
@@ -516,40 +513,56 @@ mod tests {
         r.record(TelemetryEvent::MessageReceived {
             dataflow: 0,
             connector: 2,
+            stage: 3,
             records: 4,
             remote: false,
         });
         let t = r.harvest(0).unwrap();
         assert_eq!(t.counters.records_sent, 10);
         assert_eq!(t.counters.records_received, 4);
-        let (_, conn) = t.connectors[0];
+        let [((0, 1), sender), ((0, 3), receiver)] = t.ops[..] else {
+            panic!("one row per stage: {:?}", t.ops);
+        };
         assert_eq!(
-            (conn.messages_out, conn.records_out, conn.bytes_out),
+            (sender.messages_out, sender.records_out, sender.bytes_out),
             (1, 10, 80)
         );
-        assert_eq!((conn.messages_in, conn.records_in), (1, 4));
+        assert_eq!((sender.messages_in, sender.records_in), (0, 0));
+        assert_eq!((receiver.messages_in, receiver.records_in), (1, 4));
+        assert_eq!(receiver.messages_out, 0);
     }
 
     #[test]
-    fn recent_returns_the_tail_and_harvest_drains() {
-        let r = Recorder::with_capacity(16);
-        for seq in 0..6u64 {
-            r.record(TelemetryEvent::ProgressBatchSent {
-                dataflow: 0,
-                seq,
-                updates: 1,
-            });
-        }
-        let tail = r.recent(2);
-        assert_eq!(tail.len(), 2);
-        assert!(matches!(
-            tail[1].event,
-            TelemetryEvent::ProgressBatchSent { seq: 5, .. }
-        ));
+    fn recent_returns_the_newest_events_past_a_full_buffer() {
+        let r = Recorder::with_capacity(4);
+        let record = |seqs: std::ops::Range<u64>| {
+            for seq in seqs {
+                r.record(TelemetryEvent::ProgressBatchSent {
+                    dataflow: 0,
+                    seq,
+                    updates: 1,
+                });
+            }
+        };
+        let seqs = |records: Vec<EventRecord>| -> Vec<u64> {
+            records
+                .iter()
+                .map(|r| match r.event {
+                    TelemetryEvent::ProgressBatchSent { seq, .. } => seq,
+                    _ => unreachable!(),
+                })
+                .collect()
+        };
+        record(0..10);
+        assert_eq!(seqs(r.recent(3)), vec![7, 8, 9]);
+        // Past the ring's 16 slots it keeps the newest 16.
+        record(10..20);
+        assert_eq!(seqs(r.recent(3)), vec![17, 18, 19]);
+        assert_eq!(seqs(r.recent(100)), (4..20).collect::<Vec<_>>());
         let t = r.harvest(0).unwrap();
-        assert_eq!(t.events.len(), 6);
-        assert_eq!(t.counters.progress_batches_sent, 6);
-        assert!(r.recent(4).is_empty(), "harvest drains the buffer");
+        assert_eq!(seqs(t.events), vec![0, 1, 2, 3], "the log keeps a prefix");
+        assert_eq!(t.counters.progress_batches_sent, 20);
+        assert!(r.recent(4).is_empty(), "harvest drains the ring");
     }
 
     #[test]
